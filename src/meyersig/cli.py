@@ -30,9 +30,6 @@ from .presentations import (
 )
 from .symplectic import SymplecticMatrix
 
-MAX_CLI_WORD_LETTERS = 10_000
-
-
 def _fmt(value) -> str:
     value = Fraction(value)
     if value.denominator == 1:
@@ -87,12 +84,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_phi(args) -> int:
     p = load_presentation(args.presentation)
-    word = p.word(args.word)
-    if len(word) > MAX_CLI_WORD_LETTERS:
-        raise ValueError(
-            f"word has {len(word)} letters; the CLI caps words at {MAX_CLI_WORD_LETTERS}"
-        )
-    print(_fmt(synthesize_meyer(p)(word)))
+    print(_fmt(synthesize_meyer(p)(p.word(args.word))))
     return 0
 
 

@@ -17,9 +17,8 @@ assumed, because a failure pinpoints a kernel-basis bug immediately.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import SymmetricForm, kernel_basis, signature
+from .exact import kernel_basis, signature
 from .matrix import IntMatrix
 from .symplectic import SymplecticMatrix, standard_j
 
@@ -72,13 +71,7 @@ def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
                     "pairing is not symmetric on V_{A,B}; "
                     "this indicates a kernel-basis bug"
                 )
-    # Symmetrize anyway; exact rationals make this lossless (and a no-op
-    # once the assertion above has passed).
-    sym = [
-        [Fraction(gram[i][j] + gram[j][i], 2) for j in range(space.dim)]
-        for i in range(space.dim)
-    ]
-    return signature(SymmetricForm(sym)).value
+    return signature(gram).value
 
 
 def sigma_defect_via_tau(alpha: SymplecticMatrix) -> int:

@@ -1,12 +1,18 @@
-"""Exact rational linear algebra: signatures of symmetric forms and kernels.
+"""Exact integer linear algebra: signatures of symmetric forms and kernels.
 
-All arithmetic runs over :class:`fractions.Fraction` (arbitrary precision,
-always in lowest terms), so results are exact; no floating point appears
-anywhere in this package.  The signature routine performs symmetric
-Gaussian congruence reduction: it diagonalizes by simultaneous row and
-column operations, using a hyperbolic 2x2 block step when every diagonal
-entry of the active block vanishes.  This avoids eigenvalues entirely,
-which is what makes an exact answer possible.
+Rational input is scaled to integers once, at the public entry: a form by
+one positive common denominator (a positive multiple of a form has the
+same inertia), a matrix by one per row (which keeps its kernel).  From
+there every step is fraction-free elimination over Python ints, in the
+style of Bareiss (1968), and each new row or block is divided by its
+content, the gcd of its entries, to keep the integers small.  No floating
+point appears anywhere in this package.  The signature is read off by
+congruence diagonalization rather than from eigenvalues, which is what
+makes an exact answer possible.
+
+Tuples and star-arguments here are built from lists, not generators:
+CPython sizes a tuple drawn from a generator by a guess and a resize,
+which strands blocks in its tuple free lists and raises peak memory.
 """
 
 import math
@@ -35,12 +41,15 @@ class SignatureTriple(NamedTuple):
 
 
 class SymmetricForm:
-    """A square rational matrix validated to be exactly symmetric."""
+    """A square rational matrix validated to be exactly symmetric.
+
+    Integer entries are kept as ints; any other entry becomes a Fraction.
+    """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[Sequence[Rational]]):
-        rows = tuple(tuple(Fraction(e) for e in row) for row in entries)
+        rows = tuple([tuple([e if type(e) is int else Fraction(e) for e in r]) for r in entries])
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -67,8 +76,8 @@ class SymmetricForm:
 
     def direct_sum(self, other: "SymmetricForm") -> "SymmetricForm":
         n, m = self.dim, other.dim
-        rows = [list(row) + [Fraction(0)] * m for row in self.entries]
-        rows += [[Fraction(0)] * n + list(row) for row in other.entries]
+        rows = [list(row) + [0] * m for row in self.entries]
+        rows += [[0] * n + list(row) for row in other.entries]
         return SymmetricForm(rows)
 
     def __eq__(self, other):
@@ -84,74 +93,42 @@ class SymmetricForm:
 def signature(form: SymmetricForm | Sequence[Sequence[Rational]]) -> SignatureTriple:
     """Inertia (p, q, z) of a symmetric rational form by exact congruence.
 
-    Each step either clears a nonzero diagonal pivot (contributing one +1
-    or -1 according to its sign) or, when the active block has an all-zero
-    diagonal, clears a hyperbolic block [[0,b],[b,0]] contributing (1,1).
-    Congruence transformations preserve inertia, so the tally is the
-    signature decomposition of the input.
+    Each step takes a nonzero diagonal pivot d, counts +1 or -1 by its
+    sign, and replaces the trailing block by sign(d) * (d * a_rs - a_rd * a_ds),
+    a positive multiple of the Schur complement, divided by its content.
+    When the diagonal is all zero but some a_kl is not, the congruence
+    r_k += r_l, c_k += c_l first makes a_kk = 2 * a_kl the pivot.  Neither
+    congruence nor positive scaling changes inertia, so the tally is the
+    inertia of the input; a block that reaches zero is its radical.
     """
     if not isinstance(form, SymmetricForm):
         form = SymmetricForm(form)
-    n = form.dim
-    a = [list(row) for row in form.entries]
+    scale = _denominator(e for row in form.entries for e in row)
+    a = [_times(row, scale) for row in form.entries]
     pos = neg = 0
-    i = 0
-    while i < n:
-        k = next((k for k in range(i, n) if a[k][k] != 0), None)
-        if k is not None:
-            _sym_swap(a, i, k)
-            d = a[i][i]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            coeff = [a[r][i] / d for r in range(i + 1, n)]
-            for r in range(i + 1, n):
-                fr = coeff[r - i - 1]
-                if fr == 0:
-                    continue
-                for s in range(r, n):
-                    fs = coeff[s - i - 1]
-                    if fs != 0:
-                        val = a[r][s] - fr * fs * d
-                        a[r][s] = val
-                        a[s][r] = val
-                a[r][i] = a[i][r] = Fraction(0)
-            i += 1
-            continue
-        off = next(
-            ((k, l) for k in range(i, n) for l in range(k + 1, n) if a[k][l] != 0),
-            None,
-        )
-        if off is None:
-            break  # active block is zero; the rest is radical
-        k, l = off
-        _sym_swap(a, i, k)
-        _sym_swap(a, i + 1, l)  # l > k >= i, so l lands past the first pivot
-        b = a[i][i + 1]
-        pos += 1
-        neg += 1
-        us = [a[r][i] for r in range(i + 2, n)]
-        vs = [a[r][i + 1] for r in range(i + 2, n)]
-        for r in range(i + 2, n):
-            ur, vr = us[r - i - 2], vs[r - i - 2]
-            for s in range(r, n):
-                uss, vss = us[s - i - 2], vs[s - i - 2]
-                val = a[r][s] - (ur * vss + vr * uss) / b
-                a[r][s] = val
-                a[s][r] = val
-            a[r][i] = a[i][r] = Fraction(0)
-            a[r][i + 1] = a[i + 1][r] = Fraction(0)
-        i += 2
-    return SignatureTriple(pos, neg, n - pos - neg)
-
-
-def _sym_swap(a, i, k):
-    if i == k:
-        return
-    a[i], a[k] = a[k], a[i]
-    for row in a:
-        row[i], row[k] = row[k], row[i]
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            k = next((i for i, row in enumerate(a) if any(row)), None)
+            if k is None:
+                break
+            l = next(j for j, e in enumerate(a[k]) if e)
+            for row in a:
+                row[k] += row[l]
+            a[k] = [e + f for e, f in zip(a[k], a[l])]
+        pivot = a.pop(k)
+        d = pivot.pop(k)
+        for row in a:
+            del row[k]
+        sign = 1 if d > 0 else -1
+        pos += d > 0
+        neg += d < 0
+        # by symmetry the pivot row also serves as the pivot column a_rd
+        a = [[sign * (d * e - r * p) for e, p in zip(row, pivot)] for row, r in zip(a, pivot)]
+        content = math.gcd(*[e for row in a for e in row])
+        if content > 1:
+            a = [[e // content for e in row] for row in a]
+    return SignatureTriple(pos, neg, form.dim - pos - neg)
 
 
 def kernel_basis(
@@ -159,12 +136,14 @@ def kernel_basis(
 ) -> list[tuple[int, ...]]:
     """Basis of the right kernel {v : Mv = 0} as primitive integer vectors.
 
-    The kernel is computed by exact reduced row echelon form; each basis
-    vector is scaled by the lcm of its denominators and divided by the gcd
-    of its entries, with the first nonzero entry made positive, so the
-    output is deterministic.  Returns [] when the kernel is trivial.
+    Each row is scaled to integers and the matrix is brought to reduced
+    echelon form by fraction-free elimination.  For a free column f the
+    vector is L at f and -row[f] * L / row[p] at the pivot column p of each
+    row, where L is the lcm of the pivots; it is then divided by its
+    content, with the first nonzero entry made positive, so the output is
+    deterministic.  Returns [] when the kernel is trivial.
     """
-    mat = [[Fraction(e) for e in row] for row in rows]
+    mat = [_times(row, _denominator(row)) for row in rows]
     if mat:
         width = len(mat[0])
         if any(len(row) != width for row in mat):
@@ -175,56 +154,67 @@ def kernel_basis(
         if ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
         width = ncols
-    reduced, pivots = _rref(mat, width)
-    free = [j for j in range(width) if j not in pivots]
+    pivots = _rref(mat, width)
+    lcm = math.lcm(*[row[p] for row, p in zip(mat, pivots)])
     basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced[r][f]
+    for f in range(width):
+        if f in pivots:
+            continue
+        vec = [0] * width
+        vec[f] = lcm
+        for row, p in zip(mat, pivots):
+            vec[p] = -row[f] * lcm // row[p]
         basis.append(_primitive(vec))
     return basis
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    mat = [[Fraction(e) for e in row] for row in rows]
+    mat = [_times(row, _denominator(row)) for row in rows]
     if not mat:
         return 0
-    _, pivots = _rref(mat, len(mat[0]))
-    return len(pivots)
+    return len(_rref(mat, len(mat[0])))
 
 
-def _rref(mat: list[list[Fraction]], width: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _rref(mat: list, width: int) -> list[int]:
+    """Fraction-free reduced row echelon form, in place; returns the pivot columns.
+
+    Clearing column c of a row uses the pivot row t with pivot p = t[c]:
+    the row becomes p * row - row[c] * t, divided by its content.
+    """
     pivots: list[int] = []
-    r = 0
     for c in range(width):
-        pivot_row = next((k for k in range(r, len(mat)) if mat[k][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [e * inv for e in mat[r]]
-        for k in range(len(mat)):
-            if k != r and mat[k][c] != 0:
-                factor = mat[k][c]
-                mat[k] = [e - factor * p for e, p in zip(mat[k], mat[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == len(mat):
             break
-    return mat, pivots
+        k = next((k for k in range(r, len(mat)) if mat[k][c]), None)
+        if k is None:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        top = mat[r]
+        p = top[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = _primitive([p * e - f * t for e, t in zip(row, top)])
+        pivots.append(c)
+    return pivots
 
 
-def _primitive(vec: list[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    scale = math.lcm(*(e.denominator for e in vec))
-    ints = [int(e * scale) for e in vec]
-    content = math.gcd(*ints)
-    if content:
-        ints = [e // content for e in ints]
-    lead = next((e for e in ints if e != 0), 0)
-    if lead < 0:
-        ints = [-e for e in ints]
-    return tuple(ints)
+def _denominator(values) -> int:
+    """Lcm of the denominators of rational values."""
+    return math.lcm(*[1 if type(e) is int else Fraction(e).denominator for e in values])
+
+
+def _times(row, scale: int) -> list[int]:
+    """The row times scale, which must clear its denominators, as ints."""
+    return [e * scale if type(e) is int else int(Fraction(e) * scale) for e in row]
+
+
+def _primitive(vec: list[int]) -> tuple[int, ...]:
+    """Divide an integer vector by its content, making the first nonzero entry positive."""
+    content = math.gcd(*vec)
+    if not content:
+        return tuple(vec)
+    if next(e for e in vec if e) < 0:
+        content = -content
+    return tuple([e // content for e in vec])

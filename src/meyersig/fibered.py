@@ -405,6 +405,13 @@ def _in_commutator_subgroup(m: SymplecticMatrix) -> bool:
 _KODAIRA_PREFIX = "kodaira:"
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer field; floats, booleans and strings are parse errors."""
+    if type(value) is not int:
+        raise ParseError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def germ_from_dict(data: dict, presentation: Presentation, data_dir=None) -> FiberGerm:
     try:
         monodromy = data["monodromy"]
@@ -416,9 +423,10 @@ def germ_from_dict(data: dict, presentation: Presentation, data_dir=None) -> Fib
         word = kodaira_word(monodromy[len(_KODAIRA_PREFIX):], data_dir)
     else:
         word = presentation.word(monodromy)
+    signature = _json_int(data.get("neighborhood_signature", 0), "neighborhood_signature")
     return FiberGerm(
         monodromy=word,
-        neighborhood_signature=int(data.get("neighborhood_signature", 0)),
+        neighborhood_signature=signature,
         label=str(data.get("label", "")),
     )
 
@@ -437,8 +445,8 @@ def load_fibration(source, data_dir=None) -> FibrationDescription:
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad fibration JSON at offset {exc.pos}: {exc.msg}") from None
     try:
-        genus = data["genus"]
-        base_genus = data["base_genus"]
+        genus = _json_int(data["genus"], "genus")
+        base_genus = _json_int(data["base_genus"], "base_genus")
         germs = data["germs"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"fibration data is missing field {exc}") from None
@@ -446,4 +454,4 @@ def load_fibration(source, data_dir=None) -> FibrationDescription:
         raise UnsupportedGenusError(_no_meyer_message(genus))
     p = shipped_presentation(genus, data_dir)
     parsed = tuple(germ_from_dict(g, p, data_dir) for g in germs)
-    return FibrationDescription(genus=genus, base_genus=int(base_genus), germs=parsed)
+    return FibrationDescription(genus=genus, base_genus=base_genus, germs=parsed)

@@ -35,10 +35,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls(tuple((0,) * ncols for _ in range(nrows)))
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -103,11 +99,6 @@ class IntMatrix:
         if len(vec) != self.ncols:
             raise ValueError(f"vector length {len(vec)} != {self.ncols} columns")
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row counts differ")
-        return IntMatrix(tuple(r + s for r, s in zip(self.rows, other.rows)))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols

@@ -37,6 +37,8 @@ from .symplectic import SymplecticMatrix
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
 
+MAX_WORD_LETTERS = 10_000
+
 
 class Word:
     """A word in a free group: a sequence of (generator index, +-1) letters.
@@ -104,10 +106,12 @@ def parse_word(text: str, generator_names: Sequence[str]) -> Word:
     Token forms: a generator name, ``name^k`` for a nonzero integer k
     (expanded into |k| letters), and the single-letter shorthand where an
     uppercase token stands for the inverse of its lowercase generator.
-    The empty string is the empty word.
+    The empty string is the empty word.  A word longer than
+    MAX_WORD_LETTERS raises ValueError before its letters are built.
     """
     index = {name: i for i, name in enumerate(generator_names)}
     letters: list[Letter] = []
+    length = 0
     for pos, token in enumerate(text.split()):
         name, _, power_text = token.partition("^")
         if power_text:
@@ -128,6 +132,9 @@ def parse_word(text: str, generator_names: Sequence[str]) -> Word:
             power = -power
         else:
             raise ParseError(f"unknown generator {name!r} in token {pos}")
+        length += abs(power)
+        if length > MAX_WORD_LETTERS:
+            raise ValueError(f"word is too long: meyersig caps words at {MAX_WORD_LETTERS} letters")
         sign = 1 if power > 0 else -1
         letters.extend([(i, sign)] * abs(power))
     return Word(letters)

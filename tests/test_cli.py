@@ -104,6 +104,15 @@ def test_local_sig_unlabeled_germ_gets_index(capsys, tmp_path):
     assert out.splitlines()[0] == "germ 0: 0"
 
 
+def test_local_sig_non_integer_field_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "fib.json"
+    germ = {"monodromy": "a", "neighborhood_signature": 0.5}
+    path.write_text(json.dumps({"genus": 1, "base_genus": 0, "germs": [germ]}))
+    code, out, err = run_cli(capsys, "local-sig", "-f", str(path))
+    assert (code, out) == (2, "")
+    assert "must be an integer" in err
+
+
 def test_euler(capsys):
     args = ["euler", "-g", "1", "-b", "0", "--eps"] + ["1"] * 12
     assert run_cli(capsys, *args)[:2] == (0, "12\n")

@@ -2,8 +2,9 @@
 import pytest
 
 from meyersig.cocycle import sigma_defect_via_tau, tau_sp, v_space
+from meyersig.exact import signature
 from meyersig.genus1 import SL2Element, phi1, signature_defect
-from meyersig.symplectic import SymplecticMatrix, random_symplectic
+from meyersig.symplectic import SymplecticMatrix, random_symplectic, standard_j
 
 U = SymplecticMatrix([[1, 1], [0, 1]])
 V = SymplecticMatrix([[1, 0], [-1, 1]])
@@ -110,3 +111,35 @@ def test_sigma_defect_matches_closed_form(rng):
 def test_sigma_defect_needs_genus_one():
     with pytest.raises(ValueError, match="genus 1"):
         sigma_defect_via_tau(SymplecticMatrix.identity(2))
+
+
+def _maslov(*mats):
+    """Maslov index of the Lagrangian graphs of three symplectic matrices:
+    the signature of the Kashiwara form whose block (i, j) is J - M_i^T J M_j
+    for the cyclic pairs (0,1), (1,2), (2,0), mirrored below the diagonal,
+    with zero diagonal blocks (Cappell-Lee-Miller 1994).  It needs no kernel,
+    so it is independent of the V_{A,B} route."""
+    n = 2 * mats[0].g
+    j = standard_j(mats[0].g)
+    q = [[0] * (3 * n) for _ in range(3 * n)]
+    for s, t in ((0, 1), (1, 2), (2, 0)):
+        k = j - mats[s].mat.transpose() * j * mats[t].mat
+        for r in range(n):
+            for c in range(n):
+                q[s * n + r][t * n + c] = q[t * n + c][s * n + r] = k[r][c]
+    return signature(q).value
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_tau_matches_maslov_index(g, rng):
+    e = SymplecticMatrix.identity(g)
+    minus = SymplecticMatrix([[-int(r == c) for c in range(2 * g)] for r in range(2 * g)], g)
+    pairs = [
+        (random_symplectic(g, rng.randint(0, 12), rng.random()),
+         random_symplectic(g, rng.randint(0, 12), rng.random()))
+        for _ in range(25)
+    ]
+    x = pairs[0][0]
+    pairs += [(x, e), (e, x), (x, x.inverse()), (e, e), (minus, minus), (x, minus)]
+    for a, b in pairs:
+        assert tau_sp(a, b) == _maslov(e, a, a * b) == -_maslov(e, a.inverse(), b)

@@ -179,7 +179,8 @@ def test_signature_against_charpoly_oracle():
 
 
 def test_signature_oracle_on_zero_diagonals():
-    # forces the hyperbolic 2x2 block step through the same oracle
+    # forces the zero-diagonal congruence step r_k += r_l, c_k += c_l
+    # through the same oracle
     rng = random.Random(48)
     for _ in range(200):
         n = rng.randint(2, 5)

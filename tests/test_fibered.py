@@ -388,6 +388,28 @@ def test_load_fibration_errors(tmp_path):
         load_fibration(bad)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("neighborhood_signature", 0.5),
+        ("neighborhood_signature", "x"),
+        ("neighborhood_signature", True),
+        ("base_genus", 0.7),
+        ("base_genus", None),
+        ("genus", True),
+        ("genus", 1.0),
+    ],
+)
+def test_load_fibration_rejects_non_integer_fields(field, value):
+    data = {"genus": 1, "base_genus": 0, "germs": [{"monodromy": "a"}]}
+    if field == "neighborhood_signature":
+        data["germs"][0][field] = value
+    else:
+        data[field] = value
+    with pytest.raises(ParseError, match=f"'{field}' must be an integer"):
+        load_fibration(data)
+
+
 def test_load_fibration_from_file(tmp_path):
     import json
 

@@ -88,6 +88,13 @@ def test_parse_word_errors():
         parse_word("a^0", ("a",))
 
 
+@pytest.mark.parametrize("text", ["a^1000000000000", "a^-6000 b^6000"])
+def test_parse_word_cap_checked_before_expansion(text):
+    with pytest.raises(ValueError, match="caps words") as info:
+        parse_word(text, ("a", "b"))
+    assert not isinstance(info.value, ParseError)
+
+
 def test_word_format_round_trip(rng, sl2z, genus2):
     for p in (sl2z, genus2):
         for _ in range(120):
