@@ -11,14 +11,14 @@ from . import selftest
 from .cocycle import tau_sp
 from .errors import ParseError
 from .fibered import (
+    closed_total,
     euler_contribution,
     geography_convert,
     geography_invert,
     hyperelliptic_twist_value,
     load_fibration,
-    local_signature,
+    local_signatures,
     total_euler,
-    total_signature,
 )
 from .genus1 import SL2Element, phi1, dedekind_sum, rademacher
 from .matrix import parse_matrix
@@ -90,10 +90,11 @@ def _cmd_phi(args) -> int:
 
 def _cmd_local_sig(args) -> int:
     fd = load_fibration(args.fibration, data_dir=args.data)
-    for k, germ in enumerate(fd.germs):
+    values = local_signatures(fd.germs, fd.genus, args.data)
+    for k, (germ, value) in enumerate(zip(fd.germs, values)):
         label = germ.label or f"germ {k}"
-        print(f"{label}: {_fmt(local_signature(germ, fd.genus, data_dir=args.data))}")
-    print(f"total: {_fmt(total_signature(fd, data_dir=args.data))}")
+        print(f"{label}: {_fmt(value)}")
+    print(f"total: {_fmt(closed_total(fd, values, args.data))}")
     return 0
 
 

@@ -30,6 +30,7 @@ from .matrix import parse_matrix
 from .presentations import (
     Presentation,
     Word,
+    check_word_length,
     evaluate_word,
     shipped_meyer_function,
     shipped_presentation,
@@ -96,12 +97,23 @@ def signature_over_surface(g: int, boundary_monodromies, data_dir=None) -> Fract
 
 def local_signature(germ: FiberGerm, g: int, data_dir=None) -> Fraction:
     """phi_g(monodromy) + neighborhood signature; conjugation-invariant."""
+    return local_signatures([germ], g, data_dir)[0]
+
+
+def local_signatures(germs, g: int, data_dir=None) -> list[Fraction]:
+    """The local signature of each germ, all from one Meyer function."""
     phi = meyer_function(g, data_dir)
-    return phi(germ.monodromy) + germ.neighborhood_signature
+    return [phi(germ.monodromy) + germ.neighborhood_signature for germ in germs]
 
 
 def total_signature(fd: FibrationDescription, data_dir=None) -> int:
-    """Sum of local signatures over all germs of a closed fibration.
+    """Sum of local signatures over all germs of a closed fibration;
+    raises as closed_total does."""
+    return closed_total(fd, local_signatures(fd.germs, fd.genus, data_dir), data_dir)
+
+
+def closed_total(fd: FibrationDescription, local_values, data_dir=None) -> int:
+    """The sum of the local signatures ``local_values`` of fd's germs.
 
     Raises if the germs fail the closedness check (their product must be
     the identity over a sphere, or lie in the commutator subgroup of the
@@ -123,9 +135,7 @@ def total_signature(fd: FibrationDescription, data_dir=None) -> int:
             "closedness check failed: the product of germ monodromies is "
             "not a product of commutators in Sp(2g;Z)"
         )
-    total = sum(
-        (local_signature(germ, fd.genus, data_dir) for germ in fd.germs), Fraction(0)
-    )
+    total = sum(local_values, Fraction(0))
     if total.denominator != 1:
         raise ValueError(f"total signature {total} is not an integer; germ data inconsistent")
     return int(total)
@@ -289,15 +299,20 @@ def _sl2_st_factors(m: SymplecticMatrix) -> list[tuple[str, int]]:
 
 
 def sl2_word(m: SymplecticMatrix, data_dir=None) -> Word:
-    """A word in the shipped genus-1 generators mapping to the matrix m."""
+    """A word in the shipped genus-1 generators mapping to the matrix m.
+
+    A word longer than MAX_WORD_LETTERS raises ValueError before its
+    letters are built.
+    """
     p = shipped_presentation(1, data_dir)
     a_idx = p.generator_names.index("a")
     b_idx = p.generator_names.index("b")
     t_letter = ((a_idx, 1),)
     s_letters = ((a_idx, -1), (b_idx, -1), (a_idx, -1))  # S = (aba)^{-1}
+    factors = [(t_letter if sym == "T" else s_letters, exp) for sym, exp in _sl2_st_factors(m)]
+    check_word_length(sum(len(base) * abs(exp) for base, exp in factors))
     letters: list[tuple[int, int]] = []
-    for sym, exp in _sl2_st_factors(m):
-        base = t_letter if sym == "T" else s_letters
+    for base, exp in factors:
         if exp < 0:
             base = tuple((i, -s) for i, s in reversed(base))
         letters.extend(base * abs(exp))

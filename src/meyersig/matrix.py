@@ -67,12 +67,6 @@ class IntMatrix:
             )
         )
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
-        )
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
         return IntMatrix(

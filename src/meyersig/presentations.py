@@ -100,6 +100,13 @@ class Word:
         return f"Word({self.letters!r})"
 
 
+def check_word_length(letters: int) -> None:
+    """Raise ValueError for a word of more than MAX_WORD_LETTERS letters;
+    callers pass the count before they build the letters."""
+    if letters > MAX_WORD_LETTERS:
+        raise ValueError(f"word is too long: meyersig caps words at {MAX_WORD_LETTERS} letters")
+
+
 def parse_word(text: str, generator_names: Sequence[str]) -> Word:
     """Parse a whitespace-separated word string.
 
@@ -133,8 +140,7 @@ def parse_word(text: str, generator_names: Sequence[str]) -> Word:
         else:
             raise ParseError(f"unknown generator {name!r} in token {pos}")
         length += abs(power)
-        if length > MAX_WORD_LETTERS:
-            raise ValueError(f"word is too long: meyersig caps words at {MAX_WORD_LETTERS} letters")
+        check_word_length(length)
         sign = 1 if power > 0 else -1
         letters.extend([(i, sign)] * abs(power))
     return Word(letters)

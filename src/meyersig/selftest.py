@@ -1,136 +1,168 @@
-"""Quick invariant suites behind the CLI --selftest flag.
+"""The invariant suites: each exact identity of the package, defined once.
 
-Each suite prints one PASS/FAIL line; the acceptance tests in the test
-tree run the same identities at full size.
+A suite takes a random generator and a size and returns ``None`` when
+every identity holds, or its first counterexample as one line of text.
+Suites compare with ``!=`` rather than ``assert``, so they still check
+under ``python -O``.  ``meyersig --selftest`` runs the table ``SUITES`` at
+the small sizes listed there; ``tests/test_acceptance.py`` runs the same
+table at full size with fixed seeds.
 """
 
 import random
+import sys
 from fractions import Fraction
+from functools import wraps
 from math import gcd
 
 from .cocycle import sigma_defect_via_tau, tau_sp
 from .genus1 import SL2Element, dedekind_sum, phi1, signature_defect
 from .presentations import Word, class_order, cochain_c, evaluate_word, shipped_meyer_function, shipped_presentation
-from .symplectic import random_symplectic
+from .symplectic import SymplecticMatrix, random_symplectic
 
 
-def _random_word(p, rng: random.Random, max_len: int = 14) -> Word:
+def random_word(p, rng: random.Random, max_len: int = 14) -> Word:
+    """A word of random length 0..max_len in the generators of p."""
     length = rng.randint(0, max_len)
     return Word(
         (rng.randrange(p.generator_count), rng.choice((1, -1))) for _ in range(length)
     )
 
 
-def _suite_cocycle_axioms(rng):
-    for g in (1, 2):
-        for _ in range(40):
-            a = random_symplectic(g, rng.randint(0, 10), rng.random())
-            b = random_symplectic(g, rng.randint(0, 10), rng.random())
-            c = random_symplectic(g, rng.randint(0, 10), rng.random())
-            if tau_sp(a * b, c) + tau_sp(a, b) != tau_sp(a, b * c) + tau_sp(b, c):
-                return False
-            if tau_sp(a, b) != tau_sp(b, a):
-                return False
-            if tau_sp(a.inverse(), b.inverse()) != -tau_sp(a, b):
-                return False
-            if tau_sp(c * a * c.inverse(), c * b * c.inverse()) != tau_sp(a, b):
-                return False
-    return True
+def _random_matrix(g: int, max_len: int, rng: random.Random) -> SymplecticMatrix:
+    return random_symplectic(g, rng.randint(0, max_len), rng.random())
 
 
-def _suite_coboundary(rng):
-    for _ in range(200):
-        x = random_symplectic(1, rng.randint(0, 16), rng.random())
-        y = random_symplectic(1, rng.randint(0, 16), rng.random())
-        if tau_sp(x, y) != phi1(x) - phi1(x * y) + phi1(y):
-            return False
-    return True
+def _suite(cases):
+    """Make a suite from a generator of ``(identity, lhs, rhs, inputs)``
+    cases: ``None`` if every lhs equals its rhs, else the first failure."""
+
+    @wraps(cases)
+    def suite(rng, size):
+        for identity, lhs, rhs, inputs in cases(rng, size):
+            if lhs != rhs:
+                return f"{identity}: {lhs} != {rhs} at {inputs}"
+        return None
+
+    return suite
 
 
-def _suite_defect(rng):
-    for _ in range(200):
-        m = random_symplectic(1, rng.randint(0, 14), rng.random())
-        if sigma_defect_via_tau(m) != signature_defect(SL2Element.from_matrix(m)):
-            return False
-    return True
+@_suite
+def _class_orders(rng, size):
+    for g, n in ((1, 3), (2, 5)):
+        order = class_order(shipped_presentation(g))
+        yield f"class order at genus {g}", getattr(order, "n", order), n, {}
 
 
-def _suite_synthesized(rng):
-    p1 = shipped_presentation(1)
-    phi = shipped_meyer_function(1)
-    for _ in range(100):
-        w = _random_word(p1, rng)
-        if phi(w) != phi1(evaluate_word(w, p1)):
-            return False
-    p2 = shipped_presentation(2)
-    phi2 = shipped_meyer_function(2)
-    if any(phi2(name) != Fraction(3, 5) for name in p2.generator_names):
-        return False
-    if phi2(" ".join(["c1 c2"] * 6)) != Fraction(-4, 5):
-        return False
-    for _ in range(60):
-        if (5 * phi2(_random_word(p2, rng))).denominator != 1:
-            return False
-    return True
+@_suite
+def _cocycle_axioms(rng, size):
+    """size random triples (A, B, C) at each of g = 1, 2, 3."""
+    for g in (1, 2, 3):
+        e = SymplecticMatrix.identity(g)
+        for _ in range(size):
+            a, b, c = (_random_matrix(g, 10, rng) for _ in range(3))
+            ab = tau_sp(a, b)
+            abc = {"A": a, "B": b, "C": c}
+            lhs, rhs = tau_sp(a * b, c) + ab, tau_sp(a, b * c) + tau_sp(b, c)
+            yield "tau(AB, C) + tau(A, B) = tau(A, BC) + tau(B, C)", lhs, rhs, abc
+            yield "tau(A, I) = 0", tau_sp(a, e), 0, abc
+            yield "tau(I, A) = 0", tau_sp(e, a), 0, abc
+            yield "tau(A, A^-1) = 0", tau_sp(a, a.inverse()), 0, abc
+            yield "tau(A^-1, B^-1) = -tau(A, B)", tau_sp(a.inverse(), b.inverse()), -ab, abc
+            yield "tau(B, A) = tau(A, B)", tau_sp(b, a), ab, abc
+            conjugated = tau_sp(c * a * c.inverse(), c * b * c.inverse())
+            yield "tau(CAC^-1, CBC^-1) = tau(A, B)", conjugated, ab, abc
 
 
-def _suite_orders(rng):
-    return (
-        class_order(shipped_presentation(1)).n == 3
-        and class_order(shipped_presentation(2)).n == 5
-    )
+@_suite
+def _coboundary(rng, size):
+    """size random genus-1 pairs."""
+    for _ in range(size):
+        x, y = _random_matrix(1, 20, rng), _random_matrix(1, 20, rng)
+        rhs = phi1(x) - phi1(x * y) + phi1(y)
+        yield "tau(X, Y) = phi1(X) - phi1(XY) + phi1(Y)", tau_sp(x, y), rhs, {"X": x, "Y": y}
 
 
-def _suite_dedekind(rng):
-    for c in range(2, 61):
+@_suite
+def _defect(rng, size):
+    """size random genus-1 matrices."""
+    for _ in range(size):
+        m = _random_matrix(1, 16, rng)
+        closed_form = signature_defect(SL2Element.from_matrix(m))
+        yield "tau(M, -I) route = 2x2 defect signature", sigma_defect_via_tau(m), closed_form, {"M": m}
+
+
+@_suite
+def _synthesized(rng, size):
+    """size = (genus-1 words against phi1, genus-2 words landing in (1/5)Z)."""
+    genus1_words, genus2_words = size
+    p, phi = shipped_presentation(1), shipped_meyer_function(1)
+    for _ in range(genus1_words):
+        w = random_word(p, rng, max_len=16)
+        yield "synthesized phi_1 = closed form", phi(w), phi1(evaluate_word(w, p)), {"w": w}
+    p, phi = shipped_presentation(2), shipped_meyer_function(2)
+    for name in p.generator_names:
+        yield "phi_2(twist) = 3/5", phi(name), Fraction(3, 5), {"twist": name}
+    yield "phi_2((c1 c2)^6) = -4/5", phi(" ".join(["c1 c2"] * 6)), Fraction(-4, 5), {}
+    for _ in range(genus2_words):
+        w = random_word(p, rng, max_len=12)
+        yield "denominator of 5 phi_2(w)", (5 * phi(w)).denominator, 1, {"w": w}
+
+
+@_suite
+def _dedekind(rng, size):
+    """Every coprime 1 <= a < c <= size."""
+    for c in range(2, size + 1):
         for a in range(1, c):
             if gcd(a, c) != 1:
                 continue
-            lhs = dedekind_sum(a, c) + dedekind_sum(c, a)
+            s = dedekind_sum(a, c)
+            ac = {"a": a, "c": c}
             rhs = Fraction(-1, 4) + (Fraction(a, c) + Fraction(c, a) + Fraction(1, a * c)) / 12
-            if lhs != rhs:
-                return False
-            if dedekind_sum(a + c, c) != dedekind_sum(a, c):
-                return False
-            if dedekind_sum(-a, c) != -dedekind_sum(a, c):
-                return False
-    return True
+            yield "s(a, c) + s(c, a) = -1/4 + (a/c + c/a + 1/(ac))/12", s + dedekind_sum(c, a), rhs, ac
+            yield "s(a + c, c) = s(a, c)", dedekind_sum(a + c, c), s, ac
+            yield "s(-a, c) = -s(a, c)", dedekind_sum(-a, c), -s, ac
 
 
-def _suite_free_reduction(rng):
+@_suite
+def _free_reduction(rng, size):
+    """size random words with one inserted cancelling pair at each of g = 1, 2."""
     for g in (1, 2):
-        p = shipped_presentation(g)
-        phi = shipped_meyer_function(g)
-        for _ in range(50):
-            w = _random_word(p, rng)
+        p, phi = shipped_presentation(g), shipped_meyer_function(g)
+        for _ in range(size):
+            w = random_word(p, rng, max_len=14)
             k = rng.randint(0, len(w))
             i = rng.randrange(p.generator_count)
             s = rng.choice((1, -1))
             padded = Word(w.letters[:k] + ((i, s), (i, -s)) + w.letters[k:])
-            if cochain_c(padded, p) != cochain_c(w, p):
-                return False
-            if phi(padded) != phi(w):
-                return False
-            if evaluate_word(padded, p) != evaluate_word(w, p):
-                return False
-    return True
+            ws = {"w": w, "padded": padded}
+            yield "c(padded) = c(w)", cochain_c(padded, p), cochain_c(w, p), ws
+            yield "phi(padded) = phi(w)", phi(padded), phi(w), ws
+            yield "padded and w evaluate alike", evaluate_word(padded, p), evaluate_word(w, p), ws
 
 
-_SUITES = (
-    ("class orders 3 and 5", _suite_orders),
-    ("cocycle axioms", _suite_cocycle_axioms),
-    ("coboundary of phi_1", _suite_coboundary),
-    ("signature defect dual route", _suite_defect),
-    ("synthesized Meyer functions", _suite_synthesized),
-    ("Dedekind reciprocity", _suite_dedekind),
-    ("free-reduction invariance", _suite_free_reduction),
+# (name, suite, size for --selftest)
+SUITES = (
+    ("class orders 3 and 5", _class_orders, None),
+    ("cocycle axioms", _cocycle_axioms, 12),
+    ("coboundary of phi_1", _coboundary, 200),
+    ("signature defect dual route", _defect, 200),
+    ("synthesized Meyer functions", _synthesized, (100, 60)),
+    ("Dedekind reciprocity", _dedekind, 60),
+    ("free-reduction invariance", _free_reduction, 50),
 )
 
 
 def run(seed: int = 0) -> int:
-    failures = 0
-    for name, suite in _SUITES:
-        ok = suite(random.Random(seed))
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-    return 1 if failures else 0
+    """Run every suite at its small size, each from ``random.Random(seed)``.
+
+    Prints one PASS/FAIL line per suite (a failure's counterexample goes
+    to stderr) and returns the exit code: 1 if any suite failed.
+    """
+    failed = False
+    for name, suite, size in SUITES:
+        counterexample = suite(random.Random(seed), size)
+        print(f"{'PASS' if counterexample is None else 'FAIL'}  {name}")
+        if counterexample is not None:
+            print(f"  {counterexample}", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0

@@ -98,11 +98,14 @@ class SymplecticMatrix:
         return _wrap(self.g, -(j * self.mat.transpose() * j))
 
     def __pow__(self, k: int) -> "SymplecticMatrix":
-        if k < 0:
-            return self.inverse() ** (-k)
+        base = self if k >= 0 else self.inverse()
         result = SymplecticMatrix.identity(self.g)
-        for _ in range(k):
-            result = result * self
+        k = abs(k)
+        while k:  # repeated squaring: O(log k) products
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
         return result
 
     def apply(self, vector: Sequence[int]) -> tuple:

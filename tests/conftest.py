@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from meyersig.presentations import Word, shipped_presentation
+from meyersig.presentations import shipped_presentation
 
 
 @pytest.fixture(scope="session")
@@ -18,10 +18,3 @@ def genus2():
 @pytest.fixture
 def rng():
     return random.Random(20240917)
-
-
-def random_word(p, rng, max_len=14) -> Word:
-    length = rng.randint(0, max_len)
-    return Word(
-        (rng.randrange(p.generator_count), rng.choice((1, -1))) for _ in range(length)
-    )

@@ -1,20 +1,19 @@
 """Acceptance suite: every shipped guarantee at full advertised size.
 
-Run with ``pytest tests/test_acceptance.py -s`` to see one line per
-criterion.  Everything here is exact (tolerance zero); the only bounds
-are the stated wall-clock budgets.
+Criteria 1-7 and 10 run the invariant suites of ``meyersig.selftest``,
+the table that ``meyersig --selftest`` runs at small sizes, at full size
+with fixed seeds.  Run with ``pytest tests/test_acceptance.py -s`` to see
+one line per criterion.  Everything here is exact (tolerance zero); the
+only bounds are the stated wall-clock budgets.
 """
 
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
-from math import gcd
 
 import pytest
 
-from conftest import random_word
-from meyersig.cocycle import sigma_defect_via_tau, tau_sp
+from meyersig import selftest
 from meyersig.errors import UnsupportedGenusError
 from meyersig.fibered import (
     FiberGerm,
@@ -26,16 +25,21 @@ from meyersig.fibered import (
     total_euler,
     total_signature,
 )
-from meyersig.genus1 import SL2Element, dedekind_sum, phi1, signature_defect
-from meyersig.presentations import (
-    Word,
-    class_order,
-    cochain_c,
-    evaluate_word,
-    shipped_meyer_function,
-    shipped_presentation,
-)
-from meyersig.symplectic import SymplecticMatrix, random_symplectic
+from meyersig.symplectic import SymplecticMatrix
+
+SUITES = {name: suite for name, suite, _ in selftest.SUITES}
+
+# criterion: (suite name, seed, full size, wall-clock budget in seconds)
+FULL_SIZE = {
+    1: ("class orders 3 and 5", 0, None, 10),
+    2: ("coboundary of phi_1", 1202, 10_000, 60),
+    3: ("synthesized Meyer functions", 1203, (1_000, 0), None),
+    4: ("synthesized Meyer functions", 1204, (0, 1_000), None),
+    5: ("cocycle axioms", 1205, 500, 120),
+    6: ("signature defect dual route", 1206, 1_000, None),
+    7: ("Dedekind reciprocity", 0, 200, None),
+    10: ("free-reduction invariance", 1210, 500, None),
+}
 
 
 @contextmanager
@@ -54,82 +58,43 @@ def criterion(number, name, budget_seconds=None):
     print(f"criterion {number:2d} ({name}): PASS{timing}")
 
 
+def run_at_full_size(number):
+    name, seed, size, budget = FULL_SIZE[number]
+    with criterion(number, name, budget):
+        counterexample = SUITES[name](random.Random(seed), size)
+        assert counterexample is None, counterexample
+
+
+def test_every_suite_runs_at_full_size():
+    assert {name for name, *_ in FULL_SIZE.values()} == set(SUITES)
+
+
 def test_criterion_1_class_orders():
-    with criterion(1, "class orders 3 and 5", budget_seconds=10):
-        assert class_order(shipped_presentation(1)).n == 3
-        assert class_order(shipped_presentation(2)).n == 5
+    run_at_full_size(1)
 
 
 def test_criterion_2_coboundary_identity():
-    with criterion(2, "coboundary of phi_1 on 10^4 pairs", budget_seconds=60):
-        rng = random.Random(1202)
-        for _ in range(10_000):
-            x = random_symplectic(1, rng.randint(0, 20), rng.random())
-            y = random_symplectic(1, rng.randint(0, 20), rng.random())
-            assert tau_sp(x, y) == phi1(x) - phi1(x * y) + phi1(y)
+    run_at_full_size(2)
 
 
 def test_criterion_3_dual_oracle_meyer():
-    with criterion(3, "synthesized phi_1 equals closed form on 10^3 words"):
-        p = shipped_presentation(1)
-        phi = shipped_meyer_function(1)
-        rng = random.Random(1203)
-        for _ in range(1_000):
-            w = random_word(p, rng, max_len=16)
-            assert phi(w) == phi1(evaluate_word(w, p))
+    run_at_full_size(3)
 
 
 def test_criterion_4_genus2_values():
-    with criterion(4, "genus-2 twist values and (1/5)Z landing"):
-        p = shipped_presentation(2)
-        phi = shipped_meyer_function(2)
-        for name in p.generator_names:
-            assert phi(name) == Fraction(3, 5)
-        assert phi(" ".join(["c1 c2"] * 6)) == Fraction(-4, 5)
-        rng = random.Random(1204)
-        for _ in range(1_000):
-            assert (5 * phi(random_word(p, rng, max_len=12))).denominator == 1
+    run_at_full_size(4)
 
 
 def test_criterion_5_cocycle_axiom_suite():
-    with criterion(5, "cocycle identities on 500 triples at g = 1, 2, 3", budget_seconds=120):
-        for g in (1, 2, 3):
-            rng = random.Random(1205 + g)
-            for _ in range(500):
-                a = random_symplectic(g, rng.randint(0, 10), rng.random())
-                b = random_symplectic(g, rng.randint(0, 10), rng.random())
-                c = random_symplectic(g, rng.randint(0, 10), rng.random())
-                ident = SymplecticMatrix.identity(g)
-                assert tau_sp(a * b, c) + tau_sp(a, b) == tau_sp(a, b * c) + tau_sp(b, c)
-                assert tau_sp(a, ident) == 0
-                assert tau_sp(ident, a) == 0
-                assert tau_sp(a, a.inverse()) == 0
-                assert tau_sp(a.inverse(), b.inverse()) == -tau_sp(a, b)
-                assert tau_sp(a, b) == tau_sp(b, a)
-                assert tau_sp(c * a * c.inverse(), c * b * c.inverse()) == tau_sp(a, b)
+    run_at_full_size(5)
 
 
 def test_criterion_6_defect_identity():
-    with criterion(6, "tau_1(alpha, -I) equals the 2x2 defect signature on 10^3"):
-        rng = random.Random(1206)
-        for _ in range(1_000):
-            m = random_symplectic(1, rng.randint(0, 16), rng.random())
-            assert sigma_defect_via_tau(m) == signature_defect(SL2Element.from_matrix(m))
+    run_at_full_size(6)
 
 
 def test_criterion_7_dedekind_oracle():
-    with criterion(7, "Dedekind reciprocity and periodicity up to c = 200"):
-        for c in range(2, 201):
-            for a in range(1, c):
-                if gcd(a, c) != 1:
-                    continue
-                lhs = dedekind_sum(a, c) + dedekind_sum(c, a)
-                rhs = Fraction(-1, 4) + (
-                    Fraction(a, c) + Fraction(c, a) + Fraction(1, a * c)
-                ) / 12
-                assert lhs == rhs
-                assert dedekind_sum(a + c, c) == dedekind_sum(a, c)
-                assert dedekind_sum(-a, c) == -dedekind_sum(a, c)
+    run_at_full_size(7)
 
 
 def test_criterion_8_elliptic_surface_budget():
@@ -157,17 +122,4 @@ def test_criterion_9_vanishing_and_genus_gate():
 
 
 def test_criterion_10_free_reduction_invariance():
-    with criterion(10, "free-reduction invariance of c, phi, and evaluation"):
-        rng = random.Random(1210)
-        for g in (1, 2):
-            p = shipped_presentation(g)
-            phi = shipped_meyer_function(g)
-            for _ in range(500):
-                w = random_word(p, rng, max_len=14)
-                k = rng.randint(0, len(w))
-                i = rng.randrange(p.generator_count)
-                s = rng.choice((1, -1))
-                padded = Word(w.letters[:k] + ((i, s), (i, -s)) + w.letters[k:])
-                assert cochain_c(padded, p) == cochain_c(w, p)
-                assert phi(padded) == phi(w)
-                assert evaluate_word(padded, p) == evaluate_word(w, p)
+    run_at_full_size(10)

@@ -1,9 +1,12 @@
 import json
 from importlib import resources
+from unittest import mock
 
 import pytest
 
+from meyersig import fibered, selftest
 from meyersig.cli import main
+from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +99,31 @@ def test_local_sig(capsys, tmp_path):
     assert lines[-1] == "total: -8"
 
 
+def test_local_sig_synthesizes_once_and_evaluates_each_germ_once(
+    capsys, monkeypatch, data_dir, tmp_path
+):
+    # the genus-2 chain relation: 30 germs c_i^-1 around (c1 c2 c3 c4 c5)^6 = 1
+    germs = [{"monodromy": f"c{5 - i % 5}^-1"} for i in range(30)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"genus": 2, "base_genus": 0, "germs": germs}))
+    synthesize = mock.Mock(wraps=fibered.synthesize_meyer)
+    monkeypatch.setattr(fibered, "synthesize_meyer", synthesize)
+    method = SynthesizedMeyerFunction.__call__
+    with mock.patch.object(SynthesizedMeyerFunction, "__call__", autospec=True, side_effect=method) as evaluate:
+        code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", str(path))
+    assert (code, out) == (0, "".join(f"germ {i}: -3/5\n" for i in range(30)) + "total: -18\n")
+    assert (synthesize.call_count, evaluate.call_count) == (1, 30)
+
+
+def test_local_sig_kodaira_word_length_cap(capsys, tmp_path):
+    path = tmp_path / "fib.json"
+    germ = {"monodromy": "kodaira:I_1000000000"}
+    path.write_text(json.dumps({"genus": 1, "base_genus": 0, "germs": [germ]}))
+    code, out, err = run_cli(capsys, "local-sig", "-f", str(path))
+    assert (code, out) == (1, "")
+    assert "caps words" in err
+
+
 def test_local_sig_unlabeled_germ_gets_index(capsys, tmp_path):
     path = tmp_path / "fib.json"
     path.write_text(json.dumps({"genus": 2, "base_genus": 1, "germs": [{"monodromy": ""}]}))
@@ -186,8 +214,40 @@ def test_no_subcommand_usage(capsys):
 
 
 def test_selftest_flag(capsys):
-    code, out, _ = run_cli(capsys, "--selftest", "--seed", "1")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) >= 5
-    assert all(line.startswith("PASS") for line in lines)
+    assert run_cli(capsys, "--selftest", "--seed", "1")[:2] == (
+        0,
+        "PASS  class orders 3 and 5\n"
+        "PASS  cocycle axioms\n"
+        "PASS  coboundary of phi_1\n"
+        "PASS  signature defect dual route\n"
+        "PASS  synthesized Meyer functions\n"
+        "PASS  Dedekind reciprocity\n"
+        "PASS  free-reduction invariance\n",
+    )
+
+
+def _off_by_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+# suite name -> (name its suite looks up in meyersig.selftest, fault planted there)
+PLANTED_FAULTS = {
+    "class orders 3 and 5": ("class_order", lambda fn: lambda p: UNBOUNDED),
+    "cocycle axioms": ("tau_sp", _off_by_one),
+    "coboundary of phi_1": ("phi1", _off_by_one),
+    "signature defect dual route": ("sigma_defect_via_tau", _off_by_one),
+    "synthesized Meyer functions": ("shipped_meyer_function", lambda fn: lambda g: _off_by_one(fn(g))),
+    "Dedekind reciprocity": ("dedekind_sum", lambda fn: lambda a, c: -fn(a, c)),
+    "free-reduction invariance": ("cochain_c", lambda fn: lambda w, p: fn(w, p) + len(w)),
+}
+
+
+@pytest.mark.parametrize("entry", selftest.SUITES, ids=[name for name, _, _ in selftest.SUITES])
+def test_selftest_reports_a_planted_fault(capsys, monkeypatch, entry):
+    name = entry[0]
+    target, fault = PLANTED_FAULTS[name]
+    monkeypatch.setattr(selftest, target, fault(getattr(selftest, target)))
+    monkeypatch.setattr(selftest, "SUITES", (entry,))
+    code, out, err = run_cli(capsys, "--selftest")
+    assert (code, out) == (1, f"FAIL  {name}\n")
+    assert " != " in err  # the counterexample

@@ -3,7 +3,7 @@ import pytest
 
 from meyersig.cocycle import sigma_defect_via_tau, tau_sp, v_space
 from meyersig.exact import signature
-from meyersig.genus1 import SL2Element, phi1, signature_defect
+from meyersig.genus1 import phi1
 from meyersig.symplectic import SymplecticMatrix, random_symplectic, standard_j
 
 U = SymplecticMatrix([[1, 1], [0, 1]])
@@ -67,18 +67,6 @@ def test_tau_some_nonzero_values():
     assert tau_sp(S.inverse(), S.inverse()) == -2
 
 
-def test_cocycle_axioms_random(rng):
-    for g in (1, 2):
-        for _ in range(60):
-            a = random_symplectic(g, rng.randint(0, 10), rng.random())
-            b = random_symplectic(g, rng.randint(0, 10), rng.random())
-            c = random_symplectic(g, rng.randint(0, 10), rng.random())
-            assert tau_sp(a * b, c) + tau_sp(a, b) == tau_sp(a, b * c) + tau_sp(b, c)
-            assert tau_sp(a, b) == tau_sp(b, a)
-            assert tau_sp(a.inverse(), b.inverse()) == -tau_sp(a, b)
-            assert tau_sp(c * a * c.inverse(), c * b * c.inverse()) == tau_sp(a, b)
-
-
 def test_tau_bounded_by_v_dim(rng):
     for _ in range(60):
         g = rng.randint(1, 3)
@@ -100,12 +88,6 @@ def test_sigma_defect_cross_checks_defect_form():
 
     assert signature([[2, 0], [0, 2]]).value == 2
     assert sigma_defect_via_tau(S) == 2
-
-
-def test_sigma_defect_matches_closed_form(rng):
-    for _ in range(200):
-        m = random_symplectic(1, rng.randint(0, 14), rng.random())
-        assert sigma_defect_via_tau(m) == signature_defect(SL2Element.from_matrix(m))
 
 
 def test_sigma_defect_needs_genus_one():

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_word
 from meyersig.errors import ParseError, UnsupportedGenusError
 from meyersig.fibered import (
     FiberGerm,
@@ -28,6 +27,7 @@ from meyersig.fibered import (
 )
 from meyersig.genus1 import phi1
 from meyersig.presentations import Word, evaluate_word, shipped_meyer_function
+from meyersig.selftest import random_word
 from meyersig.symplectic import SymplecticMatrix, a_class, random_symplectic, transvection
 
 
@@ -296,6 +296,13 @@ def test_kodaira_parabolic_types():
 def test_kodaira_words_evaluate(sl2z):
     for name in ("I_0", "I_1", "I_4", "II", "III", "IV", "I_0*", "I_2*", "IV*", "III*", "II*"):
         assert evaluate_word(kodaira_word(name), sl2z) == kodaira_matrix(name)
+
+
+def test_kodaira_word_length_cap():
+    assert len(kodaira_word("I_10000")) == 10_000
+    with pytest.raises(ValueError, match="caps words") as info:
+        kodaira_word("I_1000000000")  # counted before any letter is built
+    assert not isinstance(info.value, ParseError)
 
 
 def test_kodaira_unknown_type():

@@ -4,10 +4,8 @@ from importlib import resources
 
 import pytest
 
-from conftest import random_word
 from meyersig.cocycle import tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
-from meyersig.genus1 import phi1
 from meyersig.presentations import (
     UNBOUNDED,
     ClassOrder,
@@ -27,6 +25,7 @@ from meyersig.presentations import (
     synthesize_meyer,
     total_exponent,
 )
+from meyersig.selftest import random_word
 from meyersig.symplectic import SymplecticMatrix
 
 S_MAT = SymplecticMatrix([[0, -1], [1, 0]])
@@ -215,17 +214,6 @@ def test_cochain_class_function(rng, sl2z, genus2):
             assert cochain_c(y * x * y.inverse(), p) == cochain_c(x, p)
 
 
-def test_cochain_free_reduction_invariance(rng, sl2z):
-    for _ in range(120):
-        w = random_word(sl2z, rng)
-        k = rng.randint(0, len(w))
-        i = rng.randrange(sl2z.generator_count)
-        s = rng.choice((1, -1))
-        padded = Word(w.letters[:k] + ((i, s), (i, -s)) + w.letters[k:])
-        assert cochain_c(padded, sl2z) == cochain_c(w, sl2z)
-        assert evaluate_word(padded, sl2z) == evaluate_word(w, sl2z)
-
-
 def test_exponent_sums():
     names = ("a", "b")
     assert exponent_sum(parse_word("a a A", names), 0) == 1
@@ -327,13 +315,6 @@ def test_synthesized_genus2_values(genus2):
     for name in genus2.generator_names:
         assert phi(name) == Fraction(3, 5)
     assert phi(" ".join(["c1 c2"] * 6)) == Fraction(-4, 5)
-
-
-def test_synthesized_matches_phi1(rng, sl2z):
-    phi = shipped_meyer_function(1)
-    for _ in range(150):
-        w = random_word(sl2z, rng)
-        assert phi(w) == phi1(evaluate_word(w, sl2z))
 
 
 def test_synthesized_coboundary(rng, sl2z, genus2):

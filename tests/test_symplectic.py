@@ -124,6 +124,9 @@ def test_inverse_and_power():
     assert m**3 == m * m * m
     assert m**-2 == (m.inverse()) * (m.inverse())
     assert m**0 == SymplecticMatrix.identity(2)
+    u = SymplecticMatrix([[1, 1], [0, 1]])
+    assert u ** 10**12 == SymplecticMatrix([[1, 10**12], [0, 1]])
+    assert u ** -(10**12) == SymplecticMatrix([[1, -(10**12)], [0, 1]])
 
 
 def test_genus_mismatch_product():
