@@ -84,7 +84,8 @@ def _cmd_order(args) -> int:
 
 def _cmd_phi(args) -> int:
     p = load_presentation(args.presentation)
-    print(_fmt(synthesize_meyer(p)(p.word(args.word))))
+    word = p.word(args.word)  # a bad or over-long word fails before synthesis
+    print(_fmt(synthesize_meyer(p)(word)))
     return 0
 
 

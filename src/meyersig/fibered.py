@@ -20,7 +20,7 @@ order there, so no Meyer function exists.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -213,14 +213,16 @@ def _kodaira_table(data_dir=None) -> dict:
     return json.loads((Path(data_dir) / _KODAIRA_FILE).read_text())
 
 
-def kodaira_matrix(fiber_type: str, data_dir=None) -> SymplecticMatrix:
+def kodaira_matrix(fiber_type: str, table: dict | None = None) -> SymplecticMatrix:
     """Monodromy matrix of a named Kodaira fiber type (I_n, I_n*, II, ..., IV*).
 
+    ``table`` is a parsed ``kodaira.json``; the embedded one by default.
     The table is normalized to this package's twist convention, under
     which an I_1 germ has monodromy [[1,-1],[0,1]] and twelve of them
     close up to an elliptic surface of signature -8.
     """
-    table = _kodaira_table(data_dir)
+    if table is None:
+        table = _kodaira_table()
     name = fiber_type.strip()
     n = None
     key = name
@@ -255,9 +257,12 @@ def _substitute_n(token: str, n: int) -> int:
     return int(token)
 
 
-def kodaira_word(fiber_type: str, data_dir=None) -> Word:
-    """A monodromy word over the genus-1 generators for a Kodaira type."""
-    return sl2_word(kodaira_matrix(fiber_type, data_dir), data_dir)
+def kodaira_word(
+    fiber_type: str, table: dict | None = None, presentation: Presentation | None = None
+) -> Word:
+    """A monodromy word over the genus-1 generators for a Kodaira type;
+    ``table`` and ``presentation`` default to the embedded data."""
+    return sl2_word(kodaira_matrix(fiber_type, table), presentation)
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +303,14 @@ def _sl2_st_factors(m: SymplecticMatrix) -> list[tuple[str, int]]:
     return [(sym, -exp) for sym, exp in applied]
 
 
-def sl2_word(m: SymplecticMatrix, data_dir=None) -> Word:
-    """A word in the shipped genus-1 generators mapping to the matrix m.
+def sl2_word(m: SymplecticMatrix, presentation: Presentation | None = None) -> Word:
+    """A word in the genus-1 generators a, b of ``presentation`` (the
+    shipped one by default) mapping to the matrix m.
 
     A word longer than MAX_WORD_LETTERS raises ValueError before its
     letters are built.
     """
-    p = shipped_presentation(1, data_dir)
+    p = presentation or shipped_presentation(1)
     a_idx = p.generator_names.index("a")
     b_idx = p.generator_names.index("b")
     t_letter = ((a_idx, 1),)
@@ -427,7 +433,11 @@ def _json_int(value, field: str) -> int:
     return value
 
 
-def germ_from_dict(data: dict, presentation: Presentation, data_dir=None) -> FiberGerm:
+def germ_from_dict(
+    data: dict, presentation: Presentation, kodaira_table=_kodaira_table
+) -> FiberGerm:
+    """One germ; ``kodaira_table()`` gives the Kodaira table and is called
+    only for a ``kodaira:`` monodromy."""
     try:
         monodromy = data["monodromy"]
     except (KeyError, TypeError) as exc:
@@ -435,7 +445,7 @@ def germ_from_dict(data: dict, presentation: Presentation, data_dir=None) -> Fib
     if isinstance(monodromy, str) and monodromy.startswith(_KODAIRA_PREFIX):
         if presentation.genus != 1:
             raise ParseError("Kodaira fiber references are only defined at genus 1")
-        word = kodaira_word(monodromy[len(_KODAIRA_PREFIX):], data_dir)
+        word = kodaira_word(monodromy[len(_KODAIRA_PREFIX):], kodaira_table(), presentation)
     else:
         word = presentation.word(monodromy)
     signature = _json_int(data.get("neighborhood_signature", 0), "neighborhood_signature")
@@ -467,6 +477,8 @@ def load_fibration(source, data_dir=None) -> FibrationDescription:
         raise ParseError(f"fibration data is missing field {exc}") from None
     if genus not in SUPPORTED_GENERA:
         raise UnsupportedGenusError(_no_meyer_message(genus))
+    # Each data file is read at most once, however many germs refer to it.
     p = shipped_presentation(genus, data_dir)
-    parsed = tuple(germ_from_dict(g, p, data_dir) for g in germs)
+    kodaira_table = cache(lambda: _kodaira_table(data_dir))
+    parsed = tuple(germ_from_dict(g, p, kodaira_table) for g in germs)
     return FibrationDescription(genus=genus, base_genus=base_genus, germs=parsed)

@@ -10,15 +10,17 @@ satisfies c(xy) = c(x) + c(y) + z(pi(x), pi(y)) and is a class function,
 which turns the order of the cocycle's cohomology class into integer
 linear algebra over the relators: n[z] = 0 exactly when the system
 n*c(r_j) = sum_i m_i * exp_i(r_j) has an integer solution, where exp_i
-counts the total exponent of generator i.  When every generator is
-conjugate to every other (the Artin situation: braid and commutation
-relations connect them), all m_i collapse to a single m, and
+counts the total exponent of generator i.  Every presentation gets its
+order from the lattice of the relators' exponent vectors, and then
 
-    phi(pi(x)) = -c(x) + (m/n) * (total exponent of x)
+    phi(pi(x)) = -c(x) + (1/n) * sum_i m_i * exp_i(x)
 
 is a well-defined (1/n)Z-valued function on G whose coboundary is z.
-This file implements both the Artin shortcut and the general lattice
-computation, plus the shipped presentation data for genus 1 and 2.
+When every generator is conjugate to every other (the Artin situation:
+braid and commutation relations connect them, as in the shipped genus-1
+and genus-2 presentations), all m_i come out equal to a single m and phi
+is -c plus (m/n) times the total exponent.  The file also holds the
+shipped presentation data for genus 1 and 2.
 """
 
 import json
@@ -51,13 +53,16 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Iterable[Letter] = ()):
-        letters = tuple((int(i), int(s)) for i, s in letters)
+        # A list first: a tuple drawn from a generator strands free-list blocks.
+        letters = [(i, s) for i, s in letters]
         for i, s in letters:
+            if type(i) is not int or type(s) is not int:
+                raise ValueError(f"letter ({i!r}, {s!r}) must be a pair of ints")
             if i < 0:
                 raise ValueError(f"negative generator index {i}")
             if s not in (1, -1):
                 raise ValueError(f"exponent sign must be +-1, got {s}")
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "letters", tuple(letters))
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -158,18 +163,12 @@ def format_word(word: Word, generator_names: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators with symplectic images, plus relators mapping to the identity.
-
-    ``artin`` asserts that all generators are conjugate in the presented
-    group via braid/commutation relations among the relators, which
-    licenses the single-coefficient order criterion.
-    """
+    """Generators with symplectic images, plus relators mapping to the identity."""
 
     genus: int
     generator_names: tuple[str, ...]
     matrices: tuple[SymplecticMatrix, ...]
     relators: tuple[Word, ...]
-    artin: bool
 
     def __post_init__(self):
         names = self.generator_names
@@ -257,67 +256,17 @@ class ClassOrder:
     n: int
     coefficients: tuple[int, ...]
 
-    @property
-    def m(self) -> int:
-        """The single Artin coefficient; defined when all m_i agree."""
-        distinct = set(self.coefficients)
-        if len(distinct) != 1:
-            raise ValueError(f"coefficients are not uniform: {self.coefficients}")
-        return distinct.pop()
-
 
 def class_order(p: Presentation) -> ClassOrder | Unbounded:
     """Smallest n >= 1 killing the cocycle class, or UNBOUNDED.
 
-    With ``artin`` set, solves n*c(r_j) = m*alpha(r_j) for a single
-    integer m: the answer is the reduced fraction c(r)/alpha(r) = m/n,
-    checked for consistency across relators.  Otherwise falls back to the
-    per-generator lattice system.  Returns (n=1, m=0) when c vanishes on
-    every relator and no relator has nonzero total exponent.
+    Solves n*c(r_j) = sum_i m_i * exp_i(r_j) over the relator exponent
+    lattice.  Returns n=1 with all m_i = 0 when c vanishes on every
+    relator.
     """
     cs = [cochain_c(r, p) for r in p.relators]
-    if p.artin:
-        alphas = [total_exponent(r) for r in p.relators]
-        ratio = None
-        for c_j, a_j in zip(cs, alphas):
-            if a_j == 0:
-                if c_j != 0:
-                    return UNBOUNDED
-            else:
-                q = Fraction(c_j, a_j)
-                if ratio is None:
-                    ratio = q
-                elif ratio != q:
-                    return UNBOUNDED
-        if ratio is None:
-            return ClassOrder(1, (0,) * p.generator_count)
-        n, m = ratio.denominator, ratio.numerator
-        if any(n * c_j != m * a_j for c_j, a_j in zip(cs, alphas)):
-            raise ArithmeticError("reduced ratio fails the relator system")
-        # The reduced denominator is provably minimal; confirm anyway.
-        for d in range(1, n):
-            if n % d == 0 and _admits_integer_m(d, cs, alphas):
-                raise ArithmeticError(f"divisor {d} of {n} admits a solution")
-        return ClassOrder(n, (m,) * p.generator_count)
     rows = [[exponent_sum(r, i) for i in range(p.generator_count)] for r in p.relators]
     return _lattice_order(rows, cs, p.generator_count)
-
-
-def _admits_integer_m(n: int, cs: list[int], alphas: list[int]) -> bool:
-    m = None
-    for c_j, a_j in zip(cs, alphas):
-        if a_j == 0:
-            if c_j != 0:
-                return False
-            continue
-        if (n * c_j) % a_j:
-            return False
-        candidate = (n * c_j) // a_j
-        if m is None:
-            m = candidate
-        elif m != candidate:
-            return False
-    return True
 
 
 def _lattice_order(rows: list[list[int]], cs: list[int], ngens: int) -> ClassOrder | Unbounded:
@@ -388,10 +337,6 @@ class SynthesizedMeyerFunction:
     def n(self) -> int:
         return self.order.n
 
-    @property
-    def m(self) -> int:
-        return self.order.m
-
     def __call__(self, word: Word | str) -> Fraction:
         p = self.presentation
         if isinstance(word, str):
@@ -431,7 +376,6 @@ def presentation_to_dict(p: Presentation) -> dict:
             name: format_matrix(m.mat) for name, m in zip(p.generator_names, p.matrices)
         },
         "relators": [format_word(r, p.generator_names) for r in p.relators],
-        "artin": p.artin,
     }
 
 
@@ -441,7 +385,6 @@ def presentation_from_dict(data: dict) -> Presentation:
         generators = data["generators"]
         matrices = data["matrices"]
         relators = data["relators"]
-        artin = data["artin"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"presentation data is missing field {exc}") from None
     if not isinstance(generators, list) or not all(isinstance(g, str) for g in generators):
@@ -458,7 +401,7 @@ def presentation_from_dict(data: dict) -> Presentation:
             raise ParseError(f"matrix for {name!r}: {exc}") from None
     words = [parse_word(text, generators) for text in relators]
     try:
-        return Presentation(genus, tuple(generators), tuple(mats), tuple(words), bool(artin))
+        return Presentation(genus, tuple(generators), tuple(mats), tuple(words))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

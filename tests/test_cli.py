@@ -1,10 +1,11 @@
 import json
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from meyersig import fibered, selftest
+from meyersig import cli, fibered, presentations, selftest
 from meyersig.cli import main
 from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction
 
@@ -59,6 +60,25 @@ def test_order(capsys, data_dir):
     assert run_cli(capsys, "order", "-p", str(data_dir / "genus2.json"))[:2] == (0, "5\n")
 
 
+def test_order_prints_infinite_for_unbounded(capsys, monkeypatch, data_dir):
+    monkeypatch.setattr(cli, "class_order", lambda p: UNBOUNDED)
+    assert run_cli(capsys, "order", "-p", str(data_dir / "sl2z.json"))[:2] == (0, "infinite\n")
+
+
+def test_order_ignores_old_artin_key(capsys, tmp_path):
+    # a -> S, b -> U with relators a^4 and (ab)^6: order 3 with
+    # coefficients (-3, 2), although no single coefficient fits
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps({
+        "genus": 1,
+        "generators": ["a", "b"],
+        "matrices": {"a": "0,-1;1,0", "b": "1,1;0,1"},
+        "relators": ["a a a a", " ".join(["a b"] * 6)],
+        "artin": True,
+    }))
+    assert run_cli(capsys, "order", "-p", str(path))[:2] == (0, "3\n")
+
+
 def test_order_missing_file(capsys, data_dir):
     code, _, err = run_cli(capsys, "order", "-p", str(data_dir / "nope.json"))
     assert code == 1
@@ -71,17 +91,25 @@ def test_phi_word(capsys, data_dir):
     assert (code, out) == (0, "-4/5\n")
 
 
-def test_phi_bad_word_is_parse_error(capsys, data_dir):
-    code, _, err = run_cli(capsys, "phi", "-p", str(data_dir / "sl2z.json"), "a q")
-    assert code == 2
-    assert "unknown generator" in err
+def _count_syntheses(monkeypatch):
+    synthesize = mock.Mock(wraps=cli.synthesize_meyer)
+    monkeypatch.setattr(cli, "synthesize_meyer", synthesize)
+    return synthesize
 
 
-def test_phi_word_length_cap(capsys, data_dir):
+def test_phi_bad_word_is_parse_error(capsys, monkeypatch, data_dir):
+    synthesize = _count_syntheses(monkeypatch)
+    code, _, err = run_cli(capsys, "phi", "-p", str(data_dir / "genus2.json"), "c1 zz")
+    assert (code, err) == (2, "parse error: unknown generator 'zz' in token 1\n")
+    assert synthesize.call_count == 0
+
+
+def test_phi_word_length_cap(capsys, monkeypatch, data_dir):
+    synthesize = _count_syntheses(monkeypatch)
     word = " ".join(["a"] * 10_001)
     code, _, err = run_cli(capsys, "phi", "-p", str(data_dir / "sl2z.json"), word)
-    assert code == 1
-    assert "caps words" in err
+    assert (code, err) == (1, "error: word is too long: meyersig caps words at 10000 letters\n")
+    assert synthesize.call_count == 0
 
 
 def test_local_sig(capsys, tmp_path):
@@ -113,6 +141,30 @@ def test_local_sig_synthesizes_once_and_evaluates_each_germ_once(
         code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", str(path))
     assert (code, out) == (0, "".join(f"germ {i}: -3/5\n" for i in range(30)) + "total: -18\n")
     assert (synthesize.call_count, evaluate.call_count) == (1, 30)
+
+
+def test_local_sig_reads_each_data_file_once(capsys, monkeypatch, data_dir, tmp_path):
+    germs = []
+    for k in range(12):
+        germs.append({"monodromy": "kodaira:I_1", "label": f"u{k}"})
+        germs.append({"monodromy": "b^-1", "label": f"v{k}"})
+    path = tmp_path / "e2.json"
+    path.write_text(json.dumps({"genus": 1, "base_genus": 0, "germs": germs}))
+    load = mock.Mock(wraps=presentations.load_presentation)
+    monkeypatch.setattr(presentations, "load_presentation", load)
+    reads = []
+    read_text = Path.read_text
+
+    def counted_read_text(path, *args, **kwargs):
+        reads.append(path.name)
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted_read_text)
+    code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", str(path))
+    lines = [f"{label}{k}: -2/3\n" for k in range(12) for label in "uv"]
+    assert (code, out) == (0, "".join(lines) + "total: -16\n")
+    assert load.call_count <= 3
+    assert reads.count("kodaira.json") == 1
 
 
 def test_local_sig_kodaira_word_length_cap(capsys, tmp_path):

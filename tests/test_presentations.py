@@ -4,14 +4,15 @@ from importlib import resources
 
 import pytest
 
+from meyersig import presentations
 from meyersig.cocycle import tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
 from meyersig.presentations import (
     UNBOUNDED,
     ClassOrder,
     Presentation,
-    Unbounded,
     Word,
+    _lattice_order,
     class_order,
     cochain_c,
     dump_presentation,
@@ -44,6 +45,11 @@ def test_word_construction_and_validation():
         Word([(0, 2)])
     with pytest.raises(ValueError):
         Word([(-1, 1)])
+    # letters are ints, never coerced: no truncation, no strings, no bools
+    for bad in ((1.9, 1), (1, 1.0), ("1", "-1"), (True, 1), (0, True)):
+        with pytest.raises(ValueError, match="pair of ints"):
+            Word([bad])
+    assert Word([[0, 1]]).letters == ((0, 1),)
 
 
 def test_word_algebra():
@@ -116,7 +122,6 @@ def test_shipped_files_round_trip_bit_exactly():
 def test_shipped_sl2z_content(sl2z):
     assert sl2z.genus == 1
     assert sl2z.generator_names == ("a", "b")
-    assert sl2z.artin
     assert evaluate_word(sl2z.word("a"), sl2z) == U_MAT
     assert evaluate_word(sl2z.word("b"), sl2z) == SymplecticMatrix([[1, 0], [-1, 1]])
 
@@ -124,7 +129,6 @@ def test_shipped_sl2z_content(sl2z):
 def test_shipped_genus2_content(genus2):
     assert genus2.genus == 2
     assert genus2.generator_names == ("c1", "c2", "c3", "c4", "c5")
-    assert genus2.artin
     # chain pattern: adjacent twists braid, distant ones commute
     iota = genus2.word("c1 c2 c3 c4 c5 c5 c4 c3 c2 c1")
     minus = SymplecticMatrix([[-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
@@ -140,7 +144,7 @@ def test_relators_evaluate_to_identity(sl2z, genus2):
 
 def test_presentation_rejects_bad_relator():
     with pytest.raises(ValueError, match="does not map to the identity"):
-        Presentation(1, ("a",), (U_MAT,), (Word([(0, 1)]),), True)
+        Presentation(1, ("a",), (U_MAT,), (Word([(0, 1)]),))
 
 
 def test_presentation_from_dict_errors():
@@ -149,7 +153,6 @@ def test_presentation_from_dict_errors():
         "generators": ["a"],
         "matrices": {"a": "1,1;0,1"},
         "relators": [],
-        "artin": True,
     }
     load_presentation(good)
     for breakage in (
@@ -232,35 +235,33 @@ def test_exponent_sums():
 
 
 def test_class_order_shipped(sl2z, genus2):
-    o1 = class_order(sl2z)
-    assert (o1.n, o1.m) == (3, 2)
-    o2 = class_order(genus2)
-    assert (o2.n, o2.m) == (5, 3)
+    assert class_order(sl2z) == ClassOrder(3, (2, 2))
+    assert class_order(genus2) == ClassOrder(5, (3,) * 5)
 
 
 def test_class_order_braid_only():
     names = ("a", "b")
     mats = (U_MAT, SymplecticMatrix([[1, 0], [-1, 1]]))
     braid = parse_word("a b a b^-1 a^-1 b^-1", names)
-    p = Presentation(1, names, mats, (braid,), True)
-    order = class_order(p)
-    assert (order.n, order.m) == (1, 0)
+    p = Presentation(1, names, mats, (braid,))
+    assert class_order(p) == ClassOrder(1, (0, 0))
 
 
 def test_class_order_no_relators():
-    p = Presentation(1, ("a",), (U_MAT,), (), True)
-    assert class_order(p).n == 1
+    p = Presentation(1, ("a",), (U_MAT,), ())
+    assert class_order(p) == ClassOrder(1, (0,))
 
 
 _MISMATCH = {
     # a -> S (order 4), b -> U: c(a^4) = -4 and c((ab)^6) = -2 give the
-    # incompatible ratios -1 and -1/6, so no single coefficient works.
+    # ratios -1 and -1/6, so no single coefficient works; the per-generator
+    # coefficients (-3, 2) do.
     "names": ("a", "b"),
     "mats": (S_MAT, U_MAT),
 }
 
 
-def _mismatch_presentation(artin, with_combined=False):
+def _mismatch_presentation(with_combined=False):
     names, mats = _MISMATCH["names"], _MISMATCH["mats"]
     r1 = parse_word("a a a a", names)
     r2 = parse_word(" ".join(["a b"] * 6), names)
@@ -268,39 +269,34 @@ def _mismatch_presentation(artin, with_combined=False):
     if with_combined:
         # a^12 (ab)^-6: zero total exponent but nonzero cochain value
         rels.append(parse_word(" ".join(["a"] * 12) + " " + " ".join(["b^-1 a^-1"] * 6), names))
-    return Presentation(1, names, mats, tuple(rels), artin)
-
-
-def test_class_order_artin_mismatch_is_unbounded():
-    assert isinstance(class_order(_mismatch_presentation(True)), Unbounded)
-    assert repr(UNBOUNDED) == "Unbounded"
-
-
-def test_class_order_alpha_zero_c_nonzero_is_unbounded():
-    p = _mismatch_presentation(True, with_combined=True)
-    assert cochain_c(p.relators[2], p) == -10
-    assert total_exponent(p.relators[2]) == 0
-    assert isinstance(class_order(p), Unbounded)
+    return Presentation(1, names, mats, tuple(rels))
 
 
 def test_class_order_general_lattice_path():
-    for with_combined in (False, True):
-        p = _mismatch_presentation(False, with_combined)
-        order = class_order(p)
-        assert order == ClassOrder(3, (-3, 2))
-        with pytest.raises(ValueError, match="not uniform"):
-            order.m
+    combined = _mismatch_presentation(with_combined=True)
+    assert cochain_c(combined.relators[2], combined) == -10
+    assert total_exponent(combined.relators[2]) == 0
+    for p in (_mismatch_presentation(), combined):
+        assert class_order(p) == ClassOrder(3, (-3, 2))
 
 
-def test_class_order_general_agrees_with_artin_on_shipped(sl2z, genus2):
-    for p in (sl2z, genus2):
-        general = Presentation(p.genus, p.generator_names, p.matrices, p.relators, False)
-        assert class_order(general) == class_order(p)
+def test_old_artin_key_is_ignored():
+    data = json.loads(dump_presentation(_mismatch_presentation()))
+    data["artin"] = True
+    p = load_presentation(json.dumps(data))
+    assert p == _mismatch_presentation()
+    assert class_order(p) == ClassOrder(3, (-3, 2))
 
 
-def test_synthesize_unbounded_raises():
+def test_synthesize_unbounded_raises(monkeypatch):
+    # no rational solution: a relator with zero exponents but c = 1
+    assert _lattice_order([[0, 0]], [1], 2) is UNBOUNDED
+    assert repr(UNBOUNDED) == "Unbounded"
+    p = Presentation(1, ("a",), (U_MAT,), (parse_word("a A", ("a",)),))
+    monkeypatch.setattr(presentations, "cochain_c", lambda w, p: 1)
+    assert class_order(p) is UNBOUNDED
     with pytest.raises(InfiniteOrderError, match="no Meyer function"):
-        synthesize_meyer(_mismatch_presentation(True))
+        synthesize_meyer(p)
 
 
 def test_synthesized_genus1_values(sl2z):
@@ -308,13 +304,6 @@ def test_synthesized_genus1_values(sl2z):
     assert phi("a") == Fraction(2, 3)
     assert phi("b") == Fraction(2, 3)
     assert phi(Word()) == 0
-
-
-def test_synthesized_genus2_values(genus2):
-    phi = shipped_meyer_function(2)
-    for name in genus2.generator_names:
-        assert phi(name) == Fraction(3, 5)
-    assert phi(" ".join(["c1 c2"] * 6)) == Fraction(-4, 5)
 
 
 def test_synthesized_coboundary(rng, sl2z, genus2):
@@ -350,9 +339,9 @@ def test_synthesized_class_function(rng, genus2):
 
 def test_synthesized_general_coefficients_cobound():
     # the per-generator solution on the mismatch presentation still cobounds
-    p = _mismatch_presentation(False)
+    p = _mismatch_presentation()
     phi = synthesize_meyer(p)
-    assert phi.n == 3
+    assert phi.order == ClassOrder(3, (-3, 2))
     import random
 
     rng = random.Random(12)
