@@ -272,11 +272,35 @@ def _mismatch_presentation(with_combined=False):
     return Presentation(1, names, mats, tuple(rels))
 
 
+def _single_coefficient_order(p):
+    # the one-coefficient ansatz n*c(r) = m*total_exponent(r)
+    rows = [[total_exponent(r)] for r in p.relators]
+    return _lattice_order(rows, [cochain_c(r, p) for r in p.relators], 1)
+
+
+def test_class_order_artin_mismatch_is_unbounded():
+    # one coefficient on the total exponent has no solution here; the
+    # per-generator lattice does, so class_order must not take that ansatz
+    p = _mismatch_presentation()
+    assert _single_coefficient_order(p) is UNBOUNDED
+    assert class_order(p) == ClassOrder(3, (-3, 2))
+
+
+def test_class_order_alpha_zero_c_nonzero_is_unbounded():
+    # a relator with zero exponent but nonzero cochain value admits no
+    # coefficient; a^12 (ab)^-6 is such a relator for the one-coefficient
+    # ansatz only, its per-generator exponents (6, -6) being nonzero
+    assert _lattice_order([[0, 0]], [1], 2) is UNBOUNDED
+    p = _mismatch_presentation(with_combined=True)
+    assert cochain_c(p.relators[2], p) == -10
+    assert total_exponent(p.relators[2]) == 0
+    assert [exponent_sum(p.relators[2], i) for i in range(2)] == [6, -6]
+    assert _single_coefficient_order(p) is UNBOUNDED
+    assert class_order(p) == ClassOrder(3, (-3, 2))
+
+
 def test_class_order_general_lattice_path():
-    combined = _mismatch_presentation(with_combined=True)
-    assert cochain_c(combined.relators[2], combined) == -10
-    assert total_exponent(combined.relators[2]) == 0
-    for p in (_mismatch_presentation(), combined):
+    for p in (_mismatch_presentation(), _mismatch_presentation(with_combined=True)):
         assert class_order(p) == ClassOrder(3, (-3, 2))
 
 
@@ -290,7 +314,6 @@ def test_old_artin_key_is_ignored():
 
 def test_synthesize_unbounded_raises(monkeypatch):
     # no rational solution: a relator with zero exponents but c = 1
-    assert _lattice_order([[0, 0]], [1], 2) is UNBOUNDED
     assert repr(UNBOUNDED) == "Unbounded"
     p = Presentation(1, ("a",), (U_MAT,), (parse_word("a A", ("a",)),))
     monkeypatch.setattr(presentations, "cochain_c", lambda w, p: 1)
