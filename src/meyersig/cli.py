@@ -90,12 +90,12 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_local_sig(args) -> int:
-    fd = load_fibration(args.fibration, data_dir=args.data)
-    values = local_signatures(fd.germs, fd.genus, args.data)
+    fd = load_fibration(args.fibration, args.data)
+    values = local_signatures(fd)
     for k, (germ, value) in enumerate(zip(fd.germs, values)):
         label = germ.label or f"germ {k}"
         print(f"{label}: {_fmt(value)}")
-    print(f"total: {_fmt(closed_total(fd, values, args.data))}")
+    print(f"total: {_fmt(closed_total(fd, values))}")
     return 0
 
 

@@ -5,20 +5,21 @@ The local signature of a fiber germ is
     sigma_g(germ) = phi_g(boundary monodromy) + Sign(preimage of the disk)
 
 where phi_g is the Meyer function (closed form at genus 1, synthesized
-from the shipped presentation at genus 2) and the neighborhood signature
-is caller-supplied data.  Local signatures vanish on general fibers and
-sum to the signature of a closed total space, which is where all the
-cross-checks in this module live.  Euler contributions, the hyperelliptic
-Horikawa-index identities, and the Hirzebruch/Noether geography
-conversions are included so that whole numerical budgets of a fibration
-can be balanced exactly.
+from the presentation at genus 2) and the neighborhood signature is
+caller-supplied data.  A FibrationDescription carries the presentation
+its germ words use; a function given only a genus uses the shipped one.
+Local signatures vanish on general fibers and sum to the signature of a
+closed total space, which is where all the cross-checks in this module
+live.  Euler contributions, the hyperelliptic Horikawa-index identities,
+and the Hirzebruch/Noether geography conversions are included so that
+whole numerical budgets of a fibration can be balanced exactly.
 
 Genus 3 and up is refused outright: the signature class has infinite
 order there, so no Meyer function exists.
 """
 
-import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import resources
@@ -28,13 +29,15 @@ from .errors import ParseError, UnsupportedGenusError
 from .genus1 import phi1
 from .matrix import parse_matrix
 from .presentations import (
+    SHIPPED_FILES,
     Presentation,
     Word,
     check_word_length,
     evaluate_word,
-    shipped_meyer_function,
+    json_int,
+    load_presentation,
+    read_json,
     shipped_presentation,
-    synthesize_meyer,
 )
 from .symplectic import SymplecticMatrix
 
@@ -53,18 +56,23 @@ class FiberGerm:
 
 @dataclass(frozen=True)
 class FibrationDescription:
-    """A fibered 4-manifold over a closed base: fiber genus, base genus,
-    and one germ per singular fiber."""
+    """A fibered 4-manifold over a closed base: the presentation whose
+    generators the germ words use (its genus is the fiber genus), the base
+    genus, and one germ per singular fiber."""
 
-    genus: int
+    presentation: Presentation
     base_genus: int
-    germs: tuple[FiberGerm, ...] = field(default_factory=tuple)
+    germs: tuple[FiberGerm, ...] = ()
 
     def __post_init__(self):
         if self.genus not in SUPPORTED_GENERA:
             raise UnsupportedGenusError(_no_meyer_message(self.genus))
         if self.base_genus < 0:
             raise ValueError("base genus must be >= 0")
+
+    @property
+    def genus(self) -> int:
+        return self.presentation.genus
 
 
 def _no_meyer_message(g: int) -> str:
@@ -76,43 +84,45 @@ def _no_meyer_message(g: int) -> str:
     return f"unsupported fiber genus {g}: Meyer functions exist at genus 1 and 2 only"
 
 
-def meyer_function(g: int, data_dir=None):
-    """phi_g on monodromy words: closed form for g=1, synthesized for g=2."""
+def _meyer_of(p: Presentation):
+    """phi on words over p: closed form at genus 1, synthesized at genus 2."""
+    if p.genus == 1:
+        return lambda w: phi1(evaluate_word(w, p))
+    return p.meyer_function
+
+
+def meyer_function(g: int):
+    """phi_g on words over the shipped genus-g generators."""
     if g not in SUPPORTED_GENERA:
         raise UnsupportedGenusError(_no_meyer_message(g))
-    if g == 1:
-        p = shipped_presentation(1, data_dir)
-        return lambda w: phi1(evaluate_word(w, p))
-    if data_dir is not None:
-        return synthesize_meyer(shipped_presentation(2, data_dir))
-    return shipped_meyer_function(2)
+    return _meyer_of(shipped_presentation(g))
 
 
-def signature_over_surface(g: int, boundary_monodromies, data_dir=None) -> Fraction:
+def signature_over_surface(g: int, boundary_monodromies) -> Fraction:
     """Signature of a genus-g bundle over a compact surface with boundary:
     the sum of phi_g over the boundary monodromies (zero for no boundary)."""
-    phi = meyer_function(g, data_dir)
+    phi = meyer_function(g)
     return sum((phi(w) for w in boundary_monodromies), Fraction(0))
 
 
-def local_signature(germ: FiberGerm, g: int, data_dir=None) -> Fraction:
+def local_signature(germ: FiberGerm, g: int) -> Fraction:
     """phi_g(monodromy) + neighborhood signature; conjugation-invariant."""
-    return local_signatures([germ], g, data_dir)[0]
+    return meyer_function(g)(germ.monodromy) + germ.neighborhood_signature
 
 
-def local_signatures(germs, g: int, data_dir=None) -> list[Fraction]:
-    """The local signature of each germ, all from one Meyer function."""
-    phi = meyer_function(g, data_dir)
-    return [phi(germ.monodromy) + germ.neighborhood_signature for germ in germs]
+def local_signatures(fd: FibrationDescription) -> list[Fraction]:
+    """The local signature of each germ of fd, all from one Meyer function."""
+    phi = _meyer_of(fd.presentation)
+    return [phi(germ.monodromy) + germ.neighborhood_signature for germ in fd.germs]
 
 
-def total_signature(fd: FibrationDescription, data_dir=None) -> int:
+def total_signature(fd: FibrationDescription) -> int:
     """Sum of local signatures over all germs of a closed fibration;
     raises as closed_total does."""
-    return closed_total(fd, local_signatures(fd.germs, fd.genus, data_dir), data_dir)
+    return closed_total(fd, local_signatures(fd))
 
 
-def closed_total(fd: FibrationDescription, local_values, data_dir=None) -> int:
+def closed_total(fd: FibrationDescription, local_values) -> int:
     """The sum of the local signatures ``local_values`` of fd's germs.
 
     Raises if the germs fail the closedness check (their product must be
@@ -120,10 +130,9 @@ def closed_total(fd: FibrationDescription, local_values, data_dir=None) -> int:
     symplectic group over a positive-genus base), or if the sum is not an
     integer, which signals inconsistent input data.
     """
-    p = shipped_presentation(fd.genus, data_dir)
     product = SymplecticMatrix.identity(fd.genus)
     for germ in fd.germs:
-        product = product * evaluate_word(germ.monodromy, p)
+        product = product * evaluate_word(germ.monodromy, fd.presentation)
     if fd.base_genus == 0:
         if product != SymplecticMatrix.identity(fd.genus):
             raise ValueError(
@@ -201,16 +210,19 @@ def hyperelliptic_twist_value(g: int, separating_h: int | None = None) -> Fracti
 _KODAIRA_FILE = "kodaira.json"
 
 
-@lru_cache(maxsize=None)
-def _kodaira_table_default() -> dict:
+def _read_kodaira_table(source) -> dict:
+    """A ``kodaira.json`` table: fiber type names to matrix strings."""
+    table = read_json(source, "Kodaira table")
+    if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+        raise ParseError("the Kodaira table must map fiber types to matrix strings")
+    return table
+
+
+@cache
+def _kodaira_table() -> dict:
+    """The embedded Kodaira table, read once."""
     text = resources.files("meyersig.data").joinpath(_KODAIRA_FILE).read_text()
-    return json.loads(text)
-
-
-def _kodaira_table(data_dir=None) -> dict:
-    if data_dir is None:
-        return _kodaira_table_default()
-    return json.loads((Path(data_dir) / _KODAIRA_FILE).read_text())
+    return _read_kodaira_table(text)
 
 
 def kodaira_matrix(fiber_type: str, table: dict | None = None) -> SymplecticMatrix:
@@ -239,22 +251,8 @@ def kodaira_matrix(fiber_type: str, table: dict | None = None) -> SymplecticMatr
             key = "I_n*" if starred else "I_n"
         if key not in table:
             raise ParseError(f"unknown Kodaira type {fiber_type!r}")
-    text = table[key]
-    if n is not None:
-        entries = [
-            [_substitute_n(tok, n) for tok in row.split(",")] for row in text.split(";")
-        ]
-        return SymplecticMatrix(entries, 1)
+    text = table[key] if n is None else re.sub(r"\bn\b", str(n), table[key])
     return SymplecticMatrix(parse_matrix(text), 1)
-
-
-def _substitute_n(token: str, n: int) -> int:
-    token = token.strip()
-    if token == "n":
-        return n
-    if token == "-n":
-        return -n
-    return int(token)
 
 
 def kodaira_word(
@@ -426,29 +424,22 @@ def _in_commutator_subgroup(m: SymplecticMatrix) -> bool:
 _KODAIRA_PREFIX = "kodaira:"
 
 
-def _json_int(value, field: str) -> int:
-    """A JSON integer field; floats, booleans and strings are parse errors."""
-    if type(value) is not int:
-        raise ParseError(f"field {field!r} must be an integer, got {value!r}")
-    return value
-
-
-def germ_from_dict(
-    data: dict, presentation: Presentation, kodaira_table=_kodaira_table
-) -> FiberGerm:
+def germ_from_dict(data: dict, presentation: Presentation, kodaira_table) -> FiberGerm:
     """One germ; ``kodaira_table()`` gives the Kodaira table and is called
     only for a ``kodaira:`` monodromy."""
     try:
         monodromy = data["monodromy"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"germ data is missing field {exc}") from None
-    if isinstance(monodromy, str) and monodromy.startswith(_KODAIRA_PREFIX):
+    if not isinstance(monodromy, str):
+        raise ParseError(f"field 'monodromy' must be a word string, got {monodromy!r}")
+    if monodromy.startswith(_KODAIRA_PREFIX):
         if presentation.genus != 1:
             raise ParseError("Kodaira fiber references are only defined at genus 1")
         word = kodaira_word(monodromy[len(_KODAIRA_PREFIX):], kodaira_table(), presentation)
     else:
         word = presentation.word(monodromy)
-    signature = _json_int(data.get("neighborhood_signature", 0), "neighborhood_signature")
+    signature = json_int(data.get("neighborhood_signature", 0), "neighborhood_signature")
     return FiberGerm(
         monodromy=word,
         neighborhood_signature=signature,
@@ -457,28 +448,28 @@ def germ_from_dict(
 
 
 def load_fibration(source, data_dir=None) -> FibrationDescription:
-    """Load a fibration description from a dict, JSON string, or file path."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        if isinstance(source, str) and source.lstrip().startswith("{"):
-            text = source
-        else:
-            text = Path(source).read_text()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad fibration JSON at offset {exc.pos}: {exc.msg}") from None
+    """Load a fibration description from a dict, JSON string, or file path.
+
+    Germs are read against the genus's presentation and Kodaira table, the
+    shipped ones or those in ``data_dir``, each read at most once."""
+    data = read_json(source, "fibration")
     try:
-        genus = _json_int(data["genus"], "genus")
-        base_genus = _json_int(data["base_genus"], "base_genus")
+        genus = json_int(data["genus"], "genus")
+        base_genus = json_int(data["base_genus"], "base_genus")
         germs = data["germs"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"fibration data is missing field {exc}") from None
+    if not isinstance(germs, list):
+        raise ParseError(f"field 'germs' must be a list, got {germs!r}")
     if genus not in SUPPORTED_GENERA:
         raise UnsupportedGenusError(_no_meyer_message(genus))
-    # Each data file is read at most once, however many germs refer to it.
-    p = shipped_presentation(genus, data_dir)
-    kodaira_table = cache(lambda: _kodaira_table(data_dir))
+    if data_dir is None:
+        p, kodaira_table = shipped_presentation(genus), _kodaira_table
+    else:
+        path = Path(data_dir) / SHIPPED_FILES[genus]
+        p = load_presentation(path)
+        if p.genus != genus:
+            raise ParseError(f"{path} holds a genus-{p.genus} presentation, not genus {genus}")
+        kodaira_table = cache(lambda: _read_kodaira_table(Path(data_dir) / _KODAIRA_FILE))
     parsed = tuple(germ_from_dict(g, p, kodaira_table) for g in germs)
-    return FibrationDescription(genus=genus, base_genus=base_genus, germs=parsed)
+    return FibrationDescription(p, base_genus, parsed)

@@ -48,9 +48,6 @@ class SL2Element:
             raise ValueError("expected a 2x2 matrix")
         return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 
-    def to_matrix(self) -> SymplecticMatrix:
-        return SymplecticMatrix([[self.a, self.b], [self.c, self.d]], 1)
-
     def inverse(self) -> "SL2Element":
         return SL2Element(self.d, -self.b, -self.c, self.a)
 

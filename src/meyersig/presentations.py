@@ -20,7 +20,8 @@ When every generator is conjugate to every other (the Artin situation:
 braid and commutation relations connect them, as in the shipped genus-1
 and genus-2 presentations), all m_i come out equal to a single m and phi
 is -c plus (m/n) times the total exponent.  The file also holds the
-shipped presentation data for genus 1 and 2.
+shipped presentation data for genus 1 and 2 and the JSON reader that
+every data file goes through.
 """
 
 import json
@@ -194,11 +195,13 @@ class Presentation:
     def _inverses(self) -> tuple[SymplecticMatrix, ...]:
         return tuple(m.inverse() for m in self.matrices)
 
+    @cached_property
+    def meyer_function(self) -> "SynthesizedMeyerFunction":
+        """This presentation's synthesized Meyer function, built once."""
+        return synthesize_meyer(self)
+
     def word(self, text: str) -> Word:
         return parse_word(text, self.generator_names)
-
-    def format(self, word: Word) -> str:
-        return format_word(word, self.generator_names)
 
     @property
     def generator_count(self) -> int:
@@ -333,10 +336,6 @@ class SynthesizedMeyerFunction:
         self.presentation = presentation
         self.order = order
 
-    @property
-    def n(self) -> int:
-        return self.order.n
-
     def __call__(self, word: Word | str) -> Fraction:
         p = self.presentation
         if isinstance(word, str):
@@ -368,27 +367,58 @@ def synthesize_meyer(p: Presentation) -> SynthesizedMeyerFunction:
 # JSON interchange and shipped data
 
 
-def presentation_to_dict(p: Presentation) -> dict:
-    return {
-        "genus": p.genus,
-        "generators": list(p.generator_names),
-        "matrices": {
-            name: format_matrix(m.mat) for name, m in zip(p.generator_names, p.matrices)
-        },
-        "relators": [format_word(r, p.generator_names) for r in p.relators],
-    }
-
-
-def presentation_from_dict(data: dict) -> Presentation:
+def read_json(source, what: str):
+    """Decoded JSON from a dict, a JSON string, or a file path; malformed
+    JSON is a ParseError naming ``what`` and the offset."""
+    if isinstance(source, dict):
+        return source
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        text = source
+    else:
+        text = Path(source).read_text()
     try:
-        genus = data["genus"]
-        generators = data["generators"]
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad {what} JSON at offset {exc.pos}: {exc.msg}") from None
+
+
+def json_int(value, field: str) -> int:
+    """A JSON integer field; floats, booleans and strings are parse errors."""
+    if type(value) is not int:
+        raise ParseError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_names(value, field: str) -> list[str]:
+    """A JSON list of strings; anything else is a parse error."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"{field!r} must be a list of strings")
+    return value
+
+
+def dump_presentation(p: Presentation) -> str:
+    names = p.generator_names
+    data = {
+        "genus": p.genus,
+        "generators": list(names),
+        "matrices": {name: format_matrix(m.mat) for name, m in zip(names, p.matrices)},
+        "relators": [format_word(r, names) for r in p.relators],
+    }
+    return json.dumps(data, indent=2) + "\n"
+
+
+def load_presentation(source) -> Presentation:
+    """Load from a dict, a JSON string, or a file path."""
+    data = read_json(source, "presentation")
+    try:
+        genus = json_int(data["genus"], "genus")
+        generators = _json_names(data["generators"], "generators")
         matrices = data["matrices"]
-        relators = data["relators"]
+        relators = _json_names(data["relators"], "relators")
     except (KeyError, TypeError) as exc:
         raise ParseError(f"presentation data is missing field {exc}") from None
-    if not isinstance(generators, list) or not all(isinstance(g, str) for g in generators):
-        raise ParseError("'generators' must be a list of names")
+    if not isinstance(matrices, dict):
+        raise ParseError("'matrices' must map generator names to matrices")
     mats = []
     for name in generators:
         if name not in matrices:
@@ -406,47 +436,19 @@ def presentation_from_dict(data: dict) -> Presentation:
         raise ParseError(str(exc)) from None
 
 
-def dump_presentation(p: Presentation) -> str:
-    return json.dumps(presentation_to_dict(p), indent=2) + "\n"
-
-
-def load_presentation(source) -> Presentation:
-    """Load from a dict, a JSON string, or a file path."""
-    if isinstance(source, dict):
-        return presentation_from_dict(source)
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = Path(source).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad presentation JSON at offset {exc.pos}: {exc.msg}") from None
-    return presentation_from_dict(data)
-
-
-_SHIPPED_FILES = {1: "sl2z.json", 2: "genus2.json"}
-
-
-def shipped_presentation(genus: int, data_dir=None) -> Presentation:
-    """The packaged presentation for genus 1 or 2.
-
-    ``data_dir`` overrides the embedded data files (used by the CLI).
-    """
-    if genus not in _SHIPPED_FILES:
-        raise ValueError(f"no shipped presentation for genus {genus}")
-    if data_dir is not None:
-        return load_presentation(Path(data_dir) / _SHIPPED_FILES[genus])
-    return _shipped_cached(genus)
+SHIPPED_FILES = {1: "sl2z.json", 2: "genus2.json"}
 
 
 @lru_cache(maxsize=None)
-def _shipped_cached(genus: int) -> Presentation:
-    text = resources.files("meyersig.data").joinpath(_SHIPPED_FILES[genus]).read_text()
+def shipped_presentation(genus: int) -> Presentation:
+    """The packaged presentation for genus 1 or 2, loaded once."""
+    if genus not in SHIPPED_FILES:
+        raise ValueError(f"no shipped presentation for genus {genus}")
+    text = resources.files("meyersig.data").joinpath(SHIPPED_FILES[genus]).read_text()
     return load_presentation(text)
 
 
 @lru_cache(maxsize=None)
 def shipped_meyer_function(genus: int) -> SynthesizedMeyerFunction:
     """The synthesized Meyer function of the shipped presentation."""
-    return synthesize_meyer(shipped_presentation(genus))
+    return shipped_presentation(genus).meyer_function

@@ -25,6 +25,7 @@ from meyersig.fibered import (
     total_euler,
     total_signature,
 )
+from meyersig.presentations import shipped_presentation
 from meyersig.symplectic import SymplecticMatrix
 
 SUITES = {name: suite for name, suite, _ in selftest.SUITES}
@@ -105,7 +106,7 @@ def test_criterion_8_elliptic_surface_budget():
         for k in range(6):
             germs.append(FiberGerm(w_u, 0, f"I_1 #{2 * k}"))
             germs.append(FiberGerm(w_v, 0, f"I_1 #{2 * k + 1}"))
-        fd = FibrationDescription(1, 0, tuple(germs))
+        fd = FibrationDescription(shipped_presentation(1), 0, tuple(germs))
         sign = total_signature(fd)
         euler = total_euler(1, 0, [euler_contribution(1, 1)] * 12)
         assert sign == -8

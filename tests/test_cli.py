@@ -1,4 +1,5 @@
 import json
+import sys
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -127,31 +128,20 @@ def test_local_sig(capsys, tmp_path):
     assert lines[-1] == "total: -8"
 
 
-def test_local_sig_synthesizes_once_and_evaluates_each_germ_once(
-    capsys, monkeypatch, data_dir, tmp_path
-):
-    # the genus-2 chain relation: 30 germs c_i^-1 around (c1 c2 c3 c4 c5)^6 = 1
-    germs = [{"monodromy": f"c{5 - i % 5}^-1"} for i in range(30)]
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps({"genus": 2, "base_genus": 0, "germs": germs}))
-    synthesize = mock.Mock(wraps=fibered.synthesize_meyer)
-    monkeypatch.setattr(fibered, "synthesize_meyer", synthesize)
-    method = SynthesizedMeyerFunction.__call__
-    with mock.patch.object(SynthesizedMeyerFunction, "__call__", autospec=True, side_effect=method) as evaluate:
-        code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", str(path))
-    assert (code, out) == (0, "".join(f"germ {i}: -3/5\n" for i in range(30)) + "total: -18\n")
-    assert (synthesize.call_count, evaluate.call_count) == (1, 30)
+def count_calls(monkeypatch, owner, name):
+    """Wrap every meyersig module binding of ``owner.name`` in one counting mock."""
+    original = getattr(owner, name)
+    counter = mock.Mock(wraps=original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "meyersig" or module_name.startswith("meyersig."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counter)
+    return counter
 
 
-def test_local_sig_reads_each_data_file_once(capsys, monkeypatch, data_dir, tmp_path):
-    germs = []
-    for k in range(12):
-        germs.append({"monodromy": "kodaira:I_1", "label": f"u{k}"})
-        germs.append({"monodromy": "b^-1", "label": f"v{k}"})
-    path = tmp_path / "e2.json"
-    path.write_text(json.dumps({"genus": 1, "base_genus": 0, "germs": germs}))
-    load = mock.Mock(wraps=presentations.load_presentation)
-    monkeypatch.setattr(presentations, "load_presentation", load)
+def count_reads(monkeypatch):
+    """The names of the files read through Path.read_text, in order."""
     reads = []
     read_text = Path.read_text
 
@@ -160,11 +150,129 @@ def test_local_sig_reads_each_data_file_once(capsys, monkeypatch, data_dir, tmp_
         return read_text(path, *args, **kwargs)
 
     monkeypatch.setattr(Path, "read_text", counted_read_text)
-    code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", str(path))
-    lines = [f"{label}{k}: -2/3\n" for k in range(12) for label in "uv"]
-    assert (code, out) == (0, "".join(lines) + "total: -16\n")
-    assert load.call_count <= 3
+    return reads
+
+
+def _write_fibration(path, genus, germs):
+    path.write_text(json.dumps({"genus": genus, "base_genus": 0, "germs": germs}))
+    return str(path)
+
+
+# the genus-2 chain relation: 30 germs c_i^-1 around (c1 c2 c3 c4 c5)^6 = 1
+CHAIN_GERMS = [{"monodromy": f"c{5 - i % 5}^-1"} for i in range(30)]
+CHAIN_OUT = "".join(f"germ {i}: -3/5\n" for i in range(30)) + "total: -18\n"
+# E(2): 24 nodal germs, half of them named by their Kodaira type
+E2_GERMS = [
+    {"monodromy": monodromy, "label": f"{label}{k}"}
+    for k in range(12)
+    for monodromy, label in (("kodaira:I_1", "u"), ("b^-1", "v"))
+]
+E2_OUT = "".join(f"{label}{k}: -2/3\n" for k in range(12) for label in "uv") + "total: -16\n"
+
+
+def test_local_sig_synthesizes_once_and_evaluates_each_germ_once(
+    capsys, monkeypatch, data_dir, tmp_path
+):
+    path = _write_fibration(tmp_path / "chain.json", 2, CHAIN_GERMS)
+    load = count_calls(monkeypatch, presentations, "load_presentation")
+    synthesize = count_calls(monkeypatch, presentations, "synthesize_meyer")
+    method = SynthesizedMeyerFunction.__call__
+    with mock.patch.object(SynthesizedMeyerFunction, "__call__", autospec=True, side_effect=method) as evaluate:
+        code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", path)
+    assert (code, out) == (0, CHAIN_OUT)
+    assert (synthesize.call_count, evaluate.call_count) == (1, 30)
+    assert load.call_count == 1
+
+
+def test_local_sig_reads_each_data_file_once(capsys, monkeypatch, data_dir, tmp_path):
+    path = _write_fibration(tmp_path / "e2.json", 1, E2_GERMS)
+    load = count_calls(monkeypatch, presentations, "load_presentation")
+    shipped = count_calls(monkeypatch, presentations, "shipped_presentation")
+    embedded_kodaira = count_calls(monkeypatch, fibered, "_kodaira_table")
+    reads = count_reads(monkeypatch)
+    code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", path)
+    assert (code, out) == (0, E2_OUT)
+    assert load.call_count == 1
+    assert reads.count("sl2z.json") == 1
     assert reads.count("kodaira.json") == 1
+    assert (shipped.call_count, embedded_kodaira.call_count) == (0, 0)
+
+
+def test_local_sig_with_warm_shipped_data_loads_and_synthesizes_nothing(
+    capsys, monkeypatch, tmp_path
+):
+    commands = [
+        (_write_fibration(tmp_path / "e2.json", 1, E2_GERMS), E2_OUT),
+        (_write_fibration(tmp_path / "chain.json", 2, CHAIN_GERMS), CHAIN_OUT),
+    ]
+    for path, expected in commands:  # warm the shipped data
+        assert run_cli(capsys, "local-sig", "-f", path)[:2] == (0, expected)
+    load = count_calls(monkeypatch, presentations, "load_presentation")
+    synthesize = count_calls(monkeypatch, presentations, "synthesize_meyer")
+    reads = count_reads(monkeypatch)
+    for path, expected in commands:
+        assert run_cli(capsys, "local-sig", "-f", path)[:2] == (0, expected)
+    assert (load.call_count, synthesize.call_count) == (0, 0)
+    assert reads == ["e2.json", "chain.json"]
+
+
+def _genus1_data_dir(tmp_path, data_dir, kodaira_text=None):
+    """A --data directory with sl2z.json and, if given, this kodaira.json."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "sl2z.json").write_text((data_dir / "sl2z.json").read_text())
+    if kodaira_text is not None:
+        (data / "kodaira.json").write_text(kodaira_text)
+    return str(data)
+
+
+def test_local_sig_data_dir_without_kodaira_table(capsys, data_dir, tmp_path):
+    data = _genus1_data_dir(tmp_path, data_dir)
+    germs = [{"monodromy": letter, "label": f"{letter}{k}"} for k in range(6) for letter in "AB"]
+    path = _write_fibration(tmp_path / "e1.json", 1, germs)
+    code, out, _ = run_cli(capsys, "--data", data, "local-sig", "-f", path)
+    lines = [f"{letter}{k}: -2/3\n" for k in range(6) for letter in "AB"]
+    assert (code, out) == (0, "".join(lines) + "total: -8\n")
+    path = _write_fibration(tmp_path / "e2.json", 1, E2_GERMS)
+    code, out, err = run_cli(capsys, "--data", data, "local-sig", "-f", path)
+    assert (code, out) == (1, "")
+    assert "kodaira.json" in err
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ('{"I_n": 5}', "parse error: the Kodaira table must map fiber types to matrix strings\n"),
+        ('{"I_n": "1,x;0,1"}', "parse error: bad integer 'x' at row 0, column 1\n"),
+        ("{nope", "parse error: bad Kodaira table JSON at offset 1: "),
+    ],
+)
+def test_local_sig_malformed_kodaira_table_is_parse_error(
+    capsys, data_dir, tmp_path, table, message
+):
+    data = _genus1_data_dir(tmp_path, data_dir, table)
+    path = _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "kodaira:I_1"}])
+    code, out, err = run_cli(capsys, "--data", data, "local-sig", "-f", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("order", {"genus": True, "generators": [], "matrices": {}, "relators": []}),
+        ("order", {"genus": 1, "generators": ["a"], "matrices": {"a": "1,1;0,1"}, "relators": [5]}),
+        ("local-sig", {"genus": 1, "base_genus": 0, "germs": 5}),
+        ("local-sig", {"genus": 1, "base_genus": 0, "germs": [{"monodromy": ["a"]}]}),
+    ],
+)
+def test_malformed_data_file_is_parse_error(capsys, tmp_path, command, data):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    flag = "-p" if command == "order" else "-f"
+    code, out, err = run_cli(capsys, command, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
 
 
 def test_local_sig_kodaira_word_length_cap(capsys, tmp_path):

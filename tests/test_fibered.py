@@ -1,4 +1,5 @@
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -26,7 +27,12 @@ from meyersig.fibered import (
     total_signature,
 )
 from meyersig.genus1 import phi1
-from meyersig.presentations import Word, evaluate_word, shipped_meyer_function
+from meyersig.presentations import (
+    Word,
+    evaluate_word,
+    shipped_meyer_function,
+    shipped_presentation,
+)
 from meyersig.selftest import random_word
 from meyersig.symplectic import SymplecticMatrix, a_class, random_symplectic, transvection
 
@@ -40,7 +46,7 @@ def _twelve_i1_fibration():
     for k in range(6):
         germs.append(FiberGerm(w_u, 0, f"I_1 fiber {2 * k}"))
         germs.append(FiberGerm(w_v, 0, f"I_1 fiber {2 * k + 1}"))
-    return FibrationDescription(1, 0, tuple(germs))
+    return FibrationDescription(shipped_presentation(1), 0, tuple(germs))
 
 
 # ---------------------------------------------------------------------------
@@ -112,32 +118,32 @@ def test_twelve_i1_budget():
 
 
 def test_total_signature_empty():
-    assert total_signature(FibrationDescription(1, 0, ())) == 0
-    assert total_signature(FibrationDescription(2, 3, ())) == 0
+    assert total_signature(FibrationDescription(shipped_presentation(1), 0, ())) == 0
+    assert total_signature(FibrationDescription(shipped_presentation(2), 3, ())) == 0
 
 
 def test_total_signature_doubled_inverses(rng, genus2):
     words = [random_word(genus2, rng, max_len=8) for _ in range(4)]
     germs = [FiberGerm(w, 0) for w in words]
     germs += [FiberGerm(w.inverse(), 0) for w in reversed(words)]
-    fd = FibrationDescription(2, 0, tuple(germs))
+    fd = FibrationDescription(genus2, 0, tuple(germs))
     assert total_signature(fd) == 0
 
 
 def test_total_signature_trivial_monodromies_add_neighborhoods():
     germs = tuple(FiberGerm(Word(), k) for k in (-3, 1, 2))
-    assert total_signature(FibrationDescription(1, 0, germs)) == 0
-    assert total_signature(FibrationDescription(2, 2, germs)) == 0
+    assert total_signature(FibrationDescription(shipped_presentation(1), 0, germs)) == 0
+    assert total_signature(FibrationDescription(shipped_presentation(2), 2, germs)) == 0
 
 
 def test_total_signature_reorder_and_conjugate_invariant(rng, genus2):
     words = [random_word(genus2, rng, max_len=6) for _ in range(3)]
     closing = (words[0] * words[1] * words[2]).inverse()
     germs = [FiberGerm(w, k) for k, w in enumerate(words + [closing])]
-    reference = total_signature(FibrationDescription(2, 1, tuple(germs)))
+    reference = total_signature(FibrationDescription(genus2, 1, tuple(germs)))
     shuffled = list(germs)
     rng.shuffle(shuffled)
-    assert total_signature(FibrationDescription(2, 1, tuple(shuffled))) == reference
+    assert total_signature(FibrationDescription(genus2, 1, tuple(shuffled))) == reference
     conjugated = [
         FiberGerm(
             (y := random_word(genus2, rng, max_len=4)) * g.monodromy * y.inverse(),
@@ -145,11 +151,11 @@ def test_total_signature_reorder_and_conjugate_invariant(rng, genus2):
         )
         for g in germs
     ]
-    assert total_signature(FibrationDescription(2, 1, tuple(conjugated))) == reference
+    assert total_signature(FibrationDescription(genus2, 1, tuple(conjugated))) == reference
 
 
 def test_closedness_failure_over_sphere(sl2z):
-    fd = FibrationDescription(1, 0, (FiberGerm(sl2z.word("a"), 0),))
+    fd = FibrationDescription(sl2z, 0, (FiberGerm(sl2z.word("a"), 0),))
     with pytest.raises(ValueError, match="closedness"):
         total_signature(fd)
 
@@ -158,9 +164,9 @@ def test_closedness_over_torus_accepts_commutators(rng, sl2z):
     x = random_word(sl2z, rng, max_len=8)
     y = random_word(sl2z, rng, max_len=8)
     comm = x * y * x.inverse() * y.inverse()
-    fd = FibrationDescription(1, 1, (FiberGerm(comm, 0),))
+    fd = FibrationDescription(sl2z, 1, (FiberGerm(comm, 0),))
     total_signature(fd)  # no closedness complaint
-    bad = FibrationDescription(1, 1, (FiberGerm(sl2z.word("a"), 0),))
+    bad = FibrationDescription(sl2z, 1, (FiberGerm(sl2z.word("a"), 0),))
     with pytest.raises(ValueError, match="commutator"):
         total_signature(bad)
 
@@ -171,7 +177,7 @@ def test_torelli_germ_yields_non_integer_total(genus2):
     # documented signal that the germ data is not a closed fibration
     sep = genus2.word(" ".join(["c1 c2"] * 6))
     assert evaluate_word(sep, genus2) == SymplecticMatrix.identity(2)
-    fd = FibrationDescription(2, 0, (FiberGerm(sep, 0),))
+    fd = FibrationDescription(genus2, 0, (FiberGerm(sep, 0),))
     with pytest.raises(ValueError, match="not an integer"):
         total_signature(fd)
 
@@ -415,6 +421,22 @@ def test_load_fibration_rejects_non_integer_fields(field, value):
         data[field] = value
     with pytest.raises(ParseError, match=f"'{field}' must be an integer"):
         load_fibration(data)
+
+
+@pytest.mark.parametrize(
+    "germs",
+    [5, "a", [5], [{"monodromy": 5}], [{"monodromy": ["a"]}], [{"monodromy": None}]],
+)
+def test_load_fibration_rejects_malformed_germs(germs):
+    with pytest.raises(ParseError):
+        load_fibration({"genus": 1, "base_genus": 0, "germs": germs})
+
+
+def test_load_fibration_data_dir_genus_must_match(tmp_path):
+    sl2z_text = resources.files("meyersig.data").joinpath("sl2z.json").read_text()
+    (tmp_path / "genus2.json").write_text(sl2z_text)
+    with pytest.raises(ParseError, match="genus-1 presentation, not genus 2"):
+        load_fibration({"genus": 2, "base_genus": 0, "germs": []}, tmp_path)
 
 
 def test_load_fibration_from_file(tmp_path):

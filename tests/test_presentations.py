@@ -160,6 +160,13 @@ def test_presentation_from_dict_errors():
         lambda d: d.update(matrices={}),
         lambda d: d.update(matrices={"a": "2,0;0,2"}),
         lambda d: d.update(relators=["q"]),
+        lambda d: d.update(genus=1.0),
+        lambda d: d.update(genus=True),
+        lambda d: d.update(relators=5),
+        lambda d: d.update(relators=[5]),
+        lambda d: d.update(generators="a"),
+        lambda d: d.update(matrices=5),
+        lambda d: d.update(matrices=["a"]),
     ):
         data = json.loads(json.dumps(good))
         breakage(data)
