@@ -5,7 +5,7 @@ Everything is computed over arbitrary-precision integers and rationals;
 there is no floating point anywhere in the public API.
 """
 
-from .cocycle import VSpace, sigma_defect_via_tau, tau_sp, v_space
+from .cocycle import VSpace, sigma_defect_via_tau, tau_sp, tau_twist, v_space
 from .errors import InfiniteOrderError, ParseError, UnsupportedGenusError
 from .exact import SignatureTriple, SymmetricForm, kernel_basis, signature
 from .fibered import (
@@ -58,6 +58,7 @@ from .symplectic import (
     standard_j,
     symplectic_pairing,
     transvection,
+    twist_of,
 )
 
 __version__ = "0.1.0"

@@ -14,13 +14,26 @@ pants whose two cuff monodromies act on homology by A and B; the algebra
 below is the exact, finite computation of that signature.  The pairing is
 symmetric when restricted to V_{A,B}; this is asserted rather than
 assumed, because a failure pinpoints a kernel-basis bug immediately.
+
+When B is a power of a Dehn twist, B x = x + lam <v, x> v with
+<v, x> = v^T J x, the matrix B - I = lam v (v^T J) has rank 1 and the
+pairing on V_{A,B} has rank at most 1, so tau is one sign:
+
+    tau(A, B) = sign(lam * t * (lam <x, v> + t))
+
+for any rational x and t != 0 with (A - I) x + t A v = 0, and 0 when
+every such solution has t = 0.  :func:`tau_twist` evaluates this from one
+kernel of a 2g x (2g+1) matrix, with no inverse and no signature; the
+cochain of :mod:`meyersig.presentations` takes it for every generator
+whose B - I has rank 1 and :func:`tau_sp` for any other.
 """
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .exact import kernel_basis, signature
 from .matrix import IntMatrix
-from .symplectic import SymplecticMatrix, standard_j
+from .symplectic import SymplecticMatrix, standard_j, symplectic_pairing
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,36 @@ def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
                     "this indicates a kernel-basis bug"
                 )
     return signature(gram).value
+
+
+def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
+    """tau_sp(A, B) for the twist power B x = x + lam <v, x> v, in closed form.
+
+    With (B - I) y = lam s v, where s = <v, y>, a point (x, y) lies in
+    V_{A,B} exactly when (A^{-1} - I) x = t v with t = -lam s, and the
+    pairing is <(x, y), (x', y')> = -lam s' <x + y, v>.  Were s zero on
+    all of V, the pairing would vanish and tau = 0.  Otherwise the pairing
+    is symmetric only if <x + y, v> = kappa s on V, so it has rank 1 and
+    its signature is the sign of its value on any one point with s != 0.
+    Such a point is (x, y) with t != 0 and <v, y> = -t / lam; there
+    <x + y, v> = <x, v> + t / lam, and the value is
+    (t / lam) (lam <x, v> + t), whose sign is that of
+    lam * t * (lam <x, v> + t).  Multiplying (A^{-1} - I) x = t v by A
+    gives (A - I) x + t A v = 0, so the points come from one kernel of
+    the 2g x (2g+1) matrix [A - I | A v], with no inverse of A.
+    """
+    n = 2 * a.g
+    if len(v) != n:
+        raise ValueError(f"twist class of length {len(v)} at genus {a.g}")
+    av = a.apply(v)
+    rows = [list(row) + [av[r]] for r, row in enumerate(a.mat.rows)]
+    for r in range(n):
+        rows[r][r] -= 1
+    for *x, t in kernel_basis(rows, ncols=n + 1):
+        if t:
+            value = lam * t * (lam * symplectic_pairing(x, v) + t)
+            return (value > 0) - (value < 0)
+    return 0
 
 
 def sigma_defect_via_tau(alpha: SymplecticMatrix) -> int:

@@ -213,7 +213,7 @@ _KODAIRA_FILE = "kodaira.json"
 def _read_kodaira_table(source) -> dict:
     """A ``kodaira.json`` table: fiber type names to matrix strings."""
     table = read_json(source, "Kodaira table")
-    if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+    if not all(isinstance(v, str) for v in table.values()):
         raise ParseError("the Kodaira table must map fiber types to matrix strings")
     return table
 
@@ -440,11 +440,10 @@ def germ_from_dict(data: dict, presentation: Presentation, kodaira_table) -> Fib
     else:
         word = presentation.word(monodromy)
     signature = json_int(data.get("neighborhood_signature", 0), "neighborhood_signature")
-    return FiberGerm(
-        monodromy=word,
-        neighborhood_signature=signature,
-        label=str(data.get("label", "")),
-    )
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ParseError(f"field 'label' must be a string, got {label!r}")
+    return FiberGerm(monodromy=word, neighborhood_signature=signature, label=label)
 
 
 def load_fibration(source, data_dir=None) -> FibrationDescription:

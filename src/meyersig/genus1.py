@@ -15,6 +15,7 @@ the half-integers must cancel against Psi/3; the (1/3)Z landing is
 asserted at runtime to catch branch bugs.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,25 +80,24 @@ def sawtooth(x) -> Fraction:
 
 
 def dedekind_sum(a: int, c: int) -> Fraction:
-    """s(a, c) = sum over k mod |c| of ((ak/c)) ((k/c)), exactly.
+    """s(a, c) = sum over k mod |c| of ((ak/c)) ((k/c)), exactly, in O(log |c|) steps.
 
-    The loop runs over k = 0 .. |c|-1 whatever the sign of c; the
-    summands keep c's true sign, which makes the sum even in c.  The inner
-    arithmetic is over ints with a single common denominator 4c^2, so the
-    only Fraction is the final result.
+    The summands keep c's true sign, which makes the sum even in c.  It is
+    unchanged by dividing a and c by their gcd and by reducing a mod c, and
+    for coprime a, c > 0 reciprocity (Rademacher-Grosswald, Dedekind Sums,
+    1972) gives s(a, c) = (a^2 + c^2 + 1)/(12ac) - 1/4 - s(c mod a, a): a
+    Euclidean descent that ends at s(0, 1) = 0.
     """
     if c == 0:
         raise ValueError("dedekind_sum needs c != 0")
-    q = abs(c)
-    s = 1 if c > 0 else -1
-    total = 0
-    for k in range(1, q):
-        m1 = (s * a * k) % q
-        if m1 == 0:
-            continue
-        m2 = (s * k) % q
-        total += (2 * m1 - q) * (2 * m2 - q)
-    return Fraction(total, 4 * q * q)
+    d = math.gcd(a, c)
+    a, c = (a // d) % abs(c // d), abs(c // d)
+    total = Fraction(0)
+    sign = 1
+    while a:
+        total += sign * (Fraction(a * a + c * c + 1, 12 * a * c) - Fraction(1, 4))
+        a, c, sign = c % a, a, -sign
+    return total
 
 
 def rademacher(alpha: SL2Element) -> Fraction:

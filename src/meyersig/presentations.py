@@ -33,10 +33,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cocycle import tau_sp
+from .cocycle import tau_sp, tau_twist
 from .errors import InfiniteOrderError, ParseError
 from .matrix import format_matrix, matrix_from_json, parse_matrix
-from .symplectic import SymplecticMatrix
+from .symplectic import SymplecticMatrix, twist_of
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
 
@@ -196,6 +196,17 @@ class Presentation:
         return tuple(m.inverse() for m in self.matrices)
 
     @cached_property
+    def _twists(self) -> dict[Letter, tuple[tuple[int, ...], int] | None]:
+        """Per letter (i, +-1), the (v, lam) of its matrix as a twist power
+        (see :func:`twist_of`), or None; the inverse of a twist power is
+        the power with -lam."""
+        twists: dict[Letter, tuple[tuple[int, ...], int] | None] = {}
+        for i, m in enumerate(self.matrices):
+            twist = twists[i, 1] = twist_of(m)
+            twists[i, -1] = None if twist is None else (twist[0], -twist[1])
+        return twists
+
+    @cached_property
     def meyer_function(self) -> "SynthesizedMeyerFunction":
         """This presentation's synthesized Meyer function, built once."""
         return synthesize_meyer(self)
@@ -219,14 +230,20 @@ def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
 
 
 def cochain_c(w: Word, p: Presentation) -> int:
-    """c(w): the signature cocycle summed along the prefixes of w."""
+    """c(w): the signature cocycle summed along the prefixes of w.
+
+    A letter whose matrix is a twist power takes the closed form
+    :func:`tau_twist`; any other letter takes :func:`tau_sp`.
+    """
     total = 0
     prefix = SymplecticMatrix.identity(p.genus)
+    twists = p._twists
     for i, s in w.letters:
         if i >= len(p.matrices):
             raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators")
         step = p.matrices[i] if s > 0 else p._inverses[i]
-        total += tau_sp(prefix, step)
+        twist = twists[i, s]
+        total += tau_sp(prefix, step) if twist is None else tau_twist(prefix, *twist)
         prefix = prefix * step
     return total
 
@@ -368,18 +385,22 @@ def synthesize_meyer(p: Presentation) -> SynthesizedMeyerFunction:
 
 
 def read_json(source, what: str):
-    """Decoded JSON from a dict, a JSON string, or a file path; malformed
-    JSON is a ParseError naming ``what`` and the offset."""
+    """The JSON object in a dict, a JSON string, or a file path; malformed
+    JSON is a ParseError naming ``what`` and the offset, and so is JSON
+    that is not an object."""
     if isinstance(source, dict):
         return source
-    if isinstance(source, str) and source.lstrip().startswith("{"):
+    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         text = source
     else:
         text = Path(source).read_text()
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad {what} JSON at offset {exc.pos}: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} JSON must be an object, got {type(data).__name__}")
+    return data
 
 
 def json_int(value, field: str) -> int:

@@ -108,15 +108,33 @@ def _synthesized(rng, size):
         yield "denominator of 5 phi_2(w)", (5 * phi(w)).denominator, 1, {"w": w}
 
 
+def _dedekind_by_definition(a: int, c: int) -> Fraction:
+    """The defining O(|c|) sum of s(a, c), the oracle for the fast
+    dedekind_sum: k runs over 0 .. |c|-1 and the summands keep c's sign."""
+    q = abs(c)
+    s = 1 if c > 0 else -1
+    total = 0
+    for k in range(1, q):
+        m1 = (s * a * k) % q
+        if m1 == 0:
+            continue
+        m2 = (s * k) % q
+        total += (2 * m1 - q) * (2 * m2 - q)
+    return Fraction(total, 4 * q * q)
+
+
 @_suite
 def _dedekind(rng, size):
-    """Every coprime 1 <= a < c <= size."""
-    for c in range(2, size + 1):
-        for a in range(1, c):
-            if gcd(a, c) != 1:
-                continue
+    """Every 0 <= a < c <= size against the defining sum; the identities
+    at every coprime a >= 1."""
+    for c in range(1, size + 1):
+        for a in range(c):
             s = dedekind_sum(a, c)
             ac = {"a": a, "c": c}
+            yield "s(a, c) = defining sum", s, _dedekind_by_definition(a, c), ac
+            yield "s(a, -c) = s(a, c)", dedekind_sum(a, -c), s, ac
+            if a == 0 or gcd(a, c) != 1:
+                continue
             rhs = Fraction(-1, 4) + (Fraction(a, c) + Fraction(c, a) + Fraction(1, a * c)) / 12
             yield "s(a, c) + s(c, a) = -1/4 + (a/c + c/a + 1/(ac))/12", s + dedekind_sum(c, a), rhs, ac
             yield "s(a + c, c) = s(a, c)", dedekind_sum(a + c, c), s, ac

@@ -13,6 +13,7 @@ data file and every twist-value identity in this package is validated
 against.  Flipping the constant would invert all twists.
 """
 
+import math
 import random
 from typing import Sequence
 
@@ -150,6 +151,34 @@ def transvection(v: Sequence[int]) -> SymplecticMatrix:
         coeff = TWIST_SIGN * symplectic_pairing(v, basis)
         cols.append(tuple(basis[i] + coeff * v[i] for i in range(n)))
     return SymplecticMatrix(IntMatrix(tuple(zip(*cols))), n // 2)
+
+
+def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
+    """(v, lam) with M - I = lam * v (v^T J), or None if there is none.
+
+    Such an M is a power of the Dehn twist along v: M x = x + lam <v, x> v,
+    which is transvection(v) ** (TWIST_SIGN * lam).  The class v is
+    primitive with its first nonzero entry positive, so the pair is
+    unique; the identity, -I and any M - I of rank above 1 give None.
+    """
+    g, n = m.g, 2 * m.g
+    d = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(m.mat.rows)]
+    col = next((j for j in range(n) if any(row[j] for row in d)), None)
+    if col is None:
+        return None
+    v = [row[col] for row in d]  # lam * (v^T J)_col times v
+    content = math.gcd(*v)
+    if next(e for e in v if e) < 0:
+        content = -content
+    v = tuple([e // content for e in v])
+    vj = [-e for e in v[g:]] + list(v[:g])  # the row vector v^T J
+    if not vj[col]:
+        return None
+    i0 = next(i for i, e in enumerate(v) if e)
+    lam = d[i0][col] // (v[i0] * vj[col])
+    if any(d[i][j] != lam * v[i] * vj[j] for i in range(n) for j in range(n)):
+        return None
+    return v, lam
 
 
 def a_class(g: int, i: int) -> tuple:

@@ -1,14 +1,17 @@
 import json
 import sys
+import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from meyersig import cli, fibered, presentations, selftest
+from meyersig import cli, cocycle, fibered, presentations, selftest
 from meyersig.cli import main
-from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction
+from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction, cochain_c
+from meyersig.symplectic import SymplecticMatrix
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +28,27 @@ def test_phi1(capsys):
 def test_phi1_json_matrix(capsys):
     code, out, _ = run_cli(capsys, "phi1", "[[1, 1], [0, 1]]")
     assert (code, out) == (0, "2/3\n")
+
+
+def _timed_cli(capsys, *argv):
+    t0 = time.perf_counter()
+    result = run_cli(capsys, *argv)
+    return result, time.perf_counter() - t0
+
+
+def test_dedekind_of_a_30_digit_modulus_answers_at_once(capsys):
+    c = 10**29 + 7
+    (code, out, _), seconds = _timed_cli(capsys, "dedekind", "1", str(c))
+    # s(1, c) = (c - 1)(c - 2) / (12 c)
+    assert (code, out) == (0, f"{Fraction((c - 1) * (c - 2), 12 * c)}\n")
+    assert seconds < 0.5
+
+
+def test_phi1_of_a_large_lower_unipotent_answers_at_once(capsys):
+    # phi1([[1, 0], [c, 1]]) = c/3 - 1 for c > 0
+    (code, out, _), seconds = _timed_cli(capsys, "phi1", "1,0;100000001,1")
+    assert (code, out) == (0, "99999998/3\n")
+    assert seconds < 0.5
 
 
 def test_tau(capsys):
@@ -138,6 +162,21 @@ def count_calls(monkeypatch, owner, name):
                 if value is original:
                     monkeypatch.setattr(module, attr, counter)
     return counter
+
+
+def test_cochain_on_twist_letters_calls_no_tau_sp_and_no_inverse(monkeypatch, genus2):
+    word = genus2.word("c1 c2^-1 c3^2 c4 c5^-3 c1^-1 c2 c4^-2 c3 c5")
+    prefix, expected = SymplecticMatrix.identity(2), 0
+    for i, s in word.letters:
+        step = genus2.matrices[i] if s > 0 else genus2.matrices[i].inverse()
+        expected += cocycle.tau_sp(prefix, step)
+        prefix = prefix * step
+    genus2._inverses  # computed once per presentation, not per letter
+    tau = count_calls(monkeypatch, cocycle, "tau_sp")
+    inverse = mock.Mock(wraps=SymplecticMatrix.inverse)
+    monkeypatch.setattr(SymplecticMatrix, "inverse", inverse)
+    assert cochain_c(word, genus2) == expected
+    assert (tau.call_count, inverse.call_count) == (0, 0)
 
 
 def count_reads(monkeypatch):
@@ -273,6 +312,25 @@ def test_malformed_data_file_is_parse_error(capsys, tmp_path, command, data):
     code, out, err = run_cli(capsys, command, flag, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize(
+    "command, what", [("order", "presentation"), ("local-sig", "fibration"), ("phi", "presentation")]
+)
+def test_data_file_that_is_not_an_object_is_parse_error(capsys, tmp_path, command, what):
+    path = tmp_path / "data.json"
+    path.write_text("[1, 2]")
+    argv = [command, "-f" if command == "local-sig" else "-p", str(path)]
+    code, out, err = run_cli(capsys, *argv + (["c1"] if command == "phi" else []))
+    assert (code, out, err) == (2, "", f"parse error: {what} JSON must be an object, got list\n")
+
+
+@pytest.mark.parametrize("label", [None, 5, ["u"]])
+def test_local_sig_non_string_label_is_parse_error(capsys, tmp_path, label):
+    path = _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "a", "label": label}])
+    code, out, err = run_cli(capsys, "local-sig", "-f", path)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: field 'label' must be a string, got {label!r}\n"
 
 
 def test_local_sig_kodaira_word_length_cap(capsys, tmp_path):

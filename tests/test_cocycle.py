@@ -1,10 +1,17 @@
 
 import pytest
 
-from meyersig.cocycle import sigma_defect_via_tau, tau_sp, v_space
+from meyersig.cocycle import sigma_defect_via_tau, tau_sp, tau_twist, v_space
 from meyersig.exact import signature
 from meyersig.genus1 import phi1
-from meyersig.symplectic import SymplecticMatrix, random_symplectic, standard_j
+from meyersig.symplectic import (
+    SymplecticMatrix,
+    a_class,
+    random_symplectic,
+    standard_j,
+    transvection,
+    twist_of,
+)
 
 U = SymplecticMatrix([[1, 1], [0, 1]])
 V = SymplecticMatrix([[1, 0], [-1, 1]])
@@ -125,3 +132,33 @@ def test_tau_matches_maslov_index(g, rng):
     pairs += [(x, e), (e, x), (x, x.inverse()), (e, e), (minus, minus), (x, minus)]
     for a, b in pairs:
         assert tau_sp(a, b) == _maslov(e, a, a * b) == -_maslov(e, a.inverse(), b)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam", [-3, -2, -1, 1, 2, 3])
+def test_tau_twist_matches_tau_sp(g, lam, rng):
+    e = SymplecticMatrix.identity(g)
+    cases = []
+    for _ in range(12):
+        # classes outside the generating set of random_symplectic
+        v = tuple(rng.randint(-3, 3) for _ in range(2 * g))
+        if not any(v):
+            continue
+        t = transvection(v)
+        cases.append((random_symplectic(g, rng.randint(0, 12), rng.random()), v))
+        cases += [(e, v), (t, v), (t.inverse(), v), (t ** rng.randint(-3, 3), v)]
+    if g > 1:
+        # A = T_w with <w, v> = 0: v lies outside the image of A^{-1} - I
+        cases.append((transvection(a_class(g, 2)), a_class(g, 1)))
+    zero = 0
+    for a, v in cases:
+        b = transvection(v) ** lam
+        w, k = twist_of(b)
+        assert tau_twist(a, w, k) == tau_sp(a, b), (a, v, lam)
+        zero += tau_sp(a, b) == 0
+    assert 0 < zero < len(cases)
+
+
+def test_tau_twist_genus_mismatch():
+    with pytest.raises(ValueError, match="length 4 at genus 1"):
+        tau_twist(I1, (1, 0, 0, 0), 1)

@@ -432,6 +432,24 @@ def test_load_fibration_rejects_malformed_germs(germs):
         load_fibration({"genus": 1, "base_genus": 0, "germs": germs})
 
 
+@pytest.mark.parametrize("label", [None, 5, 1.5, True, {"a": 1}])
+def test_load_fibration_rejects_non_string_label(label):
+    data = {"genus": 1, "base_genus": 0, "germs": [{"monodromy": "a", "label": label}]}
+    with pytest.raises(ParseError, match="'label' must be a string"):
+        load_fibration(data)
+
+
+@pytest.mark.parametrize("source", ["[1, 2]", "3"])
+def test_load_fibration_rejects_json_that_is_not_an_object(tmp_path, source):
+    path = tmp_path / "fib.json"
+    path.write_text(source)
+    with pytest.raises(ParseError, match="^fibration JSON must be an object, got "):
+        load_fibration(path)
+    if source.startswith("["):
+        with pytest.raises(ParseError, match="^fibration JSON must be an object, got list"):
+            load_fibration(source)
+
+
 def test_load_fibration_data_dir_genus_must_match(tmp_path):
     sl2z_text = resources.files("meyersig.data").joinpath("sl2z.json").read_text()
     (tmp_path / "genus2.json").write_text(sl2z_text)

@@ -27,7 +27,7 @@ from meyersig.presentations import (
     total_exponent,
 )
 from meyersig.selftest import random_word
-from meyersig.symplectic import SymplecticMatrix
+from meyersig.symplectic import SymplecticMatrix, transvection
 
 S_MAT = SymplecticMatrix([[0, -1], [1, 0]])
 U_MAT = SymplecticMatrix([[1, 1], [0, 1]])
@@ -174,6 +174,14 @@ def test_presentation_from_dict_errors():
             load_presentation(data)
 
 
+@pytest.mark.parametrize("source", ["[1, 2]", '"genus"', "null"])
+def test_presentation_json_must_be_an_object(tmp_path, source):
+    path = tmp_path / "p.json"
+    path.write_text(source)
+    with pytest.raises(ParseError, match="^presentation JSON must be an object, got "):
+        load_presentation(path)
+
+
 # ---------------------------------------------------------------------------
 # evaluation and the 1-cochain
 
@@ -304,6 +312,18 @@ def test_class_order_alpha_zero_c_nonzero_is_unbounded():
     assert [exponent_sum(p.relators[2], i) for i in range(2)] == [6, -6]
     assert _single_coefficient_order(p) is UNBOUNDED
     assert class_order(p) == ClassOrder(3, (-3, 2))
+
+
+def test_twist_letters_are_detected_once_per_presentation(sl2z, genus2):
+    for p in (sl2z, genus2):
+        for i, m in enumerate(p.matrices):
+            v, lam = p._twists[i, 1]
+            assert p._twists[i, -1] == (v, -lam)
+            assert m == transvection(v) ** lam
+    # a -> S is no twist power, so its letters fall back to tau_sp
+    p = _mismatch_presentation()
+    assert p._twists[0, 1] is p._twists[0, -1] is None
+    assert p._twists[1, 1] == ((1, 0), 1)
 
 
 def test_class_order_general_lattice_path():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from meyersig.symplectic import (
     standard_j,
     symplectic_pairing,
     transvection,
+    twist_of,
 )
 
 
@@ -92,6 +94,30 @@ def test_transvection_inverse_cancels():
             continue
         t = transvection(v)
         assert t * t.inverse() == SymplecticMatrix.identity(g)
+
+
+def test_twist_of_recovers_twist_powers():
+    rng = random.Random(9)
+    for _ in range(60):
+        g = rng.randint(1, 3)
+        v = tuple(rng.randint(-3, 3) for _ in range(2 * g))
+        if not any(v):
+            continue
+        lam = rng.choice((-3, -2, -1, 1, 2, 3))
+        w, k = twist_of(transvection(v) ** lam)
+        assert transvection(w) ** k == transvection(v) ** lam
+        assert next(x for x in w if x) > 0
+        assert math.gcd(*w) == 1
+    # a non-primitive class: T_{2 A_1} = T_{A_1}^4
+    assert twist_of(transvection((2, 0))) == ((1, 0), 4)
+    assert twist_of(transvection((0, -1)) ** -2) == ((0, 1), -2)
+
+
+@pytest.mark.parametrize(
+    "entries", [[[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[1, 0], [0, 1]], [[2, 1], [1, 1]]]
+)
+def test_twist_of_refuses_non_twists(entries):
+    assert twist_of(SymplecticMatrix(entries)) is None
 
 
 def test_pairing_preserved_by_symplectic_action():
