@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain/validation error, 2 parse error.
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import selftest
 from .cocycle import tau_sp
@@ -137,7 +138,13 @@ def _cmd_twist_value(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``meyersig`` argument parser, built once per process.
+
+    Each ``parse_args`` call fills a fresh namespace, so no option value
+    carries over from one :func:`main` call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="meyersig",
         description="Exact signature cocycle, Meyer function, and local-signature computations.",

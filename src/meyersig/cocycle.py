@@ -15,6 +15,13 @@ below is the exact, finite computation of that signature.  The pairing is
 symmetric when restricted to V_{A,B}; this is asserted rather than
 assumed, because a failure pinpoints a kernel-basis bug immediately.
 
+Neither form is built as a matrix product.  :func:`v_space` writes the
+rows of [A^{-1} - I | B - I] directly, from the block inverse of A with
+one subtracted from each diagonal entry.  :func:`tau_sp` forms
+w = (I - B) y for each basis vector (x, y) and pairs it with x + y
+through J by index, (x + y)^T J w = sum_i (s_i w_{g+i} - s_{g+i} w_i),
+so neither J (I - B) nor an identity matrix is ever made.
+
 When B is a power of a Dehn twist, B x = x + lam <v, x> v with
 <v, x> = v^T J x, the matrix B - I = lam v (v^T J) has rank 1 and the
 pairing on V_{A,B} has rank at most 1, so tau is one sign:
@@ -29,11 +36,11 @@ whose B - I has rank 1 and :func:`tau_sp` for any other.
 """
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .exact import kernel_basis, signature
-from .matrix import IntMatrix
-from .symplectic import SymplecticMatrix, standard_j, symplectic_pairing
+from .symplectic import SymplecticMatrix, symplectic_pairing
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,10 @@ def v_space(a: SymplecticMatrix, b: SymplecticMatrix) -> VSpace:
     if a.g != b.g:
         raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
     n = 2 * a.g
-    ident = IntMatrix.identity(n)
-    left = a.inverse().mat - ident
-    right = b.mat - ident
-    rows = [left.rows[r] + right.rows[r] for r in range(n)]
+    rows = [list(r + s) for r, s in zip(a.inverse().mat.rows, b.mat.rows)]
+    for r in range(n):
+        rows[r][r] -= 1
+        rows[r][n + r] -= 1
     return VSpace(a.g, tuple(kernel_basis(rows, ncols=2 * n)))
 
 
@@ -69,14 +76,14 @@ def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
     space = v_space(a, b)
     if not space.basis:
         return 0
-    n = 2 * a.g
-    w = standard_j(a.g) * (IntMatrix.identity(n) - b.mat)
-    sums = [tuple(v[t] + v[t + n] for t in range(n)) for v in space.basis]
-    w_ys = [w.apply(v[n:]) for v in space.basis]
-    gram = [
-        [sum(s * t for s, t in zip(sums[i], w_ys[j])) for j in range(space.dim)]
-        for i in range(space.dim)
-    ]
+    g, n = a.g, 2 * a.g
+    sums, j_ws = [], []
+    for v in space.basis:
+        x, y = v[:n], v[n:]
+        sums.append([xi + yi for xi, yi in zip(x, y)])
+        w = [yi - byi for yi, byi in zip(y, b.apply(y))]  # (I - B) y
+        j_ws.append(w[g:] + [-e for e in w[:g]])  # J (I - B) y
+    gram = [[sum(map(mul, s, jw)) for jw in j_ws] for s in sums]
     for i in range(space.dim):
         for j in range(i + 1, space.dim):
             if gram[i][j] != gram[j][i]:

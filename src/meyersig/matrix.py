@@ -1,11 +1,18 @@
 """Immutable dense integer matrices with arbitrary-precision entries.
 
-Everything here is small (2g x 2g with g <= 3 in practice, 2g x 4g at
-worst), so plain Python loops over tuples of ints are both exact and fast
-enough.  Entries are never coerced to floats.
+A matrix is checked once, where it enters the program: the public
+constructor (behind :func:`parse_matrix`, :func:`matrix_from_json` and
+any caller's own rows) requires a nonempty rectangle of ``int`` entries,
+``bool`` excluded.  Operations closed over integer matrices (products,
+differences, negation, transpose and the identity) build their results
+through :func:`_trusted`, which skips that check, since their entries are
+ints by construction.  Entries are never coerced to floats.  Tuples are
+built from lists, as in :mod:`meyersig.exact`.
 """
 
 import json
+from functools import cache
+from operator import mul
 
 from .errors import ParseError
 
@@ -16,10 +23,12 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(entry for entry in row) for row in rows)
+        rows = tuple([tuple([entry for entry in row]) for row in rows])
         if not rows:
             raise ValueError("matrix needs at least one row")
         width = len(rows[0])
+        if not width:
+            raise ValueError("matrix needs at least one column")
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
@@ -31,9 +40,12 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    @staticmethod
+    @cache
+    def identity(n: int) -> "IntMatrix":
+        if n < 1:
+            raise ValueError(f"identity needs a positive size, got {n}")
+        return _trusted(tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
 
     @property
     def nrows(self) -> int:
@@ -59,22 +71,19 @@ class IntMatrix:
             raise ValueError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cols = tuple(zip(*other.rows))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
+        cols = list(zip(*other.rows))
+        return _trusted(
+            tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows])
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
-            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
+        return _trusted(
+            tuple([tuple([a - b for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)])
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return _trusted(tuple([tuple([-a for a in row]) for row in self.rows]))
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if not isinstance(other, IntMatrix):
@@ -85,14 +94,14 @@ class IntMatrix:
             )
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+        return _trusted(tuple(list(zip(*self.rows))))
 
     def apply(self, vector) -> tuple:
         """Matrix-vector product, returning a tuple of ints."""
         vec = tuple(vector)
         if len(vec) != self.ncols:
             raise ValueError(f"vector length {len(vec)} != {self.ncols} columns")
-        return tuple(sum(a * x for a, x in zip(row, vec)) for row in self.rows)
+        return tuple([sum(map(mul, row, vec)) for row in self.rows])
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -104,6 +113,17 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({format_matrix(self)!r})"
+
+
+def _trusted(rows: tuple) -> IntMatrix:
+    """Wrap a nonempty rectangular tuple of int tuples without checking it.
+
+    Only for results that are integer matrices by construction; anything
+    read from outside goes through :class:`IntMatrix` itself.
+    """
+    m = object.__new__(IntMatrix)
+    object.__setattr__(m, "rows", rows)
+    return m
 
 
 def format_matrix(m: IntMatrix) -> str:

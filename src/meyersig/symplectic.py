@@ -17,7 +17,7 @@ import math
 import random
 from typing import Sequence
 
-from .matrix import IntMatrix
+from .matrix import IntMatrix, _trusted
 
 # Right-handed twist convention; see module docstring before touching this.
 TWIST_SIGN = 1
@@ -82,9 +82,9 @@ class SymplecticMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticMatrix is immutable")
 
-    @classmethod
-    def identity(cls, g: int) -> "SymplecticMatrix":
-        return cls(IntMatrix.identity(2 * g), g)
+    @staticmethod
+    def identity(g: int) -> "SymplecticMatrix":
+        return _wrap(g, IntMatrix.identity(2 * g))
 
     def __mul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         if not isinstance(other, SymplecticMatrix):
@@ -94,9 +94,14 @@ class SymplecticMatrix:
         return _wrap(self.g, self.mat * other.mat)
 
     def inverse(self) -> "SymplecticMatrix":
-        # A^T J A = J gives A^{-1} = -J A^T J, an integer computation.
-        j = standard_j(self.g)
-        return _wrap(self.g, -(j * self.mat.transpose() * j))
+        # A^T J A = J gives A^{-1} = -J A^T J.  In g x g blocks
+        # A = [[P, Q], [R, S]] that is [[S^T, -Q^T], [-R^T, P^T]]: row i is
+        # J times column g + i of A, and row g + i is -J times column i.
+        g = self.g
+        cols = list(zip(*self.mat.rows))
+        top = [c[g:] + tuple([-e for e in c[:g]]) for c in cols[g:]]
+        bottom = [tuple([-e for e in c[g:]]) + c[:g] for c in cols[:g]]
+        return _wrap(g, _trusted(tuple(top + bottom)))
 
     def __pow__(self, k: int) -> "SymplecticMatrix":
         base = self if k >= 0 else self.inverse()

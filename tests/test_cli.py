@@ -62,6 +62,24 @@ def test_tau_genus_mismatch_is_domain_error(capsys):
     assert "genus" in err
 
 
+def test_back_to_back_calls_share_one_parser_and_no_option_values(capsys):
+    cli.build_parser.cache_clear()
+    identity4 = "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
+    calls = [
+        (("tau", "-g", "1", "1,1;0,1", "1,1;0,1"), (0, "1\n")),
+        # a -g 1 left over from the last call would refuse these genus-2 matrices
+        (("tau", identity4, identity4), (0, "0\n")),
+        (("euler", "-g", "1", "-b", "0", "--eps", "5", "7"), (0, "12\n")),
+        # an --eps left over from the last call would clash with --chi and exit 1
+        (("euler", "-g", "1", "-b", "0", "--chi", "1", "1"), (0, "2\n")),
+        (("euler", "-g", "2", "-b", "2"), (0, "4\n")),
+    ]
+    for argv, expected in calls:
+        assert run_cli(capsys, *argv)[:2] == expected, argv
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+
 def test_dedekind(capsys):
     assert run_cli(capsys, "dedekind", "1", "3")[:2] == (0, "1/18\n")
     assert run_cli(capsys, "dedekind", "0", "7")[:2] == (0, "0\n")

@@ -1,6 +1,7 @@
 
 import pytest
 
+from meyersig import cocycle
 from meyersig.cocycle import sigma_defect_via_tau, tau_sp, tau_twist, v_space
 from meyersig.exact import signature
 from meyersig.genus1 import phi1
@@ -72,6 +73,15 @@ def test_tau_some_nonzero_values():
     # frozen from the delta-phi_1 oracle: tau(S, S) = 2 phi_1(S) - phi_1(-I) = 2
     assert tau_sp(S, S) == 2
     assert tau_sp(S.inverse(), S.inverse()) == -2
+
+
+def test_tau_asymmetric_pairing_raises(monkeypatch):
+    # All of Q^4 in place of V_{U,U}: (0, 1, 0, 0) and (0, 0, 0, 1) pair to
+    # 1 one way and 0 the other, so the symmetry guard must fire.
+    basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    monkeypatch.setattr(cocycle, "kernel_basis", lambda rows, ncols: basis)
+    with pytest.raises(ArithmeticError, match="pairing is not symmetric"):
+        tau_sp(U, U)
 
 
 def test_tau_bounded_by_v_dim(rng):
