@@ -22,7 +22,7 @@ from .fibered import (
     total_euler,
 )
 from .genus1 import SL2Element, phi1, dedekind_sum, rademacher
-from .matrix import parse_matrix
+from .matrix import parse_int, parse_matrix
 from .presentations import (
     Unbounded,
     class_order,
@@ -53,9 +53,14 @@ def _parse_fraction(text: str) -> Fraction:
         raise ParseError(f"bad rational number {text!r}") from None
 
 
+def _optional_int(text: str | None) -> int | None:
+    return None if text is None else parse_int(text)
+
+
 def _cmd_tau(args) -> int:
-    a = _symplectic_arg(args.a, args.genus)
-    b = _symplectic_arg(args.b, args.genus)
+    genus = _optional_int(args.genus)
+    a = _symplectic_arg(args.a, genus)
+    b = _symplectic_arg(args.b, genus)
     print(_fmt(tau_sp(a, b)))
     return 0
 
@@ -66,7 +71,7 @@ def _cmd_phi1(args) -> int:
 
 
 def _cmd_dedekind(args) -> int:
-    print(_fmt(dedekind_sum(args.a, args.c)))
+    print(_fmt(dedekind_sum(parse_int(args.a), parse_int(args.c))))
     return 0
 
 
@@ -103,13 +108,14 @@ def _cmd_local_sig(args) -> int:
 def _cmd_euler(args) -> int:
     if args.eps is not None and args.chi is not None:
         raise ValueError("give either --eps or --chi, not both")
+    genus, base = parse_int(args.genus), parse_int(args.base)
     if args.eps is not None:
-        contributions = args.eps
+        contributions = [parse_int(eps) for eps in args.eps]
     elif args.chi is not None:
-        contributions = [euler_contribution(chi, args.genus) for chi in args.chi]
+        contributions = [euler_contribution(parse_int(chi), genus) for chi in args.chi]
     else:
         contributions = []
-    print(_fmt(total_euler(args.genus, args.base, contributions)))
+    print(_fmt(total_euler(genus, base, contributions)))
     return 0
 
 
@@ -134,7 +140,7 @@ def _cmd_geo(args) -> int:
 def _cmd_twist_value(args) -> int:
     if args.nonsep and args.sep is not None:
         raise ValueError("give either --nonsep or --sep h, not both")
-    print(_fmt(hyperelliptic_twist_value(args.genus, args.sep)))
+    print(_fmt(hyperelliptic_twist_value(parse_int(args.genus), _optional_int(args.sep))))
     return 0
 
 
@@ -150,14 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact signature cocycle, Meyer function, and local-signature computations.",
     )
     parser.add_argument("--data", metavar="DIR", help="override the embedded data files")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
+    parser.add_argument("--seed", default="0", help="seed for randomized subcommands")
     parser.add_argument(
         "--selftest", action="store_true", help="run the invariant suites and exit"
     )
     sub = parser.add_subparsers(dest="command")
 
     s = sub.add_parser("tau", help="signature cocycle tau(A, B)")
-    s.add_argument("-g", dest="genus", type=int, default=None)
+    s.add_argument("-g", dest="genus", default=None)
     s.add_argument("a", help="matrix, e.g. \"1,1;0,1\" or JSON [[1,1],[0,1]]")
     s.add_argument("b")
     s.set_defaults(func=_cmd_tau)
@@ -167,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_phi1)
 
     s = sub.add_parser("dedekind", help="Dedekind sum s(a, c)")
-    s.add_argument("a", type=int)
-    s.add_argument("c", type=int)
+    s.add_argument("a")
+    s.add_argument("c")
     s.set_defaults(func=_cmd_dedekind)
 
     s = sub.add_parser("rademacher", help="Rademacher function of a matrix")
@@ -189,10 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_local_sig)
 
     s = sub.add_parser("euler", help="Euler number of a fibered 4-manifold")
-    s.add_argument("-g", dest="genus", type=int, required=True)
-    s.add_argument("-b", dest="base", type=int, required=True)
-    s.add_argument("--eps", type=int, nargs="*", default=None, help="Euler contributions")
-    s.add_argument("--chi", type=int, nargs="*", default=None, help="singular-fiber Euler numbers")
+    s.add_argument("-g", dest="genus", required=True)
+    s.add_argument("-b", dest="base", required=True)
+    s.add_argument("--eps", nargs="*", default=None, help="Euler contributions")
+    s.add_argument("--chi", nargs="*", default=None, help="singular-fiber Euler numbers")
     s.set_defaults(func=_cmd_euler)
 
     s = sub.add_parser("geo", help="convert between (K^2, chi_O) and (Sign, chi_top)")
@@ -203,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_geo)
 
     s = sub.add_parser("twist-value", help="hyperelliptic Meyer value of a Dehn twist")
-    s.add_argument("-g", dest="genus", type=int, required=True)
-    s.add_argument("--sep", type=int, default=None, metavar="H")
+    s.add_argument("-g", dest="genus", required=True)
+    s.add_argument("--sep", default=None, metavar="H")
     s.add_argument("--nonsep", action="store_true")
     s.set_defaults(func=_cmd_twist_value)
 
@@ -217,19 +223,29 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    try:
+        seed = parse_int(args.seed)
+    except ParseError as exc:
+        return _report(exc)
     if args.selftest:
-        return selftest.run(seed=args.seed)
+        return selftest.run(seed=seed)
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)
         return 2
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
+        return _report(exc)
+
+
+def _report(exc: Exception) -> int:
+    """Print a failed command's error to stderr and return its exit code:
+    2 for a ParseError, 1 for any other error."""
+    if isinstance(exc, ParseError):
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

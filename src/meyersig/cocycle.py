@@ -30,16 +30,38 @@ pairing on V_{A,B} has rank at most 1, so tau is one sign:
 
 for any rational x and t != 0 with (A - I) x + t A v = 0, and 0 when
 every such solution has t = 0.  :func:`tau_twist` evaluates this from one
-kernel of a 2g x (2g+1) matrix, with no inverse and no signature; the
-cochain of :mod:`meyersig.presentations` takes it for every generator
-whose B - I has rank 1 and :func:`tau_sp` for any other.
+kernel of a 2g x (2g+1) matrix, with no inverse and no signature.
+
+Most of the time not even the kernel is needed (Kirby-Melvin 1994 read
+the same cocycle off sign det(A - I)).  Since AB - I = (A - I) +
+lam (A v)(v^T J) is a rank-1 update of A - I, the matrix determinant
+lemma gives, when det(A - I) != 0,
+
+    det(AB - I) = det(A - I) * (1 + lam v^T J (A - I)^{-1} A v).
+
+Then the kernel point has t = 1 and x = -(A - I)^{-1} A v, so
+<x, v> = -v^T J x = v^T J (A - I)^{-1} A v and lam <x, v> + 1 =
+det(AB - I) / det(A - I).  The sign above becomes
+
+    tau(A, B) = sign(lam) * sign det(A - I) * sign det(AB - I).
+
+When det(A - I) = 0 but det(AB - I) != 0, the cocycle identity at
+(A, B, B^{-1}) gives tau(A, B) = -tau(AB, B^{-1}).  Here B^{-1} is the
+twist power with -lam and (AB) B^{-1} = A, so the case above, applied
+at AB, gives tau(A, B) = -sign(-lam) * sign det(AB - I) * sign det(A - I):
+the same formula, here 0.  So the formula holds whenever one of the two
+determinants is nonzero.  When both vanish tau is often nonzero, and
+:func:`tau_twist` gives it.  The cochain of
+:mod:`meyersig.presentations` carries :func:`sign_det_minus_identity`
+along the prefixes of a word for this, and takes :func:`tau_sp` for
+every generator whose B - I has rank above 1.
 """
 
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exact import kernel_basis, signature
+from .exact import determinant, kernel_basis, signature
 from .symplectic import SymplecticMatrix, symplectic_pairing
 
 
@@ -122,6 +144,15 @@ def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
             value = lam * t * (lam * symplectic_pairing(x, v) + t)
             return (value > 0) - (value < 0)
     return 0
+
+
+def sign_det_minus_identity(a: SymplecticMatrix) -> int:
+    """The sign of det(A - I): -1, 0 or 1, by one Bareiss determinant."""
+    rows = [list(row) for row in a.mat.rows]
+    for i, row in enumerate(rows):
+        row[i] -= 1
+    d = determinant(rows)
+    return (d > 0) - (d < 0)
 
 
 def sigma_defect_via_tau(alpha: SymplecticMatrix) -> int:

@@ -168,6 +168,34 @@ def kernel_basis(
     return basis
 
 
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Each step takes a row with a nonzero leading entry p as the pivot
+    (a swap with the top row flips the sign) and replaces the trailing
+    block by (p * a_ij - a_i0 * a_0j) / p_prev, where p_prev is the
+    previous pivot.  By Sylvester's identity every such entry is a minor
+    of the input, so the division is exact and the integers stay as small
+    as the minors.  A column with no nonzero entry left means det = 0.
+    """
+    a = list(rows)  # rows are swapped here but never written to
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    sign, prev = 1, 1
+    while len(a) > 1:
+        if not a[0][0]:
+            k = next((k for k, row in enumerate(a) if row[0]), None)
+            if k is None:
+                return 0
+            a[0], a[k] = a[k], a[0]
+            sign = -sign
+        top = a[0]
+        p, rest = top[0], top[1:]
+        a = [[(p * e - row[0] * t) // prev for e, t in zip(row[1:], rest)] for row in a[1:]]
+        prev = p
+    return sign * a[0][0] if a else 1
+
+
 def rank(rows: Sequence[Sequence[Rational]]) -> int:
     mat = [_times(row, _denominator(row)) for row in rows]
     if not mat:

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .errors import ParseError, UnsupportedGenusError
 from .genus1 import phi1
-from .matrix import parse_matrix
+from .matrix import parse_int, parse_matrix
 from .presentations import (
     SHIPPED_FILES,
     Presentation,
@@ -243,8 +243,8 @@ def kodaira_matrix(fiber_type: str, table: dict | None = None) -> SymplecticMatr
         stem = name[:-1] if starred else name
         if stem.startswith("I_"):
             try:
-                n = int(stem[2:])
-            except ValueError:
+                n = parse_int(stem[2:])
+            except ParseError:
                 raise ParseError(f"unknown Kodaira type {fiber_type!r}") from None
             if n < 0:
                 raise ParseError(f"unknown Kodaira type {fiber_type!r}")

@@ -11,6 +11,7 @@ built from lists, as in :mod:`meyersig.exact`.
 """
 
 import json
+import re
 from functools import cache
 from operator import mul
 
@@ -126,6 +127,26 @@ def _trusted(rows: tuple) -> IntMatrix:
     return m
 
 
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """An integer token: ASCII digits with an optional sign, once
+    surrounding whitespace is stripped.
+
+    Anything else is a ParseError, including spellings ``int()`` would
+    take, such as ``1_0`` or non-ASCII digits, so that no input is read
+    as a number it does not spell.
+    """
+    token = text.strip()
+    if _INT_TOKEN.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"bad integer {text!r}")
+
+
 def format_matrix(m: IntMatrix) -> str:
     """Render in the row-major text format: entries ',', rows ';'."""
     return ";".join(",".join(str(e) for e in row) for row in m.rows)
@@ -148,8 +169,8 @@ def parse_matrix(text: str) -> IntMatrix:
         for j, tok in enumerate(row_text.split(",")):
             tok = tok.strip()
             try:
-                row.append(int(tok))
-            except ValueError:
+                row.append(parse_int(tok))
+            except ParseError:
                 raise ParseError(f"bad integer {tok!r} at row {i}, column {j}") from None
         rows.append(row)
     try:

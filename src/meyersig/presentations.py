@@ -33,10 +33,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cocycle import tau_sp, tau_twist
+from .cocycle import sign_det_minus_identity, tau_sp, tau_twist
 from .errors import InfiniteOrderError, ParseError
-from .matrix import format_matrix, matrix_from_json, parse_matrix
-from .symplectic import SymplecticMatrix, twist_of
+from .matrix import format_matrix, matrix_from_json, parse_int, parse_matrix
+from .symplectic import SymplecticMatrix, times_twist, twist_of
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
 
@@ -129,8 +129,8 @@ def parse_word(text: str, generator_names: Sequence[str]) -> Word:
         name, _, power_text = token.partition("^")
         if power_text:
             try:
-                power = int(power_text)
-            except ValueError:
+                power = parse_int(power_text)
+            except ParseError:
                 raise ParseError(
                     f"bad exponent {power_text!r} in token {pos}: {token!r}"
                 ) from None
@@ -232,19 +232,36 @@ def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
 def cochain_c(w: Word, p: Presentation) -> int:
     """c(w): the signature cocycle summed along the prefixes of w.
 
-    A letter whose matrix is a twist power takes the closed form
-    :func:`tau_twist`; any other letter takes :func:`tau_sp`.
+    The sign d of det(P - I) is carried along, one determinant per new
+    prefix P.  A letter whose matrix is a twist power T_v^lam makes the
+    new prefix as the rank-1 update P + lam (P v)(v^T J) and adds
+    sign(lam) * d * d', d' the sign for the new prefix, when d or d' is
+    nonzero, and :func:`tau_twist` only when both are 0 (the derivation
+    is in :mod:`meyersig.cocycle`).  Any other letter takes
+    :func:`tau_sp` and the full product.
     """
     total = 0
     prefix = SymplecticMatrix.identity(p.genus)
+    d = 0  # sign det(I - I)
     twists = p._twists
     for i, s in w.letters:
         if i >= len(p.matrices):
             raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators")
-        step = p.matrices[i] if s > 0 else p._inverses[i]
         twist = twists[i, s]
-        total += tau_sp(prefix, step) if twist is None else tau_twist(prefix, *twist)
-        prefix = prefix * step
+        if twist is None:
+            step = p.matrices[i] if s > 0 else p._inverses[i]
+            total += tau_sp(prefix, step)
+            prefix = prefix * step
+            d = sign_det_minus_identity(prefix)
+            continue
+        v, lam = twist
+        new = times_twist(prefix, v, lam)
+        new_d = sign_det_minus_identity(new)
+        if d or new_d:
+            total += d * new_d if lam > 0 else -d * new_d
+        else:
+            total += tau_twist(prefix, v, lam)
+        prefix, d = new, new_d
     return total
 
 

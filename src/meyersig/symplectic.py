@@ -15,6 +15,8 @@ against.  Flipping the constant would invert all twists.
 
 import math
 import random
+from functools import cache
+from operator import mul
 from typing import Sequence
 
 from .matrix import IntMatrix, _trusted
@@ -186,6 +188,24 @@ def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
     return v, lam
 
 
+def times_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> SymplecticMatrix:
+    """A T for the twist power T x = x + lam <v, x> v, as A + lam (A v)(v^T J).
+
+    T - I = lam v (v^T J) has rank 1, so the product is a rank-1 update
+    of A: row r gains lam (A v)_r times the row vector v^T J.  Both factors
+    are symplectic, so the result is wrapped without the A^T J A = J check.
+    """
+    g = a.g
+    if len(v) != 2 * g:
+        raise ValueError(f"twist class of length {len(v)} at genus {g}")
+    vj = [-lam * e for e in v[g:]] + [lam * e for e in v[:g]]  # lam v^T J
+    rows = []
+    for row in a.mat.rows:
+        f = sum(map(mul, row, v))  # (A v)_r
+        rows.append(tuple([e + f * w for e, w in zip(row, vj)]) if f else row)
+    return _wrap(g, _trusted(tuple(rows)))
+
+
 def a_class(g: int, i: int) -> tuple:
     """The class A_i (1-based) as a coordinate vector."""
     if not 1 <= i <= g:
@@ -214,6 +234,17 @@ def _generating_classes(g: int) -> list[tuple]:
     return classes
 
 
+@cache
+def _random_factors(g: int) -> tuple[SymplecticMatrix, ...]:
+    """The transvections along the generating classes of genus g and their
+    inverses, in the order random_symplectic draws from, built once."""
+    factors = []
+    for cls in _generating_classes(g):
+        t = transvection(cls)
+        factors += [t, t.inverse()]
+    return tuple(factors)
+
+
 def random_symplectic(g: int, word_length: int, seed) -> SymplecticMatrix:
     """Deterministic pseudo-random product of word_length transvections.
 
@@ -224,11 +255,7 @@ def random_symplectic(g: int, word_length: int, seed) -> SymplecticMatrix:
     if word_length < 0:
         raise ValueError("word_length must be >= 0")
     rng = random.Random(seed)
-    factors = []
-    for cls in _generating_classes(g):
-        t = transvection(cls)
-        factors.append(t)
-        factors.append(t.inverse())
+    factors = _random_factors(g)
     result = SymplecticMatrix.identity(g)
     for _ in range(word_length):
         result = result * rng.choice(factors)

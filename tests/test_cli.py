@@ -1,5 +1,4 @@
 import json
-import sys
 import time
 from fractions import Fraction
 from importlib import resources
@@ -170,19 +169,9 @@ def test_local_sig(capsys, tmp_path):
     assert lines[-1] == "total: -8"
 
 
-def count_calls(monkeypatch, owner, name):
-    """Wrap every meyersig module binding of ``owner.name`` in one counting mock."""
-    original = getattr(owner, name)
-    counter = mock.Mock(wraps=original)
-    for module_name, module in list(sys.modules.items()):
-        if module_name == "meyersig" or module_name.startswith("meyersig."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counter)
-    return counter
-
-
-def test_cochain_on_twist_letters_calls_no_tau_sp_and_no_inverse(monkeypatch, genus2):
+def test_cochain_on_twist_letters_calls_no_tau_sp_and_no_inverse(
+    monkeypatch, genus2, count_calls
+):
     word = genus2.word("c1 c2^-1 c3^2 c4 c5^-3 c1^-1 c2 c4^-2 c3 c5")
     prefix, expected = SymplecticMatrix.identity(2), 0
     for i, s in word.letters:
@@ -190,7 +179,7 @@ def test_cochain_on_twist_letters_calls_no_tau_sp_and_no_inverse(monkeypatch, ge
         expected += cocycle.tau_sp(prefix, step)
         prefix = prefix * step
     genus2._inverses  # computed once per presentation, not per letter
-    tau = count_calls(monkeypatch, cocycle, "tau_sp")
+    tau = count_calls(cocycle, "tau_sp")
     inverse = mock.Mock(wraps=SymplecticMatrix.inverse)
     monkeypatch.setattr(SymplecticMatrix, "inverse", inverse)
     assert cochain_c(word, genus2) == expected
@@ -228,11 +217,11 @@ E2_OUT = "".join(f"{label}{k}: -2/3\n" for k in range(12) for label in "uv") + "
 
 
 def test_local_sig_synthesizes_once_and_evaluates_each_germ_once(
-    capsys, monkeypatch, data_dir, tmp_path
+    capsys, count_calls, data_dir, tmp_path
 ):
     path = _write_fibration(tmp_path / "chain.json", 2, CHAIN_GERMS)
-    load = count_calls(monkeypatch, presentations, "load_presentation")
-    synthesize = count_calls(monkeypatch, presentations, "synthesize_meyer")
+    load = count_calls(presentations, "load_presentation")
+    synthesize = count_calls(presentations, "synthesize_meyer")
     method = SynthesizedMeyerFunction.__call__
     with mock.patch.object(SynthesizedMeyerFunction, "__call__", autospec=True, side_effect=method) as evaluate:
         code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", path)
@@ -241,11 +230,13 @@ def test_local_sig_synthesizes_once_and_evaluates_each_germ_once(
     assert load.call_count == 1
 
 
-def test_local_sig_reads_each_data_file_once(capsys, monkeypatch, data_dir, tmp_path):
+def test_local_sig_reads_each_data_file_once(
+    capsys, monkeypatch, count_calls, data_dir, tmp_path
+):
     path = _write_fibration(tmp_path / "e2.json", 1, E2_GERMS)
-    load = count_calls(monkeypatch, presentations, "load_presentation")
-    shipped = count_calls(monkeypatch, presentations, "shipped_presentation")
-    embedded_kodaira = count_calls(monkeypatch, fibered, "_kodaira_table")
+    load = count_calls(presentations, "load_presentation")
+    shipped = count_calls(presentations, "shipped_presentation")
+    embedded_kodaira = count_calls(fibered, "_kodaira_table")
     reads = count_reads(monkeypatch)
     code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", path)
     assert (code, out) == (0, E2_OUT)
@@ -256,7 +247,7 @@ def test_local_sig_reads_each_data_file_once(capsys, monkeypatch, data_dir, tmp_
 
 
 def test_local_sig_with_warm_shipped_data_loads_and_synthesizes_nothing(
-    capsys, monkeypatch, tmp_path
+    capsys, monkeypatch, count_calls, tmp_path
 ):
     commands = [
         (_write_fibration(tmp_path / "e2.json", 1, E2_GERMS), E2_OUT),
@@ -264,8 +255,8 @@ def test_local_sig_with_warm_shipped_data_loads_and_synthesizes_nothing(
     ]
     for path, expected in commands:  # warm the shipped data
         assert run_cli(capsys, "local-sig", "-f", path)[:2] == (0, expected)
-    load = count_calls(monkeypatch, presentations, "load_presentation")
-    synthesize = count_calls(monkeypatch, presentations, "synthesize_meyer")
+    load = count_calls(presentations, "load_presentation")
+    synthesize = count_calls(presentations, "synthesize_meyer")
     reads = count_reads(monkeypatch)
     for path, expected in commands:
         assert run_cli(capsys, "local-sig", "-f", path)[:2] == (0, expected)
@@ -425,6 +416,40 @@ def test_malformed_matrix_is_parse_error(capsys):
     code, _, err = run_cli(capsys, "phi1", "1,x;0,1")
     assert code == 2
     assert "row 0, column 1" in err
+
+
+# Integer spellings int() would take but that are not ASCII [+-]?[0-9]+:
+# each entry point refuses them as a parse error instead of reading 10 or 1.
+NOT_INTEGERS = {
+    "phi1 entry": (("phi1", "1,1_0;0,1"), "bad integer '1_0' at row 0, column 1"),
+    "tau -g": (("tau", "-g", "1_0", "1,0;0,1", "1,0;0,1"), "bad integer '1_0'"),
+    "dedekind underscore": (("dedekind", "1_0", "7"), "bad integer '1_0'"),
+    "dedekind full-width": (("dedekind", "\uff11", "7"), "bad integer '\uff11'"),
+    "dedekind word": (("dedekind", "1", "x"), "bad integer 'x'"),
+    "euler -b": (("euler", "-g", "1", "-b", "1_0"), "bad integer '1_0'"),
+    "euler --chi": (("euler", "-g", "1", "-b", "0", "--chi", "1", "1_0"), "bad integer '1_0'"),
+    "twist-value --sep": (("twist-value", "-g", "2", "--sep", "\u0661"), "bad integer '\u0661'"),
+    "--seed": (("--seed", "1_0", "--selftest"), "bad integer '1_0'"),
+    "phi exponent": (("phi", "-p", "SL2Z", "a^1_0"), "bad exponent '1_0' in token 0: 'a^1_0'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", NOT_INTEGERS.values(), ids=NOT_INTEGERS)
+def test_non_ascii_integer_spellings_are_parse_errors(capsys, data_dir, argv, message):
+    argv = [str(data_dir / "sl2z.json") if a == "SL2Z" else a for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"parse error: {message}\n")
+
+
+def test_signed_and_padded_integers_still_parse(capsys):
+    assert run_cli(capsys, "dedekind", "+1", "07")[:2] == (0, "5/14\n")
+    assert run_cli(capsys, "phi1", " +1 , 1 ; 0 , 1 ")[:2] == (0, "2/3\n")
+
+
+@pytest.mark.parametrize("fiber", ["I_1_0", "I_\uff11"])
+def test_local_sig_kodaira_stem_must_be_ascii_digits(capsys, tmp_path, fiber):
+    path = _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": f"kodaira:{fiber}"}])
+    code, out, err = run_cli(capsys, "local-sig", "-f", path)
+    assert (code, out, err) == (2, "", f"parse error: unknown Kodaira type {fiber!r}\n")
 
 
 def test_data_dir_override(capsys, data_dir, tmp_path):

@@ -1,8 +1,16 @@
 
+import random
+
 import pytest
 
 from meyersig import cocycle
-from meyersig.cocycle import sigma_defect_via_tau, tau_sp, tau_twist, v_space
+from meyersig.cocycle import (
+    sigma_defect_via_tau,
+    sign_det_minus_identity,
+    tau_sp,
+    tau_twist,
+    v_space,
+)
 from meyersig.exact import signature
 from meyersig.genus1 import phi1
 from meyersig.symplectic import (
@@ -10,6 +18,7 @@ from meyersig.symplectic import (
     a_class,
     random_symplectic,
     standard_j,
+    times_twist,
     transvection,
     twist_of,
 )
@@ -172,3 +181,42 @@ def test_tau_twist_matches_tau_sp(g, lam, rng):
 def test_tau_twist_genus_mismatch():
     with pytest.raises(ValueError, match="length 4 at genus 1"):
         tau_twist(I1, (1, 0, 0, 0), 1)
+
+
+def test_tau_twist_sign_rule_and_its_fallback():
+    """tau(A, T_v^lam) = sign(lam) sign det(A - I) sign det(AB - I) when
+    either determinant is nonzero; tau_twist when both vanish."""
+    rng = random.Random(61)
+    branches = {"both nonzero": 0, "one zero": 0, "both zero": 0}
+    for g in (1, 2, 3, 4):
+        e = SymplecticMatrix.identity(g)
+        for lam in (-3, -2, -1, 1, 2, 3):
+            for _ in range(8):
+                v = tuple(rng.randint(-2, 2) for _ in range(2 * g))
+                if not any(v):
+                    continue
+                # long random words: fewer than 2g transvections fix a vector
+                for a in (e, transvection(v) ** rng.randint(-3, 3),
+                          random_symplectic(g, rng.randint(0, 8 * g), rng.random())):
+                    b = transvection(v) ** lam
+                    d, d_ab = sign_det_minus_identity(a), sign_det_minus_identity(a * b)
+                    assert d_ab == sign_det_minus_identity(times_twist(a, v, lam))
+                    if d and d_ab:
+                        branches["both nonzero"] += 1
+                    elif d or d_ab:
+                        branches["one zero"] += 1
+                    else:
+                        branches["both zero"] += 1
+                        assert tau_sp(a, b) == tau_twist(a, v, lam), (a, v, lam)
+                        continue
+                    sign = 1 if lam > 0 else -1
+                    assert tau_sp(a, b) == sign * d * d_ab, (a, v, lam)
+    assert all(branches.values()), branches
+
+
+def test_sign_det_minus_identity_examples():
+    assert sign_det_minus_identity(I1) == 0
+    assert sign_det_minus_identity(U) == 0  # parabolic: det(U - I) = 0
+    assert sign_det_minus_identity(S) == 1  # det = 2 - trace = 2
+    assert sign_det_minus_identity(SymplecticMatrix([[2, 1], [1, 1]])) == -1  # 2 - 3
+    assert sign_det_minus_identity(SymplecticMatrix([[-1, 0], [0, -1]])) == 1

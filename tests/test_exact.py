@@ -1,11 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meyersig.exact import SignatureTriple, SymmetricForm, kernel_basis, rank, signature
+from meyersig.exact import (
+    SignatureTriple,
+    SymmetricForm,
+    determinant,
+    kernel_basis,
+    rank,
+    signature,
+)
+from meyersig.symplectic import random_symplectic
 
 
 def test_signature_zero_form():
@@ -188,3 +197,83 @@ def test_signature_oracle_on_zero_diagonals():
         for i in range(n):
             a[i][i] = 0
         assert signature(a) == _inertia_by_descartes(a)
+
+
+# ---------------------------------------------------------------------------
+# determinant
+
+
+def _leibniz(rows):
+    """Independent determinant oracle: the sum over permutations, each term
+    signed by the parity of its inversions."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _fraction_det(rows):
+    """Second oracle, for sizes where Leibniz is too slow: Gaussian
+    elimination over Fractions with a row swap for a zero pivot."""
+    a = [[Fraction(e) for e in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        k = next((k for k in range(c, len(a)) if a[k][c]), None)
+        if k is None:
+            return 0
+        if k != c:
+            a[c], a[k] = a[k], a[c]
+            det = -det
+        det *= a[c][c]
+        for row in a[c + 1:]:
+            f = row[c] / a[c][c]
+            row[:] = [e - f * t for e, t in zip(row, a[c])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def test_determinant_examples():
+    assert determinant([]) == 1
+    assert determinant([[-7]]) == -7
+    assert determinant([[0, 1], [1, 0]]) == -1  # needs a row swap
+    assert determinant([[0, 2, 1], [0, 3, 4], [5, 1, 1]]) == 25  # swap past a zero row
+    assert determinant([[1, 2], [2, 4]]) == 0
+    assert determinant([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0  # a zero column
+    assert determinant([[2, 0, 0], [0, 3, 0], [0, 0, -4]]) == -24
+    with pytest.raises(ValueError, match="non-square"):
+        determinant([[1, 2]])
+
+
+def test_determinant_against_leibniz():
+    rng = random.Random(49)
+    seen = {"zero": 0, "negative": 0, "swap": 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2 and n > 1:
+            rows[-1] = [2 * e for e in rows[0]]  # singular by a repeated row
+        det = determinant(rows)
+        assert det == _leibniz(rows) == _fraction_det(rows), rows
+        seen["zero"] += det == 0
+        seen["negative"] += det < 0
+        seen["swap"] += rows[0][0] == 0 and det != 0
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_determinant_of_a_minus_identity(g):
+    rng = random.Random(50 + g)
+    signs = set()
+    for _ in range(30):
+        # a product of fewer than 2g transvections fixes a vector: det = 0
+        a = random_symplectic(g, rng.randint(0, 8 * g), rng.random())
+        rows = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(a.mat.rows)]
+        det = determinant(rows)
+        assert det == (_leibniz(rows) if g <= 2 else _fraction_det(rows))
+        signs.add((det > 0) - (det < 0))
+    assert 0 in signs and len(signs) > 1

@@ -312,7 +312,7 @@ def test_kodaira_word_length_cap():
 
 
 def test_kodaira_unknown_type():
-    for bad in ("V", "I_x", "I_-1", "kodaira"):
+    for bad in ("V", "I_x", "I_-1", "kodaira", "I_1_0", "I_\uff11"):
         with pytest.raises(ParseError, match="unknown Kodaira type"):
             kodaira_matrix(bad)
 

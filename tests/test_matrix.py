@@ -5,8 +5,8 @@ import json
 import pytest
 
 from meyersig.errors import ParseError
-from meyersig.matrix import IntMatrix, matrix_from_json, parse_matrix
-from meyersig.symplectic import SymplecticMatrix, random_symplectic, standard_j
+from meyersig.matrix import IntMatrix, matrix_from_json, parse_int, parse_matrix
+from meyersig.symplectic import SymplecticMatrix, random_symplectic, standard_j, times_twist
 
 BAD_ROWS = {
     "bool": [[True, 0], [0, 1]],
@@ -16,7 +16,13 @@ BAD_ROWS = {
     "no rows": [],
     "empty rows": [[], []],
 }
-BAD_TEXT = {"float": "1.5,0;0,1", "blank": "  ", "empty row": "1,0;"}
+BAD_TEXT = {
+    "float": "1.5,0;0,1",
+    "blank": "  ",
+    "empty row": "1,0;",
+    "underscore": "1,1_0;0,1",
+    "full-width digit": "\uff11,0;0,1",
+}
 
 
 @pytest.mark.parametrize("rows", BAD_ROWS.values(), ids=BAD_ROWS)
@@ -35,6 +41,16 @@ def test_constructors_reject_bad_rows(rows):
 def test_parse_matrix_rejects_bad_text(text):
     with pytest.raises(ParseError):
         parse_matrix(text)
+
+
+def test_parse_int_takes_only_ascii_digits_with_a_sign():
+    good = {"0": 0, "-12": -12, "+7": 7, " 007 ": 7, "9" * 40: int("9" * 40)}
+    for text, value in good.items():
+        assert parse_int(text) == value
+    bad = ["", " ", "+", "1_0", "\uff11", "\u0661", "1.0", "0x1", "1e3", "1 2", "--1", "9" * 5000]
+    for text in bad:
+        with pytest.raises(ParseError, match="bad integer"):
+            parse_int(text)
 
 
 @pytest.mark.parametrize("data", [None, 3, [1, 2], [[1], 2], "1,0;0,1"])
@@ -67,7 +83,8 @@ def test_trusted_results_equal_checked_ones(g):
         a = random_symplectic(g, 10, f"{g}-{seed}-a")
         b = random_symplectic(g, 10, f"{g}-{seed}-b")
         m, n = a.mat, b.mat
-        for result in (m * n, m - n, -m, m.transpose(), a.inverse().mat, (a * b).mat):
+        twisted = times_twist(a, m.rows[0], seed - 5).mat
+        for result in (m * n, m - n, -m, m.transpose(), a.inverse().mat, (a * b).mat, twisted):
             _assert_checked_equal(result)
         assert a.inverse().mat == -(j * m.transpose() * j)
         assert (a * a.inverse()).mat == ident

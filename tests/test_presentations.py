@@ -7,6 +7,7 @@ import pytest
 from meyersig import presentations
 from meyersig.cocycle import tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
+from meyersig.exact import rank
 from meyersig.presentations import (
     UNBOUNDED,
     ClassOrder,
@@ -91,6 +92,9 @@ def test_parse_word_errors():
         parse_word("a^z", ("a",))
     with pytest.raises(ParseError, match="zero exponent"):
         parse_word("a^0", ("a",))
+    for power in ("1_0", "\uff12", "2.0"):
+        with pytest.raises(ParseError, match="bad exponent"):
+            parse_word(f"a^{power}", ("a",))
 
 
 @pytest.mark.parametrize("text", ["a^1000000000000", "a^-6000 b^6000"])
@@ -324,6 +328,39 @@ def test_twist_letters_are_detected_once_per_presentation(sl2z, genus2):
     p = _mismatch_presentation()
     assert p._twists[0, 1] is p._twists[0, -1] is None
     assert p._twists[1, 1] == ((1, 0), 1)
+
+
+def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
+    """cochain_c against tau_sp summed along the prefixes, on words with
+    twist letters and, in the mismatch presentation, the non-twist S; the
+    kernel route tau_twist runs exactly at the twist letters where
+    det(P - I) and det(PB - I) both vanish, found here by rank."""
+    tau_twist = count_calls(presentations, "tau_twist")
+    fallbacks = twist_steps = 0
+    for p in (sl2z, genus2, _mismatch_presentation()):
+        n = 2 * p.genus
+        for _ in range(60):
+            word = random_word(p, rng, 24)
+            prefix, expected, expected_calls = SymplecticMatrix.identity(p.genus), 0, 0
+            singular = rank(_minus_identity(prefix)) < n
+            for i, s in word.letters:
+                step = p.matrices[i] if s > 0 else p.matrices[i].inverse()
+                new = prefix * step
+                new_singular = rank(_minus_identity(new)) < n
+                expected += tau_sp(prefix, step)
+                if p._twists[i, s] is not None:
+                    twist_steps += 1
+                    expected_calls += singular and new_singular
+                prefix, singular = new, new_singular
+            before = tau_twist.call_count
+            assert cochain_c(word, p) == expected
+            assert tau_twist.call_count - before == expected_calls
+            fallbacks += expected_calls
+    assert 0 < fallbacks < twist_steps
+
+
+def _minus_identity(m):
+    return [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(m.mat.rows)]
 
 
 def test_class_order_general_lattice_path():

@@ -13,6 +13,7 @@ from meyersig.symplectic import (
     random_symplectic,
     standard_j,
     symplectic_pairing,
+    times_twist,
     transvection,
     twist_of,
 )
@@ -142,6 +143,38 @@ def test_random_symplectic_contract():
         assert is_symplectic(m.inverse().mat, g)
     with pytest.raises(ValueError):
         random_symplectic(2, -1, 0)
+
+
+# Seeded inputs of the tests and the benchmark depend on these staying put.
+RANDOM_PINS = {
+    (1, 7, 0): "1,1;2,3",
+    (2, 10, 1): "9,4,-5,-1;3,3,-2,0;-3,-2,2,0;-1,1,0,1",
+    (3, 12, 2): "2,0,0,-3,0,0;0,3,2,0,2,0;0,-1,0,0,0,-1;-1,0,0,2,0,0;0,1,1,0,1,0;0,0,1,0,0,0",
+    (4, 9, 0.5): (
+        "2,1,0,0,-1,0,0,0;0,1,0,0,0,0,0,0;0,0,1,1,0,0,1,0;0,0,0,2,0,0,-1,1;"
+        "-5,-4,0,0,3,0,0,0;-3,-3,0,0,1,1,0,0;0,0,0,0,0,0,1,0;0,0,0,-1,0,0,0,0"
+    ),
+}
+
+
+@pytest.mark.parametrize("args, text", RANDOM_PINS.items(), ids=str)
+def test_random_symplectic_pinned_outputs(args, text):
+    assert format_matrix(random_symplectic(*args).mat) == text
+    assert format_matrix(random_symplectic(*args).mat) == text  # from the built factors
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_times_twist_is_the_full_product(g):
+    rng = random.Random(60 + g)
+    for _ in range(30):
+        a = random_symplectic(g, rng.randint(0, 12), rng.random())
+        v = tuple(rng.randint(-3, 3) for _ in range(2 * g))
+        if not any(v):
+            continue
+        lam = rng.choice((-3, -2, -1, 1, 2, 3))
+        assert times_twist(a, v, lam) == a * transvection(v) ** lam
+    with pytest.raises(ValueError, match="length 2 at genus 2"):
+        times_twist(SymplecticMatrix.identity(2), (1, 0), 1)
 
 
 def test_inverse_and_power():
