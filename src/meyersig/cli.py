@@ -47,14 +47,24 @@ def _symplectic_arg(text: str, g: int | None = None) -> SymplecticMatrix:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    """A rational number spelled as an integer p or as p/q with q > 0,
+    each part an integer token for :func:`parse_int`."""
+    num, slash, den = text.partition("/")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational number {text!r}") from None
+        p, q = parse_int(num), parse_int(den) if slash else 1
+        if q > 0:
+            return Fraction(p, q)
+    except ParseError:
+        pass
+    raise ParseError(f"bad rational number {text!r}")
 
 
 def _optional_int(text: str | None) -> int | None:
     return None if text is None else parse_int(text)
+
+
+def _optional_fraction(text: str | None) -> Fraction | None:
+    return None if text is None else _parse_fraction(text)
 
 
 def _cmd_tau(args) -> int:
@@ -120,19 +130,21 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_geo(args) -> int:
-    forward = args.ksq is not None or args.chi_struct is not None
-    backward = args.sign is not None or args.chi_top is not None
+    ksq, chi_struct = _optional_fraction(args.ksq), _optional_fraction(args.chi_struct)
+    sign, chi_top = _optional_fraction(args.sign), _optional_fraction(args.chi_top)
+    forward = ksq is not None or chi_struct is not None
+    backward = sign is not None or chi_top is not None
     if forward == backward:
         raise ValueError("give exactly one of (--ksq, --chi-struct) or (--sign, --chi-top)")
     if forward:
-        if args.ksq is None or args.chi_struct is None:
+        if ksq is None or chi_struct is None:
             raise ValueError("--ksq and --chi-struct go together")
-        sign, chi_top = geography_convert(args.ksq, args.chi_struct)
+        sign, chi_top = geography_convert(ksq, chi_struct)
         print(f"sign={_fmt(sign)} chi_top={_fmt(chi_top)}")
     else:
-        if args.sign is None or args.chi_top is None:
+        if sign is None or chi_top is None:
             raise ValueError("--sign and --chi-top go together")
-        k_sq, chi_struct = geography_invert(args.sign, args.chi_top)
+        k_sq, chi_struct = geography_invert(sign, chi_top)
         print(f"ksq={_fmt(k_sq)} chi_struct={_fmt(chi_struct)}")
     return 0
 
@@ -202,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_euler)
 
     s = sub.add_parser("geo", help="convert between (K^2, chi_O) and (Sign, chi_top)")
-    s.add_argument("--ksq", type=_parse_fraction, default=None)
-    s.add_argument("--chi-struct", dest="chi_struct", type=_parse_fraction, default=None)
-    s.add_argument("--sign", type=_parse_fraction, default=None)
-    s.add_argument("--chi-top", dest="chi_top", type=_parse_fraction, default=None)
+    s.add_argument("--ksq", default=None)
+    s.add_argument("--chi-struct", dest="chi_struct", default=None)
+    s.add_argument("--sign", default=None)
+    s.add_argument("--chi-top", dest="chi_top", default=None)
     s.set_defaults(func=_cmd_geo)
 
     s = sub.add_parser("twist-value", help="hyperelliptic Meyer value of a Dehn twist")

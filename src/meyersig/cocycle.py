@@ -30,9 +30,11 @@ pairing on V_{A,B} has rank at most 1, so tau is one sign:
 
 for any rational x and t != 0 with (A - I) x + t A v = 0, and 0 when
 every such solution has t = 0.  :func:`tau_twist` evaluates this from one
-kernel of a 2g x (2g+1) matrix, with no inverse and no signature.
+fraction-free solve of the 2g x (2g+1) system [A - I | A v], which returns
+one such point or none (:func:`meyersig.exact.affine_point`), with no
+kernel basis, no inverse and no signature.
 
-Most of the time not even the kernel is needed (Kirby-Melvin 1994 read
+Most of the time not even that solve is needed (Kirby-Melvin 1994 read
 the same cocycle off sign det(A - I)).  Since AB - I = (A - I) +
 lam (A v)(v^T J) is a rank-1 update of A - I, the matrix determinant
 lemma gives, when det(A - I) != 0,
@@ -51,9 +53,9 @@ twist power with -lam and (AB) B^{-1} = A, so the case above, applied
 at AB, gives tau(A, B) = -sign(-lam) * sign det(AB - I) * sign det(A - I):
 the same formula, here 0.  So the formula holds whenever one of the two
 determinants is nonzero.  When both vanish tau is often nonzero, and
-:func:`tau_twist` gives it.  The cochain of
-:mod:`meyersig.presentations` carries :func:`sign_det_minus_identity`
-along the prefixes of a word for this, and takes :func:`tau_sp` for
+:func:`tau_twist` gives it from its one solve.  The cochain of
+:mod:`meyersig.presentations` carries this sign along the prefixes of
+a word, on their plain integer rows, and takes :func:`tau_sp` for
 every generator whose B - I has rank above 1.
 """
 
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exact import determinant, kernel_basis, signature
+from .exact import affine_point, determinant, kernel_basis, signature
 from .symplectic import SymplecticMatrix, symplectic_pairing
 
 
@@ -129,8 +131,9 @@ def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
     <x + y, v> = <x, v> + t / lam, and the value is
     (t / lam) (lam <x, v> + t), whose sign is that of
     lam * t * (lam <x, v> + t).  Multiplying (A^{-1} - I) x = t v by A
-    gives (A - I) x + t A v = 0, so the points come from one kernel of
-    the 2g x (2g+1) matrix [A - I | A v], with no inverse of A.
+    gives (A - I) x + t A v = 0, so one fraction-free solve of the
+    2g x (2g+1) system [A - I | A v] gives such a point, with no inverse
+    of A, or shows that every solution has t = 0 and tau = 0.
     """
     n = 2 * a.g
     if len(v) != n:
@@ -139,19 +142,25 @@ def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
     rows = [list(row) + [av[r]] for r, row in enumerate(a.mat.rows)]
     for r in range(n):
         rows[r][r] -= 1
-    for *x, t in kernel_basis(rows, ncols=n + 1):
-        if t:
-            value = lam * t * (lam * symplectic_pairing(x, v) + t)
-            return (value > 0) - (value < 0)
-    return 0
+    point = affine_point(rows)
+    if point is None:
+        return 0
+    x, t = point
+    value = lam * t * (lam * symplectic_pairing(x, v) + t)
+    return (value > 0) - (value < 0)
 
 
 def sign_det_minus_identity(a: SymplecticMatrix) -> int:
     """The sign of det(A - I): -1, 0 or 1, by one Bareiss determinant."""
-    rows = [list(row) for row in a.mat.rows]
-    for i, row in enumerate(rows):
+    return _sign_det_minus_identity(a.mat.rows)
+
+
+def _sign_det_minus_identity(rows: Sequence[Sequence[int]]) -> int:
+    """sign det(A - I) for the rows of a square integer matrix A."""
+    shifted = [list(row) for row in rows]
+    for i, row in enumerate(shifted):
         row[i] -= 1
-    d = determinant(rows)
+    d = determinant(shifted)
     return (d > 0) - (d < 0)
 
 

@@ -1,14 +1,16 @@
-"""Exact integer linear algebra: signatures of symmetric forms and kernels.
+"""Exact integer linear algebra: signatures of symmetric forms, kernels,
+determinants and single solutions of linear systems.
 
 Rational input is scaled to integers once, at the public entry: a form by
 one positive common denominator (a positive multiple of a form has the
 same inertia), a matrix by one per row (which keeps its kernel).  From
 there every step is fraction-free elimination over Python ints, in the
 style of Bareiss (1968), and each new row or block is divided by its
-content, the gcd of its entries, to keep the integers small.  No floating
-point appears anywhere in this package.  The signature is read off by
-congruence diagonalization rather than from eigenvalues, which is what
-makes an exact answer possible.
+content, the gcd of its entries, to keep the integers small, or, in
+:func:`determinant` and :func:`affine_point`, exactly by the previous
+pivot.  No floating point appears anywhere in this package.  The
+signature is read off by congruence diagonalization rather than from
+eigenvalues, which is what makes an exact answer possible.
 
 Tuples and star-arguments here are built from lists, not generators:
 CPython sizes a tuple drawn from a generator by a guess and a resize,
@@ -194,6 +196,53 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
         a = [[(p * e - row[0] * t) // prev for e, t in zip(row[1:], rest)] for row in a[1:]]
         prev = p
     return sign * a[0][0] if a else 1
+
+
+def affine_point(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] | None:
+    """Integers (x, t) with t != 0 and M x + t b = 0, for the matrix [M | b].
+
+    Returns None when b is not in the column span of M.  One fraction-free
+    Gauss-Jordan pass over the columns of M: a pivot p clears its column
+    in every other row as (p * row - row[c] * top) / p_prev, p_prev the
+    previous pivot (1 at first).  Every entry stays a minor of the input,
+    or a Cramer numerator over the pivot block, so the division is exact,
+    and at the end the pivot columns read d * I, d the last pivot.  So
+    t = d and x is minus the last column at the pivot columns, 0 at the
+    free ones; a nonzero last entry in a row below the rank means M x = b
+    has no rational solution.
+    """
+    mat = [list(row) for row in rows]
+    if not mat or any([len(row) != len(mat[0]) for row in mat]):
+        raise ValueError("affine_point needs a nonempty rectangular [M | b]")
+    m = len(mat[0]) - 1
+    pivots: list[int] = []
+    prev = 1
+    for c in range(m):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        for k in range(r, len(mat)):
+            if mat[k][c]:
+                break
+        else:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        top = mat[r]
+        p = top[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = [(p * e - f * s) // prev for e, s in zip(row, top)]
+            elif not f and p != prev:  # the same formula with f = 0
+                mat[i] = [p * e // prev for e in row]
+        pivots.append(c)
+        prev = p
+    if any(row[m] for row in mat[len(pivots):]):
+        return None
+    x = [0] * m
+    for row, c in zip(mat, pivots):
+        x[c] = -row[m]
+    return tuple(x), prev
 
 
 def rank(rows: Sequence[Sequence[Rational]]) -> int:

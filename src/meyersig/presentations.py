@@ -33,10 +33,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cocycle import sign_det_minus_identity, tau_sp, tau_twist
+from .cocycle import _sign_det_minus_identity, tau_sp, tau_twist
 from .errors import InfiniteOrderError, ParseError
-from .matrix import format_matrix, matrix_from_json, parse_int, parse_matrix
-from .symplectic import SymplecticMatrix, times_twist, twist_of
+from .matrix import IntMatrix, _trusted, format_matrix, matrix_from_json, parse_int, parse_matrix
+from .symplectic import SymplecticMatrix, _times_twist, _wrap, twist_of
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
 
@@ -232,16 +232,18 @@ def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
 def cochain_c(w: Word, p: Presentation) -> int:
     """c(w): the signature cocycle summed along the prefixes of w.
 
-    The sign d of det(P - I) is carried along, one determinant per new
-    prefix P.  A letter whose matrix is a twist power T_v^lam makes the
-    new prefix as the rank-1 update P + lam (P v)(v^T J) and adds
-    sign(lam) * d * d', d' the sign for the new prefix, when d or d' is
-    nonzero, and :func:`tau_twist` only when both are 0 (the derivation
-    is in :mod:`meyersig.cocycle`).  Any other letter takes
-    :func:`tau_sp` and the full product.
+    The prefix P is carried as its plain integer rows, with the sign d of
+    det(P - I), one determinant per new prefix.  A letter whose matrix is
+    a twist power T_v^lam makes the new prefix as the rank-1 update
+    P + lam (P v)(v^T J) and adds sign(lam) * d * d', d' the sign for the
+    new prefix, when d or d' is nonzero, and :func:`tau_twist` only when
+    both are 0 (the derivation is in :mod:`meyersig.cocycle`).  Any other
+    letter takes :func:`tau_sp` and the full product.  P is wrapped as a
+    matrix only for those two calls.
     """
     total = 0
-    prefix = SymplecticMatrix.identity(p.genus)
+    g = p.genus
+    prefix = IntMatrix.identity(2 * g).rows
     d = 0  # sign det(I - I)
     twists = p._twists
     for i, s in w.letters:
@@ -250,17 +252,18 @@ def cochain_c(w: Word, p: Presentation) -> int:
         twist = twists[i, s]
         if twist is None:
             step = p.matrices[i] if s > 0 else p._inverses[i]
-            total += tau_sp(prefix, step)
-            prefix = prefix * step
-            d = sign_det_minus_identity(prefix)
+            current = _trusted(prefix)
+            total += tau_sp(_wrap(g, current), step)
+            prefix = (current * step.mat).rows
+            d = _sign_det_minus_identity(prefix)
             continue
         v, lam = twist
-        new = times_twist(prefix, v, lam)
-        new_d = sign_det_minus_identity(new)
+        new = _times_twist(prefix, v, lam)
+        new_d = _sign_det_minus_identity(new)
         if d or new_d:
             total += d * new_d if lam > 0 else -d * new_d
         else:
-            total += tau_twist(prefix, v, lam)
+            total += tau_twist(_wrap(g, _trusted(prefix)), v, lam)
         prefix, d = new, new_d
     return total
 

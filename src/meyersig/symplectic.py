@@ -195,15 +195,21 @@ def times_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> SymplecticMa
     of A: row r gains lam (A v)_r times the row vector v^T J.  Both factors
     are symplectic, so the result is wrapped without the A^T J A = J check.
     """
-    g = a.g
-    if len(v) != 2 * g:
-        raise ValueError(f"twist class of length {len(v)} at genus {g}")
+    if len(v) != 2 * a.g:
+        raise ValueError(f"twist class of length {len(v)} at genus {a.g}")
+    return _wrap(a.g, _trusted(_times_twist(a.mat.rows, v, lam)))
+
+
+def _times_twist(rows: tuple, v: Sequence[int], lam: int) -> tuple:
+    """The rows of A + lam (A v)(v^T J), for the rows of A and a class v
+    of the same length 2g."""
+    g = len(v) // 2
     vj = [-lam * e for e in v[g:]] + [lam * e for e in v[:g]]  # lam v^T J
-    rows = []
-    for row in a.mat.rows:
+    out = []
+    for row in rows:
         f = sum(map(mul, row, v))  # (A v)_r
-        rows.append(tuple([e + f * w for e, w in zip(row, vj)]) if f else row)
-    return _wrap(g, _trusted(tuple(rows)))
+        out.append(tuple([e + f * w for e, w in zip(row, vj)]) if f else row)
+    return tuple(out)
 
 
 def a_class(g: int, i: int) -> tuple:

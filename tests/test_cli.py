@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from importlib import resources
@@ -397,6 +400,38 @@ def test_geo_argument_validation(capsys):
     assert run_cli(capsys, "geo")[0] == 1
     assert run_cli(capsys, "geo", "--ksq", "1", "--sign", "0")[0] == 1
     assert run_cli(capsys, "geo", "--ksq", "x", "--chi-struct", "1")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", "\uff11", "1/0", "1/-2", "1e2", "1.5", ".5", "nan", "inf", "1/2/3", "/2", "2/", ""]
+)
+@pytest.mark.parametrize("option", ["--ksq", "--chi-struct", "--sign", "--chi-top"])
+def test_geo_rationals_are_integers_or_p_over_q(capsys, option, text):
+    partner = {"--ksq": "--chi-struct", "--chi-struct": "--ksq", "--sign": "--chi-top",
+               "--chi-top": "--sign"}[option]
+    argv = ["geo", f"{option}={text}", f"{partner}=1"]
+    assert run_cli(capsys, *argv) == (2, "", f"parse error: bad rational number {text!r}\n")
+
+
+def test_geo_signed_and_padded_rationals_still_parse(capsys):
+    assert run_cli(capsys, "geo", "--ksq=+3/4", "--chi-struct", " 1 ")[:2] == (
+        0,
+        "sign=-29/4 chi_top=45/4\n",
+    )
+    assert run_cli(capsys, "geo", "--sign=-3/6", "--chi-top=07")[:2] == (
+        0,
+        "ksq=25/2 chi_struct=13/8\n",
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "meyersig", "dedekind", "1", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1/18\n", "")
 
 
 def test_twist_value(capsys):

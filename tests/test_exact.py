@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from meyersig.exact import (
     SignatureTriple,
     SymmetricForm,
+    affine_point,
     determinant,
     kernel_basis,
     rank,
@@ -277,3 +279,50 @@ def test_determinant_of_a_minus_identity(g):
         assert det == (_leibniz(rows) if g <= 2 else _fraction_det(rows))
         signs.add((det > 0) - (det < 0))
     assert 0 in signs and len(signs) > 1
+
+
+def test_affine_point_examples():
+    assert affine_point([[2, 4]]) == ((-4,), 2)  # 2 * -4 + 2 * 4 = 0
+    assert affine_point([[0, 0]]) == ((0,), 1)
+    assert affine_point([[0, 1]]) is None
+    assert affine_point([[5]]) is None  # no columns in M, b != 0
+    assert affine_point([[1, 1, 2], [2, 2, 3]]) is None  # rank 1, b outside it
+    # Cramer: [M | b] -> [d I | adj(M) b] with d = det M = -2, adj(M) b = (2, -4)
+    assert affine_point([[1, 2, 3], [3, 4, 5]]) == ((-2, 4), -2)
+    with pytest.raises(ValueError, match="rectangular"):
+        affine_point([[1, 2], [3]])
+    with pytest.raises(ValueError, match="rectangular"):
+        affine_point([])
+
+
+def test_affine_point_against_the_kernel():
+    """M x + t b = 0 with t != 0 exactly when some kernel vector of [M | b]
+    has a nonzero last entry, on random matrices of up to 6 rows and 7
+    columns, square and not, of every rank."""
+    rng = random.Random(53)
+    seen = {"square": 0, "rank-deficient": 0, "zero": 0, "inconsistent": 0, "non-primitive": 0}
+    for _ in range(600):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        k = rng.choice((min(n, m), rng.randint(0, min(n, m))))  # the rank of M, at most
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)]
+        right = [[rng.choice((0, rng.randint(-3, 3))) for _ in range(m)] for _ in range(k)]
+        mat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        if rng.random() < 0.5:
+            b = [rng.randint(-4, 4) for _ in range(n)]
+        else:  # in the column span, scaled
+            y = [rng.randint(-2, 2) for _ in range(m)]
+            b = [rng.randint(1, 3) * sum(e * f for e, f in zip(row, y)) for row in mat]
+        rows = [row + [e] for row, e in zip(mat, b)]
+        consistent = any(vec[-1] for vec in kernel_basis(rows))
+        point = affine_point(rows)
+        assert (point is not None) == consistent, rows
+        if point is not None:
+            x, t = point
+            assert t != 0 and all(type(e) is int for e in (*x, t))
+            assert all(sum(e * f for e, f in zip(row, x)) + t * c == 0 for row, c in zip(mat, b))
+            seen["non-primitive"] += math.gcd(*b) > 1
+        seen["inconsistent"] += point is None
+        seen["square"] += n == m
+        seen["zero"] += not any(map(any, mat))
+        seen["rank-deficient"] += rank(mat) < min(n, m)
+    assert all(seen.values()), seen

@@ -28,7 +28,7 @@ from meyersig.presentations import (
     total_exponent,
 )
 from meyersig.selftest import random_word
-from meyersig.symplectic import SymplecticMatrix, transvection
+from meyersig.symplectic import SymplecticMatrix, _generating_classes, transvection
 
 S_MAT = SymplecticMatrix([[0, -1], [1, 0]])
 U_MAT = SymplecticMatrix([[1, 1], [0, 1]])
@@ -332,12 +332,13 @@ def test_twist_letters_are_detected_once_per_presentation(sl2z, genus2):
 
 def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
     """cochain_c against tau_sp summed along the prefixes, on words with
-    twist letters and, in the mismatch presentation, the non-twist S; the
-    kernel route tau_twist runs exactly at the twist letters where
-    det(P - I) and det(PB - I) both vanish, found here by rank."""
+    twist letters (at genus 1 to 4) and, in the mismatch presentation, the
+    non-twist S; the solve in tau_twist runs exactly at the twist letters
+    where det(P - I) and det(PB - I) both vanish, found here by rank."""
     tau_twist = count_calls(presentations, "tau_twist")
     fallbacks = twist_steps = 0
-    for p in (sl2z, genus2, _mismatch_presentation()):
+    twists = [_twist_presentation(g) for g in (3, 4)]
+    for p in (sl2z, genus2, _mismatch_presentation(), *twists):
         n = 2 * p.genus
         for _ in range(60):
             word = random_word(p, rng, 24)
@@ -357,6 +358,14 @@ def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
             assert tau_twist.call_count - before == expected_calls
             fallbacks += expected_calls
     assert 0 < fallbacks < twist_steps
+
+
+def _twist_presentation(g):
+    """Relator-free: the twists along the generating classes of genus g,
+    alternately squared."""
+    classes = _generating_classes(g)
+    mats = tuple(transvection(v) ** (1 + k % 2) for k, v in enumerate(classes))
+    return Presentation(g, tuple(f"t{k}" for k in range(len(classes))), mats, ())
 
 
 def _minus_identity(m):
