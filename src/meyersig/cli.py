@@ -229,10 +229,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_RATIONAL_OPTIONS = ("--ksq", "--chi-struct", "--sign", "--chi-top")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """argv with each rational option followed by a negative value, such as
+    ``--ksq -3/4``, joined into ``--ksq=-3/4``.  argparse reads a separate
+    token that starts with '-' as an option unless it looks like a negative
+    integer or decimal, so a negative p/q would never reach its option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -22,6 +22,17 @@ w = (I - B) y for each basis vector (x, y) and pairs it with x + y
 through J by index, (x + y)^T J w = sum_i (s_i w_{g+i} - s_{g+i} w_i),
 so neither J (I - B) nor an identity matrix is ever made.
 
+Most of that Gram matrix is radical.  A basis vector with w = 0 (every
+vector with y = 0, from a free x-column of the kernel, is one) pairs to
+zero with every vector from the right, so its Gram column is zero, and
+by symmetry on V so is its row.  Dropping it therefore leaves p - q
+unchanged, and :func:`tau_sp` builds the Gram matrix only on the vectors
+with w != 0, skipping the product B y when y = 0.  The symmetry guard
+still covers every pair: it also requires each dropped vector's row,
+(x + y)^T J w against each kept w, to be zero.  The Gram matrix, checked
+symmetric, goes straight to the integer congruence loop behind
+:func:`meyersig.exact.signature`.
+
 When B is a power of a Dehn twist, B x = x + lam <v, x> v with
 <v, x> = v^T J x, the matrix B - I = lam v (v^T J) has rank 1 and the
 pairing on V_{A,B} has rank at most 1, so tau is one sign:
@@ -63,7 +74,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exact import affine_point, determinant, kernel_basis, signature
+from .exact import _inertia, affine_point, determinant, kernel_basis
 from .symplectic import SymplecticMatrix, symplectic_pairing
 
 
@@ -95,27 +106,32 @@ def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
     """Signature of the pants-bundle pairing on V_{A,B}.
 
     Zero whenever either argument is the identity or B = A^{-1}; bounded
-    by dim V_{A,B} <= 4g in absolute value.
+    by dim V_{A,B} <= 4g in absolute value.  A basis vector (x, y) with
+    w = (I - B) y = 0 spans part of the radical (its Gram column is zero,
+    and on V so is its row), so the Gram matrix is built only on the
+    vectors with w != 0.  The symmetry check still covers every pair: kept
+    against kept entrywise, and each dropped vector's row against the kept
+    ones must be zero.
     """
     space = v_space(a, b)
-    if not space.basis:
-        return 0
     g, n = a.g, 2 * a.g
-    sums, j_ws = [], []
+    kept, j_ws, dropped = [], [], []
     for v in space.basis:
         x, y = v[:n], v[n:]
-        sums.append([xi + yi for xi, yi in zip(x, y)])
-        w = [yi - byi for yi, byi in zip(y, b.apply(y))]  # (I - B) y
-        j_ws.append(w[g:] + [-e for e in w[:g]])  # J (I - B) y
-    gram = [[sum(map(mul, s, jw)) for jw in j_ws] for s in sums]
-    for i in range(space.dim):
-        for j in range(i + 1, space.dim):
-            if gram[i][j] != gram[j][i]:
-                raise ArithmeticError(
-                    "pairing is not symmetric on V_{A,B}; "
-                    "this indicates a kernel-basis bug"
-                )
-    return signature(gram).value
+        s = [xi + yi for xi, yi in zip(x, y)]
+        w = [yi - byi for yi, byi in zip(y, b.apply(y))] if any(y) else y  # (I - B) y
+        if any(w):
+            kept.append(s)
+            j_ws.append(w[g:] + [-e for e in w[:g]])  # J (I - B) y
+        else:
+            dropped.append(s)
+    gram = [[sum(map(mul, s, jw)) for jw in j_ws] for s in kept]
+    asymmetric = any(gram[i][j] != gram[j][i] for i in range(len(kept)) for j in range(i))
+    if asymmetric or any(sum(map(mul, s, jw)) for s in dropped for jw in j_ws):
+        raise ArithmeticError(
+            "pairing is not symmetric on V_{A,B}; this indicates a kernel-basis bug"
+        )
+    return _inertia(gram).value
 
 
 def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:

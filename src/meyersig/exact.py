@@ -3,14 +3,17 @@ determinants and single solutions of linear systems.
 
 Rational input is scaled to integers once, at the public entry: a form by
 one positive common denominator (a positive multiple of a form has the
-same inertia), a matrix by one per row (which keeps its kernel).  From
-there every step is fraction-free elimination over Python ints, in the
-style of Bareiss (1968), and each new row or block is divided by its
-content, the gcd of its entries, to keep the integers small, or, in
-:func:`determinant` and :func:`affine_point`, exactly by the previous
-pivot.  No floating point appears anywhere in this package.  The
-signature is read off by congruence diagonalization rather than from
-eigenvalues, which is what makes an exact answer possible.
+same inertia), a matrix by one per row (which keeps its kernel); rows
+that are all ints are taken as they are.  From there every step is
+fraction-free elimination over Python ints, in the style of Bareiss
+(1968).  :func:`determinant` and the one Gauss-Jordan pass that
+:func:`kernel_basis`, :func:`rank` and :func:`affine_point` share divide
+each new entry exactly by the previous pivot, which keeps every entry a
+minor of the input; only :func:`signature` divides each new block by its
+content, the gcd of its entries.  No floating point appears anywhere in
+this package.  The signature is read off by congruence diagonalization
+rather than from eigenvalues, which is what makes an exact answer
+possible.
 
 Tuples and star-arguments here are built from lists, not generators:
 CPython sizes a tuple drawn from a generator by a guess and a resize,
@@ -106,7 +109,13 @@ def signature(form: SymmetricForm | Sequence[Sequence[Rational]]) -> SignatureTr
     if not isinstance(form, SymmetricForm):
         form = SymmetricForm(form)
     scale = _denominator(e for row in form.entries for e in row)
-    a = [_times(row, scale) for row in form.entries]
+    return _inertia([_times(row, scale) for row in form.entries])
+
+
+def _inertia(a: list[list[int]]) -> SignatureTriple:
+    """Inertia of the symmetric integer matrix a, by the congruence steps of
+    :func:`signature`; a is consumed.  The caller vouches for symmetry."""
+    dim = len(a)
     pos = neg = 0
     while a:
         k = next((i for i, row in enumerate(a) if row[i]), None)
@@ -130,7 +139,7 @@ def signature(form: SymmetricForm | Sequence[Sequence[Rational]]) -> SignatureTr
         content = math.gcd(*[e for row in a for e in row])
         if content > 1:
             a = [[e // content for e in row] for row in a]
-    return SignatureTriple(pos, neg, form.dim - pos - neg)
+    return SignatureTriple(pos, neg, dim - pos - neg)
 
 
 def kernel_basis(
@@ -138,14 +147,14 @@ def kernel_basis(
 ) -> list[tuple[int, ...]]:
     """Basis of the right kernel {v : Mv = 0} as primitive integer vectors.
 
-    Each row is scaled to integers and the matrix is brought to reduced
-    echelon form by fraction-free elimination.  For a free column f the
-    vector is L at f and -row[f] * L / row[p] at the pivot column p of each
-    row, where L is the lcm of the pivots; it is then divided by its
-    content, with the first nonzero entry made positive, so the output is
-    deterministic.  Returns [] when the kernel is trivial.
+    Each row is scaled to integers and one fraction-free Gauss-Jordan pass
+    (:func:`_gauss_jordan`) leaves the pivot columns reading d * I.  For a
+    free column f the vector is d at f and -row[f] at the pivot column of
+    each row, a multiple of the reduced echelon one; it is then divided by
+    its content, with the first nonzero entry made positive, so the output
+    is deterministic.  Returns [] when the kernel is trivial.
     """
-    mat = [_times(row, _denominator(row)) for row in rows]
+    mat = _integer_rows(rows)
     if mat:
         width = len(mat[0])
         if any(len(row) != width for row in mat):
@@ -156,16 +165,15 @@ def kernel_basis(
         if ncols is None:
             raise ValueError("ncols is required for a matrix with no rows")
         width = ncols
-    pivots = _rref(mat, width)
-    lcm = math.lcm(*[row[p] for row, p in zip(mat, pivots)])
+    pivots, d = _gauss_jordan(mat, width)
     basis = []
     for f in range(width):
         if f in pivots:
             continue
         vec = [0] * width
-        vec[f] = lcm
+        vec[f] = d
         for row, p in zip(mat, pivots):
-            vec[p] = -row[f] * lcm // row[p]
+            vec[p] = -row[f]
         basis.append(_primitive(vec))
     return basis
 
@@ -201,23 +209,46 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
 def affine_point(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] | None:
     """Integers (x, t) with t != 0 and M x + t b = 0, for the matrix [M | b].
 
-    Returns None when b is not in the column span of M.  One fraction-free
-    Gauss-Jordan pass over the columns of M: a pivot p clears its column
-    in every other row as (p * row - row[c] * top) / p_prev, p_prev the
-    previous pivot (1 at first).  Every entry stays a minor of the input,
-    or a Cramer numerator over the pivot block, so the division is exact,
-    and at the end the pivot columns read d * I, d the last pivot.  So
-    t = d and x is minus the last column at the pivot columns, 0 at the
-    free ones; a nonzero last entry in a row below the rank means M x = b
-    has no rational solution.
+    Returns None when b is not in the column span of M.  One pass of
+    :func:`_gauss_jordan` over the columns of M leaves its pivot columns
+    reading d * I, d the last pivot.  So t = d and x is minus the last
+    column at the pivot columns, 0 at the free ones; a nonzero last entry
+    in a row below the rank means M x = b has no rational solution.
     """
     mat = [list(row) for row in rows]
     if not mat or any([len(row) != len(mat[0]) for row in mat]):
         raise ValueError("affine_point needs a nonempty rectangular [M | b]")
     m = len(mat[0]) - 1
+    pivots, d = _gauss_jordan(mat, m)
+    if any(row[m] for row in mat[len(pivots):]):
+        return None
+    x = [0] * m
+    for row, c in zip(mat, pivots):
+        x[c] = -row[m]
+    return tuple(x), d
+
+
+def rank(rows: Sequence[Sequence[Rational]]) -> int:
+    mat = _integer_rows(rows)
+    if not mat:
+        return 0
+    return len(_gauss_jordan(mat, len(mat[0]))[0])
+
+
+def _gauss_jordan(mat: list[list[int]], width: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination over the first width columns,
+    in place; returns the pivot columns and the last pivot d (1 if none).
+
+    A pivot p clears its column in every other row as
+    (p * row - row[c] * top) / p_prev, p_prev the previous pivot (1 at
+    first).  Every entry stays a minor of the input, or a Cramer numerator
+    over the pivot block, so the division is exact, and at the end the
+    pivot columns read d * I and the rows below the rank are zero in the
+    first width columns.
+    """
     pivots: list[int] = []
     prev = 1
-    for c in range(m):
+    for c in range(width):
         r = len(pivots)
         if r == len(mat):
             break
@@ -237,44 +268,16 @@ def affine_point(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] |
                 mat[i] = [p * e // prev for e in row]
         pivots.append(c)
         prev = p
-    if any(row[m] for row in mat[len(pivots):]):
-        return None
-    x = [0] * m
-    for row, c in zip(mat, pivots):
-        x[c] = -row[m]
-    return tuple(x), prev
+    return pivots, prev
 
 
-def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    mat = [_times(row, _denominator(row)) for row in rows]
-    if not mat:
-        return 0
-    return len(_rref(mat, len(mat[0])))
-
-
-def _rref(mat: list, width: int) -> list[int]:
-    """Fraction-free reduced row echelon form, in place; returns the pivot columns.
-
-    Clearing column c of a row uses the pivot row t with pivot p = t[c]:
-    the row becomes p * row - row[c] * t, divided by its content.
-    """
-    pivots: list[int] = []
-    for c in range(width):
-        r = len(pivots)
-        if r == len(mat):
-            break
-        k = next((k for k in range(r, len(mat)) if mat[k][c]), None)
-        if k is None:
-            continue
-        mat[r], mat[k] = mat[k], mat[r]
-        top = mat[r]
-        p = top[c]
-        for i, row in enumerate(mat):
-            f = row[c]
-            if f and i != r:
-                mat[i] = _primitive([p * e - f * t for e, t in zip(row, top)])
-        pivots.append(c)
-    return pivots
+def _integer_rows(rows) -> list[list[int]]:
+    """Each row as a list of ints, a row with a non-int entry scaled by
+    the lcm of its denominators (which keeps the kernel)."""
+    return [
+        list(row) if all([type(e) is int for e in row]) else _times(row, _denominator(row))
+        for row in rows
+    ]
 
 
 def _denominator(values) -> int:

@@ -402,15 +402,37 @@ def test_geo_argument_validation(capsys):
     assert run_cli(capsys, "geo", "--ksq", "x", "--chi-struct", "1")[0] == 2
 
 
+GEO_PARTNER = {"--ksq": "--chi-struct", "--chi-struct": "--ksq", "--sign": "--chi-top",
+               "--chi-top": "--sign"}
+
+
 @pytest.mark.parametrize(
     "text", ["1_0", "\uff11", "1/0", "1/-2", "1e2", "1.5", ".5", "nan", "inf", "1/2/3", "/2", "2/", ""]
 )
-@pytest.mark.parametrize("option", ["--ksq", "--chi-struct", "--sign", "--chi-top"])
+@pytest.mark.parametrize("option", list(GEO_PARTNER))
 def test_geo_rationals_are_integers_or_p_over_q(capsys, option, text):
-    partner = {"--ksq": "--chi-struct", "--chi-struct": "--ksq", "--sign": "--chi-top",
-               "--chi-top": "--sign"}[option]
-    argv = ["geo", f"{option}={text}", f"{partner}=1"]
+    argv = ["geo", f"{option}={text}", f"{GEO_PARTNER[option]}=1"]
     assert run_cli(capsys, *argv) == (2, "", f"parse error: bad rational number {text!r}\n")
+
+
+@pytest.mark.parametrize("value", ["-3/4", "-7/2", "-3"])
+@pytest.mark.parametrize("option", list(GEO_PARTNER))
+def test_geo_negative_value_as_a_separate_argument(capsys, monkeypatch, option, value):
+    joined = run_cli(capsys, "geo", f"{option}={value}", f"{GEO_PARTNER[option]}=1")
+    assert joined[0] == 0
+    assert run_cli(capsys, "geo", option, value, GEO_PARTNER[option], "1") == joined
+    # main() with no argument list reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["meyersig", "geo", GEO_PARTNER[option], "1", option, value])
+    code = main()
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == joined
+
+
+@pytest.mark.parametrize("value", ["-x", "-", "-3/x", "-1_0/3"])
+def test_geo_non_number_after_an_option_still_fails(capsys, value):
+    code, out, err = run_cli(capsys, "geo", "--ksq", value, "--chi-struct", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") or err.startswith("usage:"), err
 
 
 def test_geo_signed_and_padded_rationals_still_parse(capsys):

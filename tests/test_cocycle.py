@@ -1,5 +1,6 @@
 
 import random
+from operator import mul
 
 import pytest
 
@@ -85,12 +86,22 @@ def test_tau_some_nonzero_values():
 
 
 def test_tau_asymmetric_pairing_raises(monkeypatch):
-    # All of Q^4 in place of V_{U,U}: (0, 1, 0, 0) and (0, 0, 0, 1) pair to
-    # 1 one way and 0 the other, so the symmetry guard must fire.
-    basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    monkeypatch.setattr(cocycle, "kernel_basis", lambda rows, ncols: basis)
-    with pytest.raises(ArithmeticError, match="pairing is not symmetric"):
-        tau_sp(U, U)
+    fakes = [
+        # All of Q^4 in place of V_{U,U}: (0, 1, 0, 0) and (0, 0, 0, 1) pair
+        # to 1 one way and 0 the other.
+        [tuple(int(i == j) for j in range(4)) for i in range(4)],
+        # Both vectors have (I - U) y != 0 and pair to 1 and 2: the
+        # asymmetry is inside the Gram matrix tau_sp builds.
+        [(0, 0, 0, 1), (0, 1, 0, 1)],
+        # (0, 1, 1, 0) lies outside V_{U,U} with (U - I) y = 0, so it is
+        # dropped from the Gram matrix; it pairs to 1 with (0, 0, 0, 1)
+        # one way and 0 the other.
+        [(0, 1, 1, 0), (0, 0, 0, 1)],
+    ]
+    for basis in fakes:
+        monkeypatch.setattr(cocycle, "kernel_basis", lambda rows, ncols: basis)
+        with pytest.raises(ArithmeticError, match="pairing is not symmetric"):
+            tau_sp(U, U)
 
 
 def test_tau_bounded_by_v_dim(rng):
@@ -136,6 +147,46 @@ def _maslov(*mats):
             for c in range(n):
                 q[s * n + r][t * n + c] = q[t * n + c][s * n + r] = k[r][c]
     return signature(q).value
+
+
+def _tau_by_definition(a, b):
+    """The signature of (x + y)^T J (I - B) y' on the whole v_space basis,
+    a dim V x dim V Gram matrix, by the public signature."""
+    n = 2 * a.g
+    j = standard_j(a.g)
+    basis = v_space(a, b).basis
+    sums = [[p + q for p, q in zip(v[:n], v[n:])] for v in basis]
+    j_ws = [j.apply([p - q for p, q in zip(v[n:], b.apply(v[n:]))]) for v in basis]
+    return signature([[sum(map(mul, s, jw)) for jw in j_ws] for s in sums]).value
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_tau_matches_its_definition(g, rng):
+    """tau_sp, which drops the basis vectors with (I - B) y = 0 from its
+    Gram matrix, against the full Gram matrix on V_{A,B}."""
+    n = 2 * g
+    e = SymplecticMatrix.identity(g)
+    minus = SymplecticMatrix([[-int(r == c) for c in range(n)] for r in range(n)], g)
+    pairs = [
+        (random_symplectic(g, rng.randint(0, 12), rng.random()),
+         random_symplectic(g, rng.randint(0, 12), rng.random()))
+        for _ in range(20)
+    ]
+    x = pairs[0][0]
+    pairs += [(e, x), (x, e), (x, x.inverse()), (minus, minus)]
+    seen = {"some dropped": 0, "all dropped": 0, "none dropped": 0}
+    for a, b in pairs:
+        basis = v_space(a, b).basis
+        dropped = sum(b.apply(v[n:]) == v[n:] for v in basis)
+        if 0 < dropped < len(basis):
+            seen["some dropped"] += 1
+        elif basis and dropped:
+            seen["all dropped"] += 1
+            assert tau_sp(a, b) == 0
+        elif basis:
+            seen["none dropped"] += 1
+        assert tau_sp(a, b) == _tau_by_definition(a, b), (a, b)
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
