@@ -47,7 +47,6 @@ from .presentations import (
     shipped_meyer_function,
     shipped_presentation,
     synthesize_meyer,
-    total_exponent,
 )
 from .symplectic import (
     SymplecticMatrix,

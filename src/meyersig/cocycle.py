@@ -166,11 +166,6 @@ def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
     return (value > 0) - (value < 0)
 
 
-def sign_det_minus_identity(a: SymplecticMatrix) -> int:
-    """The sign of det(A - I): -1, 0 or 1, by one Bareiss determinant."""
-    return _sign_det_minus_identity(a.mat.rows)
-
-
 def _sign_det_minus_identity(rows: Sequence[Sequence[int]]) -> int:
     """sign det(A - I) for the rows of a square integer matrix A."""
     shifted = [list(row) for row in rows]

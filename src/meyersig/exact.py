@@ -7,7 +7,7 @@ same inertia), a matrix by one per row (which keeps its kernel); rows
 that are all ints are taken as they are.  From there every step is
 fraction-free elimination over Python ints, in the style of Bareiss
 (1968).  :func:`determinant` and the one Gauss-Jordan pass that
-:func:`kernel_basis`, :func:`rank` and :func:`affine_point` share divide
+:func:`kernel_basis` and :func:`affine_point` share divide
 each new entry exactly by the previous pivot, which keeps every entry a
 minor of the input; only :func:`signature` divides each new block by its
 content, the gcd of its entries.  No floating point appears anywhere in
@@ -226,13 +226,6 @@ def affine_point(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] |
     for row, c in zip(mat, pivots):
         x[c] = -row[m]
     return tuple(x), d
-
-
-def rank(rows: Sequence[Sequence[Rational]]) -> int:
-    mat = _integer_rows(rows)
-    if not mat:
-        return 0
-    return len(_gauss_jordan(mat, len(mat[0]))[0])
 
 
 def _gauss_jordan(mat: list[list[int]], width: int) -> tuple[list[int], int]:

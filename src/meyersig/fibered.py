@@ -10,9 +10,12 @@ caller-supplied data.  A FibrationDescription carries the presentation
 its germ words use; a function given only a genus uses the shipped one.
 Local signatures vanish on general fibers and sum to the signature of a
 closed total space, which is where all the cross-checks in this module
-live.  Euler contributions, the hyperelliptic Horikawa-index identities,
-and the Hirzebruch/Noether geography conversions are included so that
-whole numerical budgets of a fibration can be balanced exactly.
+live.  Closedness is checked on the product matrix over a sphere base,
+and over a base of positive genus in the abelianization of the presented
+group, which relaxes "a product of h commutators" to "trivial in H_1".
+Euler contributions, the hyperelliptic Horikawa-index identities, and the
+Hirzebruch/Noether geography conversions are included so that whole
+numerical budgets of a fibration can be balanced exactly.
 
 Genus 3 and up is refused outright: the signature class has infinite
 order there, so no Meyer function exists.
@@ -21,7 +24,7 @@ order there, so no Meyer function exists.
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from .presentations import (
     SHIPPED_FILES,
     Presentation,
     Word,
+    _abelianizes_to_zero,
     check_word_length,
     evaluate_word,
     json_int,
@@ -125,24 +129,27 @@ def total_signature(fd: FibrationDescription) -> int:
 def closed_total(fd: FibrationDescription, local_values) -> int:
     """The sum of the local signatures ``local_values`` of fd's germs.
 
-    Raises if the germs fail the closedness check (their product must be
-    the identity over a sphere, or lie in the commutator subgroup of the
-    symplectic group over a positive-genus base), or if the sum is not an
-    integer, which signals inconsistent input data.
+    Raises if the germs fail the closedness check, or if the sum is not an
+    integer, which signals inconsistent input data.  Over a sphere the
+    germ monodromies must multiply to the identity matrix.  Over a base of
+    genus h >= 1 their product must be a product of h commutators;
+    commutator length is not decided, so this checks only that the
+    product is trivial in the abelianization of fd's presented group:
+    its summed exponent vector lies in the relators' exponent lattice.
     """
-    product = SymplecticMatrix.identity(fd.genus)
-    for germ in fd.germs:
-        product = product * evaluate_word(germ.monodromy, fd.presentation)
     if fd.base_genus == 0:
+        product = SymplecticMatrix.identity(fd.genus)
+        for germ in fd.germs:
+            product = product * evaluate_word(germ.monodromy, fd.presentation)
         if product != SymplecticMatrix.identity(fd.genus):
             raise ValueError(
                 "closedness check failed: germ monodromies do not multiply "
                 "to the identity over a sphere base"
             )
-    elif not _in_commutator_subgroup(product):
+    elif not _abelianizes_to_zero(fd.presentation, [germ.monodromy for germ in fd.germs]):
         raise ValueError(
             "closedness check failed: the product of germ monodromies is "
-            "not a product of commutators in Sp(2g;Z)"
+            "not a product of commutators in the presented group"
         )
     total = sum(local_values, Fraction(0))
     if total.denominator != 1:
@@ -264,12 +271,7 @@ def kodaira_word(
 
 
 # ---------------------------------------------------------------------------
-# SL(2;Z) words and the closedness check
-
-# S and T generate SL(2;Z); in the shipped genus-1 presentation T is the
-# generator a and S is (aba)^{-1}.
-_T = (1, 1, 0, 1)
-_S = (0, -1, 1, 0)
+# SL(2;Z) words
 
 
 def _sl2_st_factors(m: SymplecticMatrix) -> list[tuple[str, int]]:
@@ -324,98 +326,6 @@ def sl2_word(m: SymplecticMatrix, presentation: Presentation | None = None) -> W
     if evaluate_word(word, p) != m:
         raise ArithmeticError("SL(2;Z) word decomposition failed to reproduce the matrix")
     return word
-
-
-def _sl2_abelianized(m: SymplecticMatrix) -> int:
-    """Image in the abelianization SL(2;Z) -> Z/12 ([T] = 1, [S] = -3)."""
-    total = 0
-    for sym, exp in _sl2_st_factors(m):
-        total += exp if sym == "T" else -3 * exp
-    return total % 12
-
-
-@lru_cache(maxsize=1)
-def _odd_theta_forms() -> tuple[tuple[int, ...], ...]:
-    """The six odd quadratic forms on F_2^4 refining the symplectic pairing.
-
-    Each form is stored as its value table over the 16 vectors (bit i of
-    the index is coordinate i in the basis A_1, A_2, B_1, B_2).
-    """
-    def pairing(x: int, y: int) -> int:
-        total = 0
-        for i in range(2):
-            total += ((x >> i) & 1) * ((y >> (2 + i)) & 1)
-            total += ((x >> (2 + i)) & 1) * ((y >> i) & 1)
-        return total % 2
-
-    forms = []
-    for assignment in range(16):
-        values = [0] * 16
-        for vec in range(16):
-            bits = [i for i in range(4) if (vec >> i) & 1]
-            q = sum((assignment >> i) & 1 for i in bits)
-            q += sum(
-                pairing(1 << bits[s], 1 << bits[t])
-                for s in range(len(bits))
-                for t in range(s + 1, len(bits))
-            )
-            values[vec] = q % 2
-        arf = (values[1] * values[4] + values[2] * values[8]) % 2
-        if arf == 1:
-            forms.append(tuple(values))
-    if len(forms) != 6:
-        raise ArithmeticError(f"expected 6 odd forms, found {len(forms)}")
-    return tuple(sorted(forms))
-
-
-def _sp4_parity(m: SymplecticMatrix) -> int:
-    """Parity of the permutation of the six odd theta forms under q -> q(Mx).
-
-    This is the unique nontrivial character Sp(4;Z) -> Z/2 (transvections
-    act as transpositions), so parity 0 characterizes the commutator
-    subgroup.
-    """
-    if m.g != 2:
-        raise ValueError(f"expected genus 2, got genus {m.g}")
-    rows = [[e % 2 for e in row] for row in m.mat.rows]
-    image = [0] * 16
-    for vec in range(16):
-        coords = [(vec >> j) & 1 for j in range(4)]
-        out = 0
-        for i in range(4):
-            if sum(rows[i][j] * coords[j] for j in range(4)) % 2:
-                out |= 1 << i
-        image[vec] = out
-    forms = _odd_theta_forms()
-    index = {f: k for k, f in enumerate(forms)}
-    perm = [index[tuple(f[image[vec]] for vec in range(16))] for f in forms]
-    seen = [False] * 6
-    parity = 0
-    for start in range(6):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
-
-
-def _in_commutator_subgroup(m: SymplecticMatrix) -> bool:
-    """Membership in [Sp(2g;Z), Sp(2g;Z)] for g = 1 or 2.
-
-    A product of any number of commutators lies here; commutator length
-    itself is not decided, so this is the symplectic-level relaxation of
-    the closedness condition over a positive-genus base.
-    """
-    if m.g == 1:
-        return _sl2_abelianized(m) == 0
-    if m.g == 2:
-        return _sp4_parity(m) == 0
-    raise UnsupportedGenusError(_no_meyer_message(m.g))
 
 
 # ---------------------------------------------------------------------------

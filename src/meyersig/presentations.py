@@ -273,9 +273,15 @@ def exponent_sum(w: Word, i: int) -> int:
     return sum(s for j, s in w.letters if j == i)
 
 
-def total_exponent(w: Word) -> int:
-    """Sum of all exponent signs: the image of w under alpha(e_i) = 1."""
-    return sum(s for _, s in w.letters)
+def _exponent_vector(words: Iterable[Word], ngens: int) -> list[int]:
+    """The exponent sum of each of ngens generators over all of ``words``."""
+    counts = [0] * ngens
+    for w in words:
+        for i, s in w.letters:
+            if i >= ngens:
+                raise ValueError(f"letter index {i} out of range")
+            counts[i] += s
+    return counts
 
 
 class Unbounded:
@@ -364,6 +370,15 @@ def _lattice_order(rows: list[list[int]], cs: list[int], ngens: int) -> ClassOrd
     return ClassOrder(n, tuple(coefficients))
 
 
+def _abelianizes_to_zero(p: Presentation, words: Iterable[Word]) -> bool:
+    """Whether the product of ``words`` is trivial in the abelianization
+    of the presented group: their summed exponent vector is an integer
+    combination of the relators' exponent vectors."""
+    columns = [[exponent_sum(r, i) for r in p.relators] for i in range(p.generator_count)]
+    order = _lattice_order(columns, _exponent_vector(words, p.generator_count), len(p.relators))
+    return isinstance(order, ClassOrder) and order.n == 1
+
+
 class SynthesizedMeyerFunction:
     """phi(w) = -c(w) + (1/n) sum_i m_i * exp_i(w): a (1/n)Z-valued class
     function on the presented group whose coboundary is the pulled-back
@@ -377,11 +392,7 @@ class SynthesizedMeyerFunction:
         p = self.presentation
         if isinstance(word, str):
             word = p.word(word)
-        counts = [0] * p.generator_count
-        for i, s in word.letters:
-            if i >= p.generator_count:
-                raise ValueError(f"letter index {i} out of range")
-            counts[i] += s
+        counts = _exponent_vector([word], p.generator_count)
         numer = sum(m_i * k_i for m_i, k_i in zip(self.order.coefficients, counts))
         return -cochain_c(word, p) + Fraction(numer, self.order.n)
 

@@ -188,21 +188,13 @@ def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
     return v, lam
 
 
-def times_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> SymplecticMatrix:
-    """A T for the twist power T x = x + lam <v, x> v, as A + lam (A v)(v^T J).
-
-    T - I = lam v (v^T J) has rank 1, so the product is a rank-1 update
-    of A: row r gains lam (A v)_r times the row vector v^T J.  Both factors
-    are symplectic, so the result is wrapped without the A^T J A = J check.
-    """
-    if len(v) != 2 * a.g:
-        raise ValueError(f"twist class of length {len(v)} at genus {a.g}")
-    return _wrap(a.g, _trusted(_times_twist(a.mat.rows, v, lam)))
-
-
 def _times_twist(rows: tuple, v: Sequence[int], lam: int) -> tuple:
-    """The rows of A + lam (A v)(v^T J), for the rows of A and a class v
-    of the same length 2g."""
+    """The rows of A T for the twist power T x = x + lam <v, x> v, given
+    the rows of A and a class v of the same length 2g.
+
+    T - I = lam v (v^T J) has rank 1, so A T = A + lam (A v)(v^T J): row r
+    gains lam (A v)_r times the row vector v^T J.
+    """
     g = len(v) // 2
     vj = [-lam * e for e in v[g:]] + [lam * e for e in v[:g]]  # lam v^T J
     out = []

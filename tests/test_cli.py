@@ -362,6 +362,17 @@ def test_local_sig_unlabeled_germ_gets_index(capsys, tmp_path):
     assert out.splitlines()[0] == "germ 0: 0"
 
 
+def test_local_sig_positive_base_closedness_is_checked_in_h1(capsys, tmp_path):
+    # c1^2 is even, so it lies in the commutator subgroup of Sp(4;Z), but
+    # not in that of the presented group, whose H_1 is Z/10
+    path = tmp_path / "fib.json"
+    path.write_text(json.dumps({"genus": 2, "base_genus": 1, "germs": [{"monodromy": "c1 c1"}]}))
+    code, out, err = run_cli(capsys, "local-sig", "-f", str(path))
+    assert (code, out) == (1, "germ 0: 1/5\n")
+    assert "closedness check failed" in err
+    assert "not a product of commutators in the presented group" in err
+
+
 def test_local_sig_non_integer_field_is_parse_error(capsys, tmp_path):
     path = tmp_path / "fib.json"
     germ = {"monodromy": "a", "neighborhood_signature": 0.5}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -7,9 +8,7 @@ from meyersig.errors import ParseError, UnsupportedGenusError
 from meyersig.fibered import (
     FiberGerm,
     FibrationDescription,
-    _in_commutator_subgroup,
-    _sl2_abelianized,
-    _sp4_parity,
+    closed_total,
     euler_contribution,
     geography_convert,
     geography_invert,
@@ -28,6 +27,7 @@ from meyersig.fibered import (
 )
 from meyersig.genus1 import phi1
 from meyersig.presentations import (
+    Presentation,
     Word,
     evaluate_word,
     shipped_meyer_function,
@@ -324,31 +324,51 @@ def test_sl2_word_reproduces(rng, sl2z):
 
 
 # ---------------------------------------------------------------------------
-# commutator-subgroup characters
+# closedness over a positive-genus base
 
 
-def test_sl2_abelianization_is_character(rng):
-    u = SymplecticMatrix([[1, 1], [0, 1]])
-    v = SymplecticMatrix([[1, 0], [-1, 1]])
-    assert _sl2_abelianized(u) == 1
-    assert _sl2_abelianized(v) == 1
-    assert _sl2_abelianized(SymplecticMatrix.identity(1)) == 0
-    for _ in range(120):
-        x = random_symplectic(1, rng.randint(0, 14), rng.random())
-        y = random_symplectic(1, rng.randint(0, 14), rng.random())
-        assert _sl2_abelianized(x * y) == (_sl2_abelianized(x) + _sl2_abelianized(y)) % 12
-        assert _in_commutator_subgroup(x * y * x.inverse() * y.inverse())
-        assert _in_commutator_subgroup(x) == (_sl2_abelianized(x) == 0)
+@pytest.mark.parametrize("g, h1_order", [(1, 12), (2, 10)])
+def test_positive_base_closedness_is_the_h1_class(g, h1_order):
+    """Over a torus the germs pass exactly when their total exponent is 0
+    in H_1 of the presented group: Z/12 at genus 1 and Z/10 at genus 2,
+    since every generator of either shipped presentation is conjugate to
+    every other.  Commutators always pass."""
+    p = shipped_presentation(g)
+    rng = random.Random(80 + g)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        words = [random_word(p, rng, 10) for _ in range(rng.randint(1, 3))]
+        fd = FibrationDescription(p, 1, tuple(FiberGerm(w) for w in words))
+        closed = sum(s for w in words for _, s in w.letters) % h1_order == 0
+        seen[closed] += 1
+        if closed:
+            assert isinstance(total_signature(fd), int)
+        else:
+            with pytest.raises(ValueError, match="not a product of commutators"):
+                total_signature(fd)
+    assert all(seen.values()), seen
+    for _ in range(40):
+        x, y = random_word(p, rng, 8), random_word(p, rng, 8)
+        comm = x * y * x.inverse() * y.inverse()
+        assert isinstance(total_signature(FibrationDescription(p, 1, (FiberGerm(comm),))), int)
 
 
-def test_sp4_parity_is_character(rng):
-    assert _sp4_parity(transvection(a_class(2, 1))) == 1
-    assert _sp4_parity(SymplecticMatrix.identity(2)) == 0
-    for _ in range(80):
-        x = random_symplectic(2, rng.randint(0, 10), rng.random())
-        y = random_symplectic(2, rng.randint(0, 10), rng.random())
-        assert _sp4_parity(x * y) == (_sp4_parity(x) + _sp4_parity(y)) % 2
-        assert _in_commutator_subgroup(x * y * x.inverse() * y.inverse())
+def test_positive_base_closedness_without_relators():
+    """With no relators H_1 is free abelian on the generators, so only a
+    zero exponent vector passes, even when the total exponent is 0."""
+    p = Presentation(1, ("a", "b"), (SymplecticMatrix([[1, 1], [0, 1]]),
+                                      SymplecticMatrix([[1, 0], [-1, 1]])), ())
+    for text, closed in (("", True), ("a b A B", True), ("a A b^2 B^2", True),
+                         ("a B", False), ("a", False), ("a^12", False)):
+        fd = FibrationDescription(p, 2, (FiberGerm(p.word(text)),))
+        if closed:
+            assert closed_total(fd, ()) == 0
+        else:
+            with pytest.raises(ValueError, match="not a product of commutators"):
+                closed_total(fd, ())
+    stray = FibrationDescription(p, 1, (FiberGerm(Word([(2, 1)])),))
+    with pytest.raises(ValueError, match="letter index 2 out of range"):
+        closed_total(stray, ())
 
 
 # ---------------------------------------------------------------------------
