@@ -108,10 +108,11 @@ def _cmd_phi(args) -> int:
 def _cmd_local_sig(args) -> int:
     fd = load_fibration(args.fibration, args.data)
     values = local_signatures(fd)
+    total = closed_total(fd, values)  # before any output, so a failed check prints nothing
     for k, (germ, value) in enumerate(zip(fd.germs, values)):
         label = germ.label or f"germ {k}"
         print(f"{label}: {_fmt(value)}")
-    print(f"total: {_fmt(closed_total(fd, values))}")
+    print(f"total: {_fmt(total)}")
     return 0
 
 

@@ -99,7 +99,7 @@ def v_space(a: SymplecticMatrix, b: SymplecticMatrix) -> VSpace:
     for r in range(n):
         rows[r][r] -= 1
         rows[r][n + r] -= 1
-    return VSpace(a.g, tuple(kernel_basis(rows, ncols=2 * n)))
+    return VSpace(a.g, tuple(kernel_basis(rows)))
 
 
 def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:

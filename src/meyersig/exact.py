@@ -1,12 +1,13 @@
 """Exact integer linear algebra: signatures of symmetric forms, kernels,
 determinants and single solutions of linear systems.
 
-Rational input is scaled to integers once, at the public entry: a form by
-one positive common denominator (a positive multiple of a form has the
-same inertia), a matrix by one per row (which keeps its kernel); rows
-that are all ints are taken as they are.  From there every step is
-fraction-free elimination over Python ints, in the style of Bareiss
-(1968).  :func:`determinant` and the one Gauss-Jordan pass that
+Input is integer.  The public entries, :class:`SymmetricForm` (and so
+:func:`signature`) and :func:`kernel_basis`, refuse any entry that is not
+an ``int`` (a Fraction, a float or a bool) with ValueError, since the
+fraction-free passes below would floor-divide it silently; the internal
+helpers :func:`determinant` and :func:`affine_point` trust their caller.
+Every step is fraction-free elimination over Python ints, in the style of
+Bareiss (1968).  :func:`determinant` and the one Gauss-Jordan pass that
 :func:`kernel_basis` and :func:`affine_point` share divide
 each new entry exactly by the previous pivot, which keeps every entry a
 minor of the input; only :func:`signature` divides each new block by its
@@ -21,10 +22,7 @@ which strands blocks in its tuple free lists and raises peak memory.
 """
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-Rational = int | Fraction
 
 
 class SignatureTriple(NamedTuple):
@@ -46,15 +44,16 @@ class SignatureTriple(NamedTuple):
 
 
 class SymmetricForm:
-    """A square rational matrix validated to be exactly symmetric.
+    """A square integer matrix validated to be exactly symmetric.
 
-    Integer entries are kept as ints; any other entry becomes a Fraction.
+    Every entry must be an int; any other entry, a bool included, raises
+    ValueError.
     """
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Sequence[Sequence[Rational]]):
-        rows = tuple([tuple([e if type(e) is int else Fraction(e) for e in r]) for r in entries])
+    def __init__(self, entries: Sequence[Sequence[int]]):
+        rows = _check_ints(tuple([tuple(r) for r in entries]))
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -75,7 +74,7 @@ class SymmetricForm:
         return len(self.entries)
 
     @classmethod
-    def diagonal(cls, values: Sequence[Rational]) -> "SymmetricForm":
+    def diagonal(cls, values: Sequence[int]) -> "SymmetricForm":
         n = len(values)
         return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -95,8 +94,11 @@ class SymmetricForm:
         return f"SymmetricForm({[list(r) for r in self.entries]!r})"
 
 
-def signature(form: SymmetricForm | Sequence[Sequence[Rational]]) -> SignatureTriple:
-    """Inertia (p, q, z) of a symmetric rational form by exact congruence.
+def signature(form: SymmetricForm | Sequence[Sequence[int]]) -> SignatureTriple:
+    """Inertia (p, q, z) of a symmetric integer form by exact congruence.
+
+    Rows that are not a :class:`SymmetricForm` are made into one first, so
+    a non-int entry or an asymmetric pair raises ValueError.
 
     Each step takes a nonzero diagonal pivot d, counts +1 or -1 by its
     sign, and replaces the trailing block by sign(d) * (d * a_rs - a_rd * a_ds),
@@ -108,8 +110,7 @@ def signature(form: SymmetricForm | Sequence[Sequence[Rational]]) -> SignatureTr
     """
     if not isinstance(form, SymmetricForm):
         form = SymmetricForm(form)
-    scale = _denominator(e for row in form.entries for e in row)
-    return _inertia([_times(row, scale) for row in form.entries])
+    return _inertia([list(row) for row in form.entries])
 
 
 def _inertia(a: list[list[int]]) -> SignatureTriple:
@@ -142,29 +143,23 @@ def _inertia(a: list[list[int]]) -> SignatureTriple:
     return SignatureTriple(pos, neg, dim - pos - neg)
 
 
-def kernel_basis(
-    rows: Sequence[Sequence[Rational]], ncols: int | None = None
-) -> list[tuple[int, ...]]:
+def kernel_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Basis of the right kernel {v : Mv = 0} as primitive integer vectors.
 
-    Each row is scaled to integers and one fraction-free Gauss-Jordan pass
+    M must have at least one row, all of one width, and int entries only;
+    anything else raises ValueError.  One fraction-free Gauss-Jordan pass
     (:func:`_gauss_jordan`) leaves the pivot columns reading d * I.  For a
     free column f the vector is d at f and -row[f] at the pivot column of
     each row, a multiple of the reduced echelon one; it is then divided by
     its content, with the first nonzero entry made positive, so the output
     is deterministic.  Returns [] when the kernel is trivial.
     """
-    mat = _integer_rows(rows)
-    if mat:
-        width = len(mat[0])
-        if any(len(row) != width for row in mat):
-            raise ValueError("ragged matrix")
-        if ncols is not None and ncols != width:
-            raise ValueError(f"ncols={ncols} but rows have {width} entries")
-    else:
-        if ncols is None:
-            raise ValueError("ncols is required for a matrix with no rows")
-        width = ncols
+    mat = _check_ints([list(row) for row in rows])
+    if not mat:
+        raise ValueError("kernel_basis needs a matrix with at least one row")
+    width = len(mat[0])
+    if any(len(row) != width for row in mat):
+        raise ValueError("ragged matrix")
     pivots, d = _gauss_jordan(mat, width)
     basis = []
     for f in range(width):
@@ -180,6 +175,8 @@ def kernel_basis(
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by Bareiss elimination.
+
+    Internal: the caller vouches that every entry is an int.
 
     Each step takes a row with a nonzero leading entry p as the pivot
     (a swap with the top row flips the sign) and replaces the trailing
@@ -214,6 +211,7 @@ def affine_point(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] |
     reading d * I, d the last pivot.  So t = d and x is minus the last
     column at the pivot columns, 0 at the free ones; a nonzero last entry
     in a row below the rank means M x = b has no rational solution.
+    Internal: the caller vouches that every entry is an int.
     """
     mat = [list(row) for row in rows]
     if not mat or any([len(row) != len(mat[0]) for row in mat]):
@@ -264,23 +262,13 @@ def _gauss_jordan(mat: list[list[int]], width: int) -> tuple[list[int], int]:
     return pivots, prev
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    """Each row as a list of ints, a row with a non-int entry scaled by
-    the lcm of its denominators (which keeps the kernel)."""
-    return [
-        list(row) if all([type(e) is int for e in row]) else _times(row, _denominator(row))
-        for row in rows
-    ]
-
-
-def _denominator(values) -> int:
-    """Lcm of the denominators of rational values."""
-    return math.lcm(*[1 if type(e) is int else Fraction(e).denominator for e in values])
-
-
-def _times(row, scale: int) -> list[int]:
-    """The row times scale, which must clear its denominators, as ints."""
-    return [e * scale if type(e) is int else int(Fraction(e) * scale) for e in row]
+def _check_ints(rows):
+    """The rows, unchanged, after checking that every entry is an int."""
+    for row in rows:
+        if not all([type(e) is int for e in row]):
+            bad = next(e for e in row if type(e) is not int)
+            raise ValueError(f"entries must be ints, got {bad!r}")
+    return rows
 
 
 def _primitive(vec: list[int]) -> tuple[int, ...]:

@@ -13,32 +13,29 @@ data file and every twist-value identity in this package is validated
 against.  Flipping the constant would invert all twists.
 """
 
-import math
 import random
 from functools import cache
 from operator import mul
 from typing import Sequence
 
+from .exact import _primitive
 from .matrix import IntMatrix, _trusted
 
 # Right-handed twist convention; see module docstring before touching this.
 TWIST_SIGN = 1
 
-_J_CACHE: dict[int, IntMatrix] = {}
 
-
+@cache
 def standard_j(g: int) -> IntMatrix:
     """The standard symplectic form J = [[0, I_g], [-I_g, 0]]."""
     if g < 1:
         raise ValueError(f"genus must be positive, got {g}")
-    if g not in _J_CACHE:
-        n = 2 * g
-        rows = [[0] * n for _ in range(n)]
-        for i in range(g):
-            rows[i][g + i] = 1
-            rows[g + i][i] = -1
-        _J_CACHE[g] = IntMatrix(rows)
-    return _J_CACHE[g]
+    n = 2 * g
+    rows = [[0] * n for _ in range(n)]
+    for i in range(g):
+        rows[i][g + i] = 1
+        rows[g + i][i] = -1
+    return IntMatrix(rows)
 
 
 def symplectic_pairing(u: Sequence[int], v: Sequence[int]) -> int:
@@ -173,11 +170,7 @@ def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
     col = next((j for j in range(n) if any(row[j] for row in d)), None)
     if col is None:
         return None
-    v = [row[col] for row in d]  # lam * (v^T J)_col times v
-    content = math.gcd(*v)
-    if next(e for e in v if e) < 0:
-        content = -content
-    v = tuple([e // content for e in v])
+    v = _primitive([row[col] for row in d])  # lam * (v^T J)_col times v
     vj = [-e for e in v[g:]] + list(v[:g])  # the row vector v^T J
     if not vj[col]:
         return None

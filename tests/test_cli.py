@@ -368,9 +368,18 @@ def test_local_sig_positive_base_closedness_is_checked_in_h1(capsys, tmp_path):
     path = tmp_path / "fib.json"
     path.write_text(json.dumps({"genus": 2, "base_genus": 1, "germs": [{"monodromy": "c1 c1"}]}))
     code, out, err = run_cli(capsys, "local-sig", "-f", str(path))
-    assert (code, out) == (1, "germ 0: 1/5\n")
+    assert (code, out) == (1, "")
     assert "closedness check failed" in err
     assert "not a product of commutators in the presented group" in err
+
+
+def test_local_sig_sphere_base_closedness_failure_prints_nothing(capsys, tmp_path):
+    # a b is not the identity in SL(2, Z), so the germs do not close up
+    path = _write_fibration(tmp_path / "open.json", 1, [{"monodromy": "a"}, {"monodromy": "b"}])
+    code, out, err = run_cli(capsys, "local-sig", "-f", path)
+    assert (code, out) == (1, "")
+    assert "closedness check failed" in err
+    assert "do not multiply to the identity over a sphere base" in err
 
 
 def test_local_sig_non_integer_field_is_parse_error(capsys, tmp_path):

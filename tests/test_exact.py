@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 from itertools import permutations
 
 import pytest
@@ -24,7 +26,7 @@ def test_signature_zero_form():
 
 def test_signature_diagonal_signs():
     assert signature(SymmetricForm.diagonal([2, -3])) == SignatureTriple(1, 1, 0)
-    assert signature(SymmetricForm.diagonal([Fraction(1, 7), -2, 0, 5])) == SignatureTriple(2, 1, 1)
+    assert signature(SymmetricForm.diagonal([7, -2, 0, 5])) == SignatureTriple(2, 1, 1)
 
 
 def test_signature_defect_form_example():
@@ -76,7 +78,7 @@ def _random_symmetric(rng, n, bound=6):
 
 
 def _random_unimodular(rng, n, steps=12):
-    m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
@@ -116,15 +118,32 @@ def test_kernel_basis_examples():
     assert kernel_basis([[1, 1]]) == [(1, -1)]
 
 
-def test_kernel_basis_clears_denominators():
-    basis = kernel_basis([[Fraction(1, 2), Fraction(1, 3)]])
-    assert basis == [(2, -3)]
+@pytest.mark.parametrize(
+    "entry",
+    [Fraction(1, 2), Fraction(4, 2), 0.5, 2.0, True, False],
+    ids=["Fraction", "whole-Fraction", "float", "whole-float", "True", "False"],
+)
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda e: kernel_basis([[1, e], [0, 1]]),
+        lambda e: signature([[e, 0], [0, 1]]),
+        lambda e: SymmetricForm([[1, e], [e, 1]]),
+    ],
+    ids=["kernel_basis", "signature", "SymmetricForm"],
+)
+def test_non_int_entries_refused(entry_point, entry):
+    # a Fraction would floor-divide silently inside the fraction-free passes;
+    # Fraction(4, 2) and 2.0 equal an int and are refused all the same
+    with pytest.raises(ValueError, match="entries must be ints"):
+        entry_point(entry)
 
 
-def test_kernel_basis_no_rows_needs_ncols():
-    assert kernel_basis([], ncols=2) == [(1, 0), (0, 1)]
-    with pytest.raises(ValueError):
+def test_kernel_basis_refuses_empty_and_ragged():
+    with pytest.raises(ValueError, match="at least one row"):
         kernel_basis([])
+    with pytest.raises(ValueError, match="ragged"):
+        kernel_basis([[1, 2], [3]])
 
 
 def _rref_kernel(rows, ncols):
@@ -159,30 +178,23 @@ def _rref_kernel(rows, ncols):
 
 def test_kernel_basis_and_rank_against_fraction_rref():
     """kernel_basis equals the primitive reduced echelon basis exactly, in
-    order, which pins the rank as width - len(basis), on random integer and
-    rational matrices of up to 6 x 12, of every rank, with entries of up to
-    13 digits."""
+    order, which pins the rank as width - len(basis), on random integer
+    matrices of up to 6 x 12, of every rank, with entries of up to 13
+    digits."""
     rng = random.Random(71)
-    seen = {"zero": 0, "no rows": 0, "rank-deficient": 0, "rational": 0, "big": 0}
+    seen = {"zero": 0, "rank-deficient": 0, "big": 0}
     for _ in range(500):
-        n, m = rng.randint(0, 6), rng.randint(1, 12)
+        n, m = rng.randint(1, 6), rng.randint(1, 12)
         k = rng.choice((min(n, m), rng.randint(0, min(n, m))))  # the rank, at most
         bound = rng.choice((3, 10**12))
         left = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(n)]
-        rational = rng.random() < 0.4
-        right = [
-            [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if rational
-             else rng.choice((0, rng.randint(-3, 3))) for _ in range(m)]
-            for _ in range(k)
-        ]
+        right = [[rng.choice((0, rng.randint(-3, 3))) for _ in range(m)] for _ in range(k)]
         rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k
                 else [0] * m for row in left]
         basis, r = _rref_kernel(rows, m)
-        assert kernel_basis(rows, ncols=m) == basis, rows
-        seen["zero"] += n > 0 and not any(map(any, rows))
-        seen["no rows"] += n == 0
+        assert kernel_basis(rows) == basis, rows
+        seen["zero"] += not any(map(any, rows))
         seen["rank-deficient"] += 0 < r < min(n, m)
-        seen["rational"] += any(type(e) is Fraction and e.denominator > 1 for row in rows for e in row)
         seen["big"] += any(abs(e) >= 10**9 for row in rows for e in row)
     assert all(seen.values()), seen
 
@@ -385,3 +397,15 @@ def test_affine_point_against_the_kernel():
         seen["zero"] += not any(map(any, mat))
         seen["rank-deficient"] += _rref_kernel(mat, len(mat[0]))[1] < min(n, m)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("module", ["exact", "cocycle", "symplectic", "matrix"])
+def test_integer_core_imports_no_fractions(module):
+    """The cocycle, its kernels and signatures run on ints alone: none of
+    these modules imports fractions, directly or by name."""
+    source = resources.files("meyersig").joinpath(f"{module}.py").read_text()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != "fractions" for alias in node.names), module
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "fractions", module
