@@ -136,12 +136,12 @@ def closed_total(fd: FibrationDescription, local_values) -> int:
     commutator length is not decided, so this checks only that the
     product is trivial in the abelianization of fd's presented group:
     its summed exponent vector lies in the relators' exponent lattice.
+    The sphere check is one :func:`evaluate_word` walk over the germ
+    words' letters in order.
     """
     if fd.base_genus == 0:
-        product = SymplecticMatrix.identity(fd.genus)
-        for germ in fd.germs:
-            product = product * evaluate_word(germ.monodromy, fd.presentation)
-        if product != SymplecticMatrix.identity(fd.genus):
+        letters = [letter for germ in fd.germs for letter in germ.monodromy.letters]
+        if evaluate_word(Word(letters), fd.presentation) != SymplecticMatrix.identity(fd.genus):
             raise ValueError(
                 "closedness check failed: germ monodromies do not multiply "
                 "to the identity over a sphere base"
@@ -360,7 +360,10 @@ def load_fibration(source, data_dir=None) -> FibrationDescription:
     """Load a fibration description from a dict, JSON string, or file path.
 
     Germs are read against the genus's presentation and Kodaira table, the
-    shipped ones or those in ``data_dir``, each read at most once."""
+    shipped ones or those in ``data_dir``, each read at most once.  The
+    germ words together count as one word for :func:`check_word_length`:
+    more than MAX_WORD_LETTERS letters in all raise ValueError while the
+    germs are read, before any Meyer function or closedness walk."""
     data = read_json(source, "fibration")
     try:
         genus = json_int(data["genus"], "genus")
@@ -380,5 +383,9 @@ def load_fibration(source, data_dir=None) -> FibrationDescription:
         if p.genus != genus:
             raise ParseError(f"{path} holds a genus-{p.genus} presentation, not genus {genus}")
         kodaira_table = cache(lambda: _read_kodaira_table(Path(data_dir) / _KODAIRA_FILE))
-    parsed = tuple(germ_from_dict(g, p, kodaira_table) for g in germs)
-    return FibrationDescription(p, base_genus, parsed)
+    parsed, letters = [], 0
+    for g in germs:
+        parsed.append(germ_from_dict(g, p, kodaira_table))
+        letters += len(parsed[-1].monodromy)
+        check_word_length(letters)  # the germ words together count as one word
+    return FibrationDescription(p, base_genus, tuple(parsed))

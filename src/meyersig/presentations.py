@@ -19,14 +19,22 @@ is a well-defined (1/n)Z-valued function on G whose coboundary is z.
 When every generator is conjugate to every other (the Artin situation:
 braid and commutation relations connect them, as in the shipped genus-1
 and genus-2 presentations), all m_i come out equal to a single m and phi
-is -c plus (m/n) times the total exponent.  The file also holds the
-shipped presentation data for genus 1 and 2 and the JSON reader that
-every data file goes through.
+is -c plus (m/n) times the total exponent.
+
+Words are evaluated by one prefix walk over plain integer rows, in which
+a letter whose matrix is a Dehn-twist power is a rank-1 row update:
+:func:`evaluate_word` carries the product alone, and :func:`_walk` also
+carries c.  A :class:`Presentation` walks each relator once, when it is
+built, checking that it maps to the identity and keeping c(r_j), so
+:func:`class_order` walks no word.  The file also holds the shipped
+presentation data for genus 1 and 2 and the JSON reader that every data
+file goes through; the relators of a file together are capped like one
+word.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -164,12 +172,20 @@ def format_word(word: Word, generator_names: Sequence[str]) -> str:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators with symplectic images, plus relators mapping to the identity."""
+    """Generators with symplectic images, plus relators mapping to the identity.
+
+    Construction walks each relator once (:func:`_walk`): the image must
+    be the identity, and the cochain value c(r_j) read off the same walk
+    is kept in ``_relator_values``, in relator order, for
+    :func:`class_order`.  It is no compare field, so equality and hashing
+    see only the four data fields.
+    """
 
     genus: int
     generator_names: tuple[str, ...]
     matrices: tuple[SymplecticMatrix, ...]
     relators: tuple[Word, ...]
+    _relator_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = self.generator_names
@@ -183,13 +199,16 @@ class Presentation:
         for name, m in zip(names, self.matrices):
             if m.g != self.genus:
                 raise ValueError(f"matrix for {name!r} has genus {m.g}, not {self.genus}")
-        ident = SymplecticMatrix.identity(self.genus)
+        ident = IntMatrix.identity(2 * self.genus).rows
+        values = []
         for k, rel in enumerate(self.relators):
-            image = evaluate_word(rel, self)
+            c, image = _walk(rel, self)
             if image != ident:
                 raise ValueError(
                     f"relator {k} ({format_word(rel, names)!r}) does not map to the identity"
                 )
+            values.append(c)
+        object.__setattr__(self, "_relator_values", tuple(values))
 
     @cached_property
     def _inverses(self) -> tuple[SymplecticMatrix, ...]:
@@ -220,17 +239,30 @@ class Presentation:
 
 
 def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
-    """Product of generator matrices in word order; the empty word gives I."""
-    result = SymplecticMatrix.identity(p.genus)
+    """Product of generator matrices in word order; the empty word gives I.
+
+    The prefix is carried as plain integer rows: a twist-power letter
+    T_v^lam multiplies in as the rank-1 update P + lam (P v)(v^T J), any
+    other letter as the full product, and the rows are wrapped as a matrix
+    once, at the end.
+    """
+    prefix = IntMatrix.identity(2 * p.genus).rows
+    twists = p._twists
     for i, s in w.letters:
         if i >= len(p.matrices):
             raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators")
-        result = result * (p.matrices[i] if s > 0 else p._inverses[i])
-    return result
+        twist = twists[i, s]
+        if twist is None:
+            step = p.matrices[i] if s > 0 else p._inverses[i]
+            prefix = (_trusted(prefix) * step.mat).rows
+        else:
+            prefix = _times_twist(prefix, *twist)
+    return _wrap(p.genus, _trusted(prefix))
 
 
-def cochain_c(w: Word, p: Presentation) -> int:
-    """c(w): the signature cocycle summed along the prefixes of w.
+def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
+    """(c(w), the rows of the image of w): the signature cocycle summed
+    along the prefixes of w, and the last prefix.
 
     The prefix P is carried as its plain integer rows, with the sign d of
     det(P - I), one determinant per new prefix.  A letter whose matrix is
@@ -265,7 +297,13 @@ def cochain_c(w: Word, p: Presentation) -> int:
         else:
             total += tau_twist(_wrap(g, _trusted(prefix)), v, lam)
         prefix, d = new, new_d
-    return total
+    return total, prefix
+
+
+def cochain_c(w: Word, p: Presentation) -> int:
+    """c(w): the signature cocycle summed along the prefixes of w, by the
+    one prefix walk of :func:`_walk`."""
+    return _walk(w, p)[0]
 
 
 def exponent_sum(w: Word, i: int) -> int:
@@ -307,12 +345,12 @@ def class_order(p: Presentation) -> ClassOrder | Unbounded:
     """Smallest n >= 1 killing the cocycle class, or UNBOUNDED.
 
     Solves n*c(r_j) = sum_i m_i * exp_i(r_j) over the relator exponent
-    lattice.  Returns n=1 with all m_i = 0 when c vanishes on every
-    relator.
+    lattice, with the values c(r_j) that construction of p read off its
+    relator walks, so no word is walked here.  Returns n=1 with all
+    m_i = 0 when c vanishes on every relator.
     """
-    cs = [cochain_c(r, p) for r in p.relators]
     rows = [[exponent_sum(r, i) for i in range(p.generator_count)] for r in p.relators]
-    return _lattice_order(rows, cs, p.generator_count)
+    return _lattice_order(rows, list(p._relator_values), p.generator_count)
 
 
 def _lattice_order(rows: list[list[int]], cs: list[int], ngens: int) -> ClassOrder | Unbounded:
@@ -460,7 +498,12 @@ def dump_presentation(p: Presentation) -> str:
 
 
 def load_presentation(source) -> Presentation:
-    """Load from a dict, a JSON string, or a file path."""
+    """Load from a dict, a JSON string, or a file path.
+
+    The relators together count as one word for :func:`check_word_length`:
+    more than MAX_WORD_LETTERS letters in all raise ValueError before any
+    relator is walked.
+    """
     data = read_json(source, "presentation")
     try:
         genus = json_int(data["genus"], "genus")
@@ -481,7 +524,11 @@ def load_presentation(source) -> Presentation:
             mats.append(SymplecticMatrix(m, genus))
         except ValueError as exc:
             raise ParseError(f"matrix for {name!r}: {exc}") from None
-    words = [parse_word(text, generators) for text in relators]
+    words, letters = [], 0
+    for text in relators:
+        words.append(parse_word(text, generators))
+        letters += len(words[-1])
+        check_word_length(letters)  # the relators together count as one word
     try:
         return Presentation(genus, tuple(generators), tuple(mats), tuple(words))
     except ValueError as exc:

@@ -157,6 +157,33 @@ def test_phi_word_length_cap(capsys, monkeypatch, data_dir):
     assert synthesize.call_count == 0
 
 
+# 20 relators or germs of 10 000 letters each: only the total is over the cap
+LONG_WORDS = ["a^5000 A^5000"] * 20
+TOO_LONG = "error: word is too long: meyersig caps words at 10000 letters\n"
+
+
+def test_order_caps_the_letters_of_all_relators(capsys, count_calls, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "genus": 1,
+        "generators": ["a", "b"],
+        "matrices": {"a": "1,1;0,1", "b": "1,0;-1,1"},
+        "relators": LONG_WORDS,
+    }))
+    walk = count_calls(presentations, "_walk")
+    assert run_cli(capsys, "order", "-p", str(path)) == (1, "", TOO_LONG)
+    assert walk.call_count == 0
+
+
+def test_local_sig_caps_the_letters_of_all_germs(capsys, count_calls, tmp_path):
+    path = _write_fibration(tmp_path / "long.json", 1, [{"monodromy": w} for w in LONG_WORDS])
+    presentations.shipped_presentation(1)  # built, and its relators walked, once per process
+    walk = count_calls(presentations, "_walk")
+    evaluate = count_calls(presentations, "evaluate_word")
+    assert run_cli(capsys, "local-sig", "-f", path) == (1, "", TOO_LONG)
+    assert (walk.call_count, evaluate.call_count) == (0, 0)
+
+
 def test_local_sig(capsys, tmp_path):
     germs = []
     for k in range(6):

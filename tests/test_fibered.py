@@ -160,6 +160,24 @@ def test_closedness_failure_over_sphere(sl2z):
         total_signature(fd)
 
 
+def test_closedness_over_sphere_walks_the_germs_in_order(genus2):
+    # the check is one walk over every germ letter, so the germs' order
+    # counts: x, y, x^-1, y^-1 need not close up, x, x^-1, y, y^-1 does
+    message = (
+        "closedness check failed: germ monodromies do not multiply "
+        "to the identity over a sphere base"
+    )
+    x, y = genus2.word("c1 c2"), genus2.word("c3 c4^-1")
+    closed = (x, x.inverse(), y, y.inverse())
+    fd = FibrationDescription(genus2, 0, tuple(FiberGerm(w, 0) for w in closed))
+    assert total_signature(fd) == 0
+    for germs in ((x, y, x.inverse(), y.inverse()), closed[:3]):
+        fd = FibrationDescription(genus2, 0, tuple(FiberGerm(w, 0) for w in germs))
+        with pytest.raises(ValueError) as info:
+            total_signature(fd)
+        assert str(info.value) == message
+
+
 def test_closedness_over_torus_accepts_commutators(rng, sl2z):
     x = random_word(sl2z, rng, max_len=8)
     y = random_word(sl2z, rng, max_len=8)
@@ -404,6 +422,19 @@ def test_load_fibration_word_monodromies(genus2):
     assert fd.germs[0].neighborhood_signature == 1
     assert fd.germs[1].neighborhood_signature == 0
     assert total_signature(fd) == 1  # phi values cancel, neighborhoods remain
+
+
+def test_load_fibration_caps_the_letters_of_all_germs():
+    # the germ words count as one word: 10 000 letters in all load, one
+    # more is refused (a ValueError, exit 1, not a parse error)
+    def fibration(words):
+        return {"genus": 1, "base_genus": 0, "germs": [{"monodromy": w} for w in words]}
+
+    fd = load_fibration(fibration(["a^4000", "b^-5999", "A"]))
+    assert sum(len(germ.monodromy) for germ in fd.germs) == 10_000
+    with pytest.raises(ValueError, match="caps words at 10000 letters") as info:
+        load_fibration(fibration(["a^4000", "b^-5999", "A B"]))
+    assert not isinstance(info.value, ParseError)
 
 
 def test_load_fibration_errors(tmp_path):
