@@ -40,7 +40,6 @@ from .presentations import (
     cochain_c,
     dump_presentation,
     evaluate_word,
-    exponent_sum,
     format_word,
     load_presentation,
     parse_word,

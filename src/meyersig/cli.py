@@ -7,6 +7,7 @@ import argparse
 import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 from . import selftest
 from .cocycle import tau_sp
@@ -195,16 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_rademacher)
 
     s = sub.add_parser("order", help="order of the signature class of a presentation")
-    s.add_argument("-p", dest="presentation", required=True, metavar="FILE")
+    s.add_argument("-p", dest="presentation", required=True, metavar="FILE", type=Path)
     s.set_defaults(func=_cmd_order)
 
     s = sub.add_parser("phi", help="synthesized Meyer function on a word")
-    s.add_argument("-p", dest="presentation", required=True, metavar="FILE")
+    s.add_argument("-p", dest="presentation", required=True, metavar="FILE", type=Path)
     s.add_argument("word")
     s.set_defaults(func=_cmd_phi)
 
     s = sub.add_parser("local-sig", help="local signatures and total of a fibration file")
-    s.add_argument("-f", dest="fibration", required=True, metavar="FILE")
+    s.add_argument("-f", dest="fibration", required=True, metavar="FILE", type=Path)
     s.set_defaults(func=_cmd_local_sig)
 
     s = sub.add_parser("euler", help="Euler number of a fibered 4-manifold")

@@ -1,20 +1,22 @@
 """Exact integer linear algebra: signatures of symmetric forms, kernels,
-determinants and single solutions of linear systems.
+determinants, single solutions of linear systems, and the order of a
+vector modulo an integer lattice.
 
 Input is integer.  The public entries, :class:`SymmetricForm` (and so
 :func:`signature`) and :func:`kernel_basis`, refuse any entry that is not
 an ``int`` (a Fraction, a float or a bool) with ValueError, since the
 fraction-free passes below would floor-divide it silently; the internal
-helpers :func:`determinant` and :func:`affine_point` trust their caller.
-Every step is fraction-free elimination over Python ints, in the style of
-Bareiss (1968).  :func:`determinant` and the one Gauss-Jordan pass that
-:func:`kernel_basis` and :func:`affine_point` share divide
-each new entry exactly by the previous pivot, which keeps every entry a
-minor of the input; only :func:`signature` divides each new block by its
-content, the gcd of its entries.  No floating point appears anywhere in
-this package.  The signature is read off by congruence diagonalization
-rather than from eigenvalues, which is what makes an exact answer
-possible.
+helpers :func:`determinant`, :func:`affine_point` and :func:`lattice_order`
+trust their caller.  Every step is fraction-free elimination over Python
+ints, in the style of Bareiss (1968).  :func:`determinant` and the one
+Gauss-Jordan pass that :func:`kernel_basis` and :func:`affine_point` share
+divide each new entry exactly by the previous pivot, which keeps every
+entry a minor of the input; :func:`signature` divides each new block by
+its content, the gcd of its entries; :func:`lattice_order` scales its
+residual by just enough to divide exactly.  No floating point appears
+anywhere in this package.  The signature is read off by congruence
+diagonalization rather than from eigenvalues, which is what makes an
+exact answer possible.
 
 Tuples and star-arguments here are built from lists, not generators:
 CPython sizes a tuple drawn from a generator by a guess and a resize,
@@ -224,6 +226,48 @@ def affine_point(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] |
     for row, c in zip(mat, pivots):
         x[c] = -row[m]
     return tuple(x), d
+
+
+def lattice_order(columns: Sequence[Sequence[int]], target: Sequence[int]) -> tuple | None:
+    """(n, m) for the least n >= 1 with n * target = sum_j m_j * columns[j]
+    over integers m, or None when no multiple of target is in their lattice.
+
+    Each column carries its unit vector below it, so the Euclid column
+    steps to echelon form record the transform in the tails.  Subtracting
+    the echelon columns from (target, 0) after scaling the residual by
+    |p| / gcd(p, residual[row]) at each pivot p leaves minus m in the tail;
+    the scale factors multiply to n, the lcm of the denominators of
+    target's echelon coordinates.  A nonzero head means no solution.
+    Internal: the caller vouches for ints and columns of len(target).
+    """
+    height, k = len(target), len(columns)
+    cols = [[*col, *[int(i == j) for i in range(k)]] for j, col in enumerate(columns)]
+    pivot_rows: list[int] = []
+    for row in range(height):
+        r = len(pivot_rows)
+        while len(nz := [j for j in range(r, k) if cols[j][row]]) > 1:
+            jmin = min(nz, key=lambda j: abs(cols[j][row]))
+            for j in nz:
+                if j != jmin:
+                    q = cols[j][row] // cols[jmin][row]
+                    cols[j] = [e - q * b for e, b in zip(cols[j], cols[jmin])]
+        if nz:
+            cols[r], cols[nz[0]] = cols[nz[0]], cols[r]
+            pivot_rows.append(row)
+    residual, n = [*target, *[0] * k], 1
+    for col, row in zip(cols, pivot_rows):
+        p = col[row]
+        f = abs(p) // math.gcd(p, residual[row])
+        q = f * residual[row] // p
+        residual = [f * e - q * c for e, c in zip(residual, col)]
+        n *= f
+    if any(residual[:height]):
+        return None
+    m = tuple([-e for e in residual[height:]])
+    for i, t in enumerate(target):
+        if n * t != sum([m_j * col[i] for m_j, col in zip(m, columns)]):
+            raise ArithmeticError("lattice solution fails the relator system")
+    return n, m
 
 
 def _gauss_jordan(mat: list[list[int]], width: int) -> tuple[list[int], int]:

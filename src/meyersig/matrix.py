@@ -158,11 +158,7 @@ def parse_matrix(text: str) -> IntMatrix:
     if not stripped:
         raise ParseError("empty matrix text")
     if stripped.startswith("["):
-        try:
-            data = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON matrix at offset {exc.pos}: {exc.msg}") from exc
-        return matrix_from_json(data)
+        return matrix_from_json(_decode_json(stripped, "JSON matrix"))
     rows = []
     for i, row_text in enumerate(stripped.split(";")):
         row = []
@@ -177,6 +173,17 @@ def parse_matrix(text: str) -> IntMatrix:
         return IntMatrix(rows)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+def _decode_json(text: str, what: str):
+    """The value JSON ``text`` spells; malformed JSON, or JSON nested too
+    deeply to decode, is a ParseError naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad {what} at offset {exc.pos}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"bad {what}: nested too deeply") from None
 
 
 def matrix_from_json(data) -> IntMatrix:

@@ -11,7 +11,8 @@ which turns the order of the cocycle's cohomology class into integer
 linear algebra over the relators: n[z] = 0 exactly when the system
 n*c(r_j) = sum_i m_i * exp_i(r_j) has an integer solution, where exp_i
 counts the total exponent of generator i.  Every presentation gets its
-order from the lattice of the relators' exponent vectors, and then
+order from the lattice of the relators' exponent vectors, solved on
+ints alone by :func:`meyersig.exact.lattice_order`, and then
 
     phi(pi(x)) = -c(x) + (1/n) * sum_i m_i * exp_i(x)
 
@@ -33,7 +34,6 @@ word.
 """
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -43,7 +43,10 @@ from typing import Iterable, Sequence
 
 from .cocycle import _sign_det_minus_identity, tau_sp, tau_twist
 from .errors import InfiniteOrderError, ParseError
-from .matrix import IntMatrix, _trusted, format_matrix, matrix_from_json, parse_int, parse_matrix
+from .exact import lattice_order
+from .matrix import (
+    IntMatrix, _decode_json, _trusted, format_matrix, matrix_from_json, parse_int, parse_matrix
+)
 from .symplectic import SymplecticMatrix, _times_twist, _wrap, twist_of
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
@@ -189,6 +192,8 @@ class Presentation:
 
     def __post_init__(self):
         names = self.generator_names
+        if not names:  # no matrix would pin the genus that sizes the identity below
+            raise ValueError("a presentation needs at least one generator")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
         for name in names:
@@ -306,11 +311,6 @@ def cochain_c(w: Word, p: Presentation) -> int:
     return _walk(w, p)[0]
 
 
-def exponent_sum(w: Word, i: int) -> int:
-    """Signed count of occurrences of generator i in w."""
-    return sum(s for j, s in w.letters if j == i)
-
-
 def _exponent_vector(words: Iterable[Word], ngens: int) -> list[int]:
     """The exponent sum of each of ngens generators over all of ``words``."""
     counts = [0] * ngens
@@ -345,76 +345,24 @@ def class_order(p: Presentation) -> ClassOrder | Unbounded:
     """Smallest n >= 1 killing the cocycle class, or UNBOUNDED.
 
     Solves n*c(r_j) = sum_i m_i * exp_i(r_j) over the relator exponent
-    lattice, with the values c(r_j) that construction of p read off its
-    relator walks, so no word is walked here.  Returns n=1 with all
-    m_i = 0 when c vanishes on every relator.
+    lattice (:func:`meyersig.exact.lattice_order`), with the values c(r_j)
+    that construction of p read off its relator walks, so no word is
+    walked here.  Returns n=1 with all m_i = 0 when c vanishes on every
+    relator.
     """
-    rows = [[exponent_sum(r, i) for i in range(p.generator_count)] for r in p.relators]
-    return _lattice_order(rows, list(p._relator_values), p.generator_count)
-
-
-def _lattice_order(rows: list[list[int]], cs: list[int], ngens: int) -> ClassOrder | Unbounded:
-    """Minimal n >= 1 with n*cs in the column lattice of ``rows``.
-
-    Column-reduces the exponent matrix over Z (tracking the unimodular
-    transform), solves for the unique rational coordinates of cs in the
-    resulting lattice basis, and clears denominators.  No rational
-    solution at all means the class survives rationally: UNBOUNDED.
-    """
-    nrel = len(rows)
-    cols = [[rows[r][j] for r in range(nrel)] for j in range(ngens)]
-    trans = [[int(i == j) for i in range(ngens)] for j in range(ngens)]
-    pivot_rows: list[int] = []
-    npiv = 0
-    for row in range(nrel):
-        while True:
-            nz = [j for j in range(npiv, ngens) if cols[j][row] != 0]
-            if len(nz) <= 1:
-                break
-            jmin = min(nz, key=lambda j: abs(cols[j][row]))
-            for j in nz:
-                if j == jmin:
-                    continue
-                q = cols[j][row] // cols[jmin][row]
-                if q:
-                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[jmin])]
-                    trans[j] = [x - q * y for x, y in zip(trans[j], trans[jmin])]
-        nz = [j for j in range(npiv, ngens) if cols[j][row] != 0]
-        if nz:
-            j = nz[0]
-            cols[npiv], cols[j] = cols[j], cols[npiv]
-            trans[npiv], trans[j] = trans[j], trans[npiv]
-            pivot_rows.append(row)
-            npiv += 1
-    residual = [Fraction(c) for c in cs]
-    coords: list[Fraction] = []
-    for idx, prow in enumerate(pivot_rows):
-        y = residual[prow] / cols[idx][prow]
-        coords.append(y)
-        if y:
-            residual = [t - y * e for t, e in zip(residual, cols[idx])]
-    if any(residual):
-        return UNBOUNDED
-    n = math.lcm(*(y.denominator for y in coords)) if coords else 1
-    scaled = [int(y * n) for y in coords]
-    coefficients = [
-        sum(scaled[idx] * trans[idx][i] for idx in range(npiv)) for i in range(ngens)
-    ]
-    if any(
-        n * c_j != sum(coefficients[i] * rows[j][i] for i in range(ngens))
-        for j, c_j in enumerate(cs)
-    ):
-        raise ArithmeticError("lattice solution fails the relator system")
-    return ClassOrder(n, tuple(coefficients))
+    vectors = [_exponent_vector([r], p.generator_count) for r in p.relators]
+    columns = [[v[i] for v in vectors] for i in range(p.generator_count)]
+    order = lattice_order(columns, p._relator_values)
+    return UNBOUNDED if order is None else ClassOrder(*order)
 
 
 def _abelianizes_to_zero(p: Presentation, words: Iterable[Word]) -> bool:
     """Whether the product of ``words`` is trivial in the abelianization
     of the presented group: their summed exponent vector is an integer
     combination of the relators' exponent vectors."""
-    columns = [[exponent_sum(r, i) for r in p.relators] for i in range(p.generator_count)]
-    order = _lattice_order(columns, _exponent_vector(words, p.generator_count), len(p.relators))
-    return isinstance(order, ClassOrder) and order.n == 1
+    columns = [_exponent_vector([r], p.generator_count) for r in p.relators]
+    order = lattice_order(columns, _exponent_vector(words, p.generator_count))
+    return order is not None and order[0] == 1
 
 
 class SynthesizedMeyerFunction:
@@ -454,19 +402,18 @@ def synthesize_meyer(p: Presentation) -> SynthesizedMeyerFunction:
 
 
 def read_json(source, what: str):
-    """The JSON object in a dict, a JSON string, or a file path; malformed
-    JSON is a ParseError naming ``what`` and the offset, and so is JSON
-    that is not an object."""
+    """The JSON object in a dict, a JSON string, or a file path; a str
+    that starts with '{' or '[' is JSON text, a :class:`~pathlib.Path` is
+    always a file.  Malformed JSON is a ParseError naming ``what`` and the
+    offset, and so is JSON nested too deeply to decode or JSON that is not
+    an object."""
     if isinstance(source, dict):
         return source
     if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         text = source
     else:
         text = Path(source).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad {what} JSON at offset {exc.pos}: {exc.msg}") from None
+    data = _decode_json(text, f"{what} JSON")
     if not isinstance(data, dict):
         raise ParseError(f"{what} JSON must be an object, got {type(data).__name__}")
     return data

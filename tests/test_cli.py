@@ -364,6 +364,55 @@ def test_data_file_that_is_not_an_object_is_parse_error(capsys, tmp_path, comman
     assert (code, out, err) == (2, "", f"parse error: {what} JSON must be an object, got list\n")
 
 
+DEEP = "[" * 3000 + "]" * 3000  # past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("source", ["tau", "presentation", "fibration", "kodaira"])
+def test_deeply_nested_json_is_parse_error(capsys, data_dir, tmp_path, source):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    argv = {
+        "tau": ["tau", DEEP, "1,0;0,1"],
+        "presentation": ["order", "-p", str(path)],
+        "fibration": ["local-sig", "-f", str(path)],
+        "kodaira": [
+            "--data", _genus1_data_dir(tmp_path, data_dir, DEEP), "local-sig",
+            "-f", _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "kodaira:I_1"}]),
+        ],
+    }[source]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("genus", [100_000, 0])
+def test_presentation_without_generators_is_refused_at_once(capsys, tmp_path, genus):
+    # no matrix pins the genus, so nothing may be sized by it
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"genus": genus, "generators": [], "matrices": {}, "relators": []}))
+    (result, seconds) = _timed_cli(capsys, "order", "-p", str(path))
+    assert result == (2, "", "parse error: a presentation needs at least one generator\n")
+    assert seconds < 2
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [("order", "3\n"), ("phi", "4/3\n"), ("local-sig", CHAIN_OUT)],
+    ids=["order", "phi", "local-sig"],
+)
+def test_file_name_that_looks_like_json_is_read_as_a_file(
+    capsys, monkeypatch, data_dir, tmp_path, command, expected
+):
+    monkeypatch.chdir(tmp_path)  # a relative name starts with the bracket
+    if command == "local-sig":
+        _write_fibration(tmp_path / "{b}.json", 2, CHAIN_GERMS)
+        argv = ["-f", "{b}.json"]
+    else:
+        (tmp_path / "[a].json").write_text((data_dir / "sl2z.json").read_text())
+        argv = ["-p", "[a].json"] + (["a b"] if command == "phi" else [])
+    assert run_cli(capsys, command, *argv) == (0, expected, "")
+
+
 @pytest.mark.parametrize("label", [None, 5, ["u"]])
 def test_local_sig_non_string_label_is_parse_error(capsys, tmp_path, label):
     path = _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "a", "label": label}])

@@ -15,6 +15,7 @@ from meyersig.exact import (
     affine_point,
     determinant,
     kernel_basis,
+    lattice_order,
     signature,
 )
 from meyersig.symplectic import random_symplectic
@@ -396,6 +397,77 @@ def test_affine_point_against_the_kernel():
         seen["square"] += n == m
         seen["zero"] += not any(map(any, mat))
         seen["rank-deficient"] += _rref_kernel(mat, len(mat[0]))[1] < min(n, m)
+    assert all(seen.values()), seen
+
+
+def _fraction_lattice_order(columns, target):
+    """Oracle for lattice_order: Euclid column steps with a separate
+    unimodular transform, Fraction coordinates of target in the echelon
+    basis, and n the lcm of their denominators."""
+    height, k = len(target), len(columns)
+    cols = [list(col) for col in columns]
+    trans = [[int(i == j) for i in range(k)] for j in range(k)]
+    pivot_rows = []
+    for row in range(height):
+        while True:
+            nz = [j for j in range(len(pivot_rows), k) if cols[j][row]]
+            if len(nz) <= 1:
+                break
+            jmin = min(nz, key=lambda j: abs(cols[j][row]))
+            for j in nz:
+                if j != jmin:
+                    q = cols[j][row] // cols[jmin][row]
+                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[jmin])]
+                    trans[j] = [x - q * y for x, y in zip(trans[j], trans[jmin])]
+        if nz:
+            npiv, j = len(pivot_rows), nz[0]
+            cols[npiv], cols[j] = cols[j], cols[npiv]
+            trans[npiv], trans[j] = trans[j], trans[npiv]
+            pivot_rows.append(row)
+    residual = [Fraction(t) for t in target]
+    coords = []
+    for col, row in zip(cols, pivot_rows):
+        y = residual[row] / col[row]
+        coords.append(y)
+        residual = [t - y * e for t, e in zip(residual, col)]
+    if any(residual):
+        return None
+    n = math.lcm(*[y.denominator for y in coords]) if coords else 1
+    scaled = [int(y * n) for y in coords]
+    return n, tuple([sum([s * t[i] for s, t in zip(scaled, trans)]) for i in range(k)])
+
+
+def test_lattice_order_examples():
+    # the genus-1 presentation: relators a b a B A B and (a b)^6, c = (0, 8)
+    assert lattice_order([[1, 6], [-1, 6]], [0, 8]) == (3, (2, 2))
+    assert lattice_order([[0], [0]], [1]) is None  # zero exponents, c != 0
+    assert lattice_order([[]], []) == (1, (0,))  # no relators
+    assert lattice_order([], [0, 0]) == (1, ())
+    assert lattice_order([], [0, 1]) is None
+    assert lattice_order([[2, 0], [0, 3]], [1, 1]) == (6, (3, 2))
+
+
+def test_lattice_order_against_the_fraction_oracle():
+    """The same (n, m) or None as the Fraction-and-transform solver on
+    5000 random systems of up to 4 columns of up to 4 entries."""
+    rng = random.Random(61)
+    seen = dict.fromkeys(
+        ["no columns", "no rows", "zero column", "unsolvable", "n > 1", "entries 10^6"], 0
+    )
+    for _ in range(5000):
+        k, height = rng.randint(0, 4), rng.randint(0, 4)
+        bound = rng.choice((2, 5, 10**6))
+        entry = lambda: rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+        columns = [[entry() for _ in range(height)] for _ in range(k)]
+        target = [rng.randint(-bound, bound) for _ in range(height)]
+        expected = _fraction_lattice_order(columns, target)
+        assert lattice_order(columns, target) == expected, (columns, target)
+        seen["no columns"] += not k
+        seen["no rows"] += k > 0 and not height
+        seen["zero column"] += height > 0 and not all(map(any, columns))
+        seen["unsolvable"] += expected is None
+        seen["n > 1"] += expected is not None and expected[0] > 1
+        seen["entries 10^6"] += max(map(abs, [*target, *sum(columns, [])]), default=0) >= 10**5
     assert all(seen.values()), seen
 
 

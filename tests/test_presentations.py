@@ -7,18 +7,17 @@ import pytest
 from meyersig import presentations
 from meyersig.cocycle import tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
-from meyersig.exact import kernel_basis
+from meyersig.exact import kernel_basis, lattice_order
 from meyersig.presentations import (
     UNBOUNDED,
     ClassOrder,
     Presentation,
     Word,
-    _lattice_order,
+    _exponent_vector,
     class_order,
     cochain_c,
     dump_presentation,
     evaluate_word,
-    exponent_sum,
     format_word,
     load_presentation,
     parse_word,
@@ -284,11 +283,10 @@ def test_cochain_class_function(rng, sl2z, genus2):
 
 def test_exponent_sums():
     names = ("a", "b")
-    assert exponent_sum(parse_word("a a A", names), 0) == 1
-    assert exponent_sum(Word(), 0) == 0
+    assert _exponent_vector([parse_word("a a A", names)], 2) == [1, 0]
+    assert _exponent_vector([Word()], 2) == [0, 0]
     braid = parse_word("a b a b^-1 a^-1 b^-1", names)
-    assert exponent_sum(braid, 0) == 1
-    assert exponent_sum(braid, 1) == -1
+    assert _exponent_vector([braid], 2) == [1, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +333,15 @@ def _mismatch_presentation(with_combined=False):
 
 def _single_coefficient_order(p):
     # the one-coefficient ansatz n*c(r) = m*(total exponent of r)
-    rows = [[sum(s for _, s in r.letters)] for r in p.relators]
-    return _lattice_order(rows, [cochain_c(r, p) for r in p.relators], 1)
+    column = [sum(s for _, s in r.letters) for r in p.relators]
+    return lattice_order([column], [cochain_c(r, p) for r in p.relators])
 
 
 def test_class_order_artin_mismatch_is_unbounded():
     # one coefficient on the total exponent has no solution here; the
     # per-generator lattice does, so class_order must not take that ansatz
     p = _mismatch_presentation()
-    assert _single_coefficient_order(p) is UNBOUNDED
+    assert _single_coefficient_order(p) is None
     assert class_order(p) == ClassOrder(3, (-3, 2))
 
 
@@ -351,11 +349,11 @@ def test_class_order_alpha_zero_c_nonzero_is_unbounded():
     # a relator with zero exponent but nonzero cochain value admits no
     # coefficient; a^12 (ab)^-6 is such a relator for the one-coefficient
     # ansatz only, its per-generator exponents (6, -6) being nonzero
-    assert _lattice_order([[0, 0]], [1], 2) is UNBOUNDED
+    assert lattice_order([[0], [0]], [1]) is None
     p = _mismatch_presentation(with_combined=True)
     assert cochain_c(p.relators[2], p) == -10
-    assert [exponent_sum(p.relators[2], i) for i in range(2)] == [6, -6]
-    assert _single_coefficient_order(p) is UNBOUNDED
+    assert _exponent_vector([p.relators[2]], 2) == [6, -6]
+    assert _single_coefficient_order(p) is None
     assert class_order(p) == ClassOrder(3, (-3, 2))
 
 
