@@ -40,10 +40,13 @@ pairing on V_{A,B} has rank at most 1, so tau is one sign:
     tau(A, B) = sign(lam * t * (lam <x, v> + t))
 
 for any rational x and t != 0 with (A - I) x + t A v = 0, and 0 when
-every such solution has t = 0.  :func:`tau_twist` evaluates this from one
-fraction-free solve of the 2g x (2g+1) system [A - I | A v], which returns
-one such point or none (:func:`meyersig.exact.affine_point`), with no
-kernel basis, no inverse and no signature.
+every such solution has t = 0.  Since A v = (A - I) v + v, the point
+x~ = x + t v solves (A - I) x~ + t v = 0, and <x~, v> = <x, v> because
+<v, v> = 0; so x~ may stand for x in the sign.  :func:`tau_twist`
+evaluates it from one fraction-free solve of the 2g x (2g+1) system
+[A - I | v], which returns one such point or none
+(:func:`meyersig.exact.affine_point`), with no product A v, no kernel
+basis, no inverse and no signature.
 
 Most of the time not even that solve is needed (Kirby-Melvin 1994 read
 the same cocycle off sign det(A - I)).  Since AB - I = (A - I) +
@@ -65,16 +68,18 @@ at AB, gives tau(A, B) = -sign(-lam) * sign det(AB - I) * sign det(A - I):
 the same formula, here 0.  So the formula holds whenever one of the two
 determinants is nonzero.  When both vanish tau is often nonzero, and
 :func:`tau_twist` gives it from its one solve.  The cochain of
-:mod:`meyersig.presentations` carries this sign along the prefixes of
-a word, on their plain integer rows, and takes :func:`tau_sp` for
-every generator whose B - I has rank above 1.
+:mod:`meyersig.presentations` carries this sign along the prefixes P of
+a word, with M = P - I as plain integer rows that go to the solve as
+they are, and takes :func:`tau_sp` for every generator whose B - I has
+rank above 1.
 """
 
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exact import _inertia, affine_point, determinant, kernel_basis
+from .exact import _inertia, affine_point, kernel_basis
+from .matrix import _add_identity
 from .symplectic import SymplecticMatrix, symplectic_pairing
 
 
@@ -147,32 +152,25 @@ def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
     <x + y, v> = <x, v> + t / lam, and the value is
     (t / lam) (lam <x, v> + t), whose sign is that of
     lam * t * (lam <x, v> + t).  Multiplying (A^{-1} - I) x = t v by A
-    gives (A - I) x + t A v = 0, so one fraction-free solve of the
-    2g x (2g+1) system [A - I | A v] gives such a point, with no inverse
-    of A, or shows that every solution has t = 0 and tau = 0.
+    gives (A - I) x + t A v = 0.  With x~ = x + t v this is
+    (A - I) x~ + t v = 0, since A v = (A - I) v + v, and <x~, v> = <x, v>
+    since <v, v> = 0.  So one fraction-free solve of the 2g x (2g+1)
+    system [A - I | v] gives such a point, with no inverse of A and no
+    product A v, or shows that every solution has t = 0 and tau = 0.
     """
-    n = 2 * a.g
-    if len(v) != n:
+    if len(v) != 2 * a.g:
         raise ValueError(f"twist class of length {len(v)} at genus {a.g}")
-    av = a.apply(v)
-    rows = [list(row) + [av[r]] for r, row in enumerate(a.mat.rows)]
-    for r in range(n):
-        rows[r][r] -= 1
-    point = affine_point(rows)
+    return _tau_twist_rows(_add_identity(a.mat.rows, -1), v, lam)
+
+
+def _tau_twist_rows(m: Sequence[Sequence[int]], v: Sequence[int], lam: int) -> int:
+    """:func:`tau_twist` from the rows of M = A - I, with no check of v."""
+    point = affine_point([(*row, e) for row, e in zip(m, v)])
     if point is None:
         return 0
     x, t = point
     value = lam * t * (lam * symplectic_pairing(x, v) + t)
     return (value > 0) - (value < 0)
-
-
-def _sign_det_minus_identity(rows: Sequence[Sequence[int]]) -> int:
-    """sign det(A - I) for the rows of a square integer matrix A."""
-    shifted = [list(row) for row in rows]
-    for i, row in enumerate(shifted):
-        row[i] -= 1
-    d = determinant(shifted)
-    return (d > 0) - (d < 0)
 
 
 def sigma_defect_via_tau(alpha: SymplecticMatrix) -> int:

@@ -127,6 +127,16 @@ def _trusted(rows: tuple) -> IntMatrix:
     return m
 
 
+def _add_identity(rows, k: int) -> tuple:
+    """The rows of A + k I, as int tuples, for the rows of a square A."""
+    out = []
+    for i, row in enumerate(rows):
+        row = list(row)
+        row[i] += k
+        out.append(tuple(row))
+    return tuple(out)
+
+
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 

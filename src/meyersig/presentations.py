@@ -22,12 +22,17 @@ braid and commutation relations connect them, as in the shipped genus-1
 and genus-2 presentations), all m_i come out equal to a single m and phi
 is -c plus (m/n) times the total exponent.
 
-Words are evaluated by one prefix walk over plain integer rows, in which
-a letter whose matrix is a Dehn-twist power is a rank-1 row update:
-:func:`evaluate_word` carries the product alone, and :func:`_walk` also
-carries c.  A :class:`Presentation` walks each relator once, when it is
-built, checking that it maps to the identity and keeping c(r_j), so
-:func:`class_order` walks no word.  The file also holds the shipped
+Words are evaluated by one prefix walk that carries M = P - I, P the
+product of the letters so far, as plain integer rows.  A letter whose
+matrix is a Dehn-twist power T_v^lam is the sparse rank-1 update
+M + (M v + v)(lam v^T J): it reads M only on the support of v and writes
+it only on the support of v^T J, both found once per presentation, and
+it raises rank M by at most one.  :func:`evaluate_word` carries the
+product alone.  :func:`_walk` also carries c, with sign det M and an
+upper bound on rank M: while the bound is below 2g the determinant is
+provably 0, and the walk skips it.  A :class:`Presentation` walks each
+relator once, when it is built, checking that it maps to the identity
+and keeping c(r_j), so :func:`class_order` walks no word.  The file also holds the shipped
 presentation data for genus 1 and 2 and the JSON reader that every data
 file goes through; the relators of a file together are capped like one
 word.
@@ -41,13 +46,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cocycle import _sign_det_minus_identity, tau_sp, tau_twist
+from .cocycle import _tau_twist_rows, tau_sp
 from .errors import InfiniteOrderError, ParseError
-from .exact import lattice_order
+from .exact import determinant, lattice_order
 from .matrix import (
-    IntMatrix, _decode_json, _trusted, format_matrix, matrix_from_json, parse_int, parse_matrix
+    _add_identity, _decode_json, _trusted, format_matrix, matrix_from_json, parse_int, parse_matrix
 )
-from .symplectic import SymplecticMatrix, _times_twist, _wrap, twist_of
+from .symplectic import SymplecticMatrix, _twist_step, _twist_terms, _wrap, twist_of
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
 
@@ -204,11 +209,10 @@ class Presentation:
         for name, m in zip(names, self.matrices):
             if m.g != self.genus:
                 raise ValueError(f"matrix for {name!r} has genus {m.g}, not {self.genus}")
-        ident = IntMatrix.identity(2 * self.genus).rows
         values = []
         for k, rel in enumerate(self.relators):
-            c, image = _walk(rel, self)
-            if image != ident:
+            c, image_minus_identity = _walk(rel, self)
+            if any(map(any, image_minus_identity)):
                 raise ValueError(
                     f"relator {k} ({format_word(rel, names)!r}) does not map to the identity"
                 )
@@ -220,14 +224,21 @@ class Presentation:
         return tuple(m.inverse() for m in self.matrices)
 
     @cached_property
-    def _twists(self) -> dict[Letter, tuple[tuple[int, ...], int] | None]:
-        """Per letter (i, +-1), the (v, lam) of its matrix as a twist power
-        (see :func:`twist_of`), or None; the inverse of a twist power is
-        the power with -lam."""
-        twists: dict[Letter, tuple[tuple[int, ...], int] | None] = {}
+    def _twists(self) -> dict[Letter, tuple | None]:
+        """Per letter (i, +-1), None, or (v, lam, v_terms, w_terms) when its
+        matrix is the twist power with class v and exponent lam (see
+        :func:`twist_of`), with the sparse supports of v and lam v^T J from
+        :func:`~meyersig.symplectic._twist_terms`; the inverse of a twist
+        power is the power with -lam."""
+        twists: dict[Letter, tuple | None] = {}
         for i, m in enumerate(self.matrices):
-            twist = twists[i, 1] = twist_of(m)
-            twists[i, -1] = None if twist is None else (twist[0], -twist[1])
+            twist = twist_of(m)
+            for s in (1, -1):
+                if twist is None:
+                    twists[i, s] = None
+                else:
+                    v, lam = twist[0], s * twist[1]
+                    twists[i, s] = (v, lam, *_twist_terms(v, lam))
         return twists
 
     @cached_property
@@ -246,12 +257,13 @@ class Presentation:
 def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
     """Product of generator matrices in word order; the empty word gives I.
 
-    The prefix is carried as plain integer rows: a twist-power letter
-    T_v^lam multiplies in as the rank-1 update P + lam (P v)(v^T J), any
-    other letter as the full product, and the rows are wrapped as a matrix
-    once, at the end.
+    The prefix P is carried as the plain integer rows of M = P - I, as in
+    :func:`_walk`: a twist-power letter is the sparse rank-1 update of
+    :func:`~meyersig.symplectic._twist_step`, any other letter the full
+    product, and I is added back and the rows wrapped as a matrix once,
+    at the end.
     """
-    prefix = IntMatrix.identity(2 * p.genus).rows
+    m = _zero_rows(2 * p.genus)
     twists = p._twists
     for i, s in w.letters:
         if i >= len(p.matrices):
@@ -259,29 +271,37 @@ def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
         twist = twists[i, s]
         if twist is None:
             step = p.matrices[i] if s > 0 else p._inverses[i]
-            prefix = (_trusted(prefix) * step.mat).rows
+            m = _add_identity((_trusted(_add_identity(m, 1)) * step.mat).rows, -1)
         else:
-            prefix = _times_twist(prefix, *twist)
-    return _wrap(p.genus, _trusted(prefix))
+            v, _, v_terms, w_terms = twist
+            m = _twist_step(m, v, v_terms, w_terms)
+    return _wrap(p.genus, _trusted(_add_identity(m, 1)))
 
 
 def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
-    """(c(w), the rows of the image of w): the signature cocycle summed
-    along the prefixes of w, and the last prefix.
+    """(c(w), the rows of P - I for the image P of w): the signature
+    cocycle summed along the prefixes of w, and the last prefix minus I.
 
-    The prefix P is carried as its plain integer rows, with the sign d of
-    det(P - I), one determinant per new prefix.  A letter whose matrix is
-    a twist power T_v^lam makes the new prefix as the rank-1 update
-    P + lam (P v)(v^T J) and adds sign(lam) * d * d', d' the sign for the
-    new prefix, when d or d' is nonzero, and :func:`tau_twist` only when
-    both are 0 (the derivation is in :mod:`meyersig.cocycle`).  Any other
-    letter takes :func:`tau_sp` and the full product.  P is wrapped as a
-    matrix only for those two calls.
+    Each prefix P is carried as the plain integer rows of M = P - I, with
+    the sign d of det M and an upper bound on rank M: 0 at the identity,
+    one more after each twist letter, 2g after any other letter.  A letter
+    whose matrix is a twist power T_v^lam makes the new M as the sparse
+    rank-1 update M + (M v + v)(lam v^T J) of
+    :func:`~meyersig.symplectic._twist_step`, which reads M on the support
+    of v and writes it on the support of v^T J, both found once per
+    presentation (:attr:`Presentation._twists`); so the rank grows by at
+    most one, and while the bound is below 2g the new d is 0 with no
+    determinant.  The step adds sign(lam) * d * d', d' the sign for the
+    new prefix, when d or d' is nonzero, and the solve of
+    :func:`~meyersig.cocycle.tau_twist` on the old M's rows only when both
+    are 0 (the derivation is in :mod:`meyersig.cocycle`).  Any other
+    letter takes :func:`tau_sp` on P wrapped as a matrix, the full
+    product, and one determinant.
     """
     total = 0
-    g = p.genus
-    prefix = IntMatrix.identity(2 * g).rows
-    d = 0  # sign det(I - I)
+    g, n = p.genus, 2 * p.genus
+    m = _zero_rows(n)
+    d = bound = 0  # sign det M and the rank bound at M = I - I
     twists = p._twists
     for i, s in w.letters:
         if i >= len(p.matrices):
@@ -289,20 +309,30 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
         twist = twists[i, s]
         if twist is None:
             step = p.matrices[i] if s > 0 else p._inverses[i]
-            current = _trusted(prefix)
-            total += tau_sp(_wrap(g, current), step)
-            prefix = (current * step.mat).rows
-            d = _sign_det_minus_identity(prefix)
+            prefix = _trusted(_add_identity(m, 1))
+            total += tau_sp(_wrap(g, prefix), step)
+            m = _add_identity((prefix * step.mat).rows, -1)
+            d, bound = _sign(determinant(m)), n
             continue
-        v, lam = twist
-        new = _times_twist(prefix, v, lam)
-        new_d = _sign_det_minus_identity(new)
+        v, lam, v_terms, w_terms = twist
+        new = _twist_step(m, v, v_terms, w_terms)
+        bound += 1
+        new_d = _sign(determinant(new)) if bound >= n else 0
         if d or new_d:
             total += d * new_d if lam > 0 else -d * new_d
         else:
-            total += tau_twist(_wrap(g, _trusted(prefix)), v, lam)
-        prefix, d = new, new_d
-    return total, prefix
+            total += _tau_twist_rows(m, v, lam)
+        m, d = new, new_d
+    return total, m
+
+
+def _zero_rows(n: int) -> tuple:
+    """The rows of the n x n zero matrix: M = P - I at P = I."""
+    return ((0,) * n,) * n
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def cochain_c(w: Word, p: Presentation) -> int:

@@ -158,6 +158,23 @@ def _free_reduction(rng, size):
             yield "padded and w evaluate alike", evaluate_word(padded, p), evaluate_word(w, p), ws
 
 
+@_suite
+def _cochain_walk(rng, size):
+    """size random words over each shipped presentation, against the
+    definitions: tau_sp summed over the prefixes, and the plain product."""
+    for g in (1, 2):
+        p = shipped_presentation(g)
+        for _ in range(size):
+            w = random_word(p, rng, max_len=16)
+            prefix, total = SymplecticMatrix.identity(g), 0
+            for i, s in w.letters:
+                step = p.matrices[i] if s > 0 else p.matrices[i].inverse()
+                total += tau_sp(prefix, step)
+                prefix = prefix * step
+            yield "c(w) = sum_j tau(P_{j-1}, x_j)", cochain_c(w, p), total, {"w": w}
+            yield "evaluate_word(w) = product of its letters", evaluate_word(w, p), prefix, {"w": w}
+
+
 # (name, suite, size for --selftest)
 SUITES = (
     ("class orders 3 and 5", _class_orders, None),
@@ -167,6 +184,7 @@ SUITES = (
     ("synthesized Meyer functions", _synthesized, (100, 60)),
     ("Dedekind reciprocity", _dedekind, 60),
     ("free-reduction invariance", _free_reduction, 50),
+    ("cochain is the tau prefix sum", _cochain_walk, 30),
 )
 
 

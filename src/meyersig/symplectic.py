@@ -15,7 +15,6 @@ against.  Flipping the constant would invert all twists.
 
 import random
 from functools import cache
-from operator import mul
 from typing import Sequence
 
 from .exact import _primitive
@@ -23,6 +22,10 @@ from .matrix import IntMatrix, _trusted
 
 # Right-handed twist convention; see module docstring before touching this.
 TWIST_SIGN = 1
+
+# A product of two 2g x 2g matrices costs O(g^3) where its input holds
+# O(g^2) entries, so matrices are refused above this genus.
+MAX_GENUS = 12
 
 
 @cache
@@ -60,7 +63,10 @@ def is_symplectic(entries, g: int) -> bool:
 
 
 class SymplecticMatrix:
-    """An element of Sp(2g;Z); the defining identity is checked on construction."""
+    """An element of Sp(2g;Z); the defining identity is checked on construction.
+
+    A matrix of genus above MAX_GENUS raises ValueError before the check.
+    """
 
     __slots__ = ("g", "mat")
 
@@ -73,6 +79,8 @@ class SymplecticMatrix:
             g = inferred
         elif g != inferred:
             raise ValueError(f"genus {g} does not match a {mat.nrows}x{mat.ncols} matrix")
+        if g > MAX_GENUS:
+            raise ValueError(f"genus {g} is too large: meyersig caps the genus at {MAX_GENUS}")
         if not is_symplectic(mat, g):
             raise ValueError("not symplectic: A^T J A != J")
         object.__setattr__(self, "g", g)
@@ -181,19 +189,34 @@ def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
     return v, lam
 
 
-def _times_twist(rows: tuple, v: Sequence[int], lam: int) -> tuple:
-    """The rows of A T for the twist power T x = x + lam <v, x> v, given
-    the rows of A and a class v of the same length 2g.
-
-    T - I = lam v (v^T J) has rank 1, so A T = A + lam (A v)(v^T J): row r
-    gains lam (A v)_r times the row vector v^T J.
-    """
+def _twist_terms(v: Sequence[int], lam: int) -> tuple[tuple, tuple]:
+    """The sparse supports of the twist power T x = x + lam <v, x> v: the
+    pairs (k, v_k) with v_k != 0, and the pairs (j, w_j) with w_j != 0
+    for the row vector w = lam v^T J."""
     g = len(v) // 2
-    vj = [-lam * e for e in v[g:]] + [lam * e for e in v[:g]]  # lam v^T J
+    w = [-lam * e for e in v[g:]] + [lam * e for e in v[:g]]
+    return tuple([(k, e) for k, e in enumerate(v) if e]), tuple([(j, e) for j, e in enumerate(w) if e])
+
+
+def _twist_step(m: tuple, v: Sequence[int], v_terms: tuple, w_terms: tuple) -> tuple:
+    """The rows of P T - I from the rows of M = P - I, for the twist power
+    T with class v and supports (v_terms, w_terms) from :func:`_twist_terms`.
+
+    T - I = lam v (v^T J) has rank 1, so P T - I = M + (M v + v) w with
+    w = lam v^T J: row r gains (M v + v)_r times w.  Only the entries of
+    M on the support of v are read and only those on the support of w are
+    written; a row with (M v + v)_r = 0 is kept as it is.
+    """
     out = []
-    for row in rows:
-        f = sum(map(mul, row, v))  # (A v)_r
-        out.append(tuple([e + f * w for e, w in zip(row, vj)]) if f else row)
+    for row, f in zip(m, v):
+        for k, e in v_terms:
+            f += row[k] * e
+        if f:
+            row = list(row)
+            for j, e in w_terms:
+                row[j] += f * e
+            row = tuple(row)
+        out.append(row)
     return tuple(out)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,8 @@ import pytest
 from meyersig import cli, cocycle, fibered, presentations, selftest
 from meyersig.cli import main
 from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction, cochain_c
-from meyersig.symplectic import SymplecticMatrix
+from meyersig.matrix import IntMatrix, format_matrix
+from meyersig.symplectic import MAX_GENUS, SymplecticMatrix
 
 
 def run_cli(capsys, *argv):
@@ -395,6 +397,35 @@ def test_presentation_without_generators_is_refused_at_once(capsys, tmp_path, ge
     assert seconds < 2
 
 
+@pytest.mark.parametrize("genus", [MAX_GENUS + 1, MAX_GENUS])
+def test_genus_cap_refuses_large_matrices_at_once(capsys, tmp_path, genus):
+    # a product costs O(g^3), so a matrix above the cap is refused before
+    # its symplectic check; `a` = I and `b` = [[I, S], [0, I]] for a random
+    # symmetric S, in the relators `a A` and `b B`
+    rng, n = random.Random(genus), 2 * genus
+    upper = [[rng.randint(-3, 3) for _ in range(genus)] for _ in range(genus)]
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(genus):
+        for j in range(genus):
+            rows[i][genus + j] = upper[min(i, j)][max(i, j)]
+    ident = format_matrix(IntMatrix.identity(n))
+    b = format_matrix(IntMatrix(rows))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "genus": genus, "generators": ["a", "b"], "matrices": {"a": ident, "b": b},
+        "relators": ["a A", "b B"],
+    }))
+    tau, tau_seconds = _timed_cli(capsys, "tau", ident, b)
+    order, order_seconds = _timed_cli(capsys, "order", "-p", str(path))
+    if genus > MAX_GENUS:
+        message = f"genus {genus} is too large: meyersig caps the genus at {MAX_GENUS}\n"
+        assert tau == (1, "", "error: " + message)
+        assert order == (2, "", "parse error: matrix for 'a': " + message)
+        assert tau_seconds < 1 and order_seconds < 1
+    else:
+        assert (tau, order) == ((0, "0\n", ""), (0, "1\n", ""))
+
+
 @pytest.mark.parametrize(
     "command, expected",
     [("order", "3\n"), ("phi", "4/3\n"), ("local-sig", CHAIN_OUT)],
@@ -636,7 +667,8 @@ def test_selftest_flag(capsys):
         "PASS  signature defect dual route\n"
         "PASS  synthesized Meyer functions\n"
         "PASS  Dedekind reciprocity\n"
-        "PASS  free-reduction invariance\n",
+        "PASS  free-reduction invariance\n"
+        "PASS  cochain is the tau prefix sum\n",
     )
 
 
@@ -653,6 +685,7 @@ PLANTED_FAULTS = {
     "synthesized Meyer functions": ("shipped_meyer_function", lambda fn: lambda g: _off_by_one(fn(g))),
     "Dedekind reciprocity": ("dedekind_sum", lambda fn: lambda a, c: -fn(a, c)),
     "free-reduction invariance": ("cochain_c", lambda fn: lambda w, p: fn(w, p) + len(w)),
+    "cochain is the tau prefix sum": ("cochain_c", lambda fn: lambda w, p: fn(w, p) + len(w)),
 }
 
 

@@ -6,17 +6,18 @@ import pytest
 
 from meyersig import cocycle
 from meyersig.cocycle import (
-    _sign_det_minus_identity,
     sigma_defect_via_tau,
     tau_sp,
     tau_twist,
     v_space,
 )
-from meyersig.exact import kernel_basis, signature
+from meyersig.exact import determinant, kernel_basis, signature
 from meyersig.genus1 import phi1
+from meyersig.matrix import _add_identity
 from meyersig.symplectic import (
     SymplecticMatrix,
-    _times_twist,
+    _twist_step,
+    _twist_terms,
     a_class,
     random_symplectic,
     standard_j,
@@ -28,6 +29,16 @@ U = SymplecticMatrix([[1, 1], [0, 1]])
 V = SymplecticMatrix([[1, 0], [-1, 1]])
 S = SymplecticMatrix([[0, 1], [-1, 0]])
 I1 = SymplecticMatrix.identity(1)
+
+
+def _sign_det(rows):
+    d = determinant(rows)
+    return (d > 0) - (d < 0)
+
+
+def _sign_det_minus_identity(rows):
+    """sign det(A - I) for the rows of a square integer matrix A."""
+    return _sign_det(_add_identity(rows, -1))
 
 
 def test_v_space_identity_pair_is_everything():
@@ -250,7 +261,8 @@ def test_tau_twist_sign_rule_and_its_fallback():
                     b = transvection(v) ** lam
                     d = _sign_det_minus_identity(a.mat.rows)
                     d_ab = _sign_det_minus_identity((a * b).mat.rows)
-                    assert d_ab == _sign_det_minus_identity(_times_twist(a.mat.rows, v, lam))
+                    m_ab = _twist_step(_add_identity(a.mat.rows, -1), v, *_twist_terms(v, lam))
+                    assert d_ab == _sign_det(m_ab)
                     if d and d_ab:
                         branches["both nonzero"] += 1
                     elif d or d_ab:

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from meyersig import presentations
+from meyersig import exact, presentations
 from meyersig.cocycle import tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
 from meyersig.exact import kernel_basis, lattice_order
@@ -29,6 +29,7 @@ from meyersig.selftest import random_word
 from meyersig.symplectic import (
     SymplecticMatrix,
     _generating_classes,
+    _twist_terms,
     random_symplectic,
     transvection,
 )
@@ -360,13 +361,14 @@ def test_class_order_alpha_zero_c_nonzero_is_unbounded():
 def test_twist_letters_are_detected_once_per_presentation(sl2z, genus2):
     for p in (sl2z, genus2):
         for i, m in enumerate(p.matrices):
-            v, lam = p._twists[i, 1]
-            assert p._twists[i, -1] == (v, -lam)
+            v, lam, *terms = p._twists[i, 1]
+            assert tuple(terms) == _twist_terms(v, lam)
+            assert p._twists[i, -1] == (v, -lam, *_twist_terms(v, -lam))
             assert m == transvection(v) ** lam
     # a -> S is no twist power, so its letters fall back to tau_sp
     p = _mismatch_presentation()
     assert p._twists[0, 1] is p._twists[0, -1] is None
-    assert p._twists[1, 1] == ((1, 0), 1)
+    assert p._twists[1, 1][:2] == ((1, 0), 1)
 
 
 def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
@@ -374,7 +376,7 @@ def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
     twist letters (at genus 1 to 4) and, in the mismatch presentation, the
     non-twist S; the solve in tau_twist runs exactly at the twist letters
     where det(P - I) and det(PB - I) both vanish, found here by a kernel."""
-    tau_twist = count_calls(presentations, "tau_twist")
+    tau_twist = count_calls(presentations, "_tau_twist_rows")
     fallbacks = twist_steps = 0
     twists = [_twist_presentation(g) for g in (3, 4)]
     for p in (sl2z, genus2, _mismatch_presentation(), *twists):
@@ -396,6 +398,38 @@ def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
             assert tau_twist.call_count - before == expected_calls
             fallbacks += expected_calls
     assert 0 < fallbacks < twist_steps
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_walk_skips_determinants_below_the_rank_bound(rng, g, count_calls):
+    """Fewer than 2g twist letters leave rank(P - I) < 2g, so the walk
+    makes no determinant; from a non-twist letter on (the mismatch
+    presentation's S), every step makes one.  Values against tau_sp."""
+    determinant = count_calls(exact, "determinant")
+    p = _twist_presentation(g)
+    for _ in range(40):
+        word = random_word(p, rng, 2 * g - 1)
+        before = determinant.call_count
+        assert cochain_c(word, p) == _tau_prefix_sum(word, p)
+        assert determinant.call_count == before
+    p = _mismatch_presentation()  # genus 1: a -> S, b -> a twist
+    for _ in range(40):
+        word = random_word(p, rng, 16)
+        first = next((j for j, (i, _) in enumerate(word.letters) if i == 0), len(word))
+        # twist letters before the first S: one determinant from the 2nd on
+        expected = len(word) - first + max(0, first - 1)
+        before = determinant.call_count
+        assert cochain_c(word, p) == _tau_prefix_sum(word, p)
+        assert determinant.call_count - before == expected
+
+
+def _tau_prefix_sum(word, p):
+    prefix, total = SymplecticMatrix.identity(p.genus), 0
+    for i, s in word.letters:
+        step = p.matrices[i] if s > 0 else p.matrices[i].inverse()
+        total += tau_sp(prefix, step)
+        prefix = prefix * step
+    return total
 
 
 def _twist_presentation(g):

@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from meyersig import symplectic
 from meyersig.errors import ParseError
-from meyersig.matrix import IntMatrix, format_matrix, parse_matrix
+from meyersig.matrix import IntMatrix, _add_identity, format_matrix, parse_matrix
 from meyersig.symplectic import (
+    MAX_GENUS,
     SymplecticMatrix,
-    _times_twist,
+    _twist_step,
+    _twist_terms,
     a_class,
     b_class,
     is_symplectic,
@@ -163,6 +166,11 @@ def test_random_symplectic_pinned_outputs(args, text):
     assert format_matrix(random_symplectic(*args).mat) == text  # from the built factors
 
 
+def _sparse_twist(a, v, lam):
+    """The rows of A T_v^lam minus I, by the sparse step on A - I."""
+    return _twist_step(_add_identity(a.mat.rows, -1), v, *_twist_terms(v, lam))
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_times_twist_is_the_full_product(g):
     rng = random.Random(60 + g)
@@ -172,7 +180,46 @@ def test_times_twist_is_the_full_product(g):
         if not any(v):
             continue
         lam = rng.choice((-3, -2, -1, 1, 2, 3))
-        assert _times_twist(a.mat.rows, v, lam) == (a * transvection(v) ** lam).mat.rows
+        assert _sparse_twist(a, v, lam) == _add_identity((a * transvection(v) ** lam).mat.rows, -1)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_sparse_twist_step_is_the_dense_product(g):
+    """The step on P - I against the dense P T_v^lam, for classes with
+    1, 2 and 2g nonzero coordinates, entries above 1 and lam of both
+    signs; the supports are exactly the nonzero entries of v and
+    lam v^T J."""
+    rng = random.Random(70 + g)
+    n = 2 * g
+    big = 0
+    for support in sorted({1, 2, n}):
+        for _ in range(12):
+            v = [0] * n
+            for k in rng.sample(range(n), support):
+                v[k] = rng.choice((-5, -3, -2, -1, 1, 2, 3, 4))
+            big += max(map(abs, v)) > 1
+            for lam in (-2, -1, 1, 3):
+                v_terms, w_terms = _twist_terms(v, lam)
+                w = [lam * e for e in (IntMatrix([v]) * standard_j(g)).rows[0]]  # lam v^T J
+                assert v_terms == tuple((k, e) for k, e in enumerate(v) if e)
+                assert w_terms == tuple((k, e) for k, e in enumerate(w) if e)
+                a = random_symplectic(g, rng.randint(0, 10), rng.random())
+                dense = (a * transvection(v) ** lam).mat.rows
+                assert _sparse_twist(a, v, lam) == _add_identity(dense, -1)
+    assert big
+
+
+def test_genus_cap_refuses_before_the_symplectic_check(monkeypatch):
+    checked = []
+    monkeypatch.setattr(symplectic, "is_symplectic", lambda m, g: checked.append(g) or True)
+    n = 2 * (MAX_GENUS + 1)
+    with pytest.raises(ValueError, match=f"caps the genus at {MAX_GENUS}"):
+        SymplecticMatrix(IntMatrix.identity(n))
+    with pytest.raises(ValueError, match=f"caps the genus at {MAX_GENUS}"):
+        SymplecticMatrix(IntMatrix.identity(n), MAX_GENUS + 1)
+    assert checked == []
+    assert SymplecticMatrix(IntMatrix.identity(2 * MAX_GENUS)).g == MAX_GENUS
+    assert checked == [MAX_GENUS]
 
 
 def test_inverse_and_power():
