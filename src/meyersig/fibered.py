@@ -1,13 +1,14 @@
-"""Signature bookkeeping for fibered 4-manifolds of fiber genus 1 and 2.
+"""Signature bookkeeping for fibered 4-manifolds.
 
 The local signature of a fiber germ is
 
     sigma_g(germ) = phi_g(boundary monodromy) + Sign(preimage of the disk)
 
 where phi_g is the Meyer function (closed form at genus 1, synthesized
-from the presentation at genus 2) and the neighborhood signature is
-caller-supplied data.  A FibrationDescription carries the presentation
-its germ words use; a function given only a genus uses the shipped one.
+from the presentation at any other genus) and the neighborhood signature
+is caller-supplied data.  A FibrationDescription carries the presentation
+its germ words use; a function given only a genus, and a fibration file,
+use the shipped one.
 Local signatures vanish on general fibers and sum to the signature of a
 closed total space, which is where all the cross-checks in this module
 live.  Closedness is checked on the product matrix over a sphere base,
@@ -17,8 +18,11 @@ Euler contributions, the hyperelliptic Horikawa-index identities, and the
 Hirzebruch/Noether geography conversions are included so that whole
 numerical budgets of a fibration can be balanced exactly.
 
-Genus 3 and up is refused outright: the signature class has infinite
-order there, so no Meyer function exists.
+The fiber genus is checked once, by the table of shipped files in
+:mod:`meyersig.presentations`, wherever a genus alone names the
+presentation.  A FibrationDescription checks only its base genus; over a
+presentation of infinite class order it raises InfiniteOrderError when
+its Meyer function is first needed.
 """
 
 import re
@@ -28,14 +32,14 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError, UnsupportedGenusError
+from .errors import ParseError
 from .genus1 import phi1
 from .matrix import parse_int, parse_matrix
 from .presentations import (
-    SHIPPED_FILES,
     Presentation,
     Word,
     _abelianizes_to_zero,
+    _shipped_file,
     check_word_length,
     evaluate_word,
     json_int,
@@ -44,8 +48,6 @@ from .presentations import (
     shipped_presentation,
 )
 from .symplectic import SymplecticMatrix
-
-SUPPORTED_GENERA = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,6 @@ class FibrationDescription:
     germs: tuple[FiberGerm, ...] = ()
 
     def __post_init__(self):
-        if self.genus not in SUPPORTED_GENERA:
-            raise UnsupportedGenusError(_no_meyer_message(self.genus))
         if self.base_genus < 0:
             raise ValueError("base genus must be >= 0")
 
@@ -79,17 +79,9 @@ class FibrationDescription:
         return self.presentation.genus
 
 
-def _no_meyer_message(g: int) -> str:
-    if g >= 3:
-        return (
-            f"no Meyer function exists at genus {g}: the signature class "
-            "has infinite order for genus >= 3"
-        )
-    return f"unsupported fiber genus {g}: Meyer functions exist at genus 1 and 2 only"
-
-
 def _meyer_of(p: Presentation):
-    """phi on words over p: closed form at genus 1, synthesized at genus 2."""
+    """phi on words over p: closed form at genus 1, synthesized at any
+    other genus (InfiniteOrderError if p's class order is infinite)."""
     if p.genus == 1:
         return lambda w: phi1(evaluate_word(w, p))
     return p.meyer_function
@@ -97,8 +89,6 @@ def _meyer_of(p: Presentation):
 
 def meyer_function(g: int):
     """phi_g on words over the shipped genus-g generators."""
-    if g not in SUPPORTED_GENERA:
-        raise UnsupportedGenusError(_no_meyer_message(g))
     return _meyer_of(shipped_presentation(g))
 
 
@@ -159,11 +149,15 @@ def closed_total(fd: FibrationDescription, local_values) -> int:
 
 def euler_contribution(chi_singular_fiber: int, g: int) -> int:
     """chi of the singular fiber minus chi of a smooth genus-g fiber."""
+    if g < 0:
+        raise ValueError("fiber genus must be >= 0")
     return chi_singular_fiber - (2 - 2 * g)
 
 
 def total_euler(g: int, base_genus: int, contributions) -> int:
     """chi of the total space: (2-2g)(2-2g_B) plus the germ contributions."""
+    if g < 0 or base_genus < 0:
+        raise ValueError(f"{'fiber' if g < 0 else 'base'} genus must be >= 0")
     return (2 - 2 * g) * (2 - 2 * base_genus) + sum(contributions)
 
 
@@ -274,55 +268,47 @@ def kodaira_word(
 # SL(2;Z) words
 
 
-def _sl2_st_factors(m: SymplecticMatrix) -> list[tuple[str, int]]:
-    """Factor a genus-1 matrix as an ordered product of powers of S and T.
-
-    Euclidean reduction on the first column: left-multiplications by
-    T^{-q} and S^{-1} strictly shrink |c| until the matrix is +-T^b,
-    which is S^2 T^b up to recording.  The recorded inverses, in order,
-    multiply back to the input.
-    """
-    if m.g != 1:
-        raise ValueError(f"expected genus 1, got genus {m.g}")
-    (a, b), (c, d) = m.mat.rows
-    applied: list[tuple[str, int]] = []
-    while c != 0:
-        q = a // c
-        if q:
-            a, b = a - q * c, b - q * d
-            applied.append(("T", -q))
-        a, b, c, d = c, d, -a, -b
-        applied.append(("S", -1))
-    if a == 1:
-        if b:
-            applied.append(("T", -b))
-    else:
-        applied.append(("S", -2))
-        if -b:
-            applied.append(("T", b))
-    return [(sym, -exp) for sym, exp in applied]
+_T = ((1, 0), 1)  # the twist along A_1 with lam = 1: [[1,1],[0,1]]
+_L = ((0, 1), 1)  # the twist along B_1 with lam = 1: [[1,0],[-1,1]]
 
 
 def sl2_word(m: SymplecticMatrix, presentation: Presentation | None = None) -> Word:
-    """A word in the genus-1 generators a, b of ``presentation`` (the
-    shipped one by default) mapping to the matrix m.
+    """A word over ``presentation`` (the shipped genus-1 one by default)
+    mapping to the genus-1 matrix m, in the letters, whatever their names
+    or signs, whose matrices are T = [[1,1],[0,1]] and L = [[1,0],[-1,1]].
 
-    A word longer than MAX_WORD_LETTERS raises ValueError before its
-    letters are built.
+    Euclid on the first column (a, c), from the left: T^-q with
+    q = a // c while |a| > |c| (T when a = 0), and L^q with q = c // a
+    while 0 < |a| <= |c|, until c = 0 leaves T^b or -T^-b = (T L)^3 T^-b.
+    The letters are counted by :func:`check_word_length` before any is built.
     """
+    if m.g != 1:
+        raise ValueError(f"expected genus 1, got genus {m.g}")
     p = presentation or shipped_presentation(1)
-    a_idx = p.generator_names.index("a")
-    b_idx = p.generator_names.index("b")
-    t_letter = ((a_idx, 1),)
-    s_letters = ((a_idx, -1), (b_idx, -1), (a_idx, -1))  # S = (aba)^{-1}
-    factors = [(t_letter if sym == "T" else s_letters, exp) for sym, exp in _sl2_st_factors(m)]
-    check_word_length(sum(len(base) * abs(exp) for base, exp in factors))
-    letters: list[tuple[int, int]] = []
-    for base, exp in factors:
-        if exp < 0:
-            base = tuple((i, -s) for i, s in reversed(base))
-        letters.extend(base * abs(exp))
-    word = Word(letters)
+    twists = {twist[:2]: letter for letter, twist in p._twists.items() if twist}
+    if _T not in twists or _L not in twists:
+        raise ValueError("SL(2;Z) words need letters for T = [[1,1],[0,1]] and L = [[1,0],[-1,1]]")
+    t, l = twists[_T], twists[_L]
+    (a, b), (c, d) = m.mat.rows
+    factors = []  # (letter, k): the inverse of each step, so that their product is m
+    while c:
+        if abs(a) > abs(c):
+            q = a // c
+            a, b = a - q * c, b - q * d
+            factors.append((t, q))
+        elif a == 0:
+            a, b = c, b + d
+            factors.append((t, -1))
+        else:
+            q = c // a
+            c, d = c - q * a, d - q * b
+            factors.append((l, -q))
+    if a == -1:
+        factors += [(t, 1), (l, 1)] * 3
+        b = -b
+    factors.append((t, b))
+    check_word_length(sum(abs(k) for _, k in factors))
+    word = Word([(i, s if k > 0 else -s) for (i, s), k in factors for _ in range(abs(k))])
     if evaluate_word(word, p) != m:
         raise ArithmeticError("SL(2;Z) word decomposition failed to reproduce the matrix")
     return word
@@ -373,12 +359,10 @@ def load_fibration(source, data_dir=None) -> FibrationDescription:
         raise ParseError(f"fibration data is missing field {exc}") from None
     if not isinstance(germs, list):
         raise ParseError(f"field 'germs' must be a list, got {germs!r}")
-    if genus not in SUPPORTED_GENERA:
-        raise UnsupportedGenusError(_no_meyer_message(genus))
     if data_dir is None:
         p, kodaira_table = shipped_presentation(genus), _kodaira_table
     else:
-        path = Path(data_dir) / SHIPPED_FILES[genus]
+        path = Path(data_dir) / _shipped_file(genus)
         p = load_presentation(path)
         if p.genus != genus:
             raise ParseError(f"{path} holds a genus-{p.genus} presentation, not genus {genus}")

@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .cocycle import _tau_twist_rows, tau_sp
-from .errors import InfiniteOrderError, ParseError
+from .errors import InfiniteOrderError, ParseError, UnsupportedGenusError
 from .exact import determinant, lattice_order
 from .matrix import (
     _add_identity, _decode_json, _trusted, format_matrix, matrix_from_json, parse_int, parse_matrix
@@ -142,8 +142,8 @@ def parse_word(text: str, generator_names: Sequence[str]) -> Word:
     letters: list[Letter] = []
     length = 0
     for pos, token in enumerate(text.split()):
-        name, _, power_text = token.partition("^")
-        if power_text:
+        name, caret, power_text = token.partition("^")
+        if caret:  # "a^" has an empty exponent, which parse_int refuses
             try:
                 power = parse_int(power_text)
             except ParseError:
@@ -515,12 +515,27 @@ def load_presentation(source) -> Presentation:
 SHIPPED_FILES = {1: "sl2z.json", 2: "genus2.json"}
 
 
+def _no_meyer_message(g: int) -> str:
+    if g >= 3:
+        return (
+            f"no Meyer function exists at genus {g}: the signature class "
+            "has infinite order for genus >= 3"
+        )
+    return f"unsupported fiber genus {g}: Meyer functions exist at genus 1 and 2 only"
+
+
+def _shipped_file(genus: int) -> str:
+    """The name of the shipped presentation file of ``genus``, the one
+    genus table; UnsupportedGenusError for a genus with none."""
+    if genus not in SHIPPED_FILES:
+        raise UnsupportedGenusError(_no_meyer_message(genus))
+    return SHIPPED_FILES[genus]
+
+
 @lru_cache(maxsize=None)
 def shipped_presentation(genus: int) -> Presentation:
     """The packaged presentation for genus 1 or 2, loaded once."""
-    if genus not in SHIPPED_FILES:
-        raise ValueError(f"no shipped presentation for genus {genus}")
-    text = resources.files("meyersig.data").joinpath(SHIPPED_FILES[genus]).read_text()
+    text = resources.files("meyersig.data").joinpath(_shipped_file(genus)).read_text()
     return load_presentation(text)
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -505,6 +506,18 @@ def test_euler(capsys):
     assert run_cli(capsys, "euler", "-g", "1", "-b", "0", "--chi", "1", "1")[:2] == (0, "2\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("-g", "-1", "-b", "0"), "fiber genus must be >= 0"),
+        (("-g", "1", "-b", "-2"), "base genus must be >= 0"),
+        (("-g", "-1", "-b", "0", "--chi", "1"), "fiber genus must be >= 0"),
+    ],
+)
+def test_euler_refuses_negative_genera(capsys, argv, message):
+    assert run_cli(capsys, "euler", *argv) == (1, "", f"error: {message}\n")
+
+
 def test_euler_flag_conflict(capsys):
     code, _, err = run_cli(capsys, "euler", "-g", "1", "-b", "0", "--eps", "1", "--chi", "1")
     assert code == 1
@@ -615,6 +628,7 @@ NOT_INTEGERS = {
     "twist-value --sep": (("twist-value", "-g", "2", "--sep", "\u0661"), "bad integer '\u0661'"),
     "--seed": (("--seed", "1_0", "--selftest"), "bad integer '1_0'"),
     "phi exponent": (("phi", "-p", "SL2Z", "a^1_0"), "bad exponent '1_0' in token 0: 'a^1_0'"),
+    "phi empty exponent": (("phi", "-p", "SL2Z", "a^ b"), "bad exponent '' in token 0: 'a^'"),
 }
 
 
@@ -634,6 +648,77 @@ def test_local_sig_kodaira_stem_must_be_ascii_digits(capsys, tmp_path, fiber):
     path = _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": f"kodaira:{fiber}"}])
     code, out, err = run_cli(capsys, "local-sig", "-f", path)
     assert (code, out, err) == (2, "", f"parse error: unknown Kodaira type {fiber!r}\n")
+
+
+# E(1): 12 nodal germs, half of them named by their Kodaira type
+E1_GERMS = [
+    {"monodromy": monodromy, "label": f"{label}{k}"}
+    for k in range(6)
+    for monodromy, label in (("kodaira:I_1", "u"), ("b^-1", "v"))
+]
+
+
+def _sl2z_data_dir(tmp_path, data_dir, sl2z):
+    """A --data directory with the shipped kodaira.json and this sl2z.json."""
+    data = _genus1_data_dir(tmp_path, data_dir, (data_dir / "kodaira.json").read_text())
+    Path(data, "sl2z.json").write_text(json.dumps({"genus": 1, **sl2z}))
+    return data
+
+
+def test_local_sig_kodaira_words_over_renamed_generators(capsys, data_dir, tmp_path):
+    # Kodaira references take the letters whose matrices are T and L,
+    # whatever the generators are called
+    shipped = json.loads((data_dir / "sl2z.json").read_text())
+    data = _sl2z_data_dir(tmp_path, data_dir, {
+        "generators": ["x", "y"],
+        "matrices": {"x": shipped["matrices"]["a"], "y": shipped["matrices"]["b"]},
+        "relators": [r.replace("a", "x").replace("b", "y") for r in shipped["relators"]],
+    })
+    for name, germs in (("e1", E1_GERMS), ("e2", E2_GERMS)):
+        path = _write_fibration(tmp_path / f"{name}.json", 1, germs)
+        expected = run_cli(capsys, "local-sig", "-f", path)
+        assert expected[0] == 0
+        renamed = [{**germ, "monodromy": germ["monodromy"].replace("b^", "y^")} for germ in germs]
+        path = _write_fibration(tmp_path / f"{name}-xy.json", 1, renamed)
+        assert run_cli(capsys, "--data", data, "local-sig", "-f", path) == expected
+    assert expected[1] == E2_OUT
+
+
+def test_local_sig_kodaira_needs_the_letters_t_and_l(capsys, data_dir, tmp_path):
+    data = _sl2z_data_dir(tmp_path, data_dir, {
+        "generators": ["a", "b"], "matrices": {"a": "1,2;0,1", "b": "1,0;-1,1"}, "relators": [],
+    })
+    path = _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "kodaira:I_1"}])
+    assert run_cli(capsys, "--data", data, "local-sig", "-f", path) == (
+        1, "",
+        "error: SL(2;Z) words need letters for T = [[1,1],[0,1]] and L = [[1,0],[-1,1]]\n",
+    )
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(argv, expected stdout) for each ``meyersig ... # ... -> X`` line of
+    the README's sh blocks; X is cut before " (or"."""
+    examples, in_sh = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("meyersig ") and "->" in line:
+            command, _, comment = line.partition("#")
+            expected = comment.partition("->")[2].strip().partition(" (or")[0]
+            examples.append((shlex.split(command)[1:], expected + "\n"))
+    return examples
+
+
+def test_readme_cli_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 9
+    data = resources.files("meyersig.data")
+    for argv, expected in examples:
+        argv = [str(data / a) if a in ("sl2z.json", "genus2.json") else a for a in argv]
+        assert run_cli(capsys, *argv)[:2] == (0, expected), argv
 
 
 def test_data_dir_override(capsys, data_dir, tmp_path):

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from meyersig.errors import ParseError, UnsupportedGenusError
+from meyersig.errors import InfiniteOrderError, ParseError, UnsupportedGenusError
 from meyersig.fibered import (
     FiberGerm,
     FibrationDescription,
@@ -27,14 +27,22 @@ from meyersig.fibered import (
 )
 from meyersig.genus1 import phi1
 from meyersig.presentations import (
+    ClassOrder,
     Presentation,
     Word,
+    class_order,
     evaluate_word,
     shipped_meyer_function,
     shipped_presentation,
 )
 from meyersig.selftest import random_word
-from meyersig.symplectic import SymplecticMatrix, a_class, random_symplectic, transvection
+from meyersig.symplectic import (
+    SymplecticMatrix,
+    a_class,
+    b_class,
+    random_symplectic,
+    transvection,
+)
 
 
 def _twelve_i1_fibration():
@@ -59,6 +67,34 @@ def test_meyer_function_genus_gate():
             meyer_function(g)
     with pytest.raises(UnsupportedGenusError, match="genus 1 and 2 only"):
         meyer_function(0)
+
+
+def test_shipped_presentation_genus_table():
+    # the one table of shipped files refuses every other genus, with the
+    # messages meyer_function gives
+    for g, message in ((0, "genus 1 and 2 only"), (3, "infinite order")):
+        with pytest.raises(UnsupportedGenusError, match=message):
+            shipped_presentation(g)
+
+
+def test_fibration_description_checks_only_the_base_genus():
+    # a genus-3 presentation with no relators has class order 1, so its
+    # germs get totals; one of infinite order builds, and raises when
+    # the total is asked for
+    twists = (transvection(a_class(3, 1)), transvection(b_class(3, 2)))
+    free = Presentation(3, ("x", "y"), twists, ())
+    assert class_order(free) == ClassOrder(1, (0, 0))
+    w = free.word("x y^-2 x y")
+    germs = (FiberGerm(w, 1), FiberGerm(w.inverse(), -3))
+    assert total_signature(FibrationDescription(free, 0, germs)) == -2
+    assert total_signature(FibrationDescription(free, 1, (FiberGerm(w * w.inverse(), 4),))) == 4
+    unbounded = Presentation(3, ("x",), twists[:1], (free.word("x x^-1"),))
+    object.__setattr__(unbounded, "_relator_values", (1,))  # as test_synthesize_unbounded_raises
+    fd = FibrationDescription(unbounded, 0, (FiberGerm(Word(), 0),))
+    with pytest.raises(InfiniteOrderError, match="no Meyer function"):
+        total_signature(fd)
+    with pytest.raises(ValueError, match="base genus must be >= 0"):
+        FibrationDescription(free, -1, ())
 
 
 def test_local_signature_trivial_germ(sl2z):
@@ -217,6 +253,17 @@ def test_total_euler_examples():
     assert total_euler(2, 2, []) == 4
 
 
+def test_euler_refuses_negative_genera():
+    assert total_euler(0, 0, []) == 4  # sphere fibers over a sphere
+    assert euler_contribution(1, 0) == -1
+    with pytest.raises(ValueError, match="fiber genus must be >= 0"):
+        total_euler(-1, 0, [])
+    with pytest.raises(ValueError, match="base genus must be >= 0"):
+        total_euler(1, -2, [])
+    with pytest.raises(ValueError, match="fiber genus must be >= 0"):
+        euler_contribution(1, -1)
+
+
 def test_sigma_alg_examples():
     assert sigma_alg_hyperelliptic(0, 0, 2) == 0
     assert sigma_alg_hyperelliptic(0, 1, 2) == Fraction(-3, 5)
@@ -322,6 +369,13 @@ def test_kodaira_words_evaluate(sl2z):
         assert evaluate_word(kodaira_word(name), sl2z) == kodaira_matrix(name)
 
 
+def test_kodaira_word_lengths():
+    # I_n is T^-n and I_n* is (T L)^3 T^n: n and n + 6 letters
+    lengths = {"I_0": 0, "I_1": 1, "I_7": 7, "I_0*": 6, "I_1*": 7, "I_7*": 13,
+               "II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
+    assert {name: len(kodaira_word(name)) for name in lengths} == lengths
+
+
 def test_kodaira_word_length_cap():
     assert len(kodaira_word("I_10000")) == 10_000
     with pytest.raises(ValueError, match="caps words") as info:
@@ -336,9 +390,30 @@ def test_kodaira_unknown_type():
 
 
 def test_sl2_word_reproduces(rng, sl2z):
-    for _ in range(150):
+    # the letters are found by their matrices T and L, not by their names
+    # or signs: the same words come out over renamed generators, and over
+    # generators T^-1 and L^-1 as inverse letters
+    renamed = Presentation(1, ("x", "y"), sl2z.matrices, sl2z.relators)
+    inverted = Presentation(
+        1, ("u", "v"), sl2z._inverses,
+        tuple(Word([(i, -s) for i, s in r.letters]) for r in sl2z.relators),
+    )
+    for _ in range(2000):
         m = random_symplectic(1, rng.randint(0, 18), rng.random())
-        assert evaluate_word(sl2_word(m), sl2z) == m
+        for m in (m, SymplecticMatrix([[-e for e in row] for row in m.mat.rows])):
+            word = sl2_word(m)
+            assert evaluate_word(word, sl2z) == m
+            assert sl2_word(m, renamed) == word
+            flipped = sl2_word(m, inverted)
+            assert flipped == Word([(i, -s) for i, s in word.letters])
+            assert evaluate_word(flipped, inverted) == m
+
+
+def test_sl2_word_needs_the_letters_t_and_l(sl2z):
+    only_t = Presentation(1, ("a",), sl2z.matrices[:1], ())
+    for p in (only_t, shipped_presentation(2)):
+        with pytest.raises(ValueError, match=r"T = \[\[1,1\],\[0,1\]\] and L = \[\[1,0\],\[-1,1\]\]"):
+            sl2_word(SymplecticMatrix([[1, -1], [0, 1]]), p)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,9 @@ def test_parse_word_errors():
     for power in ("1_0", "\uff12", "2.0"):
         with pytest.raises(ParseError, match="bad exponent"):
             parse_word(f"a^{power}", ("a",))
+    for text in ("a^", "a^ b"):  # a caret with nothing after it is no power 1
+        with pytest.raises(ParseError, match="bad exponent '' in token 0: 'a\\^'"):
+            parse_word(text, ("a", "b"))
 
 
 @pytest.mark.parametrize("text", ["a^1000000000000", "a^-6000 b^6000"])
