@@ -10,16 +10,30 @@ the 2x2 symmetric matrix [[-2c, a-d], [a-d, 2b]].  All values land in
 (1/3)Z; phi_1 cobounds the signature cocycle, which is the coboundary
 identity tested everywhere in this package.
 
+The layer works in integers and builds one Fraction per value.  For
+coprime 0 < a < c, Euclid's algorithm on (c, a) gives quotients
+q_1, ..., q_k; with Sigma = q_1 - q_2 + q_3 - ... and a* the inverse of a
+mod c in [1, c),
+
+    12 c s(a, c) = a + a* + c (Sigma - 2 + (-1)^k)
+
+(Knuth, TAOCP Vol. 2, 3.3.3; Barkan 1977; Hickerson 1977), i.e.
+c (Sigma - 3) for odd k and c (Sigma - 1) for even k.  Psi is
+integer-valued on SL(2;Z) (Kirby-Melvin, Dedekind sums, mu-invariants and
+the signature cocycle, Math. Ann. 299, 1994), so Psi * c is formed in
+ints and divided exactly by c, and 6 phi_1 = -2 Psi + 3 sigma (1 + sign(a+d)).
+
 sign(0) = 0 throughout, so when a + d = 0 the second term is sigma/2 and
-the half-integers must cancel against Psi/3; the (1/3)Z landing is
-asserted at runtime to catch branch bugs.
+the half-integers must cancel against Psi/3; the (1/3)Z landing (6 phi_1
+even) and the integrality of Psi are asserted at runtime to catch branch
+bugs.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import SymmetricForm, signature
+from .exact import SymmetricForm, _check_ints, signature
 from .symplectic import SymplecticMatrix
 
 
@@ -33,6 +47,7 @@ class SL2Element:
     d: int
 
     def __post_init__(self):
+        _check_ints(((self.a, self.b, self.c, self.d),))
         det = self.a * self.d - self.b * self.c
         if det != 1:
             raise ValueError(f"determinant is {det}, not 1")
@@ -83,33 +98,43 @@ def dedekind_sum(a: int, c: int) -> Fraction:
     """s(a, c) = sum over k mod |c| of ((ak/c)) ((k/c)), exactly, in O(log |c|) steps.
 
     The summands keep c's true sign, which makes the sum even in c.  It is
-    unchanged by dividing a and c by their gcd and by reducing a mod c, and
-    for coprime a, c > 0 reciprocity (Rademacher-Grosswald, Dedekind Sums,
-    1972) gives s(a, c) = (a^2 + c^2 + 1)/(12ac) - 1/4 - s(c mod a, a): a
-    Euclidean descent that ends at s(0, 1) = 0.
+    unchanged by dividing a and c by their gcd and by reducing a mod c;
+    then one integer Euclid pass gives 12 c s(a, c) by the formula in the
+    module docstring, and the only Fraction is the value.
     """
+    _check_ints(((a, c),))
     if c == 0:
         raise ValueError("dedekind_sum needs c != 0")
     d = math.gcd(a, c)
     a, c = (a // d) % abs(c // d), abs(c // d)
-    total = Fraction(0)
-    sign = 1
-    while a:
-        total += sign * (Fraction(a * a + c * c + 1, 12 * a * c) - Fraction(1, 4))
-        a, c, sign = c % a, a, -sign
-    return total
+    if a == 0:  # c == 1
+        return Fraction(0)
+    alternating, sign, x, y = 0, 1, c, a
+    while y:
+        q, r = divmod(x, y)
+        alternating += sign * q
+        x, y, sign = y, r, -sign
+    # sign is (-1)^k after k quotients
+    return Fraction(a + pow(a, -1, c) + c * (alternating - 2 + sign), 12 * c)
 
 
-def rademacher(alpha: SL2Element) -> Fraction:
-    """Psi(alpha): (a+d)/c - 12 sign(c) s(a,c) - 3 sign(c(a+d)), or b/d when c = 0."""
+def rademacher(alpha: SL2Element) -> int:
+    """Psi(alpha): (a+d)/c - 12 sign(c) s(a,c) - 3 sign(c(a+d)), or b/d when c = 0.
+
+    Psi * c = a + d - 12|c| s(a, c) - 3c sign(c(a+d)) is formed in ints
+    (12|c| s(a, c) is an integer, as a and c are coprime) and divided by c.
+    """
     a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
     if c == 0:
-        return Fraction(b, d)  # d = +-1, so this is an integer
-    return (
-        Fraction(a + d, c)
-        - 12 * _sign(c) * dedekind_sum(a, c)
-        - 3 * _sign(c * (a + d))
-    )
+        return b * d  # d = +-1, so b/d = b*d
+    s = dedekind_sum(a, c)
+    psi_c = a + d - 12 * abs(c) * s.numerator // s.denominator - 3 * c * _sign(c * (a + d))
+    psi, rest = divmod(psi_c, c)
+    if rest:
+        raise ArithmeticError(
+            f"Rademacher value {Fraction(psi_c, c)} escaped Z; branch bug for {alpha}"
+        )
+    return psi
 
 
 def defect_form(alpha: SL2Element) -> SymmetricForm:
@@ -130,16 +155,16 @@ def signature_defect(alpha: SL2Element) -> int:
 def phi1(alpha) -> Fraction:
     """The genus-1 Meyer function; accepts an SL2Element or a genus-1 matrix.
 
-    Values lie in (1/3)Z, which is asserted after the half-integer
-    intermediate terms (present exactly when a + d = 0) have cancelled.
+    Values lie in (1/3)Z, which is asserted as 6 phi_1 being even once the
+    half-integer term (present exactly when a + d = 0) has met Psi/3.
     """
     if not isinstance(alpha, SL2Element):
         alpha = SL2Element.from_matrix(alpha)
     psi = rademacher(alpha)
     sigma = signature_defect(alpha)
-    value = -psi / 3 + sigma * Fraction(1 + _sign(alpha.trace), 2)
-    if value.denominator not in (1, 3):
+    sixfold = -2 * psi + 3 * sigma * (1 + _sign(alpha.trace))
+    if sixfold % 2:
         raise ArithmeticError(
-            f"phi_1 value {value} escaped (1/3)Z; branch bug for {alpha}"
+            f"phi_1 value {Fraction(sixfold, 6)} escaped (1/3)Z; branch bug for {alpha}"
         )
-    return value
+    return Fraction(sixfold, 6)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meyersig import genus1
 from meyersig.fibered import hyperelliptic_twist_value
 from meyersig.genus1 import (
     SL2Element,
@@ -26,6 +28,32 @@ def _random_sl2(rng, max_len=20) -> SL2Element:
     return SL2Element.from_matrix(m)
 
 
+# the twists T = [[1, 1], [0, 1]], L = [[1, 0], [-1, 1]] and their inverses
+LETTERS = (U, U.inverse(), SL2Element(1, 0, -1, 1), SL2Element(1, 0, 1, 1))
+
+
+def _sl2_word(rng, length) -> SL2Element:
+    m = IDENT
+    for _ in range(length):
+        m = m * rng.choice(LETTERS)
+    return m
+
+
+def _dedekind_by_reciprocity(a: int, c: int) -> Fraction:
+    """The reciprocity descent, an independent oracle for dedekind_sum:
+    after the gcd and mod reduction, for coprime a, c > 0,
+    s(a, c) = (a^2 + c^2 + 1)/(12ac) - 1/4 - s(c mod a, a), down to s(0, 1) = 0
+    (Rademacher-Grosswald, Dedekind Sums, 1972)."""
+    d = math.gcd(a, c)
+    a, c = (a // d) % abs(c // d), abs(c // d)
+    total = Fraction(0)
+    sign = 1
+    while a:
+        total += sign * (Fraction(a * a + c * c + 1, 12 * a * c) - Fraction(1, 4))
+        a, c, sign = c % a, a, -sign
+    return total
+
+
 def test_sl2element_validation():
     with pytest.raises(ValueError, match="determinant"):
         SL2Element(1, 0, 0, 2)
@@ -33,6 +61,18 @@ def test_sl2element_validation():
         SL2Element.from_matrix(SymplecticMatrix.identity(2))
     assert SL2Element.from_matrix([[0, 1], [-1, 0]]) == SL2Element(0, 1, -1, 0)
     assert (U * U.inverse()) == IDENT
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [(1.0, 1, 0, 1), (2.0, 1, 1.0, 1), (True, 1, 0, True), (Fraction(1), 1, 0, 1), (1, 1, 0, Fraction(1))],
+)
+def test_sl2element_rejects_non_int_entries(entries):
+    with pytest.raises(ValueError, match="entries must be ints"):
+        SL2Element(*entries)
+    a, b, c, d = entries
+    with pytest.raises(ValueError, match="entries must be ints"):
+        phi1([[a, b], [c, d]])
 
 
 def test_sawtooth_examples():
@@ -62,6 +102,26 @@ def test_dedekind_rejects_zero_modulus():
         dedekind_sum(3, 0)
 
 
+@pytest.mark.parametrize("a, c", [(True, 3), (1.5, 3), (1, 3.0), (Fraction(1), 3), (2, False)])
+def test_dedekind_rejects_non_int_arguments(a, c):
+    with pytest.raises(ValueError, match="entries must be ints"):
+        dedekind_sum(a, c)
+
+
+def test_dedekind_matches_reciprocity_oracle():
+    rng = random.Random(17)
+    pairs = [(a, c) for c in range(-30, 31) if c for a in range(-30, 31)]
+    for _ in range(6000):
+        digits = rng.randint(1, 30)
+        c = rng.choice((-1, 1)) * rng.randint(1, 10**digits)
+        a = rng.randint(-(10**digits), 10**digits)
+        g = rng.choice((1, 1, 1, rng.randint(2, 10**6)))  # one in four shares a factor
+        pairs += [(a * g, c * g), (0, c), (a, rng.choice((-1, 1)))]
+    assert len(pairs) >= 20000
+    for a, c in pairs:
+        assert dedekind_sum(a, c) == _dedekind_by_reciprocity(a, c), (a, c)
+
+
 def test_dedekind_matches_literal_sawtooth_sum():
     rng = random.Random(3)
     for _ in range(40):
@@ -85,6 +145,31 @@ def test_rademacher_examples():
     assert rademacher(IDENT) == 0
     assert rademacher(U) == 1
     assert rademacher(SL2Element(0, 1, -1, 0)) == 0
+    assert rademacher(SL2Element(-1, 3, 0, -1)) == -3
+
+
+def test_rademacher_is_an_int():
+    rng = random.Random(29)
+    for _ in range(5000):
+        alpha = _sl2_word(rng, rng.randint(0, 40))
+        assert type(rademacher(alpha)) is int, alpha
+
+
+def test_phi1_calls_rademacher_and_dedekind_once(count_calls):
+    rad = count_calls(genus1, "rademacher")
+    ded = count_calls(genus1, "dedekind_sum")
+    assert phi1(SL2Element(2, 1, 5, 3)) == Fraction(2, 3)
+    assert (rad.call_count, ded.call_count) == (1, 1)
+
+
+def test_one_fraction_per_dedekind_and_phi1_value(count_calls):
+    # the Euclid pass and Psi are integer work; only the values are Fractions
+    built = count_calls(genus1, "Fraction")
+    assert dedekind_sum(233, 377) == _dedekind_by_reciprocity(233, 377)
+    assert built.call_count == 1
+    built.reset_mock()
+    phi1(SL2Element(89, 55, 144, 89))
+    assert built.call_count == 2
 
 
 def test_defect_form_and_signature():
@@ -99,6 +184,22 @@ def test_phi1_examples():
     assert phi1(U) == Fraction(2, 3)
     assert phi1(SL2Element(-1, 0, 0, -1)) == 0
     assert phi1(SL2Element(1, -1, 0, 1)) == Fraction(-2, 3)
+
+
+def test_phi1_of_minus_alpha_subtracts_the_signature_defect(rng):
+    # the coboundary at (alpha, -I): tau(alpha, -I) = sigma(alpha) and phi1(-I) = 0
+    elliptic = (SL2Element(0, 1, -1, 0), SL2Element(0, -1, 1, 0), SL2Element(1, 1, -1, 0))
+    seen = set()
+    for i in range(1500):
+        alpha = _sl2_word(rng, rng.randint(0, 12))
+        if i % 3 == 0:  # conjugates of elliptic and parabolic elements reach tr = 0 and c = 0
+            beta = _sl2_word(rng, rng.randint(0, 4))
+            alpha = beta * rng.choice(elliptic + LETTERS) * beta.inverse()
+        minus = SL2Element(-alpha.a, -alpha.b, -alpha.c, -alpha.d)
+        assert phi1(minus) == phi1(alpha) - signature_defect(alpha), alpha
+        seen.add(("c", (alpha.c > 0) - (alpha.c < 0)))
+        seen.add(("tr", (alpha.trace > 0) - (alpha.trace < 0)))
+    assert seen == {(k, s) for k in ("c", "tr") for s in (-1, 0, 1)}
 
 
 def test_phi1_twist_value_cross_check():
@@ -132,4 +233,4 @@ def test_phi1_hyperbolic_simplification(rng):
         if alpha.trace in (0, 1, 2):
             continue
         seen += 1
-        assert phi1(alpha) == -rademacher(alpha) / 3
+        assert phi1(alpha) == Fraction(-rademacher(alpha), 3)
