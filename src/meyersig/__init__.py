@@ -7,7 +7,7 @@ there is no floating point anywhere in the public API.
 
 from .cocycle import VSpace, sigma_defect_via_tau, tau_sp, tau_twist, v_space
 from .errors import InfiniteOrderError, ParseError, UnsupportedGenusError
-from .exact import SignatureTriple, SymmetricForm, kernel_basis, signature
+from .exact import SignatureTriple, kernel_basis, signature
 from .fibered import (
     FiberGerm,
     FibrationDescription,

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exact import _inertia, affine_point, kernel_basis
+from .exact import _inertia, _sign, affine_point, kernel_basis
 from .matrix import _add_identity
 from .symplectic import SymplecticMatrix, symplectic_pairing
 
@@ -169,16 +169,16 @@ def _tau_twist_rows(m: Sequence[Sequence[int]], v: Sequence[int], lam: int) -> i
     if point is None:
         return 0
     x, t = point
-    value = lam * t * (lam * symplectic_pairing(x, v) + t)
-    return (value > 0) - (value < 0)
+    return _sign(lam * t * (lam * symplectic_pairing(x, v) + t))
 
 
 def sigma_defect_via_tau(alpha: SymplecticMatrix) -> int:
     """tau_1(alpha, -I), the genus-1 signature defect of alpha.
 
-    Agrees with the closed-form 2x2 signature computed in
-    :func:`meyersig.genus1.signature_defect`; the agreement of the two
-    routes is one of the package's cross-checked invariants.
+    Agrees with :func:`meyersig.genus1.signature_defect`, which reads the
+    signature of [[-2c, a-d], [a-d, 2b]] off the trace of alpha and b - c;
+    the agreement of the two routes is one of the package's cross-checked
+    invariants.
     """
     if alpha.g != 1:
         raise ValueError(f"defined only at genus 1, got genus {alpha.g}")

@@ -2,21 +2,21 @@
 determinants, single solutions of linear systems, and the order of a
 vector modulo an integer lattice.
 
-Input is integer.  The public entries, :class:`SymmetricForm` (and so
-:func:`signature`) and :func:`kernel_basis`, refuse any entry that is not
-an ``int`` (a Fraction, a float or a bool) with ValueError, since the
-fraction-free passes below would floor-divide it silently; the internal
-helpers :func:`determinant`, :func:`affine_point` and :func:`lattice_order`
-trust their caller.  Every step is fraction-free elimination over Python
-ints, in the style of Bareiss (1968).  :func:`determinant` and the one
-Gauss-Jordan pass that :func:`kernel_basis` and :func:`affine_point` share
-divide each new entry exactly by the previous pivot, which keeps every
-entry a minor of the input; :func:`signature` divides each new block by
-its content, the gcd of its entries; :func:`lattice_order` scales its
-residual by just enough to divide exactly.  No floating point appears
-anywhere in this package.  The signature is read off by congruence
-diagonalization rather than from eigenvalues, which is what makes an
-exact answer possible.
+Input is integer.  The public entries, :func:`signature` and
+:func:`kernel_basis`, refuse any entry that is not an ``int`` (a Fraction,
+a float or a bool) with ValueError, since the fraction-free passes below
+would floor-divide it silently; :func:`signature` also refuses rows that
+are not a symmetric square.  The internal helpers :func:`determinant`,
+:func:`affine_point` and :func:`lattice_order` trust their caller.
+Every step is fraction-free elimination over Python ints, in the style of
+Bareiss (1968).  :func:`determinant` and the one Gauss-Jordan pass that
+:func:`kernel_basis` and :func:`affine_point` share divide each new entry
+exactly by the previous pivot, which keeps every entry a minor of the
+input; :func:`signature` divides each new block by its content, the gcd
+of its entries; :func:`lattice_order` scales its residual by just enough
+to divide exactly.  No floating point appears anywhere in this package.
+The signature is read off by congruence diagonalization rather than from
+eigenvalues, which is what makes an exact answer possible.
 
 Tuples and star-arguments here are built from lists, not generators:
 CPython sizes a tuple drawn from a generator by a guess and a resize,
@@ -45,62 +45,11 @@ class SignatureTriple(NamedTuple):
         return self.positive + self.negative + self.null
 
 
-class SymmetricForm:
-    """A square integer matrix validated to be exactly symmetric.
-
-    Every entry must be an int; any other entry, a bool included, raises
-    ValueError.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence[Sequence[int]]):
-        rows = _check_ints(tuple([tuple(r) for r in entries]))
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} entries in a {n}x{n} form")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(
-                        f"not symmetric: entry ({i},{j})={rows[i][j]} != ({j},{i})={rows[j][i]}"
-                    )
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricForm is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "SymmetricForm":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def direct_sum(self, other: "SymmetricForm") -> "SymmetricForm":
-        n, m = self.dim, other.dim
-        rows = [list(row) + [0] * m for row in self.entries]
-        rows += [[0] * n + list(row) for row in other.entries]
-        return SymmetricForm(rows)
-
-    def __eq__(self, other):
-        return isinstance(other, SymmetricForm) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"SymmetricForm({[list(r) for r in self.entries]!r})"
-
-
-def signature(form: SymmetricForm | Sequence[Sequence[int]]) -> SignatureTriple:
+def signature(rows: Sequence[Sequence[int]]) -> SignatureTriple:
     """Inertia (p, q, z) of a symmetric integer form by exact congruence.
 
-    Rows that are not a :class:`SymmetricForm` are made into one first, so
-    a non-int entry or an asymmetric pair raises ValueError.
+    The rows must be square, with int entries only, and exactly
+    symmetric; anything else raises ValueError.
 
     Each step takes a nonzero diagonal pivot d, counts +1 or -1 by its
     sign, and replaces the trailing block by sign(d) * (d * a_rs - a_rd * a_ds),
@@ -110,9 +59,18 @@ def signature(form: SymmetricForm | Sequence[Sequence[int]]) -> SignatureTriple:
     congruence nor positive scaling changes inertia, so the tally is the
     inertia of the input; a block that reaches zero is its radical.
     """
-    if not isinstance(form, SymmetricForm):
-        form = SymmetricForm(form)
-    return _inertia([list(row) for row in form.entries])
+    a = _check_ints([list(row) for row in rows])
+    n = len(a)
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ValueError(f"row {i} has {len(row)} entries in a {n}x{n} form")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] != a[j][i]:
+                raise ValueError(
+                    f"not symmetric: entry ({i},{j})={a[i][j]} != ({j},{i})={a[j][i]}"
+                )
+    return _inertia(a)
 
 
 def _inertia(a: list[list[int]]) -> SignatureTriple:
@@ -304,6 +262,10 @@ def _gauss_jordan(mat: list[list[int]], width: int) -> tuple[list[int], int]:
         pivots.append(c)
         prev = p
     return pivots, prev
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def _check_ints(rows):

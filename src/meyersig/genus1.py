@@ -6,14 +6,17 @@ has an explicit formula built from Dedekind sums:
     phi_1(alpha) = -(1/3) Psi(alpha) + sigma(alpha) * (1 + sign(a+d)) / 2
 
 where Psi is the Rademacher function and sigma(alpha) is the signature of
-the 2x2 symmetric matrix [[-2c, a-d], [a-d, 2b]].  All values land in
-(1/3)Z; phi_1 cobounds the signature cocycle, which is the coboundary
-identity tested everywhere in this package.
+the 2x2 symmetric matrix [[-2c, a-d], [a-d, 2b]].  That matrix has
+determinant 4 - (a+d)^2 and trace 2(b - c), so sigma is read off the
+trace of alpha and b - c with no elimination (see
+:func:`signature_defect`).  All values land in (1/3)Z; phi_1 cobounds the
+signature cocycle, which is the coboundary identity tested everywhere in
+this package.
 
-The layer works in integers and builds one Fraction per value.  For
-coprime 0 < a < c, Euclid's algorithm on (c, a) gives quotients
-q_1, ..., q_k; with Sigma = q_1 - q_2 + q_3 - ... and a* the inverse of a
-mod c in [1, c),
+The layer works in the four integers a, b, c, d and builds one Fraction
+per value.  For coprime 0 < a < c, Euclid's algorithm on (c, a) gives
+quotients q_1, ..., q_k; with Sigma = q_1 - q_2 + q_3 - ... and a* the
+inverse of a mod c in [1, c),
 
     12 c s(a, c) = a + a* + c (Sigma - 2 + (-1)^k)
 
@@ -33,13 +36,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import SymmetricForm, _check_ints, signature
+from .exact import _check_ints, _sign
 from .symplectic import SymplecticMatrix
 
 
 @dataclass(frozen=True)
 class SL2Element:
-    """An integer matrix [[a, b], [c, d]] with ad - bc = 1."""
+    """An integer matrix [[a, b], [c, d]] with ad - bc = 1: the entries
+    that :func:`rademacher`, :func:`signature_defect` and :func:`phi1`
+    read.  Products and inverses are those of :class:`SymplecticMatrix`."""
 
     a: int
     b: int
@@ -64,26 +69,9 @@ class SL2Element:
             raise ValueError("expected a 2x2 matrix")
         return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 
-    def inverse(self) -> "SL2Element":
-        return SL2Element(self.d, -self.b, -self.c, self.a)
-
-    def __mul__(self, other: "SL2Element") -> "SL2Element":
-        if not isinstance(other, SL2Element):
-            return NotImplemented
-        return SL2Element(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     @property
     def trace(self) -> int:
         return self.a + self.d
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
 
 
 def sawtooth(x) -> Fraction:
@@ -137,19 +125,26 @@ def rademacher(alpha: SL2Element) -> int:
     return psi
 
 
-def defect_form(alpha: SL2Element) -> SymmetricForm:
-    """The 2x2 symmetric matrix [[-2c, a-d], [a-d, 2b]] whose signature is sigma(alpha)."""
-    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
-    return SymmetricForm([[-2 * c, a - d], [a - d, 2 * b]])
-
-
 def signature_defect(alpha: SL2Element) -> int:
-    """sigma(alpha), computed from the closed-form 2x2 matrix.
+    """sigma(alpha), the signature of Q = [[-2c, a-d], [a-d, 2b]], from
+    the trace of alpha and b - c.
+
+    det Q = -4bc - (a-d)^2 = 4(ad - bc) - (a+d)^2 = 4 - tr^2 alpha and
+    trace Q = 2(b - c).  For |tr alpha| > 2, det Q < 0: one eigenvalue of
+    each sign, sigma = 0.  For |tr alpha| < 2, det Q > 0: Q is definite
+    with the sign of its trace, sigma = 2 sign(b - c).  For |tr alpha| = 2,
+    det Q = 0: the one eigenvalue left is trace Q, sigma = sign(b - c),
+    which is 0 only at alpha = +-I (Atiyah, The logarithm of the Dedekind
+    eta-function, Math. Ann. 278, 1987; Kirby-Melvin, Math. Ann. 299, 1994).
 
     Equal to tau_1(alpha, -I); see
     :func:`meyersig.cocycle.sigma_defect_via_tau` for the cocycle route.
     """
-    return signature(defect_form(alpha)).value
+    trace = abs(alpha.trace)
+    if trace > 2:
+        return 0
+    sign = _sign(alpha.b - alpha.c)
+    return sign if trace == 2 else 2 * sign
 
 
 def phi1(alpha) -> Fraction:

@@ -186,14 +186,17 @@ def parse_matrix(text: str) -> IntMatrix:
 
 
 def _decode_json(text: str, what: str):
-    """The value JSON ``text`` spells; malformed JSON, or JSON nested too
-    deeply to decode, is a ParseError naming ``what``."""
+    """The value JSON ``text`` spells; malformed JSON, JSON nested too
+    deeply to decode, or an integer with more digits than ``int()``
+    converts, is a ParseError naming ``what``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad {what} at offset {exc.pos}: {exc.msg}") from None
     except RecursionError:
         raise ParseError(f"bad {what}: nested too deeply") from None
+    except ValueError:  # the decoder's int() past the digit limit
+        raise ParseError(f"bad {what}: an integer has too many digits") from None
 
 
 def matrix_from_json(data) -> IntMatrix:

@@ -48,7 +48,7 @@ from typing import Iterable, Sequence
 
 from .cocycle import _tau_twist_rows, tau_sp
 from .errors import InfiniteOrderError, ParseError, UnsupportedGenusError
-from .exact import determinant, lattice_order
+from .exact import _sign, determinant, lattice_order
 from .matrix import (
     _add_identity, _decode_json, _trusted, format_matrix, matrix_from_json, parse_int, parse_matrix
 )
@@ -331,10 +331,6 @@ def _zero_rows(n: int) -> tuple:
     return ((0,) * n,) * n
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def cochain_c(w: Word, p: Presentation) -> int:
     """c(w): the signature cocycle summed along the prefixes of w, by the
     one prefix walk of :func:`_walk`."""
@@ -434,15 +430,19 @@ def synthesize_meyer(p: Presentation) -> SynthesizedMeyerFunction:
 def read_json(source, what: str):
     """The JSON object in a dict, a JSON string, or a file path; a str
     that starts with '{' or '[' is JSON text, a :class:`~pathlib.Path` is
-    always a file.  Malformed JSON is a ParseError naming ``what`` and the
-    offset, and so is JSON nested too deeply to decode or JSON that is not
-    an object."""
+    always a file, read as UTF-8.  Malformed JSON is a ParseError naming
+    ``what`` and the offset, and so is a file that is not UTF-8, JSON
+    nested too deeply to decode, an integer with more digits than Python
+    converts, or JSON that is not an object."""
     if isinstance(source, dict):
         return source
     if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         text = source
     else:
-        text = Path(source).read_text()
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"bad {what} JSON at byte {exc.start}: not UTF-8") from None
     data = _decode_json(text, f"{what} JSON")
     if not isinstance(data, dict):
         raise ParseError(f"{what} JSON must be an object, got {type(data).__name__}")

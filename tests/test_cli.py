@@ -388,6 +388,35 @@ def test_deeply_nested_json_is_parse_error(capsys, data_dir, tmp_path, source):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+UNDECODABLE = {
+    "not UTF-8": b"[[\xff, 1], [0, 1]]",
+    "huge integer": b"[[1, " + b"9" * 5000 + b"], [0, 1]]",  # past int()'s 4300-digit limit
+}
+
+
+@pytest.mark.parametrize("fault", list(UNDECODABLE))
+@pytest.mark.parametrize("source", ["tau", "presentation", "fibration", "kodaira"])
+def test_undecodable_json_is_parse_error(capsys, data_dir, tmp_path, source, fault):
+    raw = UNDECODABLE[fault]
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    data = _genus1_data_dir(tmp_path, data_dir)
+    (Path(data) / "kodaira.json").write_bytes(raw)
+    argv = {
+        # argv reaches main as str, undecodable bytes escaped as Python escapes them
+        "tau": ["tau", raw.decode("utf-8", "surrogateescape"), "1,0;0,1"],
+        "presentation": ["order", "-p", str(path)],
+        "fibration": ["local-sig", "-f", str(path)],
+        "kodaira": [
+            "--data", data, "local-sig",
+            "-f", _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "kodaira:I_1"}]),
+        ],
+    }[source]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("genus", [100_000, 0])
 def test_presentation_without_generators_is_refused_at_once(capsys, tmp_path, genus):
     # no matrix pins the genus, so nothing may be sized by it

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meyersig import genus1
+from meyersig.cocycle import sigma_defect_via_tau
+from meyersig.exact import signature
 from meyersig.fibered import hyperelliptic_twist_value
 from meyersig.genus1 import (
     SL2Element,
     dedekind_sum,
-    defect_form,
     phi1,
     rademacher,
     sawtooth,
@@ -21,22 +22,32 @@ from meyersig.symplectic import SymplecticMatrix, random_symplectic
 
 U = SL2Element(1, 1, 0, 1)
 IDENT = SL2Element(1, 0, 0, 1)
+T = SymplecticMatrix([[1, 1], [0, 1]])
+S = SymplecticMatrix([[0, 1], [-1, 0]])
+MINUS_I = SymplecticMatrix([[-1, 0], [0, -1]])
+
+
+def _random_sp(rng, max_len=20) -> SymplecticMatrix:
+    return random_symplectic(1, rng.randint(0, max_len), rng.random())
 
 
 def _random_sl2(rng, max_len=20) -> SL2Element:
-    m = random_symplectic(1, rng.randint(0, max_len), rng.random())
-    return SL2Element.from_matrix(m)
+    return SL2Element.from_matrix(_random_sp(rng, max_len))
 
 
 # the twists T = [[1, 1], [0, 1]], L = [[1, 0], [-1, 1]] and their inverses
-LETTERS = (U, U.inverse(), SL2Element(1, 0, -1, 1), SL2Element(1, 0, 1, 1))
+LETTERS = (T, T.inverse(), SymplecticMatrix([[1, 0], [-1, 1]]), SymplecticMatrix([[1, 0], [1, 1]]))
 
 
-def _sl2_word(rng, length) -> SL2Element:
-    m = IDENT
+def _word(rng, length) -> SymplecticMatrix:
+    m = SymplecticMatrix.identity(1)
     for _ in range(length):
         m = m * rng.choice(LETTERS)
     return m
+
+
+def _sl2_word(rng, length) -> SL2Element:
+    return SL2Element.from_matrix(_word(rng, length))
 
 
 def _dedekind_by_reciprocity(a: int, c: int) -> Fraction:
@@ -60,7 +71,7 @@ def test_sl2element_validation():
     with pytest.raises(ValueError, match="genus 1"):
         SL2Element.from_matrix(SymplecticMatrix.identity(2))
     assert SL2Element.from_matrix([[0, 1], [-1, 0]]) == SL2Element(0, 1, -1, 0)
-    assert (U * U.inverse()) == IDENT
+    assert SL2Element.from_matrix(T * T.inverse()) == IDENT
 
 
 @pytest.mark.parametrize(
@@ -173,10 +184,35 @@ def test_one_fraction_per_dedekind_and_phi1_value(count_calls):
 
 
 def test_defect_form_and_signature():
-    assert defect_form(U).entries == ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(2)))
     assert signature_defect(U) == 1
     assert signature_defect(SL2Element(1, -1, 0, 1)) == -1
     assert signature_defect(IDENT) == 0
+
+
+def test_signature_defect_against_the_form_and_the_cocycle():
+    """The closed form against two independent routes, on 2000 seeded
+    matrices, conjugates of S, S^-1, [[1, 1], [-1, 0]] and T^+-1, +-I and
+    the negatives of all of them: congruence reduction of the form
+    [[-2c, a-d], [a-d, 2b]] by exact.signature, and tau_1(alpha, -I) by
+    the cocycle's kernel.  Every branch of the closed form is reached."""
+    rng = random.Random(37)
+    conjugated = (S, S.inverse(), SymplecticMatrix([[1, 1], [-1, 0]]), T, T.inverse())
+    mats = [SymplecticMatrix.identity(1)]
+    for _ in range(2000):
+        beta = _random_sp(rng, 6)
+        mats += [_random_sp(rng), beta * rng.choice(conjugated) * beta.inverse()]
+    seen = set()
+    for m in mats + [MINUS_I * m for m in mats]:
+        alpha = SL2Element.from_matrix(m)
+        a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+        form = signature([[-2 * c, a - d], [a - d, 2 * b]]).value
+        assert signature_defect(alpha) == form == sigma_defect_via_tau(m), alpha
+        trace = abs(alpha.trace)
+        seen.add((
+            "<2" if trace < 2 else "=2" if trace == 2 else ">2",
+            0 if trace > 2 else (b > c) - (b < c),
+        ))
+    assert seen == {("<2", 1), ("<2", -1), ("=2", 1), ("=2", -1), ("=2", 0), (">2", 0)}
 
 
 def test_phi1_examples():
@@ -188,13 +224,14 @@ def test_phi1_examples():
 
 def test_phi1_of_minus_alpha_subtracts_the_signature_defect(rng):
     # the coboundary at (alpha, -I): tau(alpha, -I) = sigma(alpha) and phi1(-I) = 0
-    elliptic = (SL2Element(0, 1, -1, 0), SL2Element(0, -1, 1, 0), SL2Element(1, 1, -1, 0))
+    elliptic = (S, S.inverse(), SymplecticMatrix([[1, 1], [-1, 0]]))
     seen = set()
     for i in range(1500):
-        alpha = _sl2_word(rng, rng.randint(0, 12))
+        word = _word(rng, rng.randint(0, 12))
         if i % 3 == 0:  # conjugates of elliptic and parabolic elements reach tr = 0 and c = 0
-            beta = _sl2_word(rng, rng.randint(0, 4))
-            alpha = beta * rng.choice(elliptic + LETTERS) * beta.inverse()
+            beta = _word(rng, rng.randint(0, 4))
+            word = beta * rng.choice(elliptic + LETTERS) * beta.inverse()
+        alpha = SL2Element.from_matrix(word)
         minus = SL2Element(-alpha.a, -alpha.b, -alpha.c, -alpha.d)
         assert phi1(minus) == phi1(alpha) - signature_defect(alpha), alpha
         seen.add(("c", (alpha.c > 0) - (alpha.c < 0)))
@@ -214,8 +251,8 @@ def test_phi1_accepts_matrices():
 
 def test_phi1_inverse_and_conjugation(rng):
     for _ in range(250):
-        alpha = _random_sl2(rng)
-        beta = _random_sl2(rng)
+        alpha = _random_sp(rng)
+        beta = _random_sp(rng)
         assert phi1(alpha.inverse()) == -phi1(alpha)
         assert phi1(beta * alpha * beta.inverse()) == phi1(alpha)
 
