@@ -15,23 +15,33 @@ below is the exact, finite computation of that signature.  The pairing is
 symmetric when restricted to V_{A,B}; this is asserted rather than
 assumed, because a failure pinpoints a kernel-basis bug immediately.
 
-Neither form is built as a matrix product.  :func:`v_space` writes the
-rows of [A^{-1} - I | B - I] directly, from the block inverse of A with
-one subtracted from each diagonal entry.  :func:`tau_sp` forms
-w = (I - B) y for each basis vector (x, y) and pairs it with x + y
+Neither form is built as a matrix product.  :func:`tau_sp` writes the
+rows of [A^{-1} - I | B - I] once, from the block inverse of A read off
+A's columns with one subtracted from each diagonal entry, and makes one
+fraction-free Gauss-Jordan pass over them
+(:func:`meyersig.exact._gauss_jordan`).  Each free column of the
+reduced rows gives one kernel vector (x, y), read straight off them by
+the readout behind :func:`meyersig.exact.kernel_basis`.  The vectors are
+not normalized: scaling the i-th one by an integer c_i != 0 turns the
+Gram matrix G into D G D with D = diag(c_i), a congruence, so by
+Sylvester's law of inertia the signature is unchanged (and the
+congruence loop divides each block by its content anyway).  For each
+vector :func:`tau_sp` forms w = (I - B) y and pairs it with x + y
 through J by index, (x + y)^T J w = sum_i (s_i w_{g+i} - s_{g+i} w_i),
 so neither J (I - B) nor an identity matrix is ever made.
 
-Most of that Gram matrix is radical.  A basis vector with w = 0 (every
-vector with y = 0, from a free x-column of the kernel, is one) pairs to
-zero with every vector from the right, so its Gram column is zero, and
-by symmetry on V so is its row.  Dropping it therefore leaves p - q
+Most of that Gram matrix is radical.  A basis vector with w = 0 pairs
+to zero with every vector from the right, so its Gram column is zero,
+and by symmetry on V so is its row.  Dropping it therefore leaves p - q
 unchanged, and :func:`tau_sp` builds the Gram matrix only on the vectors
-with w != 0, skipping the product B y when y = 0.  The symmetry guard
-still covers every pair: it also requires each dropped vector's row,
-(x + y)^T J w against each kept w, to be zero.  The Gram matrix, checked
-symmetric, goes straight to the integer congruence loop behind
-:func:`meyersig.exact.signature`.
+with w != 0.  The vector of a free column f is nonzero only at f and at
+pivot columns left of f, so when f is an x-column its y is 0 and it is
+dropped with no product B y.  The symmetry guard still covers every
+pair: it also requires each dropped vector's row, (x + y)^T J w against
+each kept w, to be zero.  The Gram matrix, checked symmetric, goes
+straight to the integer congruence loop behind
+:func:`meyersig.exact.signature`.  :func:`v_space` gives the public,
+primitive basis of the same rows.
 
 When B is a power of a Dehn twist, B x = x + lam <v, x> v with
 <v, x> = v^T J x, the matrix B - I = lam v (v^T J) has rank 1 and the
@@ -78,9 +88,9 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exact import _inertia, _sign, affine_point, kernel_basis
-from .matrix import _add_identity
-from .symplectic import SymplecticMatrix, symplectic_pairing
+from .exact import _free_columns, _gauss_jordan, _inertia, _sign, affine_point, kernel_basis
+from .matrix import IntMatrix, _add_identity
+from .symplectic import SymplecticMatrix, _inverse_rows, _wrap, symplectic_pairing
 
 
 @dataclass(frozen=True)
@@ -95,36 +105,49 @@ class VSpace:
         return len(self.basis)
 
 
-def v_space(a: SymplecticMatrix, b: SymplecticMatrix) -> VSpace:
-    """Kernel basis of the 2g x 4g block matrix [A^{-1} - I | B - I]."""
+def _v_rows(a: SymplecticMatrix, b: SymplecticMatrix) -> list[list[int]]:
+    """The rows of [A^{-1} - I | B - I], A^{-1} read off A's columns."""
     if a.g != b.g:
         raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
     n = 2 * a.g
-    rows = [list(r + s) for r, s in zip(a.inverse().mat.rows, b.mat.rows)]
-    for r in range(n):
-        rows[r][r] -= 1
-        rows[r][n + r] -= 1
-    return VSpace(a.g, tuple(kernel_basis(rows)))
+    rows = [[*r, *s] for r, s in zip(_inverse_rows(a.mat.rows, a.g), b.mat.rows)]
+    for r, row in enumerate(rows):
+        row[r] -= 1
+        row[n + r] -= 1
+    return rows
+
+
+def v_space(a: SymplecticMatrix, b: SymplecticMatrix) -> VSpace:
+    """Kernel basis of the 2g x 4g block matrix [A^{-1} - I | B - I]."""
+    return VSpace(a.g, tuple(kernel_basis(_v_rows(a, b))))
 
 
 def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
     """Signature of the pants-bundle pairing on V_{A,B}.
 
     Zero whenever either argument is the identity or B = A^{-1}; bounded
-    by dim V_{A,B} <= 4g in absolute value.  A basis vector (x, y) with
-    w = (I - B) y = 0 spans part of the radical (its Gram column is zero,
-    and on V so is its row), so the Gram matrix is built only on the
-    vectors with w != 0.  The symmetry check still covers every pair: kept
-    against kept entrywise, and each dropped vector's row against the kept
-    ones must be zero.
+    by dim V_{A,B} <= 4g in absolute value.  The kernel vectors (x, y) are
+    read off one Gauss-Jordan pass over [A^{-1} - I | B - I], one per free
+    column and not normalized: rescaling a vector by a nonzero integer
+    multiplies its Gram row and column by it, a congruence D G D that
+    leaves the inertia unchanged.  A vector with w = (I - B) y = 0 spans
+    part of the radical (its Gram column is zero, and on V so is its row),
+    so the Gram matrix is built only on the vectors with w != 0; a free
+    x-column gives y = 0 and is dropped without the product B y.  The
+    symmetry check still covers every pair: kept against kept entrywise,
+    and each dropped vector's row against the kept ones must be zero.
     """
-    space = v_space(a, b)
     g, n = a.g, 2 * a.g
+    rows = _v_rows(a, b)
+    pivots, d = _gauss_jordan(rows, 2 * n)
     kept, j_ws, dropped = [], [], []
-    for v in space.basis:
-        x, y = v[:n], v[n:]
-        s = [xi + yi for xi, yi in zip(x, y)]
-        w = [yi - byi for yi, byi in zip(y, b.apply(y))] if any(y) else y  # (I - B) y
+    for f, v in _free_columns(rows, pivots, d):
+        if f < n:  # y = 0
+            dropped.append(v[:n])
+            continue
+        y = v[n:]
+        s = [xi + yi for xi, yi in zip(v, y)]  # x + y: zip stops at len(y) = n
+        w = [yi - sum(map(mul, row, y)) for yi, row in zip(y, b.mat.rows)]  # (I - B) y
         if any(w):
             kept.append(s)
             j_ws.append(w[g:] + [-e for e in w[:g]])  # J (I - B) y
@@ -172,6 +195,9 @@ def _tau_twist_rows(m: Sequence[Sequence[int]], v: Sequence[int], lam: int) -> i
     return _sign(lam * t * (lam * symplectic_pairing(x, v) + t))
 
 
+_MINUS_I1 = _wrap(1, -IntMatrix.identity(2))  # -I in Sp(2;Z), built once
+
+
 def sigma_defect_via_tau(alpha: SymplecticMatrix) -> int:
     """tau_1(alpha, -I), the genus-1 signature defect of alpha.
 
@@ -182,5 +208,4 @@ def sigma_defect_via_tau(alpha: SymplecticMatrix) -> int:
     """
     if alpha.g != 1:
         raise ValueError(f"defined only at genus 1, got genus {alpha.g}")
-    minus_one = SymplecticMatrix([[-1, 0], [0, -1]], 1)
-    return tau_sp(alpha, minus_one)
+    return tau_sp(alpha, _MINUS_I1)

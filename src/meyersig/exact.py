@@ -7,10 +7,12 @@ Input is integer.  The public entries, :func:`signature` and
 a float or a bool) with ValueError, since the fraction-free passes below
 would floor-divide it silently; :func:`signature` also refuses rows that
 are not a symmetric square.  The internal helpers :func:`determinant`,
-:func:`affine_point` and :func:`lattice_order` trust their caller.
+:func:`affine_point`, :func:`lattice_order` and the free-column readout
+:func:`_free_columns` trust their caller.
 Every step is fraction-free elimination over Python ints, in the style of
 Bareiss (1968).  :func:`determinant` and the one Gauss-Jordan pass that
-:func:`kernel_basis` and :func:`affine_point` share divide each new entry
+:func:`kernel_basis`, :func:`affine_point` and
+:func:`meyersig.cocycle.tau_sp` share divide each new entry
 exactly by the previous pivot, which keeps every entry a minor of the
 input; :func:`signature` divides each new block by its content, the gcd
 of its entries; :func:`lattice_order` scales its residual by just enough
@@ -108,11 +110,10 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
     M must have at least one row, all of one width, and int entries only;
     anything else raises ValueError.  One fraction-free Gauss-Jordan pass
-    (:func:`_gauss_jordan`) leaves the pivot columns reading d * I.  For a
-    free column f the vector is d at f and -row[f] at the pivot column of
-    each row, a multiple of the reduced echelon one; it is then divided by
-    its content, with the first nonzero entry made positive, so the output
-    is deterministic.  Returns [] when the kernel is trivial.
+    (:func:`_gauss_jordan`) and its free-column readout
+    (:func:`_free_columns`) give one kernel vector per free column; each is
+    divided by its content, with the first nonzero entry made positive, so
+    the output is deterministic.  Returns [] when the kernel is trivial.
     """
     mat = _check_ints([list(row) for row in rows])
     if not mat:
@@ -121,16 +122,7 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     if any(len(row) != width for row in mat):
         raise ValueError("ragged matrix")
     pivots, d = _gauss_jordan(mat, width)
-    basis = []
-    for f in range(width):
-        if f in pivots:
-            continue
-        vec = [0] * width
-        vec[f] = d
-        for row, p in zip(mat, pivots):
-            vec[p] = -row[f]
-        basis.append(_primitive(vec))
-    return basis
+    return [_primitive(vec) for _, vec in _free_columns(mat, pivots, d)]
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -262,6 +254,30 @@ def _gauss_jordan(mat: list[list[int]], width: int) -> tuple[list[int], int]:
         pivots.append(c)
         prev = p
     return pivots, prev
+
+
+def _free_columns(
+    mat: list[list[int]], pivots: list[int], d: int
+) -> list[tuple[int, list[int]]]:
+    """(f, v) for each free column f of a matrix reduced in full by
+    :func:`_gauss_jordan`, which returned pivots and d: v is d at f, -row[f]
+    at the pivot column of each row and 0 elsewhere, so M v = 0.  It is
+    d times the reduced echelon kernel vector, not normalized.  Pivot
+    columns hold d * I, so a row's entry at f is nonzero only when its
+    pivot lies left of f: f is the last nonzero entry of v.
+    """
+    width = len(mat[0])
+    pivoted = set(pivots)
+    out = []
+    for f in range(width):
+        if f in pivoted:
+            continue
+        vec = [0] * width
+        vec[f] = d
+        for row, p in zip(mat, pivots):
+            vec[p] = -row[f]
+        out.append((f, vec))
+    return out
 
 
 def _sign(x: int) -> int:

@@ -101,14 +101,7 @@ class SymplecticMatrix:
         return _wrap(self.g, self.mat * other.mat)
 
     def inverse(self) -> "SymplecticMatrix":
-        # A^T J A = J gives A^{-1} = -J A^T J.  In g x g blocks
-        # A = [[P, Q], [R, S]] that is [[S^T, -Q^T], [-R^T, P^T]]: row i is
-        # J times column g + i of A, and row g + i is -J times column i.
-        g = self.g
-        cols = list(zip(*self.mat.rows))
-        top = [c[g:] + tuple([-e for e in c[:g]]) for c in cols[g:]]
-        bottom = [tuple([-e for e in c[g:]]) + c[:g] for c in cols[:g]]
-        return _wrap(g, _trusted(tuple(top + bottom)))
+        return _wrap(self.g, _trusted(tuple(_inverse_rows(self.mat.rows, self.g))))
 
     def __pow__(self, k: int) -> "SymplecticMatrix":
         base = self if k >= 0 else self.inverse()
@@ -146,6 +139,18 @@ def _wrap(g: int, mat: IntMatrix) -> SymplecticMatrix:
     object.__setattr__(obj, "g", g)
     object.__setattr__(obj, "mat", mat)
     return obj
+
+
+def _inverse_rows(rows: Sequence[Sequence[int]], g: int) -> list[tuple[int, ...]]:
+    """The rows of A^{-1} for the rows of A in Sp(2g;Z), read off A's columns.
+
+    A^T J A = J gives A^{-1} = -J A^T J.  In g x g blocks
+    A = [[P, Q], [R, S]] that is [[S^T, -Q^T], [-R^T, P^T]]: row i is
+    J times column g + i of A, and row g + i is -J times column i.
+    """
+    cols = list(zip(*rows))
+    top = [c[g:] + tuple([-e for e in c[:g]]) for c in cols[g:]]
+    return top + [tuple([-e for e in c[g:]]) + c[:g] for c in cols[:g]]
 
 
 def transvection(v: Sequence[int]) -> SymplecticMatrix:

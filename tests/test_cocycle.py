@@ -1,10 +1,11 @@
 
 import random
+from collections import Counter
 from operator import mul
 
 import pytest
 
-from meyersig import cocycle
+from meyersig import cocycle, exact
 from meyersig.cocycle import (
     sigma_defect_via_tau,
     tau_sp,
@@ -41,6 +42,17 @@ def _sign_det_minus_identity(rows):
     return _sign_det(_add_identity(rows, -1))
 
 
+def _v_rows_by_product(a, b):
+    """[A^{-1} - I | B - I] from the inverse object and plain subtraction."""
+    n = 2 * a.g
+    ainv = a.inverse()
+    return [
+        [ainv.mat.rows[r][c] - int(r == c) for c in range(n)]
+        + [b.mat.rows[r][c] - int(r == c) for c in range(n)]
+        for r in range(n)
+    ]
+
+
 def test_v_space_identity_pair_is_everything():
     for g in (1, 2):
         space = v_space(SymplecticMatrix.identity(g), SymplecticMatrix.identity(g))
@@ -59,12 +71,7 @@ def test_v_space_rank_nullity_and_membership(rng):
         b = random_symplectic(g, rng.randint(0, 10), rng.random())
         space = v_space(a, b)
         n = 2 * g
-        ainv = a.inverse()
-        rows = [
-            tuple(ainv.mat.rows[r][c] - int(r == c) for c in range(n))
-            + tuple(b.mat.rows[r][c] - int(r == c) for c in range(n))
-            for r in range(n)
-        ]
+        rows = _v_rows_by_product(a, b)
         # row rank = column rank: 2g minus the kernel dimension of the transpose
         rank = n - len(kernel_basis([list(col) for col in zip(*rows)]))
         assert space.dim == 4 * g - rank
@@ -97,6 +104,9 @@ def test_tau_some_nonzero_values():
 
 
 def test_tau_asymmetric_pairing_raises(monkeypatch):
+    """Fake kernel readouts in place of the one tau_sp reads V_{U,U} from.
+    Each vector is tagged, as the readout tags it, with its free column:
+    its last nonzero entry.  A column below 2 means y = 0."""
     fakes = [
         # All of Q^4 in place of V_{U,U}: (0, 1, 0, 0) and (0, 0, 0, 1) pair
         # to 1 one way and 0 the other.
@@ -110,7 +120,8 @@ def test_tau_asymmetric_pairing_raises(monkeypatch):
         [(0, 1, 1, 0), (0, 0, 0, 1)],
     ]
     for basis in fakes:
-        monkeypatch.setattr(cocycle, "kernel_basis", lambda rows: basis)
+        readout = [(max(i for i, e in enumerate(v) if e), list(v)) for v in basis]
+        monkeypatch.setattr(cocycle, "_free_columns", lambda mat, pivots, d: readout)
         with pytest.raises(ArithmeticError, match="pairing is not symmetric"):
             tau_sp(U, U)
 
@@ -211,6 +222,91 @@ def test_tau_matches_maslov_index(g, rng):
     pairs += [(x, e), (e, x), (x, x.inverse()), (e, e), (minus, minus), (x, minus)]
     for a, b in pairs:
         assert tau_sp(a, b) == _maslov(e, a, a * b) == -_maslov(e, a.inverse(), b)
+
+
+def test_tau_sp_reads_v_off_one_elimination(count_calls, monkeypatch):
+    """One tau_sp makes one Gauss-Jordan pass and nothing else of the kernel
+    machinery: no kernel_basis, normalization, int re-check or inverse."""
+    rng = random.Random(3)
+    a = random_symplectic(3, 10, rng.random())
+    b = random_symplectic(3, 10, rng.random())
+    assert v_space(a, b).basis == tuple(kernel_basis(_v_rows_by_product(a, b)))
+    value = _tau_by_definition(a, b)
+    inverses = []
+    inverse = SymplecticMatrix.inverse
+    monkeypatch.setattr(SymplecticMatrix, "inverse", lambda m: inverses.append(m) or inverse(m))
+    names = ("_gauss_jordan", "kernel_basis", "_primitive", "_check_ints")
+    counters = {name: count_calls(exact, name) for name in names}
+    assert tau_sp(a, b) == value
+    calls = {name: counter.call_count for name, counter in counters.items()}
+    assert calls == {"_gauss_jordan": 1, "kernel_basis": 0, "_primitive": 0, "_check_ints": 0}
+    assert inverses == []
+
+
+def _minus_identity(g):
+    n = 2 * g
+    return SymplecticMatrix([[-int(r == c) for c in range(n)] for r in range(n)], g)
+
+
+def _identity_sum(y):
+    """I_2 + Y: the identity on the first handle (A_1, B_1) and Y on the
+    others, a symplectic matrix with eigenvalue 1."""
+    g = y.g + 1
+    n = 2 * g
+    rest = [i for i in range(n) if i not in (0, g)]
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for r, row in zip(rest, y.mat.rows):
+        for c, e in zip(rest, row):
+            rows[r][c] = e
+    return SymplecticMatrix(rows, g)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_tau_sp_against_its_definition_and_the_maslov_index(g, monkeypatch):
+    """tau_sp, read off unnormalized kernel vectors, against the full Gram
+    matrix on the primitive v_space basis and against the kernel-free
+    Maslov index, on seeded pairs and built families reaching every kind
+    of free column: x-free (y = 0), y-free with (I - B) y = 0, and kept."""
+    rng = random.Random(1900 + g)
+    n = 2 * g
+    e = SymplecticMatrix.identity(g)
+    minus = _minus_identity(g)
+
+    def draw():
+        return random_symplectic(g, rng.randint(0, 12), rng.random())
+
+    pairs = [(draw(), draw()) for _ in range(400)] + [(minus, minus)]
+    for _ in range(5):
+        x = draw()
+        pairs += [(e, x), (x, e), (x, x.inverse()), (x, minus)]
+        v = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(v):
+            t = transvection(v)
+            pairs += [(x, t ** rng.randint(-3, 3)), (t ** rng.randint(-3, 3), x), (t, t ** -2)]
+        if g > 1:
+            y = _identity_sum(random_symplectic(g - 1, rng.randint(0, 12), rng.random()))
+            pairs += [(y, x), (x, y), (y, y), (y, _identity_sum(_minus_identity(g - 1)))]
+    readouts = []
+    readout = cocycle._free_columns
+
+    def spy(mat, pivots, d):
+        readouts.append(readout(mat, pivots, d))
+        return readouts[-1]
+
+    monkeypatch.setattr(cocycle, "_free_columns", spy)
+    kinds = Counter()
+    for a, b in pairs:
+        value = tau_sp(a, b)
+        for f, v in readouts.pop():
+            if f < n:
+                assert not any(v[n:])
+                kinds["x-free"] += 1
+            elif b.apply(v[n:]) == tuple(v[n:]):
+                kinds["y-free radical"] += 1
+            else:
+                kinds["kept"] += 1
+        assert value == _tau_by_definition(a, b) == _maslov(e, a, a * b), (a, b)
+    assert len(kinds) == 3, kinds
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
