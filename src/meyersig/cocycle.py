@@ -54,9 +54,24 @@ every such solution has t = 0.  Since A v = (A - I) v + v, the point
 x~ = x + t v solves (A - I) x~ + t v = 0, and <x~, v> = <x, v> because
 <v, v> = 0; so x~ may stand for x in the sign.  :func:`tau_twist`
 evaluates it from one fraction-free solve of the 2g x (2g+1) system
-[A - I | v], which returns one such point or none
-(:func:`meyersig.exact.affine_point`), with no product A v, no kernel
-basis, no inverse and no signature.
+[A - I | v] (:func:`meyersig.exact.affine_point`), which gives t and
+lam <v, x> = -lam <x, v> read off the reduced rows through the nonzero
+terms of lam v^T J, or shows that there is no point; it builds no
+product A v, no vector x, no kernel basis, no inverse and no signature.
+
+The same solve says how the rank of M = A - I moves under the twist.
+Over Q, im M is the symplectic complement of ker M: for A x = x,
+<x, M y> = <A x, A y> - <x, y> = 0, so im M lies in the complement, and
+both have dimension 2g - dim ker M.  The new matrix AB - I =
+M + (A v)(lam v^T J) is a rank-1 update, with A v = M v + v.  If v is
+outside im M (no point), then so is A v, and the row lam v^T J is
+nonzero on ker M (v is outside its complement), so the rank rises by 1.
+If v is inside im M, then A v lies in the column space of M and
+lam v^T J, which vanishes on ker M, in its row space; the rank then
+falls by 1 exactly when 1 + lam <v, y'> = 0 for M y' = A v, and with
+y' = v - x / t that is t + lam <x, v> = 0, where the sign above reads
+0 (<v, k> = 0 for k in ker M, so any solution serves).  Otherwise the
+rank stays the same.
 
 Most of the time not even that solve is needed (Kirby-Melvin 1994 read
 the same cocycle off sign det(A - I)).  Since AB - I = (A - I) +
@@ -80,8 +95,8 @@ determinants is nonzero.  When both vanish tau is often nonzero, and
 :func:`tau_twist` gives it from its one solve.  The cochain of
 :mod:`meyersig.presentations` carries this sign along the prefixes P of
 a word, with M = P - I as plain integer rows that go to the solve as
-they are, and takes :func:`tau_sp` for every generator whose B - I has
-rank above 1.
+they are, and an upper bound on rank M kept by the rank moves above; it
+takes :func:`tau_sp` for every generator whose B - I has rank above 1.
 """
 
 from dataclasses import dataclass
@@ -90,7 +105,7 @@ from typing import Sequence
 
 from .exact import _free_columns, _gauss_jordan, _inertia, _sign, affine_point, kernel_basis
 from .matrix import IntMatrix, _add_identity
-from .symplectic import SymplecticMatrix, _inverse_rows, _wrap, symplectic_pairing
+from .symplectic import SymplecticMatrix, _inverse_rows, _twist_terms, _wrap
 
 
 @dataclass(frozen=True)
@@ -183,16 +198,28 @@ def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
     """
     if len(v) != 2 * a.g:
         raise ValueError(f"twist class of length {len(v)} at genus {a.g}")
-    return _tau_twist_rows(_add_identity(a.mat.rows, -1), v, lam)
+    return _twist_solve(_add_identity(a.mat.rows, -1), v, lam, _twist_terms(v, lam)[1])[0]
 
 
-def _tau_twist_rows(m: Sequence[Sequence[int]], v: Sequence[int], lam: int) -> int:
-    """:func:`tau_twist` from the rows of M = A - I, with no check of v."""
-    point = affine_point([(*row, e) for row, e in zip(m, v)])
+def _twist_solve(
+    m: Sequence[Sequence[int]], v: Sequence[int], lam: int, w_terms: Sequence[tuple[int, int]]
+) -> tuple[int, int]:
+    """(tau_sp(A, B), rank(AB - I) - rank(A - I)) for the twist power B
+    with class v and exponent lam, from the rows of M = A - I and the
+    nonzero terms w_terms of w = lam v^T J, with no check of v.
+
+    One solve of [M | v] (:func:`meyersig.exact.affine_point`) gives t
+    and w x = lam <v, x> = -lam <x, v>, so tau is the sign of
+    lam * t * (t - w x).  The rank change is the one of the module
+    docstring: +1 when v is outside im M (no point), -1 when
+    t - w x = 0, else 0.
+    """
+    point = affine_point([[*row, e] for row, e in zip(m, v)], w_terms)
     if point is None:
-        return 0
-    x, t = point
-    return _sign(lam * t * (lam * symplectic_pairing(x, v) + t))
+        return 0, 1
+    t, wx = point
+    s = t - wx  # lam <x, v> + t
+    return _sign(lam * t * s), 0 if s else -1
 
 
 _MINUS_I1 = _wrap(1, -IntMatrix.identity(2))  # -I in Sp(2;Z), built once

@@ -136,12 +136,15 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     previous pivot.  By Sylvester's identity every such entry is a minor
     of the input, so the division is exact and the integers stay as small
     as the minors.  A column with no nonzero entry left means det = 0.
+    The last 2 x 2 block [[p, q], [r, t]] needs no pivot: its step is
+    (p * t - q * r) / p_prev, which holds for p = 0 too.
     """
     a = list(rows)  # rows are swapped here but never written to
-    if any(len(row) != len(a) for row in a):
+    n = len(a)
+    if any([len(row) != n for row in a]):
         raise ValueError("determinant of a non-square matrix")
     sign, prev = 1, 1
-    while len(a) > 1:
+    for _ in range(n - 2):
         if not a[0][0]:
             k = next((k for k, row in enumerate(a) if row[0]), None)
             if k is None:
@@ -152,30 +155,32 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
         p, rest = top[0], top[1:]
         a = [[(p * e - row[0] * t) // prev for e, t in zip(row[1:], rest)] for row in a[1:]]
         prev = p
-    return sign * a[0][0] if a else 1
+    if n > 1:
+        (p, q), (r, t) = a
+        return sign * (p * t - q * r) // prev
+    return a[0][0] if a else 1
 
 
-def affine_point(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], int] | None:
-    """Integers (x, t) with t != 0 and M x + t b = 0, for the matrix [M | b].
+def affine_point(mat: list[list[int]], terms: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
+    """(t, w x) for integers x and t != 0 with M x + t b = 0, for the
+    matrix [M | b] and a row vector w given by its nonzero terms (j, w_j).
 
     Returns None when b is not in the column span of M.  One pass of
     :func:`_gauss_jordan` over the columns of M leaves its pivot columns
     reading d * I, d the last pivot.  So t = d and x is minus the last
-    column at the pivot columns, 0 at the free ones; a nonzero last entry
-    in a row below the rank means M x = b has no rational solution.
-    Internal: the caller vouches that every entry is an int.
+    column at the pivot columns, 0 at the free ones, and w x is read off
+    the pivot rows with no x built; a nonzero last entry in a row below
+    the rank means M x = b has no rational solution.  mat is reduced in
+    place.  Internal: the caller vouches that every entry is an int.
     """
-    mat = [list(row) for row in rows]
     if not mat or any([len(row) != len(mat[0]) for row in mat]):
         raise ValueError("affine_point needs a nonempty rectangular [M | b]")
     m = len(mat[0]) - 1
     pivots, d = _gauss_jordan(mat, m)
-    if any(row[m] for row in mat[len(pivots):]):
+    if any([row[m] for row in mat[len(pivots):]]):
         return None
-    x = [0] * m
-    for row, c in zip(mat, pivots):
-        x[c] = -row[m]
-    return tuple(x), d
+    at = dict(zip(pivots, mat))  # the row whose pivot is column j
+    return d, -sum([e * at[j][m] for j, e in terms if j in at])
 
 
 def lattice_order(columns: Sequence[Sequence[int]], target: Sequence[int]) -> tuple | None:

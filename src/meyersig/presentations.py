@@ -26,13 +26,17 @@ Words are evaluated by one prefix walk that carries M = P - I, P the
 product of the letters so far, as plain integer rows.  A letter whose
 matrix is a Dehn-twist power T_v^lam is the sparse rank-1 update
 M + (M v + v)(lam v^T J): it reads M only on the support of v and writes
-it only on the support of v^T J, both found once per presentation, and
-it raises rank M by at most one.  :func:`evaluate_word` carries the
-product alone.  :func:`_walk` also carries c, with sign det M and an
-upper bound on rank M: while the bound is below 2g the determinant is
-provably 0, and the walk skips it.  A :class:`Presentation` walks each
-relator once, when it is built, checking that it maps to the identity
-and keeping c(r_j), so :func:`class_order` walks no word.  The file also holds the shipped
+it only on the support of v^T J, both found once per presentation.
+:func:`evaluate_word` carries the product alone.  :func:`_walk` also
+carries c, with sign det M and an upper bound on rank M.  Since im M is
+the symplectic complement of ker M, a twist letter moves the rank by
++1 when v is outside im M, by -1 when the solve behind
+:func:`~meyersig.cocycle.tau_twist` reads 0, and not otherwise (the
+derivation is in :mod:`meyersig.cocycle`); the walk makes a determinant
+only when the new rank can reach 2g, and needs no solve while M = 0.
+A :class:`Presentation` walks each relator once, when it is built,
+checking that it maps to the identity and keeping c(r_j), so
+:func:`class_order` walks no word.  The file also holds the shipped
 presentation data for genus 1 and 2 and the JSON reader that every data
 file goes through; the relators of a file together are capped like one
 word.
@@ -46,7 +50,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cocycle import _tau_twist_rows, tau_sp
+from .cocycle import _twist_solve, tau_sp
 from .errors import InfiniteOrderError, ParseError, UnsupportedGenusError
 from .exact import _sign, determinant, lattice_order
 from .matrix import (
@@ -283,20 +287,26 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
     cocycle summed along the prefixes of w, and the last prefix minus I.
 
     Each prefix P is carried as the plain integer rows of M = P - I, with
-    the sign d of det M and an upper bound on rank M: 0 at the identity,
-    one more after each twist letter, 2g after any other letter.  A letter
-    whose matrix is a twist power T_v^lam makes the new M as the sparse
-    rank-1 update M + (M v + v)(lam v^T J) of
+    the sign d of det M and an upper bound on rank M, which is 2g exactly
+    when d != 0.  A letter whose matrix is a twist power T_v^lam makes
+    the new M as the sparse rank-1 update M + (M v + v)(lam v^T J) of
     :func:`~meyersig.symplectic._twist_step`, which reads M on the support
     of v and writes it on the support of v^T J, both found once per
-    presentation (:attr:`Presentation._twists`); so the rank grows by at
-    most one, and while the bound is below 2g the new d is 0 with no
-    determinant.  The step adds sign(lam) * d * d', d' the sign for the
-    new prefix, when d or d' is nonzero, and the solve of
-    :func:`~meyersig.cocycle.tau_twist` on the old M's rows only when both
-    are 0 (the derivation is in :mod:`meyersig.cocycle`).  Any other
+    presentation (:attr:`Presentation._twists`).  A rank-1 update moves
+    the rank by at most one, so the new d' is 0 with no determinant
+    while the bound is below 2g - 1.  The step adds sign(lam) * d * d'
+    when d or d' is nonzero, and then the bound is 2g, or 2g - 1 when
+    d' = 0.  When both are 0 it adds the value of the shared solve
+    :func:`~meyersig.cocycle._twist_solve` on the old M's rows, which
+    also moves the bound with the rank: +1 when v is outside im M, -1
+    when the value's factor lam <x, v> + t is 0, since im M is the
+    symplectic complement of ker M (the derivation is in
+    :mod:`meyersig.cocycle`); capped at 2g - 1.  At bound 0, M = 0 and
+    P = I, so tau(I, T) = 0 with no solve, and the new bound is 1.  From
+    the identity the bound is exact on words of twist letters.  Any other
     letter takes :func:`tau_sp` on P wrapped as a matrix, the full
-    product, and one determinant.
+    product, and one determinant, after which the bound is 2g if d' != 0,
+    else 2g - 1, or 0 when the new M is 0.
     """
     total = 0
     g, n = p.genus, 2 * p.genus
@@ -312,16 +322,21 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
             prefix = _trusted(_add_identity(m, 1))
             total += tau_sp(_wrap(g, prefix), step)
             m = _add_identity((prefix * step.mat).rows, -1)
-            d, bound = _sign(determinant(m)), n
+            d = _sign(determinant(m))
+            bound = n if d else (n - 1 if any(map(any, m)) else 0)
             continue
         v, lam, v_terms, w_terms = twist
         new = _twist_step(m, v, v_terms, w_terms)
-        bound += 1
-        new_d = _sign(determinant(new)) if bound >= n else 0
+        new_d = _sign(determinant(new)) if bound >= n - 1 else 0
         if d or new_d:
             total += d * new_d if lam > 0 else -d * new_d
-        else:
-            total += _tau_twist_rows(m, v, lam)
+            bound = n if new_d else n - 1
+        elif bound:
+            tau, change = _twist_solve(m, v, lam, w_terms)
+            total += tau
+            bound = min(bound + change, n - 1)
+        else:  # M = 0: P = I, tau(I, B) = 0, and the new M has rank 1
+            bound = 1
         m, d = new, new_d
     return total, m
 

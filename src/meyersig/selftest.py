@@ -16,8 +16,10 @@ from math import gcd
 
 from .cocycle import sigma_defect_via_tau, tau_sp
 from .genus1 import SL2Element, dedekind_sum, phi1, signature_defect
-from .presentations import Word, class_order, cochain_c, evaluate_word, shipped_meyer_function, shipped_presentation
-from .symplectic import SymplecticMatrix, random_symplectic
+from .presentations import (
+    Presentation, Word, class_order, cochain_c, evaluate_word, shipped_meyer_function, shipped_presentation
+)
+from .symplectic import SymplecticMatrix, _chain_classes, random_symplectic, transvection
 
 
 def random_word(p, rng: random.Random, max_len: int = 14) -> Word:
@@ -158,15 +160,29 @@ def _free_reduction(rng, size):
             yield "padded and w evaluate alike", evaluate_word(padded, p), evaluate_word(w, p), ws
 
 
+def chain_with_s(g: int) -> Presentation:
+    """Relator-free: the twists along the chain classes of genus g and s,
+    the matrix S = [[0, -1], [1, 0]] on the last handle and I elsewhere.
+    s is no twist power and s - I has rank 2, below the bound 2g - 1 that
+    the cochain walk keeps after a letter with det(P - I) = 0."""
+    n = 2 * g
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[g - 1][g - 1] = rows[n - 1][n - 1] = 0
+    rows[g - 1][n - 1], rows[n - 1][g - 1] = -1, 1
+    mats = [transvection(v) for v in _chain_classes(g)] + [SymplecticMatrix(rows)]
+    names = [f"c{k}" for k in range(1, n + 2)] + ["s"]
+    return Presentation(g, tuple(names), tuple(mats), ())
+
+
 @_suite
 def _cochain_walk(rng, size):
-    """size random words over each shipped presentation, against the
-    definitions: tau_sp summed over the prefixes, and the plain product."""
-    for g in (1, 2):
-        p = shipped_presentation(g)
+    """size random words over each shipped presentation and over the chain
+    twists with s at genus 3, against the definitions: tau_sp summed over
+    the prefixes, and the plain product."""
+    for p in (shipped_presentation(1), shipped_presentation(2), chain_with_s(3)):
         for _ in range(size):
             w = random_word(p, rng, max_len=16)
-            prefix, total = SymplecticMatrix.identity(g), 0
+            prefix, total = SymplecticMatrix.identity(p.genus), 0
             for i, s in w.letters:
                 step = p.matrices[i] if s > 0 else p.matrices[i].inverse()
                 total += tau_sp(prefix, step)

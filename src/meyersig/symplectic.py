@@ -253,6 +253,19 @@ def _generating_classes(g: int) -> list[tuple]:
     return classes
 
 
+def _chain_classes(g: int) -> list[tuple]:
+    """The classes A_1, B_1, A_1 + A_2, B_2, ..., A_{g-1} + A_g, B_g, A_g
+    of a chain of 2g + 1 curves, each meeting the next once and missing
+    the others; at g = 2 their twists are the shipped c1, ..., c5.  The
+    twists satisfy the chain relations (c_1 ... c_{2g+1})^{2g+2} = 1 and
+    (c_1 ... c_{2g})^{4g+2} = 1."""
+    classes = [a_class(g, 1), b_class(g, 1)]
+    for i in range(2, g + 1):
+        classes.append(tuple(x + y for x, y in zip(a_class(g, i - 1), a_class(g, i))))
+        classes.append(b_class(g, i))
+    return classes + [a_class(g, g)]
+
+
 @cache
 def _random_factors(g: int) -> tuple[SymplecticMatrix, ...]:
     """The transvections along the generating classes of genus g and their

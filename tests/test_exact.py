@@ -325,6 +325,8 @@ def test_determinant_examples():
     assert determinant([[1, 2], [2, 4]]) == 0
     assert determinant([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0  # a zero column
     assert determinant([[2, 0, 0], [0, 3, 0], [0, 0, -4]]) == -24
+    # the last 2 x 2 block [[0, 1], [1, 0]] takes (p t - q r) / p_prev with p = 0, no swap
+    assert determinant([[2, 0, 0], [0, 0, 2], [0, 2, 0]]) == -8
     with pytest.raises(ValueError, match="non-square"):
         determinant([[1, 2]])
 
@@ -359,24 +361,41 @@ def test_determinant_of_a_minus_identity(g):
     assert 0 in signs and len(signs) > 1
 
 
+def _affine_x(rows):
+    """(x, t) from affine_point on copies of rows, x read one entry at a
+    time through the unit row vectors; None when affine_point gives None."""
+    point = affine_point([list(row) for row in rows], [])
+    if point is None:
+        return None
+    x = [affine_point([list(row) for row in rows], [(j, 1)])[1] for j in range(len(rows[0]) - 1)]
+    return tuple(x), point[0]
+
+
 def test_affine_point_examples():
-    assert affine_point([[2, 4]]) == ((-4,), 2)  # 2 * -4 + 2 * 4 = 0
-    assert affine_point([[0, 0]]) == ((0,), 1)
-    assert affine_point([[0, 1]]) is None
-    assert affine_point([[5]]) is None  # no columns in M, b != 0
-    assert affine_point([[1, 1, 2], [2, 2, 3]]) is None  # rank 1, b outside it
+    assert _affine_x([[2, 4]]) == ((-4,), 2)  # 2 * -4 + 2 * 4 = 0
+    assert _affine_x([[0, 0]]) == ((0,), 1)
+    assert _affine_x([[0, 1]]) is None
+    assert _affine_x([[5]]) is None  # no columns in M, b != 0
+    assert _affine_x([[1, 1, 2], [2, 2, 3]]) is None  # rank 1, b outside it
     # Cramer: [M | b] -> [d I | adj(M) b] with d = det M = -2, adj(M) b = (2, -4)
-    assert affine_point([[1, 2, 3], [3, 4, 5]]) == ((-2, 4), -2)
+    assert _affine_x([[1, 2, 3], [3, 4, 5]]) == ((-2, 4), -2)
+    # w x with w = (3, -1): 3 * -2 - 4; terms off a free column read 0
+    assert affine_point([[1, 2, 3], [3, 4, 5]], [(0, 3), (1, -1)]) == (-2, -10)
+    assert affine_point([[1, 1, 2], [2, 2, 4]], [(1, 7)]) == (1, 0)
+    mat = [[0, 2, 4], [1, 0, 3]]
+    affine_point(mat, [])
+    assert mat == [[2, 0, 6], [0, 2, 4]]  # reduced in place to [d I | -t x], rows swapped
     with pytest.raises(ValueError, match="rectangular"):
-        affine_point([[1, 2], [3]])
+        affine_point([[1, 2], [3]], [])
     with pytest.raises(ValueError, match="rectangular"):
-        affine_point([])
+        affine_point([], [])
 
 
 def test_affine_point_against_the_kernel():
     """M x + t b = 0 with t != 0 exactly when some kernel vector of [M | b]
     has a nonzero last entry, on random matrices of up to 6 rows and 7
-    columns, square and not, of every rank."""
+    columns, square and not, of every rank; w x off the pivot rows equals
+    the dot product with the point read entry by entry."""
     rng = random.Random(53)
     seen = {"square": 0, "rank-deficient": 0, "zero": 0, "inconsistent": 0, "non-primitive": 0}
     for _ in range(600):
@@ -392,12 +411,15 @@ def test_affine_point_against_the_kernel():
             b = [rng.randint(1, 3) * sum(e * f for e, f in zip(row, y)) for row in mat]
         rows = [row + [e] for row, e in zip(mat, b)]
         consistent = any(vec[-1] for vec in kernel_basis(rows))
-        point = affine_point(rows)
+        point = _affine_x(rows)
         assert (point is not None) == consistent, rows
         if point is not None:
             x, t = point
             assert t != 0 and all(type(e) is int for e in (*x, t))
             assert all(sum(e * f for e, f in zip(row, x)) + t * c == 0 for row, c in zip(mat, b))
+            terms = [(j, rng.randint(-3, 3)) for j in rng.sample(range(len(x)), rng.randint(0, len(x)))]
+            wx = sum(e * x[j] for j, e in terms)
+            assert affine_point([list(row) for row in rows], terms) == (t, wx), (rows, terms)
             seen["non-primitive"] += math.gcd(*b) > 1
         seen["inconsistent"] += point is None
         seen["square"] += n == m

@@ -25,9 +25,10 @@ from meyersig.presentations import (
     shipped_presentation,
     synthesize_meyer,
 )
-from meyersig.selftest import random_word
+from meyersig.selftest import chain_with_s, random_word
 from meyersig.symplectic import (
     SymplecticMatrix,
+    _chain_classes,
     _generating_classes,
     _twist_terms,
     random_symplectic,
@@ -377,15 +378,17 @@ def test_twist_letters_are_detected_once_per_presentation(sl2z, genus2):
 def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
     """cochain_c against tau_sp summed along the prefixes, on words with
     twist letters (at genus 1 to 4) and, in the mismatch presentation, the
-    non-twist S; the solve in tau_twist runs exactly at the twist letters
-    where det(P - I) and det(PB - I) both vanish, found here by a kernel."""
-    tau_twist = count_calls(presentations, "_tau_twist_rows")
+    non-twist S; the shared solve runs exactly at the twist letters where
+    det(P - I) and det(PB - I) both vanish and P != I, found here by a
+    kernel."""
+    solve = count_calls(presentations, "_twist_solve")
     fallbacks = twist_steps = 0
     twists = [_twist_presentation(g) for g in (3, 4)]
     for p in (sl2z, genus2, _mismatch_presentation(), *twists):
         for _ in range(60):
             word = random_word(p, rng, 24)
-            prefix, expected, expected_calls = SymplecticMatrix.identity(p.genus), 0, 0
+            identity = SymplecticMatrix.identity(p.genus)
+            prefix, expected, expected_calls = identity, 0, 0
             singular = bool(kernel_basis(_minus_identity(prefix)))
             for i, s in word.letters:
                 step = p.matrices[i] if s > 0 else p.matrices[i].inverse()
@@ -394,36 +397,102 @@ def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
                 expected += tau_sp(prefix, step)
                 if p._twists[i, s] is not None:
                     twist_steps += 1
-                    expected_calls += singular and new_singular
+                    expected_calls += singular and new_singular and prefix != identity
                 prefix, singular = new, new_singular
-            before = tau_twist.call_count
+            before = solve.call_count
             assert cochain_c(word, p) == expected
-            assert tau_twist.call_count - before == expected_calls
+            assert solve.call_count - before == expected_calls
             fallbacks += expected_calls
     assert 0 < fallbacks < twist_steps
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_walk_skips_determinants_below_the_rank_bound(rng, g, count_calls):
-    """Fewer than 2g twist letters leave rank(P - I) < 2g, so the walk
-    makes no determinant; from a non-twist letter on (the mismatch
-    presentation's S), every step makes one.  Values against tau_sp."""
+    """The rank bound is exact on twist-only words, so a twist letter
+    makes a determinant exactly when rank(P - I) >= 2g - 1, and fewer
+    than 2g twist letters make none.  In the genus-1 mismatch presentation
+    every non-twist letter (S) makes one, and the bound it leaves is
+    exact too.  Values against tau_sp, ranks from a kernel."""
     determinant = count_calls(exact, "determinant")
+    n = 2 * g
     p = _twist_presentation(g)
     for _ in range(40):
-        word = random_word(p, rng, 2 * g - 1)
+        word = random_word(p, rng, n - 1)
         before = determinant.call_count
         assert cochain_c(word, p) == _tau_prefix_sum(word, p)
         assert determinant.call_count == before
-    p = _mismatch_presentation()  # genus 1: a -> S, b -> a twist
-    for _ in range(40):
+    runs = 0
+    for p in (_twist_presentation(g), _mismatch_presentation()):
+        n = 2 * p.genus
+        for _ in range(40):
+            word = random_word(p, rng, 4 * n)
+            prefix, expected = SymplecticMatrix.identity(p.genus), 0
+            for i, s in word.letters:
+                rank = n - len(kernel_basis(_minus_identity(prefix)))
+                expected += p._twists[i, s] is None or rank >= n - 1
+                prefix = prefix * (p.matrices[i] if s > 0 else p.matrices[i].inverse())
+            before = determinant.call_count
+            assert cochain_c(word, p) == _tau_prefix_sum(word, p)
+            assert determinant.call_count - before == expected
+            runs += expected
+    assert runs
+
+
+def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls):
+    """Building a shipped presentation walks its relators: genus2.json
+    makes 55 determinants and 56 solves, sl2z.json 16 and 2."""
+    determinant = count_calls(exact, "determinant")
+    solve = count_calls(presentations, "_twist_solve")
+    for name, dets, solves in (("sl2z.json", 16, 2), ("genus2.json", 55, 56)):
+        before = determinant.call_count, solve.call_count
+        load_presentation(resources.files("meyersig.data").joinpath(name).read_text())
+        assert (determinant.call_count - before[0], solve.call_count - before[1]) == (dets, solves)
+
+
+def _chain_presentation(g):
+    """The twists c1 ... c_{2g+1} along the chain classes of genus g, with
+    the odd chain relator (c1 ... c_{2g+1})^{2g+2} and the even one
+    (c1 ... c_{2g})^{4g+2}, so building it walks both."""
+    n = 2 * g
+    mats = tuple(transvection(v) for v in _chain_classes(g))
+    odd = Word([(k, 1) for k in range(n + 1)] * (n + 2))
+    even = Word([(k, 1) for k in range(n)] * (2 * n + 2))
+    return Presentation(g, tuple(f"c{k}" for k in range(1, n + 2)), mats, (odd, even))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+def test_chain_relators_take_their_closed_form_values(g, genus2):
+    """c((c1 ... c_{2g+1})^{2g+2}) = 2(g + 1)^2 and c((c1 ... c_{2g})^{4g+2})
+    = 4g(g + 1) (Endo 2000: the signatures -2(g + 1)^2 and -4g(g + 1) of
+    the chain fibrations), read off the walks that check the relators; at
+    g = 3 also against tau_sp summed over the prefixes."""
+    p = _chain_presentation(g)
+    assert p._relator_values == (2 * (g + 1) ** 2, 4 * g * (g + 1))
+    if g == 2:
+        assert p.matrices == genus2.matrices
+    if g == 3:
+        assert p._relator_values == tuple(_tau_prefix_sum(r, p) for r in p.relators)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_walk_after_a_singular_non_twist_letter(rng, g):
+    """Words in the chain twists and s = I + S on the last handle, whose
+    s - I has rank 2 < 2g - 1: the walk's bound after such a letter is
+    2g - 1, above the rank, and the values still equal the tau_sp prefix
+    sums.  Some words reach a twist letter right after an s that leaves
+    0 < rank(P - I) < 2g - 1."""
+    p = chain_with_s(g)
+    s_index = p.generator_count - 1
+    reached = 0
+    for _ in range(60):
         word = random_word(p, rng, 16)
-        first = next((j for j, (i, _) in enumerate(word.letters) if i == 0), len(word))
-        # twist letters before the first S: one determinant from the 2nd on
-        expected = len(word) - first + max(0, first - 1)
-        before = determinant.call_count
         assert cochain_c(word, p) == _tau_prefix_sum(word, p)
-        assert determinant.call_count - before == expected
+        prefix = SymplecticMatrix.identity(g)
+        for (i, s), (j, _) in zip(word.letters, word.letters[1:]):
+            prefix = prefix * (p.matrices[i] if s > 0 else p.matrices[i].inverse())
+            rank = 2 * g - len(kernel_basis(_minus_identity(prefix)))
+            reached += i == s_index and j != s_index and 0 < rank < 2 * g - 1
+    assert reached
 
 
 def _tau_prefix_sum(word, p):
