@@ -34,9 +34,15 @@ from .symplectic import SymplecticMatrix
 
 def _fmt(value) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # more digits than str() converts
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"the result has more than {limit} digits, the most meyersig prints"
+        ) from None
 
 
 def _symplectic_arg(text: str, g: int | None = None) -> SymplecticMatrix:

@@ -25,16 +25,13 @@ presentation of infinite class order it raises InfiniteOrderError when
 its Meyer function is first needed.
 """
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError
 from .genus1 import phi1
-from .matrix import parse_int, parse_matrix
+from .matrix import parse_int
 from .presentations import (
     Presentation,
     Word,
@@ -208,60 +205,43 @@ def hyperelliptic_twist_value(g: int, separating_h: int | None = None) -> Fracti
 # ---------------------------------------------------------------------------
 # Kodaira monodromy table (genus 1)
 
-_KODAIRA_FILE = "kodaira.json"
+# The named types, in this package's twist convention: an I_1 germ has
+# monodromy [[1,-1],[0,1]], and twelve of them close up to an elliptic
+# surface of signature -8.
+_KODAIRA = {
+    "II": ((1, -1), (1, 0)),
+    "III": ((0, -1), (1, 0)),
+    "IV": ((0, -1), (1, -1)),
+    "IV*": ((-1, 1), (-1, 0)),
+    "III*": ((0, 1), (-1, 0)),
+    "II*": ((0, 1), (-1, 1)),
+}
 
 
-def _read_kodaira_table(source) -> dict:
-    """A ``kodaira.json`` table: fiber type names to matrix strings."""
-    table = read_json(source, "Kodaira table")
-    if not all(isinstance(v, str) for v in table.values()):
-        raise ParseError("the Kodaira table must map fiber types to matrix strings")
-    return table
-
-
-@cache
-def _kodaira_table() -> dict:
-    """The embedded Kodaira table, read once."""
-    text = resources.files("meyersig.data").joinpath(_KODAIRA_FILE).read_text()
-    return _read_kodaira_table(text)
-
-
-def kodaira_matrix(fiber_type: str, table: dict | None = None) -> SymplecticMatrix:
-    """Monodromy matrix of a named Kodaira fiber type (I_n, I_n*, II, ..., IV*).
-
-    ``table`` is a parsed ``kodaira.json``; the embedded one by default.
-    The table is normalized to this package's twist convention, under
-    which an I_1 germ has monodromy [[1,-1],[0,1]] and twelve of them
-    close up to an elliptic surface of signature -8.
+def kodaira_matrix(fiber_type: str) -> SymplecticMatrix:
+    """Monodromy matrix of a named Kodaira fiber type: II, III, IV, IV*,
+    III*, II* from the table above, and I_n = [[1,-n],[0,1]] and
+    I_n* = -I_n for n >= 0, with n an integer token for :func:`parse_int`.
     """
-    if table is None:
-        table = _kodaira_table()
     name = fiber_type.strip()
-    n = None
-    key = name
-    if name not in table:
-        starred = name.endswith("*")
-        stem = name[:-1] if starred else name
-        if stem.startswith("I_"):
-            try:
-                n = parse_int(stem[2:])
-            except ParseError:
-                raise ParseError(f"unknown Kodaira type {fiber_type!r}") from None
-            if n < 0:
-                raise ParseError(f"unknown Kodaira type {fiber_type!r}")
-            key = "I_n*" if starred else "I_n"
-        if key not in table:
-            raise ParseError(f"unknown Kodaira type {fiber_type!r}")
-    text = table[key] if n is None else re.sub(r"\bn\b", str(n), table[key])
-    return SymplecticMatrix(parse_matrix(text), 1)
+    if name in _KODAIRA:
+        return SymplecticMatrix(_KODAIRA[name], 1)
+    starred = name.endswith("*")
+    stem = name[:-1] if starred else name
+    try:
+        n = parse_int(stem[2:]) if stem.startswith("I_") else -1
+    except ParseError:
+        n = -1
+    if n < 0:
+        raise ParseError(f"unknown Kodaira type {fiber_type!r}")
+    s = -1 if starred else 1
+    return SymplecticMatrix(((s, -s * n), (0, s)), 1)
 
 
-def kodaira_word(
-    fiber_type: str, table: dict | None = None, presentation: Presentation | None = None
-) -> Word:
-    """A monodromy word over the genus-1 generators for a Kodaira type;
-    ``table`` and ``presentation`` default to the embedded data."""
-    return sl2_word(kodaira_matrix(fiber_type, table), presentation)
+def kodaira_word(fiber_type: str, presentation: Presentation | None = None) -> Word:
+    """A monodromy word for a Kodaira type over ``presentation``'s
+    genus-1 generators, the shipped ones by default."""
+    return sl2_word(kodaira_matrix(fiber_type), presentation)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +300,8 @@ def sl2_word(m: SymplecticMatrix, presentation: Presentation | None = None) -> W
 _KODAIRA_PREFIX = "kodaira:"
 
 
-def germ_from_dict(data: dict, presentation: Presentation, kodaira_table) -> FiberGerm:
-    """One germ; ``kodaira_table()`` gives the Kodaira table and is called
-    only for a ``kodaira:`` monodromy."""
+def germ_from_dict(data: dict, presentation: Presentation) -> FiberGerm:
+    """One germ, its words over ``presentation``."""
     try:
         monodromy = data["monodromy"]
     except (KeyError, TypeError) as exc:
@@ -332,7 +311,7 @@ def germ_from_dict(data: dict, presentation: Presentation, kodaira_table) -> Fib
     if monodromy.startswith(_KODAIRA_PREFIX):
         if presentation.genus != 1:
             raise ParseError("Kodaira fiber references are only defined at genus 1")
-        word = kodaira_word(monodromy[len(_KODAIRA_PREFIX):], kodaira_table(), presentation)
+        word = kodaira_word(monodromy[len(_KODAIRA_PREFIX):], presentation)
     else:
         word = presentation.word(monodromy)
     signature = json_int(data.get("neighborhood_signature", 0), "neighborhood_signature")
@@ -345,11 +324,11 @@ def germ_from_dict(data: dict, presentation: Presentation, kodaira_table) -> Fib
 def load_fibration(source, data_dir=None) -> FibrationDescription:
     """Load a fibration description from a dict, JSON string, or file path.
 
-    Germs are read against the genus's presentation and Kodaira table, the
-    shipped ones or those in ``data_dir``, each read at most once.  The
-    germ words together count as one word for :func:`check_word_length`:
-    more than MAX_WORD_LETTERS letters in all raise ValueError while the
-    germs are read, before any Meyer function or closedness walk."""
+    Germs are read against the genus's presentation, the shipped one or
+    the one in ``data_dir``, read once.  The germ words together count as
+    one word for :func:`check_word_length`: more than MAX_WORD_LETTERS
+    letters in all raise ValueError while the germs are read, before any
+    Meyer function or closedness walk."""
     data = read_json(source, "fibration")
     try:
         genus = json_int(data["genus"], "genus")
@@ -360,16 +339,15 @@ def load_fibration(source, data_dir=None) -> FibrationDescription:
     if not isinstance(germs, list):
         raise ParseError(f"field 'germs' must be a list, got {germs!r}")
     if data_dir is None:
-        p, kodaira_table = shipped_presentation(genus), _kodaira_table
+        p = shipped_presentation(genus)
     else:
         path = Path(data_dir) / _shipped_file(genus)
         p = load_presentation(path)
         if p.genus != genus:
             raise ParseError(f"{path} holds a genus-{p.genus} presentation, not genus {genus}")
-        kodaira_table = cache(lambda: _read_kodaira_table(Path(data_dir) / _KODAIRA_FILE))
     parsed, letters = [], 0
     for g in germs:
-        parsed.append(germ_from_dict(g, p, kodaira_table))
+        parsed.append(germ_from_dict(g, p))
         letters += len(parsed[-1].monodromy)
         check_word_length(letters)  # the germ words together count as one word
     return FibrationDescription(p, base_genus, tuple(parsed))

@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from meyersig import cli, cocycle, fibered, presentations, selftest
+from meyersig import cli, cocycle, presentations, selftest
 from meyersig.cli import main
 from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction, cochain_c
 from meyersig.matrix import IntMatrix, format_matrix
@@ -97,7 +97,7 @@ def test_rademacher(capsys):
 @pytest.fixture(scope="module")
 def data_dir(tmp_path_factory):
     target = tmp_path_factory.mktemp("data")
-    for name in ("sl2z.json", "genus2.json", "kodaira.json"):
+    for name in ("sl2z.json", "genus2.json"):
         text = resources.files("meyersig.data").joinpath(name).read_text()
         (target / name).write_text(text)
     return target
@@ -269,14 +269,13 @@ def test_local_sig_reads_each_data_file_once(
     path = _write_fibration(tmp_path / "e2.json", 1, E2_GERMS)
     load = count_calls(presentations, "load_presentation")
     shipped = count_calls(presentations, "shipped_presentation")
-    embedded_kodaira = count_calls(fibered, "_kodaira_table")
     reads = count_reads(monkeypatch)
     code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", path)
     assert (code, out) == (0, E2_OUT)
     assert load.call_count == 1
     assert reads.count("sl2z.json") == 1
-    assert reads.count("kodaira.json") == 1
-    assert (shipped.call_count, embedded_kodaira.call_count) == (0, 0)
+    assert reads.count("kodaira.json") == 0
+    assert shipped.call_count == 0
 
 
 def test_local_sig_with_warm_shipped_data_loads_and_synthesizes_nothing(
@@ -297,13 +296,11 @@ def test_local_sig_with_warm_shipped_data_loads_and_synthesizes_nothing(
     assert reads == ["e2.json", "chain.json"]
 
 
-def _genus1_data_dir(tmp_path, data_dir, kodaira_text=None):
-    """A --data directory with sl2z.json and, if given, this kodaira.json."""
+def _genus1_data_dir(tmp_path, data_dir):
+    """A --data directory with the shipped sl2z.json only."""
     data = tmp_path / "data"
     data.mkdir()
     (data / "sl2z.json").write_text((data_dir / "sl2z.json").read_text())
-    if kodaira_text is not None:
-        (data / "kodaira.json").write_text(kodaira_text)
     return str(data)
 
 
@@ -314,28 +311,19 @@ def test_local_sig_data_dir_without_kodaira_table(capsys, data_dir, tmp_path):
     code, out, _ = run_cli(capsys, "--data", data, "local-sig", "-f", path)
     lines = [f"{letter}{k}: -2/3\n" for k in range(6) for letter in "AB"]
     assert (code, out) == (0, "".join(lines) + "total: -8\n")
+    # the Kodaira types are built in: --data replaces presentations only
     path = _write_fibration(tmp_path / "e2.json", 1, E2_GERMS)
-    code, out, err = run_cli(capsys, "--data", data, "local-sig", "-f", path)
-    assert (code, out) == (1, "")
-    assert "kodaira.json" in err
+    assert run_cli(capsys, "--data", data, "local-sig", "-f", path) == (0, E2_OUT, "")
 
 
-@pytest.mark.parametrize(
-    "table, message",
-    [
-        ('{"I_n": 5}', "parse error: the Kodaira table must map fiber types to matrix strings\n"),
-        ('{"I_n": "1,x;0,1"}', "parse error: bad integer 'x' at row 0, column 1\n"),
-        ("{nope", "parse error: bad Kodaira table JSON at offset 1: "),
-    ],
-)
-def test_local_sig_malformed_kodaira_table_is_parse_error(
-    capsys, data_dir, tmp_path, table, message
+@pytest.mark.parametrize("table", [b'{"I_n": "1,x;0,1"}', b"{nope", b"[[\xff, 1], [0, 1]]"])
+def test_local_sig_does_not_read_a_kodaira_json_in_the_data_dir(
+    capsys, data_dir, tmp_path, table
 ):
-    data = _genus1_data_dir(tmp_path, data_dir, table)
-    path = _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "kodaira:I_1"}])
-    code, out, err = run_cli(capsys, "--data", data, "local-sig", "-f", path)
-    assert (code, out) == (2, "")
-    assert err.startswith(message)
+    data = _genus1_data_dir(tmp_path, data_dir)
+    Path(data, "kodaira.json").write_bytes(table)
+    path = _write_fibration(tmp_path / "e2.json", 1, E2_GERMS)
+    assert run_cli(capsys, "--data", data, "local-sig", "-f", path) == (0, E2_OUT, "")
 
 
 @pytest.mark.parametrize(
@@ -370,18 +358,14 @@ def test_data_file_that_is_not_an_object_is_parse_error(capsys, tmp_path, comman
 DEEP = "[" * 3000 + "]" * 3000  # past the JSON decoder's recursion limit
 
 
-@pytest.mark.parametrize("source", ["tau", "presentation", "fibration", "kodaira"])
-def test_deeply_nested_json_is_parse_error(capsys, data_dir, tmp_path, source):
+@pytest.mark.parametrize("source", ["tau", "presentation", "fibration"])
+def test_deeply_nested_json_is_parse_error(capsys, tmp_path, source):
     path = tmp_path / "deep.json"
     path.write_text(DEEP)
     argv = {
         "tau": ["tau", DEEP, "1,0;0,1"],
         "presentation": ["order", "-p", str(path)],
         "fibration": ["local-sig", "-f", str(path)],
-        "kodaira": [
-            "--data", _genus1_data_dir(tmp_path, data_dir, DEEP), "local-sig",
-            "-f", _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "kodaira:I_1"}]),
-        ],
     }[source]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -395,22 +379,16 @@ UNDECODABLE = {
 
 
 @pytest.mark.parametrize("fault", list(UNDECODABLE))
-@pytest.mark.parametrize("source", ["tau", "presentation", "fibration", "kodaira"])
-def test_undecodable_json_is_parse_error(capsys, data_dir, tmp_path, source, fault):
+@pytest.mark.parametrize("source", ["tau", "presentation", "fibration"])
+def test_undecodable_json_is_parse_error(capsys, tmp_path, source, fault):
     raw = UNDECODABLE[fault]
     path = tmp_path / "bad.json"
     path.write_bytes(raw)
-    data = _genus1_data_dir(tmp_path, data_dir)
-    (Path(data) / "kodaira.json").write_bytes(raw)
     argv = {
         # argv reaches main as str, undecodable bytes escaped as Python escapes them
         "tau": ["tau", raw.decode("utf-8", "surrogateescape"), "1,0;0,1"],
         "presentation": ["order", "-p", str(path)],
         "fibration": ["local-sig", "-f", str(path)],
-        "kodaira": [
-            "--data", data, "local-sig",
-            "-f", _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "kodaira:I_1"}]),
-        ],
     }[source]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -632,6 +610,22 @@ def test_twist_value(capsys):
     assert run_cli(capsys, "twist-value", "-g", "2", "--sep", "5")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("euler", "-g", "9" * 4200, "-b", "9" * 4200),
+        ("twist-value", "-g", "9" * 4200, "--sep", "4" * 4200),
+    ],
+    ids=["euler", "twist-value"],
+)
+def test_result_past_the_digit_limit_is_a_domain_error(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    assert run_cli(capsys, *argv) == (
+        1, "", f"error: the result has more than {limit} digits, the most meyersig prints\n"
+    )
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_non_symplectic_input_names_identity(capsys):
     code, _, err = run_cli(capsys, "phi1", "2,0;0,2")
     assert code == 1
@@ -687,18 +681,19 @@ E1_GERMS = [
 ]
 
 
-def _sl2z_data_dir(tmp_path, data_dir, sl2z):
-    """A --data directory with the shipped kodaira.json and this sl2z.json."""
-    data = _genus1_data_dir(tmp_path, data_dir, (data_dir / "kodaira.json").read_text())
-    Path(data, "sl2z.json").write_text(json.dumps({"genus": 1, **sl2z}))
-    return data
+def _sl2z_data_dir(tmp_path, sl2z):
+    """A --data directory with this sl2z.json."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "sl2z.json").write_text(json.dumps({"genus": 1, **sl2z}))
+    return str(data)
 
 
 def test_local_sig_kodaira_words_over_renamed_generators(capsys, data_dir, tmp_path):
     # Kodaira references take the letters whose matrices are T and L,
     # whatever the generators are called
     shipped = json.loads((data_dir / "sl2z.json").read_text())
-    data = _sl2z_data_dir(tmp_path, data_dir, {
+    data = _sl2z_data_dir(tmp_path, {
         "generators": ["x", "y"],
         "matrices": {"x": shipped["matrices"]["a"], "y": shipped["matrices"]["b"]},
         "relators": [r.replace("a", "x").replace("b", "y") for r in shipped["relators"]],
@@ -713,8 +708,8 @@ def test_local_sig_kodaira_words_over_renamed_generators(capsys, data_dir, tmp_p
     assert expected[1] == E2_OUT
 
 
-def test_local_sig_kodaira_needs_the_letters_t_and_l(capsys, data_dir, tmp_path):
-    data = _sl2z_data_dir(tmp_path, data_dir, {
+def test_local_sig_kodaira_needs_the_letters_t_and_l(capsys, tmp_path):
+    data = _sl2z_data_dir(tmp_path, {
         "generators": ["a", "b"], "matrices": {"a": "1,2;0,1", "b": "1,0;-1,1"}, "relators": [],
     })
     path = _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "kodaira:I_1"}])

@@ -364,6 +364,35 @@ def test_kodaira_parabolic_types():
     assert kodaira_matrix("I_3*") == SymplecticMatrix([[-1, 3], [0, -1]])
 
 
+def test_kodaira_named_matrices():
+    named = {
+        "II": [[1, -1], [1, 0]], "III": [[0, -1], [1, 0]], "IV": [[0, -1], [1, -1]],
+        "IV*": [[-1, 1], [-1, 0]], "III*": [[0, 1], [-1, 0]], "II*": [[0, 1], [-1, 1]],
+    }
+    for name, rows in named.items():
+        assert kodaira_matrix(name) == SymplecticMatrix(rows), name
+
+
+def test_kodaira_starred_type_is_minus_the_unstarred():
+    for n in range(60):
+        rows = kodaira_matrix(f"I_{n}").mat.rows
+        assert rows == ((1, -n), (0, 1))
+        assert kodaira_matrix(f"I_{n}*").mat.rows == tuple(tuple(-x for x in r) for r in rows)
+
+
+def test_kodaira_local_signatures_match_matsumoto():
+    # Matsumoto: the local signature of an elliptic fiber is -2e/3, and the
+    # neighborhood of a fiber with c components has signature -(c - 1);
+    # Kodaira's Euler number e and component count c of each type:
+    types = {"I_0": (0, 1), "II": (2, 1), "III": (3, 2), "IV": (4, 3)}
+    types.update({"IV*": (8, 7), "III*": (9, 8), "II*": (10, 9)})
+    types.update({f"I_{n}": (n, n) for n in range(1, 40)})
+    types.update({f"I_{n}*": (n + 6, n + 5) for n in range(40)})
+    assert len(types) == 86
+    for name, (e, c) in types.items():
+        assert phi1(kodaira_matrix(name)) - (c - 1) == Fraction(-2 * e, 3), name
+
+
 def test_kodaira_words_evaluate(sl2z):
     for name in ("I_0", "I_1", "I_4", "II", "III", "IV", "I_0*", "I_2*", "IV*", "III*", "II*"):
         assert evaluate_word(kodaira_word(name), sl2z) == kodaira_matrix(name)

@@ -131,6 +131,13 @@ def test_shipped_files_round_trip_bit_exactly():
         assert dump_presentation(load_presentation(text)) == text
 
 
+def test_shipped_data_files_are_the_presentations():
+    # a stale or missing data file fails here, not in a packaged install
+    data = resources.files("meyersig.data")
+    shipped = {f.name for f in data.iterdir() if f.name.endswith(".json")}
+    assert shipped == set(presentations.SHIPPED_FILES.values())
+
+
 def test_shipped_sl2z_content(sl2z):
     assert sl2z.genus == 1
     assert sl2z.generator_names == ("a", "b")
