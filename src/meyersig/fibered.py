@@ -191,12 +191,15 @@ def hyperelliptic_twist_value(g: int, separating_h: int | None = None) -> Fracti
     """Value of the hyperelliptic Meyer function on a right-handed twist.
 
     (g+1)/(2g+1) along a non-separating curve; -4h(g-h)/(2g+1) along a
-    curve separating off a genus-h piece (1 <= h <= g-1).
+    curve separating off a genus-h piece (1 <= h <= g-1), so genus 1,
+    whose separating curves all bound discs, has none.
     """
     if g < 1:
         raise ValueError("genus must be >= 1")
     if separating_h is None:
         return Fraction(g + 1, 2 * g + 1)
+    if g == 1:
+        raise ValueError("genus 1 has no separating curve: h must satisfy 1 <= h <= g - 1")
     if not 1 <= separating_h <= g - 1:
         raise ValueError(f"separating genus h={separating_h} must satisfy 1 <= h <= {g - 1}")
     return Fraction(-4 * separating_h * (g - separating_h), 2 * g + 1)

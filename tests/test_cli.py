@@ -607,7 +607,18 @@ def test_twist_value(capsys):
     assert run_cli(capsys, "twist-value", "-g", "2", "--nonsep")[:2] == (0, "3/5\n")
     assert run_cli(capsys, "twist-value", "-g", "2", "--sep", "1")[:2] == (0, "-4/5\n")
     assert run_cli(capsys, "twist-value", "-g", "1")[:2] == (0, "2/3\n")
-    assert run_cli(capsys, "twist-value", "-g", "2", "--sep", "5")[0] == 1
+    assert run_cli(capsys, "twist-value", "-g", "2", "--sep", "5") == (
+        1, "", "error: separating genus h=5 must satisfy 1 <= h <= 1\n"
+    )
+
+
+@pytest.mark.parametrize("h", ["0", "1", "2"])
+def test_twist_value_separating_at_genus_1(capsys, h):
+    """Genus 1 has no separating curve of genus 1 <= h <= g - 1; the error
+    says so instead of naming the empty range 1 <= h <= 0."""
+    assert run_cli(capsys, "twist-value", "-g", "1", "--sep", h) == (
+        1, "", "error: genus 1 has no separating curve: h must satisfy 1 <= h <= g - 1\n"
+    )
 
 
 @pytest.mark.parametrize(

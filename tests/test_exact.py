@@ -347,6 +347,60 @@ def test_determinant_against_leibniz():
     assert all(seen.values()), seen
 
 
+def _closed_form_cases(rng):
+    """Seeded 2 x 2 and 4 x 4 matrices for the closed forms of
+    determinant: entries of up to 10^e for e in 0..40, some with a zero
+    row, a zero column or a repeated row; and P - I and I - P for
+    P = random_symplectic(2, 0..16)."""
+    for k in range(2000):
+        n = (2, 4)[k % 2]
+        e = rng.randint(0, 40)
+        rows = [[rng.randint(-(10**e), 10**e) for _ in range(n)] for _ in range(n)]
+        shape = rng.randrange(5)
+        i, j = rng.sample(range(n), 2)
+        if shape == 1:
+            rows[i] = [0] * n
+        elif shape == 2:
+            for row in rows:
+                row[j] = 0
+        elif shape == 3:
+            rows[i] = list(rows[j])
+        yield rows
+    for length in range(17):
+        for seed in range(4):
+            a = random_symplectic(2, length, 100 * length + seed)
+            rows = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(a.mat.rows)]
+            yield rows
+            yield [[-e for e in row] for row in rows]
+
+
+def test_determinant_closed_forms_against_two_oracles():
+    """The straight-line determinants at n = 2 and n = 4 agree with
+    Leibniz and with Fraction elimination on every case, tuples as well
+    as lists, and meet zero, positive and negative values; each of the
+    24 permutation matrices gives the sign of its permutation."""
+    signs = {}
+    for rows in _closed_form_cases(random.Random(2222)):
+        det = determinant(rows)
+        assert det == determinant(tuple(map(tuple, rows))) == _leibniz(rows) == _fraction_det(rows), rows
+        key = (len(rows), (det > 0) - (det < 0))
+        signs[key] = signs.get(key, 0) + 1
+    assert set(signs) == {(n, s) for n in (2, 4) for s in (-1, 0, 1)}, signs
+    for perm in permutations(range(4)):
+        rows = [[int(j == perm[i]) for j in range(4)] for i in range(4)]
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        assert determinant(rows) == (-1) ** inversions
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_determinant_closed_forms_refuse_ragged_rows(n, width):
+    for bad in range(n):
+        rows = [[1] * (width if i == bad else n) for i in range(n)]
+        with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+            determinant(rows)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_determinant_of_a_minus_identity(g):
     rng = random.Random(50 + g)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -7,7 +8,8 @@ import pytest
 from meyersig import exact, presentations
 from meyersig.cocycle import tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
-from meyersig.exact import kernel_basis, lattice_order
+from meyersig.exact import _sign, kernel_basis, lattice_order
+from meyersig.exact import determinant as _determinant
 from meyersig.presentations import (
     UNBOUNDED,
     ClassOrder,
@@ -454,6 +456,21 @@ def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls):
         before = determinant.call_count, solve.call_count
         load_presentation(resources.files("meyersig.data").joinpath(name).read_text())
         assert (determinant.call_count - before[0], solve.call_count - before[1]) == (dets, solves)
+
+
+def test_walk_on_long_genus2_words_against_tau_prefix_sums(genus2, count_calls):
+    """cochain_c on 40 seeded genus2.json words of 40-64 letters, the
+    lengths the benchmark walks, equals tau_sp summed over the prefixes;
+    the walk's 4 x 4 determinants run and take both nonzero signs."""
+    determinant = count_calls(exact, "determinant")
+    rng = random.Random(4064)
+    for _ in range(40):
+        length = rng.randint(40, 64)
+        word = Word((rng.randrange(genus2.generator_count), rng.choice((1, -1))) for _ in range(length))
+        assert cochain_c(word, genus2) == _tau_prefix_sum(word, genus2)
+    assert determinant.call_count
+    signs = {_sign(_determinant(call.args[0])) for call in determinant.call_args_list}
+    assert {1, -1} <= signs, signs
 
 
 def _chain_presentation(g):
