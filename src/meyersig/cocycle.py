@@ -103,7 +103,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exact import _free_columns, _gauss_jordan, _inertia, _sign, affine_point, kernel_basis
+from .exact import _check_ints, _free_columns, _gauss_jordan, _inertia, _sign, affine_point, kernel_basis
 from .matrix import IntMatrix, _add_identity
 from .symplectic import SymplecticMatrix, _inverse_rows, _twist_terms, _wrap
 
@@ -195,10 +195,19 @@ def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
     since <v, v> = 0.  So one fraction-free solve of the 2g x (2g+1)
     system [A - I | v] gives such a point, with no inverse of A and no
     product A v, or shows that every solution has t = 0 and tau = 0.
+
+    v must be a nonzero class of ints and lam an int (bool is refused in
+    both), as for :func:`~meyersig.symplectic.transvection`; lam = 0 gives
+    B = I and tau = 0.
     """
     if len(v) != 2 * a.g:
         raise ValueError(f"twist class of length {len(v)} at genus {a.g}")
-    return _twist_solve(_add_identity(a.mat.rows, -1), v, lam, _twist_terms(v, lam)[1])[0]
+    _check_ints((v,))
+    if type(lam) is not int:
+        raise ValueError(f"twist exponent must be an int, got {lam!r}")
+    if not any(v):
+        raise ValueError("tau_twist along the zero class is undefined")
+    return _twist_solve(_add_identity(a.mat.rows, -1), v, lam, _twist_terms(v, lam)[2])[0]
 
 
 def _twist_solve(

@@ -24,9 +24,11 @@ is -c plus (m/n) times the total exponent.
 
 Words are evaluated by one prefix walk that carries M = P - I, P the
 product of the letters so far, as plain integer rows.  A letter whose
-matrix is a Dehn-twist power T_v^lam is the sparse rank-1 update
-M + (M v + v)(lam v^T J): it reads M only on the support of v and writes
-it only on the support of v^T J, both found once per presentation.
+matrix is a Dehn-twist power T_v^lam is the rank-1 update
+M + (M v + v)(lam v^T J): straight-line code at 2g = 2 and 4, and above
+that a sparse update that reads M only on the support of v and writes it
+only on the support of v^T J, both found once per presentation.  Each
+letter is checked by one dict lookup.
 :func:`evaluate_word` carries the product alone.  :func:`_walk` also
 carries c, with sign det M and an upper bound on rank M.  Since im M is
 the symplectic complement of ker M, a twist letter moves the rank by
@@ -229,11 +231,11 @@ class Presentation:
 
     @cached_property
     def _twists(self) -> dict[Letter, tuple | None]:
-        """Per letter (i, +-1), None, or (v, lam, v_terms, w_terms) when its
-        matrix is the twist power with class v and exponent lam (see
-        :func:`twist_of`), with the sparse supports of v and lam v^T J from
-        :func:`~meyersig.symplectic._twist_terms`; the inverse of a twist
-        power is the power with -lam."""
+        """Per letter (i, +-1), None, or (v, lam, w, v_terms, w_terms) when
+        its matrix is the twist power with class v and exponent lam (see
+        :func:`twist_of`), with the row w = lam v^T J and the sparse
+        supports of v and w from :func:`~meyersig.symplectic._twist_terms`;
+        the inverse of a twist power is the power with -lam."""
         twists: dict[Letter, tuple | None] = {}
         for i, m in enumerate(self.matrices):
             twist = twist_of(m)
@@ -262,23 +264,26 @@ def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
     """Product of generator matrices in word order; the empty word gives I.
 
     The prefix P is carried as the plain integer rows of M = P - I, as in
-    :func:`_walk`: a twist-power letter is the sparse rank-1 update of
-    :func:`~meyersig.symplectic._twist_step`, any other letter the full
-    product, and I is added back and the rows wrapped as a matrix once,
-    at the end.
+    :func:`_walk`: a twist-power letter is the rank-1 update of
+    :func:`~meyersig.symplectic._twist_step` (straight-line at 2g = 2 and
+    4, sparse above), any other letter the full product, and I is added
+    back and the rows wrapped as a matrix once, at the end.  A letter is
+    checked by its one lookup in :attr:`Presentation._twists`, which has
+    a key for each generator and sign and no other.
     """
     m = _zero_rows(2 * p.genus)
     twists = p._twists
     for i, s in w.letters:
-        if i >= len(p.matrices):
-            raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators")
-        twist = twists[i, s]
+        try:
+            twist = twists[i, s]
+        except KeyError:
+            raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators") from None
         if twist is None:
             step = p.matrices[i] if s > 0 else p._inverses[i]
             m = _add_identity((_trusted(_add_identity(m, 1)) * step.mat).rows, -1)
         else:
-            v, _, v_terms, w_terms = twist
-            m = _twist_step(m, v, v_terms, w_terms)
+            v, _, w_row, v_terms, w_terms = twist
+            m = _twist_step(m, v, w_row, v_terms, w_terms)
     return _wrap(p.genus, _trusted(_add_identity(m, 1)))
 
 
@@ -288,11 +293,15 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
 
     Each prefix P is carried as the plain integer rows of M = P - I, with
     the sign d of det M and an upper bound on rank M, which is 2g exactly
-    when d != 0.  A letter whose matrix is a twist power T_v^lam makes
-    the new M as the sparse rank-1 update M + (M v + v)(lam v^T J) of
-    :func:`~meyersig.symplectic._twist_step`, which reads M on the support
-    of v and writes it on the support of v^T J, both found once per
-    presentation (:attr:`Presentation._twists`).  A rank-1 update moves
+    when d != 0.  Each letter is checked by its one lookup in
+    :attr:`Presentation._twists`, whose keys are exactly the generators
+    with both signs; a missing key is an out-of-range letter.  A letter
+    whose matrix is a twist power T_v^lam makes the new M as the rank-1
+    update M + (M v + v) w, w = lam v^T J, of
+    :func:`~meyersig.symplectic._twist_step`: straight-line code at
+    2g = 2 and 4, and above that a sparse update that reads M on the
+    support of v and writes it on the support of w; w and both supports
+    are found once per presentation.  A rank-1 update moves
     the rank by at most one, so the new d' is 0 with no determinant
     while the bound is below 2g - 1.  The step adds sign(lam) * d * d'
     when d or d' is nonzero, and then the bound is 2g, or 2g - 1 when
@@ -314,9 +323,10 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
     d = bound = 0  # sign det M and the rank bound at M = I - I
     twists = p._twists
     for i, s in w.letters:
-        if i >= len(p.matrices):
-            raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators")
-        twist = twists[i, s]
+        try:
+            twist = twists[i, s]
+        except KeyError:
+            raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators") from None
         if twist is None:
             step = p.matrices[i] if s > 0 else p._inverses[i]
             prefix = _trusted(_add_identity(m, 1))
@@ -325,8 +335,8 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
             d = _sign(determinant(m))
             bound = n if d else (n - 1 if any(map(any, m)) else 0)
             continue
-        v, lam, v_terms, w_terms = twist
-        new = _twist_step(m, v, v_terms, w_terms)
+        v, lam, w_row, v_terms, w_terms = twist
+        new = _twist_step(m, v, w_row, v_terms, w_terms)
         new_d = _sign(determinant(new)) if bound >= n - 1 else 0
         if d or new_d:
             total += d * new_d if lam > 0 else -d * new_d

@@ -194,24 +194,49 @@ def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
     return v, lam
 
 
-def _twist_terms(v: Sequence[int], lam: int) -> tuple[tuple, tuple]:
-    """The sparse supports of the twist power T x = x + lam <v, x> v: the
-    pairs (k, v_k) with v_k != 0, and the pairs (j, w_j) with w_j != 0
-    for the row vector w = lam v^T J."""
+def _twist_terms(v: Sequence[int], lam: int) -> tuple[tuple, tuple, tuple]:
+    """The row vector w = lam v^T J of the twist power T x = x + lam <v, x> v,
+    and its sparse supports: the pairs (k, v_k) with v_k != 0, and the
+    pairs (j, w_j) with w_j != 0."""
     g = len(v) // 2
-    w = [-lam * e for e in v[g:]] + [lam * e for e in v[:g]]
-    return tuple([(k, e) for k, e in enumerate(v) if e]), tuple([(j, e) for j, e in enumerate(w) if e])
+    w = tuple([-lam * e for e in v[g:]] + [lam * e for e in v[:g]])
+    return w, tuple([(k, e) for k, e in enumerate(v) if e]), tuple([(j, e) for j, e in enumerate(w) if e])
 
 
-def _twist_step(m: tuple, v: Sequence[int], v_terms: tuple, w_terms: tuple) -> tuple:
+def _twist_step(m: tuple, v: Sequence[int], w: tuple, v_terms: tuple, w_terms: tuple) -> tuple:
     """The rows of P T - I from the rows of M = P - I, for the twist power
-    T with class v and supports (v_terms, w_terms) from :func:`_twist_terms`.
+    T with class v, row w = lam v^T J and supports (v_terms, w_terms), all
+    from :func:`_twist_terms`.
 
-    T - I = lam v (v^T J) has rank 1, so P T - I = M + (M v + v) w with
-    w = lam v^T J: row r gains (M v + v)_r times w.  Only the entries of
-    M on the support of v are read and only those on the support of w are
-    written; a row with (M v + v)_r = 0 is kept as it is.
+    T - I = lam v (v^T J) has rank 1, so P T - I = M + (M v + v) w: row r
+    gains f_r = (M v + v)_r times w.  At 2g = 2 and 4 the rows, v and w
+    are unpacked and every f_r and new entry is one straight-line
+    expression.  Above that only the entries of M on the support of v are
+    read and only those on the support of w are written; a row with
+    f_r = 0 is kept as it is.
     """
+    n = len(w)
+    if n == 2:
+        (m00, m01), (m10, m11) = m
+        v0, v1 = v
+        w0, w1 = w
+        f0 = m00 * v0 + m01 * v1 + v0
+        f1 = m10 * v0 + m11 * v1 + v1
+        return (m00 + f0 * w0, m01 + f0 * w1), (m10 + f1 * w0, m11 + f1 * w1)
+    if n == 4:
+        (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = m
+        v0, v1, v2, v3 = v
+        w0, w1, w2, w3 = w
+        f0 = m00 * v0 + m01 * v1 + m02 * v2 + m03 * v3 + v0
+        f1 = m10 * v0 + m11 * v1 + m12 * v2 + m13 * v3 + v1
+        f2 = m20 * v0 + m21 * v1 + m22 * v2 + m23 * v3 + v2
+        f3 = m30 * v0 + m31 * v1 + m32 * v2 + m33 * v3 + v3
+        return (
+            (m00 + f0 * w0, m01 + f0 * w1, m02 + f0 * w2, m03 + f0 * w3),
+            (m10 + f1 * w0, m11 + f1 * w1, m12 + f1 * w2, m13 + f1 * w3),
+            (m20 + f2 * w0, m21 + f2 * w1, m22 + f2 * w2, m23 + f2 * w3),
+            (m30 + f3 * w0, m31 + f3 * w1, m32 + f3 * w2, m33 + f3 * w3),
+        )
     out = []
     for row, f in zip(m, v):
         for k, e in v_terms:

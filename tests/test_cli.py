@@ -818,3 +818,30 @@ def test_selftest_reports_a_planted_fault(capsys, monkeypatch, entry):
     code, out, err = run_cli(capsys, "--selftest")
     assert (code, out) == (1, f"FAIL  {name}\n")
     assert " != " in err  # the counterexample
+
+
+def _inverse_step(step, n):
+    """The twist step by T_v^-lam in place of T_v^lam at 2g = n (w and its
+    terms negated), so each prefix stays symplectic; every other size
+    takes ``step``."""
+
+    def planted(m, v, w, v_terms, w_terms):
+        if len(v) == n:
+            w, w_terms = tuple(-e for e in w), tuple((j, -e) for j, e in w_terms)
+        return step(m, v, w, v_terms, w_terms)
+
+    return planted
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_selftest_reaches_every_twist_step_path(capsys, monkeypatch, n):
+    """A wrong step planted at one size (the straight-line 2g = 2 and 4, the
+    sparse 2g = 6) is caught by the cochain suite of --selftest."""
+    entry = next(entry for entry in selftest.SUITES if entry[0] == "cochain is the tau prefix sum")
+    for g in (1, 2):
+        presentations.shipped_presentation(g)  # relators walked before the fault
+    monkeypatch.setattr(presentations, "_twist_step", _inverse_step(presentations._twist_step, n))
+    monkeypatch.setattr(selftest, "SUITES", (entry,))
+    code, out, err = run_cli(capsys, "--selftest")
+    assert (code, out) == (1, "FAIL  cochain is the tau prefix sum\n")
+    assert " != " in err

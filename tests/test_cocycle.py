@@ -339,6 +339,29 @@ def test_tau_twist_genus_mismatch():
         tau_twist(I1, (1, 0, 0, 0), 1)
 
 
+@pytest.mark.parametrize("lam", [1, -2, 0])
+def test_tau_twist_refuses_the_zero_class(lam):
+    """The zero class is no twist: B would be I, where tau_sp(A, I) = 0,
+    but the solve read sign(lam) off it."""
+    a = random_symplectic(2, 6, 0.3)
+    assert tau_sp(a, SymplecticMatrix.identity(2)) == 0
+    with pytest.raises(ValueError, match="zero class"):
+        tau_twist(a, (0, 0, 0, 0), lam)
+
+
+@pytest.mark.parametrize("v, lam", [((0.5, 0), 1), ((True, 0), 1), ((1, False), 1), ((1, 0), 1.5), ((1, 0), True)])
+def test_tau_twist_refuses_non_int_input(v, lam):
+    a = random_symplectic(1, 6, 0.3)
+    with pytest.raises(ValueError, match="must be .*int"):
+        tau_twist(a, v, lam)
+
+
+def test_tau_twist_at_lam_zero_is_zero():
+    for seed in range(6):
+        a = random_symplectic(2, 8, seed)
+        assert tau_twist(a, (1, 0, -1, 2), 0) == 0 == tau_sp(a, transvection((1, 0, -1, 2)) ** 0)
+
+
 def test_tau_twist_sign_rule_and_its_fallback():
     """tau(A, T_v^lam) = sign(lam) sign det(A - I) sign det(AB - I) when
     either determinant is nonzero; tau_twist when both vanish."""

@@ -214,6 +214,26 @@ def test_evaluate_word_examples(sl2z):
         evaluate_word(Word([(5, 1)]), sl2z)
 
 
+@pytest.mark.parametrize("letter", [(2, 1), (2, -1), (7, 1)])
+def test_out_of_range_letters_are_refused_by_every_walk(sl2z, letter):
+    """The walk checks a letter by its lookup among the presentation's
+    twist entries: the cochain, a synthesized Meyer function and the
+    relator walk of a new presentation all refuse a letter past the
+    generators, after in-range letters and with the walk's own message."""
+    word = Word([(0, 1), (1, -1), letter])
+    with pytest.raises(ValueError, match="out of range for 2 generators"):
+        cochain_c(word, sl2z)
+    with pytest.raises(ValueError, match="out of range"):
+        sl2z.meyer_function(word)
+    relator = Word([(0, 1), (0, -1), letter])
+    with pytest.raises(ValueError, match="out of range for 2 generators"):
+        Presentation(1, sl2z.generator_names, sl2z.matrices, (relator,))
+    non_twist = Presentation(1, ("s", "u"), (S_MAT, U_MAT), ())
+    assert non_twist._twists[0, 1] is None
+    with pytest.raises(ValueError, match="out of range for 2 generators"):
+        cochain_c(Word([(0, 1), letter]), non_twist)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_evaluate_word_is_the_left_to_right_product(rng, g):
     """evaluate_word against the plain product of SymplecticMatrix factors,

@@ -199,7 +199,7 @@ def test_sparse_twist_step_is_the_dense_product(g):
                 v[k] = rng.choice((-5, -3, -2, -1, 1, 2, 3, 4))
             big += max(map(abs, v)) > 1
             for lam in (-2, -1, 1, 3):
-                v_terms, w_terms = _twist_terms(v, lam)
+                _, v_terms, w_terms = _twist_terms(v, lam)
                 w = [lam * e for e in (IntMatrix([v]) * standard_j(g)).rows[0]]  # lam v^T J
                 assert v_terms == tuple((k, e) for k, e in enumerate(v) if e)
                 assert w_terms == tuple((k, e) for k, e in enumerate(w) if e)
@@ -207,6 +207,43 @@ def test_sparse_twist_step_is_the_dense_product(g):
                 dense = (a * transvection(v) ** lam).mat.rows
                 assert _sparse_twist(a, v, lam) == _add_identity(dense, -1)
     assert big
+
+
+def _dense_step(m, v, lam):
+    """(M + I) T_v^lam - I by the full product, for any integer rows M."""
+    return _add_identity((IntMatrix(_add_identity(m, 1)) * (transvection(v) ** lam).mat).rows, -1)
+
+
+def _step_cases(g, rng):
+    """Rows M of size 2g for the step oracle: 0, entries past +-2^64, and
+    P - I for random_symplectic words P of every length up to 12."""
+    n = 2 * g
+    yield ((0,) * n,) * n
+    for _ in range(3):
+        yield tuple(tuple(rng.choice((-1, 1)) * rng.randint(2**64, 2**72) for _ in range(n)) for _ in range(n))
+    for length in range(13):
+        yield _add_identity(random_symplectic(g, length, rng.random()).mat.rows, -1)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_twist_step_is_the_dense_product_on_every_letter(sl2z, genus2, g):
+    """The step (straight-line at 2g = 2 and 4, sparse at 2g = 6) against
+    the dense (M + I) T_v^lam - I: at genus 1 and 2 on every twist letter
+    of the shipped presentation with both signs, at genus 3 on the chain
+    twists and on classes with every coordinate nonzero; w is lam v^T J."""
+    rng = random.Random(80 + g)
+    if g < 3:
+        p = (sl2z, genus2)[g - 1]
+        letters = [twist for twist in p._twists.values() if twist]
+        assert len(letters) == 2 * p.generator_count
+    else:
+        classes = symplectic._chain_classes(g) + [tuple(rng.choice((-2, -1, 1, 3)) for _ in range(6))]
+        letters = [(v, lam, *_twist_terms(v, lam)) for v in classes for lam in (1, -1, 2)]
+    assert {lam > 0 for _, lam, *_ in letters} == {True, False}
+    for v, lam, w, v_terms, w_terms in letters:
+        assert w == tuple(lam * e for e in (IntMatrix([v]) * standard_j(g)).rows[0])
+        for m in _step_cases(g, rng):
+            assert _twist_step(m, v, w, v_terms, w_terms) == _dense_step(m, v, lam), (m, v, lam)
 
 
 def test_genus_cap_refuses_before_the_symplectic_check(monkeypatch):
