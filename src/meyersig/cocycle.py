@@ -43,40 +43,58 @@ straight to the integer congruence loop behind
 :func:`meyersig.exact.signature`.  :func:`v_space` gives the public,
 primitive basis of the same rows.
 
-When B is a power of a Dehn twist, B x = x + lam <v, x> v with
-<v, x> = v^T J x, the matrix B - I = lam v (v^T J) has rank 1 and the
-pairing on V_{A,B} has rank at most 1, so tau is one sign:
+Twist letters.  A power B of a Dehn twist acts as
+B x = x + lam <v, x> v, with <v, x> = v^T J x, and is kept as the record
+(v, lam, w, v_terms, w_terms) of :func:`meyersig.symplectic._twist`, its
+one constructor and check: w = lam v^T J, so B - I = v w has rank 1, and
+lam = 0 gives B = I.
+
+The step.  With M = A - I, AB - I = M + A v w = M + (M v + v) w, a
+rank-1 update: row r gains (M v + v)_r times w
+(:func:`meyersig.symplectic._twist_step`).
+
+The sign.  With (B - I) y = lam s v, where s = <v, y>, a point (x, y)
+lies in V_{A,B} exactly when (A^{-1} - I) x = t v with t = -lam s, and
+the pairing is <(x, y), (x', y')> = -lam s' <x + y, v>.  Were s zero on
+all of V, the pairing would vanish and tau = 0.  Otherwise the pairing
+is symmetric only if <x + y, v> = kappa s on V, so it has rank 1 and its
+signature is the sign of its value on any one point with s != 0.  Such
+a point is (x, y) with t != 0 and <v, y> = -t / lam; there
+<x + y, v> = <x, v> + t / lam, and the value is
+(t / lam) (lam <x, v> + t).  Multiplying (A^{-1} - I) x = t v by A
+gives (A - I) x + t A v = 0, so
 
     tau(A, B) = sign(lam * t * (lam <x, v> + t))
 
 for any rational x and t != 0 with (A - I) x + t A v = 0, and 0 when
-every such solution has t = 0.  Since A v = (A - I) v + v, the point
-x~ = x + t v solves (A - I) x~ + t v = 0, and <x~, v> = <x, v> because
-<v, v> = 0; so x~ may stand for x in the sign.  :func:`tau_twist`
-evaluates it from one fraction-free solve of the 2g x (2g+1) system
-[A - I | v] (:func:`meyersig.exact.affine_point`), which gives t and
-lam <v, x> = -lam <x, v> read off the reduced rows through the nonzero
-terms of lam v^T J, or shows that there is no point; it builds no
-product A v, no vector x, no kernel basis, no inverse and no signature.
+every such solution has t = 0.
 
-The same solve says how the rank of M = A - I moves under the twist.
-Over Q, im M is the symplectic complement of ker M: for A x = x,
-<x, M y> = <A x, A y> - <x, y> = 0, so im M lies in the complement, and
-both have dimension 2g - dim ker M.  The new matrix AB - I =
-M + (A v)(lam v^T J) is a rank-1 update, with A v = M v + v.  If v is
-outside im M (no point), then so is A v, and the row lam v^T J is
-nonzero on ker M (v is outside its complement), so the rank rises by 1.
-If v is inside im M, then A v lies in the column space of M and
-lam v^T J, which vanishes on ker M, in its row space; the rank then
-falls by 1 exactly when 1 + lam <v, y'> = 0 for M y' = A v, and with
-y' = v - x / t that is t + lam <x, v> = 0, where the sign above reads
-0 (<v, k> = 0 for k in ker M, so any solution serves).  Otherwise the
-rank stays the same.
+The solve.  Since A v = (A - I) v + v, the point x~ = x + t v solves
+(A - I) x~ + t v = 0, and <x~, v> = <x, v> because <v, v> = 0; so x~
+may stand for x in the sign.  :func:`_twist_solve`, behind
+:func:`tau_twist` and the cochain walk, makes one fraction-free solve of
+the 2g x (2g+1) system [M | v] (:func:`meyersig.exact.affine_point`).
+It gives t and w x = lam <v, x> = -lam <x, v> read off the reduced
+rows, so tau is the sign of lam * t * (t - w x), or it shows that there
+is no point and tau = 0.  It builds no product A v, no vector x, no
+kernel basis, no inverse and no signature.
 
-Most of the time not even that solve is needed (Kirby-Melvin 1994 read
-the same cocycle off sign det(A - I)).  Since AB - I = (A - I) +
-lam (A v)(v^T J) is a rank-1 update of A - I, the matrix determinant
-lemma gives, when det(A - I) != 0,
+The rank moves.  Over Q, im M is the symplectic complement of ker M:
+for A x = x, <x, M y> = <A x, A y> - <x, y> = 0, so im M lies in the
+complement, and both have dimension 2g - dim ker M.  The step is a
+rank-1 update by the column A v = M v + v.  If v is outside im M (no
+point), then so is A v, and the row w is nonzero on ker M (v is outside
+its complement), so the rank rises by 1.  If v is inside im M, then A v
+lies in the column space of M and w, which vanishes on ker M, in its
+row space; the rank then falls by 1 exactly when 1 + lam <v, y'> = 0
+for M y' = A v, and with y' = v - x / t that is t + lam <x, v> = 0,
+where the sign above reads 0 (<v, k> = 0 for k in ker M, so any
+solution serves).  Otherwise the rank stays the same.
+
+The determinant-sign rule.  Most of the time not even that solve is
+needed (Kirby-Melvin 1994 read the same cocycle off sign det(A - I)).
+Since the step is a rank-1 update, the matrix determinant lemma gives,
+when det(A - I) != 0,
 
     det(AB - I) = det(A - I) * (1 + lam v^T J (A - I)^{-1} A v).
 
@@ -91,21 +109,31 @@ When det(A - I) = 0 but det(AB - I) != 0, the cocycle identity at
 twist power with -lam and (AB) B^{-1} = A, so the case above, applied
 at AB, gives tau(A, B) = -sign(-lam) * sign det(AB - I) * sign det(A - I):
 the same formula, here 0.  So the formula holds whenever one of the two
-determinants is nonzero.  When both vanish tau is often nonzero, and
-:func:`tau_twist` gives it from its one solve.  The cochain of
-:mod:`meyersig.presentations` carries this sign along the prefixes P of
-a word, with M = P - I as plain integer rows that go to the solve as
-they are, and an upper bound on rank M kept by the rank moves above; it
-takes :func:`tau_sp` for every generator whose B - I has rank above 1.
+determinants is nonzero; when both vanish tau is often nonzero, and the
+solve gives it.
+
+The walk.  The cochain of :mod:`meyersig.presentations` carries M = P - I
+along the prefixes P of a word as plain integer rows, with d = sign det M
+and an upper bound on rank M.  A twist letter takes the step.  A rank-1
+update moves the rank by at most 1, so the new d' is 0 with no
+determinant while the bound is below 2g - 1.  When d or d' is nonzero
+the letter adds sign(lam) * d * d', and the bound becomes 2g, or 2g - 1
+when d' = 0.  When both are 0 it adds the solve's value on the old M's
+rows, and the bound moves with the rank, capped at 2g - 1.  At bound 0,
+M = 0 and P = I, so tau(I, B) = 0 with no solve, and the new bound is 1.
+From the identity the bound is exact on words of twist letters.  Any
+other letter takes :func:`tau_sp` on P, the full product and one
+determinant, after which the bound is 2g if d' != 0, else 2g - 1, or 0
+when the new M is 0.
 """
 
 from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .exact import _check_ints, _free_columns, _gauss_jordan, _inertia, _sign, affine_point, kernel_basis
+from .exact import _free_columns, _gauss_jordan, _inertia, _sign, affine_point, kernel_basis
 from .matrix import IntMatrix, _add_identity
-from .symplectic import SymplecticMatrix, _inverse_rows, _twist_terms, _wrap
+from .symplectic import SymplecticMatrix, _inverse_rows, _twist, _wrap
 
 
 @dataclass(frozen=True)
@@ -178,52 +206,25 @@ def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
 
 
 def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
-    """tau_sp(A, B) for the twist power B x = x + lam <v, x> v, in closed form.
+    """tau_sp(A, B) for the twist power B x = x + lam <v, x> v, by the one
+    solve of the module docstring.
 
-    With (B - I) y = lam s v, where s = <v, y>, a point (x, y) lies in
-    V_{A,B} exactly when (A^{-1} - I) x = t v with t = -lam s, and the
-    pairing is <(x, y), (x', y')> = -lam s' <x + y, v>.  Were s zero on
-    all of V, the pairing would vanish and tau = 0.  Otherwise the pairing
-    is symmetric only if <x + y, v> = kappa s on V, so it has rank 1 and
-    its signature is the sign of its value on any one point with s != 0.
-    Such a point is (x, y) with t != 0 and <v, y> = -t / lam; there
-    <x + y, v> = <x, v> + t / lam, and the value is
-    (t / lam) (lam <x, v> + t), whose sign is that of
-    lam * t * (lam <x, v> + t).  Multiplying (A^{-1} - I) x = t v by A
-    gives (A - I) x + t A v = 0.  With x~ = x + t v this is
-    (A - I) x~ + t v = 0, since A v = (A - I) v + v, and <x~, v> = <x, v>
-    since <v, v> = 0.  So one fraction-free solve of the 2g x (2g+1)
-    system [A - I | v] gives such a point, with no inverse of A and no
-    product A v, or shows that every solution has t = 0 and tau = 0.
-
-    v must be a nonzero class of ints and lam an int (bool is refused in
-    both), as for :func:`~meyersig.symplectic.transvection`; lam = 0 gives
-    B = I and tau = 0.
+    v and lam are checked by :func:`~meyersig.symplectic._twist`, as for
+    :func:`~meyersig.symplectic.transvection`; a class whose length is
+    not 2g also raises ValueError.  lam = 0 gives B = I and tau = 0.
     """
-    if len(v) != 2 * a.g:
-        raise ValueError(f"twist class of length {len(v)} at genus {a.g}")
-    _check_ints((v,))
-    if type(lam) is not int:
-        raise ValueError(f"twist exponent must be an int, got {lam!r}")
-    if not any(v):
-        raise ValueError("tau_twist along the zero class is undefined")
-    return _twist_solve(_add_identity(a.mat.rows, -1), v, lam, _twist_terms(v, lam)[2])[0]
+    twist = _twist(v, lam)
+    if len(twist[0]) != 2 * a.g:
+        raise ValueError(f"twist class of length {len(twist[0])} at genus {a.g}")
+    return _twist_solve(_add_identity(a.mat.rows, -1), twist)[0]
 
 
-def _twist_solve(
-    m: Sequence[Sequence[int]], v: Sequence[int], lam: int, w_terms: Sequence[tuple[int, int]]
-) -> tuple[int, int]:
-    """(tau_sp(A, B), rank(AB - I) - rank(A - I)) for the twist power B
-    with class v and exponent lam, from the rows of M = A - I and the
-    nonzero terms w_terms of w = lam v^T J, with no check of v.
-
-    One solve of [M | v] (:func:`meyersig.exact.affine_point`) gives t
-    and w x = lam <v, x> = -lam <x, v>, so tau is the sign of
-    lam * t * (t - w x).  The rank change is the one of the module
-    docstring: +1 when v is outside im M (no point), -1 when
-    t - w x = 0, else 0.
-    """
-    point = affine_point([[*row, e] for row, e in zip(m, v)], w_terms)
+def _twist_solve(m: Sequence[Sequence[int]], twist: tuple) -> tuple[int, int]:
+    """(tau_sp(A, B), rank(AB - I) - rank(A - I)) for the twist power B of
+    the record ``twist``, from the rows of M = A - I: the solve and the
+    rank moves of the module docstring."""
+    v, lam, w, _, _ = twist
+    point = affine_point([[*row, e] for row, e in zip(m, v)], w)
     if point is None:
         return 0, 1
     t, wx = point

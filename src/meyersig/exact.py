@@ -189,9 +189,9 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     return a[0][0] if a else 1
 
 
-def affine_point(mat: list[list[int]], terms: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
+def affine_point(mat: list[list[int]], w: Sequence[int]) -> tuple[int, int] | None:
     """(t, w x) for integers x and t != 0 with M x + t b = 0, for the
-    matrix [M | b] and a row vector w given by its nonzero terms (j, w_j).
+    matrix [M | b] and a row vector w with one entry per column of M.
 
     Returns None when b is not in the column span of M.  One pass of
     :func:`_gauss_jordan` over the columns of M leaves its pivot columns
@@ -207,8 +207,7 @@ def affine_point(mat: list[list[int]], terms: Sequence[tuple[int, int]]) -> tupl
     pivots, d = _gauss_jordan(mat, m)
     if any([row[m] for row in mat[len(pivots):]]):
         return None
-    at = dict(zip(pivots, mat))  # the row whose pivot is column j
-    return d, -sum([e * at[j][m] for j, e in terms if j in at])
+    return d, -sum([w[j] * row[m] for j, row in zip(pivots, mat)])
 
 
 def lattice_order(columns: Sequence[Sequence[int]], target: Sequence[int]) -> tuple | None:

@@ -24,18 +24,10 @@ is -c plus (m/n) times the total exponent.
 
 Words are evaluated by one prefix walk that carries M = P - I, P the
 product of the letters so far, as plain integer rows.  A letter whose
-matrix is a Dehn-twist power T_v^lam is the rank-1 update
-M + (M v + v)(lam v^T J): straight-line code at 2g = 2 and 4, and above
-that a sparse update that reads M only on the support of v and writes it
-only on the support of v^T J, both found once per presentation.  Each
-letter is checked by one dict lookup.
-:func:`evaluate_word` carries the product alone.  :func:`_walk` also
-carries c, with sign det M and an upper bound on rank M.  Since im M is
-the symplectic complement of ker M, a twist letter moves the rank by
-+1 when v is outside im M, by -1 when the solve behind
-:func:`~meyersig.cocycle.tau_twist` reads 0, and not otherwise (the
-derivation is in :mod:`meyersig.cocycle`); the walk makes a determinant
-only when the new rank can reach 2g, and needs no solve while M = 0.
+matrix is a Dehn-twist power takes the twist step, and in the cochain
+the determinant-sign rule, the solve and the rank bound, all derived in
+:mod:`meyersig.cocycle`; each letter is checked by one dict lookup.
+:func:`evaluate_word` carries the product alone, :func:`_walk` also c.
 A :class:`Presentation` walks each relator once, when it is built,
 checking that it maps to the identity and keeping c(r_j), so
 :func:`class_order` walks no word.  The file also holds the shipped
@@ -58,7 +50,7 @@ from .exact import _sign, determinant, lattice_order
 from .matrix import (
     _add_identity, _decode_json, _trusted, format_matrix, matrix_from_json, parse_int, parse_matrix
 )
-from .symplectic import SymplecticMatrix, _twist_step, _twist_terms, _wrap, twist_of
+from .symplectic import SymplecticMatrix, _twist, _twist_step, _wrap, twist_of
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
 
@@ -231,20 +223,15 @@ class Presentation:
 
     @cached_property
     def _twists(self) -> dict[Letter, tuple | None]:
-        """Per letter (i, +-1), None, or (v, lam, w, v_terms, w_terms) when
-        its matrix is the twist power with class v and exponent lam (see
-        :func:`twist_of`), with the row w = lam v^T J and the sparse
-        supports of v and w from :func:`~meyersig.symplectic._twist_terms`;
-        the inverse of a twist power is the power with -lam."""
+        """Per letter (i, +-1), None, or the record of
+        :func:`~meyersig.symplectic._twist` when its matrix is a twist
+        power (found by :func:`twist_of`); the inverse of a twist power is
+        the power with -lam."""
         twists: dict[Letter, tuple | None] = {}
         for i, m in enumerate(self.matrices):
             twist = twist_of(m)
             for s in (1, -1):
-                if twist is None:
-                    twists[i, s] = None
-                else:
-                    v, lam = twist[0], s * twist[1]
-                    twists[i, s] = (v, lam, *_twist_terms(v, lam))
+                twists[i, s] = None if twist is None else _twist(twist[0], s * twist[1])
         return twists
 
     @cached_property
@@ -264,12 +251,12 @@ def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
     """Product of generator matrices in word order; the empty word gives I.
 
     The prefix P is carried as the plain integer rows of M = P - I, as in
-    :func:`_walk`: a twist-power letter is the rank-1 update of
-    :func:`~meyersig.symplectic._twist_step` (straight-line at 2g = 2 and
-    4, sparse above), any other letter the full product, and I is added
-    back and the rows wrapped as a matrix once, at the end.  A letter is
-    checked by its one lookup in :attr:`Presentation._twists`, which has
-    a key for each generator and sign and no other.
+    :func:`_walk`: a twist-power letter takes
+    :func:`~meyersig.symplectic._twist_step`, any other letter the full
+    product, and I is added back and the rows wrapped as a matrix once,
+    at the end.  A letter is checked by its one lookup in
+    :attr:`Presentation._twists`, which has a key for each generator and
+    sign and no other.
     """
     m = _zero_rows(2 * p.genus)
     twists = p._twists
@@ -282,8 +269,7 @@ def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
             step = p.matrices[i] if s > 0 else p._inverses[i]
             m = _add_identity((_trusted(_add_identity(m, 1)) * step.mat).rows, -1)
         else:
-            v, _, w_row, v_terms, w_terms = twist
-            m = _twist_step(m, v, w_row, v_terms, w_terms)
+            m = _twist_step(m, twist)
     return _wrap(p.genus, _trusted(_add_identity(m, 1)))
 
 
@@ -293,29 +279,11 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
 
     Each prefix P is carried as the plain integer rows of M = P - I, with
     the sign d of det M and an upper bound on rank M, which is 2g exactly
-    when d != 0.  Each letter is checked by its one lookup in
-    :attr:`Presentation._twists`, whose keys are exactly the generators
-    with both signs; a missing key is an out-of-range letter.  A letter
-    whose matrix is a twist power T_v^lam makes the new M as the rank-1
-    update M + (M v + v) w, w = lam v^T J, of
-    :func:`~meyersig.symplectic._twist_step`: straight-line code at
-    2g = 2 and 4, and above that a sparse update that reads M on the
-    support of v and writes it on the support of w; w and both supports
-    are found once per presentation.  A rank-1 update moves
-    the rank by at most one, so the new d' is 0 with no determinant
-    while the bound is below 2g - 1.  The step adds sign(lam) * d * d'
-    when d or d' is nonzero, and then the bound is 2g, or 2g - 1 when
-    d' = 0.  When both are 0 it adds the value of the shared solve
-    :func:`~meyersig.cocycle._twist_solve` on the old M's rows, which
-    also moves the bound with the rank: +1 when v is outside im M, -1
-    when the value's factor lam <x, v> + t is 0, since im M is the
-    symplectic complement of ker M (the derivation is in
-    :mod:`meyersig.cocycle`); capped at 2g - 1.  At bound 0, M = 0 and
-    P = I, so tau(I, T) = 0 with no solve, and the new bound is 1.  From
-    the identity the bound is exact on words of twist letters.  Any other
-    letter takes :func:`tau_sp` on P wrapped as a matrix, the full
-    product, and one determinant, after which the bound is 2g if d' != 0,
-    else 2g - 1, or 0 when the new M is 0.
+    when d != 0; the walk paragraph of :mod:`meyersig.cocycle` gives how a
+    letter moves them and what it adds to c.  Each letter is checked by
+    its one lookup in :attr:`Presentation._twists`, whose keys are exactly
+    the generators with both signs; a missing key is an out-of-range
+    letter.
     """
     total = 0
     g, n = p.genus, 2 * p.genus
@@ -335,14 +303,13 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
             d = _sign(determinant(m))
             bound = n if d else (n - 1 if any(map(any, m)) else 0)
             continue
-        v, lam, w_row, v_terms, w_terms = twist
-        new = _twist_step(m, v, w_row, v_terms, w_terms)
+        new = _twist_step(m, twist)
         new_d = _sign(determinant(new)) if bound >= n - 1 else 0
         if d or new_d:
-            total += d * new_d if lam > 0 else -d * new_d
+            total += d * new_d if twist[1] > 0 else -d * new_d
             bound = n if new_d else n - 1
         elif bound:
-            tau, change = _twist_solve(m, v, lam, w_terms)
+            tau, change = _twist_solve(m, twist)
             total += tau
             bound = min(bound + change, n - 1)
         else:  # M = 0: P = I, tau(I, B) = 0, and the new M has rank 1

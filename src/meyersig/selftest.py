@@ -1,7 +1,8 @@
 """The invariant suites: each exact identity of the package, defined once.
 
 A suite takes a random generator and a size and returns ``None`` when
-every identity holds, or its first counterexample as one line of text.
+every identity holds, or as one line of text its first counterexample,
+which may be an exception raised while a case was computed.
 Suites compare with ``!=`` rather than ``assert``, so they still check
 under ``python -O``.  ``meyersig --selftest`` runs the table ``SUITES`` at
 the small sizes listed there; ``tests/test_acceptance.py`` runs the same
@@ -36,13 +37,18 @@ def _random_matrix(g: int, max_len: int, rng: random.Random) -> SymplecticMatrix
 
 def _suite(cases):
     """Make a suite from a generator of ``(identity, lhs, rhs, inputs)``
-    cases: ``None`` if every lhs equals its rhs, else the first failure."""
+    cases: ``None`` if every lhs equals its rhs, else the first failure;
+    an exception raised while a case is computed is one too, so the
+    suites after it still run."""
 
     @wraps(cases)
     def suite(rng, size):
-        for identity, lhs, rhs, inputs in cases(rng, size):
-            if lhs != rhs:
-                return f"{identity}: {lhs} != {rhs} at {inputs}"
+        try:
+            for identity, lhs, rhs, inputs in cases(rng, size):
+                if lhs != rhs:
+                    return f"{identity}: {lhs} != {rhs} at {inputs}"
+        except Exception as exc:
+            return f"raised {type(exc).__name__}: {exc}"
         return None
 
     return suite

@@ -17,7 +17,7 @@ import random
 from functools import cache
 from typing import Sequence
 
-from .exact import _primitive
+from .exact import _check_ints, _primitive
 from .matrix import IntMatrix, _trusted
 
 # Right-handed twist convention; see module docstring before touching this.
@@ -154,20 +154,13 @@ def _inverse_rows(rows: Sequence[Sequence[int]], g: int) -> list[tuple[int, ...]
 
 
 def transvection(v: Sequence[int]) -> SymplecticMatrix:
-    """The twist map x |-> x + TWIST_SIGN * <v, x> * v as a matrix.
+    """The twist map x |-> x + TWIST_SIGN * <v, x> * v as a matrix: I + v w
+    for the row w of :func:`_twist` (v, TWIST_SIGN), which checks v.
 
     Fixes v (since <v, v> = 0) and is always symplectic.
     """
-    v = tuple(v)
-    if all(entry == 0 for entry in v):
-        raise ValueError("transvection along the zero class is undefined")
-    n = len(v)
-    cols = []
-    for j in range(n):
-        basis = tuple(int(t == j) for t in range(n))
-        coeff = TWIST_SIGN * symplectic_pairing(v, basis)
-        cols.append(tuple(basis[i] + coeff * v[i] for i in range(n)))
-    return SymplecticMatrix(IntMatrix(tuple(zip(*cols))), n // 2)
+    v, _, w, _, _ = _twist(v, TWIST_SIGN)
+    return SymplecticMatrix([[int(i == j) + e * f for j, f in enumerate(w)] for i, e in enumerate(v)])
 
 
 def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
@@ -178,13 +171,12 @@ def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
     primitive with its first nonzero entry positive, so the pair is
     unique; the identity, -I and any M - I of rank above 1 give None.
     """
-    g, n = m.g, 2 * m.g
+    n = 2 * m.g
     d = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(m.mat.rows)]
     col = next((j for j in range(n) if any(row[j] for row in d)), None)
     if col is None:
         return None
-    v = _primitive([row[col] for row in d])  # lam * (v^T J)_col times v
-    vj = [-e for e in v[g:]] + list(v[:g])  # the row vector v^T J
+    v, _, vj, _, _ = _twist(_primitive([row[col] for row in d]), 1)  # column col is lam (v^T J)_col v
     if not vj[col]:
         return None
     i0 = next(i for i, e in enumerate(v) if e)
@@ -194,27 +186,41 @@ def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
     return v, lam
 
 
-def _twist_terms(v: Sequence[int], lam: int) -> tuple[tuple, tuple, tuple]:
-    """The row vector w = lam v^T J of the twist power T x = x + lam <v, x> v,
-    and its sparse supports: the pairs (k, v_k) with v_k != 0, and the
-    pairs (j, w_j) with w_j != 0."""
+def _twist(v: Sequence[int], lam: int) -> tuple:
+    """The record (v, lam, w, v_terms, w_terms) of the twist power
+    T x = x + lam <v, x> v: the class v as a tuple, the exponent lam, the
+    row w = lam v^T J, so that T - I = v w, and the sparse supports, the
+    pairs (k, v_k) with v_k != 0 and (j, w_j) with w_j != 0.
+
+    The one constructor and check of a twist.  A class that is empty, of
+    odd length or zero raises ValueError, and so does an entry or lam that
+    is not an int (bool included).  lam = 0 is legal and gives T = I.
+    """
+    v = tuple(v)
+    if not v or len(v) % 2:
+        raise ValueError(f"homology classes have even positive length, got {len(v)}")
+    _check_ints((v,))
+    if type(lam) is not int:
+        raise ValueError(f"twist exponent must be an int, got {lam!r}")
+    if not any(v):
+        raise ValueError("a twist along the zero class is undefined")
     g = len(v) // 2
     w = tuple([-lam * e for e in v[g:]] + [lam * e for e in v[:g]])
-    return w, tuple([(k, e) for k, e in enumerate(v) if e]), tuple([(j, e) for j, e in enumerate(w) if e])
+    return v, lam, w, tuple([(k, e) for k, e in enumerate(v) if e]), tuple([(j, e) for j, e in enumerate(w) if e])
 
 
-def _twist_step(m: tuple, v: Sequence[int], w: tuple, v_terms: tuple, w_terms: tuple) -> tuple:
+def _twist_step(m: tuple, twist: tuple) -> tuple:
     """The rows of P T - I from the rows of M = P - I, for the twist power
-    T with class v, row w = lam v^T J and supports (v_terms, w_terms), all
-    from :func:`_twist_terms`.
+    T of the record ``twist`` from :func:`_twist`: the rank-1 update
+    M + (M v + v) w of :mod:`meyersig.cocycle`, so row r gains
+    f_r = (M v + v)_r times w.
 
-    T - I = lam v (v^T J) has rank 1, so P T - I = M + (M v + v) w: row r
-    gains f_r = (M v + v)_r times w.  At 2g = 2 and 4 the rows, v and w
-    are unpacked and every f_r and new entry is one straight-line
-    expression.  Above that only the entries of M on the support of v are
-    read and only those on the support of w are written; a row with
-    f_r = 0 is kept as it is.
+    At 2g = 2 and 4 the rows, v and w are unpacked and every f_r and new
+    entry is one straight-line expression.  Above that only the entries of
+    M on the support of v are read and only those on the support of w are
+    written; a row with f_r = 0 is kept as it is.
     """
+    v, _, w, v_terms, w_terms = twist
     n = len(w)
     if n == 2:
         (m00, m01), (m10, m11) = m

@@ -821,14 +821,15 @@ def test_selftest_reports_a_planted_fault(capsys, monkeypatch, entry):
 
 
 def _inverse_step(step, n):
-    """The twist step by T_v^-lam in place of T_v^lam at 2g = n (w and its
-    terms negated), so each prefix stays symplectic; every other size
+    """The twist step by T_v^-lam in place of T_v^lam at 2g = n (lam, w and
+    its terms negated), so each prefix stays symplectic; every other size
     takes ``step``."""
 
-    def planted(m, v, w, v_terms, w_terms):
+    def planted(m, twist):
+        v, lam, w, v_terms, w_terms = twist
         if len(v) == n:
-            w, w_terms = tuple(-e for e in w), tuple((j, -e) for j, e in w_terms)
-        return step(m, v, w, v_terms, w_terms)
+            twist = (v, -lam, tuple(-e for e in w), v_terms, tuple((j, -e) for j, e in w_terms))
+        return step(m, twist)
 
     return planted
 
@@ -845,3 +846,37 @@ def test_selftest_reaches_every_twist_step_path(capsys, monkeypatch, n):
     code, out, err = run_cli(capsys, "--selftest")
     assert (code, out) == (1, "FAIL  cochain is the tau prefix sum\n")
     assert " != " in err
+
+
+def _step_without_v(step, n):
+    """The twist step at 2g = n with its + v_r term dropped, M + (M v) w in
+    place of M + (M v + v) w, so the prefixes leave Sp(2g;Z); every other
+    size takes ``step``."""
+
+    def planted(m, twist):
+        out = step(m, twist)
+        v, _, w, _, _ = twist
+        if len(v) != n:
+            return out
+        return tuple(tuple(e - vr * f for e, f in zip(row, w)) for row, vr in zip(out, v))
+
+    return planted
+
+
+def test_selftest_reports_an_exception_and_runs_every_suite(capsys, monkeypatch):
+    """A walk fault that makes tau_sp raise (a non-symplectic prefix meets
+    the letter s of the genus-3 chain) fails the cochain suite with the
+    exception, and the other suites still run and pass."""
+    for g in (1, 2):
+        presentations.shipped_presentation(g)  # relators walked before the fault
+    monkeypatch.setattr(presentations, "_twist_step", _step_without_v(presentations._twist_step, 6))
+    code, out, err = run_cli(capsys, "--selftest")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines == [
+        f"{'FAIL' if name == 'cochain is the tau prefix sum' else 'PASS'}  {name}"
+        for name, _, _ in selftest.SUITES
+    ]
+    assert len(lines) == 8
+    assert "raised ArithmeticError: pairing is not symmetric" in err
+    assert "Traceback" not in err

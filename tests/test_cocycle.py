@@ -17,8 +17,8 @@ from meyersig.genus1 import phi1
 from meyersig.matrix import _add_identity
 from meyersig.symplectic import (
     SymplecticMatrix,
+    _twist,
     _twist_step,
-    _twist_terms,
     a_class,
     random_symplectic,
     standard_j,
@@ -356,6 +356,25 @@ def test_tau_twist_refuses_non_int_input(v, lam):
         tau_twist(a, v, lam)
 
 
+def _raised(call, *args):
+    """The message of the ValueError that call(*args) raises."""
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("v", [(True, 0), (1, False), (0.5, 0), (), (1,), (0, 0)], ids=repr)
+def test_transvection_and_tau_twist_refuse_the_classes_twist_refuses(v):
+    message = _raised(_twist, v, 1)
+    assert _raised(transvection, v) == message
+    assert _raised(tau_twist, I1, v, 1) == message
+
+
+@pytest.mark.parametrize("lam", [True, 1.5])
+def test_tau_twist_refuses_the_exponents_twist_refuses(lam):
+    assert _raised(tau_twist, I1, (1, 0), lam) == _raised(_twist, (1, 0), lam)
+
+
 def test_tau_twist_at_lam_zero_is_zero():
     for seed in range(6):
         a = random_symplectic(2, 8, seed)
@@ -380,7 +399,7 @@ def test_tau_twist_sign_rule_and_its_fallback():
                     b = transvection(v) ** lam
                     d = _sign_det_minus_identity(a.mat.rows)
                     d_ab = _sign_det_minus_identity((a * b).mat.rows)
-                    m_ab = _twist_step(_add_identity(a.mat.rows, -1), v, *_twist_terms(v, lam))
+                    m_ab = _twist_step(_add_identity(a.mat.rows, -1), _twist(v, lam))
                     assert d_ab == _sign_det(m_ab)
                     if d and d_ab:
                         branches["both nonzero"] += 1

@@ -418,10 +418,11 @@ def test_determinant_of_a_minus_identity(g):
 def _affine_x(rows):
     """(x, t) from affine_point on copies of rows, x read one entry at a
     time through the unit row vectors; None when affine_point gives None."""
-    point = affine_point([list(row) for row in rows], [])
+    m = len(rows[0]) - 1
+    point = affine_point([list(row) for row in rows], [0] * m)
     if point is None:
         return None
-    x = [affine_point([list(row) for row in rows], [(j, 1)])[1] for j in range(len(rows[0]) - 1)]
+    x = [affine_point([list(row) for row in rows], [int(k == j) for k in range(m)])[1] for j in range(m)]
     return tuple(x), point[0]
 
 
@@ -433,11 +434,11 @@ def test_affine_point_examples():
     assert _affine_x([[1, 1, 2], [2, 2, 3]]) is None  # rank 1, b outside it
     # Cramer: [M | b] -> [d I | adj(M) b] with d = det M = -2, adj(M) b = (2, -4)
     assert _affine_x([[1, 2, 3], [3, 4, 5]]) == ((-2, 4), -2)
-    # w x with w = (3, -1): 3 * -2 - 4; terms off a free column read 0
-    assert affine_point([[1, 2, 3], [3, 4, 5]], [(0, 3), (1, -1)]) == (-2, -10)
-    assert affine_point([[1, 1, 2], [2, 2, 4]], [(1, 7)]) == (1, 0)
+    # w x with w = (3, -1): 3 * -2 - 4; an entry of w at a free column reads 0
+    assert affine_point([[1, 2, 3], [3, 4, 5]], [3, -1]) == (-2, -10)
+    assert affine_point([[1, 1, 2], [2, 2, 4]], [0, 7]) == (1, 0)
     mat = [[0, 2, 4], [1, 0, 3]]
-    affine_point(mat, [])
+    affine_point(mat, [0, 0])
     assert mat == [[2, 0, 6], [0, 2, 4]]  # reduced in place to [d I | -t x], rows swapped
     with pytest.raises(ValueError, match="rectangular"):
         affine_point([[1, 2], [3]], [])
@@ -471,9 +472,11 @@ def test_affine_point_against_the_kernel():
             x, t = point
             assert t != 0 and all(type(e) is int for e in (*x, t))
             assert all(sum(e * f for e, f in zip(row, x)) + t * c == 0 for row, c in zip(mat, b))
-            terms = [(j, rng.randint(-3, 3)) for j in rng.sample(range(len(x)), rng.randint(0, len(x)))]
-            wx = sum(e * x[j] for j, e in terms)
-            assert affine_point([list(row) for row in rows], terms) == (t, wx), (rows, terms)
+            w = [0] * len(x)
+            for j in rng.sample(range(len(x)), rng.randint(0, len(x))):
+                w[j] = rng.randint(-3, 3)
+            wx = sum(e * f for e, f in zip(w, x))
+            assert affine_point([list(row) for row in rows], w) == (t, wx), (rows, w)
             seen["non-primitive"] += math.gcd(*b) > 1
         seen["inconsistent"] += point is None
         seen["square"] += n == m

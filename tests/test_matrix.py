@@ -7,7 +7,7 @@ import pytest
 from meyersig.errors import ParseError
 from meyersig.matrix import IntMatrix, _trusted, matrix_from_json, parse_int, parse_matrix
 from meyersig.symplectic import (
-    SymplecticMatrix, _twist_step, _twist_terms, random_symplectic, standard_j
+    SymplecticMatrix, _twist, _twist_step, random_symplectic, standard_j
 )
 
 BAD_ROWS = {
@@ -85,7 +85,7 @@ def test_trusted_results_equal_checked_ones(g):
         a = random_symplectic(g, 10, f"{g}-{seed}-a")
         b = random_symplectic(g, 10, f"{g}-{seed}-b")
         m, n = a.mat, b.mat
-        twisted = _trusted(_twist_step(m.rows, m.rows[0], *_twist_terms(m.rows[0], seed - 5)))
+        twisted = _trusted(_twist_step(m.rows, _twist(m.rows[0], seed - 5)))
         for result in (m * n, m - n, -m, m.transpose(), a.inverse().mat, (a * b).mat, twisted):
             _assert_checked_equal(result)
         assert a.inverse().mat == -(j * m.transpose() * j)

@@ -9,8 +9,8 @@ from meyersig.matrix import IntMatrix, _add_identity, format_matrix, parse_matri
 from meyersig.symplectic import (
     MAX_GENUS,
     SymplecticMatrix,
+    _twist,
     _twist_step,
-    _twist_terms,
     a_class,
     b_class,
     is_symplectic,
@@ -87,6 +87,29 @@ def test_transvection_fixes_its_class():
 def test_transvection_zero_vector_rejected():
     with pytest.raises(ValueError, match="zero class"):
         transvection((0, 0))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_twist_record_against_its_definition(g):
+    """_twist(v, lam) on classes with 1, 2 and 2g nonzero entries and every
+    lam in -3..3: w is lam v^T J by standard_j, the supports are exactly
+    the nonzero entries of v and w, and I + v w is transvection(v) ** lam."""
+    rng = random.Random(90 + g)
+    n = 2 * g
+    for support in sorted({1, 2, n}):
+        for _ in range(6):
+            v = [0] * n
+            for k in rng.sample(range(n), support):
+                v[k] = rng.choice((-3, -2, -1, 1, 2, 4))
+            for lam in range(-3, 4):
+                v_rec, lam_rec, w, v_terms, w_terms = _twist(v, lam)
+                assert (v_rec, lam_rec) == (tuple(v), lam)
+                assert w == tuple(lam * e for e in (IntMatrix([v]) * standard_j(g)).rows[0])
+                assert v_terms == tuple((k, e) for k, e in enumerate(v) if e)
+                assert w_terms == tuple((j, e) for j, e in enumerate(w) if e)
+                if lam:
+                    rows = [[int(i == j) + e * f for j, f in enumerate(w)] for i, e in enumerate(v)]
+                    assert SymplecticMatrix(rows) == transvection(v) ** lam, (v, lam)
 
 
 def test_transvection_inverse_cancels():
@@ -168,7 +191,7 @@ def test_random_symplectic_pinned_outputs(args, text):
 
 def _sparse_twist(a, v, lam):
     """The rows of A T_v^lam minus I, by the sparse step on A - I."""
-    return _twist_step(_add_identity(a.mat.rows, -1), v, *_twist_terms(v, lam))
+    return _twist_step(_add_identity(a.mat.rows, -1), _twist(v, lam))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -199,7 +222,7 @@ def test_sparse_twist_step_is_the_dense_product(g):
                 v[k] = rng.choice((-5, -3, -2, -1, 1, 2, 3, 4))
             big += max(map(abs, v)) > 1
             for lam in (-2, -1, 1, 3):
-                _, v_terms, w_terms = _twist_terms(v, lam)
+                _, _, _, v_terms, w_terms = _twist(v, lam)
                 w = [lam * e for e in (IntMatrix([v]) * standard_j(g)).rows[0]]  # lam v^T J
                 assert v_terms == tuple((k, e) for k, e in enumerate(v) if e)
                 assert w_terms == tuple((k, e) for k, e in enumerate(w) if e)
@@ -238,12 +261,13 @@ def test_twist_step_is_the_dense_product_on_every_letter(sl2z, genus2, g):
         assert len(letters) == 2 * p.generator_count
     else:
         classes = symplectic._chain_classes(g) + [tuple(rng.choice((-2, -1, 1, 3)) for _ in range(6))]
-        letters = [(v, lam, *_twist_terms(v, lam)) for v in classes for lam in (1, -1, 2)]
+        letters = [_twist(v, lam) for v in classes for lam in (1, -1, 2)]
     assert {lam > 0 for _, lam, *_ in letters} == {True, False}
-    for v, lam, w, v_terms, w_terms in letters:
+    for twist in letters:
+        v, lam, w = twist[:3]
         assert w == tuple(lam * e for e in (IntMatrix([v]) * standard_j(g)).rows[0])
         for m in _step_cases(g, rng):
-            assert _twist_step(m, v, w, v_terms, w_terms) == _dense_step(m, v, lam), (m, v, lam)
+            assert _twist_step(m, twist) == _dense_step(m, v, lam), (m, v, lam)
 
 
 def test_genus_cap_refuses_before_the_symplectic_check(monkeypatch):
