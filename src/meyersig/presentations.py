@@ -25,8 +25,9 @@ is -c plus (m/n) times the total exponent.
 Words are evaluated by one prefix walk that carries M = P - I, P the
 product of the letters so far, as plain integer rows.  A letter whose
 matrix is a Dehn-twist power takes the twist step, and in the cochain
-the determinant-sign rule, the solve and the rank bound, all derived in
-:mod:`meyersig.cocycle`; each letter is checked by one dict lookup.
+the determinant-sign rule, the minor-sign rule or the solve, and the
+rank bound, all derived in :mod:`meyersig.cocycle`; each letter is
+checked by one dict lookup.
 :func:`evaluate_word` carries the product alone, :func:`_walk` also c.
 A :class:`Presentation` walks each relator once, when it is built,
 checking that it maps to the identity and keeping c(r_j), so
@@ -44,7 +45,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cocycle import _twist_solve, tau_sp
+from .cocycle import _minor_sign, tau_sp
 from .errors import InfiniteOrderError, ParseError, UnsupportedGenusError
 from .exact import _sign, determinant, lattice_order
 from .matrix import (
@@ -309,9 +310,8 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
             total += d * new_d if twist[1] > 0 else -d * new_d
             bound = n if new_d else n - 1
         elif bound:
-            tau, change = _twist_solve(m, twist)
+            tau, bound = _minor_sign(m, new, twist, bound)
             total += tau
-            bound = min(bound + change, n - 1)
         else:  # M = 0: P = I, tau(I, B) = 0, and the new M has rank 1
             bound = 1
         m, d = new, new_d

@@ -183,9 +183,9 @@ def chain_with_s(g: int) -> Presentation:
 @_suite
 def _cochain_walk(rng, size):
     """size random words over each shipped presentation and over the chain
-    twists with s at genus 3, against the definitions: tau_sp summed over
-    the prefixes, and the plain product."""
-    for p in (shipped_presentation(1), shipped_presentation(2), chain_with_s(3)):
+    twists with s at genus 3 and 2, against the definitions: tau_sp summed
+    over the prefixes, and the plain product."""
+    for p in (shipped_presentation(1), shipped_presentation(2), chain_with_s(3), chain_with_s(2)):
         for _ in range(size):
             w = random_word(p, rng, max_len=16)
             prefix, total = SymplecticMatrix.identity(p.genus), 0

@@ -42,12 +42,17 @@ def standard_j(g: int) -> IntMatrix:
 
 
 def symplectic_pairing(u: Sequence[int], v: Sequence[int]) -> int:
-    """<u, v> = u^T J v = sum_i (u_Ai * v_Bi - u_Bi * v_Ai)."""
+    """<u, v> = u^T J v = sum_i (u_Ai * v_Bi - u_Bi * v_Ai).
+
+    Vectors of different or odd lengths, the empty vector and an entry
+    that is not an int (bool included) raise ValueError.
+    """
     u, v = tuple(u), tuple(v)
     if len(u) != len(v):
         raise ValueError(f"vector lengths differ: {len(u)} vs {len(v)}")
     if len(u) % 2 or not u:
         raise ValueError(f"homology classes have even positive length, got {len(u)}")
+    _check_ints((u, v))
     g = len(u) // 2
     return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
 

@@ -14,6 +14,7 @@ import pytest
 
 from meyersig import cli, cocycle, presentations, selftest
 from meyersig.cli import main
+from meyersig.exact import kernel_basis
 from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction, cochain_c
 from meyersig.matrix import IntMatrix, format_matrix
 from meyersig.symplectic import MAX_GENUS, SymplecticMatrix
@@ -842,6 +843,33 @@ def test_selftest_reaches_every_twist_step_path(capsys, monkeypatch, n):
     for g in (1, 2):
         presentations.shipped_presentation(g)  # relators walked before the fault
     monkeypatch.setattr(presentations, "_twist_step", _inverse_step(presentations._twist_step, n))
+    monkeypatch.setattr(selftest, "SUITES", (entry,))
+    code, out, err = run_cli(capsys, "--selftest")
+    assert (code, out) == (1, "FAIL  cochain is the tau prefix sum\n")
+    assert " != " in err
+
+
+def _negated_rule(rule, n, r):
+    """The minor-sign rule with its value negated where 2g = n and
+    rank(P - I) = r; every other step takes ``rule``."""
+
+    def planted(m, new, twist, bound):
+        tau, rank = rule(m, new, twist, bound)
+        if len(m) == n and n - len(kernel_basis(m)) == r:
+            tau = -tau
+        return tau, rank
+
+    return planted
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (4, 1), (4, 2), (4, 3)])
+def test_selftest_reaches_every_rank_of_the_minor_sign_rule(capsys, monkeypatch, n, r):
+    """The minor-sign rule negated at one size and rank alone is caught by
+    the cochain suite of --selftest."""
+    entry = next(entry for entry in selftest.SUITES if entry[0] == "cochain is the tau prefix sum")
+    for g in (1, 2):
+        presentations.shipped_presentation(g)  # relators walked before the fault
+    monkeypatch.setattr(presentations, "_minor_sign", _negated_rule(presentations._minor_sign, n, r))
     monkeypatch.setattr(selftest, "SUITES", (entry,))
     code, out, err = run_cli(capsys, "--selftest")
     assert (code, out) == (1, "FAIL  cochain is the tau prefix sum\n")

@@ -1,12 +1,15 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 from operator import mul
 
 import pytest
 
 from meyersig import cocycle, exact
 from meyersig.cocycle import (
+    _minor_sign,
+    _twist_solve,
     sigma_defect_via_tau,
     tau_sp,
     tau_twist,
@@ -412,6 +415,86 @@ def test_tau_twist_sign_rule_and_its_fallback():
                     sign = 1 if lam > 0 else -1
                     assert tau_sp(a, b) == sign * d * d_ab, (a, v, lam)
     assert all(branches.values()), branches
+
+
+def _nonzero_minors(rows, r):
+    """{(I, J): the r x r minor of rows on the rows I and the columns J},
+    over the r-subsets I and J whose minor is nonzero."""
+    minors = {}
+    for picked in combinations(range(len(rows)), r):
+        for cols in combinations(range(len(rows)), r):
+            minor = determinant([[rows[i][j] for j in cols] for i in picked])
+            if minor:
+                minors[picked, cols] = minor
+    return minors
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_some_sigma_diagonal_minor_of_size_rank_is_nonzero(g):
+    """For M = P - I with P symplectic and r = rank M, some r x r minor of
+    M on rows I and columns sigma(I) is nonzero, sigma swapping A_i and
+    B_i: by brute force over every minor of M, the rank being the largest
+    size with a nonzero minor (and agreeing with a kernel)."""
+    n = 2 * g
+    rng = random.Random(2500 + g)
+    ranks = Counter()
+    for k in range(60 if g < 3 else 24):
+        p = random_symplectic(g, k % (n + 3), rng.random())
+        m = _add_identity(p.mat.rows, -1)
+        minors = {r: _nonzero_minors(m, r) for r in range(1, n + 1)}
+        rank = max([r for r in minors if minors[r]], default=0)
+        assert rank == n - len(kernel_basis(m)), p
+        ranks[rank] += 1
+        if rank:
+            sigma_diagonal = [
+                picked for picked, cols in minors[rank]
+                if cols == tuple(sorted([(i + g) % n for i in picked]))
+            ]
+            assert sigma_diagonal, p
+    assert set(range(n + 1)) <= set(ranks), ranks
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_minor_sign_rule_against_the_solve(g):
+    """cocycle._minor_sign against _twist_solve, with rank(AB - I) from a
+    kernel, at each singular twist step (det(A - I) = det(AB - I) = 0,
+    A != I) of seeded walks in twist powers with lam in +-1, +-2, 3 along
+    classes that need not be primitive, one step in four along the class
+    of the step before it, often undoing that step.  Each step is asked at every bound from rank(A - I) to
+    2g - 1, so the bound's descent is taken too; the walks reach every
+    rank 1 .. 2g - 1 and at each every outcome: no point (except at
+    2g - 1), a rank drop, and the same rank with both signs."""
+    n = 2 * g
+    rng = random.Random(3100 + g)
+    outcomes = set()
+    for _ in range(300):
+        m, twist = ((0,) * n,) * n, None
+        for _ in range(rng.randint(1, 3 * n)):
+            exponents = (1, -1, 2, -2, 3)
+            if twist and rng.random() < 0.25:
+                twist = _twist(twist[0], rng.choice((-twist[1],) + exponents))
+            else:
+                v = tuple(rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(n))
+                if not any(v):
+                    continue
+                twist = _twist(v, rng.choice(exponents))
+            new = _twist_step(m, twist)
+            if any(map(any, m)) and not determinant(m) and not determinant(new):
+                rank = n - len(kernel_basis(m))
+                new_rank = n - len(kernel_basis(new)) if any(map(any, new)) else 0
+                tau, change = _twist_solve(m, twist)
+                assert new_rank == rank + change
+                for bound in range(rank, n):
+                    assert _minor_sign(m, new, twist, bound) == (tau, new_rank), (m, twist, bound)
+                outcomes.add((rank, change, tau))
+            m = new
+    expected = {
+        (r, change, tau)
+        for r in range(1, n)
+        for change, tau in ((1, 0), (-1, 0), (0, 1), (0, -1))
+        if r < n - 1 or change < 1
+    }
+    assert outcomes == expected
 
 
 def test_sign_det_minus_identity_examples():

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 
 from meyersig import exact, presentations
-from meyersig.cocycle import tau_sp
+from meyersig.cocycle import _minor_sign, _twist_solve, tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
 from meyersig.exact import _sign, kernel_basis, lattice_order
 from meyersig.exact import determinant as _determinant
@@ -407,10 +407,11 @@ def test_twist_letters_are_detected_once_per_presentation(sl2z, genus2):
 def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
     """cochain_c against tau_sp summed along the prefixes, on words with
     twist letters (at genus 1 to 4) and, in the mismatch presentation, the
-    non-twist S; the shared solve runs exactly at the twist letters where
-    det(P - I) and det(PB - I) both vanish and P != I, found here by a
-    kernel."""
-    solve = count_calls(presentations, "_twist_solve")
+    non-twist S; the minor-sign rule runs exactly at the twist letters
+    where det(P - I) and det(PB - I) both vanish and P != I, found here by
+    a kernel, and hands them to the Gauss-Jordan solve only above genus 2."""
+    solve = count_calls(presentations, "_minor_sign")
+    gauss_jordan = count_calls(exact, "affine_point")
     fallbacks = twist_steps = 0
     twists = [_twist_presentation(g) for g in (3, 4)]
     for p in (sl2z, genus2, _mismatch_presentation(), *twists):
@@ -428,9 +429,10 @@ def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
                     twist_steps += 1
                     expected_calls += singular and new_singular and prefix != identity
                 prefix, singular = new, new_singular
-            before = solve.call_count
+            before = solve.call_count, gauss_jordan.call_count
             assert cochain_c(word, p) == expected
-            assert solve.call_count - before == expected_calls
+            assert solve.call_count - before[0] == expected_calls
+            assert gauss_jordan.call_count - before[1] == (expected_calls if p.genus > 2 else 0)
             fallbacks += expected_calls
     assert 0 < fallbacks < twist_steps
 
@@ -469,26 +471,32 @@ def test_walk_skips_determinants_below_the_rank_bound(rng, g, count_calls):
 
 def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls):
     """Building a shipped presentation walks its relators: genus2.json
-    makes 55 determinants and 56 solves, sl2z.json 16 and 2."""
+    makes 55 determinants and 56 singular twist steps, sl2z.json 16 and 2,
+    each taken by the minor-sign rule with no Gauss-Jordan solve."""
     determinant = count_calls(exact, "determinant")
-    solve = count_calls(presentations, "_twist_solve")
+    solve = count_calls(presentations, "_minor_sign")
+    gauss_jordan = count_calls(exact, "affine_point")
     for name, dets, solves in (("sl2z.json", 16, 2), ("genus2.json", 55, 56)):
         before = determinant.call_count, solve.call_count
         load_presentation(resources.files("meyersig.data").joinpath(name).read_text())
         assert (determinant.call_count - before[0], solve.call_count - before[1]) == (dets, solves)
+    assert gauss_jordan.call_count == 0
 
 
 def test_walk_on_long_genus2_words_against_tau_prefix_sums(genus2, count_calls):
     """cochain_c on 40 seeded genus2.json words of 40-64 letters, the
     lengths the benchmark walks, equals tau_sp summed over the prefixes;
-    the walk's 4 x 4 determinants run and take both nonzero signs."""
+    the walk's 4 x 4 determinants run and take both nonzero signs, and
+    no Gauss-Jordan solve runs."""
     determinant = count_calls(exact, "determinant")
+    gauss_jordan = count_calls(exact, "affine_point")
     rng = random.Random(4064)
     for _ in range(40):
         length = rng.randint(40, 64)
         word = Word((rng.randrange(genus2.generator_count), rng.choice((1, -1))) for _ in range(length))
         assert cochain_c(word, genus2) == _tau_prefix_sum(word, genus2)
     assert determinant.call_count
+    assert gauss_jordan.call_count == 0
     signs = {_sign(_determinant(call.args[0])) for call in determinant.call_args_list}
     assert {1, -1} <= signs, signs
 
@@ -537,6 +545,28 @@ def test_walk_after_a_singular_non_twist_letter(rng, g):
             rank = 2 * g - len(kernel_basis(_minus_identity(prefix)))
             reached += i == s_index and j != s_index and 0 < rank < 2 * g - 1
     assert reached
+
+
+def test_walk_lowers_the_bound_after_a_non_twist_letter(rng, count_calls):
+    """At genus 2 the letter s, with rank(s - I) = 2, can leave the walk a
+    rank bound of 3 above rank(P - I).  The minor-sign rule then lowers the
+    bound to the rank; every call it gets agrees with the solve and with
+    rank(P' - I) from a kernel, and the walk makes no Gauss-Jordan solve."""
+    rule = count_calls(presentations, "_minor_sign")
+    gauss_jordan = count_calls(exact, "affine_point")
+    p = chain_with_s(2)
+    for _ in range(60):
+        word = random_word(p, rng, 16)
+        assert cochain_c(word, p) == _tau_prefix_sum(word, p)
+    assert gauss_jordan.call_count == 0
+    descents = 0
+    for call in rule.call_args_list:
+        m, new, twist, bound = call.args
+        rank = 4 - len(kernel_basis(m))
+        tau, change = _twist_solve(m, twist)
+        assert _minor_sign(m, new, twist, bound) == (tau, rank + change)
+        descents += bound > rank
+    assert descents
 
 
 def _tau_prefix_sum(word, p):

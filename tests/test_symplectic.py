@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,18 @@ def test_pairing_normalization():
                 assert symplectic_pairing(a_class(g, i), b_class(g, j)) == int(i == j)
                 assert symplectic_pairing(a_class(g, i), a_class(g, j)) == 0
                 assert symplectic_pairing(b_class(g, i), b_class(g, j)) == 0
+
+
+@pytest.mark.parametrize("u, v", [
+    ((0.5, 0), (0, 2)),
+    ((True, 0), (0, 1)),
+    ((1, 0), (0, False)),
+    ((Fraction(1), 0), (0, 1)),
+    ((1, 0, 0, 0), (0, 0, 1.0, 0)),
+])
+def test_pairing_refuses_entries_that_are_not_ints(u, v):
+    with pytest.raises(ValueError, match="entries must be ints"):
+        symplectic_pairing(u, v)
 
 
 def test_pairing_antisymmetry():
