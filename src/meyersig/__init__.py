@@ -17,6 +17,7 @@ from .fibered import (
     horikawa_total,
     hyperelliptic_twist_value,
     kodaira_matrix,
+    kodaira_neighborhood_signature,
     kodaira_word,
     load_fibration,
     local_signature,

@@ -15,20 +15,29 @@ below is the exact, finite computation of that signature.  The pairing is
 symmetric when restricted to V_{A,B}; this is asserted rather than
 assumed, because a failure pinpoints a kernel-basis bug immediately.
 
-Neither form is built as a matrix product.  :func:`tau_sp` writes the
+When A or B is the identity, :func:`tau_sp` returns 0 before any
+elimination.  B = I makes every w = (I - B) y zero, and A = I makes
+(B - I) y = 0 on V, so w = 0 again: the Gram matrix below is empty and
+the symmetry guard has no term.
+
+No form is built as a dense matrix product.  :func:`tau_sp` writes the
 rows of [A^{-1} - I | B - I] once, from the block inverse of A read off
 A's columns with one subtracted from each diagonal entry, and makes one
 fraction-free Gauss-Jordan pass over them
-(:func:`meyersig.exact._gauss_jordan`).  Each free column of the
-reduced rows gives one kernel vector (x, y), read straight off them by
-the readout behind :func:`meyersig.exact.kernel_basis`.  The vectors are
-not normalized: scaling the i-th one by an integer c_i != 0 turns the
-Gram matrix G into D G D with D = diag(c_i), a congruence, so by
-Sylvester's law of inertia the signature is unchanged (and the
-congruence loop divides each block by its content anyway).  For each
-vector :func:`tau_sp` forms w = (I - B) y and pairs it with x + y
-through J by index, (x + y)^T J w = sum_i (s_i w_{g+i} - s_{g+i} w_i),
-so neither J (I - B) nor an identity matrix is ever made.
+(:func:`meyersig.exact._gauss_jordan`).  Each free column f of the
+reduced rows gives one kernel vector (x, y): d at f and -row[f] at the
+pivot of each row, d the last pivot.  :func:`_kernel_readout` reads
+x + y off that at length 2g, since column j and column 2g + j both land
+on entry j, together with the terms of y: d at f when f is a y-column,
+and -row[f] at each y-pivot with row[f] != 0.  The vectors are not
+normalized: scaling the i-th one by an integer c_i != 0 turns the Gram
+matrix G into D G D with D = diag(c_i), a congruence, so by Sylvester's
+law of inertia the signature is unchanged (and the congruence loop
+divides each block by its content anyway).  J w = J (I - B) y is then
+the sum of the terms of y times the matching columns of J (I - B)
+(:func:`_j_columns`, read once per call, and only when some y-column
+is free), and the Gram entry is the dot product of x + y with J w.  No
+width-4g vector and no product B y is made.
 
 Most of that Gram matrix is radical.  A basis vector with w = 0 pairs
 to zero with every vector from the right, so its Gram column is zero,
@@ -36,12 +45,13 @@ and by symmetry on V so is its row.  Dropping it therefore leaves p - q
 unchanged, and :func:`tau_sp` builds the Gram matrix only on the vectors
 with w != 0.  The vector of a free column f is nonzero only at f and at
 pivot columns left of f, so when f is an x-column its y is 0 and it is
-dropped with no product B y.  The symmetry guard still covers every
-pair: it also requires each dropped vector's row, (x + y)^T J w against
-each kept w, to be zero.  The Gram matrix, checked symmetric, goes
-straight to the integer congruence loop behind
-:func:`meyersig.exact.signature`.  :func:`v_space` gives the public,
-primitive basis of the same rows.
+dropped with no column of B read.  The symmetry guard still covers
+every pair: it also requires each dropped vector's row, (x + y)^T J w
+against each kept w, to be zero.  The Gram matrix, checked symmetric,
+goes straight to :func:`meyersig.exact._inertia`, which reads a form of
+dim 1 or 2 off its determinant and trace and takes integer congruence
+steps on a larger one.  :func:`v_space` gives the public, primitive
+basis of the same rows.
 
 Twist letters.  A power B of a Dehn twist acts as
 B x = x + lam <v, x> v, with <v, x> = v^T J x, and is kept as the record
@@ -76,8 +86,8 @@ may stand for x in the sign.  :func:`_twist_solve`, behind
 the 2g x (2g+1) system [M | v] (:func:`meyersig.exact.affine_point`).
 It gives t and w x = lam <v, x> = -lam <x, v> read off the reduced
 rows, so tau is the sign of lam * t * (t - w x), or it shows that there
-is no point and tau = 0.  It builds no product A v, no vector x, no
-kernel basis, no inverse and no signature.
+is no point and tau = 0; its pivot count is rank M.  It builds no
+product A v, no vector x, no kernel basis, no inverse and no signature.
 
 The rank moves.  Over Q, im M is the symplectic complement of ker M:
 for A x = x, <x, M y> = <A x, A y> - <x, y> = 0, so im M lies in the
@@ -190,21 +200,23 @@ At 2g <= 4 that is the minor-sign rule: it tries the sigma-diagonal
 minors of the bound's size and lowers the size past each one at which
 they all vanish, so by (a) it stops at rank M, and the bound it returns
 is rank M' exactly.  Above 2g = 4 it is the solve on the old M's rows,
-and the bound moves with the rank, capped at 2g - 1.  At bound 0,
+whose pivots give rank M, and the bound it returns is again rank M'
+exactly (the rank moves).  At bound 0,
 M = 0 and P = I, so tau(I, B) = 0 with no solve, and the new bound is 1.
 From the identity the bound is exact on words of twist letters.  Any
 other letter takes :func:`tau_sp` on P, the full product and one
 determinant, after which the bound is 2g if d' != 0, else 2g - 1, or 0
-when the new M is 0; the bound may then exceed the rank until, at
-2g <= 4, the next twist letter with both determinants 0 lowers it.
+when the new M is 0; the bound may then exceed the rank until the
+next twist letter with both determinants 0 sets it to the rank.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from operator import mul
 from typing import Sequence
 
-from .exact import _free_columns, _gauss_jordan, _inertia, _minor, _sign, affine_point, kernel_basis
+from .exact import _gauss_jordan, _inertia, _minor, _sign, affine_point, kernel_basis
 from .matrix import IntMatrix, _add_identity
 from .symplectic import SymplecticMatrix, _inverse_rows, _twist, _wrap
 
@@ -242,40 +254,110 @@ def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
     """Signature of the pants-bundle pairing on V_{A,B}.
 
     Zero whenever either argument is the identity or B = A^{-1}; bounded
-    by dim V_{A,B} <= 4g in absolute value.  The kernel vectors (x, y) are
-    read off one Gauss-Jordan pass over [A^{-1} - I | B - I], one per free
-    column and not normalized: rescaling a vector by a nonzero integer
+    by dim V_{A,B} <= 4g in absolute value.  When A or B is the identity
+    it returns 0 with no elimination: B = I makes every w = (I - B) y
+    zero, and A = I forces (B - I) y = 0 on V, so the Gram matrix is
+    empty either way.  Otherwise one Gauss-Jordan pass over
+    [A^{-1} - I | B - I] gives one kernel vector per free column, read
+    off the reduced rows by :func:`_kernel_readout` as x + y and the
+    terms of y, not normalized: rescaling a vector by a nonzero integer
     multiplies its Gram row and column by it, a congruence D G D that
-    leaves the inertia unchanged.  A vector with w = (I - B) y = 0 spans
-    part of the radical (its Gram column is zero, and on V so is its row),
-    so the Gram matrix is built only on the vectors with w != 0; a free
-    x-column gives y = 0 and is dropped without the product B y.  The
-    symmetry check still covers every pair: kept against kept entrywise,
-    and each dropped vector's row against the kept ones must be zero.
+    leaves the inertia unchanged.  w = (I - B) y is summed from the
+    columns of I - B at the terms of y, so no width-4g vector and no
+    product B y is made.  A vector with w = 0 spans part of the radical
+    (its Gram column is zero, and on V so is its row), so the Gram matrix
+    is built only on the vectors with w != 0; a free x-column gives
+    y = 0 and is dropped before any column of B is read.  The symmetry
+    check still covers every pair: kept against kept entrywise, and each
+    dropped vector's row against the kept ones must be zero.
     """
     g, n = a.g, 2 * a.g
+    if b.g != g:
+        raise ValueError(f"genus mismatch: {g} vs {b.g}")
+    eye = _identity_rows(n)
+    if a.mat.rows == eye or b.mat.rows == eye:
+        return 0
     rows = _v_rows(a, b)
     pivots, d = _gauss_jordan(rows, 2 * n)
     kept, j_ws, dropped = [], [], []
-    for f, v in _free_columns(rows, pivots, d):
-        if f < n:  # y = 0
-            dropped.append(v[:n])
+    j_cols = None
+    for _, s, ys in _kernel_readout(rows, pivots, d, n):
+        if not ys:  # an x-column: y = 0
+            dropped.append(s)
             continue
-        y = v[n:]
-        s = [xi + yi for xi, yi in zip(v, y)]  # x + y: zip stops at len(y) = n
-        w = [yi - sum(map(mul, row, y)) for yi, row in zip(y, b.mat.rows)]  # (I - B) y
-        if any(w):
+        if j_cols is None:
+            j_cols = _j_columns(b.mat.rows, g)
+        if len(ys) == 1:
+            k, c = ys[0]
+            j_w = [k * e for e in j_cols[c]]
+        else:
+            ks = [k for k, _ in ys]
+            j_w = [sum(map(mul, ks, t)) for t in zip(*[j_cols[c] for _, c in ys])]
+        if any(j_w):
             kept.append(s)
-            j_ws.append(w[g:] + [-e for e in w[:g]])  # J (I - B) y
+            j_ws.append(j_w)
         else:
             dropped.append(s)
-    gram = [[sum(map(mul, s, jw)) for jw in j_ws] for s in kept]
-    asymmetric = any(gram[i][j] != gram[j][i] for i in range(len(kept)) for j in range(i))
-    if asymmetric or any(sum(map(mul, s, jw)) for s in dropped for jw in j_ws):
+    gram = [[sum(map(mul, s, j_w)) for j_w in j_ws] for s in kept]
+    if gram != [list(col) for col in zip(*gram)] or any(
+        [sum(map(mul, s, j_w)) for s in dropped for j_w in j_ws]
+    ):
         raise ArithmeticError(
             "pairing is not symmetric on V_{A,B}; this indicates a kernel-basis bug"
         )
     return _inertia(gram).value
+
+
+@cache
+def _identity_rows(n: int) -> tuple:
+    """The rows of the n x n identity, built once per size."""
+    return IntMatrix.identity(n).rows
+
+
+def _kernel_readout(
+    rows: list[list[int]], pivots: list[int], d: int, n: int
+) -> list[tuple[int, list[int], list[tuple[int, int]]]]:
+    """(f, x + y, the terms of y) for each free column f of
+    [A^{-1} - I | B - I], 2g = n, reduced by :func:`_gauss_jordan`,
+    which returned pivots and d.
+
+    The kernel vector of f is d at f, -row[f] at the pivot column of each
+    row and 0 elsewhere (:func:`meyersig.exact._free_columns`).  Column j
+    and column n + j both land on entry j of x + y.  The terms of y are
+    the pairs (y_c, c) with y_c != 0: (d, f - n) and (-row[f], p - n) for
+    each y-pivot p with row[f] != 0.  A row is zero left of its pivot, so
+    an x-column f (f < n) meets only x-pivots and its y is 0: no terms.
+    """
+    pivoted = set(pivots)
+    spots = [(row, p - n if p >= n else p, p >= n) for row, p in zip(rows, pivots)]
+    out = []
+    for f in range(2 * n):
+        if f in pivoted:
+            continue
+        s = [0] * n
+        if f < n:
+            s[f], ys = d, []
+        else:
+            s[f - n], ys = d, [(d, f - n)]
+        for row, c, is_y in spots:
+            e = row[f]
+            if e:
+                s[c] -= e
+                if is_y:
+                    ys.append((-e, c))
+        out.append((f, s, ys))
+    return out
+
+
+def _j_columns(rows: Sequence[Sequence[int]], g: int) -> list[tuple[int, ...]]:
+    """The columns of J (I - B), from B's rows.  J u is
+    (u_{g..2g-1}, -u_{0..g-1}), so row i < g of J (I - B) is e_{g+i}
+    minus row g + i of B, and row g + i is row i of B minus e_i."""
+    k = [[-e for e in row] for row in rows[g:]] + [list(row) for row in rows[:g]]
+    for i in range(g):
+        k[i][g + i] += 1
+        k[g + i][i] -= 1
+    return list(zip(*k))
 
 
 def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
@@ -293,16 +375,16 @@ def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
 
 
 def _twist_solve(m: Sequence[Sequence[int]], twist: tuple) -> tuple[int, int]:
-    """(tau_sp(A, B), rank(AB - I) - rank(A - I)) for the twist power B of
-    the record ``twist``, from the rows of M = A - I: the solve and the
-    rank moves of the module docstring."""
+    """(tau_sp(A, B), rank(AB - I)) for the twist power B of the record
+    ``twist``, from the rows of M = A - I: the solve and the rank moves of
+    the module docstring, from r = rank M, the solve's pivot count."""
     v, lam, w, _, _ = twist
-    point = affine_point([[*row, e] for row, e in zip(m, v)], w)
+    r, point = affine_point([[*row, e] for row, e in zip(m, v)], w)
     if point is None:
-        return 0, 1
+        return 0, r + 1
     t, wx = point
     s = t - wx  # lam <x, v> + t
-    return _sign(lam * t * s), 0 if s else -1
+    return _sign(lam * t * s), r if s else r - 1
 
 
 def _sigma_minors(n: int) -> dict[int, list[tuple]]:
@@ -326,13 +408,13 @@ def _minor_sign(m: tuple, new: tuple, twist: tuple, bound: int) -> tuple[int, in
     det(A - I) and det(AB - I) both vanish, from the rows of M = A - I and
     M' = AB - I, the record ``twist`` and a bound 0 < bound < 2g on rank M.
 
-    At 2g <= 4 this is the minor-sign rule of the module docstring, and the
-    bound it returns is rank M' exactly; above that, the solve.
+    At 2g <= 4 this is the minor-sign rule of the module docstring;
+    above that, the solve.  Either way the bound it returns is rank M'
+    exactly.
     """
     n = len(m)
     if n > 4:
-        tau, change = _twist_solve(m, twist)
-        return tau, min(bound + change, n - 1)
+        return _twist_solve(m, twist)
     minors = _SIGMA_MINORS[n]
     for r in range(bound, 0, -1):
         for rows, cols, others in minors[r]:

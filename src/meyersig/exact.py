@@ -12,9 +12,12 @@ are not a symmetric square.  The internal helpers :func:`determinant`,
 :func:`determinant` is straight-line code at n = 2 and n = 4, the sizes
 of the genus-1 and genus-2 walks (p t - q r, and the Laplace expansion
 in complementary 2 x 2 minors), and so is :func:`_minor`, the 1 x 1 to
-3 x 3 minors of those walks' minor-sign rule.  Every other step is
-fraction-free elimination over Python ints, in the style of Bareiss
-(1968):
+3 x 3 minors of those walks' minor-sign rule.  :func:`_inertia`, behind
+:func:`signature` and :func:`meyersig.cocycle.tau_sp`, is straight-line
+code at dim 1 and 2 (the sign of p, and det = p t - q^2 with the
+trace), and a larger form ends there after its congruence steps.
+Every other step is fraction-free elimination over Python ints, in the
+style of Bareiss (1968):
 :func:`determinant` at other sizes and the one Gauss-Jordan pass that
 :func:`kernel_basis`, :func:`affine_point` and
 :func:`meyersig.cocycle.tau_sp` share divide each new entry
@@ -82,15 +85,52 @@ def signature(rows: Sequence[Sequence[int]]) -> SignatureTriple:
 
 def _inertia(a: list[list[int]]) -> SignatureTriple:
     """Inertia of the symmetric integer matrix a, by the congruence steps of
-    :func:`signature`; a is consumed.  The caller vouches for symmetry."""
+    :func:`signature`; a is consumed.  The caller vouches for symmetry.
+
+    A block of dim 1 or 2 is read off in straight-line code: [[p]] by the
+    sign of p, and [[p, q], [q, t]] by det = p t - q^2, the product of its
+    two eigenvalues.  det < 0 gives one of each sign; det > 0 two of the
+    sign of p; det = 0 at most one nonzero, of the sign of the trace
+    p + t, and none when the trace is 0 too (p t = q^2 with p = -t forces
+    p = t = q = 0).  A larger form takes congruence steps down to dim 2
+    (:func:`_congruence`) and ends the same way.
+    """
     dim = len(a)
     pos = neg = 0
-    while a:
+    if dim > 2:
+        pos, neg, a = _congruence(a, 2)
+    if len(a) == 2:
+        (p, q), (_, t) = a
+        det = p * t - q * q
+        if det < 0:
+            pos += 1
+            neg += 1
+        elif det > 0:
+            if p > 0:
+                pos += 2
+            else:
+                neg += 2
+        else:
+            pos += p + t > 0
+            neg += p + t < 0
+    elif a:
+        pos += a[0][0] > 0
+        neg += a[0][0] < 0
+    return SignatureTriple(pos, neg, dim - pos - neg)
+
+
+def _congruence(a: list[list[int]], stop: int) -> tuple[int, int, list[list[int]]]:
+    """(positive count, negative count, the block left) after the congruence
+    steps of :func:`signature` on the symmetric matrix a, taken while the
+    block is larger than stop; a is consumed.  The block left is empty
+    when it reached zero, since a zero block is all radical."""
+    pos = neg = 0
+    while len(a) > stop:
         k = next((i for i, row in enumerate(a) if row[i]), None)
         if k is None:
             k = next((i for i, row in enumerate(a) if any(row)), None)
             if k is None:
-                break
+                return pos, neg, []
             l = next(j for j, e in enumerate(a[k]) if e)
             for row in a:
                 row[k] += row[l]
@@ -107,7 +147,7 @@ def _inertia(a: list[list[int]]) -> SignatureTriple:
         content = math.gcd(*[e for row in a for e in row])
         if content > 1:
             a = [[e // content for e in row] for row in a]
-    return SignatureTriple(pos, neg, dim - pos - neg)
+    return pos, neg, a
 
 
 def kernel_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -214,25 +254,27 @@ def _minor(rows: Sequence[Sequence[int]], picked: Sequence[int], cols: Sequence[
     )
 
 
-def affine_point(mat: list[list[int]], w: Sequence[int]) -> tuple[int, int] | None:
-    """(t, w x) for integers x and t != 0 with M x + t b = 0, for the
-    matrix [M | b] and a row vector w with one entry per column of M.
+def affine_point(mat: list[list[int]], w: Sequence[int]) -> tuple[int, tuple[int, int] | None]:
+    """(rank M, (t, w x)) for integers x and t != 0 with M x + t b = 0, for
+    the matrix [M | b] and a row vector w with one entry per column of M.
 
-    Returns None when b is not in the column span of M.  One pass of
+    The point is None when b is not in the column span of M.  One pass of
     :func:`_gauss_jordan` over the columns of M leaves its pivot columns
-    reading d * I, d the last pivot.  So t = d and x is minus the last
-    column at the pivot columns, 0 at the free ones, and w x is read off
-    the pivot rows with no x built; a nonzero last entry in a row below
-    the rank means M x = b has no rational solution.  mat is reduced in
-    place.  Internal: the caller vouches that every entry is an int.
+    reading d * I, d the last pivot, and their number is rank M.  So
+    t = d and x is minus the last column at the pivot columns, 0 at the
+    free ones, and w x is read off the pivot rows with no x built; a
+    nonzero last entry in a row below the rank means M x = b has no
+    rational solution.  mat is reduced in place.  Internal: the caller
+    vouches that every entry is an int.
     """
     if not mat or any([len(row) != len(mat[0]) for row in mat]):
         raise ValueError("affine_point needs a nonempty rectangular [M | b]")
     m = len(mat[0]) - 1
     pivots, d = _gauss_jordan(mat, m)
-    if any([row[m] for row in mat[len(pivots):]]):
-        return None
-    return d, -sum([w[j] * row[m] for j, row in zip(pivots, mat)])
+    rank = len(pivots)
+    if any([row[m] for row in mat[rank:]]):
+        return rank, None
+    return rank, (d, -sum([w[j] * row[m] for j, row in zip(pivots, mat)]))
 
 
 def lattice_order(columns: Sequence[Sequence[int]], target: Sequence[int]) -> tuple | None:

@@ -6,7 +6,8 @@ The local signature of a fiber germ is
 
 where phi_g is the Meyer function (closed form at genus 1, synthesized
 from the presentation at any other genus) and the neighborhood signature
-is caller-supplied data.  A FibrationDescription carries the presentation
+is caller-supplied data, except for a Kodaira fiber named by its type,
+whose c components give -(c - 1).  A FibrationDescription carries the presentation
 its germ words use; a function given only a genus, and a fibration file,
 use the shipped one.
 Local signatures vanish on general fibers and sum to the signature of a
@@ -210,25 +211,27 @@ def hyperelliptic_twist_value(g: int, separating_h: int | None = None) -> Fracti
 
 # The named types, in this package's twist convention: an I_1 germ has
 # monodromy [[1,-1],[0,1]], and twelve of them close up to an elliptic
-# surface of signature -8.
+# surface of signature -8.  Each carries Kodaira's Euler number e and
+# component count c.
 _KODAIRA = {
-    "II": ((1, -1), (1, 0)),
-    "III": ((0, -1), (1, 0)),
-    "IV": ((0, -1), (1, -1)),
-    "IV*": ((-1, 1), (-1, 0)),
-    "III*": ((0, 1), (-1, 0)),
-    "II*": ((0, 1), (-1, 1)),
+    "II": (((1, -1), (1, 0)), 2, 1),
+    "III": (((0, -1), (1, 0)), 3, 2),
+    "IV": (((0, -1), (1, -1)), 4, 3),
+    "IV*": (((-1, 1), (-1, 0)), 8, 7),
+    "III*": (((0, 1), (-1, 0)), 9, 8),
+    "II*": (((0, 1), (-1, 1)), 10, 9),
 }
 
 
-def kodaira_matrix(fiber_type: str) -> SymplecticMatrix:
-    """Monodromy matrix of a named Kodaira fiber type: II, III, IV, IV*,
-    III*, II* from the table above, and I_n = [[1,-n],[0,1]] and
-    I_n* = -I_n for n >= 0, with n an integer token for :func:`parse_int`.
-    """
+def _kodaira_type(fiber_type: str) -> tuple[tuple, int, int]:
+    """(monodromy rows, e, c) of a named Kodaira fiber type: II, III, IV,
+    IV*, III*, II* from the table above; I_n = [[1,-n],[0,1]] with e = n
+    and c = n (c = 1 at n = 0, the smooth fiber); and I_n* = -I_n with
+    e = n + 6 and c = n + 5, for n >= 0 an integer token for
+    :func:`parse_int`."""
     name = fiber_type.strip()
     if name in _KODAIRA:
-        return SymplecticMatrix(_KODAIRA[name], 1)
+        return _KODAIRA[name]
     starred = name.endswith("*")
     stem = name[:-1] if starred else name
     try:
@@ -237,8 +240,22 @@ def kodaira_matrix(fiber_type: str) -> SymplecticMatrix:
         n = -1
     if n < 0:
         raise ParseError(f"unknown Kodaira type {fiber_type!r}")
-    s = -1 if starred else 1
-    return SymplecticMatrix(((s, -s * n), (0, s)), 1)
+    if starred:
+        return ((-1, n), (0, -1)), n + 6, n + 5
+    return ((1, -n), (0, 1)), n, max(n, 1)
+
+
+def kodaira_matrix(fiber_type: str) -> SymplecticMatrix:
+    """Monodromy matrix of a named Kodaira fiber type (:func:`_kodaira_type`)."""
+    return SymplecticMatrix(_kodaira_type(fiber_type)[0], 1)
+
+
+def kodaira_neighborhood_signature(fiber_type: str) -> int:
+    """Sign(N) = -(c - 1) for the disk neighborhood N of a Kodaira fiber
+    with c components: N retracts onto the fiber, whose intersection form
+    on its components is negative semi-definite with a one-dimensional
+    radical (Kodaira 1963)."""
+    return 1 - _kodaira_type(fiber_type)[2]
 
 
 def kodaira_word(fiber_type: str, presentation: Presentation | None = None) -> Word:
@@ -304,20 +321,32 @@ _KODAIRA_PREFIX = "kodaira:"
 
 
 def germ_from_dict(data: dict, presentation: Presentation) -> FiberGerm:
-    """One germ, its words over ``presentation``."""
+    """One germ, its words over ``presentation``.  A ``kodaira:`` germ
+    takes the neighborhood signature of its type
+    (:func:`kodaira_neighborhood_signature`), and a file value that
+    disagrees is a ParseError; any other germ defaults to 0."""
     try:
         monodromy = data["monodromy"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"germ data is missing field {exc}") from None
     if not isinstance(monodromy, str):
         raise ParseError(f"field 'monodromy' must be a word string, got {monodromy!r}")
-    if monodromy.startswith(_KODAIRA_PREFIX):
+    kodaira = monodromy.startswith(_KODAIRA_PREFIX)
+    default = 0
+    if kodaira:
         if presentation.genus != 1:
             raise ParseError("Kodaira fiber references are only defined at genus 1")
-        word = kodaira_word(monodromy[len(_KODAIRA_PREFIX):], presentation)
+        fiber_type = monodromy[len(_KODAIRA_PREFIX):]
+        word = kodaira_word(fiber_type, presentation)
+        default = kodaira_neighborhood_signature(fiber_type)
     else:
         word = presentation.word(monodromy)
-    signature = json_int(data.get("neighborhood_signature", 0), "neighborhood_signature")
+    signature = json_int(data.get("neighborhood_signature", default), "neighborhood_signature")
+    if kodaira and signature != default:
+        raise ParseError(
+            f"neighborhood_signature {signature} disagrees with {monodromy!r}, "
+            f"whose neighborhood has signature {default}"
+        )
     label = data.get("label", "")
     if not isinstance(label, str):
         raise ParseError(f"field 'label' must be a string, got {label!r}")

@@ -757,6 +757,25 @@ def test_readme_cli_examples(capsys):
         assert run_cli(capsys, *argv)[:2] == (0, expected), argv
 
 
+@pytest.mark.parametrize("types", [["I_0*", "I_0*"], ["II*", "II"]])
+def test_local_sig_kodaira_germs_total_the_signature_of_e1(capsys, tmp_path, types):
+    """E(1) as two I_0* fibres or as II* and II: each germ prints phi1 plus
+    its Sign(N) = -(c - 1), and the total is -8."""
+    germs = [{"monodromy": f"kodaira:{name}", "label": name} for name in types]
+    path = _write_fibration(tmp_path / "e1.json", 1, germs)
+    code, out, err = run_cli(capsys, "local-sig", "-f", path)
+    expected = {"I_0*": "-4", "II*": "-20/3", "II": "-4/3"}
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{name}: {expected[name]}\n" for name in types) + "total: -8\n"
+
+
+def test_local_sig_kodaira_signature_that_disagrees_exits_2(capsys, tmp_path):
+    germs = [{"monodromy": "kodaira:I_0*", "neighborhood_signature": 0}] * 2
+    code, out, err = run_cli(capsys, "local-sig", "-f", _write_fibration(tmp_path / "f.json", 1, germs))
+    assert (code, out) == (2, "")
+    assert "neighborhood_signature 0 disagrees with 'kodaira:I_0*'" in err
+
+
 def test_data_dir_override(capsys, data_dir, tmp_path):
     path = tmp_path / "fib.json"
     path.write_text(

@@ -106,6 +106,15 @@ def test_tau_some_nonzero_values():
     assert tau_sp(S.inverse(), S.inverse()) == -2
 
 
+def _readout_of(v, n):
+    """A kernel vector (x, y) of length 2n in the form cocycle._kernel_readout
+    gives it: its free column (its last nonzero entry), x + y, and the
+    terms (y_c, c) of y, none when the free column is below n."""
+    f = max(i for i, e in enumerate(v) if e)
+    terms = [(e, c) for c, e in enumerate(v[n:]) if e] if f >= n else []
+    return f, [p + q for p, q in zip(v[:n], v[n:])], terms
+
+
 def test_tau_asymmetric_pairing_raises(monkeypatch):
     """Fake kernel readouts in place of the one tau_sp reads V_{U,U} from.
     Each vector is tagged, as the readout tags it, with its free column:
@@ -123,8 +132,8 @@ def test_tau_asymmetric_pairing_raises(monkeypatch):
         [(0, 1, 1, 0), (0, 0, 0, 1)],
     ]
     for basis in fakes:
-        readout = [(max(i for i, e in enumerate(v) if e), list(v)) for v in basis]
-        monkeypatch.setattr(cocycle, "_free_columns", lambda mat, pivots, d: readout)
+        readout = [_readout_of(v, 2) for v in basis]
+        monkeypatch.setattr(cocycle, "_kernel_readout", lambda mat, pivots, d, n: readout)
         with pytest.raises(ArithmeticError, match="pairing is not symmetric"):
             tau_sp(U, U)
 
@@ -268,8 +277,12 @@ def _identity_sum(y):
 def test_tau_sp_against_its_definition_and_the_maslov_index(g, monkeypatch):
     """tau_sp, read off unnormalized kernel vectors, against the full Gram
     matrix on the primitive v_space basis and against the kernel-free
-    Maslov index, on seeded pairs and built families reaching every kind
-    of free column: x-free (y = 0), y-free with (I - B) y = 0, and kept."""
+    Maslov index, on seeded pairs and built families reaching identity
+    pairs (no elimination, no readout) and every kind of free column:
+    x-free (y = 0), y-free with (I - B) y = 0, and kept.  Each readout
+    vector lies in V_{A,B}, and the kept count per pair reaches 0, 1, 2
+    and, above genus 1, 3 or more, so the Gram matrix meets both the
+    straight-line inertia at dim <= 2 and the congruence steps."""
     rng = random.Random(1900 + g)
     n = 2 * g
     e = SymplecticMatrix.identity(g)
@@ -290,26 +303,72 @@ def test_tau_sp_against_its_definition_and_the_maslov_index(g, monkeypatch):
             y = _identity_sum(random_symplectic(g - 1, rng.randint(0, 12), rng.random()))
             pairs += [(y, x), (x, y), (y, y), (y, _identity_sum(_minus_identity(g - 1)))]
     readouts = []
-    readout = cocycle._free_columns
+    readout = cocycle._kernel_readout
 
-    def spy(mat, pivots, d):
-        readouts.append(readout(mat, pivots, d))
+    def spy(mat, pivots, d, n):
+        readouts.append(readout(mat, pivots, d, n))
         return readouts[-1]
 
-    monkeypatch.setattr(cocycle, "_free_columns", spy)
-    kinds = Counter()
+    monkeypatch.setattr(cocycle, "_kernel_readout", spy)
+    kinds, kept_counts = Counter(), Counter()
     for a, b in pairs:
         value = tau_sp(a, b)
-        for f, v in readouts.pop():
+        identity = a == e or b == e
+        assert len(readouts) == (0 if identity else 1)  # no elimination on identity pairs
+        kinds["identity pair"] += identity
+        kept, a_inv = 0, a.inverse()
+        for f, s, terms in readouts.pop() if readouts else ():
+            y = [0] * n
+            for k, c in terms:
+                y[c] = k
+            x = [p - q for p, q in zip(s, y)]
+            # (x, y) lies in V_{A,B}: (A^{-1} - I) x + (B - I) y = 0
+            assert all(p - q + r - t == 0 for p, q, r, t in zip(a_inv.apply(x), x, b.apply(y), y))
+            assert any(x) or any(y)
             if f < n:
-                assert not any(v[n:])
+                assert not terms
                 kinds["x-free"] += 1
-            elif b.apply(v[n:]) == tuple(v[n:]):
+            elif b.apply(y) == tuple(y):
                 kinds["y-free radical"] += 1
             else:
                 kinds["kept"] += 1
+                kept += 1
+        kept_counts[min(kept, 3)] += 1
         assert value == _tau_by_definition(a, b) == _maslov(e, a, a * b), (a, b)
-    assert len(kinds) == 3, kinds
+    assert len(kinds) == 4, kinds
+    assert set(kept_counts) == set(range(min(n, 3) + 1)), kept_counts
+
+
+def _readout_without_a_y_pivot_term(readout):
+    """The readout with the last y-pivot term dropped from the terms of y
+    of each free y-column that has one: w = (I - B) y then misses that
+    pivot's column of I - B, while x + y keeps it."""
+
+    def planted(mat, pivots, d, n):
+        return [(f, s, terms[:-1] if len(terms) > 1 else terms) for f, s, terms in readout(mat, pivots, d, n)]
+
+    return planted
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_a_dropped_y_pivot_term_in_the_sparse_w_is_caught(g, monkeypatch):
+    """With one y-pivot term planted out of the sparse w, tau_sp raises its
+    symmetry error or leaves the definition on some seeded pairs."""
+    rng = random.Random(2600 + g)
+    pairs = [
+        (random_symplectic(g, rng.randint(1, 12), rng.random()),
+         random_symplectic(g, rng.randint(1, 12), rng.random()))
+        for _ in range(60)
+    ]
+    expected = [_tau_by_definition(a, b) for a, b in pairs]
+    monkeypatch.setattr(cocycle, "_kernel_readout", _readout_without_a_y_pivot_term(cocycle._kernel_readout))
+    caught = 0
+    for (a, b), value in zip(pairs, expected):
+        try:
+            caught += tau_sp(a, b) != value
+        except ArithmeticError:
+            caught += 1
+    assert caught
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -482,11 +541,11 @@ def test_minor_sign_rule_against_the_solve(g):
             if any(map(any, m)) and not determinant(m) and not determinant(new):
                 rank = n - len(kernel_basis(m))
                 new_rank = n - len(kernel_basis(new)) if any(map(any, new)) else 0
-                tau, change = _twist_solve(m, twist)
-                assert new_rank == rank + change
+                tau, solved_rank = _twist_solve(m, twist)
+                assert solved_rank == new_rank
                 for bound in range(rank, n):
                     assert _minor_sign(m, new, twist, bound) == (tau, new_rank), (m, twist, bound)
-                outcomes.add((rank, change, tau))
+                outcomes.add((rank, new_rank - rank, tau))
             m = new
     expected = {
         (r, change, tau)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from meyersig.exact import (
     SignatureTriple,
+    _congruence,
+    _inertia,
     affine_point,
     determinant,
     kernel_basis,
@@ -279,6 +281,40 @@ def test_signature_oracle_on_zero_diagonals():
         assert signature(a) == _inertia_by_descartes(a)
 
 
+def test_inertia_closed_forms_against_the_congruence_loop():
+    """_inertia's straight-line triples at dim 1 and 2 against the congruence
+    loop run to the end and the charpoly oracle, on seeded forms reaching every branch:
+    [[p]] of each sign and zero; det < 0, det > 0 with p of each sign, and
+    det = 0 with the trace of each sign and zero."""
+    rng = random.Random(49)
+    forms = [[[p]] for p in range(-3, 4)]
+    for _ in range(2000):
+        p, q, t = [rng.choice((0, rng.randint(-4, 4), rng.randint(-10**12, 10**12))) for _ in range(3)]
+        forms.append([[p, q], [q, t]])
+        k, u, v = rng.randint(-5, 5), rng.randint(-9, 9), rng.randint(-9, 9)
+        forms.append([[k * u * u, k * u * v], [k * u * v, k * v * v]])  # rank <= 1: det = 0
+    branches = set()
+    for a in forms:
+        triple = _inertia([list(row) for row in a])
+        pos, neg, rest = _congruence([list(row) for row in a], 0)
+        assert rest == []
+        assert triple == (pos, neg, len(a) - pos - neg) == _inertia_by_descartes(a), a
+        assert all(type(e) is int for e in triple)
+        if len(a) == 1:
+            branches.add(("dim 1", (a[0][0] > 0) - (a[0][0] < 0)))
+        else:
+            (p, q), (_, t) = a
+            det = p * t - q * q
+            if det:
+                branches.add(("det < 0",) if det < 0 else ("det > 0", p > 0))
+            else:
+                branches.add(("det = 0", (p + t > 0) - (p + t < 0)))
+    assert branches == {
+        ("dim 1", 1), ("dim 1", -1), ("dim 1", 0), ("det < 0",), ("det > 0", True),
+        ("det > 0", False), ("det = 0", 1), ("det = 0", -1), ("det = 0", 0),
+    }
+
+
 # ---------------------------------------------------------------------------
 # determinant
 
@@ -419,10 +455,10 @@ def _affine_x(rows):
     """(x, t) from affine_point on copies of rows, x read one entry at a
     time through the unit row vectors; None when affine_point gives None."""
     m = len(rows[0]) - 1
-    point = affine_point([list(row) for row in rows], [0] * m)
+    point = affine_point([list(row) for row in rows], [0] * m)[1]
     if point is None:
         return None
-    x = [affine_point([list(row) for row in rows], [int(k == j) for k in range(m)])[1] for j in range(m)]
+    x = [affine_point([list(row) for row in rows], [int(k == j) for k in range(m)])[1][1] for j in range(m)]
     return tuple(x), point[0]
 
 
@@ -435,8 +471,10 @@ def test_affine_point_examples():
     # Cramer: [M | b] -> [d I | adj(M) b] with d = det M = -2, adj(M) b = (2, -4)
     assert _affine_x([[1, 2, 3], [3, 4, 5]]) == ((-2, 4), -2)
     # w x with w = (3, -1): 3 * -2 - 4; an entry of w at a free column reads 0
-    assert affine_point([[1, 2, 3], [3, 4, 5]], [3, -1]) == (-2, -10)
-    assert affine_point([[1, 1, 2], [2, 2, 4]], [0, 7]) == (1, 0)
+    assert affine_point([[1, 2, 3], [3, 4, 5]], [3, -1]) == (2, (-2, -10))
+    assert affine_point([[1, 1, 2], [2, 2, 4]], [0, 7]) == (1, (1, 0))
+    assert affine_point([[1, 1, 2], [2, 2, 3]], [0, 7]) == (1, None)  # the rank, with no point
+    assert affine_point([[0, 0, 1], [0, 0, 0]], [0, 0]) == (0, None)
     mat = [[0, 2, 4], [1, 0, 3]]
     affine_point(mat, [0, 0])
     assert mat == [[2, 0, 6], [0, 2, 4]]  # reduced in place to [d I | -t x], rows swapped
@@ -449,8 +487,9 @@ def test_affine_point_examples():
 def test_affine_point_against_the_kernel():
     """M x + t b = 0 with t != 0 exactly when some kernel vector of [M | b]
     has a nonzero last entry, on random matrices of up to 6 rows and 7
-    columns, square and not, of every rank; w x off the pivot rows equals
-    the dot product with the point read entry by entry."""
+    columns, square and not, of every rank; the rank it returns is the
+    oracle's, and w x off the pivot rows equals the dot product with the
+    point read entry by entry."""
     rng = random.Random(53)
     seen = {"square": 0, "rank-deficient": 0, "zero": 0, "inconsistent": 0, "non-primitive": 0}
     for _ in range(600):
@@ -466,6 +505,8 @@ def test_affine_point_against_the_kernel():
             b = [rng.randint(1, 3) * sum(e * f for e, f in zip(row, y)) for row in mat]
         rows = [row + [e] for row, e in zip(mat, b)]
         consistent = any(vec[-1] for vec in kernel_basis(rows))
+        rank = _rref_kernel(mat, len(mat[0]))[1]
+        assert affine_point([list(row) for row in rows], [0] * len(mat[0]))[0] == rank, rows
         point = _affine_x(rows)
         assert (point is not None) == consistent, rows
         if point is not None:
@@ -476,12 +517,12 @@ def test_affine_point_against_the_kernel():
             for j in rng.sample(range(len(x)), rng.randint(0, len(x))):
                 w[j] = rng.randint(-3, 3)
             wx = sum(e * f for e, f in zip(w, x))
-            assert affine_point([list(row) for row in rows], w) == (t, wx), (rows, w)
+            assert affine_point([list(row) for row in rows], w) == (rank, (t, wx)), (rows, w)
             seen["non-primitive"] += math.gcd(*b) > 1
         seen["inconsistent"] += point is None
         seen["square"] += n == m
         seen["zero"] += not any(map(any, mat))
-        seen["rank-deficient"] += _rref_kernel(mat, len(mat[0]))[1] < min(n, m)
+        seen["rank-deficient"] += rank < min(n, m)
     assert all(seen.values()), seen
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -15,6 +16,7 @@ from meyersig.fibered import (
     horikawa_total,
     hyperelliptic_twist_value,
     kodaira_matrix,
+    kodaira_neighborhood_signature,
     kodaira_word,
     load_fibration,
     local_signature,
@@ -390,6 +392,7 @@ def test_kodaira_local_signatures_match_matsumoto():
     types.update({f"I_{n}*": (n + 6, n + 5) for n in range(40)})
     assert len(types) == 86
     for name, (e, c) in types.items():
+        assert kodaira_neighborhood_signature(name) == -(c - 1), name
         assert phi1(kodaira_matrix(name)) - (c - 1) == Fraction(-2 * e, 3), name
 
 
@@ -511,6 +514,30 @@ def test_load_fibration_with_kodaira_refs():
     assert len(fd_half.germs) == 6
     assert fd_half.germs[0].label == "f0"
     assert local_signature(fd_half.germs[0], 1) == Fraction(-2, 3)
+
+
+@pytest.mark.parametrize("types", [["I_0*", "I_0*"], ["II*", "II"]])
+def test_kodaira_germs_carry_their_neighborhood_signature(types):
+    """Two fibrations of E(1): two I_0* fibres, and II* with II.  With Sign(N) = -(c - 1) read off each type the totals are the
+    signature -8 of E(1), and with its Euler number 12 the geography is
+    K^2 = 0, chi_h = 1.  A file value that agrees is accepted."""
+    germs = [{"monodromy": f"kodaira:{name}"} for name in types]
+    fd = load_fibration({"genus": 1, "base_genus": 0, "germs": germs})
+    assert [germ.neighborhood_signature for germ in fd.germs] == [
+        kodaira_neighborhood_signature(name) for name in types
+    ]
+    assert total_signature(fd) == -8
+    assert geography_invert(total_signature(fd), 12) == (0, 1)
+    for germ, name in zip(germs, types):
+        germ["neighborhood_signature"] = kodaira_neighborhood_signature(name)
+    assert total_signature(load_fibration({"genus": 1, "base_genus": 0, "germs": germs})) == -8
+
+
+def test_kodaira_neighborhood_signature_that_disagrees_is_a_parse_error():
+    for name, value in (("I_0*", 0), ("II*", -9), ("I_1", 1), ("IV", -3)):
+        germ = {"monodromy": f"kodaira:{name}", "neighborhood_signature": value}
+        with pytest.raises(ParseError, match=re.escape(f"disagrees with 'kodaira:{name}'")):
+            load_fibration({"genus": 1, "base_genus": 0, "germs": [germ]})
 
 
 def test_load_fibration_word_monodromies(genus2):

@@ -1,11 +1,12 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from meyersig import exact, presentations
+from meyersig import exact, presentations, selftest
 from meyersig.cocycle import _minor_sign, _twist_solve, tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
 from meyersig.exact import _sign, kernel_basis, lattice_order
@@ -36,6 +37,7 @@ from meyersig.symplectic import (
     random_symplectic,
     transvection,
 )
+from test_exact import _rref_kernel
 
 S_MAT = SymplecticMatrix([[0, -1], [1, 0]])
 U_MAT = SymplecticMatrix([[1, 1], [0, 1]])
@@ -563,10 +565,39 @@ def test_walk_lowers_the_bound_after_a_non_twist_letter(rng, count_calls):
     for call in rule.call_args_list:
         m, new, twist, bound = call.args
         rank = 4 - len(kernel_basis(m))
-        tau, change = _twist_solve(m, twist)
-        assert _minor_sign(m, new, twist, bound) == (tau, rank + change)
+        new_rank = 4 - len(kernel_basis(new)) if any(map(any, new)) else 0
+        solved = _twist_solve(m, twist)
+        assert _minor_sign(m, new, twist, bound) == solved and solved[1] == new_rank
         descents += bound > rank
     assert descents
+
+
+def test_walk_bound_is_the_rank_after_every_singular_twist_step(monkeypatch):
+    """After each twist letter with det(P - I) = det(PB - I) = 0, the bound
+    the walk keeps is rank(PB - I) exactly, by the rank oracle of the
+    exact tests, at every genus of the --selftest cochain suite (seed 0):
+    the minor-sign rule at 2g <= 4 and the solve's pivot count above.
+    The bound a call starts from may still exceed rank(P - I) after a
+    non-twist letter."""
+    calls = []
+    rule = presentations._minor_sign
+
+    def spy(m, new, twist, bound):
+        out = rule(m, new, twist, bound)
+        calls.append((m, new, bound, out[1]))
+        return out
+
+    monkeypatch.setattr(presentations, "_minor_sign", spy)
+    entry = next(entry for entry in selftest.SUITES if entry[0] == "cochain is the tau prefix sum")
+    assert entry[1](random.Random(0), entry[2]) is None
+    sizes, starts_above = Counter(), 0
+    for m, new, bound, new_bound in calls:
+        n = len(m)
+        sizes[n] += 1
+        starts_above += bound > _rref_kernel(m, n)[1]
+        assert new_bound == _rref_kernel(new, n)[1], (m, new, bound)  # never above the rank
+    assert set(sizes) == {2, 4, 6} and sizes[6] >= 100, sizes
+    assert starts_above  # the suite reaches the bound left by the letter s
 
 
 def _tau_prefix_sum(word, p):
