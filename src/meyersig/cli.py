@@ -22,7 +22,7 @@ from .fibered import (
     local_signatures,
     total_euler,
 )
-from .genus1 import SL2Element, phi1, dedekind_sum, rademacher
+from .genus1 import phi1, dedekind_sum, rademacher
 from .matrix import parse_int, parse_matrix
 from .presentations import (
     Unbounded,
@@ -83,7 +83,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_phi1(args) -> int:
-    print(_fmt(phi1(_symplectic_arg(args.matrix, 1))))
+    print(_fmt(phi1(_symplectic_arg(args.matrix))))
     return 0
 
 
@@ -93,8 +93,7 @@ def _cmd_dedekind(args) -> int:
 
 
 def _cmd_rademacher(args) -> int:
-    m = _symplectic_arg(args.matrix, 1)
-    print(_fmt(rademacher(SL2Element.from_matrix(m))))
+    print(_fmt(rademacher(_symplectic_arg(args.matrix))))
     return 0
 
 

@@ -211,7 +211,6 @@ next twist letter with both determinants 0 sets it to the rank.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from operator import mul
 from typing import Sequence
@@ -274,7 +273,7 @@ def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
     g, n = a.g, 2 * a.g
     if b.g != g:
         raise ValueError(f"genus mismatch: {g} vs {b.g}")
-    eye = _identity_rows(n)
+    eye = IntMatrix.identity(n).rows
     if a.mat.rows == eye or b.mat.rows == eye:
         return 0
     rows = _v_rows(a, b)
@@ -306,12 +305,6 @@ def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
             "pairing is not symmetric on V_{A,B}; this indicates a kernel-basis bug"
         )
     return _inertia(gram).value
-
-
-@cache
-def _identity_rows(n: int) -> tuple:
-    """The rows of the n x n identity, built once per size."""
-    return IntMatrix.identity(n).rows
 
 
 def _kernel_readout(

@@ -13,10 +13,13 @@ trace of alpha and b - c with no elimination (see
 signature cocycle, which is the coboundary identity tested everywhere in
 this package.
 
-The layer works in the four integers a, b, c, d and builds one Fraction
-per value.  For coprime 0 < a < c, Euclid's algorithm on (c, a) gives
-quotients q_1, ..., q_k; with Sigma = q_1 - q_2 + q_3 - ... and a* the
-inverse of a mod c in [1, c),
+SL(2;Z) is Sp(2;Z), so the layer has no matrix type of its own:
+:class:`SL2Element` is the four-entry constructor of a genus-1
+SymplecticMatrix, and the functions below take any genus-1 matrix,
+refuse any other genus, work in the four integers a, b, c, d of its rows
+and build one Fraction per value.  For coprime 0 < a < c, Euclid's
+algorithm on (c, a) gives quotients q_1, ..., q_k; with
+Sigma = q_1 - q_2 + q_3 - ... and a* the inverse of a mod c in [1, c),
 
     12 c s(a, c) = a + a* + c (Sigma - 2 + (-1)^k)
 
@@ -33,45 +36,32 @@ bugs.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import _check_ints, _sign
 from .symplectic import SymplecticMatrix
 
 
-@dataclass(frozen=True)
-class SL2Element:
-    """An integer matrix [[a, b], [c, d]] with ad - bc = 1: the entries
-    that :func:`rademacher`, :func:`signature_defect` and :func:`phi1`
-    read.  Products and inverses are those of :class:`SymplecticMatrix`."""
+class SL2Element(SymplecticMatrix):
+    """The genus-1 :class:`SymplecticMatrix` [[a, b], [c, d]], equal to
+    and hashed like the SymplecticMatrix with the same entries.  At genus 1
+    A^T J A = J is ad - bc = 1, so the symplectic check is the whole check:
+    an entry that is not an int or a determinant other than 1 raises
+    ValueError."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_ints(((self.a, self.b, self.c, self.d),))
-        det = self.a * self.d - self.b * self.c
-        if det != 1:
-            raise ValueError(f"determinant is {det}, not 1")
+    def __init__(self, a, b, c, d):
+        super().__init__(((a, b), (c, d)), 1)
 
-    @classmethod
-    def from_matrix(cls, m) -> "SL2Element":
-        if isinstance(m, SymplecticMatrix):
-            if m.g != 1:
-                raise ValueError(f"expected genus 1, got genus {m.g}")
-            rows = m.mat.rows
-        else:
-            rows = tuple(tuple(row) for row in m)
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError("expected a 2x2 matrix")
-        return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 
-    @property
-    def trace(self) -> int:
-        return self.a + self.d
+def _entries(alpha: SymplecticMatrix) -> tuple[int, int, int, int]:
+    """(a, b, c, d) of a genus-1 matrix [[a, b], [c, d]]; a matrix of any
+    other genus raises ValueError."""
+    if alpha.g != 1:
+        raise ValueError(f"expected genus 1, got genus {alpha.g}")
+    (a, b), (c, d) = alpha.mat.rows
+    return a, b, c, d
 
 
 def sawtooth(x) -> Fraction:
@@ -106,13 +96,13 @@ def dedekind_sum(a: int, c: int) -> Fraction:
     return Fraction(a + pow(a, -1, c) + c * (alternating - 2 + sign), 12 * c)
 
 
-def rademacher(alpha: SL2Element) -> int:
+def rademacher(alpha: SymplecticMatrix) -> int:
     """Psi(alpha): (a+d)/c - 12 sign(c) s(a,c) - 3 sign(c(a+d)), or b/d when c = 0.
 
     Psi * c = a + d - 12|c| s(a, c) - 3c sign(c(a+d)) is formed in ints
     (12|c| s(a, c) is an integer, as a and c are coprime) and divided by c.
     """
-    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+    a, b, c, d = _entries(alpha)
     if c == 0:
         return b * d  # d = +-1, so b/d = b*d
     s = dedekind_sum(a, c)
@@ -125,7 +115,7 @@ def rademacher(alpha: SL2Element) -> int:
     return psi
 
 
-def signature_defect(alpha: SL2Element) -> int:
+def signature_defect(alpha: SymplecticMatrix) -> int:
     """sigma(alpha), the signature of Q = [[-2c, a-d], [a-d, 2b]], from
     the trace of alpha and b - c.
 
@@ -140,24 +130,25 @@ def signature_defect(alpha: SL2Element) -> int:
     Equal to tau_1(alpha, -I); see
     :func:`meyersig.cocycle.sigma_defect_via_tau` for the cocycle route.
     """
-    trace = abs(alpha.trace)
+    a, b, c, d = _entries(alpha)
+    trace = abs(a + d)
     if trace > 2:
         return 0
-    sign = _sign(alpha.b - alpha.c)
+    sign = _sign(b - c)
     return sign if trace == 2 else 2 * sign
 
 
-def phi1(alpha) -> Fraction:
-    """The genus-1 Meyer function; accepts an SL2Element or a genus-1 matrix.
+def phi1(alpha: SymplecticMatrix) -> Fraction:
+    """The genus-1 Meyer function of a genus-1 matrix, such as an
+    :class:`SL2Element`; a matrix of any other genus raises ValueError.
 
     Values lie in (1/3)Z, which is asserted as 6 phi_1 being even once the
     half-integer term (present exactly when a + d = 0) has met Psi/3.
     """
-    if not isinstance(alpha, SL2Element):
-        alpha = SL2Element.from_matrix(alpha)
+    a, _, _, d = _entries(alpha)
     psi = rademacher(alpha)
     sigma = signature_defect(alpha)
-    sixfold = -2 * psi + 3 * sigma * (1 + _sign(alpha.trace))
+    sixfold = -2 * psi + 3 * sigma * (1 + _sign(a + d))
     if sixfold % 2:
         raise ArithmeticError(
             f"phi_1 value {Fraction(sixfold, 6)} escaped (1/3)Z; branch bug for {alpha}"

@@ -4,9 +4,9 @@ A matrix is checked once, where it enters the program: the public
 constructor (behind :func:`parse_matrix`, :func:`matrix_from_json` and
 any caller's own rows) requires a nonempty rectangle of ``int`` entries,
 ``bool`` excluded.  Operations closed over integer matrices (products,
-differences, negation, transpose and the identity) build their results
-through :func:`_trusted`, which skips that check, since their entries are
-ints by construction.  Entries are never coerced to floats.  Tuples are
+negation, transpose and the identity) build their results through
+:func:`_trusted`, which skips that check, since their entries are ints
+by construction.  Entries are never coerced to floats.  Tuples are
 built from lists, as in :mod:`meyersig.exact`.
 """
 
@@ -77,22 +77,8 @@ class IntMatrix:
             tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows])
         )
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return _trusted(
-            tuple([tuple([a - b for a, b in zip(r, s)]) for r, s in zip(self.rows, other.rows)])
-        )
-
     def __neg__(self) -> "IntMatrix":
         return _trusted(tuple([tuple([-a for a in row]) for row in self.rows]))
-
-    def _same_shape(self, other: "IntMatrix") -> None:
-        if not isinstance(other, IntMatrix):
-            raise TypeError(f"expected IntMatrix, got {type(other).__name__}")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(
-                f"shape mismatch: {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
-            )
 
     def transpose(self) -> "IntMatrix":
         return _trusted(tuple(list(zip(*self.rows))))

@@ -16,7 +16,8 @@ from functools import wraps
 from math import gcd
 
 from .cocycle import sigma_defect_via_tau, tau_sp
-from .genus1 import SL2Element, dedekind_sum, phi1, signature_defect
+from .fibered import FiberGerm, kodaira_neighborhood_signature, kodaira_word, local_signature
+from .genus1 import dedekind_sum, phi1, signature_defect
 from .presentations import (
     Presentation, Word, class_order, cochain_c, evaluate_word, shipped_meyer_function, shipped_presentation
 )
@@ -95,8 +96,7 @@ def _defect(rng, size):
     """size random genus-1 matrices."""
     for _ in range(size):
         m = _random_matrix(1, 16, rng)
-        closed_form = signature_defect(SL2Element.from_matrix(m))
-        yield "tau(M, -I) route = 2x2 defect signature", sigma_defect_via_tau(m), closed_form, {"M": m}
+        yield "tau(M, -I) route = 2x2 defect signature", sigma_defect_via_tau(m), signature_defect(m), {"M": m}
 
 
 @_suite
@@ -197,6 +197,23 @@ def _cochain_walk(rng, size):
             yield "evaluate_word(w) = product of its letters", evaluate_word(w, p), prefix, {"w": w}
 
 
+# Kodaira's Euler number e of each named fibre type; I_n has e = n and I_n* e = n + 6
+_KODAIRA_EULER = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
+
+
+@_suite
+def _kodaira(rng, size):
+    """Matsumoto's local signature -2e/3 of every named Kodaira fibre and of
+    I_n and I_n* for 0 <= n <= size: phi_1 of the germ's word plus the
+    signature of its neighborhood."""
+    types = list(_KODAIRA_EULER.items())
+    types += [(f"I_{n}", n) for n in range(size + 1)] + [(f"I_{n}*", n + 6) for n in range(size + 1)]
+    for fiber_type, e in types:
+        germ = FiberGerm(kodaira_word(fiber_type), kodaira_neighborhood_signature(fiber_type))
+        lhs = local_signature(germ, 1)
+        yield "local signature of a Kodaira fibre = -2e/3", lhs, Fraction(-2 * e, 3), {"type": fiber_type}
+
+
 # (name, suite, size for --selftest)
 SUITES = (
     ("class orders 3 and 5", _class_orders, None),
@@ -207,6 +224,7 @@ SUITES = (
     ("Dedekind reciprocity", _dedekind, 60),
     ("free-reduction invariance", _free_reduction, 50),
     ("cochain is the tau prefix sum", _cochain_walk, 30),
+    ("local signature of a Kodaira fibre = -2e/3", _kodaira, 12),
 )
 
 

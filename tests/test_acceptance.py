@@ -1,6 +1,6 @@
 """Acceptance suite: every shipped guarantee at full advertised size.
 
-Criteria 1-7, 10 and 11 run the invariant suites of ``meyersig.selftest``,
+Criteria 1-7 and 10-12 run the invariant suites of ``meyersig.selftest``,
 the table that ``meyersig --selftest`` runs at small sizes, at full size
 with fixed seeds.  Run with ``pytest tests/test_acceptance.py -s`` to see
 one line per criterion.  Everything here is exact (tolerance zero); the
@@ -41,6 +41,7 @@ FULL_SIZE = {
     7: ("Dedekind reciprocity", 0, 200, None),
     10: ("free-reduction invariance", 1210, 500, None),
     11: ("cochain is the tau prefix sum", 1211, 500, None),
+    12: ("local signature of a Kodaira fibre = -2e/3", 0, 500, None),
 }
 
 
@@ -129,3 +130,7 @@ def test_criterion_10_free_reduction_invariance():
 
 def test_criterion_11_cochain_is_the_tau_prefix_sum():
     run_at_full_size(11)
+
+
+def test_criterion_12_kodaira_local_signatures():
+    run_at_full_size(12)

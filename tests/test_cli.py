@@ -63,9 +63,18 @@ def test_tau(capsys):
 
 
 def test_tau_genus_mismatch_is_domain_error(capsys):
-    code, _, err = run_cli(capsys, "tau", "-g", "2", "1,1;0,1", "1,0;0,1")
-    assert code == 1
-    assert "genus" in err
+    assert run_cli(capsys, "tau", "-g", "2", "1,1;0,1", "1,0;0,1") == (
+        1, "", "error: matrix has genus 1, but -g 2 was given\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["phi1", "rademacher"])
+def test_genus_1_commands_refuse_other_genera_without_naming_an_option(capsys, command):
+    # neither subcommand has -g: the refusal is the genus-1 layer's own
+    identity4 = "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
+    assert run_cli(capsys, command, identity4) == (
+        1, "", "error: expected genus 1, got genus 2\n"
+    )
 
 
 def test_back_to_back_calls_share_one_parser_and_no_option_values(capsys):
@@ -334,6 +343,13 @@ def test_local_sig_does_not_read_a_kodaira_json_in_the_data_dir(
         ("order", {"genus": 1, "generators": ["a"], "matrices": {"a": "1,1;0,1"}, "relators": [5]}),
         ("local-sig", {"genus": 1, "base_genus": 0, "germs": 5}),
         ("local-sig", {"genus": 1, "base_genus": 0, "germs": [{"monodromy": ["a"]}]}),
+        # duplicate, spaced, ^-bearing and empty generator names
+        *(
+            ("order", {"genus": 1, "generators": names, "matrices": {names[0]: "1,1;0,1"}, "relators": []})
+            for names in (["a", "a"], ["a b"], ["a^"], [""])
+        ),
+        # a "genus" that disagrees with the size of the matrices
+        ("order", {"genus": 2, "generators": ["a"], "matrices": {"a": "1,1;0,1"}, "relators": []}),
     ],
 )
 def test_malformed_data_file_is_parse_error(capsys, tmp_path, command, data):
@@ -542,6 +558,19 @@ def test_geo_both_directions(capsys):
     )
     code, out, _ = run_cli(capsys, "geo", "--sign", "1", "--chi-top", "1")
     assert (code, out) == (0, "ksq=5 chi_struct=1/2\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("geo", "--ksq", "1"), "--ksq and --chi-struct go together"),
+        (("geo", "--sign", "1"), "--sign and --chi-top go together"),
+        (("twist-value", "-g", "2", "--nonsep", "--sep", "1"), "give either --nonsep or --sep h, not both"),
+    ],
+    ids=["geo --ksq alone", "geo --sign alone", "twist-value --nonsep --sep"],
+)
+def test_options_that_need_a_partner_or_exclude_one(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_geo_argument_validation(capsys):
@@ -808,7 +837,8 @@ def test_selftest_flag(capsys):
         "PASS  synthesized Meyer functions\n"
         "PASS  Dedekind reciprocity\n"
         "PASS  free-reduction invariance\n"
-        "PASS  cochain is the tau prefix sum\n",
+        "PASS  cochain is the tau prefix sum\n"
+        "PASS  local signature of a Kodaira fibre = -2e/3\n",
     )
 
 
@@ -826,6 +856,7 @@ PLANTED_FAULTS = {
     "Dedekind reciprocity": ("dedekind_sum", lambda fn: lambda a, c: -fn(a, c)),
     "free-reduction invariance": ("cochain_c", lambda fn: lambda w, p: fn(w, p) + len(w)),
     "cochain is the tau prefix sum": ("cochain_c", lambda fn: lambda w, p: fn(w, p) + len(w)),
+    "local signature of a Kodaira fibre = -2e/3": ("local_signature", _off_by_one),
 }
 
 
@@ -924,6 +955,6 @@ def test_selftest_reports_an_exception_and_runs_every_suite(capsys, monkeypatch)
         f"{'FAIL' if name == 'cochain is the tau prefix sum' else 'PASS'}  {name}"
         for name, _, _ in selftest.SUITES
     ]
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert "raised ArithmeticError: pairing is not symmetric" in err
     assert "Traceback" not in err

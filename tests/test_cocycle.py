@@ -87,6 +87,14 @@ def test_v_space_genus_mismatch():
         v_space(I1, SymplecticMatrix.identity(2))
 
 
+def test_tau_genus_mismatch_is_refused_before_the_identity_shortcut():
+    # with I on either side tau_sp would return 0 before any elimination
+    i2, a2 = SymplecticMatrix.identity(2), random_symplectic(2, 8, 0.5)
+    for a, b in ((i2, U), (U, i2), (I1, a2), (a2, I1), (a2, U)):
+        with pytest.raises(ValueError, match=f"^genus mismatch: {a.g} vs {b.g}$"):
+            tau_sp(a, b)
+
+
 def test_tau_normalization():
     for m in (U, V, S, U * V * S):
         assert tau_sp(m, I1) == 0
@@ -174,10 +182,10 @@ def _maslov(*mats):
     j = standard_j(mats[0].g)
     q = [[0] * (3 * n) for _ in range(3 * n)]
     for s, t in ((0, 1), (1, 2), (2, 0)):
-        k = j - mats[s].mat.transpose() * j * mats[t].mat
+        k = mats[s].mat.transpose() * j * mats[t].mat
         for r in range(n):
             for c in range(n):
-                q[s * n + r][t * n + c] = q[t * n + c][s * n + r] = k[r][c]
+                q[s * n + r][t * n + c] = q[t * n + c][s * n + r] = j[r][c] - k[r][c]
     return signature(q).value
 
 

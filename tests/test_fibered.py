@@ -323,6 +323,8 @@ def test_twist_values():
         hyperelliptic_twist_value(2, 2)
     with pytest.raises(ValueError, match="1 <= h"):
         hyperelliptic_twist_value(1, 1)
+    with pytest.raises(ValueError, match="^genus must be >= 1$"):
+        hyperelliptic_twist_value(0, None)
 
 
 def test_twist_values_are_2g1_integral():
@@ -439,6 +441,11 @@ def test_sl2_word_reproduces(rng, sl2z):
             flipped = sl2_word(m, inverted)
             assert flipped == Word([(i, -s) for i, s in word.letters])
             assert evaluate_word(flipped, inverted) == m
+
+
+def test_sl2_word_refuses_other_genera():
+    with pytest.raises(ValueError, match="^expected genus 1, got genus 2$"):
+        sl2_word(random_symplectic(2, 6, 0.25))
 
 
 def test_sl2_word_needs_the_letters_t_and_l(sl2z):

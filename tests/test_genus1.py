@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from meyersig import genus1
 from meyersig.cocycle import sigma_defect_via_tau
 from meyersig.exact import signature
-from meyersig.fibered import hyperelliptic_twist_value
+from meyersig.fibered import hyperelliptic_twist_value, sl2_word
 from meyersig.genus1 import (
     SL2Element,
     dedekind_sum,
@@ -18,6 +18,7 @@ from meyersig.genus1 import (
     sawtooth,
     signature_defect,
 )
+from meyersig.presentations import evaluate_word, shipped_presentation
 from meyersig.symplectic import SymplecticMatrix, random_symplectic
 
 U = SL2Element(1, 1, 0, 1)
@@ -31,10 +32,6 @@ def _random_sp(rng, max_len=20) -> SymplecticMatrix:
     return random_symplectic(1, rng.randint(0, max_len), rng.random())
 
 
-def _random_sl2(rng, max_len=20) -> SL2Element:
-    return SL2Element.from_matrix(_random_sp(rng, max_len))
-
-
 # the twists T = [[1, 1], [0, 1]], L = [[1, 0], [-1, 1]] and their inverses
 LETTERS = (T, T.inverse(), SymplecticMatrix([[1, 0], [-1, 1]]), SymplecticMatrix([[1, 0], [1, 1]]))
 
@@ -44,10 +41,6 @@ def _word(rng, length) -> SymplecticMatrix:
     for _ in range(length):
         m = m * rng.choice(LETTERS)
     return m
-
-
-def _sl2_word(rng, length) -> SL2Element:
-    return SL2Element.from_matrix(_word(rng, length))
 
 
 def _dedekind_by_reciprocity(a: int, c: int) -> Fraction:
@@ -65,13 +58,17 @@ def _dedekind_by_reciprocity(a: int, c: int) -> Fraction:
     return total
 
 
+def _entries(m: SymplecticMatrix) -> tuple[int, int, int, int]:
+    (a, b), (c, d) = m.mat.rows
+    return a, b, c, d
+
+
 def test_sl2element_validation():
-    with pytest.raises(ValueError, match="determinant"):
-        SL2Element(1, 0, 0, 2)
-    with pytest.raises(ValueError, match="genus 1"):
-        SL2Element.from_matrix(SymplecticMatrix.identity(2))
-    assert SL2Element.from_matrix([[0, 1], [-1, 0]]) == SL2Element(0, 1, -1, 0)
-    assert SL2Element.from_matrix(T * T.inverse()) == IDENT
+    for entries in ((1, 0, 0, 2), (0, 1, 1, 0), (2, 3, 1, 1), (0, 0, 0, 0)):  # det 2, -1, -1, 0
+        with pytest.raises(ValueError, match=r"not symplectic: A\^T J A != J"):
+            SL2Element(*entries)
+    assert SL2Element(0, 1, -1, 0) == S
+    assert T * T.inverse() == IDENT
 
 
 @pytest.mark.parametrize(
@@ -79,11 +76,44 @@ def test_sl2element_validation():
     [(1.0, 1, 0, 1), (2.0, 1, 1.0, 1), (True, 1, 0, True), (Fraction(1), 1, 0, 1), (1, 1, 0, Fraction(1))],
 )
 def test_sl2element_rejects_non_int_entries(entries):
-    with pytest.raises(ValueError, match="entries must be ints"):
+    with pytest.raises(ValueError, match=r"entry \(\d,\d\) is not an integer"):
         SL2Element(*entries)
-    a, b, c, d = entries
-    with pytest.raises(ValueError, match="entries must be ints"):
-        phi1([[a, b], [c, d]])
+
+
+def test_sl2element_is_the_four_entry_constructor_of_a_genus_1_matrix():
+    assert issubclass(SL2Element, SymplecticMatrix)
+    assert set(vars(SL2Element)) <= {"__module__", "__qualname__", "__doc__", "__slots__", "__init__"}
+    for seed in range(200):
+        m = random_symplectic(1, seed % 30, f"sl2-{seed}")
+        alpha = SL2Element(*_entries(m))
+        assert isinstance(alpha, SymplecticMatrix) and alpha.g == 1
+        assert alpha == m and m == alpha and hash(alpha) == hash(m)
+        assert alpha == SymplecticMatrix([list(row) for row in m.mat.rows])
+        assert alpha * alpha.inverse() == SymplecticMatrix.identity(1)
+
+
+def test_genus_1_values_agree_on_every_route_to_the_matrix():
+    """rademacher, signature_defect and phi1 on a seeded random_symplectic
+    matrix, on the SL2Element with its entries and on the equal product
+    evaluate_word makes of its word, negated half the time."""
+    p = shipped_presentation(1)
+    for seed in range(300):
+        m = random_symplectic(1, seed % 40, f"route-{seed}")
+        if seed % 2:
+            m = MINUS_I * m
+        routes = (m, SL2Element(*_entries(m)), evaluate_word(sl2_word(m), p))
+        assert routes[0] == routes[1] == routes[2]
+        for fn in (rademacher, signature_defect, phi1):
+            assert len({fn(alpha) for alpha in routes}) == 1, (fn.__name__, m)
+
+
+@pytest.mark.parametrize("fn", [rademacher, signature_defect, phi1])
+@pytest.mark.parametrize("g", [2, 3])
+def test_genus_1_functions_refuse_other_genera(fn, g):
+    with pytest.raises(ValueError, match=f"expected genus 1, got genus {g}"):
+        fn(SymplecticMatrix.identity(g))
+    with pytest.raises(ValueError, match=f"expected genus 1, got genus {g}"):
+        fn(random_symplectic(g, 6, g))
 
 
 def test_sawtooth_examples():
@@ -162,7 +192,7 @@ def test_rademacher_examples():
 def test_rademacher_is_an_int():
     rng = random.Random(29)
     for _ in range(5000):
-        alpha = _sl2_word(rng, rng.randint(0, 40))
+        alpha = _word(rng, rng.randint(0, 40))
         assert type(rademacher(alpha)) is int, alpha
 
 
@@ -203,11 +233,10 @@ def test_signature_defect_against_the_form_and_the_cocycle():
         mats += [_random_sp(rng), beta * rng.choice(conjugated) * beta.inverse()]
     seen = set()
     for m in mats + [MINUS_I * m for m in mats]:
-        alpha = SL2Element.from_matrix(m)
-        a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+        a, b, c, d = _entries(m)
         form = signature([[-2 * c, a - d], [a - d, 2 * b]]).value
-        assert signature_defect(alpha) == form == sigma_defect_via_tau(m), alpha
-        trace = abs(alpha.trace)
+        assert signature_defect(m) == form == sigma_defect_via_tau(m), m
+        trace = abs(a + d)
         seen.add((
             "<2" if trace < 2 else "=2" if trace == 2 else ">2",
             0 if trace > 2 else (b > c) - (b < c),
@@ -231,11 +260,10 @@ def test_phi1_of_minus_alpha_subtracts_the_signature_defect(rng):
         if i % 3 == 0:  # conjugates of elliptic and parabolic elements reach tr = 0 and c = 0
             beta = _word(rng, rng.randint(0, 4))
             word = beta * rng.choice(elliptic + LETTERS) * beta.inverse()
-        alpha = SL2Element.from_matrix(word)
-        minus = SL2Element(-alpha.a, -alpha.b, -alpha.c, -alpha.d)
-        assert phi1(minus) == phi1(alpha) - signature_defect(alpha), alpha
-        seen.add(("c", (alpha.c > 0) - (alpha.c < 0)))
-        seen.add(("tr", (alpha.trace > 0) - (alpha.trace < 0)))
+        a, _, c, d = _entries(word)
+        assert phi1(MINUS_I * word) == phi1(word) - signature_defect(word), word
+        seen.add(("c", (c > 0) - (c < 0)))
+        seen.add(("tr", (a + d > 0) - (a + d < 0)))
     assert seen == {(k, s) for k in ("c", "tr") for s in (-1, 0, 1)}
 
 
@@ -259,15 +287,15 @@ def test_phi1_inverse_and_conjugation(rng):
 
 def test_phi1_in_third_integers(rng):
     for _ in range(300):
-        value = phi1(_random_sl2(rng))
+        value = phi1(_random_sp(rng))
         assert (3 * value).denominator == 1
 
 
 def test_phi1_hyperbolic_simplification(rng):
     seen = 0
     while seen < 150:
-        alpha = _random_sl2(rng)
-        if alpha.trace in (0, 1, 2):
+        alpha = _random_sp(rng)
+        if alpha.mat.trace() in (0, 1, 2):
             continue
         seen += 1
         assert phi1(alpha) == Fraction(-rademacher(alpha), 3)

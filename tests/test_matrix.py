@@ -86,7 +86,7 @@ def test_trusted_results_equal_checked_ones(g):
         b = random_symplectic(g, 10, f"{g}-{seed}-b")
         m, n = a.mat, b.mat
         twisted = _trusted(_twist_step(m.rows, _twist(m.rows[0], seed - 5)))
-        for result in (m * n, m - n, -m, m.transpose(), a.inverse().mat, (a * b).mat, twisted):
+        for result in (m * n, -m, m.transpose(), a.inverse().mat, (a * b).mat, twisted):
             _assert_checked_equal(result)
         assert a.inverse().mat == -(j * m.transpose() * j)
         assert (a * a.inverse()).mat == ident

@@ -123,6 +123,8 @@ def test_word_format_round_trip(rng, sl2z, genus2):
             text = format_word(w, p.generator_names)
             assert parse_word(text, p.generator_names) == w
             assert format_word(parse_word(text, p.generator_names), p.generator_names) == text
+    with pytest.raises(ValueError, match="^letter index 2 out of range$"):
+        format_word(Word([(0, 1), (2, -1)]), sl2z.generator_names)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +197,16 @@ def test_presentation_from_dict_errors():
         breakage(data)
         with pytest.raises(ParseError):
             load_presentation(data)
+
+
+def test_presentation_needs_one_matrix_of_its_genus_per_name(sl2z):
+    t = sl2z.matrices[0]
+    with pytest.raises(ValueError, match="^need exactly one matrix per generator$"):
+        Presentation(1, ("a", "b"), (t,), ())
+    with pytest.raises(ValueError, match="^need exactly one matrix per generator$"):
+        Presentation(1, ("a",), (t, t), ())
+    with pytest.raises(ValueError, match="^matrix for 'b' has genus 2, not 1$"):
+        Presentation(1, ("a", "b"), (t, SymplecticMatrix.identity(2)), ())
 
 
 @pytest.mark.parametrize("source", ["[1, 2]", '"genus"', "null"])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,27 @@ def test_pairing_normalization():
 def test_pairing_refuses_entries_that_are_not_ints(u, v):
     with pytest.raises(ValueError, match="entries must be ints"):
         symplectic_pairing(u, v)
+
+
+SMALL_REFUSALS = {
+    "pairing of unequal lengths": (
+        lambda: symplectic_pairing((1, 0), (1, 0, 0, 0)), "vector lengths differ: 2 vs 4"
+    ),
+    "pairing of odd length": (
+        lambda: symplectic_pairing((1, 0, 0), (0, 1, 0)),
+        "homology classes have even positive length, got 3",
+    ),
+    "A_3 at genus 2": (lambda: a_class(2, 3), "A_3 out of range for genus 2"),
+    "B_0 at genus 2": (lambda: b_class(2, 0), "B_0 out of range for genus 2"),
+    "J at genus 0": (lambda: standard_j(0), "genus must be positive, got 0"),
+    "identity of size 0": (lambda: IntMatrix.identity(0), "identity needs a positive size, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, message", SMALL_REFUSALS.values(), ids=SMALL_REFUSALS)
+def test_small_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_pairing_antisymmetry():
