@@ -29,7 +29,7 @@ from .fibered import (
     total_signature,
 )
 from .genus1 import SL2Element, dedekind_sum, phi1, rademacher, sawtooth, signature_defect
-from .matrix import IntMatrix, format_matrix, parse_matrix
+from .matrix import format_matrix, parse_matrix
 from .presentations import (
     UNBOUNDED,
     ClassOrder,

@@ -9,7 +9,6 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from . import selftest
 from .cocycle import tau_sp
 from .errors import ParseError
 from .fibered import (
@@ -46,8 +45,7 @@ def _fmt(value) -> str:
 
 
 def _symplectic_arg(text: str, g: int | None = None) -> SymplecticMatrix:
-    mat = parse_matrix(text)
-    m = SymplecticMatrix(mat)
+    m = SymplecticMatrix(parse_matrix(text))
     if g is not None and m.g != g:
         raise ValueError(f"matrix has genus {m.g}, but -g {g} was given")
     return m
@@ -264,6 +262,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         return _report(exc)
     if args.selftest:
+        from . import selftest  # only here: other commands need not compile the suites
+
         return selftest.run(seed=seed)
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)

@@ -216,7 +216,7 @@ from operator import mul
 from typing import Sequence
 
 from .exact import _gauss_jordan, _inertia, _minor, _sign, affine_point, kernel_basis
-from .matrix import IntMatrix, _add_identity
+from .matrix import _add_identity, _identity_rows
 from .symplectic import SymplecticMatrix, _inverse_rows, _twist, _wrap
 
 
@@ -237,7 +237,7 @@ def _v_rows(a: SymplecticMatrix, b: SymplecticMatrix) -> list[list[int]]:
     if a.g != b.g:
         raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
     n = 2 * a.g
-    rows = [[*r, *s] for r, s in zip(_inverse_rows(a.mat.rows, a.g), b.mat.rows)]
+    rows = [[*r, *s] for r, s in zip(_inverse_rows(a.rows, a.g), b.rows)]
     for r, row in enumerate(rows):
         row[r] -= 1
         row[n + r] -= 1
@@ -273,8 +273,8 @@ def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
     g, n = a.g, 2 * a.g
     if b.g != g:
         raise ValueError(f"genus mismatch: {g} vs {b.g}")
-    eye = IntMatrix.identity(n).rows
-    if a.mat.rows == eye or b.mat.rows == eye:
+    eye = _identity_rows(n)
+    if a.rows == eye or b.rows == eye:
         return 0
     rows = _v_rows(a, b)
     pivots, d = _gauss_jordan(rows, 2 * n)
@@ -285,7 +285,7 @@ def tau_sp(a: SymplecticMatrix, b: SymplecticMatrix) -> int:
             dropped.append(s)
             continue
         if j_cols is None:
-            j_cols = _j_columns(b.mat.rows, g)
+            j_cols = _j_columns(b.rows, g)
         if len(ys) == 1:
             k, c = ys[0]
             j_w = [k * e for e in j_cols[c]]
@@ -364,7 +364,7 @@ def tau_twist(a: SymplecticMatrix, v: Sequence[int], lam: int) -> int:
     twist = _twist(v, lam)
     if len(twist[0]) != 2 * a.g:
         raise ValueError(f"twist class of length {len(twist[0])} at genus {a.g}")
-    return _twist_solve(_add_identity(a.mat.rows, -1), twist)[0]
+    return _twist_solve(_add_identity(a.rows, -1), twist)[0]
 
 
 def _twist_solve(m: Sequence[Sequence[int]], twist: tuple) -> tuple[int, int]:
@@ -428,7 +428,7 @@ def _minor_sign(m: tuple, new: tuple, twist: tuple, bound: int) -> tuple[int, in
     return 0, 1  # M = 0
 
 
-_MINUS_I1 = _wrap(1, -IntMatrix.identity(2))  # -I in Sp(2;Z), built once
+_MINUS_I1 = _wrap(1, ((-1, 0), (0, -1)))  # -I in Sp(2;Z), built once
 
 
 def sigma_defect_via_tau(alpha: SymplecticMatrix) -> int:

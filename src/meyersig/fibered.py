@@ -31,7 +31,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ParseError
-from .genus1 import phi1
+from .genus1 import _rational, phi1
 from .matrix import parse_int
 from .presentations import (
     Presentation,
@@ -164,7 +164,7 @@ def sigma_alg_hyperelliptic(h_index, eps: int, g: int) -> Fraction:
     (g*H - (g+1)*eps) / (2g+1)."""
     if g < 1:
         raise ValueError("genus must be >= 1")
-    return Fraction(g * Fraction(h_index) - (g + 1) * eps, 2 * g + 1)
+    return Fraction(g * _rational(h_index) - (g + 1) * _rational(eps), 2 * g + 1)
 
 
 def horikawa_total(k_rel_sq: int, chi_f, g: int) -> Fraction:
@@ -172,19 +172,19 @@ def horikawa_total(k_rel_sq: int, chi_f, g: int) -> Fraction:
     K^2_{E/B} - (4(g-1)/g) * chi_f."""
     if g < 2:
         raise ValueError("the Horikawa-index identity needs genus >= 2")
-    return Fraction(k_rel_sq) - Fraction(4 * (g - 1), g) * Fraction(chi_f)
+    return _rational(k_rel_sq) - Fraction(4 * (g - 1), g) * _rational(chi_f)
 
 
 def geography_convert(k_sq, chi_struct) -> tuple[Fraction, Fraction]:
     """(Sign(E), chi_top(E)) from (K^2, chi(O)), via Hirzebruch and Noether:
     chi_top = 12 chi(O) - K^2 and Sign = K^2 - 8 chi(O)."""
-    k_sq, chi_struct = Fraction(k_sq), Fraction(chi_struct)
+    k_sq, chi_struct = _rational(k_sq), _rational(chi_struct)
     return k_sq - 8 * chi_struct, 12 * chi_struct - k_sq
 
 
 def geography_invert(sign, chi_top) -> tuple[Fraction, Fraction]:
     """(K^2, chi(O)) from (Sign(E), chi_top(E)); inverse of geography_convert."""
-    sign, chi_top = Fraction(sign), Fraction(chi_top)
+    sign, chi_top = _rational(sign), _rational(chi_top)
     return 3 * sign + 2 * chi_top, Fraction(sign + chi_top, 4)
 
 
@@ -289,7 +289,7 @@ def sl2_word(m: SymplecticMatrix, presentation: Presentation | None = None) -> W
     if _T not in twists or _L not in twists:
         raise ValueError("SL(2;Z) words need letters for T = [[1,1],[0,1]] and L = [[1,0],[-1,1]]")
     t, l = twists[_T], twists[_L]
-    (a, b), (c, d) = m.mat.rows
+    (a, b), (c, d) = m.rows
     factors = []  # (letter, k): the inverse of each step, so that their product is m
     while c:
         if abs(a) > abs(c):

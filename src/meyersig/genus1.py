@@ -60,13 +60,22 @@ def _entries(alpha: SymplecticMatrix) -> tuple[int, int, int, int]:
     other genus raises ValueError."""
     if alpha.g != 1:
         raise ValueError(f"expected genus 1, got genus {alpha.g}")
-    (a, b), (c, d) = alpha.mat.rows
+    (a, b), (c, d) = alpha.rows
     return a, b, c, d
+
+
+def _rational(x) -> Fraction:
+    """x as a Fraction, for an int (bool excluded) or a Fraction; anything
+    else, a float included, raises ValueError, so that no value is read as
+    the binary fraction a float stores."""
+    if type(x) is int or isinstance(x, Fraction):
+        return Fraction(x)
+    raise ValueError(f"expected an int or a Fraction, got {x!r}")
 
 
 def sawtooth(x) -> Fraction:
     """((x)): 0 on integers, otherwise x - floor(x) - 1/2."""
-    x = Fraction(x)
+    x = _rational(x)
     if x.denominator == 1:
         return Fraction(0)
     return x - (x.numerator // x.denominator) - Fraction(1, 2)

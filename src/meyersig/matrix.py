@@ -1,13 +1,14 @@
-"""Immutable dense integer matrices with arbitrary-precision entries.
+"""Dense integer matrices, as nonempty rectangular tuples of int tuples.
 
-A matrix is checked once, where it enters the program: the public
-constructor (behind :func:`parse_matrix`, :func:`matrix_from_json` and
-any caller's own rows) requires a nonempty rectangle of ``int`` entries,
-``bool`` excluded.  Operations closed over integer matrices (products,
-negation, transpose and the identity) build their results through
-:func:`_trusted`, which skips that check, since their entries are ints
-by construction.  Entries are never coerced to floats.  Tuples are
-built from lists, as in :mod:`meyersig.exact`.
+A matrix is checked where it enters the program: :func:`check_rows`
+(behind :func:`parse_matrix`, :func:`matrix_from_json`, the
+:class:`~meyersig.symplectic.SymplecticMatrix` constructor and
+:func:`~meyersig.symplectic.is_symplectic`) requires a nonempty rectangle
+of ``int`` entries, ``bool`` excluded, and returns its rows as tuples.
+Rows built from checked rows by the helpers here (:func:`_product`,
+:func:`_add_identity` and the identity rows) are int tuples by
+construction and are not checked again.  Entries are never coerced to
+floats.  Tuples are built from lists, as in :mod:`meyersig.exact`.
 """
 
 import json
@@ -18,99 +19,35 @@ from operator import mul
 from .errors import ParseError
 
 
-class IntMatrix:
-    """A rectangular matrix of Python ints, hashable and immutable."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple([tuple([entry for entry in row]) for row in rows])
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        width = len(rows[0])
-        if not width:
-            raise ValueError("matrix needs at least one column")
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
-            for j, entry in enumerate(row):
-                if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise ValueError(f"entry ({i},{j}) is not an integer: {entry!r}")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
-
-    @staticmethod
-    @cache
-    def identity(n: int) -> "IntMatrix":
-        if n < 1:
-            raise ValueError(f"identity needs a positive size, got {n}")
-        return _trusted(tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
-            )
-        cols = list(zip(*other.rows))
-        return _trusted(
-            tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.rows])
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return _trusted(tuple([tuple([-a for a in row]) for row in self.rows]))
-
-    def transpose(self) -> "IntMatrix":
-        return _trusted(tuple(list(zip(*self.rows))))
-
-    def apply(self, vector) -> tuple:
-        """Matrix-vector product, returning a tuple of ints."""
-        vec = tuple(vector)
-        if len(vec) != self.ncols:
-            raise ValueError(f"vector length {len(vec)} != {self.ncols} columns")
-        return tuple([sum(map(mul, row, vec)) for row in self.rows])
-
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def trace(self) -> int:
-        if not self.is_square():
-            raise ValueError("trace of a non-square matrix")
-        return sum(self.rows[i][i] for i in range(self.nrows))
-
-    def __repr__(self):
-        return f"IntMatrix({format_matrix(self)!r})"
+def check_rows(rows) -> tuple:
+    """The rows of a matrix as a tuple of int tuples; no rows, an empty
+    row, a ragged row or an entry that is not an int (bool included)
+    raises ValueError naming it."""
+    rows = tuple([tuple([entry for entry in row]) for row in rows])
+    if not rows:
+        raise ValueError("matrix needs at least one row")
+    width = len(rows[0])
+    if not width:
+        raise ValueError("matrix needs at least one column")
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
+        for j, entry in enumerate(row):
+            if not isinstance(entry, int) or isinstance(entry, bool):
+                raise ValueError(f"entry ({i},{j}) is not an integer: {entry!r}")
+    return rows
 
 
-def _trusted(rows: tuple) -> IntMatrix:
-    """Wrap a nonempty rectangular tuple of int tuples without checking it.
+@cache
+def _identity_rows(n: int) -> tuple:
+    """The rows of the n x n identity, built once per size."""
+    return tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)])
 
-    Only for results that are integer matrices by construction; anything
-    read from outside goes through :class:`IntMatrix` itself.
-    """
-    m = object.__new__(IntMatrix)
-    object.__setattr__(m, "rows", rows)
-    return m
+
+def _product(a, b) -> tuple:
+    """The rows of A B, as int tuples, for the rows of A and B."""
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
 
 
 def _add_identity(rows, k: int) -> tuple:
@@ -143,13 +80,13 @@ def parse_int(text: str) -> int:
     raise ParseError(f"bad integer {text!r}")
 
 
-def format_matrix(m: IntMatrix) -> str:
-    """Render in the row-major text format: entries ',', rows ';'."""
-    return ";".join(",".join(str(e) for e in row) for row in m.rows)
+def format_matrix(rows) -> str:
+    """Render rows in the row-major text format: entries ',', rows ';'."""
+    return ";".join(",".join(str(e) for e in row) for row in rows)
 
 
-def parse_matrix(text: str) -> IntMatrix:
-    """Parse ``"1,1;0,1"`` or a JSON array-of-arrays into an IntMatrix."""
+def parse_matrix(text: str) -> tuple:
+    """Parse ``"1,1;0,1"`` or a JSON array-of-arrays into checked rows."""
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty matrix text")
@@ -166,7 +103,7 @@ def parse_matrix(text: str) -> IntMatrix:
                 raise ParseError(f"bad integer {tok!r} at row {i}, column {j}") from None
         rows.append(row)
     try:
-        return IntMatrix(rows)
+        return check_rows(rows)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -185,11 +122,11 @@ def _decode_json(text: str, what: str):
         raise ParseError(f"bad {what}: an integer has too many digits") from None
 
 
-def matrix_from_json(data) -> IntMatrix:
-    """Build an IntMatrix from a decoded JSON array-of-arrays."""
+def matrix_from_json(data) -> tuple:
+    """The checked rows of a decoded JSON array-of-arrays."""
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ParseError("matrix JSON must be an array of arrays")
     try:
-        return IntMatrix(data)
+        return check_rows(data)
     except ValueError as exc:
         raise ParseError(str(exc)) from None

@@ -49,7 +49,7 @@ from .cocycle import _minor_sign, tau_sp
 from .errors import InfiniteOrderError, ParseError, UnsupportedGenusError
 from .exact import _sign, determinant, lattice_order
 from .matrix import (
-    _add_identity, _decode_json, _trusted, format_matrix, matrix_from_json, parse_int, parse_matrix
+    _add_identity, _decode_json, _product, format_matrix, matrix_from_json, parse_int, parse_matrix
 )
 from .symplectic import SymplecticMatrix, _twist, _twist_step, _wrap, twist_of
 
@@ -268,10 +268,10 @@ def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
             raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators") from None
         if twist is None:
             step = p.matrices[i] if s > 0 else p._inverses[i]
-            m = _add_identity((_trusted(_add_identity(m, 1)) * step.mat).rows, -1)
+            m = _add_identity(_product(_add_identity(m, 1), step.rows), -1)
         else:
             m = _twist_step(m, twist)
-    return _wrap(p.genus, _trusted(_add_identity(m, 1)))
+    return _wrap(p.genus, _add_identity(m, 1))
 
 
 def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
@@ -298,9 +298,9 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
             raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators") from None
         if twist is None:
             step = p.matrices[i] if s > 0 else p._inverses[i]
-            prefix = _trusted(_add_identity(m, 1))
+            prefix = _add_identity(m, 1)
             total += tau_sp(_wrap(g, prefix), step)
-            m = _add_identity((prefix * step.mat).rows, -1)
+            m = _add_identity(_product(prefix, step.rows), -1)
             d = _sign(determinant(m))
             bound = n if d else (n - 1 if any(map(any, m)) else 0)
             continue
@@ -460,7 +460,7 @@ def dump_presentation(p: Presentation) -> str:
     data = {
         "genus": p.genus,
         "generators": list(names),
-        "matrices": {name: format_matrix(m.mat) for name, m in zip(names, p.matrices)},
+        "matrices": {name: format_matrix(m.rows) for name, m in zip(names, p.matrices)},
         "relators": [format_word(r, names) for r in p.relators],
     }
     return json.dumps(data, indent=2) + "\n"

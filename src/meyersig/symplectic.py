@@ -11,14 +11,21 @@ With TWIST_SIGN = +1 the twists along A_1 and B_1 at genus 1 map to
 [[1,1],[0,1]] and [[1,0],[-1,1]], which is the normalization every shipped
 data file and every twist-value identity in this package is validated
 against.  Flipping the constant would invert all twists.
+
+An element of Sp(2g;Z) is a :class:`SymplecticMatrix` holding its rows, a
+tuple of int tuples; it is the package's one matrix type.  Its constructor
+checks the rows and A^T J A = J; products, inverses and identities are
+symplectic by construction and go through :func:`_wrap`, the one trusted
+constructor.  A genus is checked once, by :func:`_check_genus`.
 """
 
 import random
 from functools import cache
+from operator import mul
 from typing import Sequence
 
 from .exact import _check_ints, _primitive
-from .matrix import IntMatrix, _trusted
+from .matrix import _identity_rows, _product, check_rows, format_matrix
 
 # Right-handed twist convention; see module docstring before touching this.
 TWIST_SIGN = 1
@@ -28,17 +35,26 @@ TWIST_SIGN = 1
 MAX_GENUS = 12
 
 
-@cache
-def standard_j(g: int) -> IntMatrix:
-    """The standard symplectic form J = [[0, I_g], [-I_g, 0]]."""
+def _check_genus(g) -> int:
+    """g, if it is an int (bool excluded) in 1 .. MAX_GENUS; anything else
+    raises ValueError before any work is done for it."""
+    if type(g) is not int:
+        raise ValueError(f"genus must be an int, got {g!r}")
     if g < 1:
         raise ValueError(f"genus must be positive, got {g}")
-    n = 2 * g
+    if g > MAX_GENUS:
+        raise ValueError(f"genus {g} is too large: meyersig caps the genus at {MAX_GENUS}")
+    return g
+
+
+def standard_j(g: int) -> "SymplecticMatrix":
+    """The standard symplectic form J = [[0, I_g], [-I_g, 0]]."""
+    n = 2 * _check_genus(g)
     rows = [[0] * n for _ in range(n)]
     for i in range(g):
         rows[i][g + i] = 1
         rows[g + i][i] = -1
-    return IntMatrix(rows)
+    return _wrap(g, tuple([tuple(row) for row in rows]))
 
 
 def symplectic_pairing(u: Sequence[int], v: Sequence[int]) -> int:
@@ -57,56 +73,63 @@ def symplectic_pairing(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(u[i] * v[g + i] - u[g + i] * v[i] for i in range(g))
 
 
-def is_symplectic(entries, g: int) -> bool:
-    """Whether the 2g x 2g integer matrix satisfies A^T J A = J exactly."""
-    m = entries if isinstance(entries, IntMatrix) else IntMatrix(entries)
+def is_symplectic(rows, g: int) -> bool:
+    """Whether the rows of a 2g x 2g integer matrix A satisfy A^T J A = J
+    exactly, as the one product :func:`_inverse_rows` (A) A = I: that
+    formula is -J A^T J for every A, and -J A^T J A = I is A^T J A = J."""
+    rows = check_rows(rows)
     n = 2 * g
-    if m.nrows != n or m.ncols != n:
-        raise ValueError(f"expected a {n}x{n} matrix, got {m.nrows}x{m.ncols}")
-    j = standard_j(g)
-    return m.transpose() * j * m == j
+    if len(rows) != n or len(rows[0]) != n:
+        raise ValueError(f"expected a {n}x{n} matrix, got {len(rows)}x{len(rows[0])}")
+    return _product(_inverse_rows(rows, g), rows) == _identity_rows(n)
 
 
 class SymplecticMatrix:
-    """An element of Sp(2g;Z); the defining identity is checked on construction.
+    """An element of Sp(2g;Z), held as its rows, a tuple of int tuples;
+    the rows are checked by :func:`~meyersig.matrix.check_rows` and the
+    defining identity by :func:`is_symplectic` on construction.
 
-    A matrix of genus above MAX_GENUS raises ValueError before the check.
+    A matrix of genus above MAX_GENUS raises ValueError before the
+    symplectic check.  The genus stored is the one the shape gives.
     """
 
-    __slots__ = ("g", "mat")
+    __slots__ = ("g", "rows")
 
     def __init__(self, entries, g: int | None = None):
-        mat = entries if isinstance(entries, IntMatrix) else IntMatrix(entries)
-        if not mat.is_square() or mat.nrows % 2:
-            raise ValueError(f"symplectic matrices are 2g x 2g, got {mat.nrows}x{mat.ncols}")
-        inferred = mat.nrows // 2
-        if g is None:
-            g = inferred
-        elif g != inferred:
-            raise ValueError(f"genus {g} does not match a {mat.nrows}x{mat.ncols} matrix")
-        if g > MAX_GENUS:
-            raise ValueError(f"genus {g} is too large: meyersig caps the genus at {MAX_GENUS}")
-        if not is_symplectic(mat, g):
+        rows = check_rows(entries)
+        n = len(rows)
+        if n != len(rows[0]) or n % 2:
+            raise ValueError(f"symplectic matrices are 2g x 2g, got {n}x{len(rows[0])}")
+        if g is not None and g != n // 2:
+            raise ValueError(f"genus {g} does not match a {n}x{n} matrix")
+        g = _check_genus(n // 2)
+        if not is_symplectic(rows, g):
             raise ValueError("not symplectic: A^T J A != J")
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("SymplecticMatrix is immutable")
 
+    @property
+    def mat(self) -> "SymplecticMatrix":
+        """This matrix itself, so that ``m.mat.rows`` is ``m.rows``: a
+        read-only alias kept for ``benchmarks/workloads.py::_rows``."""
+        return self
+
     @staticmethod
     def identity(g: int) -> "SymplecticMatrix":
-        return _wrap(g, IntMatrix.identity(2 * g))
+        return _wrap(g, _identity_rows(2 * _check_genus(g)))
 
     def __mul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         if not isinstance(other, SymplecticMatrix):
             return NotImplemented
         if self.g != other.g:
             raise ValueError(f"genus mismatch: {self.g} vs {other.g}")
-        return _wrap(self.g, self.mat * other.mat)
+        return _wrap(self.g, _product(self.rows, other.rows))
 
     def inverse(self) -> "SymplecticMatrix":
-        return _wrap(self.g, _trusted(tuple(_inverse_rows(self.mat.rows, self.g))))
+        return _wrap(self.g, _inverse_rows(self.rows, self.g))
 
     def __pow__(self, k: int) -> "SymplecticMatrix":
         base = self if k >= 0 else self.inverse()
@@ -120,33 +143,32 @@ class SymplecticMatrix:
         return result
 
     def apply(self, vector: Sequence[int]) -> tuple:
-        return self.mat.apply(vector)
+        """Matrix-vector product, returning a tuple of ints."""
+        vec = tuple(vector)
+        if len(vec) != 2 * self.g:
+            raise ValueError(f"vector length {len(vec)} != {2 * self.g} columns")
+        return tuple([sum(map(mul, row, vec)) for row in self.rows])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SymplecticMatrix)
-            and self.g == other.g
-            and self.mat == other.mat
-        )
+        return isinstance(other, SymplecticMatrix) and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.g, self.mat))
+        return hash((self.g, self.rows))
 
     def __repr__(self):
-        from .matrix import format_matrix
-
-        return f"SymplecticMatrix({format_matrix(self.mat)!r})"
+        return f"SymplecticMatrix({format_matrix(self.rows)!r})"
 
 
-def _wrap(g: int, mat: IntMatrix) -> SymplecticMatrix:
-    """Wrap a product of validated matrices without re-checking the identity."""
+def _wrap(g: int, rows: tuple) -> SymplecticMatrix:
+    """The one trusted constructor: rows that are symplectic by
+    construction (products, inverses, identities), with no check."""
     obj = object.__new__(SymplecticMatrix)
     object.__setattr__(obj, "g", g)
-    object.__setattr__(obj, "mat", mat)
+    object.__setattr__(obj, "rows", rows)
     return obj
 
 
-def _inverse_rows(rows: Sequence[Sequence[int]], g: int) -> list[tuple[int, ...]]:
+def _inverse_rows(rows: Sequence[Sequence[int]], g: int) -> tuple[tuple[int, ...], ...]:
     """The rows of A^{-1} for the rows of A in Sp(2g;Z), read off A's columns.
 
     A^T J A = J gives A^{-1} = -J A^T J.  In g x g blocks
@@ -155,7 +177,7 @@ def _inverse_rows(rows: Sequence[Sequence[int]], g: int) -> list[tuple[int, ...]
     """
     cols = list(zip(*rows))
     top = [c[g:] + tuple([-e for e in c[:g]]) for c in cols[g:]]
-    return top + [tuple([-e for e in c[g:]]) + c[:g] for c in cols[:g]]
+    return tuple(top + [tuple([-e for e in c[g:]]) + c[:g] for c in cols[:g]])
 
 
 def transvection(v: Sequence[int]) -> SymplecticMatrix:
@@ -177,7 +199,7 @@ def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
     unique; the identity, -I and any M - I of rank above 1 give None.
     """
     n = 2 * m.g
-    d = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(m.mat.rows)]
+    d = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(m.rows)]
     col = next((j for j in range(n) if any(row[j] for row in d)), None)
     if col is None:
         return None
@@ -263,6 +285,7 @@ def _twist_step(m: tuple, twist: tuple) -> tuple:
 
 def a_class(g: int, i: int) -> tuple:
     """The class A_i (1-based) as a coordinate vector."""
+    _check_genus(g)
     if not 1 <= i <= g:
         raise ValueError(f"A_{i} out of range for genus {g}")
     return tuple(int(t == i - 1) for t in range(2 * g))
@@ -270,6 +293,7 @@ def a_class(g: int, i: int) -> tuple:
 
 def b_class(g: int, i: int) -> tuple:
     """The class B_i (1-based) as a coordinate vector."""
+    _check_genus(g)
     if not 1 <= i <= g:
         raise ValueError(f"B_{i} out of range for genus {g}")
     return tuple(int(t == g + i - 1) for t in range(2 * g))
@@ -320,6 +344,7 @@ def random_symplectic(g: int, word_length: int, seed) -> SymplecticMatrix:
     the generating classes and their inverses, so the result is always
     symplectic and the same seed always gives the same matrix.
     """
+    _check_genus(g)
     if word_length < 0:
         raise ValueError("word_length must be >= 0")
     rng = random.Random(seed)

@@ -16,7 +16,7 @@ from meyersig import cli, cocycle, presentations, selftest
 from meyersig.cli import main
 from meyersig.exact import kernel_basis
 from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction, cochain_c
-from meyersig.matrix import IntMatrix, format_matrix
+from meyersig.matrix import _identity_rows, format_matrix
 from meyersig.symplectic import MAX_GENUS, SymplecticMatrix
 
 
@@ -433,8 +433,8 @@ def test_genus_cap_refuses_large_matrices_at_once(capsys, tmp_path, genus):
     for i in range(genus):
         for j in range(genus):
             rows[i][genus + j] = upper[min(i, j)][max(i, j)]
-    ident = format_matrix(IntMatrix.identity(n))
-    b = format_matrix(IntMatrix(rows))
+    ident = format_matrix(_identity_rows(n))
+    b = format_matrix(rows)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({
         "genus": genus, "generators": ["a", "b"], "matrices": {"a": ident, "b": b},
@@ -631,6 +631,24 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "1/18\n", "")
+
+
+def test_selftest_is_imported_only_for_the_flag():
+    """In a fresh interpreter, importing the CLI leaves meyersig.selftest
+    unimported; --selftest still imports it and prints its 9 lines."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys, meyersig.cli\n"
+        "assert 'meyersig.selftest' not in sys.modules\n"
+        "status = meyersig.cli.main(['--selftest', '--seed', '1'])\n"
+        "assert 'meyersig.selftest' in sys.modules\n"
+        "sys.exit(status)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 9 and all(line.startswith("PASS  ") for line in lines)
 
 
 def test_twist_value(capsys):

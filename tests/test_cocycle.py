@@ -28,6 +28,7 @@ from meyersig.symplectic import (
     transvection,
     twist_of,
 )
+from test_matrix import _dense_product
 
 U = SymplecticMatrix([[1, 1], [0, 1]])
 V = SymplecticMatrix([[1, 0], [-1, 1]])
@@ -50,8 +51,8 @@ def _v_rows_by_product(a, b):
     n = 2 * a.g
     ainv = a.inverse()
     return [
-        [ainv.mat.rows[r][c] - int(r == c) for c in range(n)]
-        + [b.mat.rows[r][c] - int(r == c) for c in range(n)]
+        [ainv.rows[r][c] - int(r == c) for c in range(n)]
+        + [b.rows[r][c] - int(r == c) for c in range(n)]
         for r in range(n)
     ]
 
@@ -179,10 +180,10 @@ def _maslov(*mats):
     with zero diagonal blocks (Cappell-Lee-Miller 1994).  It needs no kernel,
     so it is independent of the V_{A,B} route."""
     n = 2 * mats[0].g
-    j = standard_j(mats[0].g)
+    j = standard_j(mats[0].g).rows
     q = [[0] * (3 * n) for _ in range(3 * n)]
     for s, t in ((0, 1), (1, 2), (2, 0)):
-        k = mats[s].mat.transpose() * j * mats[t].mat
+        k = _dense_product(_dense_product(list(zip(*mats[s].rows)), j), mats[t].rows)
         for r in range(n):
             for c in range(n):
                 q[s * n + r][t * n + c] = q[t * n + c][s * n + r] = j[r][c] - k[r][c]
@@ -275,7 +276,7 @@ def _identity_sum(y):
     n = 2 * g
     rest = [i for i in range(n) if i not in (0, g)]
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
-    for r, row in zip(rest, y.mat.rows):
+    for r, row in zip(rest, y.rows):
         for c, e in zip(rest, row):
             rows[r][c] = e
     return SymplecticMatrix(rows, g)
@@ -467,9 +468,9 @@ def test_tau_twist_sign_rule_and_its_fallback():
                 for a in (e, transvection(v) ** rng.randint(-3, 3),
                           random_symplectic(g, rng.randint(0, 8 * g), rng.random())):
                     b = transvection(v) ** lam
-                    d = _sign_det_minus_identity(a.mat.rows)
-                    d_ab = _sign_det_minus_identity((a * b).mat.rows)
-                    m_ab = _twist_step(_add_identity(a.mat.rows, -1), _twist(v, lam))
+                    d = _sign_det_minus_identity(a.rows)
+                    d_ab = _sign_det_minus_identity((a * b).rows)
+                    m_ab = _twist_step(_add_identity(a.rows, -1), _twist(v, lam))
                     assert d_ab == _sign_det(m_ab)
                     if d and d_ab:
                         branches["both nonzero"] += 1
@@ -507,7 +508,7 @@ def test_some_sigma_diagonal_minor_of_size_rank_is_nonzero(g):
     ranks = Counter()
     for k in range(60 if g < 3 else 24):
         p = random_symplectic(g, k % (n + 3), rng.random())
-        m = _add_identity(p.mat.rows, -1)
+        m = _add_identity(p.rows, -1)
         minors = {r: _nonzero_minors(m, r) for r in range(1, n + 1)}
         rank = max([r for r in minors if minors[r]], default=0)
         assert rank == n - len(kernel_basis(m)), p
@@ -565,8 +566,8 @@ def test_minor_sign_rule_against_the_solve(g):
 
 
 def test_sign_det_minus_identity_examples():
-    assert _sign_det_minus_identity(I1.mat.rows) == 0
-    assert _sign_det_minus_identity(U.mat.rows) == 0  # parabolic: det(U - I) = 0
-    assert _sign_det_minus_identity(S.mat.rows) == 1  # det = 2 - trace = 2
+    assert _sign_det_minus_identity(I1.rows) == 0
+    assert _sign_det_minus_identity(U.rows) == 0  # parabolic: det(U - I) = 0
+    assert _sign_det_minus_identity(S.rows) == 1  # det = 2 - trace = 2
     assert _sign_det_minus_identity(((2, 1), (1, 1))) == -1  # 2 - 3
     assert _sign_det_minus_identity(((-1, 0), (0, -1))) == 1

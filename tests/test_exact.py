@@ -405,7 +405,7 @@ def _closed_form_cases(rng):
     for length in range(17):
         for seed in range(4):
             a = random_symplectic(2, length, 100 * length + seed)
-            rows = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(a.mat.rows)]
+            rows = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(a.rows)]
             yield rows
             yield [[-e for e in row] for row in rows]
 
@@ -444,7 +444,7 @@ def test_determinant_of_a_minus_identity(g):
     for _ in range(30):
         # a product of fewer than 2g transvections fixes a vector: det = 0
         a = random_symplectic(g, rng.randint(0, 8 * g), rng.random())
-        rows = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(a.mat.rows)]
+        rows = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(a.rows)]
         det = determinant(rows)
         assert det == (_leibniz(rows) if g <= 2 else _fraction_det(rows))
         signs.add((det > 0) - (det < 0))

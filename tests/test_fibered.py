@@ -27,7 +27,7 @@ from meyersig.fibered import (
     total_euler,
     total_signature,
 )
-from meyersig.genus1 import phi1
+from meyersig.genus1 import phi1, sawtooth
 from meyersig.presentations import (
     ClassOrder,
     Presentation,
@@ -298,6 +298,31 @@ def test_horikawa_total_examples():
         horikawa_total(1, 1, 1)
 
 
+# Each rational argument of the rational helpers, the others fixed.
+RATIONAL_ARGUMENTS = {
+    "sigma_alg_hyperelliptic h_index": lambda x: sigma_alg_hyperelliptic(x, 1, 2),
+    "sigma_alg_hyperelliptic eps": lambda x: sigma_alg_hyperelliptic(0, x, 2),
+    "horikawa_total k_rel_sq": lambda x: horikawa_total(x, 1, 2),
+    "horikawa_total chi_f": lambda x: horikawa_total(2, x, 2),
+    "geography_convert k_sq": lambda x: geography_convert(x, 1),
+    "geography_convert chi_struct": lambda x: geography_convert(0, x),
+    "geography_invert sign": lambda x: geography_invert(x, 12),
+    "geography_invert chi_top": lambda x: geography_invert(-8, x),
+    "sawtooth": sawtooth,
+}
+
+
+@pytest.mark.parametrize("call", RATIONAL_ARGUMENTS.values(), ids=RATIONAL_ARGUMENTS)
+def test_rational_helpers_take_only_ints_and_fractions(call):
+    """A float is not read as the binary fraction it stores, and a bool is
+    not read as 0 or 1; an int and the equal Fraction give one value."""
+    for bad in (0.1, True, 1.5, "1/2"):
+        with pytest.raises(ValueError, match=f"^expected an int or a Fraction, got {re.escape(repr(bad))}$"):
+            call(bad)
+    assert call(3) == call(Fraction(3))
+    call(Fraction(1, 3))
+
+
 def test_geography_examples():
     assert geography_convert(0, 1) == (-8, 12)
     sign, _ = geography_convert(8, 1)
@@ -362,8 +387,10 @@ def test_kodaira_finite_orders():
 
 def test_kodaira_parabolic_types():
     for n in (1, 2, 7):
-        assert kodaira_matrix(f"I_{n}").mat.trace() == 2
-        assert kodaira_matrix(f"I_{n}*").mat.trace() == -2
+        (a, _), (_, d) = kodaira_matrix(f"I_{n}").rows
+        assert a + d == 2
+        (a, _), (_, d) = kodaira_matrix(f"I_{n}*").rows
+        assert a + d == -2
     assert kodaira_matrix("I_1") == SymplecticMatrix([[1, -1], [0, 1]])
     assert kodaira_matrix("I_3*") == SymplecticMatrix([[-1, 3], [0, -1]])
 
@@ -379,9 +406,9 @@ def test_kodaira_named_matrices():
 
 def test_kodaira_starred_type_is_minus_the_unstarred():
     for n in range(60):
-        rows = kodaira_matrix(f"I_{n}").mat.rows
+        rows = kodaira_matrix(f"I_{n}").rows
         assert rows == ((1, -n), (0, 1))
-        assert kodaira_matrix(f"I_{n}*").mat.rows == tuple(tuple(-x for x in r) for r in rows)
+        assert kodaira_matrix(f"I_{n}*").rows == tuple(tuple(-x for x in r) for r in rows)
 
 
 def test_kodaira_local_signatures_match_matsumoto():
@@ -434,7 +461,7 @@ def test_sl2_word_reproduces(rng, sl2z):
     )
     for _ in range(2000):
         m = random_symplectic(1, rng.randint(0, 18), rng.random())
-        for m in (m, SymplecticMatrix([[-e for e in row] for row in m.mat.rows])):
+        for m in (m, SymplecticMatrix([[-e for e in row] for row in m.rows])):
             word = sl2_word(m)
             assert evaluate_word(word, sl2z) == m
             assert sl2_word(m, renamed) == word

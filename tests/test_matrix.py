@@ -1,13 +1,16 @@
-"""The entry check of IntMatrix, and the trusted results that skip it."""
+"""The entry check of matrix rows, and the trusted matrices that skip it."""
 
 import json
+import random
 
 import pytest
 
 from meyersig.errors import ParseError
-from meyersig.matrix import IntMatrix, _trusted, matrix_from_json, parse_int, parse_matrix
+from meyersig.matrix import _add_identity, check_rows, matrix_from_json, parse_int, parse_matrix
+from meyersig.presentations import evaluate_word
+from meyersig.selftest import chain_with_s, random_word
 from meyersig.symplectic import (
-    SymplecticMatrix, _twist, _twist_step, random_symplectic, standard_j
+    SymplecticMatrix, _twist, _twist_step, _wrap, random_symplectic, standard_j
 )
 
 BAD_ROWS = {
@@ -30,7 +33,7 @@ BAD_TEXT = {
 @pytest.mark.parametrize("rows", BAD_ROWS.values(), ids=BAD_ROWS)
 def test_constructors_reject_bad_rows(rows):
     with pytest.raises(ValueError):
-        IntMatrix(rows)
+        check_rows(rows)
     with pytest.raises(ValueError):
         SymplecticMatrix(rows)
     with pytest.raises(ParseError):
@@ -63,30 +66,41 @@ def test_matrix_from_json_needs_an_array_of_arrays(data):
 
 def test_entry_errors_name_the_entry():
     with pytest.raises(ValueError, match=r"entry \(1,0\) is not an integer: True"):
-        IntMatrix([[1, 0], [True, 1]])
+        check_rows([[1, 0], [True, 1]])
     with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
-        IntMatrix([[1, 0], [1]])
+        check_rows([[1, 0], [1]])
 
 
-def _assert_checked_equal(m):
-    """m equals its rows rebuilt through the checking constructor."""
-    rebuilt = IntMatrix(m.rows)
+def _assert_checked_equal(m, g):
+    """m, built through _wrap, equals its rows rebuilt through the check."""
+    rebuilt = SymplecticMatrix(m.rows)
     assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert type(m.g) is int and m.g == rebuilt.g == g
     assert type(m.rows) is tuple
     assert all(type(row) is tuple for row in m.rows)
     assert all(type(e) is int for row in m.rows for e in row)
 
 
+def _dense_product(a, b):
+    """The rows of A B by the definition, for lists of rows A and B: the
+    dense reference the tests hold the row helpers against."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_trusted_results_equal_checked_ones(g):
-    j, ident = standard_j(g), IntMatrix.identity(2 * g)
-    _assert_checked_equal(ident)
+    j = standard_j(g).rows
+    ident = SymplecticMatrix.identity(g)
+    _assert_checked_equal(ident, g)
+    p = chain_with_s(g)
+    rng = random.Random(g)
     for seed in range(12):
         a = random_symplectic(g, 10, f"{g}-{seed}-a")
         b = random_symplectic(g, 10, f"{g}-{seed}-b")
-        m, n = a.mat, b.mat
-        twisted = _trusted(_twist_step(m.rows, _twist(m.rows[0], seed - 5)))
-        for result in (m * n, -m, m.transpose(), a.inverse().mat, (a * b).mat, twisted):
-            _assert_checked_equal(result)
-        assert a.inverse().mat == -(j * m.transpose() * j)
-        assert (a * a.inverse()).mat == ident
+        twisted = _add_identity(_twist_step(_add_identity(a.rows, -1), _twist(a.rows[0], seed - 5)), 1)
+        for result in (a * b, a.inverse(), evaluate_word(random_word(p, rng), p), _wrap(g, twisted)):
+            _assert_checked_equal(result, g)
+        # A^{-1} = -J A^T J, with J and the product written out densely
+        j_at_j = _dense_product(_dense_product(j, [list(col) for col in zip(*a.rows)]), j)
+        assert a.inverse().rows == tuple(tuple(-e for e in row) for row in j_at_j)
+        assert a * a.inverse() == ident

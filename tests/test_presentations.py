@@ -630,7 +630,7 @@ def _twist_presentation(g):
 
 
 def _minus_identity(m):
-    return [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(m.mat.rows)]
+    return [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(m.rows)]
 
 
 def test_class_order_general_lattice_path():

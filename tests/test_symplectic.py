@@ -1,13 +1,18 @@
+import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from meyersig import symplectic
 from meyersig.errors import ParseError
-from meyersig.matrix import IntMatrix, _add_identity, format_matrix, parse_matrix
+from meyersig.matrix import _add_identity, _identity_rows, format_matrix, parse_matrix
 from meyersig.symplectic import (
     MAX_GENUS,
     SymplecticMatrix,
@@ -22,6 +27,7 @@ from meyersig.symplectic import (
     transvection,
     twist_of,
 )
+from test_matrix import _dense_product
 
 
 def test_standard_j():
@@ -82,7 +88,6 @@ SMALL_REFUSALS = {
     "A_3 at genus 2": (lambda: a_class(2, 3), "A_3 out of range for genus 2"),
     "B_0 at genus 2": (lambda: b_class(2, 0), "B_0 out of range for genus 2"),
     "J at genus 0": (lambda: standard_j(0), "genus must be positive, got 0"),
-    "identity of size 0": (lambda: IntMatrix.identity(0), "identity needs a positive size, got 0"),
 }
 
 
@@ -104,8 +109,8 @@ def test_pairing_antisymmetry():
 
 def test_transvection_frozen_convention():
     # The recorded handedness: twist along A_1 is the upper unipotent.
-    assert transvection(a_class(1, 1)).mat.rows == ((1, 1), (0, 1))
-    assert transvection(b_class(1, 1)).mat.rows == ((1, 0), (-1, 1))
+    assert transvection(a_class(1, 1)).rows == ((1, 1), (0, 1))
+    assert transvection(b_class(1, 1)).rows == ((1, 0), (-1, 1))
 
 
 def test_transvection_fixes_its_class():
@@ -139,7 +144,7 @@ def test_twist_record_against_its_definition(g):
             for lam in range(-3, 4):
                 v_rec, lam_rec, w, v_terms, w_terms = _twist(v, lam)
                 assert (v_rec, lam_rec) == (tuple(v), lam)
-                assert w == tuple(lam * e for e in (IntMatrix([v]) * standard_j(g)).rows[0])
+                assert w == tuple(lam * e for e in _row_times_j(v, g))
                 assert v_terms == tuple((k, e) for k, e in enumerate(v) if e)
                 assert w_terms == tuple((j, e) for j, e in enumerate(w) if e)
                 if lam:
@@ -200,8 +205,8 @@ def test_random_symplectic_contract():
     for _ in range(40):
         g = rng.randint(1, 3)
         m = random_symplectic(g, rng.randint(0, 20), rng.random())
-        assert is_symplectic(m.mat, g)
-        assert is_symplectic(m.inverse().mat, g)
+        assert is_symplectic(m.rows, g)
+        assert is_symplectic(m.inverse().rows, g)
     with pytest.raises(ValueError):
         random_symplectic(2, -1, 0)
 
@@ -220,13 +225,13 @@ RANDOM_PINS = {
 
 @pytest.mark.parametrize("args, text", RANDOM_PINS.items(), ids=str)
 def test_random_symplectic_pinned_outputs(args, text):
-    assert format_matrix(random_symplectic(*args).mat) == text
-    assert format_matrix(random_symplectic(*args).mat) == text  # from the built factors
+    assert format_matrix(random_symplectic(*args).rows) == text
+    assert format_matrix(random_symplectic(*args).rows) == text  # from the built factors
 
 
 def _sparse_twist(a, v, lam):
     """The rows of A T_v^lam minus I, by the sparse step on A - I."""
-    return _twist_step(_add_identity(a.mat.rows, -1), _twist(v, lam))
+    return _twist_step(_add_identity(a.rows, -1), _twist(v, lam))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -238,7 +243,7 @@ def test_times_twist_is_the_full_product(g):
         if not any(v):
             continue
         lam = rng.choice((-3, -2, -1, 1, 2, 3))
-        assert _sparse_twist(a, v, lam) == _add_identity((a * transvection(v) ** lam).mat.rows, -1)
+        assert _sparse_twist(a, v, lam) == _add_identity((a * transvection(v) ** lam).rows, -1)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
@@ -258,18 +263,23 @@ def test_sparse_twist_step_is_the_dense_product(g):
             big += max(map(abs, v)) > 1
             for lam in (-2, -1, 1, 3):
                 _, _, _, v_terms, w_terms = _twist(v, lam)
-                w = [lam * e for e in (IntMatrix([v]) * standard_j(g)).rows[0]]  # lam v^T J
+                w = [lam * e for e in _row_times_j(v, g)]  # lam v^T J
                 assert v_terms == tuple((k, e) for k, e in enumerate(v) if e)
                 assert w_terms == tuple((k, e) for k, e in enumerate(w) if e)
                 a = random_symplectic(g, rng.randint(0, 10), rng.random())
-                dense = (a * transvection(v) ** lam).mat.rows
+                dense = (a * transvection(v) ** lam).rows
                 assert _sparse_twist(a, v, lam) == _add_identity(dense, -1)
     assert big
 
 
+def _row_times_j(v, g):
+    """The row v^T J, by the dense product with standard_j(g)."""
+    return _dense_product([v], standard_j(g).rows)[0]
+
+
 def _dense_step(m, v, lam):
     """(M + I) T_v^lam - I by the full product, for any integer rows M."""
-    return _add_identity((IntMatrix(_add_identity(m, 1)) * (transvection(v) ** lam).mat).rows, -1)
+    return _add_identity(_dense_product(_add_identity(m, 1), (transvection(v) ** lam).rows), -1)
 
 
 def _step_cases(g, rng):
@@ -280,7 +290,7 @@ def _step_cases(g, rng):
     for _ in range(3):
         yield tuple(tuple(rng.choice((-1, 1)) * rng.randint(2**64, 2**72) for _ in range(n)) for _ in range(n))
     for length in range(13):
-        yield _add_identity(random_symplectic(g, length, rng.random()).mat.rows, -1)
+        yield _add_identity(random_symplectic(g, length, rng.random()).rows, -1)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -300,7 +310,7 @@ def test_twist_step_is_the_dense_product_on_every_letter(sl2z, genus2, g):
     assert {lam > 0 for _, lam, *_ in letters} == {True, False}
     for twist in letters:
         v, lam, w = twist[:3]
-        assert w == tuple(lam * e for e in (IntMatrix([v]) * standard_j(g)).rows[0])
+        assert w == tuple(lam * e for e in _row_times_j(v, g))
         for m in _step_cases(g, rng):
             assert _twist_step(m, twist) == _dense_step(m, v, lam), (m, v, lam)
 
@@ -310,12 +320,65 @@ def test_genus_cap_refuses_before_the_symplectic_check(monkeypatch):
     monkeypatch.setattr(symplectic, "is_symplectic", lambda m, g: checked.append(g) or True)
     n = 2 * (MAX_GENUS + 1)
     with pytest.raises(ValueError, match=f"caps the genus at {MAX_GENUS}"):
-        SymplecticMatrix(IntMatrix.identity(n))
+        SymplecticMatrix(_identity_rows(n))
     with pytest.raises(ValueError, match=f"caps the genus at {MAX_GENUS}"):
-        SymplecticMatrix(IntMatrix.identity(n), MAX_GENUS + 1)
+        SymplecticMatrix(_identity_rows(n), MAX_GENUS + 1)
     assert checked == []
-    assert SymplecticMatrix(IntMatrix.identity(2 * MAX_GENUS)).g == MAX_GENUS
+    assert SymplecticMatrix(_identity_rows(2 * MAX_GENUS)).g == MAX_GENUS
     assert checked == [MAX_GENUS]
+
+
+GENUS_REFUSALS = {
+    0: "genus must be positive, got 0",
+    13: f"genus 13 is too large: meyersig caps the genus at {MAX_GENUS}",
+    10**6: f"genus 1000000 is too large: meyersig caps the genus at {MAX_GENUS}",
+    True: "genus must be an int, got True",
+}
+
+# Run in a child whose address space is capped at 1 GiB, so that a genus
+# check that lets 10**6 through fails with MemoryError instead of
+# building the rows of a 2*10**6 x 2*10**6 matrix.
+_REFUSAL_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from meyersig.symplectic import SymplecticMatrix, a_class, b_class, random_symplectic, standard_j
+g = json.loads(sys.argv[1])
+calls = (
+    SymplecticMatrix.identity, standard_j, lambda g: random_symplectic(g, 0, 1),
+    lambda g: a_class(g, 1), lambda g: b_class(g, 1),
+)
+results = []
+for call in calls:
+    start = time.perf_counter()
+    try:
+        call(g)
+        results.append(["returned", None])
+    except Exception as exc:
+        results.append([type(exc).__name__ + ": " + str(exc), time.perf_counter() - start])
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.parametrize("g, message", GENUS_REFUSALS.items(), ids=str)
+def test_genus_is_refused_before_any_work(g, message):
+    """SymplecticMatrix.identity, standard_j, random_symplectic, a_class
+    and b_class each refuse a genus outside 1 .. MAX_GENUS, or one that is
+    not an int, in under 0.1 s and with one message."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _REFUSAL_CHILD, json.dumps(g)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    for outcome, seconds in json.loads(done.stdout):
+        assert outcome == f"ValueError: {message}"
+        assert seconds < 0.1
+
+
+def test_constructor_stores_the_genus_of_the_shape():
+    m = SymplecticMatrix([[1, 0], [0, 1]], True)
+    assert type(m.g) is int and m.g == 1
+    assert m == SymplecticMatrix.identity(1)
 
 
 def test_inverse_and_power():
@@ -341,7 +404,7 @@ def test_matrix_text_format_round_trip():
 
 
 def test_matrix_json_format():
-    assert parse_matrix("[[1, 1], [0, 1]]") == IntMatrix([[1, 1], [0, 1]])
+    assert parse_matrix("[[1, 1], [0, 1]]") == ((1, 1), (0, 1))
     with pytest.raises(ParseError, match="JSON"):
         parse_matrix("[[1, 1], [0, ]]")
 
