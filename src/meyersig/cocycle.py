@@ -210,7 +210,6 @@ when the new M is 0; the bound may then exceed the rank until the
 next twist letter with both determinants 0 sets it to the rank.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
 from typing import Sequence
@@ -218,14 +217,17 @@ from typing import Sequence
 from .exact import _gauss_jordan, _inertia, _minor, _sign, affine_point, kernel_basis
 from .matrix import _add_identity, _identity_rows
 from .symplectic import SymplecticMatrix, _inverse_rows, _twist, _wrap
+from .value import Value
 
 
-@dataclass(frozen=True)
-class VSpace:
+class VSpace(Value):
     """An integer basis of V_{A,B} inside Z^{2g} + Z^{2g} (length-4g vectors)."""
 
-    g: int
-    basis: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("g", "basis")
+
+    def __init__(self, g: int, basis: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def dim(self) -> int:

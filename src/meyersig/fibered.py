@@ -26,7 +26,6 @@ presentation of infinite class order it raises InfiniteOrderError when
 its Meyer function is first needed.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,32 +44,35 @@ from .presentations import (
     read_json,
     shipped_presentation,
 )
-from .symplectic import SymplecticMatrix
+from .symplectic import SymplecticMatrix, _int_genus
+from .value import Value
 
 
-@dataclass(frozen=True)
-class FiberGerm:
+class FiberGerm(Value):
     """A singular-fiber germ: boundary monodromy word (counter-clockwise),
     the signature of the fiber's disk neighborhood, and a display label."""
 
-    monodromy: Word
-    neighborhood_signature: int = 0
-    label: str = ""
+    __slots__ = _fields = ("monodromy", "neighborhood_signature", "label")
+
+    def __init__(self, monodromy: Word, neighborhood_signature: int = 0, label: str = ""):
+        object.__setattr__(self, "monodromy", monodromy)
+        object.__setattr__(self, "neighborhood_signature", neighborhood_signature)
+        object.__setattr__(self, "label", label)
 
 
-@dataclass(frozen=True)
-class FibrationDescription:
+class FibrationDescription(Value):
     """A fibered 4-manifold over a closed base: the presentation whose
     generators the germ words use (its genus is the fiber genus), the base
     genus, and one germ per singular fiber."""
 
-    presentation: Presentation
-    base_genus: int
-    germs: tuple[FiberGerm, ...] = ()
+    __slots__ = _fields = ("presentation", "base_genus", "germs")
 
-    def __post_init__(self):
-        if self.base_genus < 0:
+    def __init__(self, presentation: Presentation, base_genus: int, germs: tuple[FiberGerm, ...] = ()):
+        if _int_genus(base_genus, "base genus") < 0:
             raise ValueError("base genus must be >= 0")
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "base_genus", base_genus)
+        object.__setattr__(self, "germs", germs)
 
     @property
     def genus(self) -> int:
@@ -147,14 +149,14 @@ def closed_total(fd: FibrationDescription, local_values) -> int:
 
 def euler_contribution(chi_singular_fiber: int, g: int) -> int:
     """chi of the singular fiber minus chi of a smooth genus-g fiber."""
-    if g < 0:
+    if _int_genus(g, "fiber genus") < 0:
         raise ValueError("fiber genus must be >= 0")
     return chi_singular_fiber - (2 - 2 * g)
 
 
 def total_euler(g: int, base_genus: int, contributions) -> int:
     """chi of the total space: (2-2g)(2-2g_B) plus the germ contributions."""
-    if g < 0 or base_genus < 0:
+    if _int_genus(g, "fiber genus") < 0 or _int_genus(base_genus, "base genus") < 0:
         raise ValueError(f"{'fiber' if g < 0 else 'base'} genus must be >= 0")
     return (2 - 2 * g) * (2 - 2 * base_genus) + sum(contributions)
 
@@ -162,7 +164,7 @@ def total_euler(g: int, base_genus: int, contributions) -> int:
 def sigma_alg_hyperelliptic(h_index, eps: int, g: int) -> Fraction:
     """The algebro-geometric local signature of a hyperelliptic fiber germ:
     (g*H - (g+1)*eps) / (2g+1)."""
-    if g < 1:
+    if _int_genus(g) < 1:
         raise ValueError("genus must be >= 1")
     return Fraction(g * _rational(h_index) - (g + 1) * _rational(eps), 2 * g + 1)
 
@@ -170,7 +172,7 @@ def sigma_alg_hyperelliptic(h_index, eps: int, g: int) -> Fraction:
 def horikawa_total(k_rel_sq: int, chi_f, g: int) -> Fraction:
     """Total Horikawa index of a hyperelliptic fibration:
     K^2_{E/B} - (4(g-1)/g) * chi_f."""
-    if g < 2:
+    if _int_genus(g) < 2:
         raise ValueError("the Horikawa-index identity needs genus >= 2")
     return _rational(k_rel_sq) - Fraction(4 * (g - 1), g) * _rational(chi_f)
 
@@ -195,13 +197,13 @@ def hyperelliptic_twist_value(g: int, separating_h: int | None = None) -> Fracti
     curve separating off a genus-h piece (1 <= h <= g-1), so genus 1,
     whose separating curves all bound discs, has none.
     """
-    if g < 1:
+    if _int_genus(g) < 1:
         raise ValueError("genus must be >= 1")
     if separating_h is None:
         return Fraction(g + 1, 2 * g + 1)
     if g == 1:
         raise ValueError("genus 1 has no separating curve: h must satisfy 1 <= h <= g - 1")
-    if not 1 <= separating_h <= g - 1:
+    if not 1 <= _int_genus(separating_h, "separating genus h") <= g - 1:
         raise ValueError(f"separating genus h={separating_h} must satisfy 1 <= h <= {g - 1}")
     return Fraction(-4 * separating_h * (g - separating_h), 2 * g + 1)
 

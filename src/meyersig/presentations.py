@@ -38,10 +38,8 @@ word.
 """
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,6 +50,7 @@ from .matrix import (
     _add_identity, _decode_json, _product, format_matrix, matrix_from_json, parse_int, parse_matrix
 )
 from .symplectic import SymplecticMatrix, _twist, _twist_step, _wrap, twist_of
+from .value import Value
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
 
@@ -177,24 +176,30 @@ def format_word(word: Word, generator_names: Sequence[str]) -> str:
     return " ".join(tokens)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """Generators with symplectic images, plus relators mapping to the identity.
 
     Construction walks each relator once (:func:`_walk`): the image must
     be the identity, and the cochain value c(r_j) read off the same walk
     is kept in ``_relator_values``, in relator order, for
-    :func:`class_order`.  It is no compare field, so equality and hashing
-    see only the four data fields.
+    :func:`class_order`.  It is no field, so equality and hashing see
+    only the four data fields.  No ``__slots__``: the cached properties
+    live in the instance dict.
     """
 
-    genus: int
-    generator_names: tuple[str, ...]
-    matrices: tuple[SymplecticMatrix, ...]
-    relators: tuple[Word, ...]
-    _relator_values: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("genus", "generator_names", "matrices", "relators")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        genus: int,
+        generator_names: tuple[str, ...],
+        matrices: tuple[SymplecticMatrix, ...],
+        relators: tuple[Word, ...],
+    ):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "generator_names", generator_names)
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "relators", relators)
         names = self.generator_names
         if not names:  # no matrix would pin the genus that sizes the identity below
             raise ValueError("a presentation needs at least one generator")
@@ -350,13 +355,15 @@ class Unbounded:
 UNBOUNDED = Unbounded()
 
 
-@dataclass(frozen=True)
-class ClassOrder:
+class ClassOrder(Value):
     """Order n of the cocycle class with integer coefficients m_i such that
     n*c(r_j) = sum_i m_i * exp_i(r_j) over all relators r_j."""
 
-    n: int
-    coefficients: tuple[int, ...]
+    __slots__ = _fields = ("n", "coefficients")
+
+    def __init__(self, n: int, coefficients: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coefficients", coefficients)
 
 
 def class_order(p: Presentation) -> ClassOrder | Unbounded:
@@ -527,8 +534,7 @@ def _shipped_file(genus: int) -> str:
 @lru_cache(maxsize=None)
 def shipped_presentation(genus: int) -> Presentation:
     """The packaged presentation for genus 1 or 2, loaded once."""
-    text = resources.files("meyersig.data").joinpath(_shipped_file(genus)).read_text()
-    return load_presentation(text)
+    return load_presentation(Path(__file__).with_name("data") / _shipped_file(genus))
 
 
 @lru_cache(maxsize=None)

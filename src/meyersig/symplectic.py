@@ -35,12 +35,18 @@ TWIST_SIGN = 1
 MAX_GENUS = 12
 
 
+def _int_genus(g, what: str = "genus") -> int:
+    """g, if it is an int (bool excluded); anything else raises ValueError
+    naming ``what``.  Callers apply their own range rule."""
+    if type(g) is not int:
+        raise ValueError(f"{what} must be an int, got {g!r}")
+    return g
+
+
 def _check_genus(g) -> int:
     """g, if it is an int (bool excluded) in 1 .. MAX_GENUS; anything else
     raises ValueError before any work is done for it."""
-    if type(g) is not int:
-        raise ValueError(f"genus must be an int, got {g!r}")
-    if g < 1:
+    if _int_genus(g) < 1:
         raise ValueError(f"genus must be positive, got {g}")
     if g > MAX_GENUS:
         raise ValueError(f"genus {g} is too large: meyersig caps the genus at {MAX_GENUS}")

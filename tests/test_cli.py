@@ -651,6 +651,19 @@ def test_selftest_is_imported_only_for_the_flag():
     assert len(lines) == 9 and all(line.startswith("PASS  ") for line in lines)
 
 
+def test_library_import_leaves_heavy_modules_out():
+    """In a fresh interpreter without site packages (``-S``, so no ``.pth``
+    file imports anything first), ``import meyersig`` loads neither the
+    stdlib class generator nor the resource loader nor the command line:
+    every ``meyersig`` command pays for its import."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    heavy = ["dataclasses", "inspect", "importlib.resources", "argparse", "meyersig.cli", "meyersig.selftest"]
+    code = f"import sys, meyersig\nprint([m for m in {heavy!r} if m in sys.modules])\n"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
 def test_twist_value(capsys):
     assert run_cli(capsys, "twist-value", "-g", "2", "--nonsep")[:2] == (0, "3/5\n")
     assert run_cli(capsys, "twist-value", "-g", "2", "--sep", "1")[:2] == (0, "-4/5\n")

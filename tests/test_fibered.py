@@ -323,6 +323,30 @@ def test_rational_helpers_take_only_ints_and_fractions(call):
     call(Fraction(1, 3))
 
 
+# Each genus argument of the fibered helpers, the others fixed.
+GENUS_ARGUMENTS = {
+    "euler_contribution g": lambda g: euler_contribution(1, g),
+    "total_euler g": lambda g: total_euler(g, 0, [1]),
+    "total_euler base_genus": lambda g: total_euler(1, g, [1]),
+    "sigma_alg_hyperelliptic g": lambda g: sigma_alg_hyperelliptic(0, 1, g),
+    "horikawa_total g": lambda g: horikawa_total(2, 1, g),
+    "hyperelliptic_twist_value g": hyperelliptic_twist_value,
+    "hyperelliptic_twist_value separating_h": lambda h: hyperelliptic_twist_value(40, h),
+    "FibrationDescription base_genus": lambda g: FibrationDescription(shipped_presentation(1), g),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, 0.5], ids=repr)
+@pytest.mark.parametrize("call", GENUS_ARGUMENTS.values(), ids=GENUS_ARGUMENTS)
+def test_genus_arguments_take_only_ints(call, bad):
+    """A bool is not read as genus 0 or 1 and a float is refused by the
+    same ValueError, before any range rule; an int above the matrix genus
+    cap MAX_GENUS is still taken, since no matrix is built."""
+    with pytest.raises(ValueError, match=f"genus( h)? must be an int, got {re.escape(repr(bad))}$"):
+        call(bad)
+    call(20)
+
+
 def test_geography_examples():
     assert geography_convert(0, 1) == (-8, 12)
     sign, _ = geography_convert(8, 1)
