@@ -11,7 +11,6 @@ construction and are not checked again.  Entries are never coerced to
 floats.  Tuples are built from lists, as in :mod:`meyersig.exact`.
 """
 
-import json
 import re
 from functools import cache
 from operator import mul
@@ -112,6 +111,8 @@ def _decode_json(text: str, what: str):
     """The value JSON ``text`` spells; malformed JSON, JSON nested too
     deeply to decode, or an integer with more digits than ``int()``
     converts, is a ParseError naming ``what``."""
+    import json  # only here: a call that reads no JSON need not load it
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

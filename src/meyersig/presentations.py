@@ -32,12 +32,12 @@ checked by one dict lookup.
 A :class:`Presentation` walks each relator once, when it is built,
 checking that it maps to the identity and keeping c(r_j), so
 :func:`class_order` walks no word.  The file also holds the shipped
-presentation data for genus 1 and 2 and the JSON reader that every data
-file goes through; the relators of a file together are capped like one
+presentations for genus 1 and 2, as the Python data their JSON files
+decode to, and the reader that every presentation, file or data, goes
+through; the relators of a presentation together are capped like one
 word.
 """
 
-import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -49,7 +49,7 @@ from .exact import _sign, determinant, lattice_order
 from .matrix import (
     _add_identity, _decode_json, _product, format_matrix, matrix_from_json, parse_int, parse_matrix
 )
-from .symplectic import SymplecticMatrix, _twist, _twist_step, _wrap, twist_of
+from .symplectic import SymplecticMatrix, _int_genus, _twist, _twist_step, _wrap, twist_of
 from .value import Value
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
@@ -82,6 +82,12 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        return Word, (self.letters,)
+
     def __len__(self):
         return len(self.letters)
 
@@ -100,7 +106,7 @@ class Word:
         return Word(self.letters + other.letters)
 
     def __pow__(self, k: int) -> "Word":
-        base = self if k >= 0 else self.inverse()
+        base = self if _int_genus(k, "exponent") >= 0 else self.inverse()
         return Word(base.letters * abs(k))
 
     def inverse(self) -> "Word":
@@ -463,6 +469,8 @@ def _json_names(value, field: str) -> list[str]:
 
 
 def dump_presentation(p: Presentation) -> str:
+    import json  # only here, as in matrix._decode_json
+
     names = p.generator_names
     data = {
         "genus": p.genus,
@@ -513,6 +521,45 @@ def load_presentation(source) -> Presentation:
 
 SHIPPED_FILES = {1: "sl2z.json", 2: "genus2.json"}
 
+# The shipped presentations, as the objects their files in ``data``
+# decode to.  The files hold the same presentations for ``-p`` and
+# ``--data`` (a test pins each to this data), but building one of these
+# reads no file and decodes no JSON.
+_SHIPPED_DATA = {
+    1: {
+        "genus": 1,
+        "generators": ["a", "b"],
+        "matrices": {"a": "1,1;0,1", "b": "1,0;-1,1"},
+        "relators": ["a b a b^-1 a^-1 b^-1", "a b a a b a a b a a b a"],
+    },
+    2: {
+        "genus": 2,
+        "generators": ["c1", "c2", "c3", "c4", "c5"],
+        "matrices": {
+            "c1": "1,0,1,0;0,1,0,0;0,0,1,0;0,0,0,1",
+            "c2": "1,0,0,0;0,1,0,0;-1,0,1,0;0,0,0,1",
+            "c3": "1,0,1,1;0,1,1,1;0,0,1,0;0,0,0,1",
+            "c4": "1,0,0,0;0,1,0,0;0,0,1,0;0,-1,0,1",
+            "c5": "1,0,0,0;0,1,0,1;0,0,1,0;0,0,0,1",
+        },
+        "relators": [
+            "c1 c2 c1 c2^-1 c1^-1 c2^-1",
+            "c2 c3 c2 c3^-1 c2^-1 c3^-1",
+            "c3 c4 c3 c4^-1 c3^-1 c4^-1",
+            "c4 c5 c4 c5^-1 c4^-1 c5^-1",
+            "c1 c3 c1^-1 c3^-1",
+            "c1 c4 c1^-1 c4^-1",
+            "c1 c5 c1^-1 c5^-1",
+            "c2 c4 c2^-1 c4^-1",
+            "c2 c5 c2^-1 c5^-1",
+            "c3 c5 c3^-1 c5^-1",
+            "c1 c2 c3 c4 c5 c1 c2 c3 c4 c5 c1 c2 c3 c4 c5 c1 c2 c3 c4 c5 c1 c2 c3 c4 c5 c1 c2 c3 c4 c5",
+            "c1 c2 c3 c4 c5 c5 c4 c3 c2 c1 c1 c2 c3 c4 c5 c5 c4 c3 c2 c1",
+            "c1 c2 c3 c4 c5 c5 c4 c3 c2 c1 c1 c1^-1 c2^-1 c3^-1 c4^-1 c5^-1 c5^-1 c4^-1 c3^-1 c2^-1 c1^-1 c1^-1",
+        ],
+    },
+}
+
 
 def _no_meyer_message(g: int) -> str:
     if g >= 3:
@@ -533,8 +580,10 @@ def _shipped_file(genus: int) -> str:
 
 @lru_cache(maxsize=None)
 def shipped_presentation(genus: int) -> Presentation:
-    """The packaged presentation for genus 1 or 2, loaded once."""
-    return load_presentation(Path(__file__).with_name("data") / _shipped_file(genus))
+    """The packaged presentation for genus 1 or 2, built once from
+    ``_SHIPPED_DATA`` through :func:`load_presentation`'s checks."""
+    _shipped_file(genus)  # refuses a genus with none
+    return load_presentation(_SHIPPED_DATA[genus])
 
 
 @lru_cache(maxsize=None)

@@ -37,7 +37,8 @@ MAX_GENUS = 12
 
 def _int_genus(g, what: str = "genus") -> int:
     """g, if it is an int (bool excluded); anything else raises ValueError
-    naming ``what``.  Callers apply their own range rule."""
+    naming ``what``.  Callers apply their own range rule.  Also the check
+    of an exponent, a word length or a basis index."""
     if type(g) is not int:
         raise ValueError(f"{what} must be an int, got {g!r}")
     return g
@@ -81,19 +82,26 @@ def symplectic_pairing(u: Sequence[int], v: Sequence[int]) -> int:
 
 def is_symplectic(rows, g: int) -> bool:
     """Whether the rows of a 2g x 2g integer matrix A satisfy A^T J A = J
-    exactly, as the one product :func:`_inverse_rows` (A) A = I: that
-    formula is -J A^T J for every A, and -J A^T J A = I is A^T J A = J."""
+    exactly; the rows are checked, then :func:`_is_symplectic`."""
     rows = check_rows(rows)
     n = 2 * g
     if len(rows) != n or len(rows[0]) != n:
         raise ValueError(f"expected a {n}x{n} matrix, got {len(rows)}x{len(rows[0])}")
-    return _product(_inverse_rows(rows, g), rows) == _identity_rows(n)
+    return _is_symplectic(rows, g)
+
+
+def _is_symplectic(rows: tuple, g: int) -> bool:
+    """A^T J A = J for the checked 2g x 2g rows of A, as the one product
+    :func:`_inverse_rows` (A) A = I: that formula is -J A^T J for every A,
+    and -J A^T J A = I is A^T J A = J."""
+    return _product(_inverse_rows(rows, g), rows) == _identity_rows(2 * g)
 
 
 class SymplecticMatrix:
     """An element of Sp(2g;Z), held as its rows, a tuple of int tuples;
-    the rows are checked by :func:`~meyersig.matrix.check_rows` and the
-    defining identity by :func:`is_symplectic` on construction.
+    the rows are checked once, by :func:`~meyersig.matrix.check_rows`, and
+    the defining identity on them by :func:`_is_symplectic` on
+    construction.  Copies and pickles rebuild through the constructor.
 
     A matrix of genus above MAX_GENUS raises ValueError before the
     symplectic check.  The genus stored is the one the shape gives.
@@ -109,13 +117,19 @@ class SymplecticMatrix:
         if g is not None and g != n // 2:
             raise ValueError(f"genus {g} does not match a {n}x{n} matrix")
         g = _check_genus(n // 2)
-        if not is_symplectic(rows, g):
+        if not _is_symplectic(rows, g):
             raise ValueError("not symplectic: A^T J A != J")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SymplecticMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.rows)
 
     @property
     def mat(self) -> "SymplecticMatrix":
@@ -138,7 +152,7 @@ class SymplecticMatrix:
         return _wrap(self.g, _inverse_rows(self.rows, self.g))
 
     def __pow__(self, k: int) -> "SymplecticMatrix":
-        base = self if k >= 0 else self.inverse()
+        base = self if _int_genus(k, "exponent") >= 0 else self.inverse()
         result = SymplecticMatrix.identity(self.g)
         k = abs(k)
         while k:  # repeated squaring: O(log k) products
@@ -149,10 +163,12 @@ class SymplecticMatrix:
         return result
 
     def apply(self, vector: Sequence[int]) -> tuple:
-        """Matrix-vector product, returning a tuple of ints."""
+        """Matrix-vector product, returning a tuple of ints; an entry that
+        is not an int (bool included) raises ValueError."""
         vec = tuple(vector)
         if len(vec) != 2 * self.g:
             raise ValueError(f"vector length {len(vec)} != {2 * self.g} columns")
+        _check_ints((vec,))
         return tuple([sum(map(mul, row, vec)) for row in self.rows])
 
     def __eq__(self, other):
@@ -171,6 +187,15 @@ def _wrap(g: int, rows: tuple) -> SymplecticMatrix:
     obj = object.__new__(SymplecticMatrix)
     object.__setattr__(obj, "g", g)
     object.__setattr__(obj, "rows", rows)
+    return obj
+
+
+def _rebuild(cls: type, rows: tuple) -> SymplecticMatrix:
+    """A copied or unpickled matrix of class ``cls`` (SymplecticMatrix or
+    a subclass, whatever its constructor takes), its rows checked again
+    by the SymplecticMatrix constructor."""
+    obj = object.__new__(cls)
+    SymplecticMatrix.__init__(obj, rows)
     return obj
 
 
@@ -292,7 +317,7 @@ def _twist_step(m: tuple, twist: tuple) -> tuple:
 def a_class(g: int, i: int) -> tuple:
     """The class A_i (1-based) as a coordinate vector."""
     _check_genus(g)
-    if not 1 <= i <= g:
+    if not 1 <= _int_genus(i, "index") <= g:
         raise ValueError(f"A_{i} out of range for genus {g}")
     return tuple(int(t == i - 1) for t in range(2 * g))
 
@@ -300,7 +325,7 @@ def a_class(g: int, i: int) -> tuple:
 def b_class(g: int, i: int) -> tuple:
     """The class B_i (1-based) as a coordinate vector."""
     _check_genus(g)
-    if not 1 <= i <= g:
+    if not 1 <= _int_genus(i, "index") <= g:
         raise ValueError(f"B_{i} out of range for genus {g}")
     return tuple(int(t == g + i - 1) for t in range(2 * g))
 
@@ -351,7 +376,7 @@ def random_symplectic(g: int, word_length: int, seed) -> SymplecticMatrix:
     symplectic and the same seed always gives the same matrix.
     """
     _check_genus(g)
-    if word_length < 0:
+    if _int_genus(word_length, "word_length") < 0:
         raise ValueError("word_length must be >= 0")
     rng = random.Random(seed)
     factors = _random_factors(g)

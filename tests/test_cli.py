@@ -652,16 +652,25 @@ def test_selftest_is_imported_only_for_the_flag():
 
 
 def test_library_import_leaves_heavy_modules_out():
-    """In a fresh interpreter without site packages (``-S``, so no ``.pth``
-    file imports anything first), ``import meyersig`` loads neither the
-    stdlib class generator nor the resource loader nor the command line:
-    every ``meyersig`` command pays for its import."""
+    """``import meyersig`` and building both shipped Meyer functions load
+    neither the stdlib class generator nor the resource loader nor
+    ``json`` nor the command line: every ``meyersig`` command pays for its
+    import and set-up.  Checked without site packages (``-S``, so no
+    ``.pth`` file imports anything first) and with them, where a module a
+    site hook loaded before the import does not count."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    heavy = ["dataclasses", "inspect", "importlib.resources", "argparse", "meyersig.cli", "meyersig.selftest"]
-    code = f"import sys, meyersig\nprint([m for m in {heavy!r} if m in sys.modules])\n"
-    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+    heavy = [
+        "dataclasses", "inspect", "importlib.resources", "json", "argparse", "meyersig.cli", "meyersig.selftest"
+    ]
+    code = (
+        "import sys\nbefore = set(sys.modules)\nimport meyersig\n"
+        "meyersig.shipped_meyer_function(1)\nmeyersig.shipped_meyer_function(2)\n"
+        f"print([m for m in {heavy!r} if m in sys.modules and m not in before])\n"
+    )
+    for flags in (["-S"], []):
+        done = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert (flags, done.returncode, done.stderr, done.stdout) == (flags, 0, "", "[]\n")
 
 
 def test_twist_value(capsys):

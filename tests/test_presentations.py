@@ -144,6 +144,16 @@ def test_shipped_data_files_are_the_presentations():
     assert shipped == set(presentations.SHIPPED_FILES.values())
 
 
+@pytest.mark.parametrize("g", [1, 2])
+def test_shipped_files_hold_the_in_code_presentations(g):
+    """The shipped presentations are built from Python data, and the files
+    (the ``-p`` examples and ``--data`` templates) cannot drift from it."""
+    text = resources.files("meyersig.data").joinpath(presentations.SHIPPED_FILES[g]).read_text()
+    assert dump_presentation(shipped_presentation(g)) == text
+    assert json.loads(text) == presentations._SHIPPED_DATA[g]
+    assert shipped_presentation(g) == load_presentation(text)
+
+
 def test_shipped_sl2z_content(sl2z):
     assert sl2z.genus == 1
     assert sl2z.generator_names == ("a", "b")

@@ -13,6 +13,7 @@ import pytest
 from meyersig import symplectic
 from meyersig.errors import ParseError
 from meyersig.matrix import _add_identity, _identity_rows, format_matrix, parse_matrix
+from meyersig.presentations import Word
 from meyersig.symplectic import (
     MAX_GENUS,
     SymplecticMatrix,
@@ -88,6 +89,21 @@ SMALL_REFUSALS = {
     "A_3 at genus 2": (lambda: a_class(2, 3), "A_3 out of range for genus 2"),
     "B_0 at genus 2": (lambda: b_class(2, 0), "B_0 out of range for genus 2"),
     "J at genus 0": (lambda: standard_j(0), "genus must be positive, got 0"),
+    # entries, exponents, word lengths and basis indices are ints, bool
+    # excluded: True would read as 1, and 2.0 fail with a TypeError deep inside
+    "apply to 0.5": (lambda: transvection((1, 0)).apply((0.5, 1)), "entries must be ints, got 0.5"),
+    "apply to True": (lambda: transvection((1, 0)).apply((True, 0)), "entries must be ints, got True"),
+    "apply to a Fraction": (
+        lambda: transvection((1, 0)).apply((1, Fraction(1))), "entries must be ints, got Fraction(1, 1)"
+    ),
+    "A_True": (lambda: a_class(2, True), "index must be an int, got True"),
+    "B_1.0": (lambda: b_class(2, 1.0), "index must be an int, got 1.0"),
+    "matrix ** True": (lambda: transvection((1, 0)) ** True, "exponent must be an int, got True"),
+    "matrix ** 2.0": (lambda: transvection((1, 0)) ** 2.0, "exponent must be an int, got 2.0"),
+    "word ** True": (lambda: Word([(0, 1)]) ** True, "exponent must be an int, got True"),
+    "word ** 2.0": (lambda: Word([(0, 1)]) ** 2.0, "exponent must be an int, got 2.0"),
+    "word_length True": (lambda: random_symplectic(1, True, 0), "word_length must be an int, got True"),
+    "word_length 2.0": (lambda: random_symplectic(1, 2.0, 0), "word_length must be an int, got 2.0"),
 }
 
 
@@ -317,7 +333,7 @@ def test_twist_step_is_the_dense_product_on_every_letter(sl2z, genus2, g):
 
 def test_genus_cap_refuses_before_the_symplectic_check(monkeypatch):
     checked = []
-    monkeypatch.setattr(symplectic, "is_symplectic", lambda m, g: checked.append(g) or True)
+    monkeypatch.setattr(symplectic, "_is_symplectic", lambda m, g: checked.append(g) or True)
     n = 2 * (MAX_GENUS + 1)
     with pytest.raises(ValueError, match=f"caps the genus at {MAX_GENUS}"):
         SymplecticMatrix(_identity_rows(n))

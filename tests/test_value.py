@@ -1,14 +1,17 @@
 """The immutable records built on meyersig.value.Value: equality and
-hashing over their fields, a readable repr, and no assignment."""
+hashing over their fields, a readable repr, and no assignment; and, with
+the words and matrices they hold, copies, pickles and no deletion."""
 
 import copy
+import pickle
 
 import pytest
 
 from meyersig.cocycle import VSpace
 from meyersig.fibered import FiberGerm, FibrationDescription
 from meyersig.presentations import ClassOrder, Presentation, Word, shipped_presentation
-from meyersig.symplectic import SymplecticMatrix
+from meyersig.genus1 import SL2Element
+from meyersig.symplectic import SymplecticMatrix, random_symplectic
 
 U = SymplecticMatrix([[1, 1], [0, 1]])
 
@@ -77,3 +80,33 @@ def test_constructor_defaults():
     assert FibrationDescription(shipped_presentation(1), 0).germs == ()
     germ = FiberGerm(Word())
     assert (germ.neighborhood_signature, germ.label) == (0, "")
+
+
+# Words, matrices and the records that hold them, each with the fields
+# it is built from: a copy, a deep copy or a pickle rebuilds each part
+# through its constructor, and no field can be deleted.
+COPIED = {
+    "Word": (lambda: Word([(0, 1), (1, -1)]), ("letters",)),
+    "genus-2 matrix": (lambda: random_symplectic(2, 9, 0), ("g", "rows")),
+    "SL2Element": (lambda: SL2Element(2, 1, 1, 1), ("g", "rows")),
+    "FiberGerm": (lambda: FiberGerm(Word([(0, 1)]), -1, "u"), FiberGerm._fields),
+    "Presentation": (lambda: shipped_presentation(2), Presentation._fields),
+}
+
+
+@pytest.mark.parametrize("make, fields", COPIED.values(), ids=COPIED)
+def test_copies_and_pickles_are_equal_with_the_same_hash(make, fields):
+    value = make()
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(other) is type(value)
+        assert other == value and hash(other) == hash(value)
+
+
+@pytest.mark.parametrize("make, fields", COPIED.values(), ids=COPIED)
+def test_no_field_can_be_deleted(make, fields):
+    value = make()
+    for name in fields:
+        with pytest.raises(AttributeError, match="is immutable"):
+            delattr(value, name)
+        getattr(value, name)
+    assert value == make() and hash(value) == hash(make())
