@@ -7,12 +7,11 @@ Input is integer.  The public entries, :func:`signature` and
 a float or a bool) with ValueError, since the fraction-free passes below
 would floor-divide it silently; :func:`signature` also refuses rows that
 are not a symmetric square.  The internal helpers :func:`determinant`,
-:func:`affine_point`, :func:`lattice_order`, the free-column readout
-:func:`_free_columns` and :func:`_minor` trust their caller.
+:func:`affine_point`, :func:`lattice_order` and the free-column readout
+:func:`_free_columns` trust their caller.
 :func:`determinant` is straight-line code at n = 2 and n = 4, the sizes
 of the genus-1 and genus-2 walks (p t - q r, and the Laplace expansion
-in complementary 2 x 2 minors), and so is :func:`_minor`, the 1 x 1 to
-3 x 3 minors of those walks' minor-sign rule.  :func:`_inertia`, behind
+in complementary 2 x 2 minors).  :func:`_inertia`, behind
 :func:`signature` and :func:`meyersig.cocycle.tau_sp`, is straight-line
 code at dim 1 and 2 (the sign of p, and det = p t - q^2 with the
 trace), and a larger form ends there after its congruence steps.
@@ -229,29 +228,6 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
         (p, q), (r, t) = a
         return sign * (p * t - q * r) // prev
     return a[0][0] if a else 1
-
-
-def _minor(rows: Sequence[Sequence[int]], picked: Sequence[int], cols: Sequence[int]) -> int:
-    """The minor of rows on the rows ``picked`` and the columns ``cols``,
-    taken in the order given, for 1 to 3 of each, in straight-line code.
-
-    These are the minors of the genus-1 and genus-2 walk's minor-sign rule
-    (:mod:`meyersig.cocycle`).  Internal: the caller vouches for ints and
-    for as many columns as rows.
-    """
-    if len(cols) == 1:
-        return rows[picked[0]][cols[0]]
-    if len(cols) == 2:
-        a, b = rows[picked[0]], rows[picked[1]]
-        p, q = cols
-        return a[p] * b[q] - a[q] * b[p]
-    a, b, c = rows[picked[0]], rows[picked[1]], rows[picked[2]]
-    p, q, s = cols
-    return (
-        a[p] * (b[q] * c[s] - b[s] * c[q])
-        - a[q] * (b[p] * c[s] - b[s] * c[p])
-        + a[s] * (b[p] * c[q] - b[q] * c[p])
-    )
 
 
 def affine_point(mat: list[list[int]], w: Sequence[int]) -> tuple[int, tuple[int, int] | None]:

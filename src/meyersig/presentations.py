@@ -23,12 +23,10 @@ and genus-2 presentations), all m_i come out equal to a single m and phi
 is -c plus (m/n) times the total exponent.
 
 Words are evaluated by one prefix walk that carries M = P - I, P the
-product of the letters so far, as plain integer rows.  A letter whose
-matrix is a Dehn-twist power takes the twist step, and in the cochain
-the determinant-sign rule, the minor-sign rule or the solve, and the
-rank bound, all derived in :mod:`meyersig.cocycle`; each letter is
-checked by one dict lookup.
-:func:`evaluate_word` carries the product alone, :func:`_walk` also c.
+product of the letters so far, as plain integer rows; a Dehn-twist
+letter moves it as :mod:`meyersig.twist` derives, and each letter is
+checked by one dict lookup.  :func:`evaluate_word` carries the product
+alone, :func:`_walk` also c.
 A :class:`Presentation` walks each relator once, when it is built,
 checking that it maps to the identity and keeping c(r_j), so
 :func:`class_order` walks no word.  The file also holds the shipped
@@ -43,13 +41,14 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cocycle import _minor_sign, tau_sp
+from .cocycle import tau_sp
 from .errors import InfiniteOrderError, ParseError, UnsupportedGenusError
 from .exact import _sign, determinant, lattice_order
 from .matrix import (
     _add_identity, _decode_json, _product, format_matrix, matrix_from_json, parse_int, parse_matrix
 )
-from .symplectic import SymplecticMatrix, _int_genus, _twist, _twist_step, _wrap, twist_of
+from .symplectic import SymplecticMatrix, _int_genus, _wrap, twist_of
+from .twist import _minor_sign, _twist, _twist_step
 from .value import Value
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
@@ -57,15 +56,17 @@ Letter = tuple[int, int]  # (generator index, exponent sign)
 MAX_WORD_LETTERS = 10_000
 
 
-class Word:
+class Word(Value):
     """A word in a free group: a sequence of (generator index, +-1) letters.
 
     Words are stored exactly as given; free reduction is a separate
     operation, because invariance of the cochain under reduction is a
-    theorem to be tested, not a normalization to be baked in.
+    theorem to be tested, not a normalization to be baked in.  A product
+    or power longer than MAX_WORD_LETTERS raises ValueError before any
+    letter of it is built.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = _fields = ("letters",)
 
     def __init__(self, letters: Iterable[Letter] = ()):
         # A list first: a tuple drawn from a generator strands free-list blocks.
@@ -79,34 +80,21 @@ class Word:
                 raise ValueError(f"exponent sign must be +-1, got {s}")
         object.__setattr__(self, "letters", tuple(letters))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Word is immutable")
-
-    def __reduce__(self):
-        return Word, (self.letters,)
-
     def __len__(self):
         return len(self.letters)
 
     def __iter__(self):
         return iter(self.letters)
 
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
+        check_word_length(len(self) + len(other))
         return Word(self.letters + other.letters)
 
     def __pow__(self, k: int) -> "Word":
-        base = self if _int_genus(k, "exponent") >= 0 else self.inverse()
+        check_word_length(len(self) * abs(_int_genus(k, "exponent")))
+        base = self if k >= 0 else self.inverse()
         return Word(base.letters * abs(k))
 
     def inverse(self) -> "Word":
@@ -235,10 +223,9 @@ class Presentation(Value):
 
     @cached_property
     def _twists(self) -> dict[Letter, tuple | None]:
-        """Per letter (i, +-1), None, or the record of
-        :func:`~meyersig.symplectic._twist` when its matrix is a twist
-        power (found by :func:`twist_of`); the inverse of a twist power is
-        the power with -lam."""
+        """Per letter (i, +-1), None, or the :mod:`meyersig.twist` record
+        when its matrix is a twist power (:func:`twist_of`); the inverse
+        of a twist power is the power with -lam."""
         twists: dict[Letter, tuple | None] = {}
         for i, m in enumerate(self.matrices):
             twist = twist_of(m)
@@ -262,13 +249,9 @@ class Presentation(Value):
 def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
     """Product of generator matrices in word order; the empty word gives I.
 
-    The prefix P is carried as the plain integer rows of M = P - I, as in
-    :func:`_walk`: a twist-power letter takes
-    :func:`~meyersig.symplectic._twist_step`, any other letter the full
-    product, and I is added back and the rows wrapped as a matrix once,
-    at the end.  A letter is checked by its one lookup in
-    :attr:`Presentation._twists`, which has a key for each generator and
-    sign and no other.
+    The walk of :func:`_walk` on M = P - I, without c: a twist letter
+    takes the step of :mod:`meyersig.twist`, any other the full product,
+    and I is added back once, at the end.
     """
     m = _zero_rows(2 * p.genus)
     twists = p._twists
@@ -289,13 +272,11 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
     """(c(w), the rows of P - I for the image P of w): the signature
     cocycle summed along the prefixes of w, and the last prefix minus I.
 
-    Each prefix P is carried as the plain integer rows of M = P - I, with
-    the sign d of det M and an upper bound on rank M, which is 2g exactly
-    when d != 0; the walk paragraph of :mod:`meyersig.cocycle` gives how a
-    letter moves them and what it adds to c.  Each letter is checked by
-    its one lookup in :attr:`Presentation._twists`, whose keys are exactly
-    the generators with both signs; a missing key is an out-of-range
-    letter.
+    Each prefix P is carried as the rows of M = P - I, with d = sign det M
+    and a bound on rank M; "The walk" in :mod:`meyersig.twist` gives how a
+    letter moves them and what it adds to c.  A letter is checked by its
+    one lookup in :attr:`Presentation._twists`, whose keys are exactly the
+    generators with both signs.
     """
     total = 0
     g, n = p.genus, 2 * p.genus

@@ -26,6 +26,7 @@ from typing import Sequence
 
 from .exact import _check_ints, _primitive
 from .matrix import _identity_rows, _product, check_rows, format_matrix
+from .twist import _twist
 
 # Right-handed twist convention; see module docstring before touching this.
 TWIST_SIGN = 1
@@ -213,7 +214,7 @@ def _inverse_rows(rows: Sequence[Sequence[int]], g: int) -> tuple[tuple[int, ...
 
 def transvection(v: Sequence[int]) -> SymplecticMatrix:
     """The twist map x |-> x + TWIST_SIGN * <v, x> * v as a matrix: I + v w
-    for the row w of :func:`_twist` (v, TWIST_SIGN), which checks v.
+    for the row w of :func:`~meyersig.twist._twist` (v, TWIST_SIGN), which checks v.
 
     Fixes v (since <v, v> = 0) and is always symplectic.
     """
@@ -242,76 +243,6 @@ def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
     if any(d[i][j] != lam * v[i] * vj[j] for i in range(n) for j in range(n)):
         return None
     return v, lam
-
-
-def _twist(v: Sequence[int], lam: int) -> tuple:
-    """The record (v, lam, w, v_terms, w_terms) of the twist power
-    T x = x + lam <v, x> v: the class v as a tuple, the exponent lam, the
-    row w = lam v^T J, so that T - I = v w, and the sparse supports, the
-    pairs (k, v_k) with v_k != 0 and (j, w_j) with w_j != 0.
-
-    The one constructor and check of a twist.  A class that is empty, of
-    odd length or zero raises ValueError, and so does an entry or lam that
-    is not an int (bool included).  lam = 0 is legal and gives T = I.
-    """
-    v = tuple(v)
-    if not v or len(v) % 2:
-        raise ValueError(f"homology classes have even positive length, got {len(v)}")
-    _check_ints((v,))
-    if type(lam) is not int:
-        raise ValueError(f"twist exponent must be an int, got {lam!r}")
-    if not any(v):
-        raise ValueError("a twist along the zero class is undefined")
-    g = len(v) // 2
-    w = tuple([-lam * e for e in v[g:]] + [lam * e for e in v[:g]])
-    return v, lam, w, tuple([(k, e) for k, e in enumerate(v) if e]), tuple([(j, e) for j, e in enumerate(w) if e])
-
-
-def _twist_step(m: tuple, twist: tuple) -> tuple:
-    """The rows of P T - I from the rows of M = P - I, for the twist power
-    T of the record ``twist`` from :func:`_twist`: the rank-1 update
-    M + (M v + v) w of :mod:`meyersig.cocycle`, so row r gains
-    f_r = (M v + v)_r times w.
-
-    At 2g = 2 and 4 the rows, v and w are unpacked and every f_r and new
-    entry is one straight-line expression.  Above that only the entries of
-    M on the support of v are read and only those on the support of w are
-    written; a row with f_r = 0 is kept as it is.
-    """
-    v, _, w, v_terms, w_terms = twist
-    n = len(w)
-    if n == 2:
-        (m00, m01), (m10, m11) = m
-        v0, v1 = v
-        w0, w1 = w
-        f0 = m00 * v0 + m01 * v1 + v0
-        f1 = m10 * v0 + m11 * v1 + v1
-        return (m00 + f0 * w0, m01 + f0 * w1), (m10 + f1 * w0, m11 + f1 * w1)
-    if n == 4:
-        (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = m
-        v0, v1, v2, v3 = v
-        w0, w1, w2, w3 = w
-        f0 = m00 * v0 + m01 * v1 + m02 * v2 + m03 * v3 + v0
-        f1 = m10 * v0 + m11 * v1 + m12 * v2 + m13 * v3 + v1
-        f2 = m20 * v0 + m21 * v1 + m22 * v2 + m23 * v3 + v2
-        f3 = m30 * v0 + m31 * v1 + m32 * v2 + m33 * v3 + v3
-        return (
-            (m00 + f0 * w0, m01 + f0 * w1, m02 + f0 * w2, m03 + f0 * w3),
-            (m10 + f1 * w0, m11 + f1 * w1, m12 + f1 * w2, m13 + f1 * w3),
-            (m20 + f2 * w0, m21 + f2 * w1, m22 + f2 * w2, m23 + f2 * w3),
-            (m30 + f3 * w0, m31 + f3 * w1, m32 + f3 * w2, m33 + f3 * w3),
-        )
-    out = []
-    for row, f in zip(m, v):
-        for k, e in v_terms:
-            f += row[k] * e
-        if f:
-            row = list(row)
-            for j, e in w_terms:
-                row[j] += f * e
-            row = tuple(row)
-        out.append(row)
-    return tuple(out)
 
 
 def a_class(g: int, i: int) -> tuple:

@@ -1,6 +1,6 @@
 """The base of the package's immutable records.
 
-``VSpace``, ``Presentation``, ``ClassOrder``, ``FiberGerm`` and
+``VSpace``, ``Word``, ``Presentation``, ``ClassOrder``, ``FiberGerm`` and
 ``FibrationDescription`` are values: built once, compared and hashed by
 their fields, never changed.  This base gives them that behaviour in a
 few plain methods, so importing the package loads no class generator.

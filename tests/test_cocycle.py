@@ -7,27 +7,19 @@ from operator import mul
 import pytest
 
 from meyersig import cocycle, exact
-from meyersig.cocycle import (
-    _minor_sign,
-    _twist_solve,
-    sigma_defect_via_tau,
-    tau_sp,
-    tau_twist,
-    v_space,
-)
+from meyersig.cocycle import sigma_defect_via_tau, tau_sp, tau_twist, v_space
 from meyersig.exact import determinant, kernel_basis, signature
 from meyersig.genus1 import phi1
 from meyersig.matrix import _add_identity
 from meyersig.symplectic import (
     SymplecticMatrix,
-    _twist,
-    _twist_step,
     a_class,
     random_symplectic,
     standard_j,
     transvection,
     twist_of,
 )
+from meyersig.twist import _minor_sign, _twist, _twist_solve, _twist_step
 from test_matrix import _dense_product
 
 U = SymplecticMatrix([[1, 1], [0, 1]])
@@ -524,7 +516,7 @@ def test_some_sigma_diagonal_minor_of_size_rank_is_nonzero(g):
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_minor_sign_rule_against_the_solve(g):
-    """cocycle._minor_sign against _twist_solve, with rank(AB - I) from a
+    """twist._minor_sign against _twist_solve, with rank(AB - I) from a
     kernel, at each singular twist step (det(A - I) = det(AB - I) = 0,
     A != I) of seeded walks in twist powers with lam in +-1, +-2, 3 along
     classes that need not be primitive, one step in four along the class

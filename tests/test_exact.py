@@ -597,7 +597,7 @@ def test_lattice_order_against_the_fraction_oracle():
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("module", ["exact", "cocycle", "symplectic", "matrix"])
+@pytest.mark.parametrize("module", ["exact", "twist", "cocycle", "symplectic", "matrix"])
 def test_integer_core_imports_no_fractions(module):
     """The cocycle, its kernels and signatures run on ints alone: none of
     these modules imports fractions, directly or by name."""

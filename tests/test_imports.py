@@ -6,7 +6,9 @@ is skipped: its imports are the public API.
 The same ``ast`` walk holds the one-matrix-type design: a matrix is a
 SymplecticMatrix holding its rows, so no module of the package or of the
 tests names the retired second matrix type or its trusted constructor,
-and no package module reads the ``.mat`` alias."""
+and no package module reads the ``.mat`` alias.  It also holds the one
+owner of a Dehn-twist letter: its record, step, sign rules and minors are
+defined in ``twist.py`` alone, which imports from ``exact`` alone."""
 
 import ast
 from pathlib import Path
@@ -20,6 +22,9 @@ PACKAGE = ROOT / "src" / "meyersig"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 RETIRED = {"IntMatrix", "_trusted"}
+TWIST_NAMES = {
+    "_twist", "_twist_step", "_twist_solve", "_minor_sign", "_sigma_minors", "_SIGMA_MINORS", "_minor"
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -113,3 +118,30 @@ def test_mat_alias_is_the_matrix_for_its_one_reader():
         if found := mat_readers(path.read_text(encoding="utf-8")):
             readers[path.name] = found
     assert readers == {"workloads.py": ["_rows"]}
+
+
+def defined(source: str) -> set[str]:
+    """The names source defines anywhere: by def or class, or as the
+    target of an assignment, a loop or a with."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+    return found
+
+
+def test_definitions_are_found():
+    source = "def f(): _g = 1\nclass C: pass\nA = {}\nfor k in A: pass\nf()\n"
+    assert defined(source) == {"f", "_g", "C", "A", "k"}
+
+
+def test_twist_letter_has_one_owner():
+    owners = {name: [] for name in TWIST_NAMES}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in defined(path.read_text(encoding="utf-8")) & TWIST_NAMES:
+            owners[name].append(path.name)
+    assert owners == {name: ["twist.py"] for name in TWIST_NAMES}
+    tree = ast.parse((PACKAGE / "twist.py").read_text(encoding="utf-8"))
+    assert {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level} == {"exact"}

@@ -9,9 +9,8 @@ from meyersig.errors import ParseError
 from meyersig.matrix import _add_identity, check_rows, matrix_from_json, parse_int, parse_matrix
 from meyersig.presentations import evaluate_word
 from meyersig.selftest import chain_with_s, random_word
-from meyersig.symplectic import (
-    SymplecticMatrix, _twist, _twist_step, _wrap, random_symplectic, standard_j
-)
+from meyersig.symplectic import SymplecticMatrix, _wrap, random_symplectic, standard_j
+from meyersig.twist import _twist, _twist_step
 
 BAD_ROWS = {
     "bool": [[True, 0], [0, 1]],

@@ -1,13 +1,17 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from meyersig import exact, presentations, selftest
-from meyersig.cocycle import _minor_sign, _twist_solve, tau_sp
+from meyersig.cocycle import tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
 from meyersig.exact import _sign, kernel_basis, lattice_order
 from meyersig.exact import determinant as _determinant
@@ -33,10 +37,10 @@ from meyersig.symplectic import (
     SymplecticMatrix,
     _chain_classes,
     _generating_classes,
-    _twist,
     random_symplectic,
     transvection,
 )
+from meyersig.twist import _minor_sign, _twist, _twist_solve
 from test_exact import _rref_kernel
 
 S_MAT = SymplecticMatrix([[0, -1], [1, 0]])
@@ -69,6 +73,39 @@ def test_word_algebra():
     assert w**3 == Word([(0, 1), (1, 1)] * 3)
     assert w**-1 == w.inverse()
     assert w**0 == Word()
+
+
+# Run in a child whose address space is capped at 256 MiB, so that a power
+# that builds its 10**8 letters before the length check fails with
+# MemoryError; the traced peak shows that no letter was built.
+_POWER_CHILD = """
+import resource, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+from meyersig.presentations import Word
+a = Word([(0, 1)])
+tracemalloc.start()
+start = time.perf_counter()
+try:
+    a ** 10**8
+    print("returned")
+except Exception as exc:
+    print(type(exc).__name__, exc, time.perf_counter() - start < 0.1, tracemalloc.get_traced_memory()[1] < 10**5)
+"""
+
+
+def test_word_products_and_powers_are_capped():
+    a = Word([(0, 1)])
+    half = Word([(0, 1), (1, -1)] * 2500)
+    for build in (lambda: a**20000, lambda: a**-20000, lambda: half * half * a, lambda: a * (half**2)):
+        with pytest.raises(ValueError, match="word is too long"):
+            build()
+    assert len(half * half) == len(half**2) == len(a**-10_000) == 10_000
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _POWER_CHILD], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "ValueError word is too long: meyersig caps words at 10000 letters True True\n"
 
 
 def test_free_reduce_nested():

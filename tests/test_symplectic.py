@@ -17,8 +17,6 @@ from meyersig.presentations import Word
 from meyersig.symplectic import (
     MAX_GENUS,
     SymplecticMatrix,
-    _twist,
-    _twist_step,
     a_class,
     b_class,
     is_symplectic,
@@ -28,6 +26,7 @@ from meyersig.symplectic import (
     transvection,
     twist_of,
 )
+from meyersig.twist import _twist, _twist_step
 from test_matrix import _dense_product
 
 

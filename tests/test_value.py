@@ -25,6 +25,7 @@ def _presentation(generator="a"):
 # differs from it in one field.
 VALUES = {
     "VSpace": (lambda: VSpace(1, ((1, 0, 0, 0),)), lambda: VSpace(1, ((0, 1, 0, 0),))),
+    "Word": (lambda: Word([(0, 1), (1, -1)]), lambda: Word([(0, 1)])),
     "Presentation": (_presentation, lambda: _presentation("b")),
     "ClassOrder": (lambda: ClassOrder(3, (1, 1)), lambda: ClassOrder(3, (1, 2))),
     "FiberGerm": (lambda: FiberGerm(Word([(0, 1)]), -1, "u"), lambda: FiberGerm(Word([(0, 1)]), -1, "v")),
