@@ -110,7 +110,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_local_sig(args) -> int:
-    fd = load_fibration(args.fibration, args.data)
+    p = None if args.presentation is None else load_presentation(args.presentation)
+    fd = load_fibration(args.fibration, p)
     values = local_signatures(fd)
     total = closed_total(fd, values)  # before any output, so a failed check prints nothing
     for k, (germ, value) in enumerate(zip(fd.germs, values)):
@@ -172,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="meyersig",
         description="Exact signature cocycle, Meyer function, and local-signature computations.",
     )
-    parser.add_argument("--data", metavar="DIR", help="override the embedded data files")
-    parser.add_argument("--seed", default="0", help="seed for randomized subcommands")
+    parser.add_argument("--seed", default="0", help="seed for --selftest")
     parser.add_argument(
         "--selftest", action="store_true", help="run the invariant suites and exit"
     )
@@ -209,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("local-sig", help="local signatures and total of a fibration file")
     s.add_argument("-f", dest="fibration", required=True, metavar="FILE", type=Path)
+    s.add_argument("-p", dest="presentation", metavar="FILE", type=Path)
     s.set_defaults(func=_cmd_local_sig)
 
     s = sub.add_parser("euler", help="Euler number of a fibered 4-manifold")
@@ -257,13 +258,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        seed = parse_int(args.seed)
-    except ParseError as exc:
-        return _report(exc)
     if args.selftest:
         from . import selftest  # only here: other commands need not compile the suites
 
+        try:
+            seed = parse_int(args.seed)
+        except ParseError as exc:
+            return _report(exc)
         return selftest.run(seed=seed)
     if not getattr(args, "command", None):
         parser.print_usage(sys.stderr)

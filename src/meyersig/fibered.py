@@ -8,8 +8,8 @@ where phi_g is the Meyer function (closed form at genus 1, synthesized
 from the presentation at any other genus) and the neighborhood signature
 is caller-supplied data, except for a Kodaira fiber named by its type,
 whose c components give -(c - 1).  A FibrationDescription carries the presentation
-its germ words use; a function given only a genus, and a fibration file,
-use the shipped one.
+its germ words use; a function given only a genus uses the shipped one,
+and so does a fibration file loaded without a presentation.
 Local signatures vanish on general fibers and sum to the signature of a
 closed total space, which is where all the cross-checks in this module
 live.  Closedness is checked on the product matrix over a sphere base,
@@ -19,15 +19,15 @@ Euler contributions, the hyperelliptic Horikawa-index identities, and the
 Hirzebruch/Noether geography conversions are included so that whole
 numerical budgets of a fibration can be balanced exactly.
 
-The fiber genus is checked once, by the table of shipped files in
-:mod:`meyersig.presentations`, wherever a genus alone names the
-presentation.  A FibrationDescription checks only its base genus; over a
-presentation of infinite class order it raises InfiniteOrderError when
-its Meyer function is first needed.
+The fiber genus is checked once: by the table of shipped presentations
+in :mod:`meyersig.presentations` wherever a genus alone names the
+presentation, and against the presentation given with a fibration file.
+A FibrationDescription checks only its base genus; over a presentation
+of infinite class order it raises InfiniteOrderError when its Meyer
+function is first needed.
 """
 
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import ParseError
 from .genus1 import _rational, phi1
@@ -36,11 +36,9 @@ from .presentations import (
     Presentation,
     Word,
     _abelianizes_to_zero,
-    _shipped_file,
     check_word_length,
     evaluate_word,
     json_int,
-    load_presentation,
     read_json,
     shipped_presentation,
 )
@@ -355,14 +353,16 @@ def germ_from_dict(data: dict, presentation: Presentation) -> FiberGerm:
     return FiberGerm(monodromy=word, neighborhood_signature=signature, label=label)
 
 
-def load_fibration(source, data_dir=None) -> FibrationDescription:
-    """Load a fibration description from a dict, JSON string, or file path.
+def load_fibration(source, presentation: Presentation | None = None) -> FibrationDescription:
+    """Load a fibration description from decoded JSON data (a dict) or a
+    file path (:func:`~meyersig.presentations.read_json`).
 
-    Germs are read against the genus's presentation, the shipped one or
-    the one in ``data_dir``, read once.  The germ words together count as
-    one word for :func:`check_word_length`: more than MAX_WORD_LETTERS
-    letters in all raise ValueError while the germs are read, before any
-    Meyer function or closedness walk."""
+    Germs are read against ``presentation``, by default the shipped one
+    of the file's genus; a presentation of another genus is a ParseError.
+    The germ words together count as one word for
+    :func:`check_word_length`: more than MAX_WORD_LETTERS letters in all
+    raise ValueError while the germs are read, before any Meyer function
+    or closedness walk."""
     data = read_json(source, "fibration")
     try:
         genus = json_int(data["genus"], "genus")
@@ -372,13 +372,9 @@ def load_fibration(source, data_dir=None) -> FibrationDescription:
         raise ParseError(f"fibration data is missing field {exc}") from None
     if not isinstance(germs, list):
         raise ParseError(f"field 'germs' must be a list, got {germs!r}")
-    if data_dir is None:
-        p = shipped_presentation(genus)
-    else:
-        path = Path(data_dir) / _shipped_file(genus)
-        p = load_presentation(path)
-        if p.genus != genus:
-            raise ParseError(f"{path} holds a genus-{p.genus} presentation, not genus {genus}")
+    p = presentation or shipped_presentation(genus)
+    if p.genus != genus:
+        raise ParseError(f"got a genus-{p.genus} presentation, not genus {genus}, for the germs")
     parsed, letters = [], 0
     for g in germs:
         parsed.append(germ_from_dict(g, p))

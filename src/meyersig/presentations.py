@@ -38,6 +38,7 @@ word.
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from os import PathLike
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -61,9 +62,9 @@ class Word(Value):
 
     Words are stored exactly as given; free reduction is a separate
     operation, because invariance of the cochain under reduction is a
-    theorem to be tested, not a normalization to be baked in.  A product
-    or power longer than MAX_WORD_LETTERS raises ValueError before any
-    letter of it is built.
+    theorem to be tested, not a normalization to be baked in.  A word
+    longer than MAX_WORD_LETTERS raises ValueError; a power does so
+    before any letter of it is built.
     """
 
     __slots__ = _fields = ("letters",)
@@ -71,6 +72,7 @@ class Word(Value):
     def __init__(self, letters: Iterable[Letter] = ()):
         # A list first: a tuple drawn from a generator strands free-list blocks.
         letters = [(i, s) for i, s in letters]
+        check_word_length(len(letters))
         for i, s in letters:
             if type(i) is not int or type(s) is not int:
                 raise ValueError(f"letter ({i!r}, {s!r}) must be a pair of ints")
@@ -89,7 +91,6 @@ class Word(Value):
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        check_word_length(len(self) + len(other))
         return Word(self.letters + other.letters)
 
     def __pow__(self, k: int) -> "Word":
@@ -414,25 +415,20 @@ def synthesize_meyer(p: Presentation) -> SynthesizedMeyerFunction:
 
 
 def read_json(source, what: str):
-    """The JSON object in a dict, a JSON string, or a file path; a str
-    that starts with '{' or '[' is JSON text, a :class:`~pathlib.Path` is
-    always a file, read as UTF-8.  Malformed JSON is a ParseError naming
-    ``what`` and the offset, and so is a file that is not UTF-8, JSON
-    nested too deeply to decode, an integer with more digits than Python
-    converts, or JSON that is not an object."""
-    if isinstance(source, dict):
-        return source
-    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
-        text = source
-    else:
+    """The JSON object in a file, named by a str or a path and read as
+    UTF-8, or in decoded data; a str is always a file name.  Malformed
+    JSON is a ParseError naming ``what`` and the offset, and so is a file
+    that is not UTF-8, JSON nested too deeply to decode, an integer with
+    more digits than Python converts, or JSON that is not an object."""
+    if isinstance(source, (str, PathLike)):
         try:
             text = Path(source).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"bad {what} JSON at byte {exc.start}: not UTF-8") from None
-    data = _decode_json(text, f"{what} JSON")
-    if not isinstance(data, dict):
-        raise ParseError(f"{what} JSON must be an object, got {type(data).__name__}")
-    return data
+        source = _decode_json(text, f"{what} JSON")
+    if not isinstance(source, dict):
+        raise ParseError(f"{what} JSON must be an object, got {type(source).__name__}")
+    return source
 
 
 def json_int(value, field: str) -> int:
@@ -463,7 +459,7 @@ def dump_presentation(p: Presentation) -> str:
 
 
 def load_presentation(source) -> Presentation:
-    """Load from a dict, a JSON string, or a file path.
+    """Load from decoded JSON data (a dict) or a file path (:func:`read_json`).
 
     The relators together count as one word for :func:`check_word_length`:
     more than MAX_WORD_LETTERS letters in all raise ValueError before any
@@ -500,12 +496,10 @@ def load_presentation(source) -> Presentation:
         raise ParseError(str(exc)) from None
 
 
-SHIPPED_FILES = {1: "sl2z.json", 2: "genus2.json"}
-
-# The shipped presentations, as the objects their files in ``data``
-# decode to.  The files hold the same presentations for ``-p`` and
-# ``--data`` (a test pins each to this data), but building one of these
-# reads no file and decodes no JSON.
+# The shipped presentations, the one genus table, as the objects their
+# files in ``data`` decode to.  The files hold the same presentations as
+# ``-p`` examples (a test pins each to this data), but building one of
+# these reads no file and decodes no JSON.
 _SHIPPED_DATA = {
     1: {
         "genus": 1,
@@ -551,19 +545,13 @@ def _no_meyer_message(g: int) -> str:
     return f"unsupported fiber genus {g}: Meyer functions exist at genus 1 and 2 only"
 
 
-def _shipped_file(genus: int) -> str:
-    """The name of the shipped presentation file of ``genus``, the one
-    genus table; UnsupportedGenusError for a genus with none."""
-    if genus not in SHIPPED_FILES:
-        raise UnsupportedGenusError(_no_meyer_message(genus))
-    return SHIPPED_FILES[genus]
-
-
 @lru_cache(maxsize=None)
 def shipped_presentation(genus: int) -> Presentation:
     """The packaged presentation for genus 1 or 2, built once from
-    ``_SHIPPED_DATA`` through :func:`load_presentation`'s checks."""
-    _shipped_file(genus)  # refuses a genus with none
+    ``_SHIPPED_DATA`` through :func:`load_presentation`'s checks;
+    UnsupportedGenusError for a genus with none."""
+    if genus not in _SHIPPED_DATA:
+        raise UnsupportedGenusError(_no_meyer_message(genus))
     return load_presentation(_SHIPPED_DATA[genus])
 
 

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 import os
 import random
@@ -15,9 +17,10 @@ import pytest
 from meyersig import cli, cocycle, presentations, selftest
 from meyersig.cli import main
 from meyersig.exact import kernel_basis
+from meyersig.fibered import load_fibration
 from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction, cochain_c
 from meyersig.matrix import _identity_rows, format_matrix
-from meyersig.symplectic import MAX_GENUS, SymplecticMatrix
+from meyersig.symplectic import MAX_GENUS, SymplecticMatrix, _chain_classes, transvection
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +96,38 @@ def test_back_to_back_calls_share_one_parser_and_no_option_values(capsys):
         assert run_cli(capsys, *argv)[:2] == expected, argv
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+
+def _args_read(source: str) -> dict[str, set[str]]:
+    """For each top-level function of source, the attributes it reads off ``args``."""
+    return {
+        node.name: {
+            n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+        }
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _dests(parser: argparse.ArgumentParser) -> set[str]:
+    """The dests of parser's arguments, its help and subcommand actions aside."""
+    skip = (argparse._HelpAction, argparse._SubParsersAction)
+    return {action.dest for action in parser._actions if not isinstance(action, skip)}
+
+
+def test_every_option_is_read_by_its_command():
+    """An option that nothing reads is accepted and then ignored: each
+    subcommand's ``_cmd_*`` function reads every argument of its
+    subcommand, and ``main`` reads every top-level option."""
+    read = _args_read(Path(cli.__file__).read_text(encoding="utf-8"))
+    parser = cli.build_parser()
+    unread = {("main", dest) for dest in _dests(parser) - read["main"]}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for subparser in sub.choices.values():
+        func = subparser.get_default("func").__name__
+        unread |= {(func, dest) for dest in _dests(subparser) - read[func]}
+    assert unread == set()
 
 
 def test_dedekind(capsys):
@@ -267,7 +302,7 @@ def test_local_sig_synthesizes_once_and_evaluates_each_germ_once(
     synthesize = count_calls(presentations, "synthesize_meyer")
     method = SynthesizedMeyerFunction.__call__
     with mock.patch.object(SynthesizedMeyerFunction, "__call__", autospec=True, side_effect=method) as evaluate:
-        code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", path)
+        code, out, _ = run_cli(capsys, "local-sig", "-f", path, "-p", str(data_dir / "genus2.json"))
     assert (code, out) == (0, CHAIN_OUT)
     assert (synthesize.call_count, evaluate.call_count) == (1, 30)
     assert load.call_count == 1
@@ -280,7 +315,7 @@ def test_local_sig_reads_each_data_file_once(
     load = count_calls(presentations, "load_presentation")
     shipped = count_calls(presentations, "shipped_presentation")
     reads = count_reads(monkeypatch)
-    code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", path)
+    code, out, _ = run_cli(capsys, "local-sig", "-f", path, "-p", str(data_dir / "sl2z.json"))
     assert (code, out) == (0, E2_OUT)
     assert load.call_count == 1
     assert reads.count("sl2z.json") == 1
@@ -306,34 +341,57 @@ def test_local_sig_with_warm_shipped_data_loads_and_synthesizes_nothing(
     assert reads == ["e2.json", "chain.json"]
 
 
-def _genus1_data_dir(tmp_path, data_dir):
-    """A --data directory with the shipped sl2z.json only."""
-    data = tmp_path / "data"
-    data.mkdir()
-    (data / "sl2z.json").write_text((data_dir / "sl2z.json").read_text())
-    return str(data)
-
-
 def test_local_sig_data_dir_without_kodaira_table(capsys, data_dir, tmp_path):
-    data = _genus1_data_dir(tmp_path, data_dir)
+    sl2z = str(data_dir / "sl2z.json")
     germs = [{"monodromy": letter, "label": f"{letter}{k}"} for k in range(6) for letter in "AB"]
     path = _write_fibration(tmp_path / "e1.json", 1, germs)
-    code, out, _ = run_cli(capsys, "--data", data, "local-sig", "-f", path)
+    code, out, _ = run_cli(capsys, "local-sig", "-f", path, "-p", sl2z)
     lines = [f"{letter}{k}: -2/3\n" for k in range(6) for letter in "AB"]
     assert (code, out) == (0, "".join(lines) + "total: -8\n")
-    # the Kodaira types are built in: --data replaces presentations only
+    # the Kodaira types are built in: -p replaces the presentation only
     path = _write_fibration(tmp_path / "e2.json", 1, E2_GERMS)
-    assert run_cli(capsys, "--data", data, "local-sig", "-f", path) == (0, E2_OUT, "")
+    assert run_cli(capsys, "local-sig", "-f", path, "-p", sl2z) == (0, E2_OUT, "")
 
 
-@pytest.mark.parametrize("table", [b'{"I_n": "1,x;0,1"}', b"{nope", b"[[\xff, 1], [0, 1]]"])
-def test_local_sig_does_not_read_a_kodaira_json_in_the_data_dir(
-    capsys, data_dir, tmp_path, table
-):
-    data = _genus1_data_dir(tmp_path, data_dir)
-    Path(data, "kodaira.json").write_bytes(table)
+def test_local_sig_presentation_of_another_genus_is_parse_error(capsys, data_dir, tmp_path):
     path = _write_fibration(tmp_path / "e2.json", 1, E2_GERMS)
-    assert run_cli(capsys, "--data", data, "local-sig", "-f", path) == (0, E2_OUT, "")
+    code, out, err = run_cli(capsys, "local-sig", "-f", path, "-p", str(data_dir / "genus2.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and "genus-2 presentation, not genus 1" in err
+
+
+def test_global_data_option_is_a_usage_error(capsys, data_dir, tmp_path):
+    path = _write_fibration(tmp_path / "e2.json", 1, E2_GERMS)
+    code, out, err = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: ")
+
+
+def _chain3_presentation():
+    """Genus 3: the twists c1..c7 along the chain classes, with the braid
+    relators, the far-commutation relators and (c1 ... c7)^8."""
+    names = [f"c{k}" for k in range(1, 8)]
+    mats = tuple(transvection(v) for v in _chain_classes(3))
+    braids = [f"{a} {b} {a} {b}^-1 {a}^-1 {b}^-1" for a, b in zip(names, names[1:])]
+    far = [f"{a} {b} {a}^-1 {b}^-1" for i, a in enumerate(names) for b in names[i + 2:]]
+    chain = " ".join(names * 8)
+    words = [presentations.parse_word(text, names) for text in braids + far + [chain]]
+    return presentations.Presentation(3, tuple(names), mats, tuple(words))
+
+
+def test_local_sig_presentation_beyond_the_shipped_genera(capsys, tmp_path):
+    """-p reaches genus 3: the 56 germs c_i^-1 around (c1 ... c7)^8 = 1
+    each take -4/7, and the total is -2(g + 1)^2 = -32 (Endo 2000)."""
+    presentation = tmp_path / "delta3.json"
+    presentation.write_text(presentations.dump_presentation(_chain3_presentation()))
+    germs = [{"monodromy": f"c{7 - i % 7}^-1"} for i in range(56)]
+    path = _write_fibration(tmp_path / "chain3.json", 3, germs)
+    out = "".join(f"germ {i}: -4/7\n" for i in range(56)) + "total: -32\n"
+    assert run_cli(capsys, "local-sig", "-f", path, "-p", str(presentation)) == (0, out, "")
+    assert run_cli(capsys, "local-sig", "-f", path) == (
+        1, "", "error: no Meyer function exists at genus 3: the signature class "
+        "has infinite order for genus >= 3\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -467,6 +525,14 @@ def test_file_name_that_looks_like_json_is_read_as_a_file(
         (tmp_path / "[a].json").write_text((data_dir / "sl2z.json").read_text())
         argv = ["-p", "[a].json"] + (["a b"] if command == "phi" else [])
     assert run_cli(capsys, command, *argv) == (0, expected, "")
+
+
+def test_str_given_to_a_loader_is_a_file_name(data_dir, tmp_path):
+    path = tmp_path / "[a].json"
+    path.write_text((data_dir / "sl2z.json").read_text())
+    assert presentations.load_presentation(str(path)) == presentations.shipped_presentation(1)
+    path = _write_fibration(tmp_path / "{b}.json", 2, CHAIN_GERMS)
+    assert len(load_fibration(path).germs) == 30
 
 
 @pytest.mark.parametrize("label", [None, 5, ["u"]])
@@ -742,6 +808,10 @@ def test_non_ascii_integer_spellings_are_parse_errors(capsys, data_dir, argv, me
     assert run_cli(capsys, *argv) == (2, "", f"parse error: {message}\n")
 
 
+def test_seed_is_read_only_under_selftest(capsys):
+    assert run_cli(capsys, "--seed", "x", "phi1", "1,1;0,1") == (0, "2/3\n", "")
+
+
 def test_signed_and_padded_integers_still_parse(capsys):
     assert run_cli(capsys, "dedekind", "+1", "07")[:2] == (0, "5/14\n")
     assert run_cli(capsys, "phi1", " +1 , 1 ; 0 , 1 ")[:2] == (0, "2/3\n")
@@ -762,19 +832,18 @@ E1_GERMS = [
 ]
 
 
-def _sl2z_data_dir(tmp_path, sl2z):
-    """A --data directory with this sl2z.json."""
-    data = tmp_path / "data"
-    data.mkdir()
-    (data / "sl2z.json").write_text(json.dumps({"genus": 1, **sl2z}))
-    return str(data)
+def _sl2z_file(tmp_path, sl2z):
+    """A genus-1 presentation file with this content."""
+    path = tmp_path / "sl2z.json"
+    path.write_text(json.dumps({"genus": 1, **sl2z}))
+    return str(path)
 
 
 def test_local_sig_kodaira_words_over_renamed_generators(capsys, data_dir, tmp_path):
     # Kodaira references take the letters whose matrices are T and L,
     # whatever the generators are called
     shipped = json.loads((data_dir / "sl2z.json").read_text())
-    data = _sl2z_data_dir(tmp_path, {
+    sl2z = _sl2z_file(tmp_path, {
         "generators": ["x", "y"],
         "matrices": {"x": shipped["matrices"]["a"], "y": shipped["matrices"]["b"]},
         "relators": [r.replace("a", "x").replace("b", "y") for r in shipped["relators"]],
@@ -785,16 +854,16 @@ def test_local_sig_kodaira_words_over_renamed_generators(capsys, data_dir, tmp_p
         assert expected[0] == 0
         renamed = [{**germ, "monodromy": germ["monodromy"].replace("b^", "y^")} for germ in germs]
         path = _write_fibration(tmp_path / f"{name}-xy.json", 1, renamed)
-        assert run_cli(capsys, "--data", data, "local-sig", "-f", path) == expected
+        assert run_cli(capsys, "local-sig", "-f", path, "-p", sl2z) == expected
     assert expected[1] == E2_OUT
 
 
 def test_local_sig_kodaira_needs_the_letters_t_and_l(capsys, tmp_path):
-    data = _sl2z_data_dir(tmp_path, {
+    sl2z = _sl2z_file(tmp_path, {
         "generators": ["a", "b"], "matrices": {"a": "1,2;0,1", "b": "1,0;-1,1"}, "relators": [],
     })
     path = _write_fibration(tmp_path / "fib.json", 1, [{"monodromy": "kodaira:I_1"}])
-    assert run_cli(capsys, "--data", data, "local-sig", "-f", path) == (
+    assert run_cli(capsys, "local-sig", "-f", path, "-p", sl2z) == (
         1, "",
         "error: SL(2;Z) words need letters for T = [[1,1],[0,1]] and L = [[1,0],[-1,1]]\n",
     )
@@ -850,7 +919,7 @@ def test_data_dir_override(capsys, data_dir, tmp_path):
     path.write_text(
         json.dumps({"genus": 1, "base_genus": 0, "germs": [{"monodromy": "kodaira:I_0"}]})
     )
-    code, out, _ = run_cli(capsys, "--data", str(data_dir), "local-sig", "-f", str(path))
+    code, out, _ = run_cli(capsys, "local-sig", "-f", str(path), "-p", str(data_dir / "sl2z.json"))
     assert code == 0
     assert out.splitlines()[-1] == "total: 0"
 

@@ -1,7 +1,7 @@
+import json
 import random
 import re
 from fractions import Fraction
-from importlib import resources
 
 import pytest
 
@@ -687,19 +687,23 @@ def test_load_fibration_rejects_json_that_is_not_an_object(tmp_path, source):
         load_fibration(path)
     if source.startswith("["):
         with pytest.raises(ParseError, match="^fibration JSON must be an object, got list"):
-            load_fibration(source)
+            load_fibration(json.loads(source))
 
 
-def test_load_fibration_data_dir_genus_must_match(tmp_path):
-    sl2z_text = resources.files("meyersig.data").joinpath("sl2z.json").read_text()
-    (tmp_path / "genus2.json").write_text(sl2z_text)
+def test_load_fibration_presentation_genus_must_match():
     with pytest.raises(ParseError, match="genus-1 presentation, not genus 2"):
-        load_fibration({"genus": 2, "base_genus": 0, "germs": []}, tmp_path)
+        load_fibration({"genus": 2, "base_genus": 0, "germs": []}, shipped_presentation(1))
+
+
+def test_load_fibration_reads_its_germs_over_the_given_presentation():
+    names = ("x", "y")
+    p = Presentation(1, names, shipped_presentation(1).matrices, ())
+    fd = load_fibration({"genus": 1, "base_genus": 1, "germs": [{"monodromy": "x y X"}]}, p)
+    assert fd.presentation is p
+    assert fd.germs[0].monodromy == Word([(0, 1), (1, 1), (0, -1)])
 
 
 def test_load_fibration_from_file(tmp_path):
-    import json
-
     path = tmp_path / "twelve.json"
     germs = []
     for k in range(6):

@@ -108,6 +108,12 @@ def test_word_products_and_powers_are_capped():
     assert done.stdout == "ValueError word is too long: meyersig caps words at 10000 letters True True\n"
 
 
+def test_word_built_from_letters_is_capped():
+    with pytest.raises(ValueError, match="word is too long"):
+        Word([(0, 1)] * 10_001)
+    assert len(Word([(0, 1)] * 10_000)) == 10_000
+
+
 def test_free_reduce_nested():
     # a b b^-1 a^-1 a -> a
     w = Word([(0, 1), (1, 1), (1, -1), (0, -1), (0, 1)])
@@ -167,28 +173,30 @@ def test_word_format_round_trip(rng, sl2z, genus2):
 # ---------------------------------------------------------------------------
 # shipped data
 
+DATA_FILES = {1: "sl2z.json", 2: "genus2.json"}  # the -p examples in ``data``
+
 
 def test_shipped_files_round_trip_bit_exactly():
     for name in ("sl2z.json", "genus2.json"):
         text = resources.files("meyersig.data").joinpath(name).read_text()
-        assert dump_presentation(load_presentation(text)) == text
+        assert dump_presentation(load_presentation(json.loads(text))) == text
 
 
 def test_shipped_data_files_are_the_presentations():
     # a stale or missing data file fails here, not in a packaged install
     data = resources.files("meyersig.data")
     shipped = {f.name for f in data.iterdir() if f.name.endswith(".json")}
-    assert shipped == set(presentations.SHIPPED_FILES.values())
+    assert shipped == set(DATA_FILES.values())
 
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_shipped_files_hold_the_in_code_presentations(g):
     """The shipped presentations are built from Python data, and the files
-    (the ``-p`` examples and ``--data`` templates) cannot drift from it."""
-    text = resources.files("meyersig.data").joinpath(presentations.SHIPPED_FILES[g]).read_text()
+    (the ``-p`` examples) cannot drift from it."""
+    text = resources.files("meyersig.data").joinpath(DATA_FILES[g]).read_text()
     assert dump_presentation(shipped_presentation(g)) == text
     assert json.loads(text) == presentations._SHIPPED_DATA[g]
-    assert shipped_presentation(g) == load_presentation(text)
+    assert shipped_presentation(g) == load_presentation(json.loads(text))
 
 
 def test_shipped_sl2z_content(sl2z):
@@ -325,10 +333,10 @@ def test_relator_values_are_the_cochain(sl2z, genus2):
 
 
 def test_relators_walked_once_and_class_order_walks_none(genus2, count_calls):
-    text = resources.files("meyersig.data").joinpath("genus2.json").read_text()
+    data = json.loads(resources.files("meyersig.data").joinpath("genus2.json").read_text())
     walk = count_calls(presentations, "_walk")
     cochain = count_calls(presentations, "cochain_c")
-    p = load_presentation(text)
+    p = load_presentation(data)
     assert (walk.call_count, cochain.call_count) == (len(p.relators), 0)
     walk.reset_mock()
     assert class_order(p) == ClassOrder(5, (3,) * 5)
@@ -539,7 +547,7 @@ def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls):
     gauss_jordan = count_calls(exact, "affine_point")
     for name, dets, solves in (("sl2z.json", 16, 2), ("genus2.json", 55, 56)):
         before = determinant.call_count, solve.call_count
-        load_presentation(resources.files("meyersig.data").joinpath(name).read_text())
+        load_presentation(json.loads(resources.files("meyersig.data").joinpath(name).read_text()))
         assert (determinant.call_count - before[0], solve.call_count - before[1]) == (dets, solves)
     assert gauss_jordan.call_count == 0
 
@@ -688,7 +696,7 @@ def test_class_order_general_lattice_path():
 def test_old_artin_key_is_ignored():
     data = json.loads(dump_presentation(_mismatch_presentation()))
     data["artin"] = True
-    p = load_presentation(json.dumps(data))
+    p = load_presentation(data)
     assert p == _mismatch_presentation()
     assert class_order(p) == ClassOrder(3, (-3, 2))
 
