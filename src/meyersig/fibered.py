@@ -19,6 +19,13 @@ Euler contributions, the hyperelliptic Horikawa-index identities, and the
 Hirzebruch/Noether geography conversions are included so that whole
 numerical budgets of a fibration can be balanced exactly.
 
+Monodromy factorizations repeat a few twists many times (E(n) is
+(a b)^6n), so one call does its per-word work once per distinct word:
+loading a fibration parses each distinct monodromy text once, and the
+local signatures and the signature over a surface evaluate phi once per
+distinct word.  No such table outlives its call.  The closedness check
+still walks every germ letter.
+
 The fiber genus is checked once: by the table of shipped presentations
 in :mod:`meyersig.presentations` wherever a genus alone names the
 presentation, and against the presentation given with a fibration file.
@@ -90,11 +97,24 @@ def meyer_function(g: int):
     return _meyer_of(shipped_presentation(g))
 
 
+def _phi_values(phi, words) -> list[Fraction]:
+    """phi of each of ``words``, in order, evaluating phi once per distinct
+    word; the table lives for this call only."""
+    values: dict[Word, Fraction] = {}
+    out = []
+    for w in words:
+        value = values.get(w)
+        if value is None:
+            value = values[w] = phi(w)
+        out.append(value)
+    return out
+
+
 def signature_over_surface(g: int, boundary_monodromies) -> Fraction:
     """Signature of a genus-g bundle over a compact surface with boundary:
-    the sum of phi_g over the boundary monodromies (zero for no boundary)."""
-    phi = meyer_function(g)
-    return sum((phi(w) for w in boundary_monodromies), Fraction(0))
+    the sum of phi_g over the boundary monodromies (zero for no boundary),
+    evaluated once per distinct word."""
+    return sum(_phi_values(meyer_function(g), boundary_monodromies), Fraction(0))
 
 
 def local_signature(germ: FiberGerm, g: int) -> Fraction:
@@ -103,9 +123,14 @@ def local_signature(germ: FiberGerm, g: int) -> Fraction:
 
 
 def local_signatures(fd: FibrationDescription) -> list[Fraction]:
-    """The local signature of each germ of fd, all from one Meyer function."""
-    phi = _meyer_of(fd.presentation)
-    return [phi(germ.monodromy) + germ.neighborhood_signature for germ in fd.germs]
+    """The local signature of each germ of fd, all from one Meyer function,
+    evaluated once per distinct monodromy word (:func:`_phi_values`); a germ
+    adds its own neighborhood signature to its word's value."""
+    phis = _phi_values(_meyer_of(fd.presentation), [germ.monodromy for germ in fd.germs])
+    return [
+        phi + germ.neighborhood_signature if germ.neighborhood_signature else phi
+        for phi, germ in zip(phis, fd.germs)
+    ]
 
 
 def total_signature(fd: FibrationDescription) -> int:
@@ -320,29 +345,38 @@ def sl2_word(m: SymplecticMatrix, presentation: Presentation | None = None) -> W
 _KODAIRA_PREFIX = "kodaira:"
 
 
-def germ_from_dict(data: dict, presentation: Presentation) -> FiberGerm:
+def _monodromy_word(monodromy: str, presentation: Presentation) -> tuple[Word, int]:
+    """(word, default neighborhood signature) of a germ's monodromy text:
+    a ``kodaira:`` type gives its word and its signature, any other text
+    its parsed word and 0."""
+    if not monodromy.startswith(_KODAIRA_PREFIX):
+        return presentation.word(monodromy), 0
+    if presentation.genus != 1:
+        raise ParseError("Kodaira fiber references are only defined at genus 1")
+    fiber_type = monodromy[len(_KODAIRA_PREFIX):]
+    return kodaira_word(fiber_type, presentation), kodaira_neighborhood_signature(fiber_type)
+
+
+def germ_from_dict(data: dict, presentation: Presentation, words: dict) -> FiberGerm:
     """One germ, its words over ``presentation``.  A ``kodaira:`` germ
     takes the neighborhood signature of its type
     (:func:`kodaira_neighborhood_signature`), and a file value that
-    disagrees is a ParseError; any other germ defaults to 0."""
+    disagrees is a ParseError; any other germ defaults to 0.
+
+    ``words`` maps monodromy texts already read over ``presentation`` to
+    their :func:`_monodromy_word`; a text not in it is read and added."""
     try:
         monodromy = data["monodromy"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"germ data is missing field {exc}") from None
     if not isinstance(monodromy, str):
         raise ParseError(f"field 'monodromy' must be a word string, got {monodromy!r}")
-    kodaira = monodromy.startswith(_KODAIRA_PREFIX)
-    default = 0
-    if kodaira:
-        if presentation.genus != 1:
-            raise ParseError("Kodaira fiber references are only defined at genus 1")
-        fiber_type = monodromy[len(_KODAIRA_PREFIX):]
-        word = kodaira_word(fiber_type, presentation)
-        default = kodaira_neighborhood_signature(fiber_type)
-    else:
-        word = presentation.word(monodromy)
+    known = words.get(monodromy)
+    if known is None:
+        known = words[monodromy] = _monodromy_word(monodromy, presentation)
+    word, default = known
     signature = json_int(data.get("neighborhood_signature", default), "neighborhood_signature")
-    if kodaira and signature != default:
+    if signature != default and monodromy.startswith(_KODAIRA_PREFIX):
         raise ParseError(
             f"neighborhood_signature {signature} disagrees with {monodromy!r}, "
             f"whose neighborhood has signature {default}"
@@ -359,10 +393,12 @@ def load_fibration(source, presentation: Presentation | None = None) -> Fibratio
 
     Germs are read against ``presentation``, by default the shipped one
     of the file's genus; a presentation of another genus is a ParseError.
-    The germ words together count as one word for
-    :func:`check_word_length`: more than MAX_WORD_LETTERS letters in all
-    raise ValueError while the germs are read, before any Meyer function
-    or closedness walk."""
+    Each distinct monodromy text is parsed (a ``kodaira:`` type factored
+    and checked) once; every germ, repeated or not, still gets its own
+    checks, in file order.  The germ words together count as one word for
+    :func:`check_word_length`, a repeated word once per germ: more than
+    MAX_WORD_LETTERS letters in all raise ValueError while the germs are
+    read, before any Meyer function or closedness walk."""
     data = read_json(source, "fibration")
     try:
         genus = json_int(data["genus"], "genus")
@@ -375,9 +411,9 @@ def load_fibration(source, presentation: Presentation | None = None) -> Fibratio
     p = presentation or shipped_presentation(genus)
     if p.genus != genus:
         raise ParseError(f"got a genus-{p.genus} presentation, not genus {genus}, for the germs")
-    parsed, letters = [], 0
+    parsed, letters, words = [], 0, {}
     for g in germs:
-        parsed.append(germ_from_dict(g, p))
+        parsed.append(germ_from_dict(g, p, words))
         letters += len(parsed[-1].monodromy)
         check_word_length(letters)  # the germ words together count as one word
     return FibrationDescription(p, base_genus, tuple(parsed))

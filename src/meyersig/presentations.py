@@ -549,8 +549,10 @@ def _no_meyer_message(g: int) -> str:
 def shipped_presentation(genus: int) -> Presentation:
     """The packaged presentation for genus 1 or 2, built once from
     ``_SHIPPED_DATA`` through :func:`load_presentation`'s checks;
+    ValueError for a genus that is not an int (so ``True`` and ``2.0``
+    name no presentation, though they equal 1 and 2) and
     UnsupportedGenusError for a genus with none."""
-    if genus not in _SHIPPED_DATA:
+    if _int_genus(genus) not in _SHIPPED_DATA:
         raise UnsupportedGenusError(_no_meyer_message(genus))
     return load_presentation(_SHIPPED_DATA[genus])
 

@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from meyersig import cli, cocycle, presentations, selftest
+from meyersig import cli, cocycle, fibered, presentations, selftest
 from meyersig.cli import main
 from meyersig.exact import kernel_basis
 from meyersig.fibered import load_fibration
@@ -294,18 +294,21 @@ E2_GERMS = [
 E2_OUT = "".join(f"{label}{k}: -2/3\n" for k in range(12) for label in "uv") + "total: -16\n"
 
 
-def test_local_sig_synthesizes_once_and_evaluates_each_germ_once(
+def test_local_sig_synthesizes_once_and_evaluates_each_distinct_germ_once(
     capsys, count_calls, data_dir, tmp_path
 ):
+    # 30 germs over 5 distinct words: one parse and one phi per word
     path = _write_fibration(tmp_path / "chain.json", 2, CHAIN_GERMS)
     load = count_calls(presentations, "load_presentation")
     synthesize = count_calls(presentations, "synthesize_meyer")
+    parse = count_calls(presentations, "parse_word")
     method = SynthesizedMeyerFunction.__call__
     with mock.patch.object(SynthesizedMeyerFunction, "__call__", autospec=True, side_effect=method) as evaluate:
         code, out, _ = run_cli(capsys, "local-sig", "-f", path, "-p", str(data_dir / "genus2.json"))
     assert (code, out) == (0, CHAIN_OUT)
-    assert (synthesize.call_count, evaluate.call_count) == (1, 30)
+    assert (synthesize.call_count, evaluate.call_count) == (1, 5)
     assert load.call_count == 1
+    assert parse.call_count == 13 + 5  # the relators of genus2.json, then the germ words
 
 
 def test_local_sig_reads_each_data_file_once(
@@ -912,6 +915,51 @@ def test_local_sig_kodaira_signature_that_disagrees_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "local-sig", "-f", _write_fibration(tmp_path / "f.json", 1, germs))
     assert (code, out) == (2, "")
     assert "neighborhood_signature 0 disagrees with 'kodaira:I_0*'" in err
+
+
+# (good, bad, its error): a bad germ after a repeated good one, whose word
+# is read once, fails as it does alone.
+BAD_AFTER_REPEATED = [
+    ("a b^-1", "a zz", "parse error: unknown generator 'zz' in token 1\n"),
+    ("kodaira:I_1", "kodaira:I_x", "parse error: unknown Kodaira type 'I_x'\n"),
+]
+
+
+@pytest.mark.parametrize("good, bad, error", BAD_AFTER_REPEATED)
+def test_local_sig_bad_germ_after_a_repeated_good_one(capsys, tmp_path, good, bad, error):
+    for words in ([good, good, bad], [bad]):
+        path = _write_fibration(tmp_path / "f.json", 1, [{"monodromy": w} for w in words])
+        assert run_cli(capsys, "local-sig", "-f", path) == (2, "", error)
+
+
+def test_local_sig_checks_the_neighborhood_signature_of_each_repeated_kodaira_germ(capsys, tmp_path):
+    germs = [{"monodromy": "kodaira:I_2"}, {"monodromy": "kodaira:I_2", "neighborhood_signature": -1}]
+    germs.append({"monodromy": "kodaira:I_2", "neighborhood_signature": 0})
+    code, out, err = run_cli(capsys, "local-sig", "-f", _write_fibration(tmp_path / "f.json", 1, germs))
+    assert (code, out) == (2, "")
+    assert err == (
+        "parse error: neighborhood_signature 0 disagrees with 'kodaira:I_2', "
+        "whose neighborhood has signature -1\n"
+    )
+
+
+@pytest.mark.parametrize("word", ["a^5001", "kodaira:I_5001"])
+def test_local_sig_counts_a_repeated_germ_toward_the_cap(capsys, count_calls, tmp_path, word):
+    # one germ of 5 001 letters loads; its word twice is over the cap, and
+    # refused before any Meyer function or closedness walk
+    presentations.shipped_presentation(1)  # built, and its relators walked, once per process
+    path = _write_fibration(tmp_path / "long.json", 1, [{"monodromy": word}] * 2)
+    walk = count_calls(presentations, "_walk")
+    evaluate = count_calls(presentations, "evaluate_word")
+    phi1 = count_calls(fibered, "phi1")
+    assert run_cli(capsys, "local-sig", "-f", path) == (1, "", TOO_LONG)
+    # the one evaluation of a Kodaira word is sl2_word's check of I_5001
+    checks = 1 if word.startswith("kodaira:") else 0
+    assert (walk.call_count, evaluate.call_count, phi1.call_count) == (0, checks, 0)
+    one = _write_fibration(tmp_path / "one.json", 1, [{"monodromy": word}])
+    code, out, err = run_cli(capsys, "local-sig", "-f", one)  # loads, then fails closedness
+    assert (code, out) == (1, "")
+    assert "closedness check failed" in err
 
 
 def test_data_dir_override(capsys, data_dir, tmp_path):

@@ -20,6 +20,7 @@ from meyersig.fibered import (
     kodaira_word,
     load_fibration,
     local_signature,
+    local_signatures,
     meyer_function,
     sigma_alg_hyperelliptic,
     signature_over_surface,
@@ -34,6 +35,7 @@ from meyersig.presentations import (
     Word,
     class_order,
     evaluate_word,
+    format_word,
     shipped_meyer_function,
     shipped_presentation,
 )
@@ -77,6 +79,26 @@ def test_shipped_presentation_genus_table():
     for g, message in ((0, "genus 1 and 2 only"), (3, "infinite order")):
         with pytest.raises(UnsupportedGenusError, match=message):
             shipped_presentation(g)
+
+
+# A genus that equals 1 or 2 but is no int names no shipped presentation:
+# lru_cache keys True and 2.0 apart from 1 and 2, so they would build and
+# synthesize again, and the rest of the package refuses them.
+NON_INT_GENUS_CALLS = {
+    "shipped_presentation(True)": lambda: shipped_presentation(True),
+    "shipped_meyer_function(2.0)": lambda: shipped_meyer_function(2.0),
+    "signature_over_surface(2.0, ...)": lambda: signature_over_surface(2.0, [Word([(0, 1)])]),
+    "local_signature(germ, 1.0)": lambda: local_signature(FiberGerm(Word([(0, 1)])), 1.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INT_GENUS_CALLS.values(), ids=NON_INT_GENUS_CALLS)
+def test_shipped_data_refuses_a_genus_that_is_not_an_int(call):
+    shipped_presentation(1), shipped_meyer_function(2)  # the int genera, built once
+    built = shipped_presentation.cache_info().currsize, shipped_meyer_function.cache_info().currsize
+    with pytest.raises(ValueError, match=r"^genus must be an int, got (True|2\.0|1\.0)$"):
+        call()
+    assert (shipped_presentation.cache_info().currsize, shipped_meyer_function.cache_info().currsize) == built
 
 
 def test_fibration_description_checks_only_the_base_genus():
@@ -624,6 +646,64 @@ def test_load_fibration_caps_the_letters_of_all_germs():
     with pytest.raises(ValueError, match="caps words at 10000 letters") as info:
         load_fibration(fibration(["a^4000", "b^-5999", "A B"]))
     assert not isinstance(info.value, ParseError)
+
+
+def _per_germ_local_signatures(fd):
+    """The local signatures by their definition: one phi call per germ."""
+    phi = meyer_function(fd.genus)
+    return [phi(germ.monodromy) + germ.neighborhood_signature for germ in fd.germs]
+
+
+GENUS1_TYPES = ("I_1", "I_2", "II", "IV", "I_0*", "III*", "I_3*")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_local_signatures_per_distinct_word_match_the_per_germ_definition_at_genus_1(seed, sl2z):
+    """Repeated Kodaira types, conjugated words, and one word under several
+    labels and neighborhood signatures, read and evaluated once per distinct
+    word, give every germ what reading and evaluating it alone gives."""
+    rng = random.Random(seed)
+    shared = format_word(random_word(sl2z, rng, max_len=6), sl2z.generator_names)
+    conjugators = [random_word(sl2z, rng, max_len=3) for _ in range(2)]
+    germs, expected = [], []
+    for k in range(30):
+        kind = rng.randrange(3)
+        if kind == 0:
+            fiber_type = rng.choice(GENUS1_TYPES)
+            germs.append({"monodromy": f"kodaira:{fiber_type}"})
+            expected.append((kodaira_word(fiber_type), kodaira_neighborhood_signature(fiber_type)))
+        elif kind == 1:
+            x = rng.choice(conjugators)
+            word = x * sl2z.word(rng.choice(("a", "b^-1", "a b"))) * x.inverse()
+            germs.append({"monodromy": format_word(word, sl2z.generator_names), "label": f"conjugate {k}"})
+            expected.append((word, 0))
+        else:
+            signature = rng.randint(-3, 3)
+            germs.append({"monodromy": shared, "neighborhood_signature": signature, "label": f"s{k}"})
+            expected.append((sl2z.word(shared), signature))
+    fd = load_fibration({"genus": 1, "base_genus": 1, "germs": germs})
+    assert [(germ.monodromy, germ.neighborhood_signature) for germ in fd.germs] == expected
+    assert [germ.label for germ in fd.germs] == [germ.get("label", "") for germ in germs]
+    assert local_signatures(fd) == _per_germ_local_signatures(fd)
+    words = [germ.monodromy for germ in fd.germs]
+    assert signature_over_surface(1, words) == sum(meyer_function(1)(w) for w in words)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_local_signatures_per_distinct_word_match_the_per_germ_definition_at_genus_2(seed, genus2):
+    """The chain relation (c1 ... c5)^6 = 1 as 30 germs c_i^-1, conjugated by
+    one random word and built as separate, equal Word objects."""
+    rng = random.Random(seed)
+    x = random_word(genus2, rng, max_len=4)
+    germs = tuple(
+        FiberGerm(x * Word([(4 - k % 5, -1)]) * x.inverse(), rng.randint(-2, 2), f"c{k}")
+        for k in range(30)
+    )
+    fd = FibrationDescription(genus2, 0, germs)
+    assert local_signatures(fd) == _per_germ_local_signatures(fd)
+    assert total_signature(fd) == -18 + sum(germ.neighborhood_signature for germ in germs)
+    words = [germ.monodromy for germ in germs]
+    assert signature_over_surface(2, words) == sum(meyer_function(2)(w) for w in words) == -18
 
 
 def test_load_fibration_errors(tmp_path):
