@@ -29,7 +29,7 @@ from .presentations import (
     load_presentation,
     synthesize_meyer,
 )
-from .symplectic import SymplecticMatrix
+from .symplectic import SymplecticMatrix, _from_rows
 
 def _fmt(value) -> str:
     value = Fraction(value)
@@ -45,7 +45,7 @@ def _fmt(value) -> str:
 
 
 def _symplectic_arg(text: str, g: int | None = None) -> SymplecticMatrix:
-    m = SymplecticMatrix(parse_matrix(text))
+    m = _from_rows(parse_matrix(text))  # parse_matrix has checked the rows
     if g is not None and m.g != g:
         raise ValueError(f"matrix has genus {m.g}, but -g {g} was given")
     return m

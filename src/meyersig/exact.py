@@ -7,8 +7,8 @@ Input is integer.  The public entries, :func:`signature` and
 a float or a bool) with ValueError, since the fraction-free passes below
 would floor-divide it silently; :func:`signature` also refuses rows that
 are not a symmetric square.  The internal helpers :func:`determinant`,
-:func:`affine_point`, :func:`lattice_order` and the free-column readout
-:func:`_free_columns` trust their caller.
+:func:`affine_point`, :func:`lattice_order`, :func:`lattice_basis` and
+the free-column readout :func:`_free_columns` trust their caller.
 :func:`determinant` is straight-line code at n = 2 and n = 4, the sizes
 of the genus-1 and genus-2 walks (p t - q r, and the Laplace expansion
 in complementary 2 x 2 minors).  :func:`_inertia`, behind
@@ -267,18 +267,7 @@ def lattice_order(columns: Sequence[Sequence[int]], target: Sequence[int]) -> tu
     """
     height, k = len(target), len(columns)
     cols = [[*col, *[int(i == j) for i in range(k)]] for j, col in enumerate(columns)]
-    pivot_rows: list[int] = []
-    for row in range(height):
-        r = len(pivot_rows)
-        while len(nz := [j for j in range(r, k) if cols[j][row]]) > 1:
-            jmin = min(nz, key=lambda j: abs(cols[j][row]))
-            for j in nz:
-                if j != jmin:
-                    q = cols[j][row] // cols[jmin][row]
-                    cols[j] = [e - q * b for e, b in zip(cols[j], cols[jmin])]
-        if nz:
-            cols[r], cols[nz[0]] = cols[nz[0]], cols[r]
-            pivot_rows.append(row)
+    pivot_rows = _column_echelon(cols, height)
     residual, n = [*target, *[0] * k], 1
     for col, row in zip(cols, pivot_rows):
         p = col[row]
@@ -293,6 +282,39 @@ def lattice_order(columns: Sequence[Sequence[int]], target: Sequence[int]) -> tu
         if n * t != sum([m_j * col[i] for m_j, col in zip(m, columns)]):
             raise ArithmeticError("lattice solution fails the relator system")
     return n, m
+
+
+def lattice_basis(columns: Sequence[Sequence[int]], height: int) -> list[list[int]]:
+    """At most ``height`` columns that span the same integer lattice as
+    ``columns``, each of ``height`` entries: their echelon form by the
+    Euclid column steps of :func:`lattice_order`, with no transform
+    carried and the zero columns dropped.  The steps are unimodular, so
+    the lattice is unchanged, and every column past the pivots ends zero.
+    Internal: the caller vouches for ints and columns of len ``height``.
+    """
+    cols = [list(col) for col in columns]
+    return cols[:len(_column_echelon(cols, height))]
+
+
+def _column_echelon(cols: list[list[int]], height: int) -> list[int]:
+    """Bring the first ``height`` rows of ``cols`` to column echelon form
+    in place, by Euclid steps between columns and swaps, and return the
+    pivot rows; column r holds the r-th pivot, and every column past the
+    pivots is zero in those rows."""
+    k = len(cols)
+    pivot_rows: list[int] = []
+    for row in range(height):
+        r = len(pivot_rows)
+        while len(nz := [j for j in range(r, k) if cols[j][row]]) > 1:
+            jmin = min(nz, key=lambda j: abs(cols[j][row]))
+            for j in nz:
+                if j != jmin:
+                    q = cols[j][row] // cols[jmin][row]
+                    cols[j] = [e - q * b for e, b in zip(cols[j], cols[jmin])]
+        if nz:
+            cols[r], cols[nz[0]] = cols[nz[0]], cols[r]
+            pivot_rows.append(row)
+    return pivot_rows
 
 
 def _gauss_jordan(mat: list[list[int]], width: int) -> tuple[list[int], int]:

@@ -33,7 +33,17 @@ checking that it maps to the identity and keeping c(r_j), so
 presentations for genus 1 and 2, as the Python data their JSON files
 decode to, and the reader that every presentation, file or data, goes
 through; the relators of a presentation together are capped like one
-word.
+word, and its generators at MAX_GENERATORS.
+
+The reader does each generator's and each token's work once.  A
+matrix's rows are checked where they are read and classified by the one
+rank-1 recognizer of :mod:`meyersig.symplectic`, which also vouches that
+a twist power is symplectic, and the twist records go to the
+:class:`Presentation`.  The relators share one token table
+(``token -> (generator index, power)``), so each distinct token is
+parsed once; its letters are valid by construction and become a
+:class:`Word` through :func:`_word`, the trusted constructor.  The
+presentation keeps the table for :meth:`Presentation.word`.
 """
 
 from fractions import Fraction
@@ -44,17 +54,25 @@ from typing import Iterable, Sequence
 
 from .cocycle import tau_sp
 from .errors import InfiniteOrderError, ParseError, UnsupportedGenusError
-from .exact import _sign, determinant, lattice_order
+from .exact import _sign, determinant, lattice_basis, lattice_order
 from .matrix import (
     _add_identity, _decode_json, _product, format_matrix, matrix_from_json, parse_int, parse_matrix
 )
-from .symplectic import SymplecticMatrix, _int_genus, _wrap, twist_of
+from .symplectic import SymplecticMatrix, _classify, _int_genus, _recognize_twist, _wrap
 from .twist import _minor_sign, _twist, _twist_step
 from .value import Value
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
 
 MAX_WORD_LETTERS = 10_000
+
+# The class-order solve carries one transform entry per generator on each
+# generator's column, and its Euclid column steps let those entries grow
+# with the generator count.  With random relators at the word cap, the
+# slowest `order -p` measured took about 0.6 s at 64 generators, 6 s at
+# 128 and more than 120 s at 256 (Python 3.11, one core of a Xeon), so
+# presentations are refused above 64 before any matrix is read.
+MAX_GENERATORS = 64
 
 
 class Word(Value):
@@ -115,6 +133,15 @@ class Word(Value):
         return f"Word({self.letters!r})"
 
 
+def _word(letters: list) -> Word:
+    """The one trusted Word constructor: letters that are (index >= 0,
+    +-1) pairs of ints by construction, and no more than MAX_WORD_LETTERS
+    of them, with no check."""
+    obj = object.__new__(Word)
+    object.__setattr__(obj, "letters", tuple(letters))
+    return obj
+
+
 def check_word_length(letters: int) -> None:
     """Raise ValueError for a word of more than MAX_WORD_LETTERS letters;
     callers pass the count before they build the letters."""
@@ -122,43 +149,92 @@ def check_word_length(letters: int) -> None:
         raise ValueError(f"word is too long: meyersig caps words at {MAX_WORD_LETTERS} letters")
 
 
-def parse_word(text: str, generator_names: Sequence[str]) -> Word:
+def check_generator_count(generators: int) -> None:
+    """Raise ValueError for a presentation of more than MAX_GENERATORS
+    generators; callers pass the count before any matrix is read."""
+    if generators > MAX_GENERATORS:
+        raise ValueError(
+            f"presentation has too many generators: meyersig caps presentations "
+            f"at {MAX_GENERATORS} generators"
+        )
+
+
+class _TokenTable(dict):
+    """token -> (generator index, power) for the tokens parsed so far over
+    one list of generator names, whose positions it keeps as ``index``.
+
+    Only :func:`parse_word` fills it, with what :func:`_parse_token`
+    returned, so every entry names a generator and a nonzero power.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: dict[str, int], parsed=()):
+        super().__init__(parsed)
+        self.index = index
+
+
+def _token_table(generator_names: Sequence[str]) -> _TokenTable:
+    """An empty token table over ``generator_names``."""
+    return _TokenTable({name: i for i, name in enumerate(generator_names)})
+
+
+def parse_word(text: str, generator_names: Sequence[str], tokens: _TokenTable | None = None) -> Word:
     """Parse a whitespace-separated word string.
 
     Token forms: a generator name, ``name^k`` for a nonzero integer k
     (expanded into |k| letters), and the single-letter shorthand where an
     uppercase token stands for the inverse of its lowercase generator.
     The empty string is the empty word.  A word longer than
-    MAX_WORD_LETTERS raises ValueError before its letters are built.
+    MAX_WORD_LETTERS raises ValueError before its letters are built, and
+    a bad token raises ParseError naming its position; whichever comes
+    first in the text wins.
+
+    ``tokens``, a :class:`_TokenTable` over the same names, is read and
+    filled by this call, so texts parsed with one table send each distinct
+    token through :func:`_parse_token` once; without it the call uses a
+    table of its own.
     """
-    index = {name: i for i, name in enumerate(generator_names)}
+    table = _token_table(generator_names) if tokens is None else tokens
     letters: list[Letter] = []
     length = 0
     for pos, token in enumerate(text.split()):
-        name, caret, power_text = token.partition("^")
-        if caret:  # "a^" has an empty exponent, which parse_int refuses
-            try:
-                power = parse_int(power_text)
-            except ParseError:
-                raise ParseError(
-                    f"bad exponent {power_text!r} in token {pos}: {token!r}"
-                ) from None
-            if power == 0:
-                raise ParseError(f"zero exponent in token {pos}: {token!r}")
+        try:
+            i, power = table[token]
+        except KeyError:
+            i, power = table[token] = _parse_token(token, pos, table.index)
+        count = abs(power)
+        length += count
+        if length > MAX_WORD_LETTERS:  # before the token's letters are built
+            check_word_length(length)
+        if count == 1:
+            letters.append((i, power))
         else:
-            power = 1
-        if name in index:
-            i = index[name]
-        elif len(name) == 1 and name.isupper() and name.lower() in index:
-            i = index[name.lower()]
-            power = -power
-        else:
-            raise ParseError(f"unknown generator {name!r} in token {pos}")
-        length += abs(power)
-        check_word_length(length)
-        sign = 1 if power > 0 else -1
-        letters.extend([(i, sign)] * abs(power))
-    return Word(letters)
+            letters += [(i, power // count)] * count
+    return _word(letters)
+
+
+def _parse_token(token: str, pos: int, index: dict[str, int]) -> tuple[int, int]:
+    """(generator index, power) of one word token, the ``pos``-th of its
+    text, over the name positions ``index``; a bad exponent, a zero
+    exponent or an unknown name raises ParseError, in that order."""
+    name, caret, power_text = token.partition("^")
+    if caret:  # "a^" has an empty exponent, which parse_int refuses
+        try:
+            power = parse_int(power_text)
+        except ParseError:
+            raise ParseError(
+                f"bad exponent {power_text!r} in token {pos}: {token!r}"
+            ) from None
+        if power == 0:
+            raise ParseError(f"zero exponent in token {pos}: {token!r}")
+    else:
+        power = 1
+    if name in index:
+        return index[name], power
+    if len(name) == 1 and name.isupper() and name.lower() in index:
+        return index[name.lower()], -power
+    raise ParseError(f"unknown generator {name!r} in token {pos}")
 
 
 def format_word(word: Word, generator_names: Sequence[str]) -> str:
@@ -174,12 +250,21 @@ def format_word(word: Word, generator_names: Sequence[str]) -> str:
 class Presentation(Value):
     """Generators with symplectic images, plus relators mapping to the identity.
 
-    Construction walks each relator once (:func:`_walk`): the image must
-    be the identity, and the cochain value c(r_j) read off the same walk
-    is kept in ``_relator_values``, in relator order, for
-    :func:`class_order`.  It is no field, so equality and hashing see
-    only the four data fields.  No ``__slots__``: the cached properties
-    live in the instance dict.
+    Construction classifies each matrix once: ``_twists`` maps each
+    letter (i, +-1) to None, or to the :mod:`meyersig.twist` record when
+    the matrix is a twist power (:func:`~meyersig.symplectic._recognize_twist`;
+    the inverse of a twist power is the power with -lam).  A loader that
+    has recognized its matrices already passes the records as ``twists``,
+    one per generator, and its token table as ``tokens``, which
+    :meth:`word` then reads.  Construction then walks each relator once
+    (:func:`_walk`): the image must be the identity, and the cochain value
+    c(r_j) read off the same walk is kept in ``_relator_values``, in
+    relator order, for :func:`class_order`.  None of these is a field, so
+    equality and hashing see only the four data fields.  No
+    ``__slots__``: the cached properties live in the instance dict.
+
+    More than MAX_GENERATORS generators raise ValueError before anything
+    else is built.
     """
 
     _fields = ("genus", "generator_names", "matrices", "relators")
@@ -190,6 +275,9 @@ class Presentation(Value):
         generator_names: tuple[str, ...],
         matrices: tuple[SymplecticMatrix, ...],
         relators: tuple[Word, ...],
+        *,
+        twists: Sequence[tuple | None] | None = None,
+        tokens: _TokenTable | None = None,
     ):
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "generator_names", generator_names)
@@ -198,6 +286,7 @@ class Presentation(Value):
         names = self.generator_names
         if not names:  # no matrix would pin the genus that sizes the identity below
             raise ValueError("a presentation needs at least one generator")
+        check_generator_count(len(names))
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
         for name in names:
@@ -208,6 +297,14 @@ class Presentation(Value):
         for name, m in zip(names, self.matrices):
             if m.g != self.genus:
                 raise ValueError(f"matrix for {name!r} has genus {m.g}, not {self.genus}")
+        if twists is None:
+            twists = [_recognize_twist(m.rows, m.g) for m in self.matrices]
+        letters: dict[Letter, tuple | None] = {}
+        for i, twist in enumerate(twists):
+            letters[i, 1] = twist
+            letters[i, -1] = None if twist is None else _twist(twist[0], -twist[1])
+        object.__setattr__(self, "_twists", letters)
+        object.__setattr__(self, "_tokens", _token_table(names) if tokens is None else tokens)
         values = []
         for k, rel in enumerate(self.relators):
             c, image_minus_identity = _walk(rel, self)
@@ -223,24 +320,14 @@ class Presentation(Value):
         return tuple(m.inverse() for m in self.matrices)
 
     @cached_property
-    def _twists(self) -> dict[Letter, tuple | None]:
-        """Per letter (i, +-1), None, or the :mod:`meyersig.twist` record
-        when its matrix is a twist power (:func:`twist_of`); the inverse
-        of a twist power is the power with -lam."""
-        twists: dict[Letter, tuple | None] = {}
-        for i, m in enumerate(self.matrices):
-            twist = twist_of(m)
-            for s in (1, -1):
-                twists[i, s] = None if twist is None else _twist(twist[0], s * twist[1])
-        return twists
-
-    @cached_property
     def meyer_function(self) -> "SynthesizedMeyerFunction":
         """This presentation's synthesized Meyer function, built once."""
         return synthesize_meyer(self)
 
     def word(self, text: str) -> Word:
-        return parse_word(text, self.generator_names)
+        """The word ``text`` spells, by :func:`parse_word` on a copy of the
+        token table kept from construction, so no call adds to it."""
+        return parse_word(text, self.generator_names, _TokenTable(self._tokens.index, self._tokens))
 
     @property
     def generator_count(self) -> int:
@@ -360,21 +447,28 @@ def class_order(p: Presentation) -> ClassOrder | Unbounded:
     Solves n*c(r_j) = sum_i m_i * exp_i(r_j) over the relator exponent
     lattice (:func:`meyersig.exact.lattice_order`), with the values c(r_j)
     that construction of p read off its relator walks, so no word is
-    walked here.  Returns n=1 with all m_i = 0 when c vanishes on every
-    relator.
+    walked here.  An empty relator is the equation 0 = 0 and is left out,
+    so the system has no more rows than the relators have letters.
+    Returns n=1 with all m_i = 0 when c vanishes on every relator.
     """
-    vectors = [_exponent_vector([r], p.generator_count) for r in p.relators]
-    columns = [[v[i] for v in vectors] for i in range(p.generator_count)]
-    order = lattice_order(columns, p._relator_values)
+    k = p.generator_count
+    rows = [(r, c) for r, c in zip(p.relators, p._relator_values) if r.letters]
+    vectors = [_exponent_vector([r], k) for r, _ in rows]
+    columns = [[v[i] for v in vectors] for i in range(k)]
+    order = lattice_order(columns, [c for _, c in rows])
     return UNBOUNDED if order is None else ClassOrder(*order)
 
 
 def _abelianizes_to_zero(p: Presentation, words: Iterable[Word]) -> bool:
     """Whether the product of ``words`` is trivial in the abelianization
     of the presented group: their summed exponent vector is an integer
-    combination of the relators' exponent vectors."""
-    columns = [_exponent_vector([r], p.generator_count) for r in p.relators]
-    order = lattice_order(columns, _exponent_vector(words, p.generator_count))
+    combination of the relators' exponent vectors.  Those vectors are
+    first reduced to a basis of their lattice
+    (:func:`meyersig.exact.lattice_basis`), at most one per generator, so
+    the solve carries no transform of one entry per relator."""
+    k = p.generator_count
+    vectors = [_exponent_vector([r], k) for r in p.relators if r.letters]
+    order = lattice_order(lattice_basis(vectors, k), _exponent_vector(words, k))
     return order is not None and order[0] == 1
 
 
@@ -461,9 +555,13 @@ def dump_presentation(p: Presentation) -> str:
 def load_presentation(source) -> Presentation:
     """Load from decoded JSON data (a dict) or a file path (:func:`read_json`).
 
-    The relators together count as one word for :func:`check_word_length`:
-    more than MAX_WORD_LETTERS letters in all raise ValueError before any
-    relator is walked.
+    More than MAX_GENERATORS generators raise ValueError before any matrix
+    is read.  Each matrix is classified once, by
+    :func:`~meyersig.symplectic._classify`, and the twist records go to the
+    :class:`Presentation`.  The relators share one token table, so each
+    distinct token is parsed once, and together they count as one word
+    for :func:`check_word_length`: more than MAX_WORD_LETTERS letters in
+    all raise ValueError before any relator is walked.
     """
     data = read_json(source, "presentation")
     try:
@@ -475,23 +573,29 @@ def load_presentation(source) -> Presentation:
         raise ParseError(f"presentation data is missing field {exc}") from None
     if not isinstance(matrices, dict):
         raise ParseError("'matrices' must map generator names to matrices")
-    mats = []
+    check_generator_count(len(generators))
+    mats, twists = [], []
     for name in generators:
         if name not in matrices:
             raise ParseError(f"no matrix for generator {name!r}")
         raw = matrices[name]
         try:
-            m = parse_matrix(raw) if isinstance(raw, str) else matrix_from_json(raw)
-            mats.append(SymplecticMatrix(m, genus))
+            rows = parse_matrix(raw) if isinstance(raw, str) else matrix_from_json(raw)
+            m, twist = _classify(rows, genus)
         except ValueError as exc:
             raise ParseError(f"matrix for {name!r}: {exc}") from None
+        mats.append(m)
+        twists.append(twist)
+    tokens = _token_table(generators)
     words, letters = [], 0
     for text in relators:
-        words.append(parse_word(text, generators))
+        words.append(parse_word(text, generators, tokens))
         letters += len(words[-1])
         check_word_length(letters)  # the relators together count as one word
     try:
-        return Presentation(genus, tuple(generators), tuple(mats), tuple(words))
+        return Presentation(
+            genus, tuple(generators), tuple(mats), tuple(words), twists=twists, tokens=tokens
+        )
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -16,7 +16,11 @@ An element of Sp(2g;Z) is a :class:`SymplecticMatrix` holding its rows, a
 tuple of int tuples; it is the package's one matrix type.  Its constructor
 checks the rows and A^T J A = J; products, inverses and identities are
 symplectic by construction and go through :func:`_wrap`, the one trusted
-constructor.  A genus is checked once, by :func:`_check_genus`.
+constructor.  A genus is checked once, by :func:`_check_genus`.  Rows
+already checked where they were read take the constructor's other checks
+through :func:`_from_rows`, or through :func:`_classify`, which first asks
+:func:`_recognize_twist`, the one rank-1 recognizer, whether they are a
+Dehn-twist power and forms the A^T J A product only when they are not.
 """
 
 import random
@@ -111,17 +115,9 @@ class SymplecticMatrix:
     __slots__ = ("g", "rows")
 
     def __init__(self, entries, g: int | None = None):
-        rows = check_rows(entries)
-        n = len(rows)
-        if n != len(rows[0]) or n % 2:
-            raise ValueError(f"symplectic matrices are 2g x 2g, got {n}x{len(rows[0])}")
-        if g is not None and g != n // 2:
-            raise ValueError(f"genus {g} does not match a {n}x{n} matrix")
-        g = _check_genus(n // 2)
-        if not _is_symplectic(rows, g):
-            raise ValueError("not symplectic: A^T J A != J")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "rows", rows)
+        m = _from_rows(check_rows(entries), g)
+        object.__setattr__(self, "g", m.g)
+        object.__setattr__(self, "rows", m.rows)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -182,6 +178,40 @@ class SymplecticMatrix:
         return f"SymplecticMatrix({format_matrix(self.rows)!r})"
 
 
+def _shape_genus(rows: tuple, g: int | None) -> int:
+    """The genus of checked rows: a square of even size 2g, g equal to
+    ``g`` when that is given, and at most MAX_GENUS; anything else raises
+    ValueError before any product is formed."""
+    n = len(rows)
+    if n != len(rows[0]) or n % 2:
+        raise ValueError(f"symplectic matrices are 2g x 2g, got {n}x{len(rows[0])}")
+    if g is not None and g != n // 2:
+        raise ValueError(f"genus {g} does not match a {n}x{n} matrix")
+    return _check_genus(n // 2)
+
+
+def _from_rows(rows: tuple, g: int | None = None) -> SymplecticMatrix:
+    """The matrix of rows that :func:`~meyersig.matrix.check_rows` has
+    already checked: the shape and genus checks of :func:`_shape_genus`,
+    then :func:`_is_symplectic`, with the constructor's messages."""
+    g = _shape_genus(rows, g)
+    if not _is_symplectic(rows, g):
+        raise ValueError("not symplectic: A^T J A != J")
+    return _wrap(g, rows)
+
+
+def _classify(rows: tuple, g: int | None = None) -> tuple[SymplecticMatrix, tuple | None]:
+    """(the matrix, its twist record or None) for checked rows, with the
+    constructor's checks and messages: the shape and genus first, then
+    :func:`_recognize_twist`; only rows it does not recognize run the
+    product of :func:`_is_symplectic`, since a twist power is symplectic."""
+    g = _shape_genus(rows, g)
+    twist = _recognize_twist(rows, g)
+    if twist is None and not _is_symplectic(rows, g):
+        raise ValueError("not symplectic: A^T J A != J")
+    return _wrap(g, rows), twist
+
+
 def _wrap(g: int, rows: tuple) -> SymplecticMatrix:
     """The one trusted constructor: rows that are symplectic by
     construction (products, inverses, identities), with no check."""
@@ -229,20 +259,50 @@ def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
     which is transvection(v) ** (TWIST_SIGN * lam).  The class v is
     primitive with its first nonzero entry positive, so the pair is
     unique; the identity, -I and any M - I of rank above 1 give None.
+    The recognizer is :func:`_recognize_twist`.
     """
-    n = 2 * m.g
-    d = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(m.rows)]
-    col = next((j for j in range(n) if any(row[j] for row in d)), None)
-    if col is None:
-        return None
-    v, _, vj, _, _ = _twist(_primitive([row[col] for row in d]), 1)  # column col is lam (v^T J)_col v
-    if not vj[col]:
-        return None
+    twist = _recognize_twist(m.rows, m.g)
+    return None if twist is None else twist[:2]
+
+
+def _recognize_twist(rows: tuple, g: int) -> tuple | None:
+    """The :func:`~meyersig.twist._twist` record (v, lam, ...) of the
+    checked 2g x 2g rows of A when A - I = lam v (v^T J) with v primitive,
+    its first nonzero entry positive, and lam != 0; otherwise None.
+
+    The one rank-1 recognizer.  The first nonzero column, col, of A - I
+    is lam (v^T J)_col v, so v is its primitive part and lam its quotient
+    at the first nonzero entry of v; A is then compared with I + v w,
+    w = lam v^T J, row by row.  Rows that pass are symplectic with no
+    product: for B = I + lam v v^T J,
+
+        B^T J B = J + lam J v v^T J + lam J^T v v^T J
+                    + lam^2 J^T v (v^T J v) v^T J = J,
+
+    since J^T = -J cancels the two middle terms and v^T J v = <v, v> = 0
+    the last.  Rows that fail may still be symplectic; the caller decides
+    that.
+    """
+    for col, column in enumerate(zip(*rows)):
+        if column[col] != 1 or any(column[:col]) or any(column[col + 1:]):
+            break
+    else:
+        return None  # A = I
+    d = list(column)
+    d[col] -= 1
+    v = _primitive(d)
+    vj = -v[g + col] if col < g else v[col - g]  # (v^T J)_col
     i0 = next(i for i, e in enumerate(v) if e)
-    lam = d[i0][col] // (v[i0] * vj[col])
-    if any(d[i][j] != lam * v[i] * vj[j] for i in range(n) for j in range(n)):
+    if not vj or d[i0] % (v[i0] * vj):
         return None
-    return v, lam
+    twist = _twist(v, d[i0] // (v[i0] * vj))
+    w = twist[2]
+    for i, (row, e) in enumerate(zip(rows, v)):
+        expected = [e * f for f in w]
+        expected[i] += 1
+        if row != tuple(expected):
+            return None
+    return twist
 
 
 def a_class(g: int, i: int) -> tuple:

@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from meyersig import cli, cocycle, fibered, presentations, selftest
+from meyersig import cli, cocycle, fibered, matrix, presentations, selftest, symplectic
 from meyersig.cli import main
 from meyersig.exact import kernel_basis
 from meyersig.fibered import load_fibration
@@ -510,6 +510,109 @@ def test_genus_cap_refuses_large_matrices_at_once(capsys, tmp_path, genus):
         assert tau_seconds < 1 and order_seconds < 1
     else:
         assert (tau, order) == ((0, "0\n", ""), (0, "1\n", ""))
+
+
+@pytest.mark.parametrize("rows", ["2,0;0,1", "3,-2;0,1", "1,0,0,0;0,1,0,0;0,0,1,0;1,0,0,1"])
+def test_rank_1_generator_that_is_not_symplectic_is_parse_error(capsys, tmp_path, rows):
+    # A - I has rank 1 in each, but is no lam v (v^T J): the symplectic
+    # check still runs and refuses it
+    genus = 1 if rows.count(";") == 1 else 2
+    path = tmp_path / "rank1.json"
+    path.write_text(json.dumps({"genus": genus, "generators": ["x"], "matrices": {"x": rows}, "relators": []}))
+    assert run_cli(capsys, "order", "-p", str(path)) == (
+        2, "", "parse error: matrix for 'x': not symplectic: A^T J A != J\n"
+    )
+
+
+def _generators_file(path, count, relators=()):
+    names = [f"x{i}" for i in range(count)]
+    path.write_text(json.dumps({
+        "genus": 1, "generators": names, "matrices": dict.fromkeys(names, "1,1;0,1"), "relators": list(relators),
+    }))
+    return str(path)
+
+
+def test_generator_cap_refuses_before_any_matrix_is_read(capsys, count_calls, tmp_path):
+    """MAX_GENERATORS generators load (with relators at the word cap), one
+    more is refused with exit 1 before any matrix is parsed, in a file and
+    in a Presentation built in code."""
+    cap = presentations.MAX_GENERATORS
+    parse = count_calls(cli, "parse_matrix")
+    relators = [f"x{i % cap} x{(i + 1) % cap}^-1" for i in range(5000)]
+    inside = _generators_file(tmp_path / "inside.json", cap, relators)
+    assert run_cli(capsys, "order", "-p", inside) == (0, "1\n", "")
+    code, out, err = run_cli(capsys, "phi", "-p", inside, "x0 x1")
+    assert (code, err, out.count("\n")) == (0, "", 1)
+    assert parse.call_count == 2 * cap
+    message = f"presentation has too many generators: meyersig caps presentations at {cap} generators"
+    outside = _generators_file(tmp_path / "outside.json", cap + 1)
+    for argv in (["order", "-p", outside], ["phi", "-p", outside, "x0"]):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert parse.call_count == 2 * cap
+    matrices = (transvection((1, 0)),) * (cap + 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        presentations.Presentation(1, tuple(f"x{i}" for i in range(cap + 1)), matrices, ())
+
+
+# Run in a child whose address space is capped at 256 MiB.  Before the
+# generator cap, the class-order solve of 10**5 generators allocated
+# 10**10 entries; before the relators were reduced to a lattice basis, the
+# closedness check over a positive-genus base allocated one entry per
+# relator on each of 10**4 relator columns; and before empty relators
+# were left out, 3 * 10**5 of them took 64 entries each.  Each of the
+# three fails with MemoryError in that space without its bound.
+_CAPPED_SOLVE_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+from meyersig.cli import main
+for argv in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    code = main(argv)
+    print(code, time.perf_counter() - start < 10, file=sys.stderr)
+"""
+
+
+def test_presentation_solves_stay_small(tmp_path):
+    """Within a 256 MiB address space: 10**5 generators are refused at
+    once; 64 generators with 10 000 one-letter relators pass the
+    closedness check over a torus base; 64 generators with 3 * 10**5
+    empty relators give their class order."""
+    many = _generators_file(tmp_path / "many.json", 100_000)
+    names = [f"x{i}" for i in range(64)]
+    ones = tmp_path / "ones.json"
+    ones.write_text(json.dumps({
+        "genus": 1, "generators": names, "matrices": dict.fromkeys(names, "1,0;0,1"),
+        "relators": [names[i % 64] for i in range(10_000)],
+    }))
+    torus = tmp_path / "torus.json"
+    torus.write_text(json.dumps({"genus": 1, "base_genus": 1, "germs": [{"monodromy": "x0 x1^-1"}]}))
+    empty = _generators_file(tmp_path / "empty.json", 64, [""] * 300_000)
+    argvs = [["order", "-p", many], ["local-sig", "-f", str(torus), "-p", str(ones)], ["order", "-p", empty]]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_SOLVE_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    cap = presentations.MAX_GENERATORS
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "germ 0: 0\ntotal: 0\n1\n"
+    assert done.stderr == (
+        f"error: presentation has too many generators: meyersig caps presentations at {cap} generators\n"
+        "1 True\n0 True\n0 True\n"
+    )
+
+
+def test_matrix_arguments_are_checked_once(capsys, count_calls):
+    """tau, phi1 and rademacher check the rows of each matrix argument
+    once, run the symplectic product on it and no twist recognizer."""
+    check_rows = count_calls(matrix, "check_rows")
+    product = count_calls(symplectic, "_is_symplectic")
+    recognize = count_calls(symplectic, "_recognize_twist")
+    for argv, args in ((["tau", "1,1;0,1", "0,-1;1,0"], 2), (["phi1", "2,1;1,1"], 1), (["rademacher", "[[1,1],[0,1]]"], 1)):
+        before = check_rows.call_count, product.call_count
+        assert run_cli(capsys, *argv)[0] == 0
+        assert (check_rows.call_count - before[0], product.call_count - before[1]) == (args, args)
+    assert recognize.call_count == 0
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from meyersig import exact, presentations, selftest
+from meyersig import exact, matrix, presentations, selftest, symplectic
 from meyersig.cocycle import tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
 from meyersig.exact import _sign, kernel_basis, lattice_order
@@ -157,6 +157,127 @@ def test_parse_word_cap_checked_before_expansion(text):
     with pytest.raises(ValueError, match="caps words") as info:
         parse_word(text, ("a", "b"))
     assert not isinstance(info.value, ParseError)
+
+
+def _reference_parse_word(text, generator_names):
+    """parse_word as it stood before the token table: every token parsed
+    where it stands, and the letters checked again by Word."""
+    index = {name: i for i, name in enumerate(generator_names)}
+    letters = []
+    length = 0
+    for pos, token in enumerate(text.split()):
+        name, caret, power_text = token.partition("^")
+        if caret:
+            try:
+                power = presentations.parse_int(power_text)
+            except ParseError:
+                raise ParseError(f"bad exponent {power_text!r} in token {pos}: {token!r}") from None
+            if power == 0:
+                raise ParseError(f"zero exponent in token {pos}: {token!r}")
+        else:
+            power = 1
+        if name in index:
+            i = index[name]
+        elif len(name) == 1 and name.isupper() and name.lower() in index:
+            i = index[name.lower()]
+            power = -power
+        else:
+            raise ParseError(f"unknown generator {name!r} in token {pos}")
+        length += abs(power)
+        presentations.check_word_length(length)
+        sign = 1 if power > 0 else -1
+        letters.extend([(i, sign)] * abs(power))
+    return Word(letters)
+
+
+def _outcome(parse, *args):
+    """What a parse gives: its Word, or the type and message it raises."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+WORD_NAMES = ("a", "b", "c1", "xy")
+GOOD_TOKENS = ("a", "b", "c1", "xy", "A", "B", "a^-1", "c1^-1", "b^+2", "xy^3", "A^2", "B^-2", "c1^+001", "a^-12")
+BAD_TOKENS = ("z", "C1", "a^0", "b^-0", "c1^z", "a^", "xy^1.5", "Z^2", "a^1_0", "AB")
+
+
+def test_parse_word_against_the_reference_parser():
+    """Seeded texts of names, name^-1, name^+2, name^k and the uppercase
+    shorthand give the reference parser's Word, through a table of the
+    call's own, through one table shared by every text (as the relators of
+    one load share it), and through Presentation.word; a bad token after
+    repeated good ones gives the reference's message and position."""
+    rng = random.Random(3402)
+    shared = presentations._token_table(WORD_NAMES)
+    p = Presentation(1, WORD_NAMES, (U_MAT,) * len(WORD_NAMES), ())
+    for _ in range(300):
+        tokens = [rng.choice(GOOD_TOKENS) for _ in range(rng.randint(0, 12))]
+        text = rng.choice((" ", "  ", "\t", "\n")).join(tokens)
+        expected = _reference_parse_word(text, WORD_NAMES)
+        assert parse_word(text, WORD_NAMES) == expected, text
+        assert parse_word(text, list(WORD_NAMES), shared) == expected, text
+        assert p.word(text) == expected
+        if tokens:
+            bad = tokens + tokens[: rng.randint(0, len(tokens))]
+            bad.insert(rng.randint(len(tokens), len(bad)), rng.choice(BAD_TOKENS))
+            text = " ".join(bad)
+            expected = _outcome(_reference_parse_word, text, WORD_NAMES)
+            assert expected[0] is ParseError, expected
+            assert _outcome(parse_word, text, WORD_NAMES) == expected
+            assert _outcome(parse_word, text, WORD_NAMES, shared) == expected
+            assert _outcome(p.word, text) == expected
+    assert set(shared) == set(GOOD_TOKENS)
+    assert {token: shared[token] for token in ("A", "b^+2", "B^-2")} == {"A": (0, -1), "b^+2": (1, 2), "B^-2": (1, 2)}
+    assert set(p._tokens) == set()  # word() parses on a copy of the table it keeps
+
+
+def test_parse_word_keeps_the_precedence_of_the_cap_and_bad_tokens():
+    """A token past the cap wins over a bad token after it, and a bad
+    token wins over a cap passed after it, with or without a table that
+    has seen the tokens; a power past the cap raises before its letters."""
+    shared = presentations._token_table(("a", "b"))
+    parse_word("a^9999 b", ("a", "b"), shared)
+    for text in ("a^9999 b b z", "b " * 10_001 + "z", "a^9999 b z a^2", "a^0 a^20000", "a^20000 a^0"):
+        expected = _outcome(_reference_parse_word, text, ("a", "b"))
+        assert _outcome(parse_word, text, ("a", "b")) == expected
+        assert _outcome(parse_word, text, ("a", "b"), shared) == expected
+    assert _outcome(parse_word, "a^9999 b b z", ("a", "b"))[1].startswith("word is too long")
+    assert _outcome(parse_word, "a^9999 z b b", ("a", "b"))[1] == "unknown generator 'z' in token 1"
+
+
+# Run in a child whose address space is capped at 256 MiB: a relator
+# token c1^100000000 that built its letters before the cap check would
+# fail with MemoryError; the traced peak shows that none was built.
+_RELATOR_POWER_CHILD = """
+import json, resource, sys, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
+from meyersig.presentations import _SHIPPED_DATA, load_presentation
+data = json.loads(json.dumps(_SHIPPED_DATA[2]))
+data["relators"].insert(3, "c1 c2 c1 c1^100000000 c3")
+tracemalloc.start()
+start = time.perf_counter()
+try:
+    load_presentation(data)
+    print("returned")
+except Exception as exc:
+    print(type(exc).__name__, exc, time.perf_counter() - start < 0.1, tracemalloc.get_traced_memory()[1] < 10**5)
+"""
+
+
+def test_a_relator_power_past_the_cap_is_refused_before_its_letters():
+    data = json.loads(json.dumps(presentations._SHIPPED_DATA[2]))
+    data["relators"].insert(3, "c1 c2 c1^20000 c3^0")
+    with pytest.raises(ValueError, match="^word is too long: meyersig caps words at 10000 letters$") as info:
+        load_presentation(data)
+    assert not isinstance(info.value, ParseError)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _RELATOR_POWER_CHILD], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "ValueError word is too long: meyersig caps words at 10000 letters True True\n"
 
 
 def test_word_format_round_trip(rng, sl2z, genus2):
@@ -330,6 +451,18 @@ def test_relator_values_are_the_cochain(sl2z, genus2):
     for p in (sl2z, genus2, _mismatch_presentation(with_combined=True)):
         assert p._relator_values == tuple(cochain_c(r, p) for r in p.relators)
     assert sl2z._relator_values == (0, 8)
+
+
+def test_empty_relators_leave_the_class_order_and_closedness_unchanged(sl2z):
+    """An empty relator is the equation 0 = 0: interleaving empty relators
+    changes neither the class order nor which words abelianize to zero."""
+    padded = Presentation(1, sl2z.generator_names, sl2z.matrices, (Word(),) + sl2z.relators[:1] + (Word(),) * 3 + sl2z.relators[1:])
+    assert class_order(padded) == class_order(sl2z) == ClassOrder(3, (2, 2))
+    for text in ("", "a", "a b^-1", "a b a b", "a^12", "a^6 b^6", "a b^11"):
+        w = sl2z.word(text)
+        assert presentations._abelianizes_to_zero(padded, [w]) == presentations._abelianizes_to_zero(sl2z, [w])
+    assert [presentations._abelianizes_to_zero(sl2z, [sl2z.word(t)]) for t in ("a b^-1", "a^12", "a")] == [True, True, False]
+    assert class_order(Presentation(1, ("a",), (U_MAT,), (Word(),) * 5)) == ClassOrder(1, (0,))
 
 
 def test_relators_walked_once_and_class_order_walks_none(genus2, count_calls):
@@ -550,6 +683,30 @@ def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls):
         load_presentation(json.loads(resources.files("meyersig.data").joinpath(name).read_text()))
         assert (determinant.call_count - before[0], solve.call_count - before[1]) == (dets, solves)
     assert gauss_jordan.call_count == 0
+
+
+def test_loading_the_shipped_files_classifies_each_generator_and_token_once(count_calls):
+    """Loading genus2.json recognizes its 5 twists once each and forms no
+    A^T J A product; sl2z.json 2 and none; neither calls twist_of.  Each
+    distinct relator token is parsed once: 10 and 4.  A Presentation built
+    from matrices recognizes each once too."""
+    symplectic_product = count_calls(symplectic, "_is_symplectic")
+    recognize = count_calls(symplectic, "_recognize_twist")
+    twist_of = count_calls(symplectic, "twist_of")
+    parse_token = count_calls(presentations, "_parse_token")
+    check_rows = count_calls(matrix, "check_rows")
+    data = resources.files("meyersig.data")
+    for name, gens, tokens in (("genus2.json", 5, 10), ("sl2z.json", 2, 4)):
+        before = [c.call_count for c in (symplectic_product, recognize, twist_of, parse_token, check_rows)]
+        with resources.as_file(data.joinpath(name)) as path:
+            p = load_presentation(path)
+        after = [c.call_count for c in (symplectic_product, recognize, twist_of, parse_token, check_rows)]
+        assert [a - b for a, b in zip(after, before)] == [0, gens, 0, tokens, gens], name
+        assert len(p._tokens) == tokens
+        assert all(p._twists[i, s] is not None for i in range(gens) for s in (1, -1))
+    before = recognize.call_count, symplectic_product.call_count
+    Presentation(p.genus, p.generator_names, p.matrices, p.relators)
+    assert (recognize.call_count - before[0], symplectic_product.call_count - before[1]) == (2, 0)
 
 
 def test_walk_on_long_genus2_words_against_tau_prefix_sums(genus2, count_calls):

@@ -12,6 +12,7 @@ import pytest
 
 from meyersig import symplectic
 from meyersig.errors import ParseError
+from meyersig.exact import _primitive
 from meyersig.matrix import _add_identity, _identity_rows, format_matrix, parse_matrix
 from meyersig.presentations import Word
 from meyersig.symplectic import (
@@ -200,6 +201,113 @@ def test_twist_of_recovers_twist_powers():
 )
 def test_twist_of_refuses_non_twists(entries):
     assert twist_of(SymplecticMatrix(entries)) is None
+
+
+def _reference_twist_of(rows, g):
+    """The twist recognizer as it stood before the one rank-1 recognizer
+    replaced it: (v, lam) with rows - I = lam v (v^T J), or None."""
+    n = 2 * g
+    d = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    col = next((j for j in range(n) if any(row[j] for row in d)), None)
+    if col is None:
+        return None
+    v, _, vj, _, _ = _twist(_primitive([row[col] for row in d]), 1)
+    if not vj[col]:
+        return None
+    i0 = next(i for i, e in enumerate(v) if e)
+    lam = d[i0][col] // (v[i0] * vj[col])
+    if any(d[i][j] != lam * v[i] * vj[j] for i in range(n) for j in range(n)):
+        return None
+    return v, lam
+
+
+def _random_class(rng, g, bound=3):
+    while True:
+        v = [rng.randint(-bound, bound) for _ in range(2 * g)]
+        if any(v):
+            return v
+
+
+def _recognizer_cases(g, rng):
+    """(kind, rows) at genus g: twist powers with lam = +-1..+-3 along
+    random primitive classes, +-I, random_symplectic elements, rank-1
+    non-twists I + u w^T with w not a multiple of u^T J, and matrices
+    that are not symplectic."""
+    n = 2 * g
+    identity = _identity_rows(n)
+    yield "identity", identity
+    yield "minus identity", tuple(tuple(-e for e in row) for row in identity)
+    for _ in range(12):
+        v = _primitive(_random_class(rng, g))
+        for lam in (-3, -2, -1, 1, 2, 3):
+            yield "twist", (transvection(v) ** lam).rows
+    for length in range(1, 9):
+        yield "random_symplectic", random_symplectic(g, length, rng.random()).rows
+    for _ in range(20):
+        u, w = _random_class(rng, g), _random_class(rng, g)
+        uj = _row_times_j(u, g)
+        if any(a * d != b * c for a, b in zip(w, uj) for c, d in zip(w, uj)):  # w is no multiple of u^T J
+            yield "rank-1 non-twist", tuple(
+                tuple(int(i == j) + u[i] * w[j] for j in range(n)) for i in range(n)
+            )
+    for _ in range(20):
+        yield "other", tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+
+
+def _recognizer_disagreements(recognize, rng):
+    """The cases at g = 1..4 where ``recognize(rows, g)`` disagrees with
+    the reference recognizer and with is_symplectic, or where _classify
+    does not take its twist record or refuses rows it should accept."""
+    bad, kinds = [], set()
+    for g in (1, 2, 3, 4):
+        for kind, rows in _recognizer_cases(g, rng):
+            kinds.add(kind)
+            twist = recognize(rows, g)
+            expected = _reference_twist_of(rows, g)
+            if (twist and twist[:2]) != expected or (twist is not None and not is_symplectic(rows, g)):
+                bad.append((kind, rows, twist, expected))
+            elif twist is not None and twist != _twist(*twist[:2]):
+                bad.append((kind, rows, twist, "not the _twist record"))
+            try:
+                m, classified = symplectic._classify(rows, g)
+            except ValueError:
+                m = classified = None
+            if is_symplectic(rows, g) != (m is not None) or (m is not None and (m.rows, m.g) != (rows, g)):
+                bad.append((kind, rows, m, "classification"))
+            elif classified != twist:
+                bad.append((kind, rows, classified, twist))
+    assert kinds == {"identity", "minus identity", "twist", "random_symplectic", "rank-1 non-twist", "other"}
+    return bad
+
+
+def test_rank_1_recognizer_against_the_reference_and_is_symplectic():
+    """_recognize_twist returns the _twist record exactly when the
+    recognizer it replaced found (v, lam), only on symplectic rows, and
+    _classify takes its record and accepts exactly the symplectic rows,
+    seeded, at genus 1 to 4."""
+    assert _recognizer_disagreements(symplectic._recognize_twist, random.Random(3401)) == []
+
+
+def test_the_recognizer_oracle_catches_a_recognizer_that_accepts_any_rank_1_step(monkeypatch):
+    """A planted recognizer that reads (v, lam) off the first nonzero
+    column of A - I and checks no more fails the oracle above, through
+    the recognizer itself and through _classify."""
+    def any_rank_1(rows, g):
+        d = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(rows)]
+        col = next((j for j in range(2 * g) if any(row[j] for row in d)), None)
+        if col is None:
+            return None
+        v = _primitive([row[col] for row in d])
+        vj = _row_times_j(v, g)[col]
+        if not vj:
+            return None
+        i0 = next(i for i, e in enumerate(v) if e)
+        return _twist(v, d[i0][col] // (v[i0] * vj) or 1)
+
+    monkeypatch.setattr(symplectic, "_recognize_twist", any_rank_1)
+    bad = _recognizer_disagreements(any_rank_1, random.Random(3401))
+    assert "rank-1 non-twist" in {kind for kind, *_ in bad}
+    assert "classification" in {b[-1] for b in bad}
 
 
 def test_pairing_preserved_by_symplectic_action():
