@@ -236,24 +236,22 @@ def hyperelliptic_twist_value(g: int, separating_h: int | None = None) -> Fracti
 
 # The named types, in this package's twist convention: an I_1 germ has
 # monodromy [[1,-1],[0,1]], and twelve of them close up to an elliptic
-# surface of signature -8.  Each carries Kodaira's Euler number e and
-# component count c.
+# surface of signature -8.  Each carries its component count c.
 _KODAIRA = {
-    "II": (((1, -1), (1, 0)), 2, 1),
-    "III": (((0, -1), (1, 0)), 3, 2),
-    "IV": (((0, -1), (1, -1)), 4, 3),
-    "IV*": (((-1, 1), (-1, 0)), 8, 7),
-    "III*": (((0, 1), (-1, 0)), 9, 8),
-    "II*": (((0, 1), (-1, 1)), 10, 9),
+    "II": (((1, -1), (1, 0)), 1),
+    "III": (((0, -1), (1, 0)), 2),
+    "IV": (((0, -1), (1, -1)), 3),
+    "IV*": (((-1, 1), (-1, 0)), 7),
+    "III*": (((0, 1), (-1, 0)), 8),
+    "II*": (((0, 1), (-1, 1)), 9),
 }
 
 
-def _kodaira_type(fiber_type: str) -> tuple[tuple, int, int]:
-    """(monodromy rows, e, c) of a named Kodaira fiber type: II, III, IV,
-    IV*, III*, II* from the table above; I_n = [[1,-n],[0,1]] with e = n
-    and c = n (c = 1 at n = 0, the smooth fiber); and I_n* = -I_n with
-    e = n + 6 and c = n + 5, for n >= 0 an integer token for
-    :func:`parse_int`."""
+def _kodaira_type(fiber_type: str) -> tuple[tuple, int]:
+    """(monodromy rows, c) of a named Kodaira fiber type: II, III, IV,
+    IV*, III*, II* from the table above; I_n = [[1,-n],[0,1]] with c = n
+    (c = 1 at n = 0, the smooth fiber); and I_n* = -I_n with c = n + 5,
+    for n >= 0 an integer token for :func:`parse_int`."""
     name = fiber_type.strip()
     if name in _KODAIRA:
         return _KODAIRA[name]
@@ -266,8 +264,8 @@ def _kodaira_type(fiber_type: str) -> tuple[tuple, int, int]:
     if n < 0:
         raise ParseError(f"unknown Kodaira type {fiber_type!r}")
     if starred:
-        return ((-1, n), (0, -1)), n + 6, n + 5
-    return ((1, -n), (0, 1)), n, max(n, 1)
+        return ((-1, n), (0, -1)), n + 5
+    return ((1, -n), (0, 1)), max(n, 1)
 
 
 def kodaira_matrix(fiber_type: str) -> SymplecticMatrix:
@@ -280,7 +278,7 @@ def kodaira_neighborhood_signature(fiber_type: str) -> int:
     with c components: N retracts onto the fiber, whose intersection form
     on its components is negative semi-definite with a one-dimensional
     radical (Kodaira 1963)."""
-    return 1 - _kodaira_type(fiber_type)[2]
+    return 1 - _kodaira_type(fiber_type)[1]
 
 
 def kodaira_word(fiber_type: str, presentation: Presentation | None = None) -> Word:
@@ -357,46 +355,20 @@ def _monodromy_word(monodromy: str, presentation: Presentation) -> tuple[Word, i
     return kodaira_word(fiber_type, presentation), kodaira_neighborhood_signature(fiber_type)
 
 
-def germ_from_dict(data: dict, presentation: Presentation, words: dict) -> FiberGerm:
-    """One germ, its words over ``presentation``.  A ``kodaira:`` germ
-    takes the neighborhood signature of its type
-    (:func:`kodaira_neighborhood_signature`), and a file value that
-    disagrees is a ParseError; any other germ defaults to 0.
-
-    ``words`` maps monodromy texts already read over ``presentation`` to
-    their :func:`_monodromy_word`; a text not in it is read and added."""
-    try:
-        monodromy = data["monodromy"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"germ data is missing field {exc}") from None
-    if not isinstance(monodromy, str):
-        raise ParseError(f"field 'monodromy' must be a word string, got {monodromy!r}")
-    known = words.get(monodromy)
-    if known is None:
-        known = words[monodromy] = _monodromy_word(monodromy, presentation)
-    word, default = known
-    signature = json_int(data.get("neighborhood_signature", default), "neighborhood_signature")
-    if signature != default and monodromy.startswith(_KODAIRA_PREFIX):
-        raise ParseError(
-            f"neighborhood_signature {signature} disagrees with {monodromy!r}, "
-            f"whose neighborhood has signature {default}"
-        )
-    label = data.get("label", "")
-    if not isinstance(label, str):
-        raise ParseError(f"field 'label' must be a string, got {label!r}")
-    return FiberGerm(monodromy=word, neighborhood_signature=signature, label=label)
-
-
 def load_fibration(source, presentation: Presentation | None = None) -> FibrationDescription:
     """Load a fibration description from decoded JSON data (a dict) or a
     file path (:func:`~meyersig.presentations.read_json`).
 
     Germs are read against ``presentation``, by default the shipped one
     of the file's genus; a presentation of another genus is a ParseError.
-    Each distinct monodromy text is parsed (a ``kodaira:`` type factored
-    and checked) once; every germ, repeated or not, still gets its own
-    checks, in file order.  The germ words together count as one word for
-    :func:`check_word_length`, a repeated word once per germ: more than
+    A ``kodaira:`` germ takes the neighborhood signature of its type
+    (:func:`kodaira_neighborhood_signature`), and a file value that
+    disagrees is a ParseError; any other germ defaults to 0.  Each
+    distinct monodromy text is parsed (a ``kodaira:`` type factored and
+    checked) once, through a memo of this call; every germ, repeated or
+    not, still gets its own checks, in file order.  The germ words
+    together count as one word for :func:`check_word_length`, a repeated
+    word once per germ and an empty one as one letter: more than
     MAX_WORD_LETTERS letters in all raise ValueError while the germs are
     read, before any Meyer function or closedness walk."""
     data = read_json(source, "fibration")
@@ -412,8 +384,27 @@ def load_fibration(source, presentation: Presentation | None = None) -> Fibratio
     if p.genus != genus:
         raise ParseError(f"got a genus-{p.genus} presentation, not genus {genus}, for the germs")
     parsed, letters, words = [], 0, {}
-    for g in germs:
-        parsed.append(germ_from_dict(g, p, words))
-        letters += len(parsed[-1].monodromy)
+    for germ in germs:
+        try:
+            monodromy = germ["monodromy"]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"germ data is missing field {exc}") from None
+        if not isinstance(monodromy, str):
+            raise ParseError(f"field 'monodromy' must be a word string, got {monodromy!r}")
+        known = words.get(monodromy)
+        if known is None:
+            known = words[monodromy] = _monodromy_word(monodromy, p)
+        word, default = known
+        signature = json_int(germ.get("neighborhood_signature", default), "neighborhood_signature")
+        if signature != default and monodromy.startswith(_KODAIRA_PREFIX):
+            raise ParseError(
+                f"neighborhood_signature {signature} disagrees with {monodromy!r}, "
+                f"whose neighborhood has signature {default}"
+            )
+        label = germ.get("label", "")
+        if not isinstance(label, str):
+            raise ParseError(f"field 'label' must be a string, got {label!r}")
+        parsed.append(FiberGerm(word, signature, label))
+        letters += len(word) or 1  # an empty word counts as one letter
         check_word_length(letters)  # the germ words together count as one word
     return FibrationDescription(p, base_genus, tuple(parsed))

@@ -35,22 +35,21 @@ decode to, and the reader that every presentation, file or data, goes
 through; the relators of a presentation together are capped like one
 word, and its generators at MAX_GENERATORS.
 
-The reader does each generator's and each token's work once.  A
-matrix's rows are checked where they are read and classified by the one
-rank-1 recognizer of :mod:`meyersig.symplectic`, which also vouches that
-a twist power is symplectic, and the twist records go to the
-:class:`Presentation`.  The relators share one token table
-(``token -> (generator index, power)``), so each distinct token is
-parsed once; its letters are valid by construction and become a
-:class:`Word` through :func:`_word`, the trusted constructor.  The
-presentation keeps the table for :meth:`Presentation.word`.
+The reader does each generator's work once.  A matrix's rows are
+checked where they are read and classified by the one rank-1 recognizer
+of :mod:`meyersig.symplectic`, which also vouches that a twist power is
+symplectic, and the twist records go to the :class:`Presentation`.
+Tokens resolve through one fixed table per list of generator names
+(:func:`_token_table`), which no reader writes to; its letters are valid
+by construction and become a :class:`Word` through :func:`_word`, the
+trusted constructor.
 """
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from os import PathLike
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cocycle import tau_sp
 from .errors import InfiniteOrderError, ParseError, UnsupportedGenusError
@@ -159,41 +158,40 @@ def check_generator_count(generators: int) -> None:
         )
 
 
-class _TokenTable(dict):
-    """token -> (generator index, power) for the tokens parsed so far over
-    one list of generator names, whose positions it keeps as ``index``.
-
-    Only :func:`parse_word` fills it, with what :func:`_parse_token`
-    returned, so every entry names a generator and a nonzero power.
+def _token_table(generator_names: Sequence[str]) -> dict[str, Letter]:
+    """token -> (generator index, +-1) for the fixed forms over
+    ``generator_names``: each ``name``, each ``name^-1``, and the
+    shorthand ``n.upper()`` for the inverse of a one-letter name ``n``,
+    when that is one character that lowers back to ``n``.  A name wins
+    over a shorthand, and a name with a ``^`` in it, which no token
+    spells, has no entry.  This is the one place a token's name is read.
     """
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: dict[str, int], parsed=()):
-        super().__init__(parsed)
-        self.index = index
-
-
-def _token_table(generator_names: Sequence[str]) -> _TokenTable:
-    """An empty token table over ``generator_names``."""
-    return _TokenTable({name: i for i, name in enumerate(generator_names)})
+    table = {}
+    for i, name in enumerate(generator_names):
+        shorthand = name.upper()
+        if len(name) == len(shorthand) == 1 and shorthand.lower() == name:
+            table[shorthand] = (i, -1)
+    for i, name in enumerate(generator_names):
+        if "^" not in name:
+            table[name], table[f"{name}^-1"] = (i, 1), (i, -1)
+    return table
 
 
-def parse_word(text: str, generator_names: Sequence[str], tokens: _TokenTable | None = None) -> Word:
+def parse_word(text: str, generator_names: Sequence[str], tokens: Mapping | None = None) -> Word:
     """Parse a whitespace-separated word string.
 
     Token forms: a generator name, ``name^k`` for a nonzero integer k
-    (expanded into |k| letters), and the single-letter shorthand where an
-    uppercase token stands for the inverse of its lowercase generator.
+    (expanded into |k| letters), and the single-letter shorthand
+    ``n.upper()`` for the inverse of a one-letter generator ``n``.
     The empty string is the empty word.  A word longer than
     MAX_WORD_LETTERS raises ValueError before its letters are built, and
     a bad token raises ParseError naming its position; whichever comes
     first in the text wins.
 
-    ``tokens``, a :class:`_TokenTable` over the same names, is read and
-    filled by this call, so texts parsed with one table send each distinct
-    token through :func:`_parse_token` once; without it the call uses a
-    table of its own.
+    ``tokens`` is :func:`_token_table` of the same names, read and never
+    written, so the texts of one load share one; without it the call
+    builds its own.  A token in it takes one lookup, and any other goes
+    through :func:`_parse_token`.
     """
     table = _token_table(generator_names) if tokens is None else tokens
     letters: list[Letter] = []
@@ -202,7 +200,7 @@ def parse_word(text: str, generator_names: Sequence[str], tokens: _TokenTable | 
         try:
             i, power = table[token]
         except KeyError:
-            i, power = table[token] = _parse_token(token, pos, table.index)
+            i, power = _parse_token(token, pos, table)
         count = abs(power)
         length += count
         if length > MAX_WORD_LETTERS:  # before the token's letters are built
@@ -214,10 +212,11 @@ def parse_word(text: str, generator_names: Sequence[str], tokens: _TokenTable | 
     return _word(letters)
 
 
-def _parse_token(token: str, pos: int, index: dict[str, int]) -> tuple[int, int]:
+def _parse_token(token: str, pos: int, table: Mapping) -> tuple[int, int]:
     """(generator index, power) of one word token, the ``pos``-th of its
-    text, over the name positions ``index``; a bad exponent, a zero
-    exponent or an unknown name raises ParseError, in that order."""
+    text: the ``^k`` exponent syntax, with the name part looked up in the
+    token ``table``; a bad exponent, a zero exponent or an unknown name
+    raises ParseError, in that order."""
     name, caret, power_text = token.partition("^")
     if caret:  # "a^" has an empty exponent, which parse_int refuses
         try:
@@ -230,11 +229,11 @@ def _parse_token(token: str, pos: int, index: dict[str, int]) -> tuple[int, int]
             raise ParseError(f"zero exponent in token {pos}: {token!r}")
     else:
         power = 1
-    if name in index:
-        return index[name], power
-    if len(name) == 1 and name.isupper() and name.lower() in index:
-        return index[name.lower()], -power
-    raise ParseError(f"unknown generator {name!r} in token {pos}")
+    try:
+        i, sign = table[name]
+    except KeyError:
+        raise ParseError(f"unknown generator {name!r} in token {pos}") from None
+    return i, sign * power
 
 
 def format_word(word: Word, generator_names: Sequence[str]) -> str:
@@ -255,8 +254,8 @@ class Presentation(Value):
     the matrix is a twist power (:func:`~meyersig.symplectic._recognize_twist`;
     the inverse of a twist power is the power with -lam).  A loader that
     has recognized its matrices already passes the records as ``twists``,
-    one per generator, and its token table as ``tokens``, which
-    :meth:`word` then reads.  Construction then walks each relator once
+    one per generator.  Construction builds the token table that
+    :meth:`word` reads (:func:`_token_table`), then walks each relator once
     (:func:`_walk`): the image must be the identity, and the cochain value
     c(r_j) read off the same walk is kept in ``_relator_values``, in
     relator order, for :func:`class_order`.  None of these is a field, so
@@ -277,7 +276,6 @@ class Presentation(Value):
         relators: tuple[Word, ...],
         *,
         twists: Sequence[tuple | None] | None = None,
-        tokens: _TokenTable | None = None,
     ):
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "generator_names", generator_names)
@@ -304,7 +302,7 @@ class Presentation(Value):
             letters[i, 1] = twist
             letters[i, -1] = None if twist is None else _twist(twist[0], -twist[1])
         object.__setattr__(self, "_twists", letters)
-        object.__setattr__(self, "_tokens", _token_table(names) if tokens is None else tokens)
+        object.__setattr__(self, "_tokens", _token_table(names))
         values = []
         for k, rel in enumerate(self.relators):
             c, image_minus_identity = _walk(rel, self)
@@ -325,9 +323,9 @@ class Presentation(Value):
         return synthesize_meyer(self)
 
     def word(self, text: str) -> Word:
-        """The word ``text`` spells, by :func:`parse_word` on a copy of the
-        token table kept from construction, so no call adds to it."""
-        return parse_word(text, self.generator_names, _TokenTable(self._tokens.index, self._tokens))
+        """The word ``text`` spells, by :func:`parse_word` on the token
+        table built at construction."""
+        return parse_word(text, self.generator_names, self._tokens)
 
     @property
     def generator_count(self) -> int:
@@ -558,8 +556,8 @@ def load_presentation(source) -> Presentation:
     More than MAX_GENERATORS generators raise ValueError before any matrix
     is read.  Each matrix is classified once, by
     :func:`~meyersig.symplectic._classify`, and the twist records go to the
-    :class:`Presentation`.  The relators share one token table, so each
-    distinct token is parsed once, and together they count as one word
+    :class:`Presentation`.  The relators share one token table
+    (:func:`_token_table`), and together they count as one word
     for :func:`check_word_length`: more than MAX_WORD_LETTERS letters in
     all raise ValueError before any relator is walked.
     """
@@ -593,9 +591,7 @@ def load_presentation(source) -> Presentation:
         letters += len(words[-1])
         check_word_length(letters)  # the relators together count as one word
     try:
-        return Presentation(
-            genus, tuple(generators), tuple(mats), tuple(words), twists=twists, tokens=tokens
-        )
+        return Presentation(genus, tuple(generators), tuple(mats), tuple(words), twists=twists)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -232,6 +232,22 @@ def test_local_sig_caps_the_letters_of_all_germs(capsys, count_calls, tmp_path):
     assert (walk.call_count, evaluate.call_count) == (0, 0)
 
 
+@pytest.mark.parametrize("genus", [1, 2])
+def test_local_sig_counts_an_empty_germ_as_one_letter(capsys, count_calls, tmp_path, genus):
+    """10 001 germs with the empty word are past the letter cap: the file
+    exits with code 1 before any walk or phi1 runs.  10 000 of them pass,
+    each with local signature 0."""
+    presentations.shipped_presentation(genus)  # built, and its relators walked, once per process
+    walk = count_calls(presentations, "_walk")
+    phi1 = count_calls(fibered, "phi1")
+    path = _write_fibration(tmp_path / "empty.json", genus, [{"monodromy": ""}] * 10_001)
+    assert run_cli(capsys, "local-sig", "-f", path) == (1, "", TOO_LONG)
+    assert (walk.call_count, phi1.call_count) == (0, 0)
+    path = _write_fibration(tmp_path / "empty.json", genus, [{"monodromy": ""}] * 10_000)
+    out = "".join(f"germ {i}: 0\n" for i in range(10_000)) + "total: 0\n"
+    assert run_cli(capsys, "local-sig", "-f", path) == (0, out, "")
+
+
 def test_local_sig(capsys, tmp_path):
     germs = []
     for k in range(6):

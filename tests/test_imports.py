@@ -8,7 +8,9 @@ SymplecticMatrix holding its rows, so no module of the package or of the
 tests names the retired second matrix type or its trusted constructor,
 and no package module reads the ``.mat`` alias.  It also holds the one
 owner of a Dehn-twist letter: its record, step, sign rules and minors are
-defined in ``twist.py`` alone, which imports from ``exact`` alone."""
+defined in ``twist.py`` alone, which imports from ``exact`` alone.  And
+it deletes helpers with no caller: every private function, class,
+constant or method of the package is read by some package module."""
 
 import ast
 from pathlib import Path
@@ -145,3 +147,55 @@ def test_twist_letter_has_one_owner():
     assert owners == {name: ["twist.py"] for name in TWIST_NAMES}
     tree = ast.parse((PACKAGE / "twist.py").read_text(encoding="utf-8"))
     assert {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level} == {"exact"}
+
+
+def private_definitions(source: str) -> set[str]:
+    """The private names source defines at module level or in a class
+    body: by def or class, or as an assignment target.  A dunder, and a
+    name that is only underscores, is not private."""
+    tree = ast.parse(source)
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found = set()
+    for body in bodies:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in found if name.startswith("_") and name.strip("_") and not name.endswith("__")}
+
+
+def read_names(source: str) -> set[str]:
+    """The names source reads: as a name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.split(".")[-1])
+    return found
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """The private names that sources define and none of them reads."""
+    defined_names = set().union(*map(private_definitions, sources))
+    return sorted(defined_names - set().union(*map(read_names, sources)))
+
+
+def test_unread_private_names_are_found():
+    source = (
+        "_A = 1\n_B: int = 2\n__all__ = []\n_ = 0\ndef _f(): _local = 1\ndef _g(): return _A\n"
+        "class _C:\n    _k = 3\n    def _m(self): return self._k\n    def __init__(self): self._n = 1\n"
+        "x = _C()._m, _g\n"
+    )
+    assert private_definitions(source) == {"_A", "_B", "_f", "_g", "_C", "_k", "_m"}
+    assert unread_private_names([source]) == ["_B", "_f"]
+    assert unread_private_names([source, "from .m import _B\nimport m._f\n"]) == []
+
+
+def test_every_private_name_of_the_package_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []

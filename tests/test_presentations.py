@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -208,10 +209,12 @@ def test_parse_word_against_the_reference_parser():
     shorthand give the reference parser's Word, through a table of the
     call's own, through one table shared by every text (as the relators of
     one load share it), and through Presentation.word; a bad token after
-    repeated good ones gives the reference's message and position."""
+    repeated good ones gives the reference's message and position.  No
+    parse writes to the shared table or to the presentation's."""
     rng = random.Random(3402)
     shared = presentations._token_table(WORD_NAMES)
     p = Presentation(1, WORD_NAMES, (U_MAT,) * len(WORD_NAMES), ())
+    fixed = dict(shared)
     for _ in range(300):
         tokens = [rng.choice(GOOD_TOKENS) for _ in range(rng.randint(0, 12))]
         text = rng.choice((" ", "  ", "\t", "\n")).join(tokens)
@@ -228,9 +231,8 @@ def test_parse_word_against_the_reference_parser():
             assert _outcome(parse_word, text, WORD_NAMES) == expected
             assert _outcome(parse_word, text, WORD_NAMES, shared) == expected
             assert _outcome(p.word, text) == expected
-    assert set(shared) == set(GOOD_TOKENS)
-    assert {token: shared[token] for token in ("A", "b^+2", "B^-2")} == {"A": (0, -1), "b^+2": (1, 2), "B^-2": (1, 2)}
-    assert set(p._tokens) == set()  # word() parses on a copy of the table it keeps
+    assert shared == fixed == presentations._token_table(WORD_NAMES)
+    assert p._tokens == fixed
 
 
 def test_parse_word_keeps_the_precedence_of_the_cap_and_bad_tokens():
@@ -245,6 +247,96 @@ def test_parse_word_keeps_the_precedence_of_the_cap_and_bad_tokens():
         assert _outcome(parse_word, text, ("a", "b"), shared) == expected
     assert _outcome(parse_word, "a^9999 b b z", ("a", "b"))[1].startswith("word is too long")
     assert _outcome(parse_word, "a^9999 z b b", ("a", "b"))[1] == "unknown generator 'z' in token 1"
+
+
+# The one-character tokens that the uppercase rule before the fixed table
+# read as the inverse of their lowercase, none of them the upper case of
+# that lowercase: KELVIN SIGN, OHM SIGN, ANGSTROM SIGN, capital sharp s,
+# capital theta symbol and capital I with dot above (whose lowercase has
+# two characters).
+CHANGED_SHORTHANDS = {"\u212a": "k", "\u2126": "ω", "\u212b": "å", "\u1e9e": "ß", "\u03f4": "θ", "\u0130": "i\u0307"}
+TOKEN_SUFFIXES = ("", "^-1", "^1", "^+1", "^2", "^+2", "^-3", "^+001", "^-01", "^12")
+BAD_SUFFIXES = ("^0", "^-0", "^", "^z", "^1.5", "^1_0", "^\u0663", "^^2", "^ 2")
+ONE_LETTER_NAMES = tuple("abkstxABZ") + ("ω", "å", "ǅ", "ǆ", "Ǆ", "ß", "θ", "ı", "ſ", "µ", "i\u0307")
+LONGER_NAMES = ("c1", "C1", "xy", "Ab", "ωa", "a_1")
+
+
+def _token_forms(names):
+    """Tokens over names: each name, its case variants and an unknown
+    name, each bare and with every good and bad exponent suffix."""
+    stems = {""}
+    for name in names:
+        stems.update((name, name.upper(), name.lower(), name.title(), name.casefold(), name + "z"))
+    return sorted(stem + suffix for stem in stems for suffix in TOKEN_SUFFIXES + BAD_SUFFIXES)
+
+
+def _table_mismatches(names, table):
+    """The tokens of _token_forms(names) that parse_word reads through
+    ``table`` otherwise than the rule before the table, alone and as the
+    second token of a text, word or error message and position alike."""
+    mismatches = []
+    for token in _token_forms(names):
+        for text in (token, f"{names[0]} {token}"):
+            if _outcome(parse_word, text, names, table) != _outcome(_reference_parse_word, text, names):
+                mismatches.append(token)
+                break
+    return mismatches
+
+
+def _name_sets():
+    """Seeded sets of ASCII, non-ASCII and longer names, then sets where
+    one name is another's shorthand, shorthands with no case pair, and a
+    name with a caret, which a loader reads relators over before the
+    Presentation refuses it."""
+    rng = random.Random(3503)
+    sets = []
+    for _ in range(12):
+        names = rng.sample(ONE_LETTER_NAMES, rng.randint(1, 6)) + rng.sample(LONGER_NAMES, rng.randint(0, 2))
+        rng.shuffle(names)
+        sets.append(tuple(names))
+    return sets + [("a", "A"), ("A", "a", "b"), ("ω", "å", "ǅ"), ("c1", "xy"), ("ǅ", "ǆ", "Ǆ"), ("ı", "ſ", "µ"), ("b", "a^2", "a^-1", "a")]
+
+
+@pytest.mark.parametrize("names", _name_sets(), ids=",".join)
+def test_token_table_reads_every_token_as_the_rule_before_it(names):
+    """Every token form over names, through the fixed table behind a
+    read-only proxy, gives the Word, or the message and position, of the
+    name rule the parser had before the table (the name positions, then an
+    uppercase one-character token for its lowercase), and the table is
+    the one the names give."""
+    table = presentations._token_table(names)
+    assert _table_mismatches(names, MappingProxyType(table)) == []
+    assert table == presentations._token_table(names)
+
+
+def test_a_table_without_shorthands_fails_the_comparison():
+    """The comparison catches a table that drops the shorthand entries."""
+    names = ("a", "b", "ω", "c1")
+    planted = {
+        token: letter for token, letter in presentations._token_table(names).items()
+        if token in names or token.endswith("^-1")
+    }
+    mismatches = _table_mismatches(names, planted)
+    assert {"A", "B^2", "Ω^-1"} <= set(mismatches), mismatches
+    assert not any(token.startswith(("a", "b", "c1", "ω")) for token in mismatches), mismatches
+
+
+def test_exactly_six_one_character_tokens_change_their_reading():
+    """Over all of Unicode, a one-character token c over the name
+    c.lower() parses as it did before the table except for six tokens
+    that the rule then read as a shorthand though they are not the upper
+    case of their lowercase; each of those is now an unknown generator."""
+    changed = {}
+    for c in map(chr, range(sys.maxunicode + 1)):
+        names = (c.lower(),)
+        if names != (c,) and _outcome(parse_word, c, names) != _outcome(_reference_parse_word, c, names):
+            changed[c] = c.lower()
+    assert changed == CHANGED_SHORTHANDS
+    for token, name in CHANGED_SHORTHANDS.items():
+        assert _reference_parse_word(f"x {token}^2", ("x", name)) == Word([(0, 1), (1, -1), (1, -1)])
+        expected = (ParseError, f"unknown generator {token!r} in token 1")
+        assert _outcome(parse_word, f"x {token}^2", ("x", name)) == expected
+        assert _outcome(Presentation(1, ("x", name), (U_MAT, U_MAT), ()).word, f"x {token}^2") == expected
 
 
 # Run in a child whose address space is capped at 256 MiB: a relator
@@ -687,26 +779,46 @@ def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls):
 
 def test_loading_the_shipped_files_classifies_each_generator_and_token_once(count_calls):
     """Loading genus2.json recognizes its 5 twists once each and forms no
-    A^T J A product; sl2z.json 2 and none; neither calls twist_of.  Each
-    distinct relator token is parsed once: 10 and 4.  A Presentation built
-    from matrices recognizes each once too."""
+    A^T J A product; sl2z.json 2 and none; neither calls twist_of.  Every
+    relator token is a fixed form of the token table, so no token reaches
+    _parse_token, and the table each presentation keeps is the fixed one.
+    A Presentation built from matrices recognizes each once too."""
     symplectic_product = count_calls(symplectic, "_is_symplectic")
     recognize = count_calls(symplectic, "_recognize_twist")
     twist_of = count_calls(symplectic, "twist_of")
     parse_token = count_calls(presentations, "_parse_token")
     check_rows = count_calls(matrix, "check_rows")
     data = resources.files("meyersig.data")
-    for name, gens, tokens in (("genus2.json", 5, 10), ("sl2z.json", 2, 4)):
+    for name, gens in (("genus2.json", 5), ("sl2z.json", 2)):
         before = [c.call_count for c in (symplectic_product, recognize, twist_of, parse_token, check_rows)]
         with resources.as_file(data.joinpath(name)) as path:
             p = load_presentation(path)
         after = [c.call_count for c in (symplectic_product, recognize, twist_of, parse_token, check_rows)]
-        assert [a - b for a, b in zip(after, before)] == [0, gens, 0, tokens, gens], name
-        assert len(p._tokens) == tokens
+        assert [a - b for a, b in zip(after, before)] == [0, gens, 0, 0, gens], name
+        assert p._tokens == presentations._token_table(p.generator_names)
         assert all(p._twists[i, s] is not None for i in range(gens) for s in (1, -1))
     before = recognize.call_count, symplectic_product.call_count
     Presentation(p.genus, p.generator_names, p.matrices, p.relators)
     assert (recognize.call_count - before[0], symplectic_product.call_count - before[1]) == (2, 0)
+
+
+def test_dumped_presentations_load_with_no_token_parsed(sl2z, genus2, count_calls):
+    """format_word writes only fixed forms, so loading what
+    dump_presentation wrote, for the shipped presentations and for seeded
+    ones over one-letter, non-ASCII and multi-character names, sends no
+    token through _parse_token and gives the same presentation."""
+    parse_token = count_calls(presentations, "_parse_token")
+    rng = random.Random(3501)
+    seeded = []
+    for g in (1, 2, 3):
+        names = rng.sample(("a", "b", "A", "ω", "å", "ǅ", "c1", "xy", "t"), 2 * g + 1)
+        mats = tuple(random_symplectic(g, 4, rng.randrange(10**6)) for _ in names)
+        p = Presentation(g, tuple(names), mats, ())
+        words = [random_word(p, rng, 8) for _ in range(3)]
+        seeded.append(Presentation(g, tuple(names), mats, tuple(w * w.inverse() for w in words)))
+    for p in (sl2z, genus2, *seeded, _chain_presentation(3), _mismatch_presentation(True)):
+        assert load_presentation(json.loads(dump_presentation(p))) == p
+    assert parse_token.call_count == 0
 
 
 def test_walk_on_long_genus2_words_against_tau_prefix_sums(genus2, count_calls):
