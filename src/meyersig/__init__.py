@@ -42,6 +42,7 @@ from .presentations import (
     dump_presentation,
     evaluate_word,
     format_word,
+    hyperelliptic,
     load_presentation,
     parse_word,
     shipped_meyer_function,

@@ -30,10 +30,10 @@ alone, :func:`_walk` also c.
 A :class:`Presentation` walks each relator once, when it is built,
 checking that it maps to the identity and keeping c(r_j), so
 :func:`class_order` walks no word.  The file also holds the shipped
-presentations for genus 1 and 2, as the Python data their JSON files
-decode to, and the reader that every presentation, file or data, goes
-through; the relators of a presentation together are capped like one
-word, and its generators at MAX_GENERATORS.
+presentations for genus 1 and 2 (genus 2 built by :func:`hyperelliptic`,
+the one chain-twist builder) and the reader that every presentation,
+file or data, goes through; the relators of a presentation together are
+capped like one word, and its generators at MAX_GENERATORS.
 
 The reader does each generator's work once.  A matrix's rows are
 checked where they are read and classified by the one rank-1 recognizer
@@ -57,7 +57,9 @@ from .exact import _sign, determinant, lattice_basis, lattice_order
 from .matrix import (
     _add_identity, _decode_json, _product, format_matrix, matrix_from_json, parse_int, parse_matrix
 )
-from .symplectic import SymplecticMatrix, _classify, _int_genus, _recognize_twist, _wrap
+from .symplectic import (
+    SymplecticMatrix, _chain_classes, _classify, _int_genus, _recognize_twist, _transvection_rows, _wrap
+)
 from .twist import _minor_sign, _twist, _twist_step
 from .value import Value
 
@@ -596,43 +598,38 @@ def load_presentation(source) -> Presentation:
         raise ParseError(str(exc)) from None
 
 
-# The shipped presentations, the one genus table, as the objects their
-# files in ``data`` decode to.  The files hold the same presentations as
-# ``-p`` examples (a test pins each to this data), but building one of
-# these reads no file and decodes no JSON.
+def hyperelliptic(g: int) -> dict:
+    """The Birman-Hilden presentation of Delta_g as the data
+    :func:`load_presentation` reads: chain twists c1 ... c_{2g+1} as int
+    rows; braid and far commutator relators, (c1 ... c_{2g+1})^{2g+2},
+    iota^2 and [iota, c1] for iota = c1 ... c_{2g+1} c_{2g+1} ... c1."""
+    classes = _chain_classes(g)  # checks g before any name is built
+    names = [f"c{k}" for k in range(1, 2 * g + 2)]
+    iota = names + names[::-1]
+    return {
+        "genus": g,
+        "generators": names,
+        "matrices": {name: _transvection_rows(v) for name, v in zip(names, classes)},
+        "relators": [
+            *(f"{a} {b} {a} {b}^-1 {a}^-1 {b}^-1" for a, b in zip(names, names[1:])),
+            *(f"{a} {b} {a}^-1 {b}^-1" for k, a in enumerate(names) for b in names[k + 2:]),
+            " ".join(names * (2 * g + 2)),
+            " ".join(iota * 2),
+            " ".join(iota + ["c1"] + [f"{name}^-1" for name in iota] + ["c1^-1"]),
+        ],
+    }
+
+
+# The shipped presentations, the one genus table; genus-1 fibration files
+# name the generators a and b.  The files in ``data`` hold the same
+# presentations as ``-p`` examples (a test pins each to this table), but
+# building one of these reads no file and decodes no JSON.
 _SHIPPED_DATA = {
-    1: {
-        "genus": 1,
-        "generators": ["a", "b"],
-        "matrices": {"a": "1,1;0,1", "b": "1,0;-1,1"},
+    1: lambda: {
+        "genus": 1, "generators": ["a", "b"], "matrices": {"a": "1,1;0,1", "b": "1,0;-1,1"},
         "relators": ["a b a b^-1 a^-1 b^-1", "a b a a b a a b a a b a"],
     },
-    2: {
-        "genus": 2,
-        "generators": ["c1", "c2", "c3", "c4", "c5"],
-        "matrices": {
-            "c1": "1,0,1,0;0,1,0,0;0,0,1,0;0,0,0,1",
-            "c2": "1,0,0,0;0,1,0,0;-1,0,1,0;0,0,0,1",
-            "c3": "1,0,1,1;0,1,1,1;0,0,1,0;0,0,0,1",
-            "c4": "1,0,0,0;0,1,0,0;0,0,1,0;0,-1,0,1",
-            "c5": "1,0,0,0;0,1,0,1;0,0,1,0;0,0,0,1",
-        },
-        "relators": [
-            "c1 c2 c1 c2^-1 c1^-1 c2^-1",
-            "c2 c3 c2 c3^-1 c2^-1 c3^-1",
-            "c3 c4 c3 c4^-1 c3^-1 c4^-1",
-            "c4 c5 c4 c5^-1 c4^-1 c5^-1",
-            "c1 c3 c1^-1 c3^-1",
-            "c1 c4 c1^-1 c4^-1",
-            "c1 c5 c1^-1 c5^-1",
-            "c2 c4 c2^-1 c4^-1",
-            "c2 c5 c2^-1 c5^-1",
-            "c3 c5 c3^-1 c5^-1",
-            "c1 c2 c3 c4 c5 c1 c2 c3 c4 c5 c1 c2 c3 c4 c5 c1 c2 c3 c4 c5 c1 c2 c3 c4 c5 c1 c2 c3 c4 c5",
-            "c1 c2 c3 c4 c5 c5 c4 c3 c2 c1 c1 c2 c3 c4 c5 c5 c4 c3 c2 c1",
-            "c1 c2 c3 c4 c5 c5 c4 c3 c2 c1 c1 c1^-1 c2^-1 c3^-1 c4^-1 c5^-1 c5^-1 c4^-1 c3^-1 c2^-1 c1^-1 c1^-1",
-        ],
-    },
+    2: lambda: hyperelliptic(2),
 }
 
 
@@ -648,13 +645,13 @@ def _no_meyer_message(g: int) -> str:
 @lru_cache(maxsize=None)
 def shipped_presentation(genus: int) -> Presentation:
     """The packaged presentation for genus 1 or 2, built once from
-    ``_SHIPPED_DATA`` through :func:`load_presentation`'s checks;
-    ValueError for a genus that is not an int (so ``True`` and ``2.0``
-    name no presentation, though they equal 1 and 2) and
-    UnsupportedGenusError for a genus with none."""
+    ``_SHIPPED_DATA`` (genus 2 by ``hyperelliptic(2)``) through
+    :func:`load_presentation`'s checks; ValueError for a genus that is
+    not an int (so ``True`` and ``2.0`` name no presentation, though they
+    equal 1 and 2) and UnsupportedGenusError for a genus with none."""
     if _int_genus(genus) not in _SHIPPED_DATA:
         raise UnsupportedGenusError(_no_meyer_message(genus))
-    return load_presentation(_SHIPPED_DATA[genus])
+    return load_presentation(_SHIPPED_DATA[genus]())
 
 
 @lru_cache(maxsize=None)

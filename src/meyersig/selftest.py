@@ -19,9 +19,10 @@ from .cocycle import sigma_defect_via_tau, tau_sp
 from .fibered import FiberGerm, kodaira_neighborhood_signature, kodaira_word, local_signature
 from .genus1 import dedekind_sum, phi1, signature_defect
 from .presentations import (
-    Presentation, Word, class_order, cochain_c, evaluate_word, shipped_meyer_function, shipped_presentation
+    Presentation, Word, class_order, cochain_c, evaluate_word, hyperelliptic, load_presentation,
+    shipped_meyer_function, shipped_presentation
 )
-from .symplectic import SymplecticMatrix, _chain_classes, random_symplectic, transvection
+from .symplectic import SymplecticMatrix, random_symplectic
 
 
 def random_word(p, rng: random.Random, max_len: int = 14) -> Word:
@@ -167,17 +168,16 @@ def _free_reduction(rng, size):
 
 
 def chain_with_s(g: int) -> Presentation:
-    """Relator-free: the twists along the chain classes of genus g and s,
-    the matrix S = [[0, -1], [1, 0]] on the last handle and I elsewhere.
-    s is no twist power and s - I has rank 2, below the bound 2g - 1 that
-    the cochain walk keeps after a letter with det(P - I) = 0."""
-    n = 2 * g
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows[g - 1][g - 1] = rows[n - 1][n - 1] = 0
-    rows[g - 1][n - 1], rows[n - 1][g - 1] = -1, 1
-    mats = [transvection(v) for v in _chain_classes(g)] + [SymplecticMatrix(rows)]
-    names = [f"c{k}" for k in range(1, n + 2)] + ["s"]
-    return Presentation(g, tuple(names), tuple(mats), ())
+    """Relator-free: the twists of :func:`hyperelliptic` (g) and s, the
+    matrix S = [[0, -1], [1, 0]] on the last handle and I elsewhere.  s is
+    no twist power; from g = 2 on, s - I (rank 2) lies below the bound
+    2g - 1 that the cochain walk keeps after a letter with det(P - I) = 0."""
+    rows = [[int(i == j) for j in range(2 * g)] for i in range(2 * g)]
+    rows[g - 1][g - 1] = rows[-1][-1] = 0
+    rows[g - 1][-1], rows[-1][g - 1] = -1, 1
+    data = hyperelliptic(g)
+    names, mats = data["generators"] + ["s"], {**data["matrices"], "s": rows}
+    return load_presentation({"genus": g, "generators": names, "matrices": mats, "relators": []})
 
 
 @_suite

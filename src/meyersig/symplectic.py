@@ -243,13 +243,16 @@ def _inverse_rows(rows: Sequence[Sequence[int]], g: int) -> tuple[tuple[int, ...
 
 
 def transvection(v: Sequence[int]) -> SymplecticMatrix:
-    """The twist map x |-> x + TWIST_SIGN * <v, x> * v as a matrix: I + v w
-    for the row w of :func:`~meyersig.twist._twist` (v, TWIST_SIGN), which checks v.
+    """The twist map x |-> x + TWIST_SIGN * <v, x> * v as a matrix; it
+    fixes v (since <v, v> = 0) and is always symplectic."""
+    return SymplecticMatrix(_transvection_rows(v))
 
-    Fixes v (since <v, v> = 0) and is always symplectic.
-    """
+
+def _transvection_rows(v: Sequence[int]) -> list[list[int]]:
+    """The int rows I + v w of :func:`transvection` (v), for the row w of
+    :func:`~meyersig.twist._twist` (v, TWIST_SIGN), which checks v."""
     v, _, w, _, _ = _twist(v, TWIST_SIGN)
-    return SymplecticMatrix([[int(i == j) + e * f for j, f in enumerate(w)] for i, e in enumerate(v)])
+    return [[int(i == j) + e * f for j, f in enumerate(w)] for i, e in enumerate(v)]
 
 
 def twist_of(m: SymplecticMatrix) -> tuple[tuple[int, ...], int] | None:
@@ -338,9 +341,7 @@ def _generating_classes(g: int) -> list[tuple]:
 def _chain_classes(g: int) -> list[tuple]:
     """The classes A_1, B_1, A_1 + A_2, B_2, ..., A_{g-1} + A_g, B_g, A_g
     of a chain of 2g + 1 curves, each meeting the next once and missing
-    the others; at g = 2 their twists are the shipped c1, ..., c5.  The
-    twists satisfy the chain relations (c_1 ... c_{2g+1})^{2g+2} = 1 and
-    (c_1 ... c_{2g})^{4g+2} = 1."""
+    the others: the twists of :func:`~meyersig.presentations.hyperelliptic`."""
     classes = [a_class(g, 1), b_class(g, 1)]
     for i in range(2, g + 1):
         classes.append(tuple(x + y for x, y in zip(a_class(g, i - 1), a_class(g, i))))

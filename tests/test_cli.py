@@ -20,7 +20,7 @@ from meyersig.exact import kernel_basis
 from meyersig.fibered import load_fibration
 from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction, cochain_c
 from meyersig.matrix import _identity_rows, format_matrix
-from meyersig.symplectic import MAX_GENUS, SymplecticMatrix, _chain_classes, transvection
+from meyersig.symplectic import MAX_GENUS, SymplecticMatrix, transvection
 
 
 def run_cli(capsys, *argv):
@@ -386,23 +386,14 @@ def test_global_data_option_is_a_usage_error(capsys, data_dir, tmp_path):
     assert err.startswith("usage: ")
 
 
-def _chain3_presentation():
-    """Genus 3: the twists c1..c7 along the chain classes, with the braid
-    relators, the far-commutation relators and (c1 ... c7)^8."""
-    names = [f"c{k}" for k in range(1, 8)]
-    mats = tuple(transvection(v) for v in _chain_classes(3))
-    braids = [f"{a} {b} {a} {b}^-1 {a}^-1 {b}^-1" for a, b in zip(names, names[1:])]
-    far = [f"{a} {b} {a}^-1 {b}^-1" for i, a in enumerate(names) for b in names[i + 2:]]
-    chain = " ".join(names * 8)
-    words = [presentations.parse_word(text, names) for text in braids + far + [chain]]
-    return presentations.Presentation(3, tuple(names), mats, tuple(words))
-
-
 def test_local_sig_presentation_beyond_the_shipped_genera(capsys, tmp_path):
-    """-p reaches genus 3: the 56 germs c_i^-1 around (c1 ... c7)^8 = 1
-    each take -4/7, and the total is -2(g + 1)^2 = -32 (Endo 2000)."""
+    """-p reaches genus 3: over the hyperelliptic presentation Delta_3, with
+    its iota^2 and [iota, c1] relators, the 56 germs c_i^-1 around
+    (c1 ... c7)^8 = 1 each take -4/7, and the total is -2(g + 1)^2 = -32
+    (Endo 2000)."""
     presentation = tmp_path / "delta3.json"
-    presentation.write_text(presentations.dump_presentation(_chain3_presentation()))
+    delta3 = presentations.load_presentation(presentations.hyperelliptic(3))
+    presentation.write_text(presentations.dump_presentation(delta3))
     germs = [{"monodromy": f"c{7 - i % 7}^-1"} for i in range(56)]
     path = _write_fibration(tmp_path / "chain3.json", 3, germs)
     out = "".join(f"germ {i}: -4/7\n" for i in range(56)) + "total: -32\n"

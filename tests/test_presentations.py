@@ -16,6 +16,7 @@ from meyersig.cocycle import tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
 from meyersig.exact import _sign, kernel_basis, lattice_order
 from meyersig.exact import determinant as _determinant
+from meyersig.fibered import hyperelliptic_twist_value
 from meyersig.presentations import (
     UNBOUNDED,
     ClassOrder,
@@ -27,6 +28,7 @@ from meyersig.presentations import (
     dump_presentation,
     evaluate_word,
     format_word,
+    hyperelliptic,
     load_presentation,
     parse_word,
     shipped_meyer_function,
@@ -36,7 +38,6 @@ from meyersig.presentations import (
 from meyersig.selftest import chain_with_s, random_word
 from meyersig.symplectic import (
     SymplecticMatrix,
-    _chain_classes,
     _generating_classes,
     random_symplectic,
     transvection,
@@ -345,8 +346,8 @@ def test_exactly_six_one_character_tokens_change_their_reading():
 _RELATOR_POWER_CHILD = """
 import json, resource, sys, time, tracemalloc
 resource.setrlimit(resource.RLIMIT_AS, (2**28, 2**28))
-from meyersig.presentations import _SHIPPED_DATA, load_presentation
-data = json.loads(json.dumps(_SHIPPED_DATA[2]))
+from meyersig.presentations import hyperelliptic, load_presentation
+data = hyperelliptic(2)
 data["relators"].insert(3, "c1 c2 c1 c1^100000000 c3")
 tracemalloc.start()
 start = time.perf_counter()
@@ -359,7 +360,7 @@ except Exception as exc:
 
 
 def test_a_relator_power_past_the_cap_is_refused_before_its_letters():
-    data = json.loads(json.dumps(presentations._SHIPPED_DATA[2]))
+    data = hyperelliptic(2)
     data["relators"].insert(3, "c1 c2 c1^20000 c3^0")
     with pytest.raises(ValueError, match="^word is too long: meyersig caps words at 10000 letters$") as info:
         load_presentation(data)
@@ -404,12 +405,23 @@ def test_shipped_data_files_are_the_presentations():
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_shipped_files_hold_the_in_code_presentations(g):
-    """The shipped presentations are built from Python data, and the files
-    (the ``-p`` examples) cannot drift from it."""
+    """The shipped presentations are built from Python data, genus 2 by
+    hyperelliptic(2), and the files (the ``-p`` examples) cannot drift
+    from it: the same generators and relator texts, and each file matrix
+    the builder's rows."""
     text = resources.files("meyersig.data").joinpath(DATA_FILES[g]).read_text()
     assert dump_presentation(shipped_presentation(g)) == text
-    assert json.loads(text) == presentations._SHIPPED_DATA[g]
-    assert shipped_presentation(g) == load_presentation(json.loads(text))
+    data = json.loads(text)
+    if g == 1:
+        assert data == presentations._SHIPPED_DATA[1]()
+    else:
+        built = hyperelliptic(2)
+        assert data["generators"] == built["generators"]
+        assert data["relators"] == built["relators"]
+        assert data["matrices"].keys() == built["matrices"].keys()
+        for name, rows in built["matrices"].items():
+            assert matrix.parse_matrix(data["matrices"][name]) == tuple(map(tuple, rows)), name
+    assert shipped_presentation(g) == load_presentation(data)
 
 
 def test_shipped_sl2z_content(sl2z):
@@ -764,35 +776,46 @@ def test_walk_skips_determinants_below_the_rank_bound(rng, g, count_calls):
 
 
 def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls):
-    """Building a shipped presentation walks its relators: genus2.json
-    makes 55 determinants and 56 singular twist steps, sl2z.json 16 and 2,
-    each taken by the minor-sign rule with no Gauss-Jordan solve."""
+    """Building a shipped presentation walks its relators: genus2.json and
+    hyperelliptic(2) each make 55 determinants and 56 singular twist
+    steps, sl2z.json 16 and 2, each taken by the minor-sign rule with no
+    Gauss-Jordan solve."""
     determinant = count_calls(exact, "determinant")
     solve = count_calls(presentations, "_minor_sign")
     gauss_jordan = count_calls(exact, "affine_point")
-    for name, dets, solves in (("sl2z.json", 16, 2), ("genus2.json", 55, 56)):
+    files = resources.files("meyersig.data")
+    for data, dets, solves in (
+        (json.loads(files.joinpath("sl2z.json").read_text()), 16, 2),
+        (json.loads(files.joinpath("genus2.json").read_text()), 55, 56),
+        (hyperelliptic(2), 55, 56),
+    ):
         before = determinant.call_count, solve.call_count
-        load_presentation(json.loads(resources.files("meyersig.data").joinpath(name).read_text()))
+        load_presentation(data)
         assert (determinant.call_count - before[0], solve.call_count - before[1]) == (dets, solves)
     assert gauss_jordan.call_count == 0
 
 
 def test_loading_the_shipped_files_classifies_each_generator_and_token_once(count_calls):
     """Loading genus2.json recognizes its 5 twists once each and forms no
-    A^T J A product; sl2z.json 2 and none; neither calls twist_of.  Every
-    relator token is a fixed form of the token table, so no token reaches
-    _parse_token, and the table each presentation keeps is the fixed one.
-    A Presentation built from matrices recognizes each once too."""
+    A^T J A product; sl2z.json 2 and none; hyperelliptic(g) 2g + 1 and
+    none at g = 2, 3; none calls twist_of.  Every relator token is a fixed
+    form of the token table, so no token reaches _parse_token, and the
+    table each presentation keeps is the fixed one.  A Presentation built
+    from matrices recognizes each once too."""
     symplectic_product = count_calls(symplectic, "_is_symplectic")
     recognize = count_calls(symplectic, "_recognize_twist")
     twist_of = count_calls(symplectic, "twist_of")
     parse_token = count_calls(presentations, "_parse_token")
     check_rows = count_calls(matrix, "check_rows")
     data = resources.files("meyersig.data")
-    for name, gens in (("genus2.json", 5), ("sl2z.json", 2)):
+    # a genus names hyperelliptic(genus); sl2z.json goes last, for the check below
+    for name, gens in (("genus2.json", 5), (2, 5), (3, 7), ("sl2z.json", 2)):
         before = [c.call_count for c in (symplectic_product, recognize, twist_of, parse_token, check_rows)]
-        with resources.as_file(data.joinpath(name)) as path:
-            p = load_presentation(path)
+        if isinstance(name, int):
+            p = load_presentation(hyperelliptic(name))
+        else:
+            with resources.as_file(data.joinpath(name)) as path:
+                p = load_presentation(path)
         after = [c.call_count for c in (symplectic_product, recognize, twist_of, parse_token, check_rows)]
         assert [a - b for a, b in zip(after, before)] == [0, gens, 0, 0, gens], name
         assert p._tokens == presentations._token_table(p.generator_names)
@@ -840,28 +863,40 @@ def test_walk_on_long_genus2_words_against_tau_prefix_sums(genus2, count_calls):
 
 
 def _chain_presentation(g):
-    """The twists c1 ... c_{2g+1} along the chain classes of genus g, with
-    the odd chain relator (c1 ... c_{2g+1})^{2g+2} and the even one
-    (c1 ... c_{2g})^{4g+2}, so building it walks both."""
-    n = 2 * g
-    mats = tuple(transvection(v) for v in _chain_classes(g))
-    odd = Word([(k, 1) for k in range(n + 1)] * (n + 2))
-    even = Word([(k, 1) for k in range(n)] * (2 * n + 2))
-    return Presentation(g, tuple(f"c{k}" for k in range(1, n + 2)), mats, (odd, even))
+    """The twists c1 ... c_{2g+1} of hyperelliptic(g), with its odd chain
+    relator (c1 ... c_{2g+1})^{2g+2} and the even one (c1 ... c_{2g})^{4g+2},
+    so building it walks both."""
+    data = hyperelliptic(g)
+    odd = data["relators"][-3]  # before iota^2 and [iota, c1]
+    even = " ".join(data["generators"][:-1] * (4 * g + 2))
+    return load_presentation({**data, "relators": [odd, even]})
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
-def test_chain_relators_take_their_closed_form_values(g, genus2):
+def test_chain_relators_take_their_closed_form_values(g):
     """c((c1 ... c_{2g+1})^{2g+2}) = 2(g + 1)^2 and c((c1 ... c_{2g})^{4g+2})
     = 4g(g + 1) (Endo 2000: the signatures -2(g + 1)^2 and -4g(g + 1) of
     the chain fibrations), read off the walks that check the relators; at
     g = 3 also against tau_sp summed over the prefixes."""
     p = _chain_presentation(g)
     assert p._relator_values == (2 * (g + 1) ** 2, 4 * g * (g + 1))
-    if g == 2:
-        assert p.matrices == genus2.matrices
     if g == 3:
         assert p._relator_values == tuple(_tau_prefix_sum(r, p) for r in p.relators)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_hyperelliptic_meyer_function_takes_the_closed_forms(g):
+    """On hyperelliptic(g) the class has order 2g + 1 with every m_i = g + 1,
+    phi(c1) = (g + 1)/(2g + 1), and phi((c1 ... c_{2h})^{4h+2}), the twist
+    along a curve separating off genus h, = -4h(g - h)/(2g + 1) for
+    1 <= h < g (Endo 2000): the closed forms ``twist-value`` prints."""
+    p = load_presentation(hyperelliptic(g))
+    assert class_order(p) == ClassOrder(2 * g + 1, (g + 1,) * (2 * g + 1))
+    phi = p.meyer_function
+    assert phi("c1") == hyperelliptic_twist_value(g)
+    for h in range(1, g):
+        separating = " ".join(p.generator_names[: 2 * h] * (4 * h + 2))
+        assert phi(separating) == hyperelliptic_twist_value(g, h), h
 
 
 @pytest.mark.parametrize("g", [2, 3])

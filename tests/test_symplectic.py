@@ -464,11 +464,12 @@ GENUS_REFUSALS = {
 _REFUSAL_CHILD = """
 import json, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from meyersig.presentations import hyperelliptic
 from meyersig.symplectic import SymplecticMatrix, a_class, b_class, random_symplectic, standard_j
 g = json.loads(sys.argv[1])
 calls = (
     SymplecticMatrix.identity, standard_j, lambda g: random_symplectic(g, 0, 1),
-    lambda g: a_class(g, 1), lambda g: b_class(g, 1),
+    lambda g: a_class(g, 1), lambda g: b_class(g, 1), lambda g: hyperelliptic(g),
 )
 results = []
 for call in calls:
@@ -484,9 +485,9 @@ print(json.dumps(results))
 
 @pytest.mark.parametrize("g, message", GENUS_REFUSALS.items(), ids=str)
 def test_genus_is_refused_before_any_work(g, message):
-    """SymplecticMatrix.identity, standard_j, random_symplectic, a_class
-    and b_class each refuse a genus outside 1 .. MAX_GENUS, or one that is
-    not an int, in under 0.1 s and with one message."""
+    """SymplecticMatrix.identity, standard_j, random_symplectic, a_class,
+    b_class and hyperelliptic each refuse a genus outside 1 .. MAX_GENUS,
+    or one that is not an int, in under 0.1 s and with one message."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run(
         [sys.executable, "-c", _REFUSAL_CHILD, json.dumps(g)],
