@@ -31,12 +31,10 @@ from .presentations import (
 )
 from .symplectic import SymplecticMatrix, _from_rows
 
-def _fmt(value) -> str:
-    value = Fraction(value)
+def _fmt(value: int | Fraction) -> str:
+    """An int's digits, or a Fraction's ``str``: ``p/q``, or ``p`` when ``q == 1``."""
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(value)
     except ValueError:  # more digits than str() converts
         limit = sys.get_int_max_str_digits()
         raise ValueError(
@@ -72,6 +70,12 @@ def _optional_fraction(text: str | None) -> Fraction | None:
     return None if text is None else _parse_fraction(text)
 
 
+def _tau_arguments(parser) -> None:
+    parser.add_argument("-g", dest="genus", default=None)
+    parser.add_argument("a", help="matrix, e.g. \"1,1;0,1\" or JSON [[1,1],[0,1]]")
+    parser.add_argument("b")
+
+
 def _cmd_tau(args) -> int:
     genus = _optional_int(args.genus)
     a = _symplectic_arg(args.a, genus)
@@ -80,9 +84,18 @@ def _cmd_tau(args) -> int:
     return 0
 
 
+def _matrix_argument(parser) -> None:
+    parser.add_argument("matrix")
+
+
 def _cmd_phi1(args) -> int:
     print(_fmt(phi1(_symplectic_arg(args.matrix))))
     return 0
+
+
+def _dedekind_arguments(parser) -> None:
+    parser.add_argument("a")
+    parser.add_argument("c")
 
 
 def _cmd_dedekind(args) -> int:
@@ -95,6 +108,10 @@ def _cmd_rademacher(args) -> int:
     return 0
 
 
+def _order_arguments(parser) -> None:
+    parser.add_argument("-p", dest="presentation", required=True, metavar="FILE", type=Path)
+
+
 def _cmd_order(args) -> int:
     p = load_presentation(args.presentation)
     order = class_order(p)
@@ -102,11 +119,21 @@ def _cmd_order(args) -> int:
     return 0
 
 
+def _phi_arguments(parser) -> None:
+    _order_arguments(parser)
+    parser.add_argument("word")
+
+
 def _cmd_phi(args) -> int:
     p = load_presentation(args.presentation)
     word = p.word(args.word)  # a bad or over-long word fails before synthesis
     print(_fmt(synthesize_meyer(p)(word)))
     return 0
+
+
+def _local_sig_arguments(parser) -> None:
+    parser.add_argument("-f", dest="fibration", required=True, metavar="FILE", type=Path)
+    parser.add_argument("-p", dest="presentation", metavar="FILE", type=Path)
 
 
 def _cmd_local_sig(args) -> int:
@@ -121,6 +148,13 @@ def _cmd_local_sig(args) -> int:
     return 0
 
 
+def _euler_arguments(parser) -> None:
+    parser.add_argument("-g", dest="genus", required=True)
+    parser.add_argument("-b", dest="base", required=True)
+    parser.add_argument("--eps", nargs="*", default=None, help="Euler contributions")
+    parser.add_argument("--chi", nargs="*", default=None, help="singular-fiber Euler numbers")
+
+
 def _cmd_euler(args) -> int:
     if args.eps is not None and args.chi is not None:
         raise ValueError("give either --eps or --chi, not both")
@@ -133,6 +167,13 @@ def _cmd_euler(args) -> int:
         contributions = []
     print(_fmt(total_euler(genus, base, contributions)))
     return 0
+
+
+def _geo_arguments(parser) -> None:
+    parser.add_argument("--ksq", default=None)
+    parser.add_argument("--chi-struct", dest="chi_struct", default=None)
+    parser.add_argument("--sign", default=None)
+    parser.add_argument("--chi-top", dest="chi_top", default=None)
 
 
 def _cmd_geo(args) -> int:
@@ -155,6 +196,12 @@ def _cmd_geo(args) -> int:
     return 0
 
 
+def _twist_value_arguments(parser) -> None:
+    parser.add_argument("-g", dest="genus", required=True)
+    parser.add_argument("--sep", default=None, metavar="H")
+    parser.add_argument("--nonsep", action="store_true")
+
+
 def _cmd_twist_value(args) -> int:
     if args.nonsep and args.sep is not None:
         raise ValueError("give either --nonsep or --sep h, not both")
@@ -162,12 +209,39 @@ def _cmd_twist_value(args) -> int:
     return 0
 
 
+# Each command's help line, handler and arguments, defined once: the full
+# parser nests a subparser per entry, and _command_parser builds the same
+# parser on its own.
+_COMMANDS = {
+    "tau": ("signature cocycle tau(A, B)", _cmd_tau, _tau_arguments),
+    "phi1": ("genus-1 Meyer function of a matrix", _cmd_phi1, _matrix_argument),
+    "dedekind": ("Dedekind sum s(a, c)", _cmd_dedekind, _dedekind_arguments),
+    "rademacher": ("Rademacher function of a matrix", _cmd_rademacher, _matrix_argument),
+    "order": ("order of the signature class of a presentation", _cmd_order, _order_arguments),
+    "phi": ("synthesized Meyer function on a word", _cmd_phi, _phi_arguments),
+    "local-sig": ("local signatures and total of a fibration file", _cmd_local_sig, _local_sig_arguments),
+    "euler": ("Euler number of a fibered 4-manifold", _cmd_euler, _euler_arguments),
+    "geo": ("convert between (K^2, chi_O) and (Sign, chi_top)", _cmd_geo, _geo_arguments),
+    "twist-value": ("hyperelliptic Meyer value of a Dehn twist", _cmd_twist_value, _twist_value_arguments),
+}
+
+# The full parser's long options, which it matches against every token of
+# argv, the tokens after the command name included.
+_TOP_LEVEL_LONG_OPTIONS = ("--help", "--seed", "--selftest")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``meyersig`` argument parser, built once per process.
+    """The full ``meyersig`` parser: the top-level options and one
+    subparser per command, built once per process.
 
-    Each ``parse_args`` call fills a fresh namespace, so no option value
-    carries over from one :func:`main` call to the next.
+    :func:`main` runs it only when argv does not start with a command
+    name (no arguments, ``-h``, ``--seed``/``--selftest``, an unknown
+    command), when a token could abbreviate one of its long options, and
+    to print the "unrecognized arguments" error; every other argv is read
+    by :func:`_command_parser` alone.  Each ``parse_args`` call fills a
+    fresh namespace, so no option value carries over from one
+    :func:`main` call to the next.
     """
     parser = argparse.ArgumentParser(
         prog="meyersig",
@@ -178,61 +252,46 @@ def build_parser() -> argparse.ArgumentParser:
         "--selftest", action="store_true", help="run the invariant suites and exit"
     )
     sub = parser.add_subparsers(dest="command")
-
-    s = sub.add_parser("tau", help="signature cocycle tau(A, B)")
-    s.add_argument("-g", dest="genus", default=None)
-    s.add_argument("a", help="matrix, e.g. \"1,1;0,1\" or JSON [[1,1],[0,1]]")
-    s.add_argument("b")
-    s.set_defaults(func=_cmd_tau)
-
-    s = sub.add_parser("phi1", help="genus-1 Meyer function of a matrix")
-    s.add_argument("matrix")
-    s.set_defaults(func=_cmd_phi1)
-
-    s = sub.add_parser("dedekind", help="Dedekind sum s(a, c)")
-    s.add_argument("a")
-    s.add_argument("c")
-    s.set_defaults(func=_cmd_dedekind)
-
-    s = sub.add_parser("rademacher", help="Rademacher function of a matrix")
-    s.add_argument("matrix")
-    s.set_defaults(func=_cmd_rademacher)
-
-    s = sub.add_parser("order", help="order of the signature class of a presentation")
-    s.add_argument("-p", dest="presentation", required=True, metavar="FILE", type=Path)
-    s.set_defaults(func=_cmd_order)
-
-    s = sub.add_parser("phi", help="synthesized Meyer function on a word")
-    s.add_argument("-p", dest="presentation", required=True, metavar="FILE", type=Path)
-    s.add_argument("word")
-    s.set_defaults(func=_cmd_phi)
-
-    s = sub.add_parser("local-sig", help="local signatures and total of a fibration file")
-    s.add_argument("-f", dest="fibration", required=True, metavar="FILE", type=Path)
-    s.add_argument("-p", dest="presentation", metavar="FILE", type=Path)
-    s.set_defaults(func=_cmd_local_sig)
-
-    s = sub.add_parser("euler", help="Euler number of a fibered 4-manifold")
-    s.add_argument("-g", dest="genus", required=True)
-    s.add_argument("-b", dest="base", required=True)
-    s.add_argument("--eps", nargs="*", default=None, help="Euler contributions")
-    s.add_argument("--chi", nargs="*", default=None, help="singular-fiber Euler numbers")
-    s.set_defaults(func=_cmd_euler)
-
-    s = sub.add_parser("geo", help="convert between (K^2, chi_O) and (Sign, chi_top)")
-    s.add_argument("--ksq", default=None)
-    s.add_argument("--chi-struct", dest="chi_struct", default=None)
-    s.add_argument("--sign", default=None)
-    s.add_argument("--chi-top", dest="chi_top", default=None)
-    s.set_defaults(func=_cmd_geo)
-
-    s = sub.add_parser("twist-value", help="hyperelliptic Meyer value of a Dehn twist")
-    s.add_argument("-g", dest="genus", required=True)
-    s.add_argument("--sep", default=None, metavar="H")
-    s.add_argument("--nonsep", action="store_true")
-    s.set_defaults(func=_cmd_twist_value)
-
+    for name, (help_line, _, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
+
+
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built once per process: the parser that
+    :func:`build_parser` nests for ``name``, with the same ``prog``, usage,
+    help and error text."""
+    parser = argparse.ArgumentParser(prog=f"meyersig {name}")
+    _COMMANDS[name][2](parser)
+    return parser
+
+
+def _could_name_a_top_level_option(token: str) -> bool:
+    """Whether the full parser would match token, up to any '=', against its
+    own long options.  It does so before its command's subparser reads
+    anything, so an ambiguous abbreviation such as ``--se`` fails there
+    even after the command name."""
+    if token[:2] != "--":
+        return False
+    prefix = token.partition("=")[0]
+    return any(option.startswith(prefix) for option in _TOP_LEVEL_LONG_OPTIONS)
+
+
+def _parse(argv: list[str]):
+    """The command argv runs (None for none) and its namespace.
+
+    An argv that starts with a command name is read by that command's own
+    parser; the full parser reads it again only when that parser leaves
+    arguments over, and then fails with its "unrecognized arguments"
+    error.  A ``--selftest`` runs no command.
+    """
+    if argv and argv[0] in _COMMANDS and not any(map(_could_name_a_top_level_option, argv)):
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return argv[0], args
+    args = build_parser().parse_args(argv)
+    return (None if args.selftest else args.command), args
 
 
 _RATIONAL_OPTIONS = ("--ksq", "--chi-struct", "--sign", "--chi-top")
@@ -253,24 +312,23 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        command, args = _parse(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.selftest:
-        from . import selftest  # only here: other commands need not compile the suites
+    if command is None:
+        if args.selftest:
+            from . import selftest  # only here: other commands need not compile the suites
 
-        try:
-            seed = parse_int(args.seed)
-        except ParseError as exc:
-            return _report(exc)
-        return selftest.run(seed=seed)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
+            try:
+                seed = parse_int(args.seed)
+            except ParseError as exc:
+                return _report(exc)
+            return selftest.run(seed=seed)
+        build_parser().print_usage(sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return _COMMANDS[command][1](args)
     except (ValueError, ArithmeticError, OSError) as exc:
         return _report(exc)
 

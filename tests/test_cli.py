@@ -81,7 +81,10 @@ def test_genus_1_commands_refuse_other_genera_without_naming_an_option(capsys, c
 
 
 def test_back_to_back_calls_share_one_parser_and_no_option_values(capsys):
+    """Each command's parser is built once and reused, the full parser is
+    never built, and no option value carries over from one call to the next."""
     cli.build_parser.cache_clear()
+    cli._command_parser.cache_clear()
     identity4 = "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
     calls = [
         (("tau", "-g", "1", "1,1;0,1", "1,1;0,1"), (0, "1\n")),
@@ -94,8 +97,11 @@ def test_back_to_back_calls_share_one_parser_and_no_option_values(capsys):
     ]
     for argv, expected in calls:
         assert run_cli(capsys, *argv)[:2] == expected, argv
+    names = {argv[0] for argv, _ in calls}
+    info = cli._command_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(names), len(calls) - len(names), len(names))
     info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert (info.misses, info.hits) == (0, 0)
 
 
 def _args_read(source: str) -> dict[str, set[str]]:
@@ -118,16 +124,80 @@ def _dests(parser: argparse.ArgumentParser) -> set[str]:
 
 def test_every_option_is_read_by_its_command():
     """An option that nothing reads is accepted and then ignored: each
-    subcommand's ``_cmd_*`` function reads every argument of its
-    subcommand, and ``main`` reads every top-level option."""
+    command's handler reads every argument its entry in the one command
+    table defines, and ``main`` and ``_parse`` read every top-level option."""
     read = _args_read(Path(cli.__file__).read_text(encoding="utf-8"))
-    parser = cli.build_parser()
-    unread = {("main", dest) for dest in _dests(parser) - read["main"]}
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for subparser in sub.choices.values():
-        func = subparser.get_default("func").__name__
-        unread |= {(func, dest) for dest in _dests(subparser) - read[func]}
+    unread = {("main", dest) for dest in _dests(cli.build_parser()) - read["main"] - read["_parse"]}
+    for name, (_, handler, _) in cli._COMMANDS.items():
+        unread |= {(handler.__name__, dest) for dest in _dests(cli._command_parser(name)) - read[handler.__name__]}
     assert unread == set()
+
+
+def test_each_command_parser_is_the_full_parsers_subparser():
+    """A command's own parser prints the same usage and help as the
+    subparser the full parser nests for it, and the top-level long options
+    that route an argv to the full parser are the full parser's own."""
+    parser = cli.build_parser()
+    nested = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(nested) == list(cli._COMMANDS)
+    for name, subparser in nested.items():
+        own = cli._command_parser(name)
+        assert (own.prog, own.format_usage(), own.format_help()) == (
+            subparser.prog, subparser.format_usage(), subparser.format_help()
+        ), name
+    long_options = {o for o in parser._option_string_actions if o.startswith("--")}
+    assert long_options == set(cli._TOP_LEVEL_LONG_OPTIONS)
+
+
+_PARITY_ARGVS = [
+    [], ["-h"], ["--help"],
+    *([name, flag] for name in cli._COMMANDS for flag in ("-h", "--help")),
+    ["tau", "-g", "1", "1,1;0,1"], ["twist-value", "-g", "2", "--sep"], ["order"], ["dedekind"],
+    ["dedekind", "--frob", "1", "3"], ["dedekind", "1", "3", "extra"], ["dedekind", "1", "3", "--seed", "5"],
+    ["--seed", "5", "dedekind", "1", "3"], ["dedekind", "--", "1", "3"], ["frobnicate", "1"],
+    ["geo", "--ksq", "-3/4", "--chi-struct", "1"], ["geo", "--ks=1", "--chi-struct", "1"],
+    # the full parser refuses an ambiguous abbreviation of its own options,
+    # even after the command name, where the command's parser would take it
+    ["twist-value", "-g", "2", "--se", "1"], ["twist-value", "-g", "2", "--s=1"],
+    ["geo", "--s=1", "--chi-top", "2"], ["dedekind", "--=1", "1", "3"], ["dedekind", "1", "3", "--sel"],
+    ["dedekind", "1", "3", "--he"], ["dedekind", "-h5"],
+    ["dedekind", "1", "3"], ["dedekind", "x", "3"], ["euler", "-g1", "-b0", "--chi", "1"],
+    ["twist-value", "-g", "2", "--sep", "5"], ["--seed", "x", "--selftest"],
+]
+
+
+def _full_parser_main(monkeypatch, argv):
+    """main(argv) with every argv read by the full parser's parse_args."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_could_name_a_top_level_option", lambda token: True)
+        return main(argv)
+
+
+@pytest.mark.parametrize("argv", _PARITY_ARGVS, ids=" ".join)
+def test_command_parser_output_matches_the_full_parser(capsys, monkeypatch, argv):
+    full = _full_parser_main(monkeypatch, list(argv)), *capsys.readouterr()
+    assert (main(list(argv)), *capsys.readouterr()) == full
+
+
+def test_a_fresh_process_builds_one_parser_for_a_command():
+    """In a fresh interpreter with no site packages, a command builds one
+    argparse parser, its own, and prints the same result."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from meyersig import cli\n"
+        "status = cli.main(['dedekind', '1', '3'])\n"
+        "print(status, built)\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "1/18\n0 ['meyersig dedekind']\n")
 
 
 def test_dedekind(capsys):
