@@ -29,11 +29,14 @@ checked by one dict lookup.  :func:`evaluate_word` carries the product
 alone, :func:`_walk` also c.
 A :class:`Presentation` walks each relator once, when it is built,
 checking that it maps to the identity and keeping c(r_j), so
-:func:`class_order` walks no word.  The file also holds the shipped
-presentations for genus 1 and 2 (genus 2 built by :func:`hyperelliptic`,
-the one chain-twist builder) and the reader that every presentation,
-file or data, goes through; the relators of a presentation together are
-capped like one word, and its generators at MAX_GENERATORS.
+:func:`class_order` walks no word, and solves once per object.  The file
+also holds the shipped presentations for genus 1 and 2 (genus 2 built by
+:func:`hyperelliptic`, the one chain-twist builder) and the reader that
+every presentation, file or data, goes through; the relators of a
+presentation together are capped like one word, and its generators at
+MAX_GENERATORS.  The reader checks every input and keeps the last
+presentations it built, so one process walks a distinct presentation
+once.
 
 The reader does each generator's work once.  A matrix's rows are
 checked where they are read and classified by the one rank-1 recognizer
@@ -260,9 +263,14 @@ class Presentation(Value):
     :meth:`word` reads (:func:`_token_table`), then walks each relator once
     (:func:`_walk`): the image must be the identity, and the cochain value
     c(r_j) read off the same walk is kept in ``_relator_values``, in
-    relator order, for :func:`class_order`.  None of these is a field, so
-    equality and hashing see only the four data fields.  No
+    relator order, for :func:`class_order`, which solves once per object
+    and keeps the result in ``_class_order``.  None of these is a field,
+    so equality and hashing see only the four data fields.  No
     ``__slots__``: the cached properties live in the instance dict.
+
+    A ``Presentation(...)`` built directly is not memoized: each one walks
+    its relators.  :func:`load_presentation` checks every input and keeps
+    the presentations it builds, so an equal load returns the same object.
 
     More than MAX_GENERATORS generators raise ValueError before anything
     else is built.
@@ -318,6 +326,16 @@ class Presentation(Value):
     @cached_property
     def _inverses(self) -> tuple[SymplecticMatrix, ...]:
         return tuple(m.inverse() for m in self.matrices)
+
+    @cached_property
+    def _class_order(self) -> "ClassOrder | Unbounded":
+        """:func:`class_order`, solved on the relator values the walks kept."""
+        k = self.generator_count
+        rows = [(r, c) for r, c in zip(self.relators, self._relator_values) if r.letters]
+        vectors = [_exponent_vector([r], k) for r, _ in rows]
+        columns = [[v[i] for v in vectors] for i in range(k)]
+        order = lattice_order(columns, [c for _, c in rows])
+        return UNBOUNDED if order is None else ClassOrder(*order)
 
     @cached_property
     def meyer_function(self) -> "SynthesizedMeyerFunction":
@@ -450,13 +468,12 @@ def class_order(p: Presentation) -> ClassOrder | Unbounded:
     walked here.  An empty relator is the equation 0 = 0 and is left out,
     so the system has no more rows than the relators have letters.
     Returns n=1 with all m_i = 0 when c vanishes on every relator.
+
+    The solve runs once per Presentation object, whose
+    ``_class_order`` keeps the result; :func:`synthesize_meyer` and
+    :attr:`Presentation.meyer_function` read it through here.
     """
-    k = p.generator_count
-    rows = [(r, c) for r, c in zip(p.relators, p._relator_values) if r.letters]
-    vectors = [_exponent_vector([r], k) for r, _ in rows]
-    columns = [[v[i] for v in vectors] for i in range(k)]
-    order = lattice_order(columns, [c for _, c in rows])
-    return UNBOUNDED if order is None else ClassOrder(*order)
+    return p._class_order
 
 
 def _abelianizes_to_zero(p: Presentation, words: Iterable[Word]) -> bool:
@@ -552,6 +569,13 @@ def dump_presentation(p: Presentation) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+# The presentations load_presentation built, keyed by their four fields
+# (genus, generator names, matrices, relators: what Presentation equality
+# and hashing compare), least recently used first.
+_walked: dict[tuple, Presentation] = {}
+_WALKED_MAX = 16
+
+
 def load_presentation(source) -> Presentation:
     """Load from decoded JSON data (a dict) or a file path (:func:`read_json`).
 
@@ -562,6 +586,19 @@ def load_presentation(source) -> Presentation:
     (:func:`_token_table`), and together they count as one word
     for :func:`check_word_length`: more than MAX_WORD_LETTERS letters in
     all raise ValueError before any relator is walked.
+
+    Every load reads, decodes and checks its input as above.  What a load
+    then skips is only the relator walks, which depend on nothing but the
+    four fields: the last _WALKED_MAX presentations built here are kept by
+    those fields, whatever file or data they came from, and an equal load
+    returns the object already built, its class order and Meyer function
+    included.  So one process walks a distinct presentation once (while
+    it stays among the last _WALKED_MAX), :func:`shipped_presentation`
+    included.  A load that raises keeps nothing.  One kept entry at the
+    caps (genus 12, 64 generators, 10,000 relator letters in 5,000
+    relators, one-digit matrix entries), with its class order, Meyer
+    function and inverses, holds about 2.0 MB by tracemalloc, so the memo
+    holds about 32 MB at most; longer matrix entries add what they take.
     """
     data = read_json(source, "presentation")
     try:
@@ -592,10 +629,17 @@ def load_presentation(source) -> Presentation:
         words.append(parse_word(text, generators, tokens))
         letters += len(words[-1])
         check_word_length(letters)  # the relators together count as one word
-    try:
-        return Presentation(genus, tuple(generators), tuple(mats), tuple(words), twists=twists)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    key = (genus, tuple(generators), tuple(mats), tuple(words))
+    p = _walked.pop(key, None)
+    if p is None:
+        try:
+            p = Presentation(*key, twists=twists)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+        if len(_walked) >= _WALKED_MAX:
+            del _walked[next(iter(_walked))]
+    _walked[key] = p
+    return p
 
 
 def hyperelliptic(g: int) -> dict:

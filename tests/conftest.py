@@ -7,6 +7,7 @@ from unittest import mock
 
 import pytest
 
+from meyersig import presentations
 from meyersig.presentations import shipped_presentation
 
 # The longest one test may run: a fault that makes a loop run on (say a
@@ -43,6 +44,14 @@ def time_limit(seconds, what):
 def pytest_runtest_call(item):
     with time_limit(TEST_TIME_LIMIT_S, item.nodeid):
         return (yield)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_presentation_memo():
+    """Each test ends by emptying the loader's memo, so no presentation
+    a test built (with a planted fault, say) is returned to another."""
+    yield
+    presentations._walked.clear()
 
 
 @pytest.fixture(scope="session")

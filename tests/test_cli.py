@@ -385,6 +385,7 @@ def test_local_sig_synthesizes_once_and_evaluates_each_distinct_germ_once(
 ):
     # 30 germs over 5 distinct words: one parse and one phi per word
     path = _write_fibration(tmp_path / "chain.json", 2, CHAIN_GERMS)
+    presentations._walked.clear()  # a fresh load
     load = count_calls(presentations, "load_presentation")
     synthesize = count_calls(presentations, "synthesize_meyer")
     parse = count_calls(presentations, "parse_word")
@@ -1276,6 +1277,53 @@ def _step_without_v(step, n):
         return tuple(tuple(e - vr * f for e, f in zip(row, w)) for row, vr in zip(out, v))
 
     return planted
+
+
+def _doubled_step(step, n):
+    """The twist step at 2g = n taken twice, T^2 in place of T, so the
+    braid relators no longer map to I; every other size takes ``step``."""
+
+    def planted(m, twist):
+        out = step(m, twist)
+        return step(out, twist) if len(twist[0]) == n else out
+
+    return planted
+
+
+@pytest.mark.parametrize("name, n", [("sl2z.json", 2), ("genus2.json", 4)])
+def test_a_walk_fault_fails_a_load_once_the_memo_is_cleared(capsys, monkeypatch, data_dir, name, n):
+    """The loader keeps what it walked, so a fault planted after a load
+    goes unseen by the next load of the same file; on a cleared memo the
+    relators are walked again and the fault fails the load."""
+    path = str(data_dir / name)
+    expected = run_cli(capsys, "order", "-p", path)[:2]
+    monkeypatch.setattr(presentations, "_twist_step", _doubled_step(presentations._twist_step, n))
+    assert run_cli(capsys, "order", "-p", path)[:2] == expected
+    presentations._walked.clear()
+    code, out, err = run_cli(capsys, "order", "-p", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: relator 0 (") and err.endswith(") does not map to the identity\n")
+    assert not presentations._walked
+
+
+def test_the_memo_is_keyed_by_the_content_not_the_path(capsys, data_dir, tmp_path):
+    """A file rewritten between two loads is read and walked again: a
+    relator that no longer maps to I exits 2 as it would on a first load,
+    and the restored file loads as the object kept before."""
+    path = tmp_path / "genus2.json"
+    text = (data_dir / "genus2.json").read_text()
+    path.write_text(text)
+    p = presentations.load_presentation(path)
+    assert run_cli(capsys, "order", "-p", str(path))[:2] == (0, "5\n")
+    data = json.loads(text)
+    data["relators"][0] = "c1 c2 c1 c2^-1 c1^-1 c1^-1"
+    path.write_text(json.dumps(data))
+    assert run_cli(capsys, "order", "-p", str(path)) == (
+        2, "", "parse error: relator 0 ('c1 c2 c1 c2^-1 c1^-1 c1^-1') does not map to the identity\n"
+    )
+    path.write_text(text)
+    assert presentations.load_presentation(path) is p
+    assert run_cli(capsys, "order", "-p", str(path))[:2] == (0, "5\n")
 
 
 def test_selftest_reports_an_exception_and_runs_every_suite(capsys, monkeypatch):

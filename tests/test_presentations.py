@@ -573,11 +573,16 @@ def test_relators_walked_once_and_class_order_walks_none(genus2, count_calls):
     data = json.loads(resources.files("meyersig.data").joinpath("genus2.json").read_text())
     walk = count_calls(presentations, "_walk")
     cochain = count_calls(presentations, "cochain_c")
+    solve = count_calls(exact, "lattice_order")
+    presentations._walked.clear()  # a fresh load
     p = load_presentation(data)
     assert (walk.call_count, cochain.call_count) == (len(p.relators), 0)
     walk.reset_mock()
     assert class_order(p) == ClassOrder(5, (3,) * 5)
     assert (walk.call_count, cochain.call_count) == (0, 0)
+    # one solve per object, read again by class_order and the Meyer function
+    assert class_order(p) is class_order(p) is p.meyer_function.order
+    assert solve.call_count == 1
     # a built presentation is not walked again by equality or hashing
     assert p == genus2 and hash(p) == hash(genus2)
     assert walk.call_count == 0
@@ -789,10 +794,108 @@ def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls):
         (json.loads(files.joinpath("genus2.json").read_text()), 55, 56),
         (hyperelliptic(2), 55, 56),
     ):
+        presentations._walked.clear()  # a fresh load: genus2.json and hyperelliptic(2) share one key
         before = determinant.call_count, solve.call_count
-        load_presentation(data)
+        p = load_presentation(data)
         assert (determinant.call_count - before[0], solve.call_count - before[1]) == (dets, solves)
     assert gauss_jordan.call_count == 0
+    # a repeat load of the same data returns the object built, walking and solving nothing
+    class_order(p)
+    walk = count_calls(presentations, "_walk")
+    lattice = count_calls(exact, "lattice_order")
+    counted = (walk, determinant, solve, lattice)
+    before = [c.call_count for c in counted]
+    assert load_presentation(hyperelliptic(2)) is p
+    assert class_order(p) == ClassOrder(5, (3,) * 5)
+    assert [c.call_count for c in counted] == before
+
+
+def test_a_fresh_process_loads_each_shipped_file_as_the_shipped_presentation():
+    """In a fresh interpreter that has built the shipped presentations,
+    loading sl2z.json and genus2.json returns those objects, with their
+    class orders, and walks no relator and solves nothing."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from meyersig import presentations\n"
+        "from meyersig.presentations import class_order, load_presentation, shipped_presentation\n"
+        "shipped = [shipped_presentation(g) for g in (1, 2)]\n"
+        "orders = [class_order(p) for p in shipped]\n"
+        "def refused(*args):\n"
+        "    raise AssertionError('walked or solved again')\n"
+        "presentations._walk = presentations.lattice_order = refused\n"
+        "loaded = [load_presentation(path) for path in sys.argv[1:]]\n"
+        "print([p is q for p, q in zip(loaded, shipped)], [class_order(p) for p in loaded] == orders)\n"
+    )
+    files = [str(src / "meyersig" / "data" / name) for name in ("sl2z.json", "genus2.json")]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-S", "-c", code, *files], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[True, True] True\n")
+
+
+def _not_the_identity(data):
+    data["relators"][0] = "c1 c2 c1 c2^-1 c1^-1 c1^-1"
+
+
+def _repeated_name(data):
+    data["generators"][1] = "c1"
+    data["relators"] = []
+
+
+def _unknown_generator(data):
+    data["relators"][-1] += " c9"
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_not_the_identity, "relator 0 ('c1 c2 c1 c2^-1 c1^-1 c1^-1') does not map to the identity"),
+    (_repeated_name, "generator names must be distinct"),
+    (_unknown_generator, "unknown generator 'c9' in token 22"),
+])
+def test_a_failing_load_keeps_nothing(fault, message):
+    """A load that raises leaves the memo as it was, so loading the same
+    data again raises the same ParseError."""
+    load_presentation(hyperelliptic(2))
+    size = len(presentations._walked)
+    for _ in range(2):
+        data = hyperelliptic(2)
+        fault(data)
+        with pytest.raises(ParseError) as caught:
+            load_presentation(data)
+        assert str(caught.value) == message
+        assert len(presentations._walked) == size
+
+
+def test_the_memo_keeps_the_last_walked_max_presentations():
+    """Loading more distinct presentations than the bound keeps the memo at
+    the bound; the least recently loaded goes first, and a load that hits
+    counts as a use."""
+    def data(k):  # one presentation per k: the generator's name tells them apart
+        return {"genus": 1, "generators": [f"x{k}"], "matrices": {f"x{k}": "1,1;0,1"}, "relators": [f"x{k} x{k}^-1"]}
+
+    bound = presentations._WALKED_MAX
+    presentations._walked.clear()
+    first = [load_presentation(data(k)) for k in range(bound)]
+    assert len(presentations._walked) == bound
+    assert load_presentation(data(0)) is first[0]
+    for k in range(bound, bound + 3):
+        load_presentation(data(k))
+        assert len(presentations._walked) == bound
+    assert load_presentation(data(0)) is first[0]
+    again = load_presentation(data(1))
+    assert again == first[1] and again is not first[1]
+    assert len(presentations._walked) == bound
+
+
+def test_a_presentation_built_directly_is_not_memoized(genus2, count_calls):
+    """Presentation(...) walks its relators every time; only the loader
+    keeps what it built."""
+    walk = count_calls(presentations, "_walk")
+    size = len(presentations._walked)
+    p = Presentation(genus2.genus, genus2.generator_names, genus2.matrices, genus2.relators)
+    q = Presentation(genus2.genus, genus2.generator_names, genus2.matrices, genus2.relators)
+    assert p == q == genus2 and p is not q
+    assert walk.call_count == 2 * len(genus2.relators)
+    assert len(presentations._walked) == size
 
 
 def test_loading_the_shipped_files_classifies_each_generator_and_token_once(count_calls):
