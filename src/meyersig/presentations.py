@@ -34,9 +34,10 @@ also holds the shipped presentations for genus 1 and 2 (genus 2 built by
 :func:`hyperelliptic`, the one chain-twist builder) and the reader that
 every presentation, file or data, goes through; the relators of a
 presentation together are capped like one word, and its generators at
-MAX_GENERATORS.  The reader checks every input and keeps the last
-presentations it built, so one process walks a distinct presentation
-once.
+MAX_GENERATORS.  The reader keeps the last presentations it built,
+under their content and under the text of the file they came from, so
+one process walks a distinct presentation once and decodes and checks a
+file's text once.
 
 The reader does each generator's work once.  A matrix's rows are
 checked where they are read and classified by the one rank-1 recognizer
@@ -52,6 +53,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from os import PathLike
 from pathlib import Path
+from sys import getsizeof
 from typing import Iterable, Mapping, Sequence
 
 from .cocycle import tau_sp
@@ -195,25 +197,28 @@ def parse_word(text: str, generator_names: Sequence[str], tokens: Mapping | None
 
     ``tokens`` is :func:`_token_table` of the same names, read and never
     written, so the texts of one load share one; without it the call
-    builds its own.  A token in it takes one lookup, and any other goes
-    through :func:`_parse_token`.
+    builds its own.  A token in it takes one lookup, and its letter is
+    the table's own tuple, so the words of one table share their letters;
+    any other token goes through :func:`_parse_token`.
     """
     table = _token_table(generator_names) if tokens is None else tokens
     letters: list[Letter] = []
     length = 0
     for pos, token in enumerate(text.split()):
         try:
-            i, power = table[token]
+            letter = table[token]
+            count = 1
         except KeyError:
             i, power = _parse_token(token, pos, table)
-        count = abs(power)
+            count = abs(power)
+            letter = (i, power // count)
         length += count
         if length > MAX_WORD_LETTERS:  # before the token's letters are built
             check_word_length(length)
         if count == 1:
-            letters.append((i, power))
+            letters.append(letter)
         else:
-            letters += [(i, power // count)] * count
+            letters += [letter] * count
     return _word(letters)
 
 
@@ -269,8 +274,8 @@ class Presentation(Value):
     ``__slots__``: the cached properties live in the instance dict.
 
     A ``Presentation(...)`` built directly is not memoized: each one walks
-    its relators.  :func:`load_presentation` checks every input and keeps
-    the presentations it builds, so an equal load returns the same object.
+    its relators.  :func:`load_presentation` keeps the presentations it
+    builds, so an equal load returns the same object.
 
     More than MAX_GENERATORS generators raise ValueError before anything
     else is built.
@@ -526,17 +531,38 @@ def synthesize_meyer(p: Presentation) -> SynthesizedMeyerFunction:
 
 
 def read_json(source, what: str):
-    """The JSON object in a file, named by a str or a path and read as
-    UTF-8, or in decoded data; a str is always a file name.  Malformed
-    JSON is a ParseError naming ``what`` and the offset, and so is a file
-    that is not UTF-8, JSON nested too deeply to decode, an integer with
-    more digits than Python converts, or JSON that is not an object."""
+    """The JSON object in a file, named by a str or a path and read by
+    :func:`_read_text`, or in decoded data, checked by
+    :func:`_json_object`; a str is always a file name.  Both loaders read
+    through these two parts: :func:`load_fibration
+    <meyersig.fibered.load_fibration>` here, and :func:`load_presentation`
+    directly, since it looks the text up between them: a text that an
+    earlier load in this process accepted skips :func:`_json_object` and
+    every check after it, with the same result, because a load depends
+    on its text alone."""
     if isinstance(source, (str, PathLike)):
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"bad {what} JSON at byte {exc.start}: not UTF-8") from None
-        source = _decode_json(text, f"{what} JSON")
+        source = _read_text(source, what)
+    return _json_object(source, what)
+
+
+def _read_text(path, what: str) -> str:
+    """The text of the file at ``path`` (a str or a path), read as UTF-8;
+    a file that is not UTF-8 is a ParseError naming ``what`` and the
+    byte offset."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"bad {what} JSON at byte {exc.start}: not UTF-8") from None
+
+
+def _json_object(source, what: str) -> dict:
+    """The JSON object ``source`` holds: decoded data, or a JSON text (a
+    str here is always text, never a file name) decoded first.  Malformed
+    JSON is a ParseError naming ``what`` and the offset, and so is JSON
+    nested too deeply to decode, an integer with more digits than Python
+    converts, or JSON that is not an object."""
+    if isinstance(source, str):
+        source = _decode_json(source, f"{what} JSON")
     if not isinstance(source, dict):
         raise ParseError(f"{what} JSON must be an object, got {type(source).__name__}")
     return source
@@ -569,11 +595,14 @@ def dump_presentation(p: Presentation) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-# The presentations load_presentation built, keyed by their four fields
-# (genus, generator names, matrices, relators: what Presentation equality
-# and hashing compare), least recently used first.
-_walked: dict[tuple, Presentation] = {}
+# The presentations load_presentation built, least recently used first,
+# each under its four fields (genus, generator names, matrices, relators:
+# what Presentation equality and hashing compare) and, when it came from a
+# file, also under that file's text: _WALKED_MAX keys in all.  A text
+# taking more than _TEXT_KEY_MAX bytes (sys.getsizeof) is not kept.
+_walked: dict[tuple | str, Presentation] = {}
 _WALKED_MAX = 16
+_TEXT_KEY_MAX = 1 << 20
 
 
 def load_presentation(source) -> Presentation:
@@ -584,23 +613,53 @@ def load_presentation(source) -> Presentation:
     :func:`~meyersig.symplectic._classify`, and the twist records go to the
     :class:`Presentation`.  The relators share one token table
     (:func:`_token_table`), and together they count as one word
-    for :func:`check_word_length`: more than MAX_WORD_LETTERS letters in
-    all raise ValueError before any relator is walked.
+    for :func:`check_word_length`, an empty relator as one letter: more
+    than MAX_WORD_LETTERS letters in all raise ValueError before any
+    relator is walked.
 
-    Every load reads, decodes and checks its input as above.  What a load
-    then skips is only the relator walks, which depend on nothing but the
-    four fields: the last _WALKED_MAX presentations built here are kept by
-    those fields, whatever file or data they came from, and an equal load
-    returns the object already built, its class order and Meyer function
-    included.  So one process walks a distinct presentation once (while
-    it stays among the last _WALKED_MAX), :func:`shipped_presentation`
-    included.  A load that raises keeps nothing.  One kept entry at the
-    caps (genus 12, 64 generators, 10,000 relator letters in 5,000
-    relators, one-digit matrix entries), with its class order, Meyer
-    function and inverses, holds about 2.0 MB by tracemalloc, so the memo
-    holds about 32 MB at most; longer matrix entries add what they take.
+    Data, and a file's text the first time, is decoded and checked as
+    above.  What such a load then skips is only the relator walks, which
+    depend on nothing but the four fields: the presentations built here
+    are kept by those fields, whatever file or data they came from, and
+    an equal load returns the object already built, its class order and
+    Meyer function included.  So one process walks a distinct
+    presentation once, :func:`shipped_presentation` included.
+
+    A file is read every time, and its text is looked up before it is
+    decoded.  A load from a file that succeeded keeps its text as a
+    second key for the same object, and a later file with that exact text
+    returns the object with no decode, matrix parse, classification,
+    relator parse or key build.  That is the same result: a load is a pure
+    function of its text (not of the path, the time or the environment),
+    and this process has already run every check on that text and seen
+    it pass.  An edited file is new text and is checked in full.  A load
+    that raises keeps nothing.
+
+    The memo holds the last _WALKED_MAX keys used, content and text keys
+    together.  One kept presentation at the caps (genus 12, 64
+    generators, 10,000 relator letters in 5,000 relators, one-digit matrix
+    entries), with its class order, Meyer function and inverses, holds
+    about 1.4 MB by tracemalloc, and a text is kept only up to 1 MiB, so
+    the memo holds about 40 MB at most (16 file texts at the bound, each
+    the only key of a presentation at the caps); longer matrix entries add
+    what they take.  A fresh process reads each file once and gains nothing
+    from the text key; it pays one str hash per load.
     """
-    data = read_json(source, "presentation")
+    if not isinstance(source, (str, PathLike)):
+        return _load_data(_json_object(source, "presentation"))
+    text = _read_text(source, "presentation")
+    p = _walked.pop(text, None)
+    if p is None:
+        p = _load_data(_json_object(text, "presentation"))
+        if getsizeof(text) > _TEXT_KEY_MAX:
+            return p
+    _keep(text, p)
+    return p
+
+
+def _load_data(data: dict) -> Presentation:
+    """:func:`load_presentation` on decoded data: the checks, then the
+    object kept under the four fields, or one built and kept."""
     try:
         genus = json_int(data["genus"], "genus")
         generators = _json_names(data["generators"], "generators")
@@ -627,7 +686,7 @@ def load_presentation(source) -> Presentation:
     words, letters = [], 0
     for text in relators:
         words.append(parse_word(text, generators, tokens))
-        letters += len(words[-1])
+        letters += len(words[-1]) or 1  # an empty relator counts as one letter
         check_word_length(letters)  # the relators together count as one word
     key = (genus, tuple(generators), tuple(mats), tuple(words))
     p = _walked.pop(key, None)
@@ -636,10 +695,17 @@ def load_presentation(source) -> Presentation:
             p = Presentation(*key, twists=twists)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        if len(_walked) >= _WALKED_MAX:
-            del _walked[next(iter(_walked))]
-    _walked[key] = p
+    _keep(key, p)
     return p
+
+
+def _keep(key: tuple | str, p: Presentation) -> None:
+    """Keep ``p`` under ``key`` as the most recently used entry, first
+    dropping the least recently used when the memo is full; a hit has
+    popped its key already."""
+    if len(_walked) >= _WALKED_MAX:
+        del _walked[next(iter(_walked))]
+    _walked[key] = p
 
 
 def hyperelliptic(g: int) -> dict:

@@ -621,12 +621,14 @@ def test_generator_cap_refuses_before_any_matrix_is_read(capsys, count_calls, tm
     assert run_cli(capsys, "order", "-p", inside) == (0, "1\n", "")
     code, out, err = run_cli(capsys, "phi", "-p", inside, "x0 x1")
     assert (code, err, out.count("\n")) == (0, "", 1)
-    assert parse.call_count == 2 * cap
+    # phi reads the text order read, so the loader returns the presentation
+    # it built from that text and parses no matrix again
+    assert parse.call_count == cap
     message = f"presentation has too many generators: meyersig caps presentations at {cap} generators"
     outside = _generators_file(tmp_path / "outside.json", cap + 1)
     for argv in (["order", "-p", outside], ["phi", "-p", outside, "x0"]):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
-    assert parse.call_count == 2 * cap
+    assert parse.call_count == cap
     matrices = (transvection((1, 0)),) * (cap + 1)
     with pytest.raises(ValueError, match=f"^{message}$"):
         presentations.Presentation(1, tuple(f"x{i}" for i in range(cap + 1)), matrices, ())
@@ -653,8 +655,9 @@ for argv in json.loads(sys.argv[1]):
 def test_presentation_solves_stay_small(tmp_path):
     """Within a 256 MiB address space: 10**5 generators are refused at
     once; 64 generators with 10 000 one-letter relators pass the
-    closedness check over a torus base; 64 generators with 3 * 10**5
-    empty relators give their class order."""
+    closedness check over a torus base; 64 generators with 10 000 empty
+    relators give their class order, and with 3 * 10**5 are refused by
+    the word cap, which counts an empty relator as one letter."""
     many = _generators_file(tmp_path / "many.json", 100_000)
     names = [f"x{i}" for i in range(64)]
     ones = tmp_path / "ones.json"
@@ -664,8 +667,12 @@ def test_presentation_solves_stay_small(tmp_path):
     }))
     torus = tmp_path / "torus.json"
     torus.write_text(json.dumps({"genus": 1, "base_genus": 1, "germs": [{"monodromy": "x0 x1^-1"}]}))
-    empty = _generators_file(tmp_path / "empty.json", 64, [""] * 300_000)
-    argvs = [["order", "-p", many], ["local-sig", "-f", str(torus), "-p", str(ones)], ["order", "-p", empty]]
+    empty = _generators_file(tmp_path / "empty.json", 64, [""] * 10_000)
+    too_many = _generators_file(tmp_path / "too_many.json", 64, [""] * 300_000)
+    argvs = [
+        ["order", "-p", many], ["local-sig", "-f", str(torus), "-p", str(ones)],
+        ["order", "-p", empty], ["order", "-p", too_many],
+    ]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run(
         [sys.executable, "-c", _CAPPED_SOLVE_CHILD, json.dumps(argvs)],
@@ -677,6 +684,7 @@ def test_presentation_solves_stay_small(tmp_path):
     assert done.stderr == (
         f"error: presentation has too many generators: meyersig caps presentations at {cap} generators\n"
         "1 True\n0 True\n0 True\n"
+        f"error: word is too long: meyersig caps words at {presentations.MAX_WORD_LETTERS} letters\n1 True\n"
     )
 
 
@@ -1294,22 +1302,44 @@ def _doubled_step(step, n):
 def test_a_walk_fault_fails_a_load_once_the_memo_is_cleared(capsys, monkeypatch, data_dir, name, n):
     """The loader keeps what it walked, so a fault planted after a load
     goes unseen by the next load of the same file; on a cleared memo the
-    relators are walked again and the fault fails the load."""
+    relators are walked again and the fault fails the load, every time,
+    since a load that fails keeps no key."""
     path = str(data_dir / name)
     expected = run_cli(capsys, "order", "-p", path)[:2]
     monkeypatch.setattr(presentations, "_twist_step", _doubled_step(presentations._twist_step, n))
     assert run_cli(capsys, "order", "-p", path)[:2] == expected
     presentations._walked.clear()
-    code, out, err = run_cli(capsys, "order", "-p", path)
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "order", "-p", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: relator 0 (") and err.endswith(") does not map to the identity\n")
+        assert not presentations._walked
+
+
+def test_a_text_hit_returns_the_object_built_before_a_planted_fault(capsys, monkeypatch, data_dir, tmp_path):
+    """A load from a text already read returns the object built from it,
+    so a fault planted in between goes unseen, at any path; this is the
+    documented behaviour, and why conftest empties the memo after each
+    test.  A file the fault then reads in full, the other shipped one,
+    fails."""
+    path = data_dir / "genus2.json"
+    p = presentations.load_presentation(path)
+    monkeypatch.setattr(presentations, "_twist_step", _doubled_step(presentations._twist_step, 4))
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(path.read_bytes())
+    assert presentations.load_presentation(path) is presentations.load_presentation(copy) is p
+    assert run_cli(capsys, "order", "-p", str(copy)) == (0, "5\n", "")
+    monkeypatch.setattr(presentations, "_twist_step", _doubled_step(presentations._twist_step, 2))
+    code, out, err = run_cli(capsys, "order", "-p", str(data_dir / "sl2z.json"))
     assert (code, out) == (2, "")
-    assert err.startswith("parse error: relator 0 (") and err.endswith(") does not map to the identity\n")
-    assert not presentations._walked
+    assert err.endswith(") does not map to the identity\n")
 
 
-def test_the_memo_is_keyed_by_the_content_not_the_path(capsys, data_dir, tmp_path):
+def test_the_memo_is_keyed_by_the_content_not_the_path(capsys, count_calls, data_dir, tmp_path):
     """A file rewritten between two loads is read and walked again: a
     relator that no longer maps to I exits 2 as it would on a first load,
-    and the restored file loads as the object kept before."""
+    and the restored file, whose text was read before, loads as the
+    object kept before with no matrix parsed."""
     path = tmp_path / "genus2.json"
     text = (data_dir / "genus2.json").read_text()
     path.write_text(text)
@@ -1322,8 +1352,10 @@ def test_the_memo_is_keyed_by_the_content_not_the_path(capsys, data_dir, tmp_pat
         2, "", "parse error: relator 0 ('c1 c2 c1 c2^-1 c1^-1 c1^-1') does not map to the identity\n"
     )
     path.write_text(text)
+    parse = count_calls(matrix, "parse_matrix")
     assert presentations.load_presentation(path) is p
     assert run_cli(capsys, "order", "-p", str(path))[:2] == (0, "5\n")
+    assert parse.call_count == 0
 
 
 def test_selftest_reports_an_exception_and_runs_every_suite(capsys, monkeypatch):

@@ -132,6 +132,18 @@ def test_parse_word_forms():
     assert parse_word("  \n ", names) == Word()
 
 
+def test_parse_word_appends_the_token_tables_own_letters():
+    """A one-letter token's letter is the table's tuple itself, so the
+    words of one table share their letters; a power repeats one tuple."""
+    names = ("a", "b")
+    table = presentations._token_table(names)
+    word = parse_word("a b^-1 A a b", names, table)
+    expected = [table["a"], table["b^-1"], table["A"], table["a"], table["b"]]
+    assert all(got is want for got, want in zip(word.letters, expected, strict=True))
+    letters = parse_word("a^3", names, table).letters
+    assert letters == ((0, 1),) * 3 and letters[0] is letters[1] is letters[2]
+
+
 def test_parse_word_multichar_names():
     names = ("c1", "c2")
     assert parse_word("c1 c2^-1", names) == Word([(0, 1), (1, -1)])
@@ -371,6 +383,22 @@ def test_a_relator_power_past_the_cap_is_refused_before_its_letters():
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "ValueError word is too long: meyersig caps words at 10000 letters True True\n"
+
+
+def test_an_empty_relator_counts_as_one_letter_toward_the_cap():
+    """The relators of a load count as one word, an empty one as one
+    letter: 10 000 letters with the empties load, one more empty relator
+    is refused with the cap's ValueError."""
+    data = presentations._SHIPPED_DATA[1]()
+    letters = sum(len(text.split()) for text in data["relators"])
+    data["relators"] += [""] * (presentations.MAX_WORD_LETTERS - letters)
+    p = load_presentation(data)
+    assert len(p.relators) == presentations.MAX_WORD_LETTERS - letters + 2
+    assert class_order(p) == ClassOrder(3, (2, 2))
+    data["relators"].append("")
+    with pytest.raises(ValueError, match="^word is too long: meyersig caps words at 10000 letters$") as info:
+        load_presentation(data)
+    assert not isinstance(info.value, ParseError)
 
 
 def test_word_format_round_trip(rng, sl2z, genus2):
@@ -896,6 +924,165 @@ def test_a_presentation_built_directly_is_not_memoized(genus2, count_calls):
     assert p == q == genus2 and p is not q
     assert walk.call_count == 2 * len(genus2.relators)
     assert len(presentations._walked) == size
+
+
+DATA_DIR = Path(presentations.__file__).parent / "data"
+
+
+def _loader_counts(count_calls):
+    """Counters on each step of a load after the file is read: decode,
+    matrix parse, classification, relator parse, walk and class order."""
+    return [
+        count_calls(matrix, "_decode_json"), count_calls(matrix, "parse_matrix"),
+        count_calls(symplectic, "_classify"), count_calls(presentations, "parse_word"),
+        count_calls(presentations, "_walk"), count_calls(exact, "lattice_order"),
+    ]
+
+
+def test_the_same_text_at_another_path_returns_the_kept_object(tmp_path, count_calls):
+    """A file whose text a load has already read returns the object built
+    from it, whatever its path, with no decode, parse, classification,
+    walk or solve."""
+    text = (DATA_DIR / "genus2.json").read_bytes()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_bytes(text)
+    second.write_bytes(text)
+    p = load_presentation(first)
+    class_order(p)
+    counted = _loader_counts(count_calls)
+    assert load_presentation(second) is p
+    assert load_presentation(str(first)) is p
+    assert class_order(p) == ClassOrder(5, (3,) * 5)
+    assert [c.call_count for c in counted] == [0] * 6
+
+
+def test_a_whitespace_edit_misses_the_text_and_hits_the_content(tmp_path, count_calls):
+    """A whitespace-only edit is new text, so the load decodes and checks
+    it in full, then finds the presentation it spells kept: the same
+    object, with no walk; the new text becomes a key too."""
+    text = (DATA_DIR / "genus2.json").read_text()
+    path = tmp_path / "genus2.json"
+    path.write_text(text)
+    p = load_presentation(path)
+    size = len(presentations._walked)
+    path.write_text(text.replace(": ", ":\t"))
+    decode, parse, classify, parse_word_, walk, _ = _loader_counts(count_calls)
+    assert load_presentation(path) is p
+    assert (decode.call_count, parse.call_count, classify.call_count, walk.call_count) == (1, 5, 5, 0)
+    assert parse_word_.call_count == len(p.relators)
+    assert len(presentations._walked) == size + 1
+    assert load_presentation(path) is p
+    assert classify.call_count == 5
+
+
+def _not_utf8(path):
+    path.write_bytes(b'{"genus": \xff}')
+
+
+def _bad_json(path):
+    path.write_text('{"genus": }')
+
+
+def _not_an_object(path):
+    path.write_text("[1, 2]")
+
+
+def _edited_genus2(edit):
+    def write(path):
+        data = json.loads((DATA_DIR / "genus2.json").read_text())
+        edit(data)
+        path.write_text(json.dumps(data, indent=2))
+    return write
+
+
+@pytest.mark.parametrize("write, message", [
+    (_not_utf8, "bad presentation JSON at byte 10: not UTF-8"),
+    (_bad_json, "bad presentation JSON at offset 10: Expecting value"),
+    (_not_an_object, "presentation JSON must be an object, got list"),
+    (_edited_genus2(_unknown_generator), "unknown generator 'c9' in token 22"),
+    (_edited_genus2(_not_the_identity), "relator 0 ('c1 c2 c1 c2^-1 c1^-1 c1^-1') does not map to the identity"),
+])
+def test_a_failing_file_keeps_no_key(tmp_path, write, message):
+    """A file whose load raises is kept under no key, so loading it again
+    reads it and raises the same ParseError."""
+    path = tmp_path / "presentation.json"
+    write(path)
+    load_presentation(hyperelliptic(2))
+    size = len(presentations._walked)
+    for _ in range(2):
+        with pytest.raises(ParseError) as caught:
+            load_presentation(path)
+        assert str(caught.value) == message
+        assert len(presentations._walked) == size
+
+
+def test_a_text_over_the_bound_loads_but_is_not_kept(tmp_path, count_calls):
+    """A text taking _TEXT_KEY_MAX bytes is kept as a key, one character
+    more is not: it loads through the content key every time."""
+    text = (DATA_DIR / "sl2z.json").read_text()
+    at_bound = text + " " * (presentations._TEXT_KEY_MAX - sys.getsizeof(text))
+    assert sys.getsizeof(at_bound) == presentations._TEXT_KEY_MAX
+    path = tmp_path / "sl2z.json"
+    p = load_presentation(presentations._SHIPPED_DATA[1]())
+    decode, parse, *_ = _loader_counts(count_calls)
+    for padded, kept in ((at_bound, True), (at_bound + " ", False)):
+        path.write_text(padded)
+        for _ in range(2):
+            assert load_presentation(path) is p
+        assert (padded in presentations._walked) is kept
+    assert (decode.call_count, parse.call_count) == (3, 3 * p.generator_count)
+
+
+def test_text_and_content_keys_share_the_bound(tmp_path):
+    """A file load keeps two keys, its content and its text, and data one;
+    together they stay at _WALKED_MAX, and the least recently used goes
+    first, a text hit counting as a use of the text key alone."""
+    def data(k):  # one presentation per k: the generator's name tells them apart
+        return {"genus": 1, "generators": [f"x{k}"], "matrices": {f"x{k}": "1,1;0,1"}, "relators": [f"x{k} x{k}^-1"]}
+
+    bound = presentations._WALKED_MAX
+    files = []
+    for k in range(bound // 2):
+        files.append(tmp_path / f"x{k}.json")
+        files[-1].write_text(json.dumps(data(k)))
+    presentations._walked.clear()
+    first = [load_presentation(path) for path in files]
+    assert len(presentations._walked) == bound
+    assert load_presentation(files[0]) is first[0]  # a text hit: file 0's text is now the newest key
+    load_presentation(data(bound))  # evicts the oldest key, file 0's content
+    assert len(presentations._walked) == bound
+    assert load_presentation(files[0]) is first[0]
+    again = load_presentation(data(0))  # evicts file 1's content
+    assert again == first[0] and again is not first[0]
+    assert load_presentation(files[1]) is first[1]  # its text is still kept
+    again = load_presentation(data(1))
+    assert again == first[1] and again is not first[1]
+    assert len(presentations._walked) == bound
+
+
+def test_a_fresh_process_parses_a_repeated_file_once():
+    """In a fresh interpreter, two `order -p genus2.json` calls make one
+    parse_matrix pass over the file's 5 generators: the second load is a
+    text hit."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from meyersig import cli, presentations\n"
+        "calls = []\n"
+        "parse = presentations.parse_matrix\n"
+        "def counted(text):\n"
+        "    calls.append(text)\n"
+        "    return parse(text)\n"
+        "presentations.parse_matrix = counted\n"
+        "codes = [cli.main(['order', '-p', sys.argv[1]]) for _ in range(2)]\n"
+        "print(codes, len(calls), file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(src / "meyersig" / "data" / "genus2.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "5\n5\n", "[0, 0] 5\n")
 
 
 def test_loading_the_shipped_files_classifies_each_generator_and_token_once(count_calls):
