@@ -60,7 +60,7 @@ from typing import Sequence
 
 from .exact import _gauss_jordan, _inertia, kernel_basis
 from .matrix import _add_identity, _identity_rows
-from .symplectic import SymplecticMatrix, _inverse_rows, _wrap
+from .symplectic import SymplecticMatrix, _wrap
 from .twist import _twist, _twist_solve
 from .value import Value
 
@@ -80,12 +80,17 @@ class VSpace(Value):
 
 
 def _v_rows(a: SymplecticMatrix, b: SymplecticMatrix) -> list[list[int]]:
-    """The rows of [A^{-1} - I | B - I], A^{-1} read off A's columns."""
+    """The rows of [A^{-1} - I | B - I], written straight from A's columns:
+    row i < g of A^{-1} is J times column g + i of A, and row g + i is
+    -J times column i (:func:`~meyersig.symplectic._inverse_rows`)."""
     if a.g != b.g:
         raise ValueError(f"genus mismatch: {a.g} vs {b.g}")
-    n = 2 * a.g
-    rows = [[*r, *s] for r, s in zip(_inverse_rows(a.rows, a.g), b.rows)]
-    for r, row in enumerate(rows):
+    g, n = a.g, 2 * a.g
+    cols = list(zip(*a.rows))
+    rows = [[*c[g:], *[-e for e in c[:g]]] for c in cols[g:]]
+    rows += [[*[-e for e in c[g:]], *c[:g]] for c in cols[:g]]
+    for r, (row, s) in enumerate(zip(rows, b.rows)):
+        row += s
         row[r] -= 1
         row[n + r] -= 1
     return rows

@@ -21,11 +21,14 @@ style of Bareiss (1968):
 :func:`kernel_basis`, :func:`affine_point` and
 :func:`meyersig.cocycle.tau_sp` share divide each new entry
 exactly by the previous pivot, which keeps every entry a minor of the
-input; :func:`signature` divides each new block by its content, the gcd
-of its entries; :func:`lattice_order` scales its residual by just enough
-to divide exactly.  No floating point appears anywhere in this package.
-The signature is read off by congruence diagonalization rather than from
-eigenvalues, which is what makes an exact answer possible.
+input.  That pass writes each row in place, at the columns that are not
+yet pivots only, and keeps the pivot columns at d * I by bookkeeping, so
+it builds no new row per pivot.  :func:`signature` divides each new
+block by its content, the gcd of its entries; :func:`lattice_order`
+scales its residual by just enough to divide exactly.  No floating point
+appears anywhere in this package.  The signature is read off by
+congruence diagonalization rather than from eigenvalues, which is what
+makes an exact answer possible.
 
 Tuples and star-arguments here are built from lists, not generators:
 CPython sizes a tuple drawn from a generator by a guess and a resize,
@@ -323,13 +326,24 @@ def _gauss_jordan(mat: list[list[int]], width: int) -> tuple[list[int], int]:
 
     A pivot p clears its column in every other row as
     (p * row - row[c] * top) / p_prev, p_prev the previous pivot (1 at
-    first).  Every entry stays a minor of the input, or a Cramer numerator
-    over the pivot block, so the division is exact, and at the end the
-    pivot columns read d * I and the rows below the rank are zero in the
-    first width columns.
+    first), and a row with row[c] = 0 is scaled by p / p_prev, or left
+    as it is when p = p_prev.  Every entry stays a minor of the input, or
+    a Cramer numerator over the pivot block, so the division is exact,
+    and at the end the pivot columns read d * I and the rows below the
+    rank are zero in the first width columns.
+
+    Each row is updated in place, and only at the columns not yet pivots
+    (``live``); the pivot columns are kept at p * I by bookkeeping
+    instead.  The formula sends a row's entry at c to 0, an earlier pivot
+    row's entry at its own pivot column from p_prev to p (the top row is
+    0 there), and every other pivot-column entry from 0 to 0, so a row
+    that changes gets 0 at c and, if it is a pivot row, p at its pivot.
+    The pivot row itself is left as it is.  The rows stay the same list
+    objects, only swapped.
     """
     pivots: list[int] = []
     prev = 1
+    live = list(range(len(mat[0]))) if mat else []
     for c in range(width):
         r = len(pivots)
         if r == len(mat):
@@ -342,12 +356,20 @@ def _gauss_jordan(mat: list[list[int]], width: int) -> tuple[list[int], int]:
         mat[r], mat[k] = mat[k], mat[r]
         top = mat[r]
         p = top[c]
+        live.remove(c)
         for i, row in enumerate(mat):
             f = row[c]
             if f and i != r:
-                mat[i] = [(p * e - f * s) // prev for e, s in zip(row, top)]
+                for j in live:
+                    row[j] = (p * row[j] - f * top[j]) // prev
+                row[c] = 0
             elif not f and p != prev:  # the same formula with f = 0
-                mat[i] = [p * e // prev for e in row]
+                for j in live:
+                    row[j] = p * row[j] // prev
+            else:
+                continue
+            if i < r:
+                row[pivots[i]] = p
         pivots.append(c)
         prev = p
     return pivots, prev

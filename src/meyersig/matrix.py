@@ -13,16 +13,20 @@ floats.  Tuples are built from lists, as in :mod:`meyersig.exact`.
 
 import re
 from functools import cache
-from operator import mul
+from operator import add, sub
 
 from .errors import ParseError
 
 
 def check_rows(rows) -> tuple:
-    """The rows of a matrix as a tuple of int tuples; no rows, an empty
-    row, a ragged row or an entry that is not an int (bool included)
-    raises ValueError naming it."""
-    rows = tuple([tuple([entry for entry in row]) for row in rows])
+    """The rows of a matrix as a tuple of int tuples; rows that are not
+    iterable, a row that is not iterable, no rows, an empty row, a ragged
+    row or an entry that is not an int (bool included) raises ValueError
+    naming it."""
+    try:
+        rows = tuple([tuple([entry for entry in row]) for row in rows])
+    except TypeError:
+        raise ValueError(_not_iterable(rows)) from None
     if not rows:
         raise ValueError("matrix needs at least one row")
     width = len(rows[0])
@@ -37,6 +41,21 @@ def check_rows(rows) -> tuple:
     return rows
 
 
+def _not_iterable(rows) -> str:
+    """The message for rows that :func:`check_rows` could not iterate:
+    the rows themselves, or the first row that is not iterable."""
+    try:
+        iter(rows)
+    except TypeError:
+        return f"matrix rows must be iterable, got {rows!r}"
+    for i, row in enumerate(rows):
+        try:
+            iter(row)
+        except TypeError:
+            return f"row {i} is not iterable: {row!r}"
+    return "matrix rows must be iterables of entries"
+
+
 @cache
 def _identity_rows(n: int) -> tuple:
     """The rows of the n x n identity, built once per size."""
@@ -44,9 +63,32 @@ def _identity_rows(n: int) -> tuple:
 
 
 def _product(a, b) -> tuple:
-    """The rows of A B, as int tuples, for the rows of A and B."""
-    cols = list(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in a])
+    """The rows of A B, as int tuples, for the rows of A and B.
+
+    Row i of A B is the sum of the rows of B weighted by the entries of
+    row i of A, so each row is built from B's rows at the nonzero entries
+    of A's row alone: a zero entry costs nothing, an entry of 1 or -1
+    adds or subtracts the row itself, and a row with one entry of 1 is
+    that row of B.  Integer sums are exact in any order, so the rows are
+    the dot-product ones.
+    """
+    zero = (0,) * len(b[0]) if b else ()
+    out = []
+    for row in a:
+        acc = None
+        for e, b_row in zip(row, b):
+            if not e:
+                continue
+            if acc is None:
+                acc = b_row if e == 1 else [e * x for x in b_row]
+            elif e == 1:
+                acc = list(map(add, acc, b_row))
+            elif e == -1:
+                acc = list(map(sub, acc, b_row))
+            else:
+                acc = [x + e * y for x, y in zip(acc, b_row)]
+        out.append(zero if acc is None else tuple(acc))
+    return tuple(out)
 
 
 def _add_identity(rows, k: int) -> tuple:

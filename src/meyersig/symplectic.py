@@ -87,9 +87,10 @@ def symplectic_pairing(u: Sequence[int], v: Sequence[int]) -> int:
 
 def is_symplectic(rows, g: int) -> bool:
     """Whether the rows of a 2g x 2g integer matrix A satisfy A^T J A = J
-    exactly; the rows are checked, then :func:`_is_symplectic`."""
+    exactly; the rows are checked, then :func:`_is_symplectic`.  g must
+    be an int, bool excluded, as :func:`_int_genus` checks."""
     rows = check_rows(rows)
-    n = 2 * g
+    n = 2 * _int_genus(g)
     if len(rows) != n or len(rows[0]) != n:
         raise ValueError(f"expected a {n}x{n} matrix, got {len(rows)}x{len(rows[0])}")
     return _is_symplectic(rows, g)
@@ -180,12 +181,13 @@ class SymplecticMatrix:
 
 def _shape_genus(rows: tuple, g: int | None) -> int:
     """The genus of checked rows: a square of even size 2g, g equal to
-    ``g`` when that is given, and at most MAX_GENUS; anything else raises
-    ValueError before any product is formed."""
+    ``g`` when that is given (an int, bool excluded, as
+    :func:`_int_genus` checks), and at most MAX_GENUS; anything else
+    raises ValueError before any product is formed."""
     n = len(rows)
     if n != len(rows[0]) or n % 2:
         raise ValueError(f"symplectic matrices are 2g x 2g, got {n}x{len(rows[0])}")
-    if g is not None and g != n // 2:
+    if g is not None and _int_genus(g) != n // 2:
         raise ValueError(f"genus {g} does not match a {n}x{n} matrix")
     return _check_genus(n // 2)
 

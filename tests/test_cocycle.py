@@ -49,6 +49,18 @@ def _v_rows_by_product(a, b):
     ]
 
 
+def test_v_rows_are_written_from_the_inverse(rng):
+    """The rows tau_sp and v_space eliminate, written from A's columns,
+    equal [A^{-1} - I | B - I] from the inverse object, as fresh lists."""
+    for _ in range(60):
+        g = rng.randint(1, 4)
+        a = random_symplectic(g, rng.randint(0, 10), rng.random())
+        b = random_symplectic(g, rng.randint(0, 10), rng.random())
+        rows = cocycle._v_rows(a, b)
+        assert rows == _v_rows_by_product(a, b)
+        assert all(type(row) is list for row in rows) and len({id(row) for row in rows}) == 2 * g
+
+
 def test_v_space_identity_pair_is_everything():
     for g in (1, 2):
         space = v_space(SymplecticMatrix.identity(g), SymplecticMatrix.identity(g))

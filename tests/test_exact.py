@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meyersig.cocycle import _v_rows
 from meyersig.exact import (
     SignatureTriple,
     _congruence,
+    _gauss_jordan,
     _inertia,
     affine_point,
     determinant,
@@ -20,7 +22,7 @@ from meyersig.exact import (
     lattice_order,
     signature,
 )
-from meyersig.symplectic import random_symplectic
+from meyersig.symplectic import SymplecticMatrix, random_symplectic, transvection
 
 
 def _diagonal(values):
@@ -525,6 +527,134 @@ def test_affine_point_against_the_kernel():
         seen["zero"] += not any(map(any, mat))
         seen["rank-deficient"] += rank < min(n, m)
     assert all(seen.values()), seen
+
+
+def _gauss_jordan_by_new_rows(mat, width):
+    """The fraction-free Gauss-Jordan pass written with a new list for every
+    row at every pivot, each entry by the formula: the oracle the in-place
+    pass of exact._gauss_jordan is held against."""
+    pivots = []
+    prev = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == len(mat):
+            break
+        for k in range(r, len(mat)):
+            if mat[k][c]:
+                break
+        else:
+            continue
+        mat[r], mat[k] = mat[k], mat[r]
+        top = mat[r]
+        p = top[c]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = [(p * e - f * s) // prev for e, s in zip(row, top)]
+            elif not f and p != prev:  # the same formula with f = 0
+                mat[i] = [p * e // prev for e in row]
+        pivots.append(c)
+        prev = p
+    return pivots, prev
+
+
+def _assert_gauss_jordan_as_oracle(rows, width):
+    """_gauss_jordan on a copy of rows leaves the oracle's matrix and returns
+    its pivots and d, and it works in place: the same list holds the same
+    row objects, only swapped.  Returns the rank."""
+    expected = [list(row) for row in rows]
+    want = _gauss_jordan_by_new_rows(expected, width)
+    mat = [list(row) for row in rows]
+    before = list(mat)
+    got = _gauss_jordan(mat, width)
+    assert got == want, rows
+    assert mat == expected, rows
+    assert sorted(map(id, mat)) == sorted(map(id, before)), rows
+    assert all(type(e) is int for row in mat for e in row)
+    return len(got[0])
+
+
+def test_gauss_jordan_pass_is_in_place():
+    mat = [[0, 2, 4], [1, 0, 3], [0, 0, 0]]
+    first, second, third = mat
+    assert _gauss_jordan(mat, 2) == ([0, 1], 2)
+    assert mat == [[2, 0, 6], [0, 2, 4], [0, 0, 0]]
+    assert mat[0] is second and mat[1] is first and mat[2] is third
+    assert _gauss_jordan([], 0) == ([], 1)
+    empty = [[], []]
+    assert _gauss_jordan(empty, 0) == ([], 1) and empty == [[], []]
+
+
+def test_gauss_jordan_against_the_new_rows_oracle():
+    """The in-place pass over the live columns leaves exactly the matrix,
+    pivots and d of the pass that builds new rows, on random matrices of up
+    to 7 x 9 of every rank, with zero rows and zero columns planted, with
+    entries of up to 120 digits, and eliminated over all of their columns
+    or only the first few, as affine_point does."""
+    rng = random.Random(4017)
+    seen = {"zero row": 0, "zero column": 0, "zero": 0, "big": 0, "partial width": 0}
+    ranks = set()
+    for _ in range(800):
+        n, m = rng.randint(1, 7), rng.randint(1, 9)
+        k = rng.randint(0, min(n, m))  # the rank, at most
+        bound = rng.choice((1, 3, 10**6, 10**120))
+        left = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(n)]
+        right = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(m)] for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k
+                else [0] * m for row in left]
+        if rng.random() < 0.3:
+            rows[rng.randrange(n)] = [0] * m
+        if rng.random() < 0.3:
+            j = rng.randrange(m)
+            for row in rows:
+                row[j] = 0
+        width = m if rng.random() < 0.7 else rng.randint(0, m)
+        ranks.add((min(n, m), _assert_gauss_jordan_as_oracle(rows, width)))
+        seen["zero row"] += any(not any(row) for row in rows)
+        seen["zero column"] += any(not any(col) for col in zip(*rows))
+        seen["zero"] += not any(map(any, rows))
+        seen["big"] += any(abs(e) >= 10**100 for row in rows for e in row)
+        seen["partial width"] += width < m
+    assert all(seen.values()), seen
+    assert {(size, rank) for size in range(1, 8) for rank in range(size + 1)} <= ranks
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_gauss_jordan_on_tau_sp_systems(g):
+    """[A^{-1} - I | B - I] over all 4g columns, the pass of tau_sp and
+    v_space, with A or B the identity or a single transvection among
+    random words, so that every dimension of V occurs often."""
+    rng = random.Random(90 + g)
+    ident = SymplecticMatrix.identity(g)
+    ranks = set()
+    for _ in range(60):
+        a, b = (
+            rng.choice((
+                ident,
+                transvection([1 + rng.randint(0, 2)] + [rng.randint(-2, 2) for _ in range(2 * g - 1)]),
+                random_symplectic(g, rng.randint(0, 12), rng.random()),
+            ))
+            for _ in range(2)
+        )
+        ranks.add(_assert_gauss_jordan_as_oracle(_v_rows(a, b), 4 * g))
+    assert {0, 2 * g} <= ranks and len(ranks) >= 3, ranks
+
+
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_gauss_jordan_on_twist_solves(g):
+    """[M | v] with M = A - I over its 2g columns, the solve of a twist
+    letter at 2g = 6 .. 12: A a word of 0 to 4g transvections, so that
+    M is singular as often as not, and v a class with entries up to 3, or
+    up to 10**110."""
+    rng = random.Random(200 + g)
+    ranks = set()
+    for _ in range(40):
+        a = random_symplectic(g, rng.randint(0, 4 * g), rng.random())
+        bound = rng.choice((3, 10**110))
+        v = [rng.randint(-bound, bound) for _ in range(2 * g)]
+        rows = [[e - (i == j) for j, e in enumerate(row)] + [x] for i, (row, x) in enumerate(zip(a.rows, v))]
+        ranks.add(_assert_gauss_jordan_as_oracle(rows, 2 * g))
+    assert 0 in ranks and 2 * g in ranks and len(ranks) >= 3, ranks
 
 
 def _fraction_lattice_order(columns, target):

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from meyersig.errors import ParseError
-from meyersig.matrix import _add_identity, check_rows, matrix_from_json, parse_int, parse_matrix
+from meyersig.matrix import _add_identity, _product, check_rows, matrix_from_json, parse_int, parse_matrix
 from meyersig.presentations import evaluate_word
 from meyersig.selftest import chain_with_s, random_word
-from meyersig.symplectic import SymplecticMatrix, _wrap, random_symplectic, standard_j
+from meyersig.symplectic import SymplecticMatrix, _wrap, is_symplectic, random_symplectic, standard_j
 from meyersig.twist import _twist, _twist_step
 
 BAD_ROWS = {
@@ -19,6 +19,8 @@ BAD_ROWS = {
     "ragged": [[1, 0], [1]],
     "no rows": [],
     "empty rows": [[], []],
+    "a row not iterable": [1, 2],
+    "rows not iterable": None,
 }
 BAD_TEXT = {
     "float": "1.5,0;0,1",
@@ -70,6 +72,20 @@ def test_entry_errors_name_the_entry():
         check_rows([[1, 0], [1]])
 
 
+def test_rows_that_are_not_iterable_are_named():
+    for make, message in (
+        (lambda: [1, 2], "row 0 is not iterable: 1"),
+        (lambda: [[1, 0], 7], "row 1 is not iterable: 7"),
+        (lambda: None, "matrix rows must be iterable, got None"),
+        (lambda: 5, "matrix rows must be iterable, got 5"),
+        (lambda: iter([[1, 0], 7]), "matrix rows must be iterables of entries"),  # used up: no row to name
+    ):
+        for check in (check_rows, SymplecticMatrix, lambda rows: is_symplectic(rows, 1)):
+            with pytest.raises(ValueError) as info:
+                check(make())
+            assert str(info.value) == message
+
+
 def _assert_checked_equal(m, g):
     """m, built through _wrap, equals its rows rebuilt through the check."""
     rebuilt = SymplecticMatrix(m.rows)
@@ -84,6 +100,35 @@ def _dense_product(a, b):
     """The rows of A B by the definition, for lists of rows A and B: the
     dense reference the tests hold the row helpers against."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_product_against_the_dense_product():
+    """_product, built from the rows of B at the nonzero entries of A's rows,
+    equals the dot-product definition on random shapes, square and not,
+    with zero rows, entries that are mostly 0 and +-1, and entries of up to
+    60 digits; every row is an int tuple."""
+    rng = random.Random(5)
+    seen = {"zero row": 0, "one": 0, "minus one": 0, "big": 0, "rectangular": 0}
+    for _ in range(500):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        bound = rng.choice((1, 1, 3, 10**60))
+        a = [[rng.choice((0, 0, 1, -1, rng.randint(-bound, bound))) for _ in range(k)] for _ in range(n)]
+        b = [[rng.choice((0, rng.randint(-bound, bound))) for _ in range(m)] for _ in range(k)]
+        if rng.random() < 0.3:
+            a[rng.randrange(n)] = [0] * k
+        for left, right in ((a, b), (tuple(map(tuple, a)), tuple(map(tuple, b)))):
+            out = _product(left, right)
+            assert out == tuple(map(tuple, _dense_product(a, b))), (a, b)
+            assert type(out) is tuple and all(type(row) is tuple for row in out)
+            assert all(type(e) is int for row in out for e in row)
+        seen["zero row"] += any(not any(row) for row in a)
+        seen["one"] += any(1 in row for row in a)
+        seen["minus one"] += any(-1 in row for row in a)
+        seen["big"] += any(abs(e) >= 10**50 for row in a + b for e in row)
+        seen["rectangular"] += len({n, k, m}) > 1
+    assert all(seen.values()), seen
+    assert _product(((0, 0),), ((1, 2, 3), (4, 5, 6))) == ((0, 0, 0),)
+    assert _product(((1, 0), (0, -1)), ((1, 2), (3, 4))) == ((1, 2), (-3, -4))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])

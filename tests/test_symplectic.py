@@ -500,9 +500,14 @@ def test_genus_is_refused_before_any_work(g, message):
 
 
 def test_constructor_stores_the_genus_of_the_shape():
-    m = SymplecticMatrix([[1, 0], [0, 1]], True)
+    m = SymplecticMatrix([[1, 0], [0, 1]], 1)
     assert type(m.g) is int and m.g == 1
     assert m == SymplecticMatrix.identity(1)
+    # a genus that only compares equal to the shape's is refused, not stored
+    for g in (True, 1.0):
+        for check in (SymplecticMatrix, is_symplectic):
+            with pytest.raises(ValueError, match=f"^genus must be an int, got {g!r}$"):
+                check([[1, 0], [0, 1]], g)
 
 
 def test_inverse_and_power():
