@@ -10,8 +10,8 @@ are not a symmetric square.  The internal helpers :func:`determinant`,
 :func:`affine_point`, :func:`lattice_order`, :func:`lattice_basis` and
 the free-column readout :func:`_free_columns` trust their caller.
 :func:`determinant` is straight-line code at n = 2 and n = 4, the sizes
-of the genus-1 and genus-2 walks (p t - q r, and the Laplace expansion
-in complementary 2 x 2 minors).  :func:`_inertia`, behind
+of M = P - I at genus 1 and 2 (p t - q r, and the Laplace expansion in
+complementary 2 x 2 minors).  :func:`_inertia`, behind
 :func:`signature` and :func:`meyersig.cocycle.tau_sp`, is straight-line
 code at dim 1 and 2 (the sign of p, and det = p t - q^2 with the
 trace), and a larger form ends there after its congruence steps.
@@ -181,10 +181,14 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     At n = 2 it is p * t - q * r.  At n = 4 it is the Laplace expansion
     along rows 0 and 1: each of their six 2 x 2 minors times the
     complementary minor of rows 2 and 3, signed by (-1)^(j + k) for the
-    columns j < k of the first.  These are the sizes of M = P - I in the
-    genus-1 and genus-2 walks, where the work of an elimination loop is
-    its interpreter frames, not its arithmetic.  A row of the wrong length
-    fails the unpack and raises the same ValueError as at other sizes.
+    columns j < k of the first.  These are the sizes of M = P - I at
+    genus 1 and 2, where the work of an elimination loop is its
+    interpreter frames, not its arithmetic.  The straight-line walks of
+    :mod:`meyersig.presentations` inline the same closed forms at a twist
+    letter and call this one only at a non-twist letter; the general
+    walk, the oracle of their tests, calls it at every determinant.  A
+    row of the wrong length fails the unpack and raises the same
+    ValueError as at other sizes.
 
     Otherwise each step takes a row with a nonzero leading entry p as the
     pivot (a swap with the top row flips the sign) and replaces the

@@ -23,10 +23,12 @@ and genus-2 presentations), all m_i come out equal to a single m and phi
 is -c plus (m/n) times the total exponent.
 
 Words are evaluated by one prefix walk that carries M = P - I, P the
-product of the letters so far, as plain integer rows; a Dehn-twist
-letter moves it as :mod:`meyersig.twist` derives, and each letter is
-checked by one dict lookup.  :func:`evaluate_word` carries the product
-alone, :func:`_walk` also c.
+product of the letters so far; a Dehn-twist letter moves it as
+:mod:`meyersig.twist` derives, and each letter is checked by one dict
+lookup.  :func:`evaluate_word` carries the product alone, :func:`_walk`
+also c.  At genus 1 and 2 the walks are straight-line code on the 4 or
+16 entries as local ints; at every genus the general walk on integer
+rows gives the same results, and it is the walk above genus 2.
 A :class:`Presentation` walks each relator once, when it is built,
 checking that it maps to the identity and keeping c(r_j), so
 :func:`class_order` walks no word, and solves once per object.  The file
@@ -360,35 +362,134 @@ class Presentation(Value):
 def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
     """Product of generator matrices in word order; the empty word gives I.
 
-    The walk of :func:`_walk` on M = P - I, without c: a twist letter
-    takes the step of :mod:`meyersig.twist`, any other the full product,
-    and I is added back once, at the end.
+    The walk of :func:`_walk` without c: a twist letter takes the step of
+    :mod:`meyersig.twist`, any other the full product.  At 2g = 2 and 4
+    the product is carried as 4 or 16 local ints (:func:`_evaluate_2`,
+    :func:`_evaluate_4`); above that as the rows of M = P - I
+    (:func:`_evaluate_rows`).
     """
+    n = 2 * p.genus
+    if n == 4:
+        return _wrap(2, _evaluate_4(w, p))
+    if n == 2:
+        return _wrap(1, _evaluate_2(w, p))
+    return _wrap(p.genus, _evaluate_rows(w, p))
+
+
+def _bad_letter(i: int, p: Presentation) -> ValueError:
+    """The error for a letter whose index names no generator of p."""
+    return ValueError(f"letter index {i} out of range for {len(p.matrices)} generators")
+
+
+def _evaluate_rows(w: Word, p: Presentation) -> tuple:
+    """The rows of the image of w at any genus: the general walk on the
+    rows of M = P - I, with I added back once, at the end."""
     m = _zero_rows(2 * p.genus)
     twists = p._twists
     for i, s in w.letters:
         try:
             twist = twists[i, s]
         except KeyError:
-            raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators") from None
+            raise _bad_letter(i, p) from None
         if twist is None:
             step = p.matrices[i] if s > 0 else p._inverses[i]
             m = _add_identity(_product(_add_identity(m, 1), step.rows), -1)
         else:
             m = _twist_step(m, twist)
-    return _wrap(p.genus, _add_identity(m, 1))
+    return _add_identity(m, 1)
+
+
+def _evaluate_2(w: Word, p: Presentation) -> tuple:
+    """The rows of the image of w at 2g = 2, carried as the four entries
+    of P itself: with no determinant to take, a twist letter is
+    P' = P + (P v) w and needs no identity."""
+    p00, p01, p10, p11 = 1, 0, 0, 1
+    twists = p._twists
+    for i, s in w.letters:
+        try:
+            twist = twists[i, s]
+        except KeyError:
+            raise _bad_letter(i, p) from None
+        if twist is None:
+            step = p.matrices[i] if s > 0 else p._inverses[i]
+            (p00, p01), (p10, p11) = _product(((p00, p01), (p10, p11)), step.rows)
+            continue
+        (v0, v1), _, (w0, w1), _, _ = twist
+        f0 = p00 * v0 + p01 * v1
+        f1 = p10 * v0 + p11 * v1
+        p00 += f0 * w0
+        p01 += f0 * w1
+        p10 += f1 * w0
+        p11 += f1 * w1
+    return (p00, p01), (p10, p11)
+
+
+def _evaluate_4(w: Word, p: Presentation) -> tuple:
+    """:func:`_evaluate_2` at 2g = 4, on the 16 entries of P."""
+    p00, p01, p02, p03, p10, p11, p12, p13 = 1, 0, 0, 0, 0, 1, 0, 0
+    p20, p21, p22, p23, p30, p31, p32, p33 = 0, 0, 1, 0, 0, 0, 0, 1
+    twists = p._twists
+    for i, s in w.letters:
+        try:
+            twist = twists[i, s]
+        except KeyError:
+            raise _bad_letter(i, p) from None
+        if twist is None:
+            step = p.matrices[i] if s > 0 else p._inverses[i]
+            rows = (p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33)
+            (
+                (p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33)
+            ) = _product(rows, step.rows)
+            continue
+        (v0, v1, v2, v3), _, (w0, w1, w2, w3), _, _ = twist
+        f0 = p00 * v0 + p01 * v1 + p02 * v2 + p03 * v3
+        f1 = p10 * v0 + p11 * v1 + p12 * v2 + p13 * v3
+        f2 = p20 * v0 + p21 * v1 + p22 * v2 + p23 * v3
+        f3 = p30 * v0 + p31 * v1 + p32 * v2 + p33 * v3
+        p00 += f0 * w0
+        p01 += f0 * w1
+        p02 += f0 * w2
+        p03 += f0 * w3
+        p10 += f1 * w0
+        p11 += f1 * w1
+        p12 += f1 * w2
+        p13 += f1 * w3
+        p20 += f2 * w0
+        p21 += f2 * w1
+        p22 += f2 * w2
+        p23 += f2 * w3
+        p30 += f3 * w0
+        p31 += f3 * w1
+        p32 += f3 * w2
+        p33 += f3 * w3
+    return (p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33)
 
 
 def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
     """(c(w), the rows of P - I for the image P of w): the signature
     cocycle summed along the prefixes of w, and the last prefix minus I.
 
-    Each prefix P is carried as the rows of M = P - I, with d = sign det M
-    and a bound on rank M; "The walk" in :mod:`meyersig.twist` gives how a
-    letter moves them and what it adds to c.  A letter is checked by its
-    one lookup in :attr:`Presentation._twists`, whose keys are exactly the
-    generators with both signs.
+    Each prefix P is carried as M = P - I, with d = sign det M and a bound
+    on rank M; "The walk" in :mod:`meyersig.twist` gives how a letter
+    moves them and what it adds to c.  A letter is checked by its one
+    lookup in :attr:`Presentation._twists`, whose keys are exactly the
+    generators with both signs.  At 2g = 2 and 4, M is 4 or 16 local ints
+    (:func:`_walk_2`, :func:`_walk_4`); above that it is rows
+    (:func:`_walk_rows`).  All three give the same c and rows.
     """
+    n = 2 * p.genus
+    if n == 4:
+        return _walk_4(w, p)
+    if n == 2:
+        return _walk_2(w, p)
+    return _walk_rows(w, p)
+
+
+def _walk_rows(w: Word, p: Presentation) -> tuple[int, tuple]:
+    """:func:`_walk` at any genus, on the rows of M: the sparse step, a
+    Bareiss determinant while the bound is at least 2g - 1, and at a twist
+    letter where both determinants vanish :func:`~meyersig.twist._minor_sign`
+    on the rows, which is the solve."""
     total = 0
     g, n = p.genus, 2 * p.genus
     m = _zero_rows(n)
@@ -398,7 +499,7 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
         try:
             twist = twists[i, s]
         except KeyError:
-            raise ValueError(f"letter index {i} out of range for {len(p.matrices)} generators") from None
+            raise _bad_letter(i, p) from None
         if twist is None:
             step = p.matrices[i] if s > 0 else p._inverses[i]
             prefix = _add_identity(m, 1)
@@ -419,6 +520,135 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
             bound = 1
         m, d = new, new_d
     return total, m
+
+
+def _walk_2(w: Word, p: Presentation) -> tuple[int, tuple]:
+    """:func:`_walk` at 2g = 2, with M as four local ints: the step
+    f = M v + v, M' = M + f w, det M' = ad - bc while the bound is 1 or 2,
+    and at a twist letter where both determinants vanish
+    :func:`~meyersig.twist._minor_sign` on the entries of M and M'.  A
+    non-twist letter takes tau_sp, the product and the determinant on the
+    rows, as in :func:`_walk_rows`."""
+    total = d = bound = 0
+    m00 = m01 = m10 = m11 = 0
+    twists = p._twists
+    for i, s in w.letters:
+        try:
+            twist = twists[i, s]
+        except KeyError:
+            raise _bad_letter(i, p) from None
+        if twist is None:
+            step = p.matrices[i] if s > 0 else p._inverses[i]
+            prefix = (m00 + 1, m01), (m10, m11 + 1)
+            total += tau_sp(_wrap(1, prefix), step)
+            rows = _add_identity(_product(prefix, step.rows), -1)
+            (m00, m01), (m10, m11) = rows
+            d = _sign(determinant(rows))
+            bound = 2 if d else (1 if any(map(any, rows)) else 0)
+            continue
+        (v0, v1), lam, (w0, w1), _, _ = twist
+        f0 = m00 * v0 + m01 * v1 + v0
+        f1 = m10 * v0 + m11 * v1 + v1
+        if not bound:  # M = 0: P = I, tau(I, B) = 0, and the new M has rank 1
+            m00, m01, m10, m11 = f0 * w0, f0 * w1, f1 * w0, f1 * w1
+            bound = 1
+            continue
+        if not d:
+            old = m00, m01, m10, m11
+        m00 += f0 * w0
+        m01 += f0 * w1
+        m10 += f1 * w0
+        m11 += f1 * w1
+        det = m00 * m11 - m01 * m10
+        new_d = 1 if det > 0 else -1 if det else 0
+        if d or new_d:
+            total += d * new_d if lam > 0 else -d * new_d
+            bound = 2 if new_d else 1
+        else:
+            tau, bound = _minor_sign(old, (m00, m01, m10, m11), twist, bound)
+            total += tau
+        d = new_d
+    return total, ((m00, m01), (m10, m11))
+
+
+def _walk_4(w: Word, p: Presentation) -> tuple[int, tuple]:
+    """:func:`_walk_2` at 2g = 4, with M as 16 local ints; det M' is the
+    Laplace expansion of :func:`~meyersig.exact.determinant` and runs only
+    while the bound is 3 or 4."""
+    total = d = bound = 0
+    m00 = m01 = m02 = m03 = m10 = m11 = m12 = m13 = 0
+    m20 = m21 = m22 = m23 = m30 = m31 = m32 = m33 = 0
+    twists = p._twists
+    for i, s in w.letters:
+        try:
+            twist = twists[i, s]
+        except KeyError:
+            raise _bad_letter(i, p) from None
+        if twist is None:
+            step = p.matrices[i] if s > 0 else p._inverses[i]
+            prefix = (
+                (m00 + 1, m01, m02, m03), (m10, m11 + 1, m12, m13),
+                (m20, m21, m22 + 1, m23), (m30, m31, m32, m33 + 1),
+            )
+            total += tau_sp(_wrap(2, prefix), step)
+            rows = _add_identity(_product(prefix, step.rows), -1)
+            (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rows
+            d = _sign(determinant(rows))
+            bound = 4 if d else (3 if any(map(any, rows)) else 0)
+            continue
+        (v0, v1, v2, v3), lam, (w0, w1, w2, w3), _, _ = twist
+        f0 = m00 * v0 + m01 * v1 + m02 * v2 + m03 * v3 + v0
+        f1 = m10 * v0 + m11 * v1 + m12 * v2 + m13 * v3 + v1
+        f2 = m20 * v0 + m21 * v1 + m22 * v2 + m23 * v3 + v2
+        f3 = m30 * v0 + m31 * v1 + m32 * v2 + m33 * v3 + v3
+        if not bound:  # M = 0: P = I, tau(I, B) = 0, and the new M has rank 1
+            m00, m01, m02, m03 = f0 * w0, f0 * w1, f0 * w2, f0 * w3
+            m10, m11, m12, m13 = f1 * w0, f1 * w1, f1 * w2, f1 * w3
+            m20, m21, m22, m23 = f2 * w0, f2 * w1, f2 * w2, f2 * w3
+            m30, m31, m32, m33 = f3 * w0, f3 * w1, f3 * w2, f3 * w3
+            bound = 1
+            continue
+        if not d:
+            old = m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33
+        m00 += f0 * w0
+        m01 += f0 * w1
+        m02 += f0 * w2
+        m03 += f0 * w3
+        m10 += f1 * w0
+        m11 += f1 * w1
+        m12 += f1 * w2
+        m13 += f1 * w3
+        m20 += f2 * w0
+        m21 += f2 * w1
+        m22 += f2 * w2
+        m23 += f2 * w3
+        m30 += f3 * w0
+        m31 += f3 * w1
+        m32 += f3 * w2
+        m33 += f3 * w3
+        if bound >= 3:
+            det = (
+                (m00 * m11 - m01 * m10) * (m22 * m33 - m23 * m32)
+                - (m00 * m12 - m02 * m10) * (m21 * m33 - m23 * m31)
+                + (m00 * m13 - m03 * m10) * (m21 * m32 - m22 * m31)
+                + (m01 * m12 - m02 * m11) * (m20 * m33 - m23 * m30)
+                - (m01 * m13 - m03 * m11) * (m20 * m32 - m22 * m30)
+                + (m02 * m13 - m03 * m12) * (m20 * m31 - m21 * m30)
+            )
+            new_d = 1 if det > 0 else -1 if det else 0
+        else:
+            new_d = 0
+        if d or new_d:
+            total += d * new_d if lam > 0 else -d * new_d
+            bound = 4 if new_d else 3
+        else:
+            new = m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33
+            tau, bound = _minor_sign(old, new, twist, bound)
+            total += tau
+        d = new_d
+    return total, (
+        (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33)
+    )
 
 
 def _zero_rows(n: int) -> tuple:
@@ -509,7 +739,8 @@ class SynthesizedMeyerFunction:
             word = p.word(word)
         counts = _exponent_vector([word], p.generator_count)
         numer = sum(m_i * k_i for m_i, k_i in zip(self.order.coefficients, counts))
-        return -cochain_c(word, p) + Fraction(numer, self.order.n)
+        n = self.order.n
+        return Fraction(numer - n * cochain_c(word, p), n)
 
     def __repr__(self):
         return f"SynthesizedMeyerFunction(n={self.order.n}, coefficients={self.order.coefficients})"

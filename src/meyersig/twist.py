@@ -7,7 +7,8 @@ B - I = v w has rank 1, and lam = 0 gives B = I.  tau is
 :func:`meyersig.cocycle.tau_sp`, the pairing on V_{A,B} there.
 
 The step.  With M = A - I, AB - I = M + A v w = M + (M v + v) w, a
-rank-1 update: row r gains (M v + v)_r times w (:func:`_twist_step`).
+rank-1 update: row r gains (M v + v)_r times w (:func:`_twist_step`, and
+inline in the straight-line walks).
 
 The sign.  With (B - I) y = lam s v, where s = <v, y>, a point (x, y)
 lies in V_{A,B} exactly when (A^{-1} - I) x = t v with t = -lam s, and
@@ -131,33 +132,42 @@ sign(lam * t * s) = tau.  When s = 0 the rank falls, every r x r minor
 of M' vanishes, and the formula still reads tau = 0.  So m_I(M') = 0
 exactly when the rank falls.
 
-:func:`_minor_sign` takes the minors of size up to 3 in straight-line
-code (:func:`_minor`), so it makes no elimination.
-Above 2g = 4 there would be up to C(2g, r) candidate minors of size up
-to 2g - 1, and the walk takes the solve there.
+At 2g <= 4, :func:`_minor_sign` reads the minors off M and M' flattened
+row by row, through index tables of the sigma-diagonal minors and their
+bordered minors built once per size (``_SIGMA_MINORS``), and takes each
+in straight-line code, so it makes no elimination.  Above 2g = 4 there
+would be up to C(2g, r) candidate minors of size up to 2g - 1, and the
+walk takes the solve there.
 
 The walk.  The cochain of :mod:`meyersig.presentations` carries M = P - I
-along the prefixes P of a word as plain integer rows, with d = sign det M
-and an upper bound on rank M.  A twist letter takes the step.  A rank-1
-update moves the rank by at most 1, so the new d' is 0 with no
-determinant while the bound is below 2g - 1.  When d or d' is nonzero
-the letter adds sign(lam) * d * d', and the bound becomes 2g, or 2g - 1
-when d' = 0.  When both are 0 it adds the value of :func:`_minor_sign`.
-At 2g <= 4 that is the minor-sign rule: it tries the sigma-diagonal
-minors of the bound's size and lowers the size past each one at which
-they all vanish, so by (a) it stops at rank M, and the bound it returns
-is rank M' exactly.  Above 2g = 4 it is the solve on the old M's rows,
-whose pivots give rank M, and the bound it returns is again rank M'
-exactly (the rank moves).  At bound 0, M = 0 and P = I, so
-tau(I, B) = 0 with no solve, and the new bound is 1.  From the identity
-the bound is exact on words of twist letters.  Any other letter takes
-:func:`meyersig.cocycle.tau_sp` on P, the full product and one
-determinant, after which the bound is 2g if d' != 0, else 2g - 1, or 0
-when the new M is 0; the bound may then exceed the rank until the
-next twist letter with both determinants 0 sets it to the rank.
+along the prefixes P of a word, with d = sign det M and an upper bound
+on rank M.  A twist letter takes the step.  A rank-1 update moves the
+rank by at most 1, so the new d' is 0 with no determinant while the
+bound is below 2g - 1.  When d or d' is nonzero the letter adds
+sign(lam) * d * d', and the bound becomes 2g, or 2g - 1 when d' = 0.
+When both are 0 it adds the value of :func:`_minor_sign`.  At 2g <= 4
+the walk is straight-line code on M's 4 or 16 entries as local ints: it
+takes the step as f = M v + v, M' = M + f w, the determinant in closed
+form, and the minor-sign rule on the flat entries, which tries the
+sigma-diagonal minors of the bound's size and lowers the size past each
+one at which they all vanish, so by (a) it stops at rank M, and the
+bound it returns is rank M' exactly.  At any size the general walk
+carries M as rows, takes the step by :func:`_twist_step`, a determinant
+by :func:`meyersig.exact.determinant`, and, at both determinants 0, the
+solve on the old M's rows, whose pivots give rank M, so the bound it
+returns is again rank M' exactly (the rank moves); it is the walk above
+2g = 4, and the oracle the tests hold the straight-line walks against.
+At bound 0, M = 0 and P = I, so tau(I, B) = 0 with no solve, and the new
+bound is 1.  From the identity the bound is exact on words of twist
+letters.  Any other letter takes :func:`meyersig.cocycle.tau_sp` on P,
+the full product and one determinant, on rows at every size, after which
+the bound is 2g if d' != 0, else 2g - 1, or 0 when the new M is 0; the
+bound may then exceed the rank until the next twist letter with both
+determinants 0 sets it to the rank.
 """
 
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 from .exact import _check_ints, _sign, affine_point
@@ -192,34 +202,10 @@ def _twist_step(m: tuple, twist: tuple) -> tuple:
     M + (M v + v) w of the module docstring, so row r gains
     f_r = (M v + v)_r times w.
 
-    At 2g = 2 and 4 the rows, v and w are unpacked and every f_r and new
-    entry is one straight-line expression.  Above that only the entries of
-    M on the support of v are read and only those on the support of w are
-    written; a row with f_r = 0 is kept as it is.
+    Only the entries of M on the support of v are read and only those on
+    the support of w are written; a row with f_r = 0 is kept as it is.
     """
-    v, _, w, v_terms, w_terms = twist
-    n = len(w)
-    if n == 2:
-        (m00, m01), (m10, m11) = m
-        v0, v1 = v
-        w0, w1 = w
-        f0 = m00 * v0 + m01 * v1 + v0
-        f1 = m10 * v0 + m11 * v1 + v1
-        return (m00 + f0 * w0, m01 + f0 * w1), (m10 + f1 * w0, m11 + f1 * w1)
-    if n == 4:
-        (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = m
-        v0, v1, v2, v3 = v
-        w0, w1, w2, w3 = w
-        f0 = m00 * v0 + m01 * v1 + m02 * v2 + m03 * v3 + v0
-        f1 = m10 * v0 + m11 * v1 + m12 * v2 + m13 * v3 + v1
-        f2 = m20 * v0 + m21 * v1 + m22 * v2 + m23 * v3 + v2
-        f3 = m30 * v0 + m31 * v1 + m32 * v2 + m33 * v3 + v3
-        return (
-            (m00 + f0 * w0, m01 + f0 * w1, m02 + f0 * w2, m03 + f0 * w3),
-            (m10 + f1 * w0, m11 + f1 * w1, m12 + f1 * w2, m13 + f1 * w3),
-            (m20 + f2 * w0, m21 + f2 * w1, m22 + f2 * w2, m23 + f2 * w3),
-            (m30 + f3 * w0, m31 + f3 * w1, m32 + f3 * w2, m33 + f3 * w3),
-        )
+    v, _, _, v_terms, w_terms = twist
     out = []
     for row, f in zip(m, v):
         for k, e in v_terms:
@@ -246,71 +232,80 @@ def _twist_solve(m: Sequence[Sequence[int]], twist: tuple) -> tuple[int, int]:
     return _sign(lam * t * s), r if s else r - 1
 
 
-def _minor(rows: Sequence[Sequence[int]], picked: Sequence[int], cols: Sequence[int]) -> int:
-    """The minor of rows on the rows ``picked`` and the columns ``cols``,
-    taken in the order given, for 1 to 3 of each, in straight-line code.
-
-    These are the minors of the genus-1 and genus-2 walk's minor-sign
-    rule.  Internal: the caller vouches for ints and for as many columns
-    as rows.
-    """
-    if len(cols) == 1:
-        return rows[picked[0]][cols[0]]
-    if len(cols) == 2:
-        a, b = rows[picked[0]], rows[picked[1]]
-        p, q = cols
-        return a[p] * b[q] - a[q] * b[p]
-    a, b, c = rows[picked[0]], rows[picked[1]], rows[picked[2]]
-    p, q, s = cols
-    return (
-        a[p] * (b[q] * c[s] - b[s] * c[q])
-        - a[q] * (b[p] * c[s] - b[s] * c[p])
-        + a[s] * (b[p] * c[q] - b[q] * c[p])
-    )
-
-
-def _sigma_minors(n: int) -> dict[int, list[tuple]]:
-    """Per size r = 1 .. n - 1, the sigma-diagonal r x r minors at 2g = n:
-    (I, sigma(I), the rows outside I) for each r-subset I of the rows."""
+def _sigma_minors(n: int) -> dict[int, tuple]:
+    """Per size r = 1 .. n - 1, the sigma-diagonal r x r minors at 2g = n,
+    read off M flattened row by row: for each r-subset I of the rows, the
+    pair (the flat index of M's entry at r = 1, else an itemgetter of the
+    r * r entries on the rows I and the columns sigma(I), row by row;
+    itemgetters of the entries of each bordered minor of
+    [M_{., sigma(I)} | v] on the rows I and a row k outside I, from M + v,
+    or () at r = n - 1, where none is needed)."""
     g = n // 2
-    minors: dict[int, list[tuple]] = {}
+    minors: dict[int, tuple] = {}
     for r in range(1, n):
-        minors[r] = []
+        tables = []
         for rows in combinations(range(n), r):
-            cols = tuple([(i + g) % n for i in rows])
-            minors[r].append((rows, cols, tuple([k for k in range(n) if k not in rows])))
+            cols = [(i + g) % n for i in rows]
+            at = [i * n + j for i in rows for j in cols]
+            borders = tuple(
+                itemgetter(*[e for i in (*rows, k) for e in (*[i * n + j for j in cols], n * n + i)])
+                for k in range(n) if k not in rows
+            ) if r < n - 1 else ()
+            tables.append((at[0] if r == 1 else itemgetter(*at), borders))
+        minors[r] = tuple(tables)
     return minors
 
 
 _SIGMA_MINORS = {n: _sigma_minors(n) for n in (2, 4)}  # the genus-1 and genus-2 walks
 
 
+def _det(x: tuple) -> int:
+    """The determinant of the 2 x 2 or 3 x 3 matrix with the entries x,
+    row by row, in straight-line code."""
+    if len(x) == 4:
+        return x[0] * x[3] - x[1] * x[2]
+    a, b, c, d, e, f, g, h, i = x
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _minor_sign(m: tuple, new: tuple, twist: tuple, bound: int) -> tuple[int, int]:
     """(tau_sp(A, B), a new bound on rank(AB - I)) at a twist letter where
-    det(A - I) and det(AB - I) both vanish, from the rows of M = A - I and
-    M' = AB - I, the record ``twist`` and a bound 0 < bound < 2g on rank M.
+    det(A - I) and det(AB - I) both vanish, from M = A - I and M' = AB - I,
+    the record ``twist`` and a bound 0 < bound < 2g on rank M.
 
-    At 2g <= 4 this is the minor-sign rule of the module docstring;
-    above that, the solve.  Either way the bound it returns is rank M'
-    exactly.
+    M and M' come as the 2g rows of the general walk, which takes the
+    solve on M's rows at every size, or at 2g <= 4 as the 4 or 16 entries,
+    row by row, that the straight-line walks carry, which take the
+    minor-sign rule of the module docstring on the tables
+    ``_SIGMA_MINORS``.  Either way the bound it returns is rank M' exactly.
     """
-    n = len(m)
-    if n > 4:
+    v = twist[0]
+    n = len(v)
+    if len(m) == n:
         return _twist_solve(m, twist)
-    minors = _SIGMA_MINORS[n]
+    tables = _SIGMA_MINORS[n]
     for r in range(bound, 0, -1):
-        for rows, cols, others in minors[r]:
-            minor = _minor(m, rows, cols)
-            if minor:
-                break
+        if r == 1:
+            for k, borders in tables[1]:
+                minor = m[k]
+                if minor:
+                    break
+            else:
+                continue  # M = 0
+            new_minor = new[k]
         else:
-            continue  # rank M < r
-        if r < n - 1:  # is v in im M, the span of the columns cols?
-            bordered = [(*row, e) for row, e in zip(m, twist[0])]
-            border = (*cols, n)
-            if any(_minor(bordered, (*rows, k), border) for k in others):
-                return 0, r + 1
-        new_minor = _minor(new, rows, cols)
+            for entries, borders in tables[r]:
+                minor = _det(entries(m))
+                if minor:
+                    break
+            else:
+                continue  # rank M < r
+            new_minor = _det(entries(new))
+        if borders:  # r < n - 1: is v in im M, the span of the columns sigma(I)?
+            mv = m + v
+            for border in borders:
+                if _det(border(mv)):
+                    return 0, r + 1
         if not new_minor:
             return 0, r - 1
         return _sign(twist[1] * minor * new_minor), r

@@ -1,3 +1,4 @@
+import inspect
 import random
 import signal
 import sys
@@ -85,3 +86,37 @@ def count_calls(monkeypatch):
         return counter
 
     return count
+
+
+@pytest.fixture
+def line_runs():
+    """line_runs(fn, text, *names) records each run of the one line of
+    fn's source that holds ``text``, from the call to the end of the test:
+    it returns a list that gets, as the line starts, the tuple of fn's
+    locals ``names`` (an empty tuple without names).  It counts work that
+    straight-line code inlines, where a call counter sees nothing, by a
+    tracer on fn's own frames (sys.settrace)."""
+    watched = {}
+    previous = sys.gettrace()
+
+    def local(frame, event, arg):
+        if event == "line" and (lines := watched[frame.f_code].get(frame.f_lineno)):
+            values = frame.f_locals
+            for names, runs in lines:
+                runs.append(tuple([values[name] for name in names]))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code in watched else None
+
+    def watch(fn, text, *names):
+        lines, start = inspect.getsourcelines(fn)
+        found = [start + k for k, line in enumerate(lines) if text in line]
+        assert len(found) == 1, (fn.__name__, text, found)
+        runs = []
+        watched.setdefault(fn.__code__, {}).setdefault(found[0], []).append((names, runs))
+        sys.settrace(tracer)
+        return runs
+
+    yield watch
+    sys.settrace(previous)

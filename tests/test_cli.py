@@ -1217,28 +1217,51 @@ def test_selftest_reports_a_planted_fault(capsys, monkeypatch, entry):
     assert " != " in err  # the counterexample
 
 
-def _inverse_step(step, n):
-    """The twist step by T_v^-lam in place of T_v^lam at 2g = n (lam, w and
-    its terms negated), so each prefix stays symplectic; every other size
-    takes ``step``."""
+def _inverse_record(twist):
+    """The record of T_v^lam with w negated and lam kept: the step it
+    takes is T_v^-lam's, so each prefix stays symplectic."""
+    v, lam, w, v_terms, w_terms = twist
+    return v, lam, tuple(-e for e in w), v_terms, tuple((j, -e) for j, e in w_terms)
 
-    def planted(m, twist):
-        v, lam, w, v_terms, w_terms = twist
-        if len(v) == n:
-            twist = (v, -lam, tuple(-e for e in w), v_terms, tuple((j, -e) for j, e in w_terms))
-        return step(m, twist)
 
-    return planted
+def _doubled_record(twist):
+    """The record of T_v^lam with w doubled and lam kept: the step it
+    takes is T_v^2lam's, so the braid relators no longer map to I."""
+    v, lam, w, v_terms, w_terms = twist
+    return v, lam, tuple(2 * e for e in w), v_terms, tuple((j, 2 * e) for j, e in w_terms)
+
+
+def _plant_in_records(monkeypatch, n, fault):
+    """Plant ``fault`` in every twist record at 2g = n that a walk reads,
+    the straight-line walks at 2g <= 4 and the general one above alike:
+    the records of the shipped presentations, built already, and those
+    of each presentation loaded from here on; every other size keeps its
+    records."""
+
+    def planted(twist):
+        return fault(twist) if twist is not None and len(twist[0]) == n else twist
+
+    for g in (1, 2):
+        records = presentations.shipped_presentation(g)._twists
+        for letter, twist in list(records.items()):
+            monkeypatch.setitem(records, letter, planted(twist))
+    classify, make = presentations._classify, presentations._twist
+
+    def planted_classify(rows, genus):
+        m, twist = classify(rows, genus)
+        return m, planted(twist)
+
+    monkeypatch.setattr(presentations, "_classify", planted_classify)
+    monkeypatch.setattr(presentations, "_twist", lambda v, lam: planted(make(v, lam)))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_selftest_reaches_every_twist_step_path(capsys, monkeypatch, n):
-    """A wrong step planted at one size (the straight-line 2g = 2 and 4, the
-    sparse 2g = 6) is caught by the cochain suite of --selftest."""
+    """A wrong step planted at one size (the straight-line walks at 2g = 2
+    and 4, the general walk's sparse step at 2g = 6) is caught by the
+    cochain suite of --selftest."""
     entry = next(entry for entry in selftest.SUITES if entry[0] == "cochain is the tau prefix sum")
-    for g in (1, 2):
-        presentations.shipped_presentation(g)  # relators walked before the fault
-    monkeypatch.setattr(presentations, "_twist_step", _inverse_step(presentations._twist_step, n))
+    _plant_in_records(monkeypatch, n, _inverse_record)  # the shipped relators were walked before
     monkeypatch.setattr(selftest, "SUITES", (entry,))
     code, out, err = run_cli(capsys, "--selftest")
     assert (code, out) == (1, "FAIL  cochain is the tau prefix sum\n")
@@ -1246,12 +1269,13 @@ def test_selftest_reaches_every_twist_step_path(capsys, monkeypatch, n):
 
 
 def _negated_rule(rule, n, r):
-    """The minor-sign rule with its value negated where 2g = n and
-    rank(P - I) = r; every other step takes ``rule``."""
+    """The flat minor-sign rule of the straight-line walks with its value
+    negated where 2g = n and rank(P - I) = r; every other step takes
+    ``rule``."""
 
     def planted(m, new, twist, bound):
         tau, rank = rule(m, new, twist, bound)
-        if len(m) == n and n - len(kernel_basis(m)) == r:
+        if len(twist[0]) == n and n - len(kernel_basis([m[i * n:(i + 1) * n] for i in range(n)])) == r:
             tau = -tau
         return tau, rank
 
@@ -1287,17 +1311,6 @@ def _step_without_v(step, n):
     return planted
 
 
-def _doubled_step(step, n):
-    """The twist step at 2g = n taken twice, T^2 in place of T, so the
-    braid relators no longer map to I; every other size takes ``step``."""
-
-    def planted(m, twist):
-        out = step(m, twist)
-        return step(out, twist) if len(twist[0]) == n else out
-
-    return planted
-
-
 @pytest.mark.parametrize("name, n", [("sl2z.json", 2), ("genus2.json", 4)])
 def test_a_walk_fault_fails_a_load_once_the_memo_is_cleared(capsys, monkeypatch, data_dir, name, n):
     """The loader keeps what it walked, so a fault planted after a load
@@ -1306,7 +1319,7 @@ def test_a_walk_fault_fails_a_load_once_the_memo_is_cleared(capsys, monkeypatch,
     since a load that fails keeps no key."""
     path = str(data_dir / name)
     expected = run_cli(capsys, "order", "-p", path)[:2]
-    monkeypatch.setattr(presentations, "_twist_step", _doubled_step(presentations._twist_step, n))
+    _plant_in_records(monkeypatch, n, _doubled_record)
     assert run_cli(capsys, "order", "-p", path)[:2] == expected
     presentations._walked.clear()
     for _ in range(2):
@@ -1324,12 +1337,12 @@ def test_a_text_hit_returns_the_object_built_before_a_planted_fault(capsys, monk
     fails."""
     path = data_dir / "genus2.json"
     p = presentations.load_presentation(path)
-    monkeypatch.setattr(presentations, "_twist_step", _doubled_step(presentations._twist_step, 4))
+    _plant_in_records(monkeypatch, 4, _doubled_record)
     copy = tmp_path / "copy.json"
     copy.write_bytes(path.read_bytes())
     assert presentations.load_presentation(path) is presentations.load_presentation(copy) is p
     assert run_cli(capsys, "order", "-p", str(copy)) == (0, "5\n", "")
-    monkeypatch.setattr(presentations, "_twist_step", _doubled_step(presentations._twist_step, 2))
+    _plant_in_records(monkeypatch, 2, _doubled_record)
     code, out, err = run_cli(capsys, "order", "-p", str(data_dir / "sl2z.json"))
     assert (code, out) == (2, "")
     assert err.endswith(") does not map to the identity\n")

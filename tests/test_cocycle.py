@@ -528,8 +528,9 @@ def test_some_sigma_diagonal_minor_of_size_rank_is_nonzero(g):
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_minor_sign_rule_against_the_solve(g):
-    """twist._minor_sign against _twist_solve, with rank(AB - I) from a
-    kernel, at each singular twist step (det(A - I) = det(AB - I) = 0,
+    """twist._minor_sign on the flat entries of M and M', as the
+    straight-line walks hand them over, against _twist_solve, with
+    rank(AB - I) from a kernel, at each singular twist step (det(A - I) = det(AB - I) = 0,
     A != I) of seeded walks in twist powers with lam in +-1, +-2, 3 along
     classes that need not be primitive, one step in four along the class
     of the step before it, often undoing that step.  Each step is asked at every bound from rank(A - I) to
@@ -556,8 +557,10 @@ def test_minor_sign_rule_against_the_solve(g):
                 new_rank = n - len(kernel_basis(new)) if any(map(any, new)) else 0
                 tau, solved_rank = _twist_solve(m, twist)
                 assert solved_rank == new_rank
+                flat, flat_new = sum(m, ()), sum(new, ())
                 for bound in range(rank, n):
-                    assert _minor_sign(m, new, twist, bound) == (tau, new_rank), (m, twist, bound)
+                    assert _minor_sign(flat, flat_new, twist, bound) == (tau, new_rank), (m, twist, bound)
+                assert _minor_sign(m, new, twist, rank) == (tau, new_rank)  # the rows: the solve
                 outcomes.add((rank, new_rank - rank, tau))
             m = new
     expected = {

@@ -8,7 +8,8 @@ SymplecticMatrix holding its rows, so no module of the package or of the
 tests names the retired second matrix type or its trusted constructor,
 and no package module reads the ``.mat`` alias.  It also holds the one
 owner of a Dehn-twist letter: its record, step, sign rules and minors are
-defined in ``twist.py`` alone, which imports from ``exact`` alone.  And
+defined in ``twist.py`` alone (the straight-line walks of
+``presentations`` inline the step), which imports from ``exact`` alone.  And
 it deletes helpers with no caller: every private function, class,
 constant or method of the package is read by some package module."""
 
@@ -25,7 +26,7 @@ MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 RETIRED = {"IntMatrix", "_trusted"}
 TWIST_NAMES = {
-    "_twist", "_twist_step", "_twist_solve", "_minor_sign", "_sigma_minors", "_SIGMA_MINORS", "_minor"
+    "_twist", "_twist_step", "_twist_solve", "_minor_sign", "_sigma_minors", "_SIGMA_MINORS", "_det"
 }
 
 

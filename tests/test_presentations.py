@@ -15,7 +15,6 @@ from meyersig import exact, matrix, presentations, selftest, symplectic
 from meyersig.cocycle import tau_sp
 from meyersig.errors import InfiniteOrderError, ParseError
 from meyersig.exact import _sign, kernel_basis, lattice_order
-from meyersig.exact import determinant as _determinant
 from meyersig.fibered import hyperelliptic_twist_value
 from meyersig.presentations import (
     UNBOUNDED,
@@ -777,43 +776,57 @@ def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_walk_skips_determinants_below_the_rank_bound(rng, g, count_calls):
+def test_walk_skips_determinants_below_the_rank_bound(rng, g, count_calls, line_runs):
     """The rank bound is exact on twist-only words, so a twist letter
     makes a determinant exactly when rank(P - I) >= 2g - 1, and fewer
     than 2g twist letters make none.  In the genus-1 mismatch presentation
     every non-twist letter (S) makes one, and the bound it leaves is
-    exact too.  Values against tau_sp, ranks from a kernel."""
+    exact too.  At 2g <= 4 a twist letter's determinant is the
+    straight-line walk's own (a run of its sign line), and
+    exact.determinant runs only at non-twist letters; above, both are
+    exact.determinant.  Values against tau_sp, ranks from a kernel."""
     determinant = count_calls(exact, "determinant")
+    inline = [line_runs(walk, "new_d = 1 if det > 0") for walk in (presentations._walk_2, presentations._walk_4)]
+
+    def counts():
+        return determinant.call_count, sum(map(len, inline))
+
     n = 2 * g
     p = _twist_presentation(g)
     for _ in range(40):
         word = random_word(p, rng, n - 1)
-        before = determinant.call_count
+        before = counts()
         assert cochain_c(word, p) == _tau_prefix_sum(word, p)
-        assert determinant.call_count == before
+        assert counts() == before
     runs = 0
     for p in (_twist_presentation(g), _mismatch_presentation()):
         n = 2 * p.genus
         for _ in range(40):
             word = random_word(p, rng, 4 * n)
-            prefix, expected = SymplecticMatrix.identity(p.genus), 0
+            prefix, calls, straight = SymplecticMatrix.identity(p.genus), 0, 0
             for i, s in word.letters:
                 rank = n - len(kernel_basis(_minus_identity(prefix)))
-                expected += p._twists[i, s] is None or rank >= n - 1
+                if p._twists[i, s] is None:
+                    calls += 1
+                elif rank >= n - 1:
+                    straight += n <= 4
+                    calls += n > 4
                 prefix = prefix * (p.matrices[i] if s > 0 else p.matrices[i].inverse())
-            before = determinant.call_count
+            before = counts()
             assert cochain_c(word, p) == _tau_prefix_sum(word, p)
-            assert determinant.call_count - before == expected
-            runs += expected
+            assert (counts()[0] - before[0], counts()[1] - before[1]) == (calls, straight)
+            runs += calls + straight
     assert runs
 
 
-def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls):
+def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls, line_runs):
     """Building a shipped presentation walks its relators: genus2.json and
     hyperelliptic(2) each make 55 determinants and 56 singular twist
     steps, sl2z.json 16 and 2, each taken by the minor-sign rule with no
-    Gauss-Jordan solve."""
+    Gauss-Jordan solve.  The determinants are the straight-line walks'
+    own (runs of their sign line), so exact.determinant runs 0 times."""
     determinant = count_calls(exact, "determinant")
+    inline = [line_runs(walk, "new_d = 1 if det > 0") for walk in (presentations._walk_2, presentations._walk_4)]
     solve = count_calls(presentations, "_minor_sign")
     gauss_jordan = count_calls(exact, "affine_point")
     files = resources.files("meyersig.data")
@@ -823,19 +836,19 @@ def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls):
         (hyperelliptic(2), 55, 56),
     ):
         presentations._walked.clear()  # a fresh load: genus2.json and hyperelliptic(2) share one key
-        before = determinant.call_count, solve.call_count
+        before = sum(map(len, inline)), solve.call_count
         p = load_presentation(data)
-        assert (determinant.call_count - before[0], solve.call_count - before[1]) == (dets, solves)
-    assert gauss_jordan.call_count == 0
+        assert (sum(map(len, inline)) - before[0], solve.call_count - before[1]) == (dets, solves)
+    assert determinant.call_count == gauss_jordan.call_count == 0
     # a repeat load of the same data returns the object built, walking and solving nothing
     class_order(p)
     walk = count_calls(presentations, "_walk")
     lattice = count_calls(exact, "lattice_order")
     counted = (walk, determinant, solve, lattice)
-    before = [c.call_count for c in counted]
+    before = [c.call_count for c in counted], sum(map(len, inline))
     assert load_presentation(hyperelliptic(2)) is p
     assert class_order(p) == ClassOrder(5, (3,) * 5)
-    assert [c.call_count for c in counted] == before
+    assert ([c.call_count for c in counted], sum(map(len, inline))) == before
 
 
 def test_a_fresh_process_loads_each_shipped_file_as_the_shipped_presentation():
@@ -1134,21 +1147,22 @@ def test_dumped_presentations_load_with_no_token_parsed(sl2z, genus2, count_call
     assert parse_token.call_count == 0
 
 
-def test_walk_on_long_genus2_words_against_tau_prefix_sums(genus2, count_calls):
+def test_walk_on_long_genus2_words_against_tau_prefix_sums(genus2, count_calls, line_runs):
     """cochain_c on 40 seeded genus2.json words of 40-64 letters, the
     lengths the benchmark walks, equals tau_sp summed over the prefixes;
-    the walk's 4 x 4 determinants run and take both nonzero signs, and
-    no Gauss-Jordan solve runs."""
+    the walk's straight-line 4 x 4 determinants run and take both nonzero
+    signs, and neither exact.determinant nor a Gauss-Jordan solve runs."""
     determinant = count_calls(exact, "determinant")
     gauss_jordan = count_calls(exact, "affine_point")
+    dets = line_runs(presentations._walk_4, "new_d = 1 if det > 0", "det")
     rng = random.Random(4064)
     for _ in range(40):
         length = rng.randint(40, 64)
         word = Word((rng.randrange(genus2.generator_count), rng.choice((1, -1))) for _ in range(length))
         assert cochain_c(word, genus2) == _tau_prefix_sum(word, genus2)
-    assert determinant.call_count
-    assert gauss_jordan.call_count == 0
-    signs = {_sign(_determinant(call.args[0])) for call in determinant.call_args_list}
+    assert dets
+    assert determinant.call_count == gauss_jordan.call_count == 0
+    signs = {_sign(det) for det, in dets}
     assert {1, -1} <= signs, signs
 
 
@@ -1210,6 +1224,74 @@ def test_walk_after_a_singular_non_twist_letter(rng, g):
     assert reached
 
 
+@pytest.mark.parametrize("g", [1, 2])
+def test_straight_line_walks_equal_the_general_walk(g, monkeypatch, line_runs):
+    """_walk and evaluate_word at 2g = 2 and 4, the straight-line walks on
+    local ints, against the general walk on rows (_walk_rows and
+    _evaluate_rows, the oracle at any 2g): the same c and rows of P - I,
+    the same product, and the same ValueError for a bad letter, on seeded
+    words of 0-70 letters over the shipped presentation, over the chain
+    twists with the non-twist letter s (chain_with_s) and over powers of
+    twists along seeded classes.  The words reach every branch of the
+    straight-line walk: a non-twist letter, M = 0, the determinant rule
+    with d d' of both signs and with one of d, d' zero, and the flat
+    minor-sign rule at each rank r with the rank rising (v outside im M,
+    by the bordered test at r < 2g - 1), kept (with both signs of tau)
+    and falling, at 2g = 4 also from a bound above the rank."""
+    n = 2 * g
+    rng = random.Random(4100 + g)
+    classes = [tuple(rng.choice((0, 1, -1, 2, -2)) for _ in range(n)) for _ in range(8)]
+    mats = tuple(transvection(v) ** lam for v, lam in zip(filter(any, classes), (1, -1, 2, -3, 1, -2)))
+    random_twists = Presentation(g, tuple(f"t{k}" for k in range(len(mats))), mats, ())
+    cases = []
+    for p in (shipped_presentation(g), chain_with_s(g), random_twists):
+        for _ in range(100):
+            word = random_word(p, rng, 70)
+            k = rng.randint(0, len(word))
+            bad = Word(word.letters[:k] + ((p.generator_count + rng.randrange(3), rng.choice((1, -1))),))
+            messages = []
+            for general in (presentations._walk_rows, presentations._evaluate_rows):
+                with pytest.raises(ValueError) as expected:
+                    general(bad, p)
+                messages.append(str(expected.value))
+            general = presentations._walk_rows(word, p), presentations._evaluate_rows(word, p)
+            cases.append((p, word, general, bad, messages))
+    walk = presentations._walk_2 if g == 1 else presentations._walk_4
+    formula = line_runs(walk, "total += d * new_d", "d", "new_d")
+    at_identity = line_runs(walk, "bound = 1\n")
+    non_twist = line_runs(walk, "total += tau_sp(")
+    outcomes, descents = set(), 0
+    rule = presentations._minor_sign
+
+    def spy(m, new, twist, bound):
+        nonlocal descents
+        out = rule(m, new, twist, bound)
+        rank = n - len(kernel_basis(_flat_rows(m, n)))
+        outcomes.add((rank, out[1] - rank, out[0]))
+        descents += bound > rank
+        return out
+
+    monkeypatch.setattr(presentations, "_minor_sign", spy)
+    for p, word, general, bad, messages in cases:
+        c, rows = presentations._walk(word, p)
+        assert ((c, rows), evaluate_word(word, p).rows) == general, word
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        for straight, message in zip((presentations._walk, evaluate_word), messages):
+            with pytest.raises(ValueError) as raised:
+                straight(bad, p)
+            assert str(raised.value) == message
+    assert non_twist and at_identity
+    assert {d * new_d for d, new_d in formula} == {1, -1, 0}
+    assert {(d == 0, new_d == 0) for d, new_d in formula} == {(False, False), (True, False), (False, True)}
+    assert outcomes == {
+        (r, change, tau)
+        for r in range(1, n)
+        for change, tau in ((1, 0), (-1, 0), (0, 1), (0, -1))
+        if r < n - 1 or change < 1
+    }, outcomes
+    assert (descents > 0) == (n == 4)  # at 2g = 2 a non-twist letter leaves the bound at the rank
+
+
 def test_walk_lowers_the_bound_after_a_non_twist_letter(rng, count_calls):
     """At genus 2 the letter s, with rank(s - I) = 2, can leave the walk a
     rank bound of 3 above rank(P - I).  The minor-sign rule then lowers the
@@ -1224,11 +1306,12 @@ def test_walk_lowers_the_bound_after_a_non_twist_letter(rng, count_calls):
     assert gauss_jordan.call_count == 0
     descents = 0
     for call in rule.call_args_list:
-        m, new, twist, bound = call.args
+        flat_m, flat_new, twist, bound = call.args
+        m, new = _flat_rows(flat_m, 4), _flat_rows(flat_new, 4)
         rank = 4 - len(kernel_basis(m))
         new_rank = 4 - len(kernel_basis(new)) if any(map(any, new)) else 0
         solved = _twist_solve(m, twist)
-        assert _minor_sign(m, new, twist, bound) == solved and solved[1] == new_rank
+        assert _minor_sign(flat_m, flat_new, twist, bound) == solved and solved[1] == new_rank
         descents += bound > rank
     assert descents
 
@@ -1245,20 +1328,28 @@ def test_walk_bound_is_the_rank_after_every_singular_twist_step(monkeypatch):
 
     def spy(m, new, twist, bound):
         out = rule(m, new, twist, bound)
-        calls.append((m, new, bound, out[1]))
+        n = len(twist[0])
+        calls.append((n, _flat_rows(m, n), _flat_rows(new, n), bound, out[1]))
         return out
 
     monkeypatch.setattr(presentations, "_minor_sign", spy)
     entry = next(entry for entry in selftest.SUITES if entry[0] == "cochain is the tau prefix sum")
     assert entry[1](random.Random(0), entry[2]) is None
     sizes, starts_above = Counter(), 0
-    for m, new, bound, new_bound in calls:
-        n = len(m)
+    for n, m, new, bound, new_bound in calls:
         sizes[n] += 1
         starts_above += bound > _rref_kernel(m, n)[1]
         assert new_bound == _rref_kernel(new, n)[1], (m, new, bound)  # never above the rank
     assert set(sizes) == {2, 4, 6} and sizes[6] >= 100, sizes
     assert starts_above  # the suite reaches the bound left by the letter s
+
+
+def _flat_rows(m, n):
+    """The rows of M, from its rows or from its n * n entries row by row,
+    as the straight-line walks hand M to the minor-sign rule."""
+    if len(m) == n:
+        return m
+    return tuple(m[i * n:(i + 1) * n] for i in range(n))
 
 
 def _tau_prefix_sum(word, p):
