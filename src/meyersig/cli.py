@@ -141,10 +141,14 @@ def _cmd_local_sig(args) -> int:
     fd = load_fibration(args.fibration, p)
     values = local_signatures(fd)
     total = closed_total(fd, values)  # before any output, so a failed check prints nothing
-    for k, (germ, value) in enumerate(zip(fd.germs, values)):
-        label = germ.label or f"germ {k}"
-        print(f"{label}: {_fmt(value)}")
-    print(f"total: {_fmt(total)}")
+    lines = []
+    try:  # one print; a value with too many digits still follows the lines before it
+        for k, (germ, value) in enumerate(zip(fd.germs, values)):
+            lines.append(f"{germ.label or f'germ {k}'}: {_fmt(value)}")
+        lines.append(f"total: {_fmt(total)}")
+    finally:
+        if lines:
+            print("\n".join(lines))
     return 0
 
 

@@ -24,7 +24,8 @@ Monodromy factorizations repeat a few twists many times (E(n) is
 loading a fibration parses each distinct monodromy text once, and the
 local signatures and the signature over a surface evaluate phi once per
 distinct word.  No such table outlives its call.  The closedness check
-still walks every germ letter.
+over a sphere checks every germ letter and walks their freely reduced
+product.
 
 The fiber genus is checked once: by the table of shipped presentations
 in :mod:`meyersig.presentations` wherever a genus alone names the
@@ -35,6 +36,7 @@ function is first needed.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError
 from .genus1 import _rational, phi1
@@ -43,6 +45,8 @@ from .presentations import (
     Presentation,
     Word,
     _abelianizes_to_zero,
+    _bad_letter,
+    _word,
     check_word_length,
     evaluate_word,
     json_int,
@@ -149,25 +153,51 @@ def closed_total(fd: FibrationDescription, local_values) -> int:
     commutator length is not decided, so this checks only that the
     product is trivial in the abelianization of fd's presented group:
     its summed exponent vector lies in the relators' exponent lattice.
-    The sphere check is one :func:`evaluate_word` walk over the germ
-    words' letters in order.
+    The sphere check reads the germ words' letters in order: their count
+    goes to :func:`check_word_length` first, as for one word, and then
+    each letter is checked against fd's generators and dropped when it
+    cancels the last letter kept.  One :func:`evaluate_word` walk over
+    the letters kept gives the product, the same matrix as the walk over
+    every letter, since a letter's inverse maps to the exact inverse
+    matrix; a germ x t x^-1 costs its twist t once the x^-1 x between
+    germs cancel.
+
+    The total is summed over the least common denominator of the values,
+    ints and Fractions, in integers.
     """
+    p = fd.presentation
     if fd.base_genus == 0:
-        letters = [letter for germ in fd.germs for letter in germ.monodromy.letters]
-        if evaluate_word(Word(letters), fd.presentation) != SymplecticMatrix.identity(fd.genus):
+        words = [germ.monodromy.letters for germ in fd.germs]
+        check_word_length(sum(map(len, words)))
+        twists = p._twists  # keyed by exactly the valid letters
+        kept = [(-1, 0)]  # a sentinel that cancels no letter
+        for letters in words:
+            for letter in letters:
+                if letter not in twists:
+                    raise _bad_letter(letter[0], p)
+                last = kept[-1]
+                if last[0] == letter[0] and last[1] != letter[1]:
+                    kept.pop()
+                else:
+                    kept.append(letter)
+        del kept[0]
+        if evaluate_word(_word(kept), p) != SymplecticMatrix.identity(p.genus):
             raise ValueError(
                 "closedness check failed: germ monodromies do not multiply "
                 "to the identity over a sphere base"
             )
-    elif not _abelianizes_to_zero(fd.presentation, [germ.monodromy for germ in fd.germs]):
+    elif not _abelianizes_to_zero(p, [germ.monodromy for germ in fd.germs]):
         raise ValueError(
             "closedness check failed: the product of germ monodromies is "
             "not a product of commutators in the presented group"
         )
-    total = sum(local_values, Fraction(0))
-    if total.denominator != 1:
+    values = list(local_values)
+    common = lcm(*[v.denominator for v in values])
+    numerator = sum([v.numerator * (common // v.denominator) for v in values])
+    if numerator % common:
+        total = Fraction(numerator, common)
         raise ValueError(f"total signature {total} is not an integer; germ data inconsistent")
-    return int(total)
+    return numerator // common
 
 
 def euler_contribution(chi_singular_fiber: int, g: int) -> int:

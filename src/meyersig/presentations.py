@@ -25,10 +25,11 @@ is -c plus (m/n) times the total exponent.
 Words are evaluated by one prefix walk that carries M = P - I, P the
 product of the letters so far; a Dehn-twist letter moves it as
 :mod:`meyersig.twist` derives, and each letter is checked by one dict
-lookup.  :func:`evaluate_word` carries the product alone, :func:`_walk`
-also c.  At genus 1 and 2 the walks are straight-line code on the 4 or
-16 entries as local ints; at every genus the general walk on integer
-rows gives the same results, and it is the walk above genus 2.
+lookup of its own tuple.  :func:`evaluate_word` carries the product
+alone, :func:`_walk` also c.  At genus 1 and 2 the walks are
+straight-line code on the 4 or 16 entries as local ints; at every genus
+the general walk on integer rows gives the same results, and it is the
+walk above genus 2.
 A :class:`Presentation` walks each relator once, when it is built,
 checking that it maps to the identity and keeping c(r_j), so
 :func:`class_order` walks no word, and solves once per object.  The file
@@ -107,6 +108,14 @@ class Word(Value):
             if s not in (1, -1):
                 raise ValueError(f"exponent sign must be +-1, got {s}")
         object.__setattr__(self, "letters", tuple(letters))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self):  # Value's hash, the tuple of the fields, with no field lookup
+        return hash((self.letters,))
 
     def __len__(self):
         return len(self.letters)
@@ -386,12 +395,13 @@ def _evaluate_rows(w: Word, p: Presentation) -> tuple:
     rows of M = P - I, with I added back once, at the end."""
     m = _zero_rows(2 * p.genus)
     twists = p._twists
-    for i, s in w.letters:
+    for letter in w.letters:
         try:
-            twist = twists[i, s]
+            twist = twists[letter]
         except KeyError:
-            raise _bad_letter(i, p) from None
+            raise _bad_letter(letter[0], p) from None
         if twist is None:
+            i, s = letter
             step = p.matrices[i] if s > 0 else p._inverses[i]
             m = _add_identity(_product(_add_identity(m, 1), step.rows), -1)
         else:
@@ -405,12 +415,13 @@ def _evaluate_2(w: Word, p: Presentation) -> tuple:
     P' = P + (P v) w and needs no identity."""
     p00, p01, p10, p11 = 1, 0, 0, 1
     twists = p._twists
-    for i, s in w.letters:
+    for letter in w.letters:
         try:
-            twist = twists[i, s]
+            twist = twists[letter]
         except KeyError:
-            raise _bad_letter(i, p) from None
+            raise _bad_letter(letter[0], p) from None
         if twist is None:
+            i, s = letter
             step = p.matrices[i] if s > 0 else p._inverses[i]
             (p00, p01), (p10, p11) = _product(((p00, p01), (p10, p11)), step.rows)
             continue
@@ -429,12 +440,13 @@ def _evaluate_4(w: Word, p: Presentation) -> tuple:
     p00, p01, p02, p03, p10, p11, p12, p13 = 1, 0, 0, 0, 0, 1, 0, 0
     p20, p21, p22, p23, p30, p31, p32, p33 = 0, 0, 1, 0, 0, 0, 0, 1
     twists = p._twists
-    for i, s in w.letters:
+    for letter in w.letters:
         try:
-            twist = twists[i, s]
+            twist = twists[letter]
         except KeyError:
-            raise _bad_letter(i, p) from None
+            raise _bad_letter(letter[0], p) from None
         if twist is None:
+            i, s = letter
             step = p.matrices[i] if s > 0 else p._inverses[i]
             rows = (p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33)
             (
@@ -495,12 +507,13 @@ def _walk_rows(w: Word, p: Presentation) -> tuple[int, tuple]:
     m = _zero_rows(n)
     d = bound = 0  # sign det M and the rank bound at M = I - I
     twists = p._twists
-    for i, s in w.letters:
+    for letter in w.letters:
         try:
-            twist = twists[i, s]
+            twist = twists[letter]
         except KeyError:
-            raise _bad_letter(i, p) from None
+            raise _bad_letter(letter[0], p) from None
         if twist is None:
+            i, s = letter
             step = p.matrices[i] if s > 0 else p._inverses[i]
             prefix = _add_identity(m, 1)
             total += tau_sp(_wrap(g, prefix), step)
@@ -532,12 +545,13 @@ def _walk_2(w: Word, p: Presentation) -> tuple[int, tuple]:
     total = d = bound = 0
     m00 = m01 = m10 = m11 = 0
     twists = p._twists
-    for i, s in w.letters:
+    for letter in w.letters:
         try:
-            twist = twists[i, s]
+            twist = twists[letter]
         except KeyError:
-            raise _bad_letter(i, p) from None
+            raise _bad_letter(letter[0], p) from None
         if twist is None:
+            i, s = letter
             step = p.matrices[i] if s > 0 else p._inverses[i]
             prefix = (m00 + 1, m01), (m10, m11 + 1)
             total += tau_sp(_wrap(1, prefix), step)
@@ -579,12 +593,13 @@ def _walk_4(w: Word, p: Presentation) -> tuple[int, tuple]:
     m00 = m01 = m02 = m03 = m10 = m11 = m12 = m13 = 0
     m20 = m21 = m22 = m23 = m30 = m31 = m32 = m33 = 0
     twists = p._twists
-    for i, s in w.letters:
+    for letter in w.letters:
         try:
-            twist = twists[i, s]
+            twist = twists[letter]
         except KeyError:
-            raise _bad_letter(i, p) from None
+            raise _bad_letter(letter[0], p) from None
         if twist is None:
+            i, s = letter
             step = p.matrices[i] if s > 0 else p._inverses[i]
             prefix = (
                 (m00 + 1, m01, m02, m03), (m10, m11 + 1, m12, m13),
@@ -737,10 +752,11 @@ class SynthesizedMeyerFunction:
         p = self.presentation
         if isinstance(word, str):
             word = p.word(word)
-        counts = _exponent_vector([word], p.generator_count)
-        numer = sum(m_i * k_i for m_i, k_i in zip(self.order.coefficients, counts))
+        c = cochain_c(word, p)  # the walk checks every letter, so each m[i] below exists
+        m = self.order.coefficients
+        numer = sum([m[i] * s for i, s in word.letters])
         n = self.order.n
-        return Fraction(numer - n * cochain_c(word, p), n)
+        return Fraction(numer - n * c, n)
 
     def __repr__(self):
         return f"SynthesizedMeyerFunction(n={self.order.n}, coefficients={self.order.coefficients})"

@@ -965,6 +965,37 @@ def test_result_past_the_digit_limit_is_a_domain_error(capsys, argv):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize(
+    "germs, printed",
+    [
+        ([("", 10**4300 - 1), ("", 10**4300 - 1)], 1),
+        ([("", 5), ("a b", 10**4300 - 1), ("B A", 0)], 0),
+    ],
+    ids=["total", "germ"],
+)
+def test_local_sig_prints_the_lines_before_a_value_past_the_digit_limit(
+    capsys, monkeypatch, tmp_path, germs, printed
+):
+    """local-sig prints its lines with one print call; a value past the
+    digit limit (the total of two 4300-digit signatures, or 4300 nines
+    plus phi(a b) = 4/3 at a germ) still follows the lines before it, as
+    when each line had its own call."""
+    germs = [{"monodromy": word, "neighborhood_signature": signature} for word, signature in germs]
+    path = _write_fibration(tmp_path / "f.json", 1, germs)
+    calls = []
+    monkeypatch.setattr(cli, "print", lambda *a, **k: (calls.append(a), print(*a, **k)), raising=False)
+    limit = sys.get_int_max_str_digits()
+    lines = "".join(f"germ {k}: {germs[k]['neighborhood_signature']}\n" for k in range(printed + 1))
+    assert run_cli(capsys, "local-sig", "-f", path) == (
+        1, lines, f"error: the result has more than {limit} digits, the most meyersig prints\n"
+    )
+    assert len(calls) == 2  # the lines, then the error
+    calls.clear()
+    path = _write_fibration(tmp_path / "chain.json", 2, CHAIN_GERMS)
+    assert run_cli(capsys, "local-sig", "-f", path) == (0, CHAIN_OUT, "")
+    assert len(calls) == 1
+
+
 def test_non_symplectic_input_names_identity(capsys):
     code, _, err = run_cli(capsys, "phi1", "2,0;0,2")
     assert code == 1

@@ -36,6 +36,8 @@ from meyersig.presentations import (
     class_order,
     evaluate_word,
     format_word,
+    hyperelliptic,
+    load_presentation,
     shipped_meyer_function,
     shipped_presentation,
 )
@@ -258,6 +260,138 @@ def test_torelli_germ_yields_non_integer_total(genus2):
     fd = FibrationDescription(genus2, 0, (FiberGerm(sep, 0),))
     with pytest.raises(ValueError, match="not an integer"):
         total_signature(fd)
+
+
+def _sphere(p, words):
+    return FibrationDescription(p, 0, tuple(FiberGerm(w) for w in words))
+
+
+def _inverse_letters(letters):
+    return [(i, -s) for i, s in reversed(letters)]
+
+
+def _has_inverse_pair(letters):
+    return any(a[0] == b[0] and a[1] == -b[1] for a, b in zip(letters, letters[1:]))
+
+
+def _sphere_germs(p, rng):
+    """Seeded germ words over p: the pieces u_j of a relator as germs
+    x u_j x^-1 (closed), the same with a fresh x per germ, or conjugated
+    twist letters x t x^-1 (mostly open); |x| <= 3, and some germs carry
+    a y y^-1 inside."""
+    k = p.generator_count
+
+    def letters(n):
+        return [(rng.randrange(k), rng.choice((1, -1))) for _ in range(n)]
+
+    kind = rng.randrange(3)
+    if kind < 2:
+        relator = list(rng.choice([r for r in p.relators if r.letters]).letters)
+        cuts = sorted(rng.sample(range(1, len(relator)), min(len(relator) - 1, rng.randint(0, 5))))
+        cores = [relator[a:b] for a, b in zip([0] + cuts, cuts + [len(relator)])]
+    else:
+        cores = [letters(1) for _ in range(rng.randint(0, 6))]
+    x = letters(rng.randint(0, 3))
+    words = []
+    for core in cores:
+        if kind == 1:
+            x = letters(rng.randint(0, 3))
+        if rng.random() < 0.3:
+            y = letters(rng.randint(1, 2))
+            at = rng.randint(0, len(core))
+            core = core[:at] + y + _inverse_letters(y) + core[at:]
+        words.append(Word(x + core + _inverse_letters(x)))
+    return words
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_sphere_closedness_matches_the_walk_over_every_letter(genus):
+    """Over a sphere, closed_total passes or fails exactly as the walk over
+    the germs' letters in order, unreduced: on seeded conjugated germs that
+    cancel inside a germ and across germs, closed and open."""
+    p = shipped_presentation(genus) if genus < 3 else load_presentation(hyperelliptic(3))
+    rng = random.Random(4200 + genus)
+    identity = SymplecticMatrix.identity(genus)
+    seen = {"closed": 0, "open": 0, "inside": 0, "across": 0}
+    for _ in range(120):
+        words = _sphere_germs(p, rng)
+        letters = [letter for w in words for letter in w.letters]
+        closed = evaluate_word(Word(letters), p) == identity
+        if closed:
+            assert closed_total(_sphere(p, words), ()) == 0
+        else:
+            with pytest.raises(ValueError, match="^closedness check failed: germ monodromies"):
+                closed_total(_sphere(p, words), ())
+        seen["closed" if closed else "open"] += 1
+        seen["inside"] += any(_has_inverse_pair(w.letters) for w in words)
+        seen["across"] += any(
+            _has_inverse_pair([u.letters[-1], v.letters[0]])
+            for u, v in zip(words, words[1:]) if u.letters and v.letters
+        )
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        [[(0, 1), (7, 1)], [(7, -1), (0, -1)]],  # cancelled across germs
+        [[(7, 1), (7, -1)]],  # cancelled inside a germ
+        [[(1, 1), (1, -1), (5, -1), (5, 1)]],  # after a cancelled pair
+    ],
+    ids=["across", "inside", "after-cancelling"],
+)
+def test_sphere_closedness_refuses_a_bad_letter_its_inverse_would_cancel(genus2, words):
+    words = [Word(w) for w in words]
+    letters = [letter for w in words for letter in w.letters]
+    with pytest.raises(ValueError) as walk:
+        evaluate_word(Word(letters), genus2)
+    with pytest.raises(ValueError) as check:
+        closed_total(_sphere(genus2, words), ())
+    assert str(check.value) == str(walk.value)
+    assert str(check.value).startswith("letter index ")
+
+
+def test_sphere_closedness_counts_the_letters_before_reading_any(genus2):
+    """Germs over the letter cap together raise "word is too long", as
+    their one word would, before the bad letter that starts them."""
+    words = [Word([(9, 1)] + [(0, 1)] * 5999), Word([(0, -1)] * 5000)]
+    with pytest.raises(ValueError, match="^word is too long") as check:
+        closed_total(_sphere(genus2, words), ())
+    with pytest.raises(ValueError) as walk:
+        Word([letter for w in words for letter in w.letters])
+    assert str(check.value) == str(walk.value)
+
+
+def test_closed_total_is_the_exact_sum():
+    """The total is int(sum(values, Fraction(0))) when that is an integer,
+    and otherwise the same error naming it: seeded lists of ints, thirds,
+    fifths and large numerators, and the empty list."""
+    fd = FibrationDescription(shipped_presentation(1), 0, ())
+    rng = random.Random(4242)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        values = []
+        for _ in range(rng.randint(0, 8)):
+            n = rng.randint(-40, 40) * rng.choice((1, 1, 10**30 + 7))
+            values.append(rng.choice((n, Fraction(n, 3), Fraction(n, 5), Fraction(n, 15))))
+        total = sum(values, Fraction(0))
+        integral = total.denominator == 1
+        seen[integral] += 1
+        if integral:
+            result = closed_total(fd, values)
+            assert result == int(total) and type(result) is int
+            assert closed_total(fd, iter(values)) == result
+        else:
+            message = f"total signature {total} is not an integer; germ data inconsistent"
+            with pytest.raises(ValueError) as info:
+                closed_total(fd, values)
+            assert str(info.value) == message
+    assert min(seen.values()) >= 50, seen
+    assert closed_total(fd, []) == 0 and type(closed_total(fd, [])) is int
+    assert closed_total(fd, [Fraction(2, 3), Fraction(2, 5), -1, Fraction(-1, 15)]) == 0
+    with pytest.raises(ValueError) as info:
+        closed_total(fd, [Fraction(1, 3)])
+    assert str(info.value) == "total signature 1/3 is not an integer; germ data inconsistent"
 
 
 # ---------------------------------------------------------------------------
