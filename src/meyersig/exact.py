@@ -9,15 +9,12 @@ would floor-divide it silently; :func:`signature` also refuses rows that
 are not a symmetric square.  The internal helpers :func:`determinant`,
 :func:`affine_point`, :func:`lattice_order`, :func:`lattice_basis` and
 the free-column readout :func:`_free_columns` trust their caller.
-:func:`determinant` is straight-line code at n = 2 and n = 4, the sizes
-of M = P - I at genus 1 and 2 (p t - q r, and the Laplace expansion in
-complementary 2 x 2 minors).  :func:`_inertia`, behind
-:func:`signature` and :func:`meyersig.cocycle.tau_sp`, is straight-line
-code at dim 1 and 2 (the sign of p, and det = p t - q^2 with the
-trace), and a larger form ends there after its congruence steps.
-Every other step is fraction-free elimination over Python ints, in the
-style of Bareiss (1968):
-:func:`determinant` at other sizes and the one Gauss-Jordan pass that
+:func:`_inertia`, behind :func:`signature` and
+:func:`meyersig.cocycle.tau_sp`, is straight-line code at dim 1 and 2
+(the sign of p, and det = p t - q^2 with the trace), and a larger form
+ends there after its congruence steps.  Every other step is
+fraction-free elimination over Python ints, in the style of Bareiss
+(1968): :func:`determinant` and the one Gauss-Jordan pass that
 :func:`kernel_basis`, :func:`affine_point` and
 :func:`meyersig.cocycle.tau_sp` share divide each new entry
 exactly by the previous pivot, which keeps every entry a minor of the
@@ -173,49 +170,24 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix: closed forms at n = 2 and
-    n = 4, Bareiss elimination at every other size.
+    """Determinant of a square integer matrix by Bareiss elimination.
 
     Internal: the caller vouches that every entry is an int.
 
-    At n = 2 it is p * t - q * r.  At n = 4 it is the Laplace expansion
-    along rows 0 and 1: each of their six 2 x 2 minors times the
-    complementary minor of rows 2 and 3, signed by (-1)^(j + k) for the
-    columns j < k of the first.  These are the sizes of M = P - I at
-    genus 1 and 2, where the work of an elimination loop is its
-    interpreter frames, not its arithmetic.  The straight-line walks of
-    :mod:`meyersig.presentations` inline the same closed forms at a twist
-    letter and call this one only at a non-twist letter; the general
-    walk, the oracle of their tests, calls it at every determinant.  A
-    row of the wrong length fails the unpack and raises the same
-    ValueError as at other sizes.
-
-    Otherwise each step takes a row with a nonzero leading entry p as the
-    pivot (a swap with the top row flips the sign) and replaces the
-    trailing block by (p * a_ij - a_i0 * a_0j) / p_prev, where p_prev is
-    the previous pivot.  By Sylvester's identity every such entry is a
-    minor of the input, so the division is exact and the integers stay as
-    small as the minors.  A column with no nonzero entry left means
-    det = 0.  The last 2 x 2 block [[p, q], [r, t]] needs no pivot: its
-    step is (p * t - q * r) / p_prev, which holds for p = 0 too.
+    Each step takes a row with a nonzero leading entry p as the pivot (a
+    swap with the top row flips the sign) and replaces the trailing block
+    by (p * a_ij - a_i0 * a_0j) / p_prev, where p_prev is the previous
+    pivot.  By Sylvester's identity every such entry is a minor of the
+    input, so the division is exact and the integers stay as small as the
+    minors.  A column with no nonzero entry left means det = 0.  The last
+    2 x 2 block [[p, q], [r, t]] needs no pivot: its step is
+    (p * t - q * r) / p_prev, which holds for p = 0 too.  The straight-line
+    walks of :mod:`meyersig.presentations` inline their own closed forms
+    at a twist letter and call this one only at a non-twist letter; the
+    general walk, the oracle of their tests, calls it at every
+    determinant.
     """
     n = len(rows)
-    try:
-        if n == 4:
-            (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
-            return (
-                (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
-            )
-        if n == 2:
-            (p, q), (r, t) = rows
-            return p * t - q * r
-    except ValueError:
-        raise ValueError("determinant of a non-square matrix") from None
     a = list(rows)  # rows are swapped here but never written to
     if any([len(row) != n for row in a]):
         raise ValueError("determinant of a non-square matrix")

@@ -37,10 +37,9 @@ also holds the shipped presentations for genus 1 and 2 (genus 2 built by
 :func:`hyperelliptic`, the one chain-twist builder) and the reader that
 every presentation, file or data, goes through; the relators of a
 presentation together are capped like one word, and its generators at
-MAX_GENERATORS.  The reader keeps the last presentations it built,
-under their content and under the text of the file they came from, so
-one process walks a distinct presentation once and decodes and checks a
-file's text once.
+MAX_GENERATORS.  The reader keeps the presentations built from the last
+16 file texts, so one process decodes, checks and walks a file's text
+once.
 
 The reader does each generator's work once.  A matrix's rows are
 checked where they are read and classified by the one rank-1 recognizer
@@ -68,7 +67,7 @@ from .matrix import (
 from .symplectic import (
     SymplecticMatrix, _chain_classes, _classify, _int_genus, _recognize_twist, _transvection_rows, _wrap
 )
-from .twist import _minor_sign, _twist, _twist_step
+from .twist import _minor_sign, _twist, _twist_solve, _twist_step
 from .value import Value
 
 Letter = tuple[int, int]  # (generator index, exponent sign)
@@ -280,13 +279,15 @@ class Presentation(Value):
     (:func:`_walk`): the image must be the identity, and the cochain value
     c(r_j) read off the same walk is kept in ``_relator_values``, in
     relator order, for :func:`class_order`, which solves once per object
-    and keeps the result in ``_class_order``.  None of these is a field,
-    so equality and hashing see only the four data fields.  No
+    and keeps the result in ``_class_order``; the relators' exponent
+    vectors and their lattice basis, which the closedness check over a
+    base of genus >= 1 reads, are kept the same way.  None of these is a
+    field, so equality and hashing see only the four data fields.  No
     ``__slots__``: the cached properties live in the instance dict.
 
-    A ``Presentation(...)`` built directly is not memoized: each one walks
-    its relators.  :func:`load_presentation` keeps the presentations it
-    builds, so an equal load returns the same object.
+    A ``Presentation(...)`` built directly, or loaded from data, walks its
+    relators; :func:`load_presentation` keeps only what it built from a
+    file's text.
 
     More than MAX_GENERATORS generators raise ValueError before anything
     else is built.
@@ -344,13 +345,24 @@ class Presentation(Value):
         return tuple(m.inverse() for m in self.matrices)
 
     @cached_property
+    def _relator_vectors(self) -> list[list[int]]:
+        """The exponent vector of each nonempty relator, in relator order."""
+        k = self.generator_count
+        return [_exponent_vector([r], k) for r in self.relators if r.letters]
+
+    @cached_property
+    def _relator_lattice(self) -> list[list[int]]:
+        """A basis of the lattice of the relators' exponent vectors, at most
+        one vector per generator (:func:`meyersig.exact.lattice_basis`)."""
+        return lattice_basis(self._relator_vectors, self.generator_count)
+
+    @cached_property
     def _class_order(self) -> "ClassOrder | Unbounded":
         """:func:`class_order`, solved on the relator values the walks kept."""
-        k = self.generator_count
-        rows = [(r, c) for r, c in zip(self.relators, self._relator_values) if r.letters]
-        vectors = [_exponent_vector([r], k) for r, _ in rows]
-        columns = [[v[i] for v in vectors] for i in range(k)]
-        order = lattice_order(columns, [c for _, c in rows])
+        vectors = self._relator_vectors
+        columns = [[v[i] for v in vectors] for i in range(self.generator_count)]
+        values = [c for r, c in zip(self.relators, self._relator_values) if r.letters]
+        order = lattice_order(columns, values)
         return UNBOUNDED if order is None else ClassOrder(*order)
 
     @cached_property
@@ -500,8 +512,8 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
 def _walk_rows(w: Word, p: Presentation) -> tuple[int, tuple]:
     """:func:`_walk` at any genus, on the rows of M: the sparse step, a
     Bareiss determinant while the bound is at least 2g - 1, and at a twist
-    letter where both determinants vanish :func:`~meyersig.twist._minor_sign`
-    on the rows, which is the solve."""
+    letter where both determinants vanish the solve,
+    :func:`~meyersig.twist._twist_solve` on the rows of M."""
     total = 0
     g, n = p.genus, 2 * p.genus
     m = _zero_rows(n)
@@ -527,7 +539,7 @@ def _walk_rows(w: Word, p: Presentation) -> tuple[int, tuple]:
             total += d * new_d if twist[1] > 0 else -d * new_d
             bound = n if new_d else n - 1
         elif bound:
-            tau, bound = _minor_sign(m, new, twist, bound)
+            tau, bound = _twist_solve(m, twist)
             total += tau
         else:  # M = 0: P = I, tau(I, B) = 0, and the new M has rank 1
             bound = 1
@@ -587,8 +599,10 @@ def _walk_2(w: Word, p: Presentation) -> tuple[int, tuple]:
 
 def _walk_4(w: Word, p: Presentation) -> tuple[int, tuple]:
     """:func:`_walk_2` at 2g = 4, with M as 16 local ints; det M' is the
-    Laplace expansion of :func:`~meyersig.exact.determinant` and runs only
-    while the bound is 3 or 4."""
+    Laplace expansion along rows 0 and 1, each of their six 2 x 2 minors
+    times the complementary minor of rows 2 and 3, signed by (-1)^(j + k)
+    for the columns j < k of the first, and runs only while the bound is
+    3 or 4."""
     total = d = bound = 0
     m00 = m01 = m02 = m03 = m10 = m11 = m12 = m13 = 0
     m20 = m21 = m22 = m23 = m30 = m31 = m32 = m33 = 0
@@ -729,13 +743,10 @@ def class_order(p: Presentation) -> ClassOrder | Unbounded:
 def _abelianizes_to_zero(p: Presentation, words: Iterable[Word]) -> bool:
     """Whether the product of ``words`` is trivial in the abelianization
     of the presented group: their summed exponent vector is an integer
-    combination of the relators' exponent vectors.  Those vectors are
-    first reduced to a basis of their lattice
-    (:func:`meyersig.exact.lattice_basis`), at most one per generator, so
-    the solve carries no transform of one entry per relator."""
-    k = p.generator_count
-    vectors = [_exponent_vector([r], k) for r in p.relators if r.letters]
-    order = lattice_order(lattice_basis(vectors, k), _exponent_vector(words, k))
+    combination of the relators' exponent vectors.  The solve runs on the
+    basis of their lattice that p keeps, at most one vector per generator,
+    so it carries no transform of one entry per relator."""
+    order = lattice_order(p._relator_lattice, _exponent_vector(words, p.generator_count))
     return order is not None and order[0] == 1
 
 
@@ -783,10 +794,7 @@ def read_json(source, what: str):
     :func:`_json_object`; a str is always a file name.  Both loaders read
     through these two parts: :func:`load_fibration
     <meyersig.fibered.load_fibration>` here, and :func:`load_presentation`
-    directly, since it looks the text up between them: a text that an
-    earlier load in this process accepted skips :func:`_json_object` and
-    every check after it, with the same result, because a load depends
-    on its text alone."""
+    directly, since it keys its memo by the text between them."""
     if isinstance(source, (str, PathLike)):
         source = _read_text(source, what)
     return _json_object(source, what)
@@ -842,14 +850,7 @@ def dump_presentation(p: Presentation) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-# The presentations load_presentation built, least recently used first,
-# each under its four fields (genus, generator names, matrices, relators:
-# what Presentation equality and hashing compare) and, when it came from a
-# file, also under that file's text: _WALKED_MAX keys in all.  A text
-# taking more than _TEXT_KEY_MAX bytes (sys.getsizeof) is not kept.
-_walked: dict[tuple | str, Presentation] = {}
-_WALKED_MAX = 16
-_TEXT_KEY_MAX = 1 << 20
+_TEXT_KEY_MAX = 1 << 20  # bytes by sys.getsizeof: a longer file text is not kept
 
 
 def load_presentation(source) -> Presentation:
@@ -864,49 +865,36 @@ def load_presentation(source) -> Presentation:
     than MAX_WORD_LETTERS letters in all raise ValueError before any
     relator is walked.
 
-    Data, and a file's text the first time, is decoded and checked as
-    above.  What such a load then skips is only the relator walks, which
-    depend on nothing but the four fields: the presentations built here
-    are kept by those fields, whatever file or data they came from, and
-    an equal load returns the object already built, its class order and
-    Meyer function included.  So one process walks a distinct
-    presentation once, :func:`shipped_presentation` included.
-
-    A file is read every time, and its text is looked up before it is
-    decoded.  A load from a file that succeeded keeps its text as a
-    second key for the same object, and a later file with that exact text
-    returns the object with no decode, matrix parse, classification,
-    relator parse or key build.  That is the same result: a load is a pure
-    function of its text (not of the path, the time or the environment),
-    and this process has already run every check on that text and seen
-    it pass.  An edited file is new text and is checked in full.  A load
-    that raises keeps nothing.
-
-    The memo holds the last _WALKED_MAX keys used, content and text keys
-    together.  One kept presentation at the caps (genus 12, 64
-    generators, 10,000 relator letters in 5,000 relators, one-digit matrix
-    entries), with its class order, Meyer function and inverses, holds
-    about 1.4 MB by tracemalloc, and a text is kept only up to 1 MiB, so
-    the memo holds about 40 MB at most (16 file texts at the bound, each
-    the only key of a presentation at the caps); longer matrix entries add
-    what they take.  A fresh process reads each file once and gains nothing
-    from the text key; it pays one str hash per load.
+    Data, and a file text over _TEXT_KEY_MAX, is decoded, checked and
+    built on every load.  A file is read on every load, and any other text
+    goes to :func:`_load_text`, which keeps what it built from the last 16
+    texts: a later file with the same text, at any path, returns the kept
+    object, its class order and Meyer function included, with no decode,
+    check or walk.  That is the same result, since a load is a pure
+    function of its text and every check on that text has passed.  An
+    edited file, whitespace alone included, is new text.  A load that
+    raises keeps nothing.  At the caps (genus 12, 64 generators, 10,000
+    relator letters, one-digit entries) a kept presentation with its class
+    order, Meyer function and inverses holds about 1.4 MB by tracemalloc,
+    so the memo holds about 40 MB at most.  A fresh process reads each
+    file once and pays one str hash per load.
     """
-    if not isinstance(source, (str, PathLike)):
-        return _load_data(_json_object(source, "presentation"))
-    text = _read_text(source, "presentation")
-    p = _walked.pop(text, None)
-    if p is None:
-        p = _load_data(_json_object(text, "presentation"))
-        if getsizeof(text) > _TEXT_KEY_MAX:
-            return p
-    _keep(text, p)
-    return p
+    if isinstance(source, (str, PathLike)):
+        source = _read_text(source, "presentation")
+        if getsizeof(source) <= _TEXT_KEY_MAX:
+            return _load_text(source)
+    return _load_data(_json_object(source, "presentation"))
+
+
+@lru_cache(maxsize=16)
+def _load_text(text: str) -> Presentation:
+    """:func:`load_presentation` on a file's text, for the last 16 texts."""
+    return _load_data(_json_object(text, "presentation"))
 
 
 def _load_data(data: dict) -> Presentation:
     """:func:`load_presentation` on decoded data: the checks, then the
-    object kept under the four fields, or one built and kept."""
+    presentation built."""
     try:
         genus = json_int(data["genus"], "genus")
         generators = _json_names(data["generators"], "generators")
@@ -935,24 +923,10 @@ def _load_data(data: dict) -> Presentation:
         words.append(parse_word(text, generators, tokens))
         letters += len(words[-1]) or 1  # an empty relator counts as one letter
         check_word_length(letters)  # the relators together count as one word
-    key = (genus, tuple(generators), tuple(mats), tuple(words))
-    p = _walked.pop(key, None)
-    if p is None:
-        try:
-            p = Presentation(*key, twists=twists)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    _keep(key, p)
-    return p
-
-
-def _keep(key: tuple | str, p: Presentation) -> None:
-    """Keep ``p`` under ``key`` as the most recently used entry, first
-    dropping the least recently used when the memo is full; a hit has
-    popped its key already."""
-    if len(_walked) >= _WALKED_MAX:
-        del _walked[next(iter(_walked))]
-    _walked[key] = p
+    try:
+        return Presentation(genus, tuple(generators), tuple(mats), tuple(words), twists=twists)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def hyperelliptic(g: int) -> dict:

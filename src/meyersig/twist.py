@@ -145,16 +145,17 @@ on rank M.  A twist letter takes the step.  A rank-1 update moves the
 rank by at most 1, so the new d' is 0 with no determinant while the
 bound is below 2g - 1.  When d or d' is nonzero the letter adds
 sign(lam) * d * d', and the bound becomes 2g, or 2g - 1 when d' = 0.
-When both are 0 it adds the value of :func:`_minor_sign`.  At 2g <= 4
-the walk is straight-line code on M's 4 or 16 entries as local ints: it
-takes the step as f = M v + v, M' = M + f w, the determinant in closed
-form, and the minor-sign rule on the flat entries, which tries the
+When both are 0 it adds tau by the minor-sign rule or the solve.  At
+2g <= 4 the walk is straight-line code on M's 4 or 16 entries as local
+ints: it takes the step as f = M v + v, M' = M + f w, the determinant in
+closed form, and :func:`_minor_sign` on the flat entries, which tries the
 sigma-diagonal minors of the bound's size and lowers the size past each
 one at which they all vanish, so by (a) it stops at rank M, and the
 bound it returns is rank M' exactly.  At any size the general walk
 carries M as rows, takes the step by :func:`_twist_step`, a determinant
-by :func:`meyersig.exact.determinant`, and, at both determinants 0, the
-solve on the old M's rows, whose pivots give rank M, so the bound it
+by :func:`meyersig.exact.determinant` (Bareiss elimination, independent
+of the closed forms), and, at both determinants 0, :func:`_twist_solve`
+on the old M's rows, whose pivots give rank M, so the bound it
 returns is again rank M' exactly (the rank moves); it is the walk above
 2g = 4, and the oracle the tests hold the straight-line walks against.
 At bound 0, M = 0 and P = I, so tau(I, B) = 0 with no solve, and the new
@@ -273,16 +274,13 @@ def _minor_sign(m: tuple, new: tuple, twist: tuple, bound: int) -> tuple[int, in
     det(A - I) and det(AB - I) both vanish, from M = A - I and M' = AB - I,
     the record ``twist`` and a bound 0 < bound < 2g on rank M.
 
-    M and M' come as the 2g rows of the general walk, which takes the
-    solve on M's rows at every size, or at 2g <= 4 as the 4 or 16 entries,
-    row by row, that the straight-line walks carry, which take the
-    minor-sign rule of the module docstring on the tables
-    ``_SIGMA_MINORS``.  Either way the bound it returns is rank M' exactly.
+    M and M' come at 2g <= 4 as the 4 or 16 entries, row by row, that the
+    straight-line walks carry, and the minor-sign rule of the module
+    docstring reads them through the tables ``_SIGMA_MINORS``; the bound
+    it returns is rank M' exactly.
     """
     v = twist[0]
     n = len(v)
-    if len(m) == n:
-        return _twist_solve(m, twist)
     tables = _SIGMA_MINORS[n]
     for r in range(bound, 0, -1):
         if r == 1:

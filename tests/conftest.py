@@ -52,7 +52,7 @@ def _fresh_presentation_memo():
     """Each test ends by emptying the loader's memo, so no presentation
     a test built (with a planted fault, say) is returned to another."""
     yield
-    presentations._walked.clear()
+    presentations._load_text.cache_clear()
 
 
 @pytest.fixture(scope="session")

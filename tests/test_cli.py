@@ -14,7 +14,7 @@ from unittest import mock
 
 import pytest
 
-from meyersig import cli, cocycle, fibered, matrix, presentations, selftest, symplectic
+from meyersig import cli, cocycle, exact, fibered, matrix, presentations, selftest, symplectic
 from meyersig.cli import main
 from meyersig.exact import kernel_basis
 from meyersig.fibered import load_fibration
@@ -385,7 +385,7 @@ def test_local_sig_synthesizes_once_and_evaluates_each_distinct_germ_once(
 ):
     # 30 germs over 5 distinct words: one parse and one phi per word
     path = _write_fibration(tmp_path / "chain.json", 2, CHAIN_GERMS)
-    presentations._walked.clear()  # a fresh load
+    presentations._load_text.cache_clear()  # a fresh load
     load = count_calls(presentations, "load_presentation")
     synthesize = count_calls(presentations, "synthesize_meyer")
     parse = count_calls(presentations, "parse_word")
@@ -1352,12 +1352,12 @@ def test_a_walk_fault_fails_a_load_once_the_memo_is_cleared(capsys, monkeypatch,
     expected = run_cli(capsys, "order", "-p", path)[:2]
     _plant_in_records(monkeypatch, n, _doubled_record)
     assert run_cli(capsys, "order", "-p", path)[:2] == expected
-    presentations._walked.clear()
+    presentations._load_text.cache_clear()
     for _ in range(2):
         code, out, err = run_cli(capsys, "order", "-p", path)
         assert (code, out) == (2, "")
         assert err.startswith("parse error: relator 0 (") and err.endswith(") does not map to the identity\n")
-        assert not presentations._walked
+        assert presentations._load_text.cache_info().currsize == 0
 
 
 def test_a_text_hit_returns_the_object_built_before_a_planted_fault(capsys, monkeypatch, data_dir, tmp_path):
@@ -1400,6 +1400,35 @@ def test_the_memo_is_keyed_by_the_content_not_the_path(capsys, count_calls, data
     assert presentations.load_presentation(path) is p
     assert run_cli(capsys, "order", "-p", str(path))[:2] == (0, "5\n")
     assert parse.call_count == 0
+
+
+def test_order_and_phi_on_both_shipped_files_walk_each_file_once(capsys, count_calls, data_dir):
+    """order and phi alternating on sl2z.json and genus2.json, 10 times:
+    each file's text misses the memo once, so its relators are walked and
+    its class order solved once, and every later load is a hit.  A load of
+    decoded data then walks its relators again and leaves the memo as it
+    was."""
+    presentations._load_text.cache_clear()
+    walk = count_calls(presentations, "_walk")
+    solve = count_calls(exact, "lattice_order")
+    calls = [
+        (("order", "-p", str(data_dir / "sl2z.json")), "3\n"),
+        (("phi", "-p", str(data_dir / "sl2z.json"), "a"), "2/3\n"),
+        (("order", "-p", str(data_dir / "genus2.json")), "5\n"),
+        (("phi", "-p", str(data_dir / "genus2.json"), "c1"), "3/5\n"),
+    ]
+    for _ in range(10):
+        for argv, out in calls:
+            assert run_cli(capsys, *argv) == (0, out, "")
+    relators = 2 + 13  # sl2z.json, genus2.json
+    assert walk.call_count == relators + 20  # and one walk per phi word
+    assert solve.call_count == 2
+    info = presentations._load_text.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (38, 2, 2)
+    p = presentations.load_presentation(json.loads((data_dir / "genus2.json").read_text()))
+    assert p == presentations.shipped_presentation(2)
+    assert walk.call_count == relators + 20 + 13
+    assert presentations._load_text.cache_info() == info
 
 
 def test_selftest_reports_an_exception_and_runs_every_suite(capsys, monkeypatch):

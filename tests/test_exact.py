@@ -370,26 +370,10 @@ def test_determinant_examples():
         determinant([[1, 2]])
 
 
-def test_determinant_against_leibniz():
-    rng = random.Random(49)
-    seen = {"zero": 0, "negative": 0, "swap": 0}
-    for _ in range(400):
-        n = rng.randint(1, 5)
-        rows = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.2 and n > 1:
-            rows[-1] = [2 * e for e in rows[0]]  # singular by a repeated row
-        det = determinant(rows)
-        assert det == _leibniz(rows) == _fraction_det(rows), rows
-        seen["zero"] += det == 0
-        seen["negative"] += det < 0
-        seen["swap"] += rows[0][0] == 0 and det != 0
-    assert all(seen.values()), seen
-
-
-def _closed_form_cases(rng):
-    """Seeded 2 x 2 and 4 x 4 matrices for the closed forms of
-    determinant: entries of up to 10^e for e in 0..40, some with a zero
-    row, a zero column or a repeated row; and P - I and I - P for
+def _wide_entry_cases(rng):
+    """Seeded 2 x 2 and 4 x 4 matrices, the sizes of P - I at genus 1 and
+    2: entries of up to 10^e for e in 0..40, some with a zero row, a zero
+    column or a repeated row; and P - I and I - P for
     P = random_symplectic(2, 0..16)."""
     for k in range(2000):
         n = (2, 4)[k % 2]
@@ -413,18 +397,31 @@ def _closed_form_cases(rng):
             yield [[-e for e in row] for row in rows]
 
 
-def test_determinant_closed_forms_against_two_oracles():
-    """The straight-line determinants at n = 2 and n = 4 agree with
-    Leibniz and with Fraction elimination on every case, tuples as well
-    as lists, and meet zero, positive and negative values; each of the
-    24 permutation matrices gives the sign of its permutation."""
-    signs = {}
-    for rows in _closed_form_cases(random.Random(2222)):
+def test_determinant_against_leibniz():
+    """Bareiss elimination agrees with Leibniz and with Fraction
+    elimination on seeded matrices of sizes 1 to 5 with small entries, and
+    at sizes 2 and 4 on entries of up to 10^40 and on P - I, tuples as well
+    as lists; it meets zero, negative and swapped-pivot values, and each of
+    the 24 permutation matrices gives the sign of its permutation."""
+    rng = random.Random(49)
+    seen = {"zero": 0, "negative": 0, "swap": 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-5, 5))) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2 and n > 1:
+            rows[-1] = [2 * e for e in rows[0]]  # singular by a repeated row
+        det = determinant(rows)
+        assert det == _leibniz(rows) == _fraction_det(rows), rows
+        seen["zero"] += det == 0
+        seen["negative"] += det < 0
+        seen["swap"] += rows[0][0] == 0 and det != 0
+    assert all(seen.values()), seen
+    signs = set()
+    for rows in _wide_entry_cases(random.Random(2222)):
         det = determinant(rows)
         assert det == determinant(tuple(map(tuple, rows))) == _leibniz(rows) == _fraction_det(rows), rows
-        key = (len(rows), (det > 0) - (det < 0))
-        signs[key] = signs.get(key, 0) + 1
-    assert set(signs) == {(n, s) for n in (2, 4) for s in (-1, 0, 1)}, signs
+        signs.add((len(rows), (det > 0) - (det < 0)))
+    assert signs == {(n, s) for n in (2, 4) for s in (-1, 0, 1)}, signs
     for perm in permutations(range(4)):
         rows = [[int(j == perm[i]) for j in range(4)] for i in range(4)]
         inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))

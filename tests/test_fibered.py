@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from meyersig import exact
 from meyersig.errors import InfiniteOrderError, ParseError, UnsupportedGenusError
 from meyersig.fibered import (
     FiberGerm,
@@ -708,6 +709,18 @@ def test_positive_base_closedness_without_relators():
     stray = FibrationDescription(p, 1, (FiberGerm(Word([(2, 1)])),))
     with pytest.raises(ValueError, match="letter index 2 out of range"):
         closed_total(stray, ())
+
+
+def test_positive_base_closedness_keeps_the_relator_lattice(count_calls):
+    """The lattice basis of the relators' exponent vectors is built once
+    per presentation: two closed_total calls over a base of genus 1 make
+    one lattice_basis call."""
+    basis = count_calls(exact, "lattice_basis")
+    p = load_presentation(hyperelliptic(2))  # a fresh object, with no basis kept yet
+    x, y = p.word("c1 c2"), p.word("c3")
+    fd = FibrationDescription(p, 1, (FiberGerm(x * y * x.inverse() * y.inverse()),))
+    assert closed_total(fd, ()) == closed_total(fd, ()) == 0
+    assert basis.call_count == 1
 
 
 # ---------------------------------------------------------------------------

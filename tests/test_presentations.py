@@ -41,7 +41,7 @@ from meyersig.symplectic import (
     random_symplectic,
     transvection,
 )
-from meyersig.twist import _minor_sign, _twist, _twist_solve
+from meyersig.twist import _minor_sign, _twist, _twist_solve, _twist_step
 from test_exact import _rref_kernel
 
 S_MAT = SymplecticMatrix([[0, -1], [1, 0]])
@@ -601,7 +601,6 @@ def test_relators_walked_once_and_class_order_walks_none(genus2, count_calls):
     walk = count_calls(presentations, "_walk")
     cochain = count_calls(presentations, "cochain_c")
     solve = count_calls(exact, "lattice_order")
-    presentations._walked.clear()  # a fresh load
     p = load_presentation(data)
     assert (walk.call_count, cochain.call_count) == (len(p.relators), 0)
     walk.reset_mock()
@@ -745,10 +744,11 @@ def test_twist_letters_are_detected_once_per_presentation(sl2z, genus2):
 def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
     """cochain_c against tau_sp summed along the prefixes, on words with
     twist letters (at genus 1 to 4) and, in the mismatch presentation, the
-    non-twist S; the minor-sign rule runs exactly at the twist letters
-    where det(P - I) and det(PB - I) both vanish and P != I, found here by
-    a kernel, and hands them to the Gauss-Jordan solve only above genus 2."""
-    solve = count_calls(presentations, "_minor_sign")
+    non-twist S.  The twist letters where det(P - I) and det(PB - I) both
+    vanish and P != I, found here by a kernel, go to the minor-sign rule
+    at genus 1 and 2 and to the Gauss-Jordan solve above, and no others."""
+    rule = count_calls(presentations, "_minor_sign")
+    solve = count_calls(presentations, "_twist_solve")
     gauss_jordan = count_calls(exact, "affine_point")
     fallbacks = twist_steps = 0
     twists = [_twist_presentation(g) for g in (3, 4)]
@@ -767,10 +767,11 @@ def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
                     twist_steps += 1
                     expected_calls += singular and new_singular and prefix != identity
                 prefix, singular = new, new_singular
-            before = solve.call_count, gauss_jordan.call_count
+            before = rule.call_count, solve.call_count, gauss_jordan.call_count
             assert cochain_c(word, p) == expected
-            assert solve.call_count - before[0] == expected_calls
-            assert gauss_jordan.call_count - before[1] == (expected_calls if p.genus > 2 else 0)
+            straight = expected_calls if p.genus <= 2 else 0
+            assert rule.call_count - before[0] == straight
+            assert solve.call_count - before[1] == gauss_jordan.call_count - before[2] == expected_calls - straight
             fallbacks += expected_calls
     assert 0 < fallbacks < twist_steps
 
@@ -835,43 +836,21 @@ def test_loading_the_shipped_files_counts_determinants_and_solves(count_calls, l
         (json.loads(files.joinpath("genus2.json").read_text()), 55, 56),
         (hyperelliptic(2), 55, 56),
     ):
-        presentations._walked.clear()  # a fresh load: genus2.json and hyperelliptic(2) share one key
         before = sum(map(len, inline)), solve.call_count
         p = load_presentation(data)
         assert (sum(map(len, inline)) - before[0], solve.call_count - before[1]) == (dets, solves)
     assert determinant.call_count == gauss_jordan.call_count == 0
-    # a repeat load of the same data returns the object built, walking and solving nothing
-    class_order(p)
-    walk = count_calls(presentations, "_walk")
-    lattice = count_calls(exact, "lattice_order")
-    counted = (walk, determinant, solve, lattice)
-    before = [c.call_count for c in counted], sum(map(len, inline))
-    assert load_presentation(hyperelliptic(2)) is p
+    # a repeat load of a file's text returns the object built, walking and solving nothing
+    with resources.as_file(files.joinpath("genus2.json")) as path:
+        p = load_presentation(path)
+        class_order(p)
+        walk = count_calls(presentations, "_walk")
+        lattice = count_calls(exact, "lattice_order")
+        counted = (walk, determinant, solve, lattice)
+        before = [c.call_count for c in counted], sum(map(len, inline))
+        assert load_presentation(path) is p
     assert class_order(p) == ClassOrder(5, (3,) * 5)
     assert ([c.call_count for c in counted], sum(map(len, inline))) == before
-
-
-def test_a_fresh_process_loads_each_shipped_file_as_the_shipped_presentation():
-    """In a fresh interpreter that has built the shipped presentations,
-    loading sl2z.json and genus2.json returns those objects, with their
-    class orders, and walks no relator and solves nothing."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        "import sys\n"
-        "from meyersig import presentations\n"
-        "from meyersig.presentations import class_order, load_presentation, shipped_presentation\n"
-        "shipped = [shipped_presentation(g) for g in (1, 2)]\n"
-        "orders = [class_order(p) for p in shipped]\n"
-        "def refused(*args):\n"
-        "    raise AssertionError('walked or solved again')\n"
-        "presentations._walk = presentations.lattice_order = refused\n"
-        "loaded = [load_presentation(path) for path in sys.argv[1:]]\n"
-        "print([p is q for p, q in zip(loaded, shipped)], [class_order(p) for p in loaded] == orders)\n"
-    )
-    files = [str(src / "meyersig" / "data" / name) for name in ("sl2z.json", "genus2.json")]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-S", "-c", code, *files], capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[True, True] True\n")
 
 
 def _not_the_identity(data):
@@ -893,50 +872,54 @@ def _unknown_generator(data):
     (_unknown_generator, "unknown generator 'c9' in token 22"),
 ])
 def test_a_failing_load_keeps_nothing(fault, message):
-    """A load that raises leaves the memo as it was, so loading the same
-    data again raises the same ParseError."""
-    load_presentation(hyperelliptic(2))
-    size = len(presentations._walked)
+    """A data load that raises leaves the memo as it was, so loading the
+    same data again raises the same ParseError."""
+    load_presentation(DATA_DIR / "genus2.json")
+    info = presentations._load_text.cache_info()
     for _ in range(2):
         data = hyperelliptic(2)
         fault(data)
         with pytest.raises(ParseError) as caught:
             load_presentation(data)
         assert str(caught.value) == message
-        assert len(presentations._walked) == size
+        assert presentations._load_text.cache_info() == info
 
 
-def test_the_memo_keeps_the_last_walked_max_presentations():
-    """Loading more distinct presentations than the bound keeps the memo at
-    the bound; the least recently loaded goes first, and a load that hits
-    counts as a use."""
-    def data(k):  # one presentation per k: the generator's name tells them apart
-        return {"genus": 1, "generators": [f"x{k}"], "matrices": {f"x{k}": "1,1;0,1"}, "relators": [f"x{k} x{k}^-1"]}
+def test_the_memo_keeps_the_last_walked_max_presentations(tmp_path):
+    """Loading more distinct file texts than the bound (16) keeps the memo
+    at the bound; the least recently loaded goes first, and a load that
+    hits counts as a use."""
+    def path(k):  # one presentation per k: the generator's name tells them apart
+        data = {"genus": 1, "generators": [f"x{k}"], "matrices": {f"x{k}": "1,1;0,1"}, "relators": [f"x{k} x{k}^-1"]}
+        file = tmp_path / f"x{k}.json"
+        file.write_text(json.dumps(data))
+        return file
 
-    bound = presentations._WALKED_MAX
-    presentations._walked.clear()
-    first = [load_presentation(data(k)) for k in range(bound)]
-    assert len(presentations._walked) == bound
-    assert load_presentation(data(0)) is first[0]
+    bound = presentations._load_text.cache_info().maxsize
+    assert bound == 16
+    presentations._load_text.cache_clear()
+    first = [load_presentation(path(k)) for k in range(bound)]
+    assert presentations._load_text.cache_info().currsize == bound
+    assert load_presentation(path(0)) is first[0]
     for k in range(bound, bound + 3):
-        load_presentation(data(k))
-        assert len(presentations._walked) == bound
-    assert load_presentation(data(0)) is first[0]
-    again = load_presentation(data(1))
+        load_presentation(path(k))
+        assert presentations._load_text.cache_info().currsize == bound
+    assert load_presentation(path(0)) is first[0]
+    again = load_presentation(path(1))
     assert again == first[1] and again is not first[1]
-    assert len(presentations._walked) == bound
+    assert presentations._load_text.cache_info().currsize == bound
 
 
 def test_a_presentation_built_directly_is_not_memoized(genus2, count_calls):
     """Presentation(...) walks its relators every time; only the loader
     keeps what it built."""
     walk = count_calls(presentations, "_walk")
-    size = len(presentations._walked)
+    info = presentations._load_text.cache_info()
     p = Presentation(genus2.genus, genus2.generator_names, genus2.matrices, genus2.relators)
     q = Presentation(genus2.genus, genus2.generator_names, genus2.matrices, genus2.relators)
     assert p == q == genus2 and p is not q
     assert walk.call_count == 2 * len(genus2.relators)
-    assert len(presentations._walked) == size
+    assert presentations._load_text.cache_info() == info
 
 
 DATA_DIR = Path(presentations.__file__).parent / "data"
@@ -967,25 +950,6 @@ def test_the_same_text_at_another_path_returns_the_kept_object(tmp_path, count_c
     assert load_presentation(str(first)) is p
     assert class_order(p) == ClassOrder(5, (3,) * 5)
     assert [c.call_count for c in counted] == [0] * 6
-
-
-def test_a_whitespace_edit_misses_the_text_and_hits_the_content(tmp_path, count_calls):
-    """A whitespace-only edit is new text, so the load decodes and checks
-    it in full, then finds the presentation it spells kept: the same
-    object, with no walk; the new text becomes a key too."""
-    text = (DATA_DIR / "genus2.json").read_text()
-    path = tmp_path / "genus2.json"
-    path.write_text(text)
-    p = load_presentation(path)
-    size = len(presentations._walked)
-    path.write_text(text.replace(": ", ":\t"))
-    decode, parse, classify, parse_word_, walk, _ = _loader_counts(count_calls)
-    assert load_presentation(path) is p
-    assert (decode.call_count, parse.call_count, classify.call_count, walk.call_count) == (1, 5, 5, 0)
-    assert parse_word_.call_count == len(p.relators)
-    assert len(presentations._walked) == size + 1
-    assert load_presentation(path) is p
-    assert classify.call_count == 5
 
 
 def _not_utf8(path):
@@ -1020,57 +984,31 @@ def test_a_failing_file_keeps_no_key(tmp_path, write, message):
     reads it and raises the same ParseError."""
     path = tmp_path / "presentation.json"
     write(path)
-    load_presentation(hyperelliptic(2))
-    size = len(presentations._walked)
+    load_presentation(DATA_DIR / "genus2.json")
+    size = presentations._load_text.cache_info().currsize
     for _ in range(2):
         with pytest.raises(ParseError) as caught:
             load_presentation(path)
         assert str(caught.value) == message
-        assert len(presentations._walked) == size
+        assert presentations._load_text.cache_info().currsize == size
 
 
 def test_a_text_over_the_bound_loads_but_is_not_kept(tmp_path, count_calls):
-    """A text taking _TEXT_KEY_MAX bytes is kept as a key, one character
-    more is not: it loads through the content key every time."""
+    """A text taking _TEXT_KEY_MAX bytes is kept, one character more is
+    not: it is decoded and built on every load."""
     text = (DATA_DIR / "sl2z.json").read_text()
     at_bound = text + " " * (presentations._TEXT_KEY_MAX - sys.getsizeof(text))
     assert sys.getsizeof(at_bound) == presentations._TEXT_KEY_MAX
     path = tmp_path / "sl2z.json"
-    p = load_presentation(presentations._SHIPPED_DATA[1]())
     decode, parse, *_ = _loader_counts(count_calls)
+    presentations._load_text.cache_clear()
     for padded, kept in ((at_bound, True), (at_bound + " ", False)):
         path.write_text(padded)
-        for _ in range(2):
-            assert load_presentation(path) is p
-        assert (padded in presentations._walked) is kept
+        p = load_presentation(path)
+        assert p == shipped_presentation(1)
+        assert (load_presentation(path) is p) is kept
+        assert presentations._load_text.cache_info().currsize == 1
     assert (decode.call_count, parse.call_count) == (3, 3 * p.generator_count)
-
-
-def test_text_and_content_keys_share_the_bound(tmp_path):
-    """A file load keeps two keys, its content and its text, and data one;
-    together they stay at _WALKED_MAX, and the least recently used goes
-    first, a text hit counting as a use of the text key alone."""
-    def data(k):  # one presentation per k: the generator's name tells them apart
-        return {"genus": 1, "generators": [f"x{k}"], "matrices": {f"x{k}": "1,1;0,1"}, "relators": [f"x{k} x{k}^-1"]}
-
-    bound = presentations._WALKED_MAX
-    files = []
-    for k in range(bound // 2):
-        files.append(tmp_path / f"x{k}.json")
-        files[-1].write_text(json.dumps(data(k)))
-    presentations._walked.clear()
-    first = [load_presentation(path) for path in files]
-    assert len(presentations._walked) == bound
-    assert load_presentation(files[0]) is first[0]  # a text hit: file 0's text is now the newest key
-    load_presentation(data(bound))  # evicts the oldest key, file 0's content
-    assert len(presentations._walked) == bound
-    assert load_presentation(files[0]) is first[0]
-    again = load_presentation(data(0))  # evicts file 1's content
-    assert again == first[0] and again is not first[0]
-    assert load_presentation(files[1]) is first[1]  # its text is still kept
-    again = load_presentation(data(1))
-    assert again == first[1] and again is not first[1]
-    assert len(presentations._walked) == bound
 
 
 def test_a_fresh_process_parses_a_repeated_file_once():
@@ -1324,15 +1262,21 @@ def test_walk_bound_is_the_rank_after_every_singular_twist_step(monkeypatch):
     The bound a call starts from may still exceed rank(P - I) after a
     non-twist letter."""
     calls = []
-    rule = presentations._minor_sign
+    rule, solve = presentations._minor_sign, presentations._twist_solve
 
-    def spy(m, new, twist, bound):
+    def spy_rule(m, new, twist, bound):
         out = rule(m, new, twist, bound)
         n = len(twist[0])
         calls.append((n, _flat_rows(m, n), _flat_rows(new, n), bound, out[1]))
         return out
 
-    monkeypatch.setattr(presentations, "_minor_sign", spy)
+    def spy_solve(m, twist):  # the solve takes no bound
+        out = solve(m, twist)
+        calls.append((len(m), m, _twist_step(m, twist), 0, out[1]))
+        return out
+
+    monkeypatch.setattr(presentations, "_minor_sign", spy_rule)
+    monkeypatch.setattr(presentations, "_twist_solve", spy_solve)
     entry = next(entry for entry in selftest.SUITES if entry[0] == "cochain is the tau prefix sum")
     assert entry[1](random.Random(0), entry[2]) is None
     sizes, starts_above = Counter(), 0
