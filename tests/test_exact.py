@@ -398,11 +398,6 @@ def _wide_entry_cases(rng):
 
 
 def test_determinant_against_leibniz():
-    """Bareiss elimination agrees with Leibniz and with Fraction
-    elimination on seeded matrices of sizes 1 to 5 with small entries, and
-    at sizes 2 and 4 on entries of up to 10^40 and on P - I, tuples as well
-    as lists; it meets zero, negative and swapped-pivot values, and each of
-    the 24 permutation matrices gives the sign of its permutation."""
     rng = random.Random(49)
     seen = {"zero": 0, "negative": 0, "swap": 0}
     for _ in range(400):
@@ -416,6 +411,15 @@ def test_determinant_against_leibniz():
         seen["negative"] += det < 0
         seen["swap"] += rows[0][0] == 0 and det != 0
     assert all(seen.values()), seen
+
+
+def test_determinant_closed_forms_against_two_oracles():
+    """At n = 2 and n = 4, the sizes of P - I whose determinant the
+    genus-1 and genus-2 walks write out in closed form, Bareiss elimination
+    agrees with Leibniz and with Fraction elimination on entries of up to
+    10^40 and on P - I, tuples as well as lists, and meets zero, positive
+    and negative values; each of the 24 permutation matrices gives the sign
+    of its permutation."""
     signs = set()
     for rows in _wide_entry_cases(random.Random(2222)):
         det = determinant(rows)
