@@ -182,10 +182,9 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     minors.  A column with no nonzero entry left means det = 0.  The last
     2 x 2 block [[p, q], [r, t]] needs no pivot: its step is
     (p * t - q * r) / p_prev, which holds for p = 0 too.  The straight-line
-    walks of :mod:`meyersig.presentations` inline their own closed forms
-    at a twist letter and call this one only at a non-twist letter; the
-    general walk, the oracle of their tests, calls it at every
-    determinant.
+    walks of :mod:`meyersig.presentations` never call it: they take twist
+    letters alone and inline their own closed forms.  The general walk,
+    the oracle of their tests, calls it at every determinant.
     """
     n = len(rows)
     a = list(rows)  # rows are swapped here but never written to

@@ -174,7 +174,7 @@ def closed_total(fd: FibrationDescription, local_values) -> int:
         for letters in words:
             for letter in letters:
                 if letter not in twists:
-                    raise _bad_letter(letter[0], p)
+                    raise _bad_letter(letter[0], p.generator_count)
                 last = kept[-1]
                 if last[0] == letter[0] and last[1] != letter[1]:
                     kept.pop()

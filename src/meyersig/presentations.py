@@ -26,10 +26,13 @@ Words are evaluated by one prefix walk that carries M = P - I, P the
 product of the letters so far; a Dehn-twist letter moves it as
 :mod:`meyersig.twist` derives, and each letter is checked by one dict
 lookup of its own tuple.  :func:`evaluate_word` carries the product
-alone, :func:`_walk` also c.  At genus 1 and 2 the walks are
-straight-line code on the 4 or 16 entries as local ints; at every genus
-the general walk on integer rows gives the same results, and it is the
-walk above genus 2.
+alone, :func:`_walk` also c.  At genus 1 and 2, over a presentation
+whose generators are all twist powers (both shipped ones, as every
+monodromy of a Lefschetz or Kodaira fibration), the walks are
+straight-line code on the 4 or 16 entries as local ints and take twist
+letters alone.  The general walk on integer rows gives the same results
+at every genus; it is the walk above genus 2 and of any presentation
+with a generator that is no twist power.
 A :class:`Presentation` walks each relator once, when it is built,
 checking that it maps to the identity and keeping c(r_j), so
 :func:`class_order` walks no word, and solves once per object.  The file
@@ -261,7 +264,7 @@ def format_word(word: Word, generator_names: Sequence[str]) -> str:
     tokens = []
     for i, s in word.letters:
         if i >= len(generator_names):
-            raise ValueError(f"letter index {i} out of range")
+            raise _bad_letter(i, len(generator_names))
         tokens.append(generator_names[i] if s > 0 else f"{generator_names[i]}^-1")
     return " ".join(tokens)
 
@@ -272,18 +275,20 @@ class Presentation(Value):
     Construction classifies each matrix once: ``_twists`` maps each
     letter (i, +-1) to None, or to the :mod:`meyersig.twist` record when
     the matrix is a twist power (:func:`~meyersig.symplectic._recognize_twist`;
-    the inverse of a twist power is the power with -lam).  A loader that
-    has recognized its matrices already passes the records as ``twists``,
-    one per generator.  Construction builds the token table that
-    :meth:`word` reads (:func:`_token_table`), then walks each relator once
-    (:func:`_walk`): the image must be the identity, and the cochain value
-    c(r_j) read off the same walk is kept in ``_relator_values``, in
-    relator order, for :func:`class_order`, which solves once per object
-    and keeps the result in ``_class_order``; the relators' exponent
-    vectors and their lattice basis, which the closedness check over a
-    base of genus >= 1 reads, are kept the same way.  None of these is a
-    field, so equality and hashing see only the four data fields.  No
-    ``__slots__``: the cached properties live in the instance dict.
+    the inverse of a twist power is the power with -lam), and
+    ``_twist_only`` records whether every generator is one, which picks
+    the walk (:func:`_walk`).  A loader that has recognized its matrices
+    already passes the records as ``twists``, one per generator.
+    Construction builds the token table that :meth:`word` reads
+    (:func:`_token_table`), then walks each relator once (:func:`_walk`):
+    the image must be the identity, and the cochain value c(r_j) read off
+    the same walk is kept in ``_relator_values``, in relator order, for
+    :func:`class_order`, which solves once per object and keeps the result
+    in ``_class_order``; the relators' exponent vectors and their lattice
+    basis, which the closedness check over a base of genus >= 1 reads, are
+    kept the same way.  None of these, nor ``_twist_only``, is a field, so
+    equality and hashing see only the four data fields.  No ``__slots__``:
+    the cached properties live in the instance dict.
 
     A ``Presentation(...)`` built directly, or loaded from data, walks its
     relators; :func:`load_presentation` keeps only what it built from a
@@ -329,6 +334,7 @@ class Presentation(Value):
             letters[i, 1] = twist
             letters[i, -1] = None if twist is None else _twist(twist[0], -twist[1])
         object.__setattr__(self, "_twists", letters)
+        object.__setattr__(self, "_twist_only", None not in twists)
         object.__setattr__(self, "_tokens", _token_table(names))
         values = []
         for k, rel in enumerate(self.relators):
@@ -384,22 +390,26 @@ def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
     """Product of generator matrices in word order; the empty word gives I.
 
     The walk of :func:`_walk` without c: a twist letter takes the step of
-    :mod:`meyersig.twist`, any other the full product.  At 2g = 2 and 4
-    the product is carried as 4 or 16 local ints (:func:`_evaluate_2`,
-    :func:`_evaluate_4`); above that as the rows of M = P - I
+    :mod:`meyersig.twist`, any other the full product.  At 2g = 2 and 4,
+    over a presentation whose generators are all twist powers, the
+    product is carried as 4 or 16 local ints (:func:`_evaluate_2`,
+    :func:`_evaluate_4`); otherwise as the rows of M = P - I
     (:func:`_evaluate_rows`).
     """
-    n = 2 * p.genus
-    if n == 4:
-        return _wrap(2, _evaluate_4(w, p))
-    if n == 2:
-        return _wrap(1, _evaluate_2(w, p))
+    if p._twist_only:
+        n = 2 * p.genus
+        if n == 4:
+            return _wrap(2, _evaluate_4(w, p))
+        if n == 2:
+            return _wrap(1, _evaluate_2(w, p))
     return _wrap(p.genus, _evaluate_rows(w, p))
 
 
-def _bad_letter(i: int, p: Presentation) -> ValueError:
-    """The error for a letter whose index names no generator of p."""
-    return ValueError(f"letter index {i} out of range for {len(p.matrices)} generators")
+def _bad_letter(i: int, generators: int) -> ValueError:
+    """The one error for a letter index i that names none of a
+    presentation's ``generators`` generators: the walks',
+    :func:`format_word`'s and :func:`_exponent_vector`'s."""
+    return ValueError(f"letter index {i} out of range for {generators} generators")
 
 
 def _evaluate_rows(w: Word, p: Presentation) -> tuple:
@@ -411,7 +421,7 @@ def _evaluate_rows(w: Word, p: Presentation) -> tuple:
         try:
             twist = twists[letter]
         except KeyError:
-            raise _bad_letter(letter[0], p) from None
+            raise _bad_letter(letter[0], p.generator_count) from None
         if twist is None:
             i, s = letter
             step = p.matrices[i] if s > 0 else p._inverses[i]
@@ -431,12 +441,7 @@ def _evaluate_2(w: Word, p: Presentation) -> tuple:
         try:
             twist = twists[letter]
         except KeyError:
-            raise _bad_letter(letter[0], p) from None
-        if twist is None:
-            i, s = letter
-            step = p.matrices[i] if s > 0 else p._inverses[i]
-            (p00, p01), (p10, p11) = _product(((p00, p01), (p10, p11)), step.rows)
-            continue
+            raise _bad_letter(letter[0], p.generator_count) from None
         (v0, v1), _, (w0, w1), _, _ = twist
         f0 = p00 * v0 + p01 * v1
         f1 = p10 * v0 + p11 * v1
@@ -456,15 +461,7 @@ def _evaluate_4(w: Word, p: Presentation) -> tuple:
         try:
             twist = twists[letter]
         except KeyError:
-            raise _bad_letter(letter[0], p) from None
-        if twist is None:
-            i, s = letter
-            step = p.matrices[i] if s > 0 else p._inverses[i]
-            rows = (p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33)
-            (
-                (p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33)
-            ) = _product(rows, step.rows)
-            continue
+            raise _bad_letter(letter[0], p.generator_count) from None
         (v0, v1, v2, v3), _, (w0, w1, w2, w3), _, _ = twist
         f0 = p00 * v0 + p01 * v1 + p02 * v2 + p03 * v3
         f1 = p10 * v0 + p11 * v1 + p12 * v2 + p13 * v3
@@ -497,23 +494,27 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
     on rank M; "The walk" in :mod:`meyersig.twist` gives how a letter
     moves them and what it adds to c.  A letter is checked by its one
     lookup in :attr:`Presentation._twists`, whose keys are exactly the
-    generators with both signs.  At 2g = 2 and 4, M is 4 or 16 local ints
-    (:func:`_walk_2`, :func:`_walk_4`); above that it is rows
-    (:func:`_walk_rows`).  All three give the same c and rows.
+    generators with both signs.  At 2g = 2 and 4, over a presentation
+    whose generators are all twist powers (``Presentation._twist_only``),
+    M is 4 or 16 local ints (:func:`_walk_2`, :func:`_walk_4`), which take
+    twist letters alone; otherwise, a non-twist generator or 2g > 4, it is
+    rows (:func:`_walk_rows`).  All three give the same c and rows.
     """
-    n = 2 * p.genus
-    if n == 4:
-        return _walk_4(w, p)
-    if n == 2:
-        return _walk_2(w, p)
+    if p._twist_only:
+        n = 2 * p.genus
+        if n == 4:
+            return _walk_4(w, p)
+        if n == 2:
+            return _walk_2(w, p)
     return _walk_rows(w, p)
 
 
 def _walk_rows(w: Word, p: Presentation) -> tuple[int, tuple]:
-    """:func:`_walk` at any genus, on the rows of M: the sparse step, a
-    Bareiss determinant while the bound is at least 2g - 1, and at a twist
-    letter where both determinants vanish the solve,
-    :func:`~meyersig.twist._twist_solve` on the rows of M."""
+    """:func:`_walk` at any genus and over any generators, on the rows of
+    M: the sparse step, a Bareiss determinant while the bound is at least
+    2g - 1, and at a twist letter where both determinants vanish the
+    solve, :func:`~meyersig.twist._twist_solve` on the rows of M.  A
+    non-twist letter takes tau_sp, the full product and a determinant."""
     total = 0
     g, n = p.genus, 2 * p.genus
     m = _zero_rows(n)
@@ -523,7 +524,7 @@ def _walk_rows(w: Word, p: Presentation) -> tuple[int, tuple]:
         try:
             twist = twists[letter]
         except KeyError:
-            raise _bad_letter(letter[0], p) from None
+            raise _bad_letter(letter[0], p.generator_count) from None
         if twist is None:
             i, s = letter
             step = p.matrices[i] if s > 0 else p._inverses[i]
@@ -548,36 +549,26 @@ def _walk_rows(w: Word, p: Presentation) -> tuple[int, tuple]:
 
 
 def _walk_2(w: Word, p: Presentation) -> tuple[int, tuple]:
-    """:func:`_walk` at 2g = 2, with M as four local ints: the step
-    f = M v + v, M' = M + f w, det M' = ad - bc while the bound is 1 or 2,
-    and at a twist letter where both determinants vanish
-    :func:`~meyersig.twist._minor_sign` on the entries of M and M'.  A
-    non-twist letter takes tau_sp, the product and the determinant on the
-    rows, as in :func:`_walk_rows`."""
-    total = d = bound = 0
+    """:func:`_walk` at 2g = 2 over a presentation of twist powers alone,
+    with M as four local ints and its rank: the step f = M v + v,
+    M' = M + f w, det M' = ad - bc once M != 0, and at a twist letter
+    where both determinants vanish :func:`~meyersig.twist._minor_sign`
+    on the entries of M and M'.  From the identity the rank the walk
+    keeps is rank M exactly ("The walk" in :mod:`meyersig.twist`)."""
+    total = d = rank = 0
     m00 = m01 = m10 = m11 = 0
     twists = p._twists
     for letter in w.letters:
         try:
             twist = twists[letter]
         except KeyError:
-            raise _bad_letter(letter[0], p) from None
-        if twist is None:
-            i, s = letter
-            step = p.matrices[i] if s > 0 else p._inverses[i]
-            prefix = (m00 + 1, m01), (m10, m11 + 1)
-            total += tau_sp(_wrap(1, prefix), step)
-            rows = _add_identity(_product(prefix, step.rows), -1)
-            (m00, m01), (m10, m11) = rows
-            d = _sign(determinant(rows))
-            bound = 2 if d else (1 if any(map(any, rows)) else 0)
-            continue
+            raise _bad_letter(letter[0], p.generator_count) from None
         (v0, v1), lam, (w0, w1), _, _ = twist
         f0 = m00 * v0 + m01 * v1 + v0
         f1 = m10 * v0 + m11 * v1 + v1
-        if not bound:  # M = 0: P = I, tau(I, B) = 0, and the new M has rank 1
+        if not rank:  # M = 0: P = I, tau(I, B) = 0, and the new M has rank 1
             m00, m01, m10, m11 = f0 * w0, f0 * w1, f1 * w0, f1 * w1
-            bound = 1
+            rank = 1
             continue
         if not d:
             old = m00, m01, m10, m11
@@ -589,9 +580,9 @@ def _walk_2(w: Word, p: Presentation) -> tuple[int, tuple]:
         new_d = 1 if det > 0 else -1 if det else 0
         if d or new_d:
             total += d * new_d if lam > 0 else -d * new_d
-            bound = 2 if new_d else 1
+            rank = 2 if new_d else 1
         else:
-            tau, bound = _minor_sign(old, (m00, m01, m10, m11), twist, bound)
+            tau, rank = _minor_sign(old, (m00, m01, m10, m11), twist, rank)
             total += tau
         d = new_d
     return total, ((m00, m01), (m10, m11))
@@ -601,9 +592,9 @@ def _walk_4(w: Word, p: Presentation) -> tuple[int, tuple]:
     """:func:`_walk_2` at 2g = 4, with M as 16 local ints; det M' is the
     Laplace expansion along rows 0 and 1, each of their six 2 x 2 minors
     times the complementary minor of rows 2 and 3, signed by (-1)^(j + k)
-    for the columns j < k of the first, and runs only while the bound is
-    3 or 4."""
-    total = d = bound = 0
+    for the columns j < k of the first, and runs only while rank M is 3
+    or 4."""
+    total = d = rank = 0
     m00 = m01 = m02 = m03 = m10 = m11 = m12 = m13 = 0
     m20 = m21 = m22 = m23 = m30 = m31 = m32 = m33 = 0
     twists = p._twists
@@ -611,31 +602,18 @@ def _walk_4(w: Word, p: Presentation) -> tuple[int, tuple]:
         try:
             twist = twists[letter]
         except KeyError:
-            raise _bad_letter(letter[0], p) from None
-        if twist is None:
-            i, s = letter
-            step = p.matrices[i] if s > 0 else p._inverses[i]
-            prefix = (
-                (m00 + 1, m01, m02, m03), (m10, m11 + 1, m12, m13),
-                (m20, m21, m22 + 1, m23), (m30, m31, m32, m33 + 1),
-            )
-            total += tau_sp(_wrap(2, prefix), step)
-            rows = _add_identity(_product(prefix, step.rows), -1)
-            (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = rows
-            d = _sign(determinant(rows))
-            bound = 4 if d else (3 if any(map(any, rows)) else 0)
-            continue
+            raise _bad_letter(letter[0], p.generator_count) from None
         (v0, v1, v2, v3), lam, (w0, w1, w2, w3), _, _ = twist
         f0 = m00 * v0 + m01 * v1 + m02 * v2 + m03 * v3 + v0
         f1 = m10 * v0 + m11 * v1 + m12 * v2 + m13 * v3 + v1
         f2 = m20 * v0 + m21 * v1 + m22 * v2 + m23 * v3 + v2
         f3 = m30 * v0 + m31 * v1 + m32 * v2 + m33 * v3 + v3
-        if not bound:  # M = 0: P = I, tau(I, B) = 0, and the new M has rank 1
+        if not rank:  # M = 0: P = I, tau(I, B) = 0, and the new M has rank 1
             m00, m01, m02, m03 = f0 * w0, f0 * w1, f0 * w2, f0 * w3
             m10, m11, m12, m13 = f1 * w0, f1 * w1, f1 * w2, f1 * w3
             m20, m21, m22, m23 = f2 * w0, f2 * w1, f2 * w2, f2 * w3
             m30, m31, m32, m33 = f3 * w0, f3 * w1, f3 * w2, f3 * w3
-            bound = 1
+            rank = 1
             continue
         if not d:
             old = m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33
@@ -655,7 +633,7 @@ def _walk_4(w: Word, p: Presentation) -> tuple[int, tuple]:
         m31 += f3 * w1
         m32 += f3 * w2
         m33 += f3 * w3
-        if bound >= 3:
+        if rank >= 3:
             det = (
                 (m00 * m11 - m01 * m10) * (m22 * m33 - m23 * m32)
                 - (m00 * m12 - m02 * m10) * (m21 * m33 - m23 * m31)
@@ -669,10 +647,10 @@ def _walk_4(w: Word, p: Presentation) -> tuple[int, tuple]:
             new_d = 0
         if d or new_d:
             total += d * new_d if lam > 0 else -d * new_d
-            bound = 4 if new_d else 3
+            rank = 4 if new_d else 3
         else:
             new = m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, m30, m31, m32, m33
-            tau, bound = _minor_sign(old, new, twist, bound)
+            tau, rank = _minor_sign(old, new, twist, rank)
             total += tau
         d = new_d
     return total, (
@@ -697,7 +675,7 @@ def _exponent_vector(words: Iterable[Word], ngens: int) -> list[int]:
     for w in words:
         for i, s in w.letters:
             if i >= ngens:
-                raise ValueError(f"letter index {i} out of range")
+                raise _bad_letter(i, ngens)
             counts[i] += s
     return counts
 

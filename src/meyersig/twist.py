@@ -29,7 +29,7 @@ every such solution has t = 0.
 The solve.  Since A v = (A - I) v + v, the point x~ = x + t v solves
 (A - I) x~ + t v = 0, and <x~, v> = <x, v> because <v, v> = 0; so x~
 may stand for x in the sign.  :func:`_twist_solve`, behind
-:func:`meyersig.cocycle.tau_twist` and the walk above genus 2, makes one
+:func:`meyersig.cocycle.tau_twist` and the general walk, makes one
 fraction-free solve of the 2g x (2g+1) system [M | v]
 (:func:`meyersig.exact.affine_point`).
 It gives t and w x = lam <v, x> = -lam <x, v> read off the reduced
@@ -70,8 +70,8 @@ the same formula, here 0.  So the formula holds whenever one of the two
 determinants is nonzero; when both vanish tau is often nonzero, and the
 solve or the rule below gives it.
 
-The minor-sign rule.  When both determinants vanish, the walk at
-2g <= 4 reads tau off two minors instead of the solve.  Let r = rank M,
+The minor-sign rule.  When both determinants vanish, the straight-line
+walk at 2g <= 4 reads tau off two minors instead of the solve.  Let r = rank M,
 let sigma be the involution i -> i + g mod 2g of the coordinates, which
 swaps A_i and B_i, and for a set I of r indices let m_I(X) be the r x r
 minor of X on the rows I and the columns sigma(I).  Then
@@ -135,9 +135,12 @@ exactly when the rank falls.
 At 2g <= 4, :func:`_minor_sign` reads the minors off M and M' flattened
 row by row, through index tables of the sigma-diagonal minors and their
 bordered minors built once per size (``_SIGMA_MINORS``), and takes each
-in straight-line code, so it makes no elimination.  Above 2g = 4 there
-would be up to C(2g, r) candidate minors of size up to 2g - 1, and the
-walk takes the solve there.
+in straight-line code, so it makes no elimination.  It is told r = rank M
+by the walk and tries the sigma-diagonal minors of that size alone; if
+all of them vanish, (a) says r is not the rank, and it raises
+ArithmeticError rather than answer.  Above 2g = 4 there would be up to
+C(2g, r) candidate minors of size up to 2g - 1, and the walk takes the
+solve there.
 
 The walk.  The cochain of :mod:`meyersig.presentations` carries M = P - I
 along the prefixes P of a word, with d = sign det M and an upper bound
@@ -146,25 +149,31 @@ rank by at most 1, so the new d' is 0 with no determinant while the
 bound is below 2g - 1.  When d or d' is nonzero the letter adds
 sign(lam) * d * d', and the bound becomes 2g, or 2g - 1 when d' = 0.
 When both are 0 it adds tau by the minor-sign rule or the solve.  At
-2g <= 4 the walk is straight-line code on M's 4 or 16 entries as local
-ints: it takes the step as f = M v + v, M' = M + f w, the determinant in
-closed form, and :func:`_minor_sign` on the flat entries, which tries the
-sigma-diagonal minors of the bound's size and lowers the size past each
-one at which they all vanish, so by (a) it stops at rank M, and the
-bound it returns is rank M' exactly.  At any size the general walk
-carries M as rows, takes the step by :func:`_twist_step`, a determinant
-by :func:`meyersig.exact.determinant` (Bareiss elimination, independent
-of the closed forms), and, at both determinants 0, :func:`_twist_solve`
-on the old M's rows, whose pivots give rank M, so the bound it
-returns is again rank M' exactly (the rank moves); it is the walk above
-2g = 4, and the oracle the tests hold the straight-line walks against.
-At bound 0, M = 0 and P = I, so tau(I, B) = 0 with no solve, and the new
-bound is 1.  From the identity the bound is exact on words of twist
-letters.  Any other letter takes :func:`meyersig.cocycle.tau_sp` on P,
-the full product and one determinant, on rows at every size, after which
-the bound is 2g if d' != 0, else 2g - 1, or 0 when the new M is 0; the
-bound may then exceed the rank until the next twist letter with both
-determinants 0 sets it to the rank.
+bound 0, M = 0 and P = I, so tau(I, B) = 0 with no solve, and the new
+bound is 1 (lam != 0 for every twist letter a presentation holds).  By
+the rank moves, each of these steps keeps the bound equal to the rank
+once it is, and it is at the identity, so on a word of twist letters the
+bound is rank M exactly.
+
+At 2g <= 4, over a presentation whose generators are all twist powers,
+the walk is straight-line code on M's 4 or 16 entries as local ints and
+keeps rank M itself: it takes the step as f = M v + v, M' = M + f w, the
+determinant in closed form, and :func:`_minor_sign` on the flat entries
+at r = rank M, which returns rank M'.  It calls no elimination, no
+:func:`meyersig.exact.determinant` and no tau_sp.  The general walk
+carries M as rows at any size and over any generators: it takes the
+step by :func:`_twist_step`, a determinant by
+:func:`meyersig.exact.determinant` (Bareiss elimination, independent of
+the closed forms), and, at both determinants 0, :func:`_twist_solve` on
+the old M's rows, whose pivots give rank M, so the bound it returns is
+again rank M' exactly (the rank moves).  A letter that is no twist power
+takes :func:`meyersig.cocycle.tau_sp` on P, the full product and one
+determinant, after which the bound is 2g if d' != 0, else 2g - 1, or 0
+when the new M is 0; it may then exceed the rank until the next twist
+letter with both determinants 0 sets it to the rank.  The general walk
+is the walk above 2g = 4 and of every presentation with a non-twist
+generator, and the oracle the tests hold the straight-line walks
+against.
 """
 
 from itertools import combinations
@@ -269,42 +278,30 @@ def _det(x: tuple) -> int:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _minor_sign(m: tuple, new: tuple, twist: tuple, bound: int) -> tuple[int, int]:
-    """(tau_sp(A, B), a new bound on rank(AB - I)) at a twist letter where
-    det(A - I) and det(AB - I) both vanish, from M = A - I and M' = AB - I,
-    the record ``twist`` and a bound 0 < bound < 2g on rank M.
+def _minor_sign(m: tuple, new: tuple, twist: tuple, r: int) -> tuple[int, int]:
+    """(tau_sp(A, B), rank(AB - I)) at a twist letter where det(A - I) and
+    det(AB - I) both vanish, from M = A - I and M' = AB - I, the record
+    ``twist`` and r = rank M, 0 < r < 2g.
 
     M and M' come at 2g <= 4 as the 4 or 16 entries, row by row, that the
     straight-line walks carry, and the minor-sign rule of the module
-    docstring reads them through the tables ``_SIGMA_MINORS``; the bound
-    it returns is rank M' exactly.
+    docstring reads them through the tables ``_SIGMA_MINORS`` at size r
+    alone.  By (a) one sigma-diagonal r x r minor of M is nonzero; when
+    none is, r is not rank M, and ArithmeticError is raised.
     """
     v = twist[0]
-    n = len(v)
-    tables = _SIGMA_MINORS[n]
-    for r in range(bound, 0, -1):
-        if r == 1:
-            for k, borders in tables[1]:
-                minor = m[k]
-                if minor:
-                    break
-            else:
-                continue  # M = 0
-            new_minor = new[k]
-        else:
-            for entries, borders in tables[r]:
-                minor = _det(entries(m))
-                if minor:
-                    break
-            else:
-                continue  # rank M < r
-            new_minor = _det(entries(new))
-        if borders:  # r < n - 1: is v in im M, the span of the columns sigma(I)?
-            mv = m + v
-            for border in borders:
-                if _det(border(mv)):
-                    return 0, r + 1
-        if not new_minor:
-            return 0, r - 1
-        return _sign(twist[1] * minor * new_minor), r
-    return 0, 1  # M = 0
+    for at, borders in _SIGMA_MINORS[len(v)][r]:
+        minor = m[at] if r == 1 else _det(at(m))
+        if minor:
+            break
+    else:
+        raise ArithmeticError(f"no sigma-diagonal {r} x {r} minor of M is nonzero: rank M is not {r}")
+    new_minor = new[at] if r == 1 else _det(at(new))
+    if borders:  # r < 2g - 1: is v in im M, the span of the columns sigma(I)?
+        mv = m + v
+        for border in borders:
+            if _det(border(mv)):
+                return 0, r + 1
+    if not new_minor:
+        return 0, r - 1
+    return _sign(twist[1] * minor * new_minor), r

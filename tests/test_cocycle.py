@@ -533,13 +533,15 @@ def test_minor_sign_rule_against_the_solve(g):
     rank(AB - I) from a kernel, at each singular twist step (det(A - I) = det(AB - I) = 0,
     A != I) of seeded walks in twist powers with lam in +-1, +-2, 3 along
     classes that need not be primitive, one step in four along the class
-    of the step before it, often undoing that step.  Each step is asked at every bound from rank(A - I) to
-    2g - 1, so the bound's descent is taken too; the walks reach every
-    rank 1 .. 2g - 1 and at each every outcome: no point (except at
-    2g - 1), a rank drop, and the same rank with both signs."""
+    of the step before it, often undoing that step.  Each step is asked at
+    r = rank(A - I); the walks reach every rank 1 .. 2g - 1 and at each
+    every outcome: no point (except at 2g - 1), a rank drop, and the same
+    rank with both signs.  A planted rank above rank(A - I), up to
+    2g - 1, has no nonzero sigma-diagonal minor and raises
+    ArithmeticError (at 2g = 2 no size is above the rank)."""
     n = 2 * g
     rng = random.Random(3100 + g)
-    outcomes = set()
+    outcomes, planted = set(), 0
     for _ in range(300):
         m, twist = ((0,) * n,) * n, None
         for _ in range(rng.randint(1, 3 * n)):
@@ -558,8 +560,11 @@ def test_minor_sign_rule_against_the_solve(g):
                 tau, solved_rank = _twist_solve(m, twist)
                 assert solved_rank == new_rank
                 flat, flat_new = sum(m, ()), sum(new, ())
-                for bound in range(rank, n):
-                    assert _minor_sign(flat, flat_new, twist, bound) == (tau, new_rank), (m, twist, bound)
+                assert _minor_sign(flat, flat_new, twist, rank) == (tau, new_rank), (m, twist)
+                for above in range(rank + 1, n):
+                    with pytest.raises(ArithmeticError, match=f"^no sigma-diagonal {above} x {above} minor"):
+                        _minor_sign(flat, flat_new, twist, above)
+                    planted += 1
                 outcomes.add((rank, new_rank - rank, tau))
             m = new
     expected = {
@@ -569,6 +574,7 @@ def test_minor_sign_rule_against_the_solve(g):
         if r < n - 1 or change < 1
     }
     assert outcomes == expected
+    assert (planted > 0) == (n == 4)
 
 
 def test_sign_det_minus_identity_examples():

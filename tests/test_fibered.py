@@ -711,6 +711,20 @@ def test_positive_base_closedness_without_relators():
         closed_total(stray, ())
 
 
+def test_a_bad_germ_letter_has_one_message_at_every_base_genus():
+    """A germ letter past the generators gets the walks' message from
+    closed_total over a sphere and over a base of genus 1, and the same
+    one from format_word."""
+    p = shipped_presentation(1)
+    stray = Word([(2, 1)])
+    message = "^letter index 2 out of range for 2 generators$"
+    for base_genus in (0, 1):
+        with pytest.raises(ValueError, match=message):
+            closed_total(FibrationDescription(p, base_genus, (FiberGerm(stray),)), ())
+    with pytest.raises(ValueError, match=message):
+        format_word(stray, p.generator_names)
+
+
 def test_positive_base_closedness_keeps_the_relator_lattice(count_calls):
     """The lattice basis of the relators' exponent vectors is built once
     per presentation: two closed_total calls over a base of genus 1 make

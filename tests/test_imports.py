@@ -9,9 +9,12 @@ tests names the retired second matrix type or its trusted constructor,
 and no package module reads the ``.mat`` alias.  It also holds the one
 owner of a Dehn-twist letter: its record, step, sign rules and minors are
 defined in ``twist.py`` alone (the straight-line walks of
-``presentations`` inline the step), which imports from ``exact`` alone.  And
-it deletes helpers with no caller: every private function, class,
-constant or method of the package is read by some package module."""
+``presentations`` inline the step), which imports from ``exact`` alone.
+Those straight-line walks take twist letters alone: none reads a name of
+the non-twist path (tau_sp, the full product, a Bareiss determinant, the
+inverses or the matrices).  And it deletes helpers with no caller: every
+private function, class, constant or method of the package is read by
+some package module."""
 
 import ast
 from pathlib import Path
@@ -28,6 +31,8 @@ RETIRED = {"IntMatrix", "_trusted"}
 TWIST_NAMES = {
     "_twist", "_twist_step", "_twist_solve", "_minor_sign", "_sigma_minors", "_SIGMA_MINORS", "_det"
 }
+STRAIGHT_LINE_WALKS = {"_walk_2", "_walk_4", "_evaluate_2", "_evaluate_4"}
+NON_TWIST_NAMES = {"tau_sp", "_product", "_add_identity", "determinant", "_inverses", "matrices"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -148,6 +153,29 @@ def test_twist_letter_has_one_owner():
     assert owners == {name: ["twist.py"] for name in TWIST_NAMES}
     tree = ast.parse((PACKAGE / "twist.py").read_text(encoding="utf-8"))
     assert {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level} == {"exact"}
+
+
+def function_reads(source: str, functions: set[str], names: set[str]) -> dict[str, list[str]]:
+    """{function: the identifiers of ``names`` it reads}, for each
+    module-level function of ``functions`` that source defines."""
+    return {
+        node.name: sorted(read_names(ast.unparse(node)) & names)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+    }
+
+
+def test_function_reads_are_found():
+    source = (
+        "def f(p):\n    return p.matrices, tau_sp(p)\ndef g():\n    determinant = 1\n"
+        "def h(m):\n    return _product(m)\n"
+    )
+    assert function_reads(source, {"f", "g"}, NON_TWIST_NAMES) == {"f": ["matrices", "tau_sp"], "g": []}
+
+
+def test_straight_line_walks_read_no_non_twist_name():
+    source = (PACKAGE / "presentations.py").read_text(encoding="utf-8")
+    assert function_reads(source, STRAIGHT_LINE_WALKS, NON_TWIST_NAMES) == {name: [] for name in STRAIGHT_LINE_WALKS}
 
 
 def private_definitions(source: str) -> set[str]:

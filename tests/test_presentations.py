@@ -41,7 +41,7 @@ from meyersig.symplectic import (
     random_symplectic,
     transvection,
 )
-from meyersig.twist import _minor_sign, _twist, _twist_solve, _twist_step
+from meyersig.twist import _twist, _twist_step
 from test_exact import _rref_kernel
 
 S_MAT = SymplecticMatrix([[0, -1], [1, 0]])
@@ -407,7 +407,7 @@ def test_word_format_round_trip(rng, sl2z, genus2):
             text = format_word(w, p.generator_names)
             assert parse_word(text, p.generator_names) == w
             assert format_word(parse_word(text, p.generator_names), p.generator_names) == text
-    with pytest.raises(ValueError, match="^letter index 2 out of range$"):
+    with pytest.raises(ValueError, match="^letter index 2 out of range for 2 generators$"):
         format_word(Word([(0, 1), (2, -1)]), sl2z.generator_names)
 
 
@@ -746,7 +746,9 @@ def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
     twist letters (at genus 1 to 4) and, in the mismatch presentation, the
     non-twist S.  The twist letters where det(P - I) and det(PB - I) both
     vanish and P != I, found here by a kernel, go to the minor-sign rule
-    at genus 1 and 2 and to the Gauss-Jordan solve above, and no others."""
+    over the twist-only presentations of genus 1 and 2 and to the
+    Gauss-Jordan solve over the others, the mismatch presentation's
+    general walk included, and no others."""
     rule = count_calls(presentations, "_minor_sign")
     solve = count_calls(presentations, "_twist_solve")
     gauss_jordan = count_calls(exact, "affine_point")
@@ -769,7 +771,7 @@ def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
                 prefix, singular = new, new_singular
             before = rule.call_count, solve.call_count, gauss_jordan.call_count
             assert cochain_c(word, p) == expected
-            straight = expected_calls if p.genus <= 2 else 0
+            straight = expected_calls if p.genus <= 2 and p._twist_only else 0
             assert rule.call_count - before[0] == straight
             assert solve.call_count - before[1] == gauss_jordan.call_count - before[2] == expected_calls - straight
             fallbacks += expected_calls
@@ -780,12 +782,13 @@ def test_cochain_is_the_tau_sum_over_prefixes(rng, sl2z, genus2, count_calls):
 def test_walk_skips_determinants_below_the_rank_bound(rng, g, count_calls, line_runs):
     """The rank bound is exact on twist-only words, so a twist letter
     makes a determinant exactly when rank(P - I) >= 2g - 1, and fewer
-    than 2g twist letters make none.  In the genus-1 mismatch presentation
-    every non-twist letter (S) makes one, and the bound it leaves is
-    exact too.  At 2g <= 4 a twist letter's determinant is the
-    straight-line walk's own (a run of its sign line), and
-    exact.determinant runs only at non-twist letters; above, both are
-    exact.determinant.  Values against tau_sp, ranks from a kernel."""
+    than 2g twist letters make none.  In the genus-1 mismatch presentation,
+    which takes the general walk, every non-twist letter (S) makes one, and
+    the bound it leaves is exact too.  Over a twist-only presentation at
+    2g <= 4 a twist letter's determinant is the straight-line walk's own
+    (a run of its sign line), and exact.determinant never runs; in the
+    general walk every determinant is exact.determinant.  Values against
+    tau_sp, ranks from a kernel."""
     determinant = count_calls(exact, "determinant")
     inline = [line_runs(walk, "new_d = 1 if det > 0") for walk in (presentations._walk_2, presentations._walk_4)]
 
@@ -802,6 +805,7 @@ def test_walk_skips_determinants_below_the_rank_bound(rng, g, count_calls, line_
     runs = 0
     for p in (_twist_presentation(g), _mismatch_presentation()):
         n = 2 * p.genus
+        straight_line = p._twist_only and n <= 4
         for _ in range(40):
             word = random_word(p, rng, 4 * n)
             prefix, calls, straight = SymplecticMatrix.identity(p.genus), 0, 0
@@ -810,8 +814,8 @@ def test_walk_skips_determinants_below_the_rank_bound(rng, g, count_calls, line_
                 if p._twists[i, s] is None:
                     calls += 1
                 elif rank >= n - 1:
-                    straight += n <= 4
-                    calls += n > 4
+                    straight += straight_line
+                    calls += not straight_line
                 prefix = prefix * (p.matrices[i] if s > 0 else p.matrices[i].inverse())
             before = counts()
             assert cochain_c(word, p) == _tau_prefix_sum(word, p)
@@ -1164,25 +1168,30 @@ def test_walk_after_a_singular_non_twist_letter(rng, g):
 
 @pytest.mark.parametrize("g", [1, 2])
 def test_straight_line_walks_equal_the_general_walk(g, monkeypatch, line_runs):
-    """_walk and evaluate_word at 2g = 2 and 4, the straight-line walks on
-    local ints, against the general walk on rows (_walk_rows and
-    _evaluate_rows, the oracle at any 2g): the same c and rows of P - I,
-    the same product, and the same ValueError for a bad letter, on seeded
-    words of 0-70 letters over the shipped presentation, over the chain
-    twists with the non-twist letter s (chain_with_s) and over powers of
-    twists along seeded classes.  The words reach every branch of the
-    straight-line walk: a non-twist letter, M = 0, the determinant rule
-    with d d' of both signs and with one of d, d' zero, and the flat
-    minor-sign rule at each rank r with the rank rising (v outside im M,
-    by the bordered test at r < 2g - 1), kept (with both signs of tau)
-    and falling, at 2g = 4 also from a bound above the rank."""
+    """_walk and evaluate_word at 2g = 2 and 4 against the general walk on
+    rows (_walk_rows and _evaluate_rows, the oracle at any 2g): the same c
+    and rows of P - I, the same product, and the same ValueError for a
+    bad letter, on seeded words of 0-70 letters over the shipped
+    presentation, over powers of twists along seeded classes, over the
+    chain twists with the non-twist letter s (chain_with_s) and, at
+    2g = 2, over the mismatch presentation with S.  The two twist-only
+    presentations take the straight-line walks on local ints, once per
+    call; the two with a non-twist generator take the general walk, where
+    the tracer sees no run of _walk_2, _walk_4, _evaluate_2 or _evaluate_4
+    and c is the tau_sp prefix sum.  The straight-line words reach every
+    branch: M = 0, the determinant rule with d d' of both signs and with
+    one of d, d' zero, and the flat minor-sign rule at each rank r, always
+    told r = rank M, with the rank rising (v outside im M, by the
+    bordered test at r < 2g - 1), kept (with both signs of tau) and
+    falling."""
     n = 2 * g
     rng = random.Random(4100 + g)
     classes = [tuple(rng.choice((0, 1, -1, 2, -2)) for _ in range(n)) for _ in range(8)]
     mats = tuple(transvection(v) ** lam for v, lam in zip(filter(any, classes), (1, -1, 2, -3, 1, -2)))
     random_twists = Presentation(g, tuple(f"t{k}" for k in range(len(mats))), mats, ())
+    non_twist = [chain_with_s(g)] + ([_mismatch_presentation()] if g == 1 else [])
     cases = []
-    for p in (shipped_presentation(g), chain_with_s(g), random_twists):
+    for p in (shipped_presentation(g), random_twists, *non_twist):
         for _ in range(100):
             word = random_word(p, rng, 70)
             k = rng.randint(0, len(word))
@@ -1194,23 +1203,27 @@ def test_straight_line_walks_equal_the_general_walk(g, monkeypatch, line_runs):
                 messages.append(str(expected.value))
             general = presentations._walk_rows(word, p), presentations._evaluate_rows(word, p)
             cases.append((p, word, general, bad, messages))
-    walk = presentations._walk_2 if g == 1 else presentations._walk_4
+    straight_line = (presentations._walk_2, presentations._walk_4, presentations._evaluate_2, presentations._evaluate_4)
+    entries = [line_runs(fn, "twists = p._twists") for fn in straight_line]
+    walk, evaluate = straight_line[g - 1], straight_line[g + 1]
     formula = line_runs(walk, "total += d * new_d", "d", "new_d")
-    at_identity = line_runs(walk, "bound = 1\n")
-    non_twist = line_runs(walk, "total += tau_sp(")
-    outcomes, descents = set(), 0
+    at_identity = line_runs(walk, "rank = 1\n")
+    outcomes = set()
     rule = presentations._minor_sign
 
-    def spy(m, new, twist, bound):
-        nonlocal descents
-        out = rule(m, new, twist, bound)
+    def spy(m, new, twist, r):
+        out = rule(m, new, twist, r)
         rank = n - len(kernel_basis(_flat_rows(m, n)))
+        assert r == rank
         outcomes.add((rank, out[1] - rank, out[0]))
-        descents += bound > rank
         return out
 
     monkeypatch.setattr(presentations, "_minor_sign", spy)
+    assert shipped_presentation(g)._twist_only and random_twists._twist_only
+    assert not any(p._twist_only for p in non_twist)
+    once = [2 * (fn in (walk, evaluate)) for fn in straight_line]  # the word and the bad word
     for p, word, general, bad, messages in cases:
+        before = [len(runs) for runs in entries]
         c, rows = presentations._walk(word, p)
         assert ((c, rows), evaluate_word(word, p).rows) == general, word
         assert type(rows) is tuple and all(type(row) is tuple for row in rows)
@@ -1218,7 +1231,13 @@ def test_straight_line_walks_equal_the_general_walk(g, monkeypatch, line_runs):
             with pytest.raises(ValueError) as raised:
                 straight(bad, p)
             assert str(raised.value) == message
-    assert non_twist and at_identity
+        runs = [len(runs) - k for runs, k in zip(entries, before)]
+        if p._twist_only:
+            assert runs == once, runs
+        else:
+            assert runs == [0] * 4, runs
+            assert c == _tau_prefix_sum(word, p)
+    assert at_identity
     assert {d * new_d for d, new_d in formula} == {1, -1, 0}
     assert {(d == 0, new_d == 0) for d, new_d in formula} == {(False, False), (True, False), (False, True)}
     assert outcomes == {
@@ -1227,65 +1246,42 @@ def test_straight_line_walks_equal_the_general_walk(g, monkeypatch, line_runs):
         for change, tau in ((1, 0), (-1, 0), (0, 1), (0, -1))
         if r < n - 1 or change < 1
     }, outcomes
-    assert (descents > 0) == (n == 4)  # at 2g = 2 a non-twist letter leaves the bound at the rank
-
-
-def test_walk_lowers_the_bound_after_a_non_twist_letter(rng, count_calls):
-    """At genus 2 the letter s, with rank(s - I) = 2, can leave the walk a
-    rank bound of 3 above rank(P - I).  The minor-sign rule then lowers the
-    bound to the rank; every call it gets agrees with the solve and with
-    rank(P' - I) from a kernel, and the walk makes no Gauss-Jordan solve."""
-    rule = count_calls(presentations, "_minor_sign")
-    gauss_jordan = count_calls(exact, "affine_point")
-    p = chain_with_s(2)
-    for _ in range(60):
-        word = random_word(p, rng, 16)
-        assert cochain_c(word, p) == _tau_prefix_sum(word, p)
-    assert gauss_jordan.call_count == 0
-    descents = 0
-    for call in rule.call_args_list:
-        flat_m, flat_new, twist, bound = call.args
-        m, new = _flat_rows(flat_m, 4), _flat_rows(flat_new, 4)
-        rank = 4 - len(kernel_basis(m))
-        new_rank = 4 - len(kernel_basis(new)) if any(map(any, new)) else 0
-        solved = _twist_solve(m, twist)
-        assert _minor_sign(flat_m, flat_new, twist, bound) == solved and solved[1] == new_rank
-        descents += bound > rank
-    assert descents
 
 
 def test_walk_bound_is_the_rank_after_every_singular_twist_step(monkeypatch):
     """After each twist letter with det(P - I) = det(PB - I) = 0, the bound
     the walk keeps is rank(PB - I) exactly, by the rank oracle of the
     exact tests, at every genus of the --selftest cochain suite (seed 0):
-    the minor-sign rule at 2g <= 4 and the solve's pivot count above.
-    The bound a call starts from may still exceed rank(P - I) after a
-    non-twist letter."""
+    the minor-sign rule over the shipped presentations of genus 1 and 2,
+    and the solve's pivot count over chain_with_s at genus 2 and 3, whose
+    letter s sends them to the general walk.  The rule is always told
+    rank(P - I) itself; the general walk's bound may exceed it after an s."""
     calls = []
     rule, solve = presentations._minor_sign, presentations._twist_solve
 
-    def spy_rule(m, new, twist, bound):
-        out = rule(m, new, twist, bound)
+    def spy_rule(m, new, twist, r):
+        out = rule(m, new, twist, r)
         n = len(twist[0])
-        calls.append((n, _flat_rows(m, n), _flat_rows(new, n), bound, out[1]))
+        calls.append(("rule", n, _flat_rows(m, n), _flat_rows(new, n), r, out[1]))
         return out
 
     def spy_solve(m, twist):  # the solve takes no bound
         out = solve(m, twist)
-        calls.append((len(m), m, _twist_step(m, twist), 0, out[1]))
+        calls.append(("solve", len(m), m, _twist_step(m, twist), None, out[1]))
         return out
 
     monkeypatch.setattr(presentations, "_minor_sign", spy_rule)
     monkeypatch.setattr(presentations, "_twist_solve", spy_solve)
     entry = next(entry for entry in selftest.SUITES if entry[0] == "cochain is the tau prefix sum")
     assert entry[1](random.Random(0), entry[2]) is None
-    sizes, starts_above = Counter(), 0
-    for n, m, new, bound, new_bound in calls:
-        sizes[n] += 1
-        starts_above += bound > _rref_kernel(m, n)[1]
-        assert new_bound == _rref_kernel(new, n)[1], (m, new, bound)  # never above the rank
-    assert set(sizes) == {2, 4, 6} and sizes[6] >= 100, sizes
-    assert starts_above  # the suite reaches the bound left by the letter s
+    sizes = Counter()
+    for kind, n, m, new, r, new_bound in calls:
+        sizes[kind, n] += 1
+        if r is not None:
+            assert r == _rref_kernel(m, n)[1], (m, new)
+        assert new_bound == _rref_kernel(new, n)[1], (m, new, r)  # never above the rank
+    assert set(sizes) == {("rule", 2), ("rule", 4), ("solve", 4), ("solve", 6)}, sizes
+    assert sizes["solve", 6] >= 100, sizes
 
 
 def _flat_rows(m, n):
