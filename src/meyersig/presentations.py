@@ -26,13 +26,13 @@ Words are evaluated by one prefix walk that carries M = P - I, P the
 product of the letters so far; a Dehn-twist letter moves it as
 :mod:`meyersig.twist` derives, and each letter is checked by one dict
 lookup of its own tuple.  :func:`evaluate_word` carries the product
-alone, :func:`_walk` also c.  At genus 1 and 2, over a presentation
-whose generators are all twist powers (both shipped ones, as every
-monodromy of a Lefschetz or Kodaira fibration), the walks are
-straight-line code on the 4 or 16 entries as local ints and take twist
-letters alone.  The general walk on integer rows gives the same results
-at every genus; it is the walk above genus 2 and of any presentation
-with a generator that is no twist power.
+alone, :func:`_walk` also c.  Over a presentation whose generators are
+all twist powers (both shipped ones, as every monodromy of a Lefschetz
+or Kodaira fibration), :func:`_walk` is straight-line code on the 4 or
+16 entries as local ints at genus 1 and 2, and :func:`evaluate_word` on
+the 4 entries at genus 1 alone; both take twist letters alone.  The
+general walk on integer rows gives the same results at every genus; it
+is every other walk, the product of a genus-2 word included.
 A :class:`Presentation` walks each relator once, when it is built,
 checking that it maps to the identity and keeping c(r_j), so
 :func:`class_order` walks no word, and solves once per object.  The file
@@ -390,18 +390,16 @@ def evaluate_word(w: Word, p: Presentation) -> SymplecticMatrix:
     """Product of generator matrices in word order; the empty word gives I.
 
     The walk of :func:`_walk` without c: a twist letter takes the step of
-    :mod:`meyersig.twist`, any other the full product.  At 2g = 2 and 4,
-    over a presentation whose generators are all twist powers, the
-    product is carried as 4 or 16 local ints (:func:`_evaluate_2`,
-    :func:`_evaluate_4`); otherwise as the rows of M = P - I
-    (:func:`_evaluate_rows`).
+    :mod:`meyersig.twist`, any other the full product.  At 2g = 2, over a
+    presentation whose generators are all twist powers, the product is
+    carried as 4 local ints (:func:`_evaluate_2`); at every other genus
+    and over any other presentation, as the rows of M = P - I
+    (:func:`_evaluate_rows`).  Outside the self-test, the package's
+    genus-2 products are the closedness checks over a sphere, one freely
+    reduced word per check, so genus 2 keeps no straight-line product.
     """
-    if p._twist_only:
-        n = 2 * p.genus
-        if n == 4:
-            return _wrap(2, _evaluate_4(w, p))
-        if n == 2:
-            return _wrap(1, _evaluate_2(w, p))
+    if p._twist_only and p.genus == 1:
+        return _wrap(1, _evaluate_2(w, p))
     return _wrap(p.genus, _evaluate_rows(w, p))
 
 
@@ -452,40 +450,6 @@ def _evaluate_2(w: Word, p: Presentation) -> tuple:
     return (p00, p01), (p10, p11)
 
 
-def _evaluate_4(w: Word, p: Presentation) -> tuple:
-    """:func:`_evaluate_2` at 2g = 4, on the 16 entries of P."""
-    p00, p01, p02, p03, p10, p11, p12, p13 = 1, 0, 0, 0, 0, 1, 0, 0
-    p20, p21, p22, p23, p30, p31, p32, p33 = 0, 0, 1, 0, 0, 0, 0, 1
-    twists = p._twists
-    for letter in w.letters:
-        try:
-            twist = twists[letter]
-        except KeyError:
-            raise _bad_letter(letter[0], p.generator_count) from None
-        (v0, v1, v2, v3), _, (w0, w1, w2, w3), _, _ = twist
-        f0 = p00 * v0 + p01 * v1 + p02 * v2 + p03 * v3
-        f1 = p10 * v0 + p11 * v1 + p12 * v2 + p13 * v3
-        f2 = p20 * v0 + p21 * v1 + p22 * v2 + p23 * v3
-        f3 = p30 * v0 + p31 * v1 + p32 * v2 + p33 * v3
-        p00 += f0 * w0
-        p01 += f0 * w1
-        p02 += f0 * w2
-        p03 += f0 * w3
-        p10 += f1 * w0
-        p11 += f1 * w1
-        p12 += f1 * w2
-        p13 += f1 * w3
-        p20 += f2 * w0
-        p21 += f2 * w1
-        p22 += f2 * w2
-        p23 += f2 * w3
-        p30 += f3 * w0
-        p31 += f3 * w1
-        p32 += f3 * w2
-        p33 += f3 * w3
-    return (p00, p01, p02, p03), (p10, p11, p12, p13), (p20, p21, p22, p23), (p30, p31, p32, p33)
-
-
 def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
     """(c(w), the rows of P - I for the image P of w): the signature
     cocycle summed along the prefixes of w, and the last prefix minus I.
@@ -499,6 +463,7 @@ def _walk(w: Word, p: Presentation) -> tuple[int, tuple]:
     M is 4 or 16 local ints (:func:`_walk_2`, :func:`_walk_4`), which take
     twist letters alone; otherwise, a non-twist generator or 2g > 4, it is
     rows (:func:`_walk_rows`).  All three give the same c and rows.
+    :func:`evaluate_word` keeps local ints at 2g = 2 alone.
     """
     if p._twist_only:
         n = 2 * p.genus

@@ -18,7 +18,7 @@ from meyersig import cli, cocycle, exact, fibered, matrix, presentations, selfte
 from meyersig.cli import main
 from meyersig.exact import kernel_basis
 from meyersig.fibered import load_fibration
-from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction, cochain_c
+from meyersig.presentations import UNBOUNDED, SynthesizedMeyerFunction, Word, cochain_c, format_word
 from meyersig.matrix import _identity_rows, format_matrix
 from meyersig.symplectic import MAX_GENUS, SymplecticMatrix, transvection
 
@@ -396,6 +396,27 @@ def test_local_sig_synthesizes_once_and_evaluates_each_distinct_germ_once(
     assert (synthesize.call_count, evaluate.call_count) == (1, 5)
     assert load.call_count == 1
     assert parse.call_count == 13 + 5  # the relators of genus2.json, then the germ words
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_local_sig_checks_the_chain_relation_by_one_short_product(capsys, count_calls, tmp_path, seed):
+    """The genus-2 chain relation as 30 germs x c_i^-1 x^-1, |x| <= 2 (the
+    files of the cli_session workload): the sphere closedness check makes
+    one evaluate_word call, on the germ letters freely reduced, at most
+    30 + 2|x| of the 30 + 60|x|.  Genus-2 products take the general walk
+    on rows, which stays cheap only on such short words."""
+    p = presentations.shipped_presentation(2)  # built, and its relators walked, once per process
+    rng = random.Random(seed)
+    x = Word([(rng.randrange(5), rng.choice((1, -1))) for _ in range(seed % 3)])
+    germs = [
+        {"monodromy": format_word(x * Word([(4 - k % 5, -1)]) * x.inverse(), p.generator_names)}
+        for k in range(30)
+    ]
+    path = _write_fibration(tmp_path / "chain.json", 2, germs)
+    evaluate = count_calls(presentations, "evaluate_word")
+    assert run_cli(capsys, "local-sig", "-f", path) == (0, CHAIN_OUT, "")
+    assert evaluate.call_count == 1
+    assert len(evaluate.call_args.args[0]) <= 30 + 2 * len(x)
 
 
 def test_local_sig_reads_each_data_file_once(

@@ -31,7 +31,7 @@ RETIRED = {"IntMatrix", "_trusted"}
 TWIST_NAMES = {
     "_twist", "_twist_step", "_twist_solve", "_minor_sign", "_sigma_minors", "_SIGMA_MINORS", "_det"
 }
-STRAIGHT_LINE_WALKS = {"_walk_2", "_walk_4", "_evaluate_2", "_evaluate_4"}
+STRAIGHT_LINE_WALKS = {"_walk_2", "_walk_4", "_evaluate_2"}
 NON_TWIST_NAMES = {"tau_sp", "_product", "_add_identity", "determinant", "_inverses", "matrices"}
 
 

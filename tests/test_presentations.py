@@ -1175,10 +1175,12 @@ def test_straight_line_walks_equal_the_general_walk(g, monkeypatch, line_runs):
     presentation, over powers of twists along seeded classes, over the
     chain twists with the non-twist letter s (chain_with_s) and, at
     2g = 2, over the mismatch presentation with S.  The two twist-only
-    presentations take the straight-line walks on local ints, once per
-    call; the two with a non-twist generator take the general walk, where
-    the tracer sees no run of _walk_2, _walk_4, _evaluate_2 or _evaluate_4
-    and c is the tau_sp prefix sum.  The straight-line words reach every
+    presentations take the straight-line walk on local ints, once per
+    call, and the straight-line product at 2g = 2; at 2g = 4 the product
+    is _evaluate_rows, with no line run of _evaluate_2.  The two with a
+    non-twist generator take the general walk and product, where the
+    tracer sees no run of _walk_2, _walk_4 or _evaluate_2 and c is the
+    tau_sp prefix sum.  The straight-line words reach every
     branch: M = 0, the determinant rule with d d' of both signs and with
     one of d, d' zero, and the flat minor-sign rule at each rank r, always
     told r = rank M, with the rank rising (v outside im M, by the
@@ -1203,9 +1205,9 @@ def test_straight_line_walks_equal_the_general_walk(g, monkeypatch, line_runs):
                 messages.append(str(expected.value))
             general = presentations._walk_rows(word, p), presentations._evaluate_rows(word, p)
             cases.append((p, word, general, bad, messages))
-    straight_line = (presentations._walk_2, presentations._walk_4, presentations._evaluate_2, presentations._evaluate_4)
-    entries = [line_runs(fn, "twists = p._twists") for fn in straight_line]
-    walk, evaluate = straight_line[g - 1], straight_line[g + 1]
+    products = (presentations._walk_2, presentations._walk_4, presentations._evaluate_2, presentations._evaluate_rows)
+    entries = [line_runs(fn, "twists = p._twists") for fn in products]
+    walk, evaluate = products[g - 1], products[g + 1]
     formula = line_runs(walk, "total += d * new_d", "d", "new_d")
     at_identity = line_runs(walk, "rank = 1\n")
     outcomes = set()
@@ -1221,7 +1223,7 @@ def test_straight_line_walks_equal_the_general_walk(g, monkeypatch, line_runs):
     monkeypatch.setattr(presentations, "_minor_sign", spy)
     assert shipped_presentation(g)._twist_only and random_twists._twist_only
     assert not any(p._twist_only for p in non_twist)
-    once = [2 * (fn in (walk, evaluate)) for fn in straight_line]  # the word and the bad word
+    once = [2 * (fn in (walk, evaluate)) for fn in products]  # the word and the bad word
     for p, word, general, bad, messages in cases:
         before = [len(runs) for runs in entries]
         c, rows = presentations._walk(word, p)
@@ -1235,7 +1237,7 @@ def test_straight_line_walks_equal_the_general_walk(g, monkeypatch, line_runs):
         if p._twist_only:
             assert runs == once, runs
         else:
-            assert runs == [0] * 4, runs
+            assert runs == [0, 0, 0, 2], runs
             assert c == _tau_prefix_sum(word, p)
     assert at_identity
     assert {d * new_d for d, new_d in formula} == {1, -1, 0}
